@@ -16,10 +16,16 @@ pricing.
 Wall-clock honesty: the speedup is *recorded* unconditionally (with
 the host's ``cpu_count`` alongside, so a 1-core CI container's
 number is interpretable) but *asserted* only where it is physically
-achievable — a real-run host with >= 4 cores.  Smoke mode
-(``REPRO_BENCH_SMOKE=1``) shrinks the workload and asserts the
-scale-out contract instead: every worker participates, results are
-bitwise equal to the sharded reference, and the transport reconciles.
+achievable — a real-run host with >= 4 cores.  What every host can
+hold the pool to is its *overhead*: the same batch is also timed on
+the in-process :class:`~repro.serving.ShardedBackend` (the identical
+work, minus processes, pipes and shared memory), and the full-size
+lane asserts ``overhead_ratio = process_s / sharded_s <= 1.5`` — a
+pool that sleeps on its pipes (5.0 before the event-driven gather)
+fails it on any core count.  Smoke mode (``REPRO_BENCH_SMOKE=1``)
+shrinks the workload and asserts the scale-out contract instead:
+every worker participates, results are bitwise equal to the sharded
+reference, and the transport reconciles.
 
 Run directly: ``python -m pytest benchmarks/bench_process_backend.py -q``.
 """
@@ -54,6 +60,7 @@ CONFIG = FrogWildConfig(
     seed=0,
 )
 BATCH = 4 if SMOKE else 8
+REPEATS = 2 if SMOKE else 5
 
 _CACHE: dict[str, object] = {}
 
@@ -82,6 +89,19 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> float:
     return len(set(a.tolist()) & set(b.tolist())) / len(a)
 
 
+def _timed(fn, repeats):
+    """Best-of-``repeats``: the noise-robust wall-clock estimator (it
+    also skips a fresh worker's first batches, which pay allocator
+    warm-up rather than pool cost)."""
+    best = float("inf")
+    value = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - start)
+    return value, best
+
+
 def test_process_backend_scaleout(workload):
     graph, queries = workload
     cpu_count = os.cpu_count() or 1
@@ -90,22 +110,18 @@ def test_process_backend_scaleout(workload):
     sharded = ShardedBackend(
         graph, num_shards=WORKERS, num_machines=MACHINES, seed=0
     )
-    sharded_outcome = sharded.run_batch(CONFIG, queries)
-
-    start = time.perf_counter()
-    local_outcome = local.run_batch(CONFIG, queries)
-    local_s = time.perf_counter() - start
-
+    sharded_outcome, sharded_s = _timed(
+        lambda: sharded.run_batch(CONFIG, queries), REPEATS
+    )
+    local_outcome, local_s = _timed(
+        lambda: local.run_batch(CONFIG, queries), REPEATS
+    )
     with ProcessPoolBackend(
         graph, num_shards=WORKERS, num_machines=MACHINES, seed=0
     ) as backend:
-        backend.run_batch(  # warm-up: first batch pays worker spin-up
-            FrogWildConfig(num_frogs=WORKERS, iterations=1, seed=0),
-            queries[:1],
+        process_outcome, process_s = _timed(
+            lambda: backend.run_batch(CONFIG, queries), REPEATS
         )
-        start = time.perf_counter()
-        process_outcome = backend.run_batch(CONFIG, queries)
-        process_s = time.perf_counter() - start
         transport = backend.transport_summary()
 
     # Scale-out contract: every worker ran a share of every batch.
@@ -135,20 +151,25 @@ def test_process_backend_scaleout(workload):
     assert transport["sent_measured_bytes"] > 0
 
     speedup = local_s / process_s if process_s > 0 else float("inf")
+    overhead_ratio = process_s / sharded_s
     print(
-        f"\nlocal {local_s:.3f}s  process({WORKERS} workers) "
-        f"{process_s:.3f}s  speedup {speedup:.2f}x  "
+        f"\nlocal {local_s:.3f}s  sharded {sharded_s:.3f}s  "
+        f"process({WORKERS} workers) {process_s:.3f}s  "
+        f"speedup {speedup:.2f}x  overhead {overhead_ratio:.2f}x sharded  "
         f"(host cpu_count={cpu_count})  topk overlap {topk_overlap:.2f}"
     )
     record_perf(
         "process-backend-scaleout",
         {
             "local_s": local_s,
+            "sharded_s": sharded_s,
             "process_s": process_s,
             "speedup": speedup,
+            "overhead_ratio": overhead_ratio,
             "workers": WORKERS,
             "cpu_count": cpu_count,
             "batch_size": BATCH,
+            "repeats": REPEATS,
             "num_frogs": CONFIG.num_frogs,
             "golden_topk_bitwise_vs_sharded": 1.0,
             "topk_overlap_vs_local": topk_overlap,
@@ -158,6 +179,14 @@ def test_process_backend_scaleout(workload):
         },
     )
 
+    # Any host can hold the pool to the in-process backend doing the
+    # same work (smoke batches are too small to price a fixed cost).
+    if not SMOKE:
+        assert overhead_ratio <= 1.5, (
+            f"the pool took {process_s:.3f}s where ShardedBackend took "
+            f"{sharded_s:.3f}s ({overhead_ratio:.2f}x) on a "
+            f"{cpu_count}-core host; the overhead contract is <= 1.5x"
+        )
     # The >= 2x bar needs >= 4 real cores and the full workload; on a
     # smaller host the honest number is recorded above, not asserted.
     if not SMOKE and cpu_count >= WORKERS:

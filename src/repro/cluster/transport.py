@@ -223,8 +223,10 @@ class RecordChannel:
         self.received.add(kind, int(vertices.size), len(frame), model)
         return kind, tag, vertices, payloads
 
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self.connection.poll(timeout)
+    def fileno(self) -> int:
+        """The pipe's descriptor, so ``multiprocessing.connection.wait``
+        (and any selector) can block on the channel directly."""
+        return self.connection.fileno()
 
     def close(self) -> None:
         try:

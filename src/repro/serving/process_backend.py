@@ -47,13 +47,28 @@ worker replies  ``("attached", epoch)``, ``("detached", epoch)``,
                 ``("stopped",)``
 ==============  =====================================================
 
-Per-lane counter records flow on the data channel tagged with the task
-id; the parent drains data and control concurrently (a worker blocked
-on a full data pipe must never deadlock against a parent blocked on
-the control pipe).  ``ping``/``pong`` is the
-:class:`~repro.serving.WorkerSupervisor` heartbeat; ``chaos`` is the
-fault-injection hook (:mod:`repro.traffic.chaos`): ``("chaos",
-"hang", s)`` parks the worker's control loop for ``s`` seconds and
+Every parent-side wait is one event-driven gather
+(:meth:`ProcessPoolBackend._gather`).  Each request in flight is a
+:class:`_Wait`, and a single loop blocks in
+``multiprocessing.connection.wait`` on, for every shard still in
+flight, its control connection (until the matching reply lands), its
+data channel (until all of the task's lane frames land) and its
+``process.sentinel``.  Whichever is ready is handled at once: a lane
+frame is decoded the moment it lands (a worker blocked on a full data
+pipe unblocks immediately), no shard queues behind another, and a
+death is an event, not something noticed on a polling tick.  Each
+wait has an *inactivity* deadline of ``timeout_s`` that only its own
+progress resets — a ``result`` frame tagged with its task, or the
+reply of its kind echoing its token (epoch, task id, ping nonce).
+Anything stale is discarded without counting, so a stale-task flood
+stalls the parent for at most ``timeout_s``.  A fired sentinel is
+ruled a death only once the worker's pipes have drained to EOF: a
+worker that died *after* flushing its reply still answers.
+
+``ping``/``pong`` is the :class:`~repro.serving.WorkerSupervisor`
+heartbeat; ``chaos`` is the fault-injection hook
+(:mod:`repro.traffic.chaos`): ``("chaos", "hang", s)`` parks the
+worker's control loop for ``s`` seconds and
 ``("chaos", "delay", s)`` stalls its *next* batch reply — both
 fire-and-forget, so the parent observes exactly what a silent or
 mid-batch-dead worker looks like.
@@ -95,8 +110,8 @@ import secrets
 import threading
 import time
 import traceback
-from collections import deque
-from typing import Sequence
+from multiprocessing.connection import wait as wait_ready
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -329,6 +344,53 @@ class _Worker:
         self.channel = channel
 
 
+#: Control op -> the reply kind that answers it.
+_REPLY_KINDS = {
+    "attach": "attached",
+    "detach": "detached",
+    "run": "result",
+    "patch": "result",
+    "ping": "pong",
+}
+
+
+class _Wait:
+    """One request in flight on one worker: what the gather awaits.
+
+    Complete once the control ``reply`` of ``kind`` echoing ``token``
+    (epoch, task id or ping nonce) has landed together with ``lanes``
+    data frames tagged with the same token.
+    """
+
+    def __init__(self, worker: _Worker, message: tuple, lanes: int) -> None:
+        self.worker = worker
+        self.kind = _REPLY_KINDS[message[0]]
+        self.token = message[1]
+        self.lanes = lanes
+        self.frames: list[np.ndarray] = []
+        self.reply: tuple | None = None
+        self.deadline = 0.0
+        # A dead worker's pipes read ready at EOF; each is retired on
+        # its own, so replies buffered on the *other* still drain.
+        self.control_open = True
+        self.channel_open = True
+
+    @property
+    def complete(self) -> bool:
+        return self.reply is not None and len(self.frames) == self.lanes
+
+    def sources(self) -> list:
+        """What can still bring news: the sentinel, and each open pipe
+        this wait still needs something from."""
+        worker = self.worker
+        found = [worker.process.sentinel]
+        if self.reply is None and self.control_open:
+            found.append(worker.control)
+        if len(self.frames) < self.lanes and self.channel_open:
+            found.append(worker.channel)
+        return found
+
+
 class ProcessPoolBackend(ShardedBackend):
     """Shard fan-out on OS processes over shared-memory graph state.
 
@@ -354,10 +416,10 @@ class ProcessPoolBackend(ShardedBackend):
         (instant start, Linux) and falls back to the platform default.
         The worker entry point is spawn-safe either way.
     ``timeout_s``
-        Per-operation ceiling on worker replies; a silent worker is
-        treated exactly like a dead one
-        (:class:`~repro.errors.WorkerCrashError` internally, policy
-        below externally).
+        How long a worker may stay silent on a request (each frame or
+        reply of that request restarts it); a silent worker is treated
+        like a dead one (:class:`~repro.errors.WorkerCrashError`
+        internally, policy below externally).
     ``on_shard_failure``
         What a batch does when a worker dies or times out mid-flight:
         ``"fail"`` (default) raises a typed
@@ -434,6 +496,8 @@ class ProcessPoolBackend(ShardedBackend):
                 f"unknown on_shard_failure {on_shard_failure!r}: "
                 "expected 'fail', 'partial' or 'retry'"
             )
+        if timeout_s <= 0:
+            raise ConfigError("timeout_s must be positive")
         if retry_budget < 0:
             raise ConfigError("retry_budget must be non-negative")
         if retry_backoff_s < 0:
@@ -473,7 +537,7 @@ class ProcessPoolBackend(ShardedBackend):
         try:
             self._publish_epoch(self._epoch, self.graph, self.replications)
             self._spawn_workers()
-            self._attach_all(self._epoch)
+            self._attach(self._epoch, self._workers)
             if heartbeat_s is not None:
                 self.supervisor.start()
         except BaseException:
@@ -546,92 +610,141 @@ class ProcessPoolBackend(ShardedBackend):
         for shard in range(self.num_shards):
             self._workers.append(self._spawn_worker(shard))
 
-    def _control_reply(
-        self, worker: _Worker, expected: str, timeout_s: float | None = None
-    ):
-        """Await one control message of ``expected`` kind from a worker.
+    def _request(
+        self, worker: _Worker, message: tuple, lanes: int = 0
+    ) -> _Wait:
+        """Send one control op; returns the wait for its answer.
 
-        Liveness and the deadline are checked on *every* iteration —
-        including after an unexpected message — so a worker streaming
-        junk (or a stale-reply flood) stalls the parent for at most
-        ``timeout_s``, never forever.
+        A pipe that cannot take the message is a typed
+        :class:`~repro.errors.WorkerCrashError` (``cause="pipe"``).
         """
-        budget = self.timeout_s if timeout_s is None else timeout_s
-        deadline = time.monotonic() + budget
-        while True:
-            if worker.control.poll(0.05):
-                try:
-                    message = worker.control.recv()
-                except (EOFError, OSError) as error:
-                    raise WorkerCrashError(
-                        f"shard {worker.shard} worker hung up awaiting "
-                        f"{expected}",
-                        shard=worker.shard,
-                        epoch=self._epoch,
-                        cause="died",
-                    ) from error
-                if message[0] == "error":
-                    _, _, error, trace = message
-                    raise EngineError(
-                        f"shard {worker.shard} worker failed: {error}\n"
-                        f"{trace}"
-                    )
-                if message[0] == expected:
-                    return message
-                # Unexpected kind (stale pong, junk): fall through to
-                # the liveness/deadline checks below.
-            if not worker.process.is_alive():
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker died awaiting "
-                    f"{expected}",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="died",
-                )
-            if time.monotonic() > deadline:
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker timed out awaiting "
-                    f"{expected}",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="timeout",
-                )
-
-    def _attach_worker(self, worker: _Worker, epoch: int) -> None:
-        """One worker's attach handshake for ``epoch`` (send + await)."""
-        arenas = self._arenas[epoch]
         try:
-            worker.control.send(
-                (
-                    "attach",
-                    epoch,
-                    arenas[0].spec,
-                    arenas[1 + worker.shard].spec,
-                )
-            )
+            worker.control.send(message)
         except (OSError, ValueError) as error:
             raise WorkerCrashError(
-                f"shard {worker.shard} worker unreachable for attach: "
-                f"{error}",
+                f"shard {worker.shard} worker unreachable for "
+                f"{message[0]}: {error}",
                 shard=worker.shard,
-                epoch=epoch,
+                epoch=self._epoch,
                 cause="pipe",
             ) from error
-        self._control_reply(worker, "attached")
+        return _Wait(worker, message, lanes)
 
-    def _attach_all(self, epoch: int) -> None:
-        graph_spec = self._arenas[epoch][0].spec
-        for worker in self._workers:
-            worker.control.send(
-                (
-                    "attach",
-                    epoch,
-                    graph_spec,
-                    self._arenas[epoch][1 + worker.shard].spec,
+    def _take_reply(self, wait: _Wait) -> bool:
+        """Read one control message; True if it is this wait's reply."""
+        try:
+            message = wait.worker.control.recv()
+        except (EOFError, OSError):
+            wait.control_open = False
+            return False
+        if message[0] == "error":
+            _, _, error, trace = message
+            raise EngineError(
+                f"shard {wait.worker.shard} worker failed: {error}\n{trace}"
+            )
+        if message[:2] != (wait.kind, wait.token):
+            return False  # stale pong, older task's result, junk
+        wait.reply = message
+        return True
+
+    def _take_frame(self, wait: _Wait) -> bool:
+        """Read one data frame; True if it is one of this wait's lanes."""
+        try:
+            kind, tag, stops, stop_counts = wait.worker.channel.recv_records()
+        except (EOFError, OSError):
+            wait.channel_open = False
+            return False
+        if kind != "result" or tag != wait.token:
+            return False  # an older (failed) task's frame
+        counts = np.zeros(self.graph.num_vertices, dtype=np.int64)
+        counts[stops] = stop_counts
+        wait.frames.append(counts)
+        return True
+
+    def _gather(
+        self,
+        waits: Sequence[_Wait],
+        timeout_s: float | None = None,
+        recover: Callable[[_Wait, WorkerCrashError], _Wait | None]
+        | None = None,
+    ) -> list[_Wait]:
+        """Run every wait to completion in one event loop.
+
+        Blocks on the control connection, data channel and process
+        sentinel of every wait still in flight and handles whichever
+        is ready (deadline and death rules: module docstring).  A wait
+        that fails — ``died`` or ``timeout`` — raises its
+        :class:`~repro.errors.WorkerCrashError` unless ``recover`` is
+        given: that is called at once with the wait and the error and
+        may return a replacement (a re-sent request) that joins the
+        loop.  Returns the completed waits, replacements included.
+        """
+        budget = self.timeout_s if timeout_s is None else timeout_s
+        live = list(waits)
+        done: list[_Wait] = []
+        started = time.monotonic()
+        for wait in live:
+            wait.deadline = started + budget
+        while live:
+            horizon = min(wait.deadline for wait in live) - time.monotonic()
+            ready = set(
+                wait_ready(
+                    [source for wait in live for source in wait.sources()],
+                    max(horizon, 0.0),
                 )
             )
-        for worker in self._workers:
-            self._control_reply(worker, "attached")
+            for wait in list(live):
+                worker = wait.worker
+                # Only sources this wait asked for can be in ``ready``.
+                readable = progressed = False
+                if worker.control in ready:
+                    readable = True
+                    progressed |= self._take_reply(wait)
+                if worker.channel in ready:
+                    readable = True
+                    progressed |= self._take_frame(wait)
+                if wait.complete:
+                    live.remove(wait)
+                    done.append(wait)
+                    continue
+                now = time.monotonic()
+                if progressed:
+                    wait.deadline = now + budget
+                    continue
+                if worker.process.sentinel in ready and not readable:
+                    # Dead, and nothing it flushed is left to drain.
+                    cause = "died"
+                elif now > wait.deadline:
+                    cause = "timeout"
+                else:
+                    continue
+                live.remove(wait)
+                error = WorkerCrashError(
+                    f"shard {worker.shard} worker lost ({cause}) "
+                    f"awaiting {wait.kind}",
+                    shard=worker.shard,
+                    epoch=self._epoch,
+                    cause=cause,
+                )
+                if recover is None:
+                    raise error
+                replacement = recover(wait, error)
+                if replacement is not None:
+                    replacement.deadline = time.monotonic() + budget
+                    live.append(replacement)
+        return done
+
+    def _attach(self, epoch: int, workers: Sequence[_Worker]) -> None:
+        """The attach handshake of ``workers`` for ``epoch``."""
+        graph, *tables = (arena.spec for arena in self._arenas[epoch])
+        self._gather(
+            [
+                self._request(
+                    worker, ("attach", epoch, graph, tables[worker.shard])
+                )
+                for worker in workers
+            ]
+        )
 
     def refresh(
         self,
@@ -674,7 +787,7 @@ class ProcessPoolBackend(ShardedBackend):
                 )
             self._publish_epoch(new_epoch, graph, replications)
             try:
-                self._attach_all(new_epoch)
+                self._attach(new_epoch, self._workers)
             except BaseException:
                 for arena in self._arenas.pop(new_epoch, []):
                     arena.destroy()
@@ -682,10 +795,12 @@ class ProcessPoolBackend(ShardedBackend):
             self._epoch = new_epoch
             self.graph = graph
             self.replications = list(replications)
-            for worker in self._workers:
-                worker.control.send(("detach", old_epoch))
-            for worker in self._workers:
-                self._control_reply(worker, "detached")
+            self._gather(
+                [
+                    self._request(worker, ("detach", old_epoch))
+                    for worker in self._workers
+                ]
+            )
             for arena in self._arenas.pop(old_epoch, []):
                 arena.destroy()
         return self
@@ -754,20 +869,13 @@ class ProcessPoolBackend(ShardedBackend):
                 arrays, epoch=self._epoch, prefix=self.arena_prefix
             )
             try:
-                for worker in jobs:
-                    worker.control.send(
-                        ("patch", task, self._epoch, arena.spec, seed)
-                    )
-                for worker in jobs:
-                    message = self._control_reply(worker, "result")
-                    if message[1] != task:
-                        raise EngineError(
-                            f"shard {worker.shard} answered task "
-                            f"{message[1]}, expected {task}"
-                        )
-                    tables[worker.shard] = (
+                message = ("patch", task, self._epoch, arena.spec, seed)
+                for wait in self._gather(
+                    [self._request(worker, message) for worker in jobs]
+                ):
+                    tables[wait.worker.shard] = (
                         ReplicationTable.from_shared_components(
-                            snapshot, message[2]
+                            snapshot, wait.reply[2]
                         )
                     )
             finally:
@@ -830,122 +938,6 @@ class ProcessPoolBackend(ShardedBackend):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _collect(
-        self, worker: _Worker, task: int, num_lanes: int
-    ) -> tuple[dict, list[np.ndarray]]:
-        """Drain one worker's lane frames and control result for ``task``.
-
-        Data and control are polled together: a worker blocked sending
-        a large frame unblocks as soon as the parent drains it, and an
-        error raised mid-task surfaces instead of deadlocking.  Frames
-        tagged with an older (failed) task are discarded — and do
-        *not* count as progress: only this task's frames and result
-        reset the inactivity deadline, so a stale-task flood stalls
-        the parent for at most ``timeout_s``.  The liveness/deadline
-        checks run on every non-progressing iteration; a worker that
-        died *after* flushing its reply still answers the batch (the
-        buffered pipes are drained before the death is ruled on).
-        """
-        frames: list[np.ndarray] = []
-        payload: dict | None = None
-        counts_template = np.zeros(self.graph.num_vertices, dtype=np.int64)
-        deadline = time.monotonic() + self.timeout_s
-        # A dead worker's pipe polls readable at EOF; the recv then
-        # raises.  Each pipe is retired individually on EOF so replies
-        # still buffered on the *other* pipe can be drained.
-        channel_open = True
-        control_open = True
-        while payload is None or len(frames) < num_lanes:
-            progressed = False
-            if channel_open and worker.channel.poll(
-                0.0 if payload is None else 0.05
-            ):
-                try:
-                    kind, tag, stops, stop_counts = (
-                        worker.channel.recv_records()
-                    )
-                except (EOFError, OSError):
-                    channel_open = False
-                else:
-                    if tag == task and kind == "result":
-                        progressed = True
-                        counts = counts_template.copy()
-                        counts[stops] = stop_counts
-                        frames.append(counts)
-            if (
-                payload is None
-                and control_open
-                and worker.control.poll(0.05)
-            ):
-                try:
-                    message = worker.control.recv()
-                except (EOFError, OSError):
-                    control_open = False
-                else:
-                    if message[0] == "error":
-                        _, _, error, trace = message
-                        raise EngineError(
-                            f"shard {worker.shard} batch failed: "
-                            f"{error}\n{trace}"
-                        )
-                    if message[0] == "result" and message[1] == task:
-                        progressed = True
-                        payload = message[2]
-            if progressed:
-                deadline = time.monotonic() + self.timeout_s
-                continue
-            if not worker.process.is_alive():
-                if (channel_open and worker.channel.poll(0.0)) or (
-                    control_open and worker.control.poll(0.0)
-                ):
-                    # Dead, but replies are still buffered: keep
-                    # draining — a fully flushed result counts.
-                    continue
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker died mid-batch",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="died",
-                )
-            if time.monotonic() > deadline:
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker timed out mid-batch",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="timeout",
-                )
-        return payload, frames
-
-    def _send_run(
-        self,
-        shard: int,
-        task: int,
-        config: FrogWildConfig,
-        share: int,
-        query_specs: list,
-    ) -> None:
-        """Dispatch one shard's slice; pipe failures become typed."""
-        worker = self._workers[shard]
-        try:
-            worker.control.send(
-                (
-                    "run",
-                    task,
-                    self._epoch,
-                    config,
-                    share,
-                    self._shard_seed(config.seed, shard),
-                    query_specs,
-                )
-            )
-        except (OSError, ValueError) as error:
-            raise WorkerCrashError(
-                f"shard {shard} worker unreachable at dispatch: {error}",
-                shard=shard,
-                epoch=self._epoch,
-                cause="pipe",
-            ) from error
-
     def _recover_shard(self, shard: int, cause: str) -> bool:
         """Respawn one worker via the supervisor (lock held); False on
         a failed respawn — the shard is then lost for this batch and
@@ -976,69 +968,77 @@ class ProcessPoolBackend(ShardedBackend):
             self._task_counter += 1
             task = self._task_counter
             shares = self._shares(config.num_frogs)
-            # Dispatch phase.  A worker found dead *here* lost no work:
+            failures: dict[int, WorkerCrashError] = {}
+            retries: dict[int, int] = {}
+
+            def send(shard: int) -> _Wait:
+                return self._request(
+                    self._workers[shard],
+                    (
+                        "run",
+                        task,
+                        self._epoch,
+                        config,
+                        shares[shard],
+                        self._shard_seed(config.seed, shard),
+                        query_specs,
+                    ),
+                    lanes=len(queries),
+                )
+
+            def recover(
+                wait: _Wait, error: WorkerCrashError
+            ) -> _Wait | None:
+                # A shard lost mid-flight is revived the moment the
+                # gather sees it (the pool never stays wedged); its
+                # slice is the failure policy's call, and a retry
+                # re-runs while the other shards still compute.
+                shard = wait.worker.shard
+                revived = self._recover_shard(shard, error.cause)
+                attempt = retries.get(shard, 0)
+                if (
+                    revived
+                    and self.on_shard_failure == "retry"
+                    and attempt < self.retry_budget
+                ):
+                    retries[shard] = attempt + 1
+                    time.sleep(self.retry_backoff_s * (2.0**attempt))
+                    try:
+                        return send(shard)
+                    except WorkerCrashError as again:
+                        error = again
+                failures[shard] = error
+                return None
+
+            # Dispatch.  A worker found dead *here* lost no work:
             # respawn and re-send once for free under every policy.
-            pending: deque[tuple[int, int]] = deque()
-            failures: dict[int, tuple[int, WorkerCrashError]] = {}
+            waits: list[_Wait] = []
             for shard, share in enumerate(shares):
                 if share == 0:
                     continue
                 try:
-                    self._send_run(shard, task, config, share, query_specs)
+                    waits.append(send(shard))
                 except WorkerCrashError as error:
                     if not self._recover_shard(shard, error.cause):
-                        failures[shard] = (share, error)
+                        failures[shard] = error
                         continue
                     try:
-                        self._send_run(
-                            shard, task, config, share, query_specs
-                        )
+                        waits.append(send(shard))
                     except WorkerCrashError as again:
-                        failures[shard] = (share, again)
-                        continue
-                pending.append((shard, share))
-            # Collect phase.  A shard lost mid-flight is always revived
-            # (the pool never stays wedged); what happens to its slice
-            # is the failure policy's call.
-            results: dict[int, tuple[int, dict, list[np.ndarray]]] = {}
-            retries: dict[int, int] = {}
-            while pending:
-                shard, share = pending.popleft()
-                worker = self._workers[shard]
-                try:
-                    payload, frames = self._collect(
-                        worker, task, len(queries)
-                    )
-                except WorkerCrashError as error:
-                    revived = self._recover_shard(shard, error.cause)
-                    attempt = retries.get(shard, 0)
-                    if (
-                        revived
-                        and self.on_shard_failure == "retry"
-                        and attempt < self.retry_budget
-                    ):
-                        retries[shard] = attempt + 1
-                        time.sleep(self.retry_backoff_s * (2.0**attempt))
-                        try:
-                            self._send_run(
-                                shard, task, config, share, query_specs
-                            )
-                        except WorkerCrashError as again:
-                            failures[shard] = (share, again)
-                        else:
-                            pending.append((shard, share))
-                        continue
-                    failures[shard] = (share, error)
-                    continue
+                        failures[shard] = again
+            results = {
+                wait.worker.shard: wait
+                for wait in self._gather(waits, recover=recover)
+            }
+            for shard in results:
                 self.supervisor.note_healthy_locked(shard)
-                results[shard] = (share, payload, frames)
-            lost_frogs = sum(share for share, _ in failures.values())
+            lost_frogs = sum(shares[shard] for shard in failures)
             if failures:
                 first_shard = min(failures)
-                first = failures[first_shard][1]
+                first = failures[first_shard]
                 detail = "; ".join(
                     f"shard {shard}: {error.cause}"
-                    for shard, (_, error) in sorted(failures.items())
+                    for shard, error in sorted(failures.items())
                 )
                 if self.on_shard_failure == "fail" or not results:
                     raise ShardFailure(
@@ -1054,10 +1054,10 @@ class ProcessPoolBackend(ShardedBackend):
             ]
             shard_costs: list[ShardCost] = []
             for shard in sorted(results):
-                share, payload, frames = results[shard]
-                worker = self._workers[shard]
+                wait = results[shard]
+                worker, payload = wait.worker, wait.reply[2]
                 for lanes, counts, (num_frogs, report, ledger) in zip(
-                    per_query_lanes, frames, payload["lanes"]
+                    per_query_lanes, wait.frames, payload["lanes"]
                 ):
                     lanes.append(
                         FrogWildResult(

@@ -24,8 +24,7 @@ refreshes and supervision.  Methods suffixed ``_locked`` assume the
 caller already holds it (``run_batch`` revives crashed shards inline);
 the public ``check()``/``start()``/``stop()`` entry points acquire it
 themselves.  The supervisor never touches a control pipe outside the
-lock — a heartbeat racing a batch's ``_collect`` would steal its
-replies.
+lock — a heartbeat racing a batch's gather would steal its replies.
 
 Respawn uses exponential backoff per shard (``respawn_backoff_s *
 2**(consecutive_crashes - 1)``, capped at ``max_backoff_s``): a shard
@@ -177,7 +176,7 @@ class WorkerSupervisor:
             worker = backend._spawn_worker(shard)
             backend._workers[shard] = worker
             for epoch in sorted(backend._arenas):
-                backend._attach_worker(worker, epoch)
+                backend._attach(epoch, [worker])
         except EngineError as error:
             self.stats.respawn_failures += 1
             raise WorkerCrashError(
@@ -199,33 +198,26 @@ class WorkerSupervisor:
         self.stats.respawn_log.append((now, shard, now - started))
 
     def ping_locked(self, shard: int) -> bool:
-        """One liveness probe: does this worker answer a fresh ping?"""
+        """One liveness probe: does this worker answer a fresh ping?
+
+        The nonce is the wait's token, so a stale pong (from a probe
+        that timed out earlier) cannot vouch for the worker now.
+        """
         backend = self.backend
-        worker = backend._workers[shard]
-        nonce = next(self._nonce)
         self.stats.heartbeats += 1
         try:
-            worker.control.send(("ping", nonce))
-            deadline = time.monotonic() + self.heartbeat_timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise WorkerCrashError(
-                        f"shard {shard} ping timed out",
-                        shard=shard,
-                        epoch=backend._epoch,
-                        cause="timeout",
+            backend._gather(
+                [
+                    backend._request(
+                        backend._workers[shard], ("ping", next(self._nonce))
                     )
-                message = backend._control_reply(
-                    worker, "pong", timeout_s=remaining
-                )
-                # A stale pong (from a probe that timed out earlier)
-                # must not vouch for the worker now.
-                if len(message) > 1 and message[1] == nonce:
-                    return True
-        except (OSError, ValueError, EngineError):
+                ],
+                timeout_s=self.heartbeat_timeout_s,
+            )
+        except EngineError:
             self.stats.heartbeat_failures += 1
             return False
+        return True
 
     # ------------------------------------------------------------------
     # Public entry points (acquire ``backend._lock``)

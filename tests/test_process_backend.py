@@ -14,8 +14,17 @@ not merely statistically close.  These tests pin down:
   epoch refreshes;
 * the shared-memory plumbing in isolation (arena roundtrip, wire codec,
   CSR / replication-table component serialization);
-* the epoch-remap handshake and the close lifecycle.
+* the epoch-remap handshake and the close lifecycle;
+* the parent-side gather loop against a *scripted* peer (a thread on
+  the far end of real pipes): frames larger than the pipe buffer cost
+  no polling tick, stale frames are not progress, and a peer that died
+  after flushing its reply still answers.
 """
+
+import multiprocessing as mp
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,13 +32,14 @@ import pytest
 from repro.core import FrogWildConfig, seed_distribution
 from repro.cluster import (
     MessageSizeModel,
+    RecordChannel,
     ReplicationTable,
     SharedArena,
     TransportTally,
     WireCodec,
 )
-from repro.errors import ConfigError, EngineError
-from repro.graph import twitter_like
+from repro.errors import ConfigError, EngineError, WorkerCrashError
+from repro.graph import rmat, twitter_like
 from repro.pagerank import exact_pagerank
 from repro.serving import (
     LocalBackend,
@@ -38,6 +48,7 @@ from repro.serving import (
     RankingService,
     ShardedBackend,
 )
+from repro.serving.process_backend import _Worker
 
 GRAPH = twitter_like(n=1000, seed=21)  # the golden regression graph
 CONFIG = FrogWildConfig(num_frogs=12_000, iterations=6, seed=1, ps=0.8)
@@ -271,6 +282,15 @@ class TestRefreshLifecycle:
             with pytest.raises(ConfigError, match="replication tables"):
                 backend.refresh(SMALL, backend.replications[:1])
 
+    def test_time_parameters_are_validated(self):
+        """A non-positive timeout used to be accepted and made every
+        batch "time out" instantly with a misleading crash error."""
+        for timeout_s in (0, -1.0):
+            with pytest.raises(ConfigError, match="timeout_s"):
+                ProcessPoolBackend(
+                    SMALL, num_shards=1, num_machines=2, timeout_s=timeout_s
+                )
+
     def test_close_is_idempotent_and_final(self):
         backend = ProcessPoolBackend(
             SMALL, num_shards=1, num_machines=2, seed=0
@@ -281,6 +301,189 @@ class TestRefreshLifecycle:
         assert backend._arenas == {}
         with pytest.raises(EngineError, match="closed"):
             backend.run_batch(FAST, [RankingQuery(seeds=(1,), k=5)])
+
+
+# ----------------------------------------------------------------------
+# The gather loop against a scripted peer
+# ----------------------------------------------------------------------
+class _ScriptedPeer:
+    """A worker's end of real pipes, driven by a thread.
+
+    ``worker`` is the parent-side handle the gather waits on; its
+    "process" is a sentinel pipe that reads ready (EOF) once the peer
+    :meth:`die` s — what a real ``process.sentinel`` does at exit.
+    """
+
+    def __init__(self, size_model=None) -> None:
+        control_parent, self.control = mp.Pipe(duplex=True)
+        data_parent, data = mp.Pipe(duplex=False)
+        sentinel, self._alive = mp.Pipe(duplex=False)
+        self.channel = RecordChannel(data, size_model)
+        self.worker = _Worker(
+            0,
+            SimpleNamespace(sentinel=sentinel),
+            control_parent,
+            RecordChannel(data_parent, size_model),
+        )
+        self._thread = None
+
+    def play(self, script) -> None:
+        self._thread = threading.Thread(
+            target=script, args=(self,), daemon=True
+        )
+        self._thread.start()
+
+    def die(self) -> None:
+        self.control.close()
+        self.channel.close()
+        self._alive.close()
+
+    def close(self) -> None:
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive()
+        self.die()
+        self.worker.control.close()
+        self.worker.channel.close()
+        self.worker.process.sentinel.close()
+
+
+@pytest.fixture(scope="module")
+def gather_backend():
+    # 8192 vertices: room for lane frames larger than a pipe buffer.
+    graph = rmat(scale=13, edge_factor=4, seed=1)
+    with ProcessPoolBackend(
+        graph, num_shards=1, num_machines=2, seed=0, timeout_s=0.5
+    ) as backend:
+        yield backend
+
+
+@pytest.fixture
+def peer():
+    peer = _ScriptedPeer()
+    yield peer
+    peer.close()
+
+
+class TestGather:
+    LANES = 10
+    STOPS = np.arange(0, 8192, 2)  # 4096 records = 82 kB > 64 kB buffer
+
+    def _send_lanes(self, peer, task):
+        for lane in range(self.LANES):
+            peer.channel.send_records(
+                "result", self.STOPS, self.STOPS + lane, tag=task
+            )
+
+    def test_frames_larger_than_the_pipe_buffer_cost_no_tick(
+        self, gather_backend, peer
+    ):
+        """Each frame blocks the sender until the parent drains it and
+        the reply only follows the last one.  A parent that sleeps on
+        the (silent) control pipe between frames pays its polling
+        interval per frame — 10 x 50 ms before the gather loop; waiting
+        on both pipes at once pays nothing.  Kernel speed is not
+        involved, so the bound is not a flaky wall-clock assertion."""
+
+        def script(peer):
+            _, task = peer.control.recv()
+            self._send_lanes(peer, task)
+            peer.control.send(("result", task, {"ok": True}))
+
+        peer.play(script)
+        started = time.monotonic()
+        (wait,) = gather_backend._gather(
+            [
+                gather_backend._request(
+                    peer.worker, ("run", 41), lanes=self.LANES
+                )
+            ]
+        )
+        elapsed = time.monotonic() - started
+        assert wait.reply == ("result", 41, {"ok": True})
+        for lane, counts in enumerate(wait.frames):
+            np.testing.assert_array_equal(
+                counts[self.STOPS], self.STOPS + lane
+            )
+            assert counts.sum() == (self.STOPS + lane).sum()
+        assert elapsed < 0.25, elapsed
+
+    def test_stale_task_flood_is_not_progress(self, gather_backend, peer):
+        """Frames and replies of an older task keep arriving for longer
+        than ``timeout_s``; none of them may reset the deadline."""
+        stop = threading.Event()
+
+        def script(peer):
+            peer.control.recv()
+            peer.control.send(("result", 6, {"stale": True}))
+            while not stop.wait(0.01):
+                peer.channel.send_records(
+                    "result", self.STOPS[:8], self.STOPS[:8], tag=6
+                )
+
+        peer.play(script)
+        started = time.monotonic()
+        try:
+            with pytest.raises(WorkerCrashError) as info:
+                gather_backend._gather(
+                    [gather_backend._request(peer.worker, ("run", 7), lanes=1)]
+                )
+        finally:
+            stop.set()
+        assert info.value.cause == "timeout"
+        assert 0.5 <= time.monotonic() - started < 2.0
+
+    def test_peer_that_died_after_flushing_still_answers(
+        self, gather_backend, peer
+    ):
+        def script(peer):
+            _, task = peer.control.recv()
+            peer.channel.send_records(
+                "result", self.STOPS[:8], self.STOPS[:8], tag=task
+            )
+            peer.control.send(("result", task, {}))
+            peer.die()
+
+        wait = gather_backend._request(peer.worker, ("run", 3), lanes=1)
+        peer.play(script)
+        peer._thread.join(timeout=10.0)  # dead before the gather starts
+        assert gather_backend._gather([wait]) == [wait]
+        assert len(wait.frames) == 1 and wait.reply[:2] == ("result", 3)
+
+    def test_death_is_an_event_and_recover_can_resend(
+        self, gather_backend, peer
+    ):
+        """A peer that dies with its reply unsent fails at once (no
+        waiting out ``timeout_s``, no polling tick), and the
+        ``recover`` hook's replacement request joins the same loop."""
+
+        def dies(peer):
+            peer.control.recv()
+            peer.die()
+
+        def answers(peer):
+            _, nonce = peer.control.recv()
+            peer.control.send(("pong", nonce))
+
+        causes = []
+
+        def recover(wait, error):
+            causes.append(error.cause)
+            return gather_backend._request(peer.worker, ("ping", 9))
+
+        doomed = _ScriptedPeer()
+        try:
+            doomed.play(dies)
+            peer.play(answers)
+            started = time.monotonic()
+            (done,) = gather_backend._gather(
+                [gather_backend._request(doomed.worker, ("ping", 8))],
+                recover=recover,
+            )
+            assert time.monotonic() - started < 0.25
+        finally:
+            doomed.close()
+        assert causes == ["died"]
+        assert done.worker is peer.worker and done.reply == ("pong", 9)
 
 
 class TestServiceWiring:

@@ -224,6 +224,29 @@ class TestRetryPolicy:
             outcome = backend.run_batch(CONFIG, QUERIES)
             assert outcome.degraded_shards == (1,)
 
+    def test_retry_overlaps_the_other_shards(self):
+        """Shard 0 withholds its reply for 1 s while shard 1 is killed
+        0.1 s in.  The gather notices the death at once, so the retry
+        (respawn + 0.6 s backoff + re-run) runs *inside* shard 0's
+        delay: the batch takes about max(delay, retry), where draining
+        shard 0 first took their sum (~1.7 s)."""
+        with _pool(
+            num_shards=2, on_shard_failure="retry", retry_backoff_s=0.6
+        ) as backend:
+            healthy = backend.run_batch(CONFIG, QUERIES)
+            backend.inject_chaos(0, "delay", 1.0)
+            _kill_mid_batch(backend, shard=1, after_s=0.1)
+            started = time.monotonic()
+            outcome = backend.run_batch(CONFIG, QUERIES)
+            elapsed = time.monotonic() - started
+            assert outcome.degraded_shards == ()
+            assert np.array_equal(
+                outcome.lanes[0].estimate.counts,
+                healthy.lanes[0].estimate.counts,
+            )
+            assert backend.supervisor.stats.respawns == 1
+            assert 1.0 <= elapsed < 1.4, elapsed
+
     def test_invalid_policy_rejected(self):
         with pytest.raises(ConfigError):
             _pool(on_shard_failure="panic")
@@ -242,6 +265,22 @@ class TestSupervisor:
             assert backend.worker_pid(1) != old_pid
             assert backend.supervisor.stats.respawns == 1
             assert backend.supervisor.stats.crash_log[0][1] == 1
+
+    def test_crash_is_logged_when_it_happens(self):
+        """A death is an event of the gather loop, not something found
+        when the dead shard's turn comes: shard 1's crash is stamped
+        right after the kill although shard 0 is still a second away
+        from answering."""
+        with _pool(num_shards=2) as backend:
+            backend.run_batch(CONFIG, QUERIES)
+            backend.inject_chaos(0, "delay", 1.0)
+            _kill_mid_batch(backend, shard=1, after_s=0.1)
+            dispatched = time.monotonic()
+            outcome = backend.run_batch(CONFIG, QUERIES)
+            assert outcome.degraded_shards == (1,)
+            stamp, shard, cause = backend.supervisor.stats.crash_log[0]
+            assert (shard, cause) == (1, "died")
+            assert stamp - dispatched < 0.5
 
     def test_check_on_healthy_pool_is_a_no_op(self):
         with _pool() as backend:
