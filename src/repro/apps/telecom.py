@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core import FrogWildConfig, run_frogwild
 from ..errors import ConfigError
-from ..graph import DiGraph, from_edges
+from ..graph import DiGraph, from_edges, sorted_unique
 
 __all__ = [
     "generate_call_graph",
@@ -140,7 +140,7 @@ def campaign_reach(graph: DiGraph, seeds: np.ndarray, hops: int = 2) -> float:
         nexts = []
         for v in frontier:
             nexts.append(graph.successors(int(v)))
-        neighbours = np.unique(np.concatenate(nexts)) if nexts else frontier
+        neighbours = sorted_unique(np.concatenate(nexts)) if nexts else frontier
         fresh = neighbours[~reached[neighbours]]
         reached[fresh] = True
         frontier = fresh

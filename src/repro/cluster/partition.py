@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PartitionError
-from ..graph import DiGraph
+from ..graph import DiGraph, sorted_unique
 
 __all__ = [
     "EdgePartition",
@@ -126,7 +126,7 @@ class PlacementDiff:
         keys = np.concatenate([self.added, self.removed, self.moved])
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
-        return np.unique(
+        return sorted_unique(
             np.concatenate([keys // num_vertices, keys % num_vertices])
         )
 

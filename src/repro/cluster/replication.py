@@ -66,17 +66,27 @@ def _index_masters(
 def _grouping_order(anchor: np.ndarray, machine: np.ndarray) -> np.ndarray:
     """Stable (anchor, machine) sort order of an edge set.
 
-    Equivalent to ``np.lexsort((machine, anchor))`` but via a stable
-    argsort of the packed key ``anchor * num_machines + machine``, which
-    numpy radix-sorts — ~2.5x faster than lexsort's mergesort on the
+    The same permutation as ``np.lexsort((machine, anchor))``, computed
+    as an LSD radix sort: one stable pass per 16-bit digit, machine
+    digits first, then anchor digits, as many as each field's maximum
+    needs.  ``argsort(uint16, kind="stable")`` is numpy's radix sort, so
+    every pass is O(m) — ~4x faster than lexsort's mergesort on the
     serving-shaped graphs, for both the from-scratch build and the
-    incremental splice's touched-edge subsort.
+    incremental splice's touched-edge subsort.  Both fields must be
+    non-negative (vertex and machine ids are).
     """
     if anchor.size == 0:
         return np.empty(0, dtype=np.int64)
-    span = int(machine.max()) + 1
-    key = np.asarray(anchor, dtype=np.int64) * span + machine
-    return np.argsort(key, kind="stable")
+    order = None
+    for field in (machine, anchor):
+        field = np.asarray(field)
+        for shift in range(0, max(int(field.max()).bit_length(), 1), 16):
+            digit = ((field >> shift) & 0xFFFF).astype(np.uint16)
+            if order is None:
+                order = np.argsort(digit, kind="stable")
+            else:
+                order = order[np.argsort(digit[order], kind="stable")]
+    return order
 
 
 class _GroupedEdges:

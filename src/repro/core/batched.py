@@ -72,7 +72,7 @@ from ..engine import (
     sync_pair_records,
 )
 from ..errors import ConfigError, EngineError
-from ..graph import DiGraph
+from ..graph import DiGraph, sorted_unique
 from .config import FrogWildConfig
 from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
@@ -524,7 +524,7 @@ class BatchedFrogWildRunner:
         else:
             # One coin per (vertex, mirror) in the union frontier: the
             # physical sync traffic is independent of the batch size.
-            union_verts = np.unique(vert_sv)
+            union_verts = sorted_unique(vert_sv)
             fresh_u, synced_u = self.shared_sync.draw_fresh(union_verts)
             position = np.searchsorted(union_verts, vert_sv)
             fresh = fresh_u[position]
@@ -790,7 +790,7 @@ class BatchedFrogWildRunner:
         frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
         lane_frog = None
         if dest.size:
-            unique_keys = np.unique(
+            unique_keys = sorted_unique(
                 (frog_lane * num_machines + host) * n + dest
             )
             lane_u = unique_keys // (num_machines * n)
@@ -805,7 +805,7 @@ class BatchedFrogWildRunner:
             if self.wire_dedupe:
                 # Lanes aiming at the same (host, destination) share one
                 # physical wire record; the shares below hand it back.
-                phys_keys = np.unique(pair_u[remote])
+                phys_keys = sorted_unique(pair_u[remote])
                 phys_host = phys_keys // n
                 phys_master = masters[phys_keys % n].astype(np.int64)
                 frog_records = np.bincount(
@@ -1407,7 +1407,7 @@ class BatchedFrogWildRunner:
             lane.ledger.charge_ops(int(ops.sum()))
 
             if dest.size:
-                pair_keys = np.unique(host * n + dest)
+                pair_keys = sorted_unique(host * n + dest)
                 host_unique = pair_keys // n
                 dest_master = masters[pair_keys % n].astype(np.int64)
                 remote = host_unique != dest_master

@@ -47,7 +47,7 @@ from ..engine import (
     build_cluster,
 )
 from ..errors import EngineError
-from ..graph import DiGraph
+from ..graph import DiGraph, sorted_unique
 from .config import FrogWildConfig
 from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
@@ -508,7 +508,7 @@ class FrogWildRunner:
             return
         state = self.state
         n = state.num_vertices
-        pair_keys = np.unique(host * n + dest)
+        pair_keys = sorted_unique(host * n + dest)
         host_u = pair_keys // n
         dest_master = self._masters[pair_keys % n].astype(np.int64)
         remote = host_u != dest_master

@@ -24,7 +24,7 @@ import numpy as np
 from ..cluster import CostModel, MessageSizeModel
 from ..engine import ClusterState, MirrorSynchronizer, RunReport, build_cluster
 from ..errors import ConfigError, EngineError
-from ..graph import DiGraph
+from ..graph import DiGraph, sorted_unique
 
 __all__ = ["GossipResult", "run_gossip"]
 
@@ -128,7 +128,7 @@ def run_gossip(
             phase="scatter",
         )
         if pushed.any():
-            pair_keys = np.unique(hosts[pushed] * n + targets[pushed])
+            pair_keys = sorted_unique(hosts[pushed] * n + targets[pushed])
             dest_master = masters[pair_keys % n].astype(np.int64)
             host_u = pair_keys // n
             remote = host_u != dest_master

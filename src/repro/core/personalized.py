@@ -21,7 +21,7 @@ import numpy as np
 from ..cluster import CostModel, MessageSizeModel
 from ..engine import ClusterState, build_cluster
 from ..errors import ConfigError
-from ..graph import DiGraph
+from ..graph import DiGraph, sorted_unique
 from .batched import BatchedFrogWildResult, BatchQuery, run_frogwild_batch
 from .config import FrogWildConfig
 from .frogwild import FrogWildResult, FrogWildRunner
@@ -48,7 +48,7 @@ def seed_distribution(
         raise ConfigError("seed set must be non-empty")
     if seeds.min() < 0 or seeds.max() >= num_vertices:
         raise ConfigError("seed ids out of range")
-    if np.unique(seeds).size != seeds.size:
+    if sorted_unique(seeds).size != seeds.size:
         raise ConfigError("seed ids must be distinct")
     distribution = np.zeros(num_vertices, dtype=np.float64)
     if weights is None:

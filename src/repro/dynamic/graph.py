@@ -9,7 +9,9 @@ and deletions, a monotone version counter, and cheap snapshotting to the
 immutable CSR :class:`~repro.graph.DiGraph` every solver consumes.
 
 Edges are stored as a sorted array of ``source * n + target`` keys, so
-snapshots are O(m) with no Python-level per-edge work.
+a snapshot is O(m) with no Python-level per-edge work: the keys go
+straight into :func:`~repro.graph.builder.from_sorted_keys`, which
+splits them into CSR arrays without re-sorting or deduplicating.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..errors import GraphError
-from ..graph import DiGraph
-from ..graph.builder import from_edges
+from ..graph import DiGraph, from_sorted_keys, sorted_unique
 from ..graph.digraph import _deprecated
 
 __all__ = ["DynamicDiGraph", "GraphDelta"]
@@ -93,7 +94,7 @@ class DynamicDiGraph:
         arr = _as_edge_array(edges)
         if arr.size and arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        self._keys = np.unique(arr[:, 0] * self._n + arr[:, 1])
+        self._keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
         self._version = 0
 
     @classmethod
@@ -173,7 +174,7 @@ class DynamicDiGraph:
             return 0
         if arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        keys = np.unique(arr[:, 0] * self._n + arr[:, 1])
+        keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
         fresh = keys[~np.isin(keys, self._keys, assume_unique=True)]
         if fresh.size:
             self._keys = np.sort(np.concatenate([self._keys, fresh]))
@@ -187,7 +188,7 @@ class DynamicDiGraph:
             return 0
         if arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        keys = np.unique(arr[:, 0] * self._n + arr[:, 1])
+        keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
         present = np.isin(self._keys, keys, assume_unique=True)
         removed = int(present.sum())
         if removed:
@@ -213,11 +214,7 @@ class DynamicDiGraph:
         semantics — the default self-loop repair keeps the snapshot
         walkable even when churn strands vertices without successors.
         """
-        return from_edges(
-            self._edge_array(),
-            num_vertices=self._n,
-            repair_dangling=repair_dangling,
-        )
+        return from_sorted_keys(self._keys, self._n, repair_dangling)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._n:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EngineError
+from ..graph import sorted_unique
 from .program import BulkVertexProgram
 from .state import ClusterState
 from .stats import RunReport
@@ -175,7 +176,7 @@ class BSPEngine:
 
         # Signals to the same target from the same machine combine into
         # one record (PowerGraph's message combiner).
-        pair_keys = np.unique(hosts * n + targets)
+        pair_keys = sorted_unique(hosts * n + targets)
         host_u = pair_keys // n
         target_u = pair_keys % n
         dest = self._masters[target_u].astype(np.int64)

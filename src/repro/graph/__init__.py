@@ -7,7 +7,7 @@ from .analysis import (
     reciprocity,
     summarize,
 )
-from .builder import GraphBuilder, from_edges
+from .builder import GraphBuilder, from_edges, from_sorted_keys
 from .digraph import DiGraph
 from .generators import (
     chung_lu,
@@ -21,12 +21,15 @@ from .generators import (
     twitter_like,
 )
 from .io import load_npz, read_edge_list, save_npz, write_edge_list
+from .keys import sorted_unique
 from .transform import largest_scc, strongly_connected_components, subgraph_vertices
 
 __all__ = [
     "DiGraph",
     "GraphBuilder",
     "from_edges",
+    "from_sorted_keys",
+    "sorted_unique",
     "erdos_renyi",
     "chung_lu",
     "rmat",

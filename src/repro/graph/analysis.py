@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import DiGraph
+from .keys import sorted_unique
 
 __all__ = ["GraphSummary", "summarize", "reciprocity", "power_law_exponent",
            "is_strongly_connected"]
@@ -116,7 +117,9 @@ def _bfs_reaches_all(graph: DiGraph, root: int) -> bool:
         if not (stops > starts).any():
             break
         chunks = [indices[a:b] for a, b in zip(starts, stops) if b > a]
-        neighbours = np.unique(np.concatenate(chunks)) if chunks else np.empty(0, int)
+        neighbours = (
+            sorted_unique(np.concatenate(chunks)) if chunks else np.empty(0, int)
+        )
         fresh = neighbours[~seen[neighbours]]
         seen[fresh] = True
         reached += fresh.size

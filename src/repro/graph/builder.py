@@ -22,8 +22,9 @@ import numpy as np
 
 from ..errors import GraphError
 from .digraph import DiGraph
+from .keys import sorted_unique
 
-__all__ = ["GraphBuilder", "from_edges"]
+__all__ = ["GraphBuilder", "from_edges", "from_sorted_keys"]
 
 _REPAIRS = ("self-loop", "drop", "none")
 
@@ -100,12 +101,7 @@ class GraphBuilder:
             dst = np.empty(0, dtype=np.int64)
 
         n = self._infer_n(src, dst)
-        src, dst = _dedup(src, dst, n)
-        if self._repair == "self-loop":
-            src, dst = _repair_self_loops(src, dst, n)
-        elif self._repair == "drop":
-            src, dst, n = _repair_drop(src, dst, n)
-        return _to_csr(src, dst, n)
+        return _assemble(sorted_unique(src * n + dst), n, self._repair)
 
     def _infer_n(self, src: np.ndarray, dst: np.ndarray) -> int:
         observed = 0
@@ -132,27 +128,65 @@ def from_edges(
     return builder.build()
 
 
-def _dedup(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort edges by (source, target) and drop exact duplicates."""
-    if src.size == 0:
-        return src, dst
-    keys = src * n + dst
-    keys = np.unique(keys)
-    return keys // n, keys % n
+def from_sorted_keys(
+    keys: np.ndarray,
+    num_vertices: int,
+    repair_dangling: str = "self-loop",
+) -> DiGraph:
+    """CSR graph straight from strictly increasing edge keys.
+
+    ``keys`` are ``source * num_vertices + target`` int64 values, sorted
+    and distinct — the canonical :class:`~repro.store.GraphStore` read,
+    so a store snapshot needs no re-sort and no dedup.  The keys are
+    validated in O(m) (range and strict monotonicity; anything else
+    raises :class:`~repro.errors.GraphError`) and handed to the one CSR
+    assembly path, which :meth:`GraphBuilder.build` reaches with the
+    keys it has just made canonical itself.
+    """
+    if repair_dangling not in _REPAIRS:
+        raise GraphError(
+            f"repair_dangling must be one of {_REPAIRS}, "
+            f"got {repair_dangling!r}"
+        )
+    n = int(num_vertices)
+    if n < 0:
+        raise GraphError("num_vertices must be non-negative")
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 1:
+        raise GraphError(f"keys must be one-dimensional, got {keys.shape}")
+    if keys.size:
+        if not bool((keys[1:] > keys[:-1]).all()):
+            raise GraphError("edge keys must be strictly increasing")
+        if keys[0] < 0 or int(keys[-1]) >= n * n:
+            raise GraphError(
+                f"edge key out of range [0, {n * n}) for "
+                f"num_vertices={n}"
+            )
+    return _assemble(keys, n, repair_dangling)
 
 
-def _repair_self_loops(
-    src: np.ndarray, dst: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append a self edge for every dangling vertex (keeps sorted order)."""
-    out_deg = np.bincount(src, minlength=n)
-    dangling = np.flatnonzero(out_deg == 0)
+def _assemble(keys: np.ndarray, n: int, repair_dangling: str) -> DiGraph:
+    """Repair and CSR-pack canonical keys (validated by the caller)."""
+    if repair_dangling == "self-loop":
+        keys = _repair_self_loops(keys, n)
+    src, dst = np.divmod(keys, n)
+    if repair_dangling == "drop":
+        src, dst, n = _repair_drop(src, dst, n)
+    return _to_csr(src, dst, n)
+
+
+def _repair_self_loops(keys: np.ndarray, n: int) -> np.ndarray:
+    """Merge a self-edge key for every dangling vertex into ``keys``.
+
+    A dangling vertex owns no key in its row ``[v * n, (v + 1) * n)``,
+    so its loop key ``v * (n + 1)`` is new and one ``searchsorted`` +
+    ``insert`` keeps the array strictly increasing — no re-sort.
+    """
+    row_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    dangling = np.flatnonzero(row_ptr[1:] == row_ptr[:-1])
     if dangling.size == 0:
-        return src, dst
-    src = np.concatenate([src, dangling])
-    dst = np.concatenate([dst, dangling])
-    order = np.lexsort((dst, src))
-    return src[order], dst[order]
+        return keys
+    return np.insert(keys, row_ptr[dangling], dangling * (n + 1))
 
 
 def _repair_drop(

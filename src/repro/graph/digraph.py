@@ -20,6 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import GraphError
+from .keys import sorted_unique
 
 __all__ = ["DiGraph"]
 
@@ -235,14 +236,17 @@ class DiGraph:
     def edge_keys(self) -> np.ndarray:
         """Sorted unique ``source * n + target`` keys of every edge.
 
-        The canonical :class:`~repro.store.GraphStore` read.  CSR rows
-        built by :func:`~repro.graph.builder.from_edges` already store
-        successors sorted, so the common case is a cheap column stack;
-        hand-built graphs with unsorted rows pay one sort.
+        The canonical :class:`~repro.store.GraphStore` read, and the one
+        place a graph's keys are derived.  CSR rows built by
+        :func:`~repro.graph.builder.from_sorted_keys` already store
+        successors sorted and distinct, so the common case is one
+        multiply-add over the CSR arrays plus an O(m) monotonicity check
+        and the keys stay aligned with :attr:`indices`; hand-built graphs
+        with unsorted or repeated rows pay one sort + dedup.
         """
         keys = self.edge_sources() * self._n + self._indices
         if keys.size > 1 and not bool((keys[1:] > keys[:-1]).all()):
-            keys = np.sort(keys)
+            keys = sorted_unique(keys)
         return keys
 
     def scan(self, window) -> np.ndarray:
@@ -262,13 +266,9 @@ class DiGraph:
         if repair_dangling not in ("none", None) and bool(
             (np.diff(self._indptr) == 0).any()
         ):
-            from .builder import from_edges
+            from .builder import from_sorted_keys
 
-            return from_edges(
-                self._edge_array(),
-                num_vertices=self._n,
-                repair_dangling=repair_dangling,
-            )
+            return from_sorted_keys(self.edge_keys(), self._n, repair_dangling)
         return self
 
     # ------------------------------------------------------------------

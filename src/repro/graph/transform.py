@@ -17,6 +17,7 @@ from scipy.sparse import csgraph
 from ..errors import GraphError
 from .builder import from_edges
 from .digraph import DiGraph
+from .keys import sorted_unique
 
 __all__ = [
     "strongly_connected_components",
@@ -55,7 +56,7 @@ def subgraph_vertices(
     Vertex ``vertices[i]`` of the original graph becomes vertex ``i``;
     with ``return_mapping=True`` the original ids are returned too.
     """
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+    vertices = sorted_unique(np.asarray(vertices, dtype=np.int64))
     if vertices.size == 0:
         raise GraphError("vertex set must be non-empty")
     if vertices.min() < 0 or vertices.max() >= graph.num_vertices:

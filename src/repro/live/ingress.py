@@ -382,18 +382,22 @@ class IncrementalReplication:
         self._noise = ReplicationTable.master_noise(
             snapshot.num_vertices, ingress.num_machines, seed
         )
-        self.table = self._rebuild(snapshot)
+        self.table = self._rebuild(
+            snapshot, *self._snapshot_placement(snapshot)
+        )
 
     # ------------------------------------------------------------------
     def _snapshot_placement(
         self, snapshot: DiGraph
     ) -> tuple[np.ndarray, EdgePartition]:
-        n = snapshot.num_vertices
-        keys = snapshot.edge_sources().astype(np.int64) * n + snapshot.indices
-        return keys, self.ingress.partition_for(snapshot)
+        """Canonical keys of a store snapshot and its aligned placement."""
+        return snapshot.edge_keys(), self.ingress.partition_for(snapshot)
 
-    def _rebuild(self, snapshot: DiGraph) -> ReplicationTable:
-        keys, partition = self._snapshot_placement(snapshot)
+    def _rebuild(
+        self, snapshot: DiGraph, keys: np.ndarray, partition: EdgePartition
+    ) -> ReplicationTable:
+        """From-scratch table over ``snapshot``'s placement
+        (``keys`` / ``partition`` as :meth:`_snapshot_placement` gives)."""
         table = ReplicationTable(snapshot, partition, seed=self.seed)
         prime_ingress_caches(table, snapshot)
         self._snap_keys = keys
@@ -465,7 +469,7 @@ class IncrementalReplication:
         """
         n = snapshot.num_vertices
         if plan.full:
-            self.table = self._rebuild(snapshot)
+            self.table = self._rebuild(snapshot, plan.keys, plan.partition)
             self.full_rebuilds += 1
             vertices_patched = n
             edges_regrouped = 2 * int(plan.keys.size)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..cluster import CostModel, MessageSizeModel
 from ..errors import ConfigError
-from ..graph import DiGraph, from_edges
+from ..graph import DiGraph, from_sorted_keys
 from .graphlab_pr import GraphLabPageRankResult, graphlab_pagerank
 
 __all__ = ["sparsify_uniform", "sparsified_pagerank"]
@@ -39,11 +39,8 @@ def sparsify_uniform(
         return graph
     rng = np.random.default_rng(seed)
     keep = rng.random(graph.num_edges) < keep_probability
-    kept = graph.subgraph_edges(keep)
-    return from_edges(
-        kept._edge_array(),
-        num_vertices=graph.num_vertices,
-        repair_dangling="self-loop",
+    return from_sorted_keys(
+        graph.subgraph_edges(keep).edge_keys(), graph.num_vertices, "self-loop"
     )
 
 

@@ -33,6 +33,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import ConfigError
+from ..graph.keys import sorted_unique
 
 __all__ = [
     "GraphStore",
@@ -157,14 +158,13 @@ def edges_to_keys(edges: np.ndarray, num_vertices: int) -> np.ndarray:
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(edges[:, 0] * int(num_vertices) + edges[:, 1])
+    return sorted_unique(edges[:, 0] * int(num_vertices) + edges[:, 1])
 
 
 def keys_to_edges(keys: np.ndarray, num_vertices: int) -> np.ndarray:
     """Invert :func:`edges_to_keys` back to ``(m, 2)`` edge rows."""
     keys = np.asarray(keys, dtype=np.int64)
-    n = int(num_vertices)
-    return np.column_stack([keys // n, keys % n])
+    return np.column_stack(np.divmod(keys, int(num_vertices)))
 
 
 def _machine_filter(keys: np.ndarray, window: Window) -> np.ndarray:

@@ -44,13 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, GraphError
-from .base import (
-    ScanStats,
-    Window,
-    edges_to_keys,
-    keys_to_edges,
-    scan_keys,
-)
+from ..graph.keys import sorted_unique
+from .base import ScanStats, Window, edges_to_keys, scan_keys
 
 __all__ = ["CompactionStats", "SegmentMeta", "SegmentStore"]
 
@@ -305,13 +300,9 @@ class SegmentStore:
 
     def snapshot(self, repair_dangling: str = "self-loop"):
         """Freeze the merged edge set into an immutable CSR graph."""
-        from ..graph.builder import from_edges
+        from ..graph.builder import from_sorted_keys
 
-        return from_edges(
-            keys_to_edges(self.edge_keys(), self._n),
-            num_vertices=self._n,
-            repair_dangling=repair_dangling,
-        )
+        return from_sorted_keys(self.edge_keys(), self._n, repair_dangling)
 
     # ------------------------------------------------------------------
     # Mutation (delta layer) — semantics mirror DynamicDiGraph exactly
@@ -383,7 +374,7 @@ class SegmentStore:
             )
         if arr.min() < 0 or arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        return np.unique(arr[:, 0] * self._n + arr[:, 1])
+        return sorted_unique(arr[:, 0] * self._n + arr[:, 1])
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
         """Membership of sorted unique ``keys`` in the merged view.
@@ -428,12 +419,13 @@ class SegmentStore:
         pending = np.concatenate([self._added, self._removed])
         if pending.size == 0:
             return CompactionStats(0, 0, 0, 0, 0)
-        dirty = np.unique(self._machine_of(pending))
-        keep = [s for s in self._segments if s.machine not in set(dirty.tolist())]
-        old = [s for s in self._segments if s.machine in set(dirty.tolist())]
+        dirty = sorted_unique(self._machine_of(pending)).tolist()
+        dirty_set = set(dirty)
+        keep = [s for s in self._segments if s.machine not in dirty_set]
+        old = [s for s in self._segments if s.machine in dirty_set]
         written: list[SegmentMeta] = []
         bytes_written = 0
-        for machine in dirty.tolist():
+        for machine in dirty:
             merged = self.scan(
                 Window(
                     0,
@@ -465,7 +457,7 @@ class SegmentStore:
         )
         return CompactionStats(
             folded_keys=folded,
-            machines_rewritten=int(dirty.size),
+            machines_rewritten=len(dirty),
             segments_written=len(written),
             segments_deleted=len(old),
             bytes_written=bytes_written,

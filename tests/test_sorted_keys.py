@@ -1,0 +1,411 @@
+"""The sorted-key layer: ``sorted_unique`` + ``from_sorted_keys``.
+
+Four families of guarantees:
+
+* ``sorted_unique`` is bit-identical to plain ``np.unique`` on integer
+  arrays (property-based);
+* ``from_sorted_keys`` builds exactly the CSR the pre-refactor
+  ``from_edges(keys_to_edges(keys, n), n, repair)`` round trip built —
+  that round trip (``np.unique`` dedup, ``np.lexsort`` self-loop merge)
+  is kept here as :func:`_reference_csr`, the oracle — and rejects
+  anything but strictly increasing in-range keys;
+* ``_grouping_order`` is the ``np.lexsort((machine, anchor))``
+  permutation, whatever the width of either field;
+* a gate that can fail: with plain ``np.unique`` and ``np.lexsort``
+  patched to raise, a live refresh, a served batch and a standalone
+  FrogWild run still complete, and no plain ``np.unique(`` call is left
+  under ``src/repro`` (both fail on the commit before the refactor).
+"""
+
+import ast
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import repro
+from repro.cluster.replication import _grouping_order
+from repro.core import FrogWildConfig, run_frogwild
+from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
+from repro.errors import GraphError
+from repro.graph import (
+    DiGraph,
+    from_edges,
+    from_sorted_keys,
+    sorted_unique,
+    twitter_like,
+)
+from repro.live import LiveRankingService
+from repro.pagerank.sparsified import sparsify_uniform
+from repro.serving import RankingQuery
+from repro.store import SegmentStore, keys_to_edges
+
+REPAIRS = ("self-loop", "drop", "none")
+
+
+# ----------------------------------------------------------------------
+# sorted_unique
+# ----------------------------------------------------------------------
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            dtype=st.sampled_from([np.int64, np.int32, np.uint16]),
+            shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+            elements=st.integers(0, 6) | st.integers(0, 60_000),
+        )
+    )
+    def test_matches_np_unique(self, values):
+        ours, theirs = sorted_unique(values), np.unique(values)
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=60))
+    def test_matches_np_unique_on_negative_and_wide_values(self, values):
+        values = np.array(values, dtype=np.int64)
+        assert np.array_equal(sorted_unique(values), np.unique(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [-3], [5, 5, 5, 5], [-1, -1], [3, -2, 3, -2, 0]],
+        ids=["empty", "one", "one-negative", "all-equal", "equal-negative", "mixed"],
+    )
+    def test_edge_cases(self, values):
+        values = np.array(values, dtype=np.int64)
+        result = sorted_unique(values)
+        assert result.dtype == np.int64
+        assert np.array_equal(result, np.unique(values))
+
+    def test_returns_a_fresh_array(self):
+        values = np.array([1, 2, 3], dtype=np.int64)
+        result = sorted_unique(values)
+        result[0] = 99
+        assert values[0] == 1
+
+
+# ----------------------------------------------------------------------
+# from_sorted_keys vs the pre-refactor round trip
+# ----------------------------------------------------------------------
+def _reference_csr(keys, n, repair):
+    """``from_edges(keys_to_edges(keys, n), n, repair)`` as it was
+    before the sorted-key refactor: unique, lexsort, bincount."""
+    edges = keys_to_edges(keys, n)
+    src, dst = edges[:, 0], edges[:, 1]
+    if src.size:
+        unique = np.unique(src * n + dst)
+        src, dst = unique // n, unique % n
+    if repair == "self-loop":
+        dangling = np.flatnonzero(np.bincount(src, minlength=n) == 0)
+        src = np.concatenate([src, dangling])
+        dst = np.concatenate([dst, dangling])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+    elif repair == "drop":
+        keep = np.ones(n, dtype=bool)
+        while True:
+            newly = keep & (np.bincount(src, minlength=n) == 0)
+            if not newly.any():
+                break
+            keep &= ~newly
+            ok = keep[src] & keep[dst]
+            src, dst = src[ok], dst[ok]
+        relabel = np.cumsum(keep) - 1
+        src, dst, n = relabel[src], relabel[dst], int(keep.sum())
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return indptr.astype(np.int64), dst.astype(np.int64)
+
+
+def _assert_same_csr(graph, reference):
+    indptr, indices = reference
+    assert graph.indptr.dtype == indptr.dtype == np.int64
+    assert graph.indices.dtype == indices.dtype == np.int64
+    assert np.array_equal(graph.indptr, indptr)
+    assert np.array_equal(graph.indices, indices)
+
+
+@st.composite
+def _sorted_key_sets(draw):
+    n = draw(st.integers(1, 12))
+    keys = draw(st.sets(st.integers(0, n * n - 1), max_size=40))
+    return n, np.array(sorted(keys), dtype=np.int64)
+
+
+class TestFromSortedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(_sorted_key_sets(), st.sampled_from(REPAIRS))
+    def test_bitwise_equal_to_the_round_trip(self, case, repair):
+        n, keys = case
+        _assert_same_csr(
+            from_sorted_keys(keys, n, repair), _reference_csr(keys, n, repair)
+        )
+
+    @pytest.mark.parametrize("repair", REPAIRS)
+    @pytest.mark.parametrize(
+        "n,keys",
+        [
+            (1, []),  # one vertex, dangling
+            (1, [0]),  # one vertex, its own self-loop
+            (5, []),  # no edges: every vertex dangling
+            (4, [1, 6, 11]),  # a path: only the last vertex dangling
+            (3, [3, 6]),  # vertex 0 dangling, only ever a target
+            (3, list(range(9))),  # complete with loops
+        ],
+    )
+    def test_small_cases(self, n, keys, repair):
+        keys = np.array(keys, dtype=np.int64)
+        _assert_same_csr(
+            from_sorted_keys(keys, n, repair), _reference_csr(keys, n, repair)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sorted_key_sets(), st.sampled_from(REPAIRS), st.randoms())
+    def test_from_edges_is_the_same_path(self, case, repair, rnd):
+        """Shuffled, duplicated rows through the builder: same graph."""
+        n, keys = case
+        rows = keys_to_edges(keys, n).tolist()
+        rows = rows + rows[: len(rows) // 2]
+        rnd.shuffle(rows)
+        built = from_edges(
+            np.array(rows, dtype=np.int64).reshape(-1, 2), n, repair
+        )
+        assert built == from_sorted_keys(keys, n, repair)
+        _assert_same_csr(built, _reference_csr(keys, n, repair))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[2, 2], [0, 3, 3, 5], [5, 3], [0, 4, 2], [-1, 3], [3, 9], [16]],
+        ids=[
+            "duplicate", "duplicate-inside", "descending", "dip",
+            "negative", "too-large", "only-too-large",
+        ],
+    )
+    def test_rejects_invalid_keys(self, keys):
+        with pytest.raises(GraphError):
+            from_sorted_keys(np.array(keys, dtype=np.int64), 3)
+
+    def test_rejects_bad_arguments(self):
+        keys = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(GraphError):
+            from_sorted_keys(keys, 3, repair_dangling="uniform")
+        with pytest.raises(GraphError):
+            from_sorted_keys(keys.reshape(1, 2), 3)
+        with pytest.raises(GraphError):
+            from_sorted_keys(keys, -1)
+        with pytest.raises(GraphError):
+            from_sorted_keys(np.array([0], dtype=np.int64), 0)
+        assert from_sorted_keys(keys[:0], 0).num_vertices == 0
+
+
+# ----------------------------------------------------------------------
+# _grouping_order
+# ----------------------------------------------------------------------
+class TestGroupingOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 400),
+        st.sampled_from([1, 200, 2**16 - 1, 2**16, 2**21, 2**33]),
+        st.sampled_from([1, 16, 2**8 + 3, 2**16 + 5]),
+        st.integers(0, 2**31),
+    )
+    def test_matches_lexsort(self, size, anchor_span, machine_span, seed):
+        rng = np.random.default_rng(seed)
+        anchor = rng.integers(0, anchor_span, size=size, dtype=np.int64)
+        machine = rng.integers(0, machine_span, size=size).astype(np.int32)
+        if size:
+            # Pin the top of each range so every digit pass runs.
+            anchor[0], machine[-1] = anchor_span - 1, machine_span - 1
+        order = _grouping_order(anchor, machine)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.lexsort((machine, anchor)))
+
+    def test_ties_keep_input_order(self):
+        anchor = np.array([70_000, 3, 70_000, 3, 70_000], dtype=np.int64)
+        machine = np.array([300, 1, 300, 1, 2], dtype=np.int32)
+        assert _grouping_order(anchor, machine).tolist() == [1, 3, 4, 0, 2]
+
+
+# ----------------------------------------------------------------------
+# One snapshot, three stores
+# ----------------------------------------------------------------------
+def _hand_built(keys, n):
+    """A DiGraph assembled by hand from canonical keys (no builder)."""
+    src, dst = np.divmod(keys, n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return DiGraph(indptr, dst)
+
+
+class TestSnapshotsAgree:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 30),
+        st.integers(0, 2**31),
+        st.lists(st.sampled_from(["add", "remove", "compact"]), max_size=8),
+        st.sampled_from([1, 3]),
+        st.sampled_from([4, 64]),
+    )
+    def test_same_interleaving_same_snapshot(
+        self, n, seed, steps, machines, segment_edges
+    ):
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        dynamic = DynamicDiGraph(n, base)
+        with tempfile.TemporaryDirectory() as tmp:
+            store = SegmentStore.create(
+                Path(tmp) / "s",
+                source=base if base.size else None,
+                num_vertices=n,
+                num_machines=machines,
+                segment_edges=segment_edges,
+            )
+            for step in [None, *steps]:
+                if step == "add":
+                    delta = GraphDelta(
+                        added=rng.integers(0, n, size=(int(rng.integers(1, 12)), 2))
+                    )
+                elif step == "remove" and dynamic.num_edges:
+                    keys = dynamic.edge_keys()
+                    picks = rng.choice(keys, size=min(6, keys.size), replace=False)
+                    delta = GraphDelta(removed=keys_to_edges(picks, n))
+                else:
+                    delta = None
+                if delta is not None:
+                    assert dynamic.apply(delta) == store.apply(delta)
+                if step == "compact":
+                    store.compact()
+                keys = dynamic.edge_keys()
+                assert np.array_equal(store.edge_keys(), keys)
+                static = _hand_built(keys, n)
+                for repair in REPAIRS:
+                    reference = _reference_csr(keys, n, repair)
+                    _assert_same_csr(dynamic.snapshot(repair), reference)
+                    _assert_same_csr(store.snapshot(repair), reference)
+                    if repair != "drop" or static.dangling_vertices().size:
+                        # An undamaged DiGraph is its own snapshot.
+                        _assert_same_csr(static.snapshot(repair), reference)
+
+    def test_digraph_snapshot_dedups_hand_built_rows(self):
+        # Rows unsorted, edge 0->2 repeated, vertex 2 dangling.
+        graph = DiGraph(np.array([0, 3, 4, 4]), np.array([2, 1, 2, 0]))
+        repaired = graph.snapshot("self-loop")
+        assert repaired == from_edges([(0, 1), (0, 2), (1, 0), (2, 2)], 3)
+        assert graph.snapshot("none") is graph
+        assert np.array_equal(graph.edge_keys(), [1, 2, 3])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sparsify_rebuilds_hand_built_rows_canonically(self, seed):
+        # The pre-refactor sparsify_uniform, kept as the oracle: kept
+        # rows -> dedup -> self-loop repair, always a fresh graph.
+        rng = np.random.default_rng(seed)
+        n = 9
+        degrees = rng.integers(1, 6, size=n)  # nobody dangling up front
+        indptr = np.concatenate([[0], np.cumsum(degrees)])
+        graph = DiGraph(indptr, rng.integers(0, n, size=indptr[-1]))
+        keep = np.random.default_rng(seed).random(graph.num_edges) < 0.6
+        kept = np.column_stack([graph.edge_sources(), graph.indices])[keep]
+        reference = _reference_csr(
+            np.sort(kept[:, 0] * n + kept[:, 1]), n, "self-loop"
+        )
+        sparse = sparsify_uniform(graph, 0.6, seed=seed)
+        _assert_same_csr(sparse, reference)
+        assert sparse is not graph
+
+
+# ----------------------------------------------------------------------
+# The gate: nothing on the hot paths re-sorts through np.unique/lexsort
+# ----------------------------------------------------------------------
+def _forbid(monkeypatch):
+    real_unique = np.unique
+
+    def plain_unique_forbidden(ar, *args, **kwargs):
+        if args or any(k.startswith("return_") and v for k, v in kwargs.items()):
+            return real_unique(ar, *args, **kwargs)
+        raise AssertionError("plain np.unique on a hot path; use sorted_unique")
+
+    def lexsort_forbidden(*args, **kwargs):
+        raise AssertionError("np.lexsort on a hot path")
+
+    monkeypatch.setattr(np, "unique", plain_unique_forbidden)
+    monkeypatch.setattr(np, "lexsort", lexsort_forbidden)
+
+
+class TestNoResortGate:
+    def test_refresh_query_and_run_avoid_unique_and_lexsort(
+        self, monkeypatch, tmp_path
+    ):
+        graph = twitter_like(n=400, seed=3)
+        config = FrogWildConfig(num_frogs=600, iterations=3, seed=0)
+        _forbid(monkeypatch)
+        store = SegmentStore.create(tmp_path / "s", source=graph, num_machines=4)
+        service = LiveRankingService(
+            store=store, config=config, num_machines=4, seed=0,
+            compact_threshold=8,
+        )
+        try:
+            churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=1)
+            # Strand a vertex so the snapshot's self-loop merge runs.
+            victim = int(np.argmax(np.diff(graph.indptr) == 1))
+            stranded = GraphDelta(
+                removed=[(victim, int(graph.successors(victim)[0]))]
+            )
+            for delta in (stranded, churn.step(service.source)):
+                update = service.refresh(delta)
+                assert update.edges_removed > 0
+            assert service.compactions >= 1
+            assert service.graph.has_edge(victim, victim)
+            answers = service.query_batch(
+                [RankingQuery(seeds=(5, 9), k=10), RankingQuery(seeds=(11,), k=10)]
+            )
+            assert all(a.vertices.size == 10 for a in answers)
+        finally:
+            service.stop()
+        result = run_frogwild(service.graph, config, num_machines=4)
+        assert result.estimate.counts.sum() > 0
+
+    def test_the_gate_itself_can_fail(self, monkeypatch):
+        _forbid(monkeypatch)
+        with pytest.raises(AssertionError):
+            np.unique(np.array([2, 1, 2]))
+        with pytest.raises(AssertionError):
+            np.lexsort((np.array([1, 0]),))
+        values, counts = np.unique(np.array([2, 1, 2]), return_counts=True)
+        assert values.tolist() == [1, 2] and counts.tolist() == [1, 2]
+
+    def test_no_plain_np_unique_or_key_round_trip_in_src(self):
+        """AST scan of ``src/repro``: every ``np.unique(`` call carries a
+        ``return_*`` argument (dedup alone goes through ``sorted_unique``)
+        and nothing feeds ``keys_to_edges`` / ``_edge_array`` rows back
+        into ``from_edges``."""
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path.relative_to(root).as_posix() == "graph/keys.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                where = f"{path.relative_to(root)}:{node.lineno}"
+                if (
+                    name == "unique"
+                    and isinstance(func, ast.Attribute)
+                    and getattr(func.value, "id", None) in ("np", "numpy")
+                    and not any(
+                        (kw.arg or "").startswith("return_")
+                        for kw in node.keywords
+                    )
+                ):
+                    offenders.append(f"{where} plain np.unique")
+                if name == "from_edges" and node.args:
+                    inner = node.args[0]
+                    inner_name = isinstance(inner, ast.Call) and getattr(
+                        inner.func, "attr", getattr(inner.func, "id", None)
+                    )
+                    if inner_name in ("keys_to_edges", "_edge_array"):
+                        offenders.append(f"{where} keys -> rows -> from_edges")
+        assert not offenders, offenders
