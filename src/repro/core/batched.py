@@ -78,9 +78,11 @@ from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
 from .frogwild import (
     FrogWildResult,
+    _births,
     _choose_repair_positions,
     _gather_groups,
     _kernel_tables,
+    _pick_enabled_edges,
     _ranges_to_indices,
     _scatter_binomial,
     _scatter_multinomial,
@@ -372,37 +374,41 @@ class BatchedFrogWildRunner:
             raise EngineError("cannot run FrogWild on an empty graph")
 
         # init(): every population born from its own start law.
-        for lane in self.lanes:
-            if lane.start_distribution is None:
-                birth = lane.rng.integers(0, n, size=lane.num_frogs)
-            else:
-                birth = lane.rng.choice(
-                    n, size=lane.num_frogs, p=lane.start_distribution
-                )
-            self.frogs[lane.index] = np.bincount(birth, minlength=n)
+        births = [
+            _births(lane.rng, n, lane.num_frogs, lane.start_distribution)
+            for lane in self.lanes
+        ]
 
         if self.kernel in ("fused", "compiled"):
             # Both concatenated kernels carry the frontier as
             # (lane, vertex, count) arrays between supersteps instead
-            # of rescanning the (B, n) matrix; the matrix is
-            # materialized once after the loop for the cut-off count.
+            # of rescanning the (B, n) matrix — from the births on: the
+            # first frontier is one sort of the lane-offset birth keys.
+            # The matrix is materialized once after the loop for the
+            # cut-off count.
             superstep = (
                 self._superstep_fused
                 if self.kernel == "fused"
                 else self._superstep_compiled
             )
-            lane_ids, verts = np.nonzero(self.frogs)
-            frontier = (lane_ids, verts, self.frogs[lane_ids, verts])
+            born, k = np.unique(
+                np.concatenate(
+                    [lane.index * n + b for lane, b in zip(self.lanes, births)]
+                ),
+                return_counts=True,
+            )
+            frontier = (*np.divmod(born, n), k)
             for step in range(cfg.iterations):
                 frontier = superstep(step, frontier)
                 if frontier is None:
                     frontier = (None, None, None)
                     break
             lane_ids, verts, k = frontier
-            self.frogs[...] = 0
             if lane_ids is not None and lane_ids.size:
                 self.frogs.reshape(-1)[lane_ids * n + verts] = k
         else:
+            for lane, birth in zip(self.lanes, births):
+                self.frogs[lane.index] = np.bincount(birth, minlength=n)
             for step in range(cfg.iterations):
                 if not self._superstep_lane_loop(step):
                     break
@@ -865,9 +871,9 @@ class BatchedFrogWildRunner:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None]:
         """Split each row's K frogs uniformly over its enabled edges.
 
-        The edge expansion runs once over the concatenated frontier;
-        only the uniform hop draws are sliced per lane (lane segments
-        are contiguous, so each slice replays the standalone call).
+        The edge pick runs once over the concatenated frontier; only
+        the uniform hop draws are sliced per lane (lane segments are
+        contiguous, so each slice replays the standalone call).
         Returns per-hop ``(dest, host, lane)`` plus the frontier
         accumulation keys (weights None: one frog per hop).
         """
@@ -895,16 +901,11 @@ class BatchedFrogWildRunner:
             if hi > lo:
                 draw[lo:hi] = lane.rng.random(hi - lo)
 
-        enabled_edges = _ranges_to_indices(
-            tables.group_start[grp_idx[enabled_grp]],
-            grp_sizes[enabled_grp],
-        )
-        enabled_offsets = np.concatenate([[0], np.cumsum(enabled_counts)[:-1]])
         frog_row = np.repeat(np.arange(frontier, dtype=np.int64), k_send)
-        pick = enabled_offsets[frog_row] + (
-            draw * enabled_counts[frog_row]
-        ).astype(np.int64)
-        chosen = enabled_edges[pick]
+        chosen = _pick_enabled_edges(
+            tables, grp_idx, grp_sizes, enabled_grp, enabled_counts,
+            frog_row, draw,
+        )
         dest = tables.edge_target[chosen]
         host = tables.edge_host[chosen]
         frog_lane = lane_sv[frog_row]

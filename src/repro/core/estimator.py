@@ -103,13 +103,23 @@ class PageRankEstimate:
         return self._counts / total
 
     def top_k(self, k: int) -> np.ndarray:
-        """Vertex ids of the estimated top-k, by decreasing count."""
-        return top_k_indices(self._counts, k)
+        """Vertex ids of the estimated top-k, by decreasing count.
+
+        Equal to ``top_k_indices(counts, k)``, ranking only the nonzero
+        counters when they already fill the answer: a personalized
+        estimate stops frogs on a few hundred to a few thousand of n
+        vertices, counters are non-negative, and the ascending support
+        keeps the lower-id tie-break.
+        """
+        support = np.flatnonzero(self._counts)
+        if support.size < k:
+            return top_k_indices(self._counts, k)
+        return support[top_k_indices(self._counts[support], k)]
 
     def top_k_with_scores(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """``(vertex ids, pi_hat scores)`` of the top-k, by decreasing
         count — the serving layer's answer payload."""
-        top = top_k_indices(self._counts, k)
+        top = self.top_k(k)
         return top, self._counts[top] / self._num_frogs
 
     def standard_errors(self) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PageRankEstimate, top_k_indices
 from repro.errors import ConfigError
@@ -46,6 +48,31 @@ class TestPageRankEstimate:
     def test_top_k(self):
         est = PageRankEstimate(np.array([0, 7, 3, 9]), num_frogs=19)
         assert list(est.top_k(2)) == [3, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Mostly-zero counters with heavy ties, down to all-zero.
+        st.lists(
+            st.sampled_from([0, 0, 0, 1, 1, 2, 5]) | st.integers(0, 3),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(0, 40),
+    )
+    def test_top_k_ranks_the_support_like_the_full_vector(self, counts, k):
+        # k = 0, k beyond the nonzero counters and k > n included.
+        est = PageRankEstimate(np.array(counts), num_frogs=7)
+        expected = top_k_indices(est.counts, k)
+        assert est.top_k(k).dtype == expected.dtype
+        np.testing.assert_array_equal(est.top_k(k), expected)
+        top, scores = est.top_k_with_scores(k)
+        np.testing.assert_array_equal(top, expected)
+        np.testing.assert_array_equal(scores, est.counts[expected] / 7)
+
+    def test_top_k_rejects_negative_k(self):
+        est = PageRankEstimate(np.array([0, 7, 3, 9]), num_frogs=19)
+        with pytest.raises(ConfigError):
+            est.top_k(-1)
 
     def test_counters_exposed(self):
         counts = np.array([1, 2, 3])

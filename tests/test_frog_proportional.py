@@ -1,0 +1,380 @@
+"""Frog-proportional scatter and births: cost follows the walkers.
+
+The multinomial scatter used to list every enabled out-edge of the
+frontier before indexing the list once per frog; ``_pick_enabled_edges``
+resolves the same pick against the running sum of the enabled group
+widths when the edges outnumber the frogs.  Four families of guarantees:
+
+* ``_pick_enabled_edges`` equals the materializing expansion — kept
+  here as :func:`_reference_pick`, the oracle — on either side of its
+  rule, with disabled groups, rows kept alive by a single (repaired)
+  group, zero-width groups and rows without frogs (property-based);
+* kernel parity where the search branch runs every superstep (a
+  hub-heavy graph walked by a few frogs): fused = lane-loop per lane,
+  B=1 = ``FrogWildRunner``, compiled = fused;
+* ``_births`` is ``rng.choice(n, size, p=law)`` — same births, same rng
+  state afterwards — at O(support) (property-based);
+* a gate that can fail: a served batch expands nothing larger than a
+  small multiple of (frogs + groups) through ``_ranges_to_indices``
+  (the commit before this one lists 5-8x frogs + groups edge ids per
+  step here, and 1.7M against ~175k on the benchmark's scale-15 graph).
+"""
+
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    BatchQuery,
+    FrogWildConfig,
+    run_frogwild,
+    run_frogwild_batch,
+)
+from repro.core import batched as bt
+from repro.core import frogwild as fw
+from repro.engine import build_cluster
+from repro.graph import from_edges, rmat
+from repro.serving import RankingQuery, RankingService, ServiceConfig
+
+
+# ----------------------------------------------------------------------
+# _pick_enabled_edges vs the materializing expansion
+# ----------------------------------------------------------------------
+def _reference_pick(group_start, grp_idx, grp_sizes, enabled_grp,
+                    enabled_counts, row_of_frog, draw):
+    """The pre-refactor scatter: list every enabled edge, then index."""
+    edges = [
+        np.arange(group_start[g], group_start[g] + size)
+        for g, size, on in zip(grp_idx, grp_sizes, enabled_grp)
+        if on
+    ]
+    enabled_edges = np.concatenate(edges + [np.empty(0, dtype=np.int64)])
+    offsets = np.concatenate([[0], np.cumsum(enabled_counts)[:-1]])
+    pick = offsets[row_of_frog] + (
+        draw * enabled_counts[row_of_frog]
+    ).astype(np.int64)
+    return enabled_edges[pick]
+
+
+@st.composite
+def _scatter_rows(draw):
+    """Rows of machine groups over a shuffled global group table.
+
+    Group widths include 0 (also first and last in a row), any group
+    may be disabled, and a row may hold no group, no enabled edge or no
+    frog; at least one frog hops.
+    """
+    rows = draw(st.integers(1, 6))
+    g_count = [draw(st.integers(0, 4)) for _ in range(rows)]
+    if sum(g_count) == 0:
+        g_count[draw(st.integers(0, rows - 1))] = 1
+    total = sum(g_count)
+    grp_sizes = np.array(
+        [draw(st.integers(0, 5)) for _ in range(total)], dtype=np.int64
+    )
+    enabled_grp = np.array(
+        [draw(st.booleans()) for _ in range(total)], dtype=bool
+    )
+    grp_row = np.repeat(np.arange(rows), g_count)
+    if not (enabled_grp & (grp_sizes > 0)).any():
+        # Like the at-least-one repair: force one group of a row on.
+        forced = draw(st.integers(0, total - 1))
+        enabled_grp[forced] = True
+        grp_sizes[forced] = max(1, grp_sizes[forced])
+    # The view's groups are a shuffled subset of a larger global table.
+    table_size = total + draw(st.integers(0, 3))
+    grp_idx = np.array(
+        draw(st.permutations(range(table_size)))[:total], dtype=np.int64
+    )
+    gaps = [draw(st.integers(0, 7)) for _ in range(table_size)]
+    enabled_counts = np.bincount(
+        grp_row, weights=enabled_grp * grp_sizes, minlength=rows
+    ).astype(np.int64)
+    k = np.array(
+        [draw(st.integers(0, 3)) if c else 0 for c in enabled_counts]
+    )
+    if k.sum() == 0:
+        k[np.flatnonzero(enabled_counts)[0]] = 1
+    draws = np.array(
+        [
+            draw(st.floats(0, 1, exclude_max=True) | st.just(0.0))
+            for _ in range(k.sum())
+        ]
+    )
+    return grp_row, grp_idx, grp_sizes, enabled_grp, gaps, k, draws
+
+
+class TestPickEnabledEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(_scatter_rows(), st.sampled_from(["search", "materialize"]))
+    def test_equals_the_materializing_expansion(self, case, side):
+        grp_row, grp_idx, grp_sizes, enabled_grp, gaps, k, draws = case
+        rows = k.size
+        if side == "search":
+            # Widen every group until the edges outnumber the frogs.
+            grp_sizes = grp_sizes * (fw._EDGES_PER_FROG_SEARCH * k.sum() + 1)
+        enabled_counts = np.bincount(
+            grp_row, weights=enabled_grp * grp_sizes, minlength=rows
+        ).astype(np.int64)
+        if side == "materialize":
+            # Every hopping row sends a frog per enabled edge of the
+            # frontier: the frogs outnumber the edges.
+            k = np.where(k > 0, np.maximum(k, enabled_counts.sum()), 0)
+            draws = np.resize(draws, k.sum())
+        # Global table: group g starts after the groups before it plus
+        # a gap, so neighbouring groups never share an edge id.
+        width = np.zeros(len(gaps), dtype=np.int64)
+        width[grp_idx] = grp_sizes
+        group_start = np.cumsum(width + gaps) - width
+        row_of_frog = np.repeat(np.arange(rows), k)
+
+        expected = _reference_pick(
+            group_start, grp_idx, grp_sizes, enabled_grp, enabled_counts,
+            row_of_frog, draws,
+        )
+        with mock.patch.object(
+            fw, "_ranges_to_indices", wraps=fw._ranges_to_indices
+        ) as expand:
+            chosen = fw._pick_enabled_edges(
+                SimpleNamespace(group_start=group_start), grp_idx, grp_sizes,
+                enabled_grp, enabled_counts, row_of_frog, draws,
+            )
+        assert chosen.dtype == np.int64
+        assert np.array_equal(chosen, expected)
+        # The rule reads the two sizes and nothing else.
+        assert expand.call_count == (0 if side == "search" else 1)
+
+    def test_a_pick_lands_inside_an_enabled_group_of_its_row(self):
+        # Row 0: groups of width 0, 3 (off), 2, 0; row 1: no frogs;
+        # row 2: one forced-on group behind a disabled one.
+        grp_idx = np.array([5, 0, 3, 6, 1, 4, 2])
+        grp_sizes = np.array([0, 3, 2, 0, 4, 9, 7]) * 100
+        enabled = np.array([1, 0, 1, 1, 1, 0, 1], dtype=bool)
+        group_start = np.array([0, 1000, 2000, 3000, 4000, 5000, 6000])
+        enabled_counts = np.array([200, 400, 700])
+        row_of_frog = np.array([0, 0, 0, 2, 2])
+        draws = np.array([0.0, 0.5, 0.999, 0.0, 0.999])
+        chosen = fw._pick_enabled_edges(
+            SimpleNamespace(group_start=group_start), grp_idx, grp_sizes,
+            enabled, enabled_counts, row_of_frog, draws,
+        )
+        assert chosen.tolist() == [3000, 3100, 3199, 2000, 2699]
+
+
+# ----------------------------------------------------------------------
+# Kernel parity with the search branch on every superstep
+# ----------------------------------------------------------------------
+def _hub_graph():
+    """80 hubs linked to all 400 vertices, everyone linked to every hub:
+    a row has 81-399 out-edges, so a few dozen frogs never come within
+    a factor 8 of the enabled out-edges of their frontier."""
+    n, hubs = 400, 80
+    rng = np.random.default_rng(5)
+    hub, vertex = np.meshgrid(np.arange(hubs), np.arange(n), indexing="ij")
+    out = np.column_stack([hub.ravel(), vertex.ravel()])
+    back = out[out[:, 1] >= hubs][:, ::-1]
+    side = np.column_stack(
+        [np.arange(hubs, n), rng.integers(hubs, n, size=n - hubs)]
+    )
+    edges = np.concatenate([out[out[:, 0] != out[:, 1]], back, side])
+    return from_edges(edges, n)
+
+
+HUBS = _hub_graph()
+MACHINES = 8
+FEW_FROGS = dict(num_frogs=40, iterations=6, ps=0.5, seed=3)
+ERASURES = ("at-least-one", "independent")
+
+
+@pytest.fixture
+def picks(monkeypatch):
+    """Record (enabled edges, frogs) of every pick made by any kernel."""
+    seen = []
+    real = fw._pick_enabled_edges
+
+    def recording(tables, grp_idx, grp_sizes, enabled_grp, enabled_counts,
+                  row_of_frog, draw):
+        seen.append((int(enabled_counts.sum()), draw.size))
+        return real(tables, grp_idx, grp_sizes, enabled_grp, enabled_counts,
+                    row_of_frog, draw)
+
+    monkeypatch.setattr(fw, "_pick_enabled_edges", recording)
+    monkeypatch.setattr(bt, "_pick_enabled_edges", recording)
+    return seen
+
+
+def _all_searched(seen, at_least):
+    assert len(seen) >= at_least
+    assert all(e > fw._EDGES_PER_FROG_SEARCH * f for e, f in seen), seen
+
+
+def _batch(queries, kernel, **config_kwargs):
+    config = FrogWildConfig(**{**FEW_FROGS, **config_kwargs})
+    return run_frogwild_batch(
+        HUBS, queries, config,
+        state=build_cluster(HUBS, MACHINES, seed=config.seed),
+        kernel=kernel,
+    )
+
+
+def _assert_bitwise(left, right):
+    for lane_l, lane_r in zip(left.results, right.results):
+        np.testing.assert_array_equal(
+            lane_l.estimate.counts, lane_r.estimate.counts
+        )
+        assert lane_l.report.network_bytes == lane_r.report.network_bytes
+        assert lane_l.report.cpu_seconds == lane_r.report.cpu_seconds
+        assert lane_l.report.supersteps == lane_r.report.supersteps
+    assert left.report.network_bytes == right.report.network_bytes
+    assert left.report.cpu_seconds == right.report.cpu_seconds
+    assert left.report.total_time_s == right.report.total_time_s
+
+
+class TestSearchBranchParity:
+    QUERIES = [
+        BatchQuery(seed=4),
+        BatchQuery(seed=5, num_frogs=25),
+        BatchQuery(seed=6, num_frogs=60, ps=0.3),
+    ]
+
+    @pytest.mark.parametrize("erasure_model", ERASURES)
+    def test_fused_matches_lane_loop(self, picks, erasure_model):
+        fused = _batch(self.QUERIES, "fused", erasure_model=erasure_model)
+        fused_calls = len(picks)
+        golden = _batch(self.QUERIES, "lane-loop", erasure_model=erasure_model)
+        _assert_bitwise(fused, golden)
+        assert fused_calls >= FEW_FROGS["iterations"]
+        _all_searched(picks, at_least=4 * FEW_FROGS["iterations"])
+
+    @pytest.mark.parametrize("erasure_model", ERASURES)
+    def test_b1_matches_the_single_query_runner(self, picks, erasure_model):
+        config = FrogWildConfig(**FEW_FROGS, erasure_model=erasure_model)
+        batch = run_frogwild_batch(
+            HUBS, [BatchQuery()], config,
+            state=build_cluster(HUBS, MACHINES, seed=config.seed),
+        )
+        single = run_frogwild(
+            HUBS, config, state=build_cluster(HUBS, MACHINES, seed=config.seed)
+        )
+        np.testing.assert_array_equal(
+            batch.results[0].estimate.counts, single.estimate.counts
+        )
+        assert (
+            batch.results[0].report.network_bytes
+            == single.report.network_bytes
+        )
+        assert single.estimate.total_stopped == config.num_frogs
+        _all_searched(picks, at_least=2 * config.iterations)
+
+    @pytest.mark.parametrize("erasure_model", ERASURES)
+    def test_compiled_matches_fused(self, monkeypatch, picks, erasure_model):
+        # Without Numba the compiled tier runs the loops Numba would
+        # jit, in Python; CI's kernel-compiled lane runs them jitted.
+        monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
+        compiled = _batch(
+            self.QUERIES, "compiled", erasure_model=erasure_model
+        )
+        assert not picks  # the compiled tier walks groups per frog itself
+        fused = _batch(self.QUERIES, "fused", erasure_model=erasure_model)
+        _assert_bitwise(compiled, fused)
+        _all_searched(picks, at_least=FEW_FROGS["iterations"])
+
+
+# ----------------------------------------------------------------------
+# _births vs rng.choice
+# ----------------------------------------------------------------------
+@st.composite
+def _laws(draw):
+    n = draw(st.integers(1, 40))
+    dense = draw(st.booleans())
+    size = n if dense else draw(st.integers(1, min(n, 4)))
+    support = sorted(
+        draw(
+            st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+            | st.just({0, n - 1})
+            | st.just({0})
+            | st.just({n - 1})
+        )
+    )
+    weights = [draw(st.floats(1e-6, 1.0)) for _ in support]
+    law = np.zeros(n)
+    law[support] = weights
+    return law / law.sum()
+
+
+class TestBirths:
+    @settings(max_examples=300, deadline=None)
+    @given(_laws(), st.sampled_from([1, 2, 17, 400]), st.integers(0, 2**32))
+    def test_equals_rng_choice(self, law, num_frogs, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        births = fw._births(ours, law.size, num_frogs, law)
+        expected = theirs.choice(law.size, size=num_frogs, p=law)
+        assert births.dtype == expected.dtype
+        assert np.array_equal(births, expected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_uniform_births_are_rng_integers(self):
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(
+            fw._births(ours, 50, 200, None), theirs.integers(0, 50, size=200)
+        )
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The gate: a served batch expands O(frogs + groups), not O(edges)
+# ----------------------------------------------------------------------
+class TestFrogProportionalGate:
+    def test_a_served_batch_expands_no_edge_list_of_the_frontier(
+        self, monkeypatch
+    ):
+        graph = rmat(scale=13, edge_factor=16, seed=0)
+        config = FrogWildConfig(num_frogs=500, iterations=5, ps=0.8, seed=0)
+        service = RankingService.from_config(
+            graph, ServiceConfig(config, num_machines=16, max_batch_size=16)
+        )
+        steps = []  # (frogs, groups, largest expansion) per superstep
+        real_expand = fw._ranges_to_indices
+        real_scatter = bt.BatchedFrogWildRunner._scatter_fused
+
+        def expand(starts, lengths):
+            out = real_expand(starts, lengths)
+            steps[-1][2] = max(steps[-1][2], out.size)
+            return out
+
+        def scatter(runner, live, lane_sv, vert_sv, k_sv):
+            ptr = runner.tables.vertex_ptr
+            groups = int((ptr[vert_sv + 1] - ptr[vert_sv]).sum())
+            steps.append([int(k_sv.sum()), groups, 0])
+            return real_scatter(runner, live, lane_sv, vert_sv, k_sv)
+
+        monkeypatch.setattr(fw, "_ranges_to_indices", expand)
+        monkeypatch.setattr(bt, "_ranges_to_indices", expand)
+        monkeypatch.setattr(bt.BatchedFrogWildRunner, "_scatter_fused", scatter)
+        rng = np.random.default_rng(1)
+        try:
+            answers = service.query_batch(
+                [
+                    RankingQuery(
+                        seeds=tuple(
+                            int(v) for v in rng.integers(0, graph.num_vertices, 3)
+                        ),
+                        k=10,
+                    )
+                    for _ in range(16)
+                ]
+            )
+        finally:
+            service.stop()
+        assert all(a.vertices.size == 10 for a in answers)
+        assert len(steps) == config.iterations
+        # The frontier really is edge-heavy: most steps gather far more
+        # groups than they move frogs, and every step gathers its groups.
+        assert all(largest >= groups for _, groups, largest in steps)
+        assert sum(groups > 4 * frogs for frogs, groups, _ in steps) >= 3
+        for frogs, groups, largest in steps:
+            assert largest <= 2 * (frogs + groups), steps
