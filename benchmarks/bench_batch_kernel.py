@@ -1,16 +1,14 @@
-"""Batch-kernel microbenchmark: fused lane-major vs lane-loop superstep.
+"""Batch-kernel microbenchmark: the one batched superstep, per tier.
 
-Two claims of the fused kernel rewrite are measured and asserted:
+What is measured and asserted:
 
-* **throughput** — advancing B populations through one concatenated
-  ``(lane, vertex)`` frontier beats the pre-fusion per-lane loop
-  (``kernel="lane-loop"``, kept as the seed reference implementation)
-  on wall-clock, with **bit-identical results**.  The regime is the
-  sharded-serving shape — many lanes with modest per-lane budgets, the
-  frontier mix a shard sees when per-query budgets are split — where
-  the lane loop's B redundant passes (union-view re-slicing, per-lane
-  allocations, numpy dispatch) dominate.  Acceptance: fused wall-clock
-  < 0.6x lane-loop at B=16.
+* **throughput** — the record of the default (``"fused"``) tier: wall
+  time and frog-steps/s of advancing B populations through one
+  concatenated ``(lane, vertex)`` frontier, at B in {1, 4, 16, 64} on
+  the sharded-serving shape (many lanes with modest per-lane budgets,
+  the frontier mix a shard sees when per-query budgets are split).  The
+  B=1 batch is asserted bit-identical to ``run_frogwild``.  The
+  timings are a record, not a gate: single shots on a shared host.
 * **compiled tier** — ``kernel="compiled"`` (Numba single-pass loops,
   int32 tables, buffer arena) returns bit-identical lanes and, where
   Numba is importable on a multi-core host, matches or beats the fused
@@ -31,9 +29,9 @@ are persisted via :func:`repro.experiments.record_perf` into
 
 Run directly: ``python -m pytest benchmarks/bench_batch_kernel.py -q``.
 Set ``REPRO_BENCH_SMOKE=1`` for the CI smoke mode: a tiny graph, every
-correctness/record assertion intact, and the wall-clock bound relaxed
-(tiny-graph timings on shared CI runners are noise-dominated; the 0.6x
-acceptance bar is asserted in the full-size run).
+correctness/record assertion intact (tiny-graph timings on shared CI
+runners are noise-dominated, so the compiled speed bar is asserted in
+the full-size run only).
 """
 
 from __future__ import annotations
@@ -46,7 +44,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import ReplicationTable, make_partitioner
-from repro.core import BatchQuery, FrogWildConfig, run_frogwild_batch
+from repro.core import (
+    BatchQuery,
+    FrogWildConfig,
+    run_frogwild,
+    run_frogwild_batch,
+)
 from repro.core.batched import BatchedFrogWildRunner
 from repro.core.kernels import HAVE_NUMBA, resolve_kernel
 from repro.engine import build_cluster
@@ -62,8 +65,6 @@ FROGS_PER_LANE = 100
 ITERATIONS = 4 if SMOKE else 6
 PS = 0.7
 BATCH_SIZES = (1, 4, 16) if SMOKE else (1, 4, 16, 64)
-# Full-size acceptance bar; smoke keeps a sanity bound only.
-RATIO_BOUND_B16 = 0.9 if SMOKE else 0.6
 
 _CACHE: dict[str, object] = {}
 
@@ -93,10 +94,9 @@ def _timed(fn, repeats):
     return value, best
 
 
-def test_fused_kernel_beats_lane_loop(cluster):
-    """Superstep throughput at B in {1, 4, 16, 64}: the fused kernel
-    must return bit-identical lanes and, at B=16, run in < 0.6x the
-    lane-loop wall-clock (the seed implementation this PR replaced)."""
+def test_fused_kernel_throughput(cluster):
+    """Superstep throughput of the default tier at B in {1, 4, 16, 64};
+    the B=1 batch must be bit-identical to the standalone runner."""
     graph, replication = cluster
     config = FrogWildConfig(
         num_frogs=FROGS_PER_LANE, iterations=ITERATIONS, ps=PS, seed=0
@@ -108,47 +108,35 @@ def test_fused_kernel_beats_lane_loop(cluster):
         "rmat_scale": SCALE,
         "smoke": float(SMOKE),
     }
-    ratios: dict[int, float] = {}
     for batch_size in BATCH_SIZES:
         queries = [BatchQuery(seed=s) for s in range(batch_size)]
 
-        def run(kernel):
+        def run():
             return run_frogwild_batch(
-                graph,
-                queries,
-                config,
-                state=_state(graph, replication),
-                kernel=kernel,
+                graph, queries, config, state=_state(graph, replication)
             )
 
-        run("fused"), run("lane-loop")  # warm both paths
-        fused, fused_s = _timed(lambda: run("fused"), repeats=3)
-        golden, lane_s = _timed(lambda: run("lane-loop"), repeats=3)
-        for lane_fused, lane_golden in zip(fused.results, golden.results):
-            np.testing.assert_array_equal(
-                lane_fused.estimate.counts, lane_golden.estimate.counts
+        run()  # warm
+        fused, fused_s = _timed(run, repeats=3)
+        if batch_size == 1:
+            single = run_frogwild(
+                graph, config, state=_state(graph, replication)
             )
-        assert fused.report.network_bytes == golden.report.network_bytes
+            np.testing.assert_array_equal(
+                fused.results[0].estimate.counts, single.estimate.counts
+            )
+            assert fused.report.network_bytes == single.report.network_bytes
         frog_steps = sum(
             lane.report.extra["num_frogs"] * lane.report.supersteps
             for lane in fused.results
         )
-        ratios[batch_size] = fused_s / lane_s
         metrics[f"fused_s_b{batch_size}"] = fused_s
-        metrics[f"lane_loop_s_b{batch_size}"] = lane_s
-        metrics[f"wall_clock_ratio_b{batch_size}"] = ratios[batch_size]
         metrics[f"frog_steps_per_s_b{batch_size}"] = frog_steps / fused_s
         print(
             f"\nB={batch_size:3d}  fused {fused_s * 1e3:7.2f} ms  "
-            f"lane-loop {lane_s * 1e3:7.2f} ms  "
-            f"ratio {ratios[batch_size]:.3f}  "
-            f"({frog_steps / fused_s / 1e6:.2f}M frog-steps/s fused)"
+            f"({frog_steps / fused_s / 1e6:.2f}M frog-steps/s)"
         )
     record_perf("batch-kernel-throughput", metrics)
-    assert ratios[16] < RATIO_BOUND_B16, (
-        f"fused kernel took {ratios[16]:.3f}x of the lane-loop at B=16; "
-        f"the fusion contract is < {RATIO_BOUND_B16}x"
-    )
 
 
 def test_compiled_kernel_tier(cluster):

@@ -82,12 +82,11 @@ def add_service_args(
     """
     parser.add_argument("--machines", type=int, default=machines)
     parser.add_argument(
-        "--kernel", choices=("fused", "lane-loop", "compiled"),
+        "--kernel", choices=("fused", "compiled"),
         default="fused",
         help="batch-kernel tier: 'compiled' runs the Numba single-pass "
              "loops (install the [accel] extra; falls back to 'fused' "
-             "with a warning when numba is absent), 'lane-loop' is the "
-             "pre-fusion reference",
+             "with a warning when numba is absent)",
     )
     parser.add_argument(
         "--backend", choices=("auto", "local", "sharded", "process"),

@@ -140,7 +140,7 @@ def placement_diff(
     """Diff two placements given as sorted key arrays + machine arrays.
 
     Both key arrays must be strictly increasing (the canonical order of
-    :meth:`~repro.dynamic.DynamicDiGraph.edge_array` and of CSR
+    :meth:`~repro.dynamic.DynamicDiGraph.edge_keys` and of CSR
     snapshots); the machine arrays are aligned with them.
     """
     old_keys = np.asarray(old_keys, dtype=np.int64)

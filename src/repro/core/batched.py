@@ -7,21 +7,21 @@ for every query.  This module exploits that: a batch of B independent
 populations (each with its own teleport vector, frog budget, seed and
 ``ps``) advances through a **single shared superstep loop**.
 
-The default execution is the **lane-major fused kernel**: frog state is
-one ``(B, n)`` int64 matrix advanced in place, and each superstep runs
-apply/death, stranded repair and scatter over a single concatenated
-``(lane, vertex)`` frontier addressed by lane-offset keys
-(``lane * n + vertex``), so every ``bincount``/gather/scatter pass
-touches all populations at once instead of once per lane.  Only the
-random draws stay per-lane — each population owns an rng seeded exactly
-like the single-query runner's and consumes it in the same order — so a
-batch of size one is **bit-identical** to
+There is **one superstep**, lane-major and fused: frog state is the
+sorted ``(lane, vertex, count)`` frontier of all populations, and each
+superstep runs apply/death, stranded repair and scatter over that
+single concatenated frontier addressed by lane-offset keys
+(``lane * n + vertex``), so every deterministic pass touches all
+populations at once instead of once per lane.  Only the random draws
+stay per-lane — each population owns an rng seeded exactly like the
+single-query runner's and consumes it in the same order — so a batch of
+size one is **bit-identical** to
 :class:`~repro.core.frogwild.FrogWildRunner` under the same seed, and
-every lane of a larger batch is bit-identical to its standalone run.
-The pre-fusion per-lane loop survives as the ``kernel="lane-loop"``
-reference implementation; ``tests/test_batch_kernel.py`` pins the two
-kernels to each other bit for bit and ``benchmarks/bench_batch_kernel.py``
-measures the fusion speedup.
+every lane of a larger batch is bit-identical to its standalone run
+(``tests/test_batched_frogwild.py``, ``tests/test_batch_kernel.py``).
+The superstep makes the draws; the deterministic passes between them
+come from a pass implementation chosen by ``kernel=`` — numpy
+(``"fused"``) or Numba (``"compiled"``), see :mod:`repro.core.kernels`.
 
 Per superstep the batch pays once for
 
@@ -79,15 +79,15 @@ from .estimator import PageRankEstimate
 from .frogwild import (
     FrogWildResult,
     _births,
-    _choose_repair_positions,
-    _gather_groups,
+    _check_start_distribution,
     _kernel_tables,
-    _pick_enabled_edges,
-    _ranges_to_indices,
-    _scatter_binomial,
-    _scatter_multinomial,
 )
-from .kernels import KERNEL_TIERS, CompiledPasses, CompiledTables, resolve_kernel
+from .kernels import (
+    CompiledPasses,
+    CompiledTables,
+    FusedPasses,
+    resolve_kernel,
+)
 
 __all__ = [
     "BatchQuery",
@@ -96,8 +96,6 @@ __all__ = [
     "merge_shard_results",
     "run_frogwild_batch",
 ]
-
-_KERNELS = KERNEL_TIERS
 
 
 def _charge_stack(
@@ -195,18 +193,12 @@ class _Lane:
         "seed",
         "start_distribution",
         "rng",
-        "synchronizer",
         "ledger",
-        "sv",
-        "k_sv",
         "finished_at",
         "sim_time_s",
     )
 
     def __init__(self) -> None:
-        self.sv = None
-        self.k_sv = None
-        self.synchronizer = None
         self.finished_at = None
         self.sim_time_s = 0.0
 
@@ -214,25 +206,22 @@ class _Lane:
 class BatchedFrogWildRunner:
     """Executes B FrogWild populations on one prepared cluster.
 
-    The frog-count state is a ``(B, n)`` int64 matrix — one row per
-    population — advanced in place by a single traversal of the
+    The frog state is the concatenated ``(lane, vertex, count)``
+    frontier of all populations, advanced by a single traversal of the
     partitioned graph per superstep.  All populations share
     ``iterations``, ``p_teleport``, ``scatter_mode``, ``erasure_model``,
     ``sync_mode`` and ``wire_dedupe`` from the batch config (the serving
     layer's coalescer never mixes configs in one batch); frog budget,
     birth law, seed and — in per-lane sync mode — ``ps`` are per-query.
 
-    ``kernel`` selects the superstep implementation: ``"fused"``
-    (default) advances all lanes through one concatenated numpy pass,
-    ``"compiled"`` runs the same superstep through the Numba-jitted
-    single-pass loops of :mod:`repro.core.kernels` (falling back to
-    ``"fused"`` with one warning when Numba is absent), and
-    ``"lane-loop"`` is the pre-fusion per-lane reference the fused
-    kernel is regression-pinned against.  All tiers produce
-    bit-identical results (the compiled tier consumes the exact same
-    per-lane numpy random streams and only replaces deterministic
-    passes); shared sync and wire dedupe require the fused or compiled
-    kernel.
+    There is one superstep; ``kernel`` selects who runs its
+    deterministic passes: ``"fused"`` (default) is whole-frontier numpy
+    (:class:`~repro.core.kernels.FusedPasses`), ``"compiled"`` the
+    Numba-jitted single-pass loops of
+    :class:`~repro.core.kernels.CompiledPasses` (falling back to
+    ``"fused"`` with one warning when Numba is absent).  Every random
+    draw is made by the superstep itself from the per-lane numpy
+    streams, so the tiers are bit-identical.
     """
 
     def __init__(
@@ -250,20 +239,11 @@ class BatchedFrogWildRunner:
         self.kernel = kernel
         self.shared_sync_mode = config.sync_mode == "shared"
         self.wire_dedupe = config.wire_dedupe
-        if kernel == "lane-loop" and (
-            self.shared_sync_mode or self.wire_dedupe
-        ):
-            raise ConfigError(
-                "shared sync and wire dedupe are fused-kernel modes; "
-                "the lane-loop reference kernel supports only the "
-                "default per-lane configuration"
-            )
         self.tables = _kernel_tables(state)
         self.erasure = make_erasure_model(config.erasure_model)
         size_model = state.fabric.size_model
-        # One mirror bitmap shared by every population's synchronizer
-        # (and across batches: it is the per-ingress cached bitmap, so
-        # synchronizers fork a private copy before any disable).
+        # One mirror bitmap read by every population's coin pass (and
+        # across batches: it is the per-ingress cached bitmap).
         mirror_matrix = MirrorSynchronizer.shared_mirror_matrix(state)
         self._mirror_matrix = mirror_matrix
         n = state.num_vertices
@@ -288,33 +268,14 @@ class BatchedFrogWildRunner:
                     f"ps={config.ps:g})"
                 )
             lane.seed = config.seed if query.seed is None else query.seed
-            distribution = query.start_distribution
-            if distribution is not None:
-                distribution = np.asarray(distribution, np.float64)
-                if distribution.shape != (n,):
-                    raise EngineError(
-                        "start_distribution must have one entry per vertex"
-                    )
-                if distribution.min() < 0 or not np.isclose(
-                    distribution.sum(), 1.0
-                ):
-                    raise EngineError(
-                        "start_distribution must be a probability distribution"
-                    )
-            lane.start_distribution = distribution
+            lane.start_distribution = _check_start_distribution(
+                query.start_distribution, n
+            )
             # Same stream derivation as the single-query runner, so a
             # B=1 batch replays its exact coin sequence.
             lane.rng = np.random.default_rng(
                 lane.seed if lane.seed is None else [104, lane.seed]
             )
-            if not self.shared_sync_mode:
-                lane.synchronizer = MirrorSynchronizer(
-                    state,
-                    lane.ps,
-                    lane.rng,
-                    mirror_matrix=mirror_matrix,
-                    copy_on_disable=True,
-                )
             lane.ledger = CostLedger(
                 record_bytes=size_model.record_bytes(),
                 message_header_bytes=size_model.message_header_bytes,
@@ -335,8 +296,7 @@ class BatchedFrogWildRunner:
             )
         else:
             self.shared_sync = None
-        # Lane-major frog state: row b is population b's frog counts.
-        self.frogs = np.zeros((len(self.lanes), n), dtype=np.int64)
+        # Row b tallies where population b's frogs stopped.
         self.counts = np.zeros((len(self.lanes), n), dtype=np.int64)
         self._lane_ps = np.array([lane.ps for lane in self.lanes])
         # Physical records actually flushed, by kind — the quantities
@@ -352,17 +312,18 @@ class BatchedFrogWildRunner:
             # The int32-narrowed gather tables are per-ingress (shared
             # across batches like the int64 kernel tables); the pass
             # pipeline with its buffer arena is per-runner state.
-            narrowed = state.ingress_cache(
+            pass_tables = state.ingress_cache(
                 "compiled_tables", lambda: CompiledTables(self.tables)
             )
-            self._passes = CompiledPasses(
-                narrowed,
-                num_lanes=len(self.lanes),
-                num_machines=state.num_machines,
-                num_vertices=n,
-            )
+            make_passes = CompiledPasses
         else:
-            self._passes = None
+            pass_tables, make_passes = self.tables, FusedPasses
+        self._passes = make_passes(
+            pass_tables,
+            num_lanes=len(self.lanes),
+            num_machines=state.num_machines,
+            num_vertices=n,
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> BatchedFrogWildResult:
@@ -379,42 +340,25 @@ class BatchedFrogWildRunner:
             for lane in self.lanes
         ]
 
-        if self.kernel in ("fused", "compiled"):
-            # Both concatenated kernels carry the frontier as
-            # (lane, vertex, count) arrays between supersteps instead
-            # of rescanning the (B, n) matrix — from the births on: the
-            # first frontier is one sort of the lane-offset birth keys.
-            # The matrix is materialized once after the loop for the
-            # cut-off count.
-            superstep = (
-                self._superstep_fused
-                if self.kernel == "fused"
-                else self._superstep_compiled
-            )
-            born, k = np.unique(
-                np.concatenate(
-                    [lane.index * n + b for lane, b in zip(self.lanes, births)]
-                ),
-                return_counts=True,
-            )
-            frontier = (*np.divmod(born, n), k)
-            for step in range(cfg.iterations):
-                frontier = superstep(step, frontier)
-                if frontier is None:
-                    frontier = (None, None, None)
-                    break
+        # The frontier travels between supersteps as sorted (lane,
+        # vertex, count) arrays — from the births on: the first frontier
+        # is one sort of the lane-offset birth keys.
+        born, k = np.unique(
+            np.concatenate(
+                [lane.index * n + b for lane, b in zip(self.lanes, births)]
+            ),
+            return_counts=True,
+        )
+        frontier = (*np.divmod(born, n), k)
+        for step in range(cfg.iterations):
+            frontier = self._superstep(step, frontier)
+            if frontier is None:
+                break
+        if frontier is not None:
+            # Cut-off: survivors are counted where they stand (Process
+            # 15); (lane, vertex) keys are unique, so the add is exact.
             lane_ids, verts, k = frontier
-            if lane_ids is not None and lane_ids.size:
-                self.frogs.reshape(-1)[lane_ids * n + verts] = k
-        else:
-            for lane, birth in zip(self.lanes, births):
-                self.frogs[lane.index] = np.bincount(birth, minlength=n)
-            for step in range(cfg.iterations):
-                if not self._superstep_lane_loop(step):
-                    break
-
-        # Cut-off: survivors are counted where they stand (Process 15).
-        self.counts += self.frogs
+            self.counts.reshape(-1)[lane_ids * n + verts] += k
         results = []
         for lane in self.lanes:
             estimate = PageRankEstimate(
@@ -437,7 +381,8 @@ class BatchedFrogWildRunner:
         frog_records: np.ndarray,
         scatter_ops: np.ndarray,
     ) -> None:
-        """Flush one round's physical traffic (same order as pre-fusion)."""
+        """Flush one round's physical traffic (sync, repair, scatter:
+        the single-query runner's order)."""
         state = self.state
         if sync_records.any():
             state.send_pair_matrix(sync_records, kind="sync")
@@ -459,7 +404,7 @@ class BatchedFrogWildRunner:
 
     # ------------------------------------------------------------------
     def _close_superstep(self, live: list[_Lane], active_union: int) -> None:
-        """Barrier + per-lane superstep/time attribution (both kernels)."""
+        """Barrier + per-lane superstep/time attribution."""
         state = self.state
         state.end_superstep(active_union)
         step_seconds = state.stats.steps[-1].sim_seconds
@@ -487,14 +432,12 @@ class BatchedFrogWildRunner:
         vert_sv: np.ndarray,
         sv_bounds: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ps coin pass, shared by the fused and compiled kernels.
+        """The ps coin pass.
 
         Draws every sync coin (per-lane or batch-shared) in exactly the
         single-query runner's stream order and returns the ``fresh``
         mirror matrix of the concatenated frontier plus the physical
-        and per-lane sync record matrices.  Living in one method keeps
-        the two concatenated kernels consuming identical randomness —
-        the compiled tier replaces only deterministic passes.
+        and per-lane sync record matrices.
         """
         state = self.state
         masters = self.tables.masters
@@ -551,9 +494,73 @@ class BatchedFrogWildRunner:
         return fresh, sync_records, lane_sync
 
     # ------------------------------------------------------------------
-    # Fused lane-major kernel (default)
+    def _draw_repair(
+        self,
+        live: list[_Lane],
+        lane_sv: np.ndarray,
+        vert_sv: np.ndarray,
+        bad: np.ndarray,
+        g_count: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At-Least-One-Out-Edge repair (Example 10) of the rows ``bad``.
+
+        Enables one uniform group per stranded frontier row and returns
+        the chosen *global* group index (``vertex_ptr[v] + pick``) per
+        row plus the physical and per-lane repair record matrices.  In
+        shared sync mode the coin belongs to the vertex (all lanes
+        stranded there share the repaired mirror and the one physical
+        record); per-lane mode draws from each lane's own rng exactly
+        like its standalone run.
+        """
+        tables = self.tables
+        masters = tables.masters
+        num_machines = self.state.num_machines
+        if self.shared_sync is None:
+            pick = np.empty(bad.size, dtype=np.int64)
+            bad_lanes = lane_sv[bad]
+            for lane in live:
+                lo, hi = np.searchsorted(
+                    bad_lanes, [lane.index, lane.index + 1]
+                )
+                if hi > lo:
+                    pick[lo:hi] = (
+                        lane.rng.random(hi - lo) * g_count[bad[lo:hi]]
+                    ).astype(np.int64)
+            chosen = tables.vertex_ptr[vert_sv[bad]] + pick
+            machines = tables.group_machine[chosen]
+            sources = masters[vert_sv[bad]].astype(np.int64)
+            remote = machines != sources
+            lane_repair = self._pair_matrices(
+                bad_lanes[remote], sources[remote], machines[remote]
+            )
+            return chosen, lane_repair.sum(axis=0), lane_repair
+        u_bad, u_inverse = np.unique(vert_sv[bad], return_inverse=True)
+        u_lo = tables.vertex_ptr[u_bad]
+        pick_u = (
+            self.shared_sync.rng.random(u_bad.size)
+            * (tables.vertex_ptr[u_bad + 1] - u_lo)
+        ).astype(np.int64)
+        machines_u = tables.group_machine[u_lo + pick_u]
+        sources_u = masters[u_bad].astype(np.int64)
+        remote_u = machines_u != sources_u
+        repair_records = np.bincount(
+            sources_u[remote_u] * num_machines + machines_u[remote_u],
+            minlength=num_machines * num_machines,
+        ).reshape(num_machines, num_machines)
+        remote = remote_u[u_inverse]
+        demand = self._pair_matrices(
+            lane_sv[bad][remote],
+            sources_u[u_inverse][remote],
+            machines_u[u_inverse][remote],
+        )
+        return (
+            (u_lo + pick_u)[u_inverse],
+            repair_records,
+            apportion_records(repair_records, demand),
+        )
+
     # ------------------------------------------------------------------
-    def _superstep_fused(
+    def _superstep(
         self,
         step: int,
         frontier: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -565,424 +572,12 @@ class BatchedFrogWildRunner:
         every lane's segment is exactly the frontier its standalone run
         would walk, so the per-lane random draws (sliced out of the
         concatenation) consume each lane's rng in the standalone order
-        while every gather, ``bincount`` and record pass runs once over
-        the total work.  Returns the next frontier, or None once every
-        population has died out.
+        while every deterministic pass runs once over the total work.
+        Returns the next frontier, or None once every population has
+        died out.
         """
         state = self.state
-        cfg = self.config
-        masters = self.tables.masters
-        n = state.num_vertices
-        num_machines = state.num_machines
         num_lanes = len(self.lanes)
-        empty = np.empty(0, dtype=np.int64)
-
-        lane_ids, verts, k = frontier
-        row_counts = np.bincount(lane_ids, minlength=num_lanes)
-        bounds = np.concatenate([[0], np.cumsum(row_counts)])
-        live: list[_Lane] = []
-        for lane in self.lanes:
-            if lane.finished_at is not None:
-                continue
-            if row_counts[lane.index] == 0:
-                lane.finished_at = step
-                continue
-            live.append(lane)
-        if not live:
-            return None
-        active_mask = np.zeros(n, dtype=bool)
-        active_mask[verts] = True
-        active_union = int(active_mask.sum())
-
-        # ---------------- apply(): per-lane death coins ----------------
-        dead = np.empty(lane_ids.size, dtype=np.int64)
-        for lane in live:
-            sl = slice(bounds[lane.index], bounds[lane.index + 1])
-            dead[sl] = lane.rng.binomial(k[sl], cfg.p_teleport)
-            lane.ledger.charge_ops(int(k[sl].sum()))
-        # (lane, vertex) keys are unique, so the fancy add is exact.
-        self.counts.reshape(-1)[lane_ids * n + verts] += dead
-        state.charge_many(
-            np.bincount(
-                masters[verts], weights=k, minlength=num_machines
-            ).astype(np.int64),
-            phase="apply",
-        )
-
-        survivors = k - dead
-        moving = survivors > 0
-        lane_sv = lane_ids[moving]
-        vert_sv = verts[moving]
-        k_sv = survivors[moving]
-        if vert_sv.size == 0:
-            self._close_superstep(live, active_union)
-            return (empty, empty, empty)
-
-        next_frontier = self._scatter_fused(live, lane_sv, vert_sv, k_sv)
-        self._close_superstep(live, active_union)
-        return next_frontier
-
-    def _scatter_fused(
-        self,
-        live: list[_Lane],
-        lane_sv: np.ndarray,
-        vert_sv: np.ndarray,
-        k_sv: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sync + repair + scatter over the concatenated frontier.
-
-        Returns the next frontier as sorted-unique ``(lane, vertex,
-        count)`` arrays, accumulated with one compressed ``bincount``
-        over the hops that actually happened — the fused kernel never
-        touches an O(B·n) dense buffer.
-        """
-        state = self.state
-        cfg = self.config
-        tables = self.tables
-        masters = tables.masters
-        n = state.num_vertices
-        num_machines = state.num_machines
-        num_lanes = len(self.lanes)
-        num_pairs = num_machines * num_machines
-        frontier = vert_sv.size
-        sv_bounds = np.concatenate(
-            [[0], np.cumsum(np.bincount(lane_sv, minlength=num_lanes))]
-        )
-
-        # -------- <sync>: ps coins, per-lane or batch-shared ----------
-        fresh, sync_records, lane_sync = self._draw_sync(
-            live, lane_sv, vert_sv, sv_bounds
-        )
-        _charge_stack(live, lane_sync, with_ops=True)
-
-        # -------- enabled groups of the concatenated frontier ----------
-        g_lo = tables.vertex_ptr[vert_sv]
-        g_count = tables.vertex_ptr[vert_sv + 1] - g_lo
-        grp_idx = _ranges_to_indices(g_lo, g_count)
-        grp_row = np.repeat(np.arange(frontier, dtype=np.int64), g_count)
-        grp_machine = tables.group_machine[grp_idx]
-        grp_sizes = tables.group_sizes[grp_idx]
-        enabled_grp = fresh[grp_row, grp_machine]
-
-        enabled_per_row = np.bincount(
-            grp_row, weights=enabled_grp, minlength=frontier
-        ).astype(np.int64)
-        stranded = enabled_per_row == 0
-        repair_records = np.zeros(
-            (num_machines, num_machines), dtype=np.int64
-        )
-        lane_repair = None
-        # Next-frontier accumulator: (lane * n + vertex) keys plus the
-        # frog counts landing there, reduced once at the end.
-        idle_keys = None
-        idle_weights = None
-        if stranded.any():
-            bad = np.flatnonzero(stranded)
-            if self.erasure.repairs_empty:
-                # At-Least-One-Out-Edge repair (Example 10): enable one
-                # uniform group per stranded frontier row.  In shared
-                # sync mode the coin belongs to the vertex (all lanes
-                # stranded there share the repaired mirror and the one
-                # physical record); per-lane mode draws from each
-                # lane's own rng exactly like its standalone run.
-                # Dangling vertices (no out-groups) cannot be repaired:
-                # their frogs idle in place awaiting teleportation.
-                dangling = g_count[bad] == 0
-                if dangling.any():
-                    idle = bad[dangling]
-                    idle_keys = lane_sv[idle] * n + vert_sv[idle]
-                    idle_weights = k_sv[idle]
-                    k_sv = k_sv.copy()
-                    k_sv[idle] = 0
-                    bad = bad[~dangling]
-                block_offsets = np.concatenate([[0], np.cumsum(g_count)[:-1]])
-                if bad.size == 0:
-                    pass  # every stranded row was dangling: nothing to repair
-                elif self.shared_sync is None:
-                    pick = np.empty(bad.size, dtype=np.int64)
-                    bad_lanes = lane_sv[bad]
-                    for lane in live:
-                        lo, hi = np.searchsorted(
-                            bad_lanes, [lane.index, lane.index + 1]
-                        )
-                        if hi > lo:
-                            pick[lo:hi] = (
-                                lane.rng.random(hi - lo) * g_count[bad[lo:hi]]
-                            ).astype(np.int64)
-                    flat_pos = block_offsets[bad] + pick
-                    machines = grp_machine[flat_pos]
-                    sources = masters[vert_sv[bad]].astype(np.int64)
-                    remote = machines != sources
-                    lane_repair = self._pair_matrices(
-                        bad_lanes[remote], sources[remote], machines[remote]
-                    )
-                    repair_records = lane_repair.sum(axis=0)
-                else:
-                    bad_verts = vert_sv[bad]
-                    u_bad, u_inverse = np.unique(
-                        bad_verts, return_inverse=True
-                    )
-                    u_count = (
-                        tables.vertex_ptr[u_bad + 1] - tables.vertex_ptr[u_bad]
-                    )
-                    pick_u = (
-                        self.shared_sync.rng.random(u_bad.size) * u_count
-                    ).astype(np.int64)
-                    flat_pos = block_offsets[bad] + pick_u[u_inverse]
-                    machines_u = tables.group_machine[
-                        tables.vertex_ptr[u_bad] + pick_u
-                    ]
-                    sources_u = masters[u_bad].astype(np.int64)
-                    remote_u = machines_u != sources_u
-                    repair_records = np.bincount(
-                        sources_u[remote_u] * num_machines
-                        + machines_u[remote_u],
-                        minlength=num_pairs,
-                    ).reshape(num_machines, num_machines)
-                    machines = machines_u[u_inverse]
-                    sources = sources_u[u_inverse]
-                    remote = remote_u[u_inverse]
-                    demand = self._pair_matrices(
-                        lane_sv[bad][remote], sources[remote], machines[remote]
-                    )
-                    lane_repair = apportion_records(repair_records, demand)
-                if bad.size:
-                    enabled_grp = enabled_grp.copy()
-                    enabled_grp[flat_pos] = True
-                    _charge_stack(live, lane_repair, with_ops=True)
-            else:
-                # Independent erasures: frogs idle in place this step.
-                idle_keys = lane_sv[bad] * n + vert_sv[bad]
-                idle_weights = k_sv[bad]
-                k_sv = k_sv.copy()
-                k_sv[stranded] = 0
-
-        # -------- scatter(): per-lane hop coins, one expansion ---------
-        if cfg.scatter_mode == "multinomial":
-            dest, host, frog_lane, hop_keys, hop_weights = (
-                self._scatter_multinomial_fused(
-                    live, lane_sv, vert_sv, k_sv, grp_row, grp_idx,
-                    grp_sizes, enabled_grp,
-                )
-            )
-        else:
-            dest, host, frog_lane, hop_keys, hop_weights = (
-                self._scatter_binomial_fused(
-                    live, lane_sv, vert_sv, k_sv, grp_row, grp_idx,
-                    grp_sizes, enabled_grp,
-                )
-            )
-
-        if dest.size:
-            scatter_ops = np.bincount(host, minlength=num_machines)
-            hops_per_lane = np.bincount(frog_lane, minlength=num_lanes)
-        else:
-            scatter_ops = np.zeros(num_machines, dtype=np.int64)
-            hops_per_lane = np.zeros(num_lanes, dtype=np.int64)
-        scatter_ops = scatter_ops + np.bincount(
-            grp_machine[enabled_grp], minlength=num_machines
-        )
-        lane_of_group = lane_sv[grp_row]
-        groups_per_lane = np.bincount(
-            lane_of_group[enabled_grp], minlength=num_lanes
-        )
-        for lane in live:
-            lane.ledger.charge_ops(
-                int(hops_per_lane[lane.index])
-                + int(groups_per_lane[lane.index])
-            )
-
-        # -------- frog records: combined per (lane, host, dest) --------
-        frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        lane_frog = None
-        if dest.size:
-            unique_keys = sorted_unique(
-                (frog_lane * num_machines + host) * n + dest
-            )
-            lane_u = unique_keys // (num_machines * n)
-            pair_u = unique_keys % (num_machines * n)
-            host_u = pair_u // n
-            dest_u = pair_u % n
-            dest_master = masters[dest_u].astype(np.int64)
-            remote = host_u != dest_master
-            demand = self._pair_matrices(
-                lane_u[remote], host_u[remote], dest_master[remote]
-            )
-            if self.wire_dedupe:
-                # Lanes aiming at the same (host, destination) share one
-                # physical wire record; the shares below hand it back.
-                phys_keys = sorted_unique(pair_u[remote])
-                phys_host = phys_keys // n
-                phys_master = masters[phys_keys % n].astype(np.int64)
-                frog_records = np.bincount(
-                    phys_host * num_machines + phys_master,
-                    minlength=num_machines * num_machines,
-                ).reshape(num_machines, num_machines)
-                lane_frog = apportion_records(frog_records, demand)
-                self.record_totals["frog_demand"] += int(
-                    demand.sum() - frog_records.sum()
-                )
-            else:
-                lane_frog = demand
-                frog_records = demand.sum(axis=0)
-            _charge_stack(live, lane_frog, with_ops=False)
-
-        # -------- physical flush: whole batch, once per round ----------
-        self._flush_round(
-            sync_records, repair_records, frog_records,
-            scatter_ops.astype(np.int64),
-        )
-
-        # -------- next frontier: one compressed reduction --------------
-        if idle_keys is None and hop_weights is None:
-            # Hot path (multinomial, no idling): every hop lands one
-            # frog, so the unique pass yields the counts directly.
-            if hop_keys.size == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty, empty
-            unique_next, counts = np.unique(hop_keys, return_counts=True)
-            return unique_next // n, unique_next % n, counts
-        if hop_weights is None:
-            hop_weights = np.ones(hop_keys.size, dtype=np.int64)
-        if idle_keys is None:
-            keys, weights = hop_keys, hop_weights
-        else:
-            keys = np.concatenate([idle_keys, hop_keys])
-            weights = np.concatenate([idle_weights, hop_weights])
-        if keys.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        unique_next, inverse = np.unique(keys, return_inverse=True)
-        counts = np.bincount(
-            inverse, weights=weights, minlength=unique_next.size
-        ).astype(np.int64)
-        return unique_next // n, unique_next % n, counts
-
-    def _scatter_multinomial_fused(
-        self,
-        live: list[_Lane],
-        lane_sv: np.ndarray,
-        vert_sv: np.ndarray,
-        k_sv: np.ndarray,
-        grp_row: np.ndarray,
-        grp_idx: np.ndarray,
-        grp_sizes: np.ndarray,
-        enabled_grp: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, None]:
-        """Split each row's K frogs uniformly over its enabled edges.
-
-        The edge pick runs once over the concatenated frontier; only
-        the uniform hop draws are sliced per lane (lane segments are
-        contiguous, so each slice replays the standalone call).
-        Returns per-hop ``(dest, host, lane)`` plus the frontier
-        accumulation keys (weights None: one frog per hop).
-        """
-        tables = self.tables
-        n = self.state.num_vertices
-        num_lanes = len(self.lanes)
-        frontier = vert_sv.size
-        empty = np.empty(0, dtype=np.int64)
-
-        enabled_counts = np.bincount(
-            grp_row, weights=enabled_grp * grp_sizes, minlength=frontier
-        ).astype(np.int64)
-        k_send = np.where(enabled_counts > 0, k_sv, 0)
-        per_lane = np.bincount(
-            lane_sv, weights=k_send, minlength=num_lanes
-        ).astype(np.int64)
-        total = int(k_send.sum())
-        if total == 0:
-            return empty, empty, empty, empty, None
-
-        draw = np.empty(total, dtype=np.float64)
-        draw_bounds = np.concatenate([[0], np.cumsum(per_lane)])
-        for lane in live:
-            lo, hi = draw_bounds[lane.index], draw_bounds[lane.index + 1]
-            if hi > lo:
-                draw[lo:hi] = lane.rng.random(hi - lo)
-
-        frog_row = np.repeat(np.arange(frontier, dtype=np.int64), k_send)
-        chosen = _pick_enabled_edges(
-            tables, grp_idx, grp_sizes, enabled_grp, enabled_counts,
-            frog_row, draw,
-        )
-        dest = tables.edge_target[chosen]
-        host = tables.edge_host[chosen]
-        frog_lane = lane_sv[frog_row]
-        return dest, host, frog_lane, frog_lane * n + dest, None
-
-    def _scatter_binomial_fused(
-        self,
-        live: list[_Lane],
-        lane_sv: np.ndarray,
-        vert_sv: np.ndarray,
-        k_sv: np.ndarray,
-        grp_row: np.ndarray,
-        grp_idx: np.ndarray,
-        grp_sizes: np.ndarray,
-        enabled_grp: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Paper pseudocode: Bin(K, 1/(d_out ps)) per enabled edge."""
-        tables = self.tables
-        n = self.state.num_vertices
-        empty = np.empty(0, dtype=np.int64)
-
-        on = np.flatnonzero(enabled_grp)
-        if on.size == 0:
-            return empty, empty, empty, empty, empty
-        sizes_on = grp_sizes[on]
-        candidate = _ranges_to_indices(
-            tables.group_start[grp_idx[on]], sizes_on
-        )
-        row_pos = np.repeat(grp_row[on], sizes_on)
-        edge_lane = lane_sv[row_pos]
-        k_per_edge = k_sv[row_pos]
-        p_eff = np.maximum(self._lane_ps[edge_lane], 1e-12)
-        prob = np.minimum(
-            1.0, 1.0 / (tables.out_degree[vert_sv[row_pos]] * p_eff)
-        )
-        sent = np.empty(candidate.size, dtype=np.int64)
-        for lane in live:
-            lo, hi = np.searchsorted(edge_lane, [lane.index, lane.index + 1])
-            if hi > lo:
-                sent[lo:hi] = lane.rng.binomial(
-                    k_per_edge[lo:hi], prob[lo:hi]
-                )
-        nonzero = sent > 0
-        chosen = candidate[nonzero]
-        dest = tables.edge_target[chosen]
-        host = tables.edge_host[chosen]
-        hop_lane = edge_lane[nonzero]
-        hop_keys = hop_lane * n + dest
-        hop_weights = sent[nonzero]
-        # Replicate per-frog host attribution for CPU/message accounting.
-        dest = np.repeat(dest, hop_weights)
-        host = np.repeat(host, hop_weights)
-        frog_lane = np.repeat(hop_lane, hop_weights)
-        return dest, host, frog_lane, hop_keys, hop_weights
-
-    # ------------------------------------------------------------------
-    # Compiled kernel tier (Numba single-pass loops, kernels package)
-    # ------------------------------------------------------------------
-    def _superstep_compiled(
-        self,
-        step: int,
-        frontier: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The fused superstep with compiled deterministic passes.
-
-        Random draws (death coins, sync coins, repair picks, hop draws)
-        run through the exact numpy calls of :meth:`_superstep_fused`,
-        in the same order and shapes; every deterministic gather,
-        scatter, dedupe and reduction runs as a single compiled loop
-        from :mod:`repro.core.kernels` over arena-allocated scratch.
-        Bitwise identical to the fused kernel by construction.
-        """
-        state = self.state
-        cfg = self.config
-        n = state.num_vertices
-        num_lanes = len(self.lanes)
-        empty = np.empty(0, dtype=np.int64)
         passes = self._passes
         passes.begin_superstep()
 
@@ -999,7 +594,7 @@ class BatchedFrogWildRunner:
             live.append(lane)
         if not live:
             return None
-        active_mask = np.zeros(n, dtype=bool)
+        active_mask = np.zeros(state.num_vertices, dtype=bool)
         active_mask[verts] = True
         active_union = int(active_mask.sum())
 
@@ -1007,170 +602,105 @@ class BatchedFrogWildRunner:
         dead = np.empty(lane_ids.size, dtype=np.int64)
         for lane in live:
             sl = slice(bounds[lane.index], bounds[lane.index + 1])
-            dead[sl] = lane.rng.binomial(k[sl], cfg.p_teleport)
+            dead[sl] = lane.rng.binomial(k[sl], self.config.p_teleport)
             lane.ledger.charge_ops(int(k[sl].sum()))
-        # One compiled loop: count scatter-add + per-machine op charge.
-        apply_ops = passes.apply(self.counts, lane_ids, verts, dead, k)
-        state.charge_many(apply_ops, phase="apply")
+        state.charge_many(
+            passes.apply(self.counts, lane_ids, verts, dead, k), phase="apply"
+        )
 
         survivors = k - dead
         moving = survivors > 0
-        lane_sv = lane_ids[moving]
-        vert_sv = verts[moving]
-        k_sv = survivors[moving]
-        if vert_sv.size == 0:
-            self._close_superstep(live, active_union)
-            return (empty, empty, empty)
-
-        next_frontier = self._scatter_compiled(live, lane_sv, vert_sv, k_sv)
+        if moving.any():
+            next_frontier = self._scatter(
+                live, lane_ids[moving], verts[moving], survivors[moving]
+            )
+        else:
+            empty = np.empty(0, dtype=np.int64)
+            next_frontier = (empty, empty, empty)
         self._close_superstep(live, active_union)
         return next_frontier
 
-    def _scatter_compiled(
+    def _scatter(
         self,
         live: list[_Lane],
         lane_sv: np.ndarray,
         vert_sv: np.ndarray,
         k_sv: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sync + repair + scatter through the compiled pass pipeline.
+        """Sync + repair + scatter over the concatenated frontier.
 
-        Differences from :meth:`_scatter_fused` are representational
-        only: instead of materializing the per-group ``repeat``/gather
-        arrays, enabled groups are re-walked from the CSR vertex
-        pointers inside L2-sized tiles; repaired rows carry a *forced
-        group* index instead of a mutated ``enabled_grp`` mask; the
-        record dedupe and frontier reduction accumulate dense touched
-        maps instead of ``np.unique`` sorts.  Repair draws consume the
-        same rng values as the fused kernel (the uniform pick over a
-        stranded row's ``g_count`` groups indexes the same group list).
+        Every random draw (sync coins, repair picks, hop draws) is made
+        here, per lane, with the call, shape and order of the lane's
+        standalone run; everything between the draws is a deterministic
+        pass of ``self._passes``.  Returns the next frontier as
+        sorted-unique ``(lane, vertex, count)`` arrays.
         """
-        state = self.state
         cfg = self.config
-        tables = self.tables
-        masters = tables.masters
         passes = self._passes
-        n = state.num_vertices
-        num_machines = state.num_machines
+        n = self.state.num_vertices
+        num_machines = self.state.num_machines
         num_lanes = len(self.lanes)
-        num_pairs = num_machines * num_machines
-        frontier = vert_sv.size
         empty = np.empty(0, dtype=np.int64)
         sv_bounds = np.concatenate(
             [[0], np.cumsum(np.bincount(lane_sv, minlength=num_lanes))]
         )
 
-        # -------- <sync>: identical coin pass to the fused kernel ------
+        # -------- <sync>: ps coins, per-lane or batch-shared ----------
         fresh, sync_records, lane_sync = self._draw_sync(
             live, lane_sv, vert_sv, sv_bounds
         )
         _charge_stack(live, lane_sync, with_ops=True)
 
-        # -------- enabled groups: CSR walk, no materialization ---------
-        groups_per_row, g_count = passes.enabled_groups(vert_sv, fresh)
+        # -------- enabled groups of the concatenated frontier ----------
+        groups_per_row, g_count = passes.enabled_groups(
+            lane_sv, vert_sv, fresh
+        )
         stranded = groups_per_row == 0
         repair_records = np.zeros(
             (num_machines, num_machines), dtype=np.int64
         )
-        lane_repair = None
+        # Frogs that stay put, as (lane * n + vertex) keys and counts.
         idle_keys = None
         idle_weights = None
-        forced_g = passes.arena.take(frontier, np.int64)
-        forced_g.fill(-1)
         if stranded.any():
             bad = np.flatnonzero(stranded)
+            # Nothing can be enabled for a stranded row under
+            # independent erasures, nor for a dangling vertex (no
+            # out-groups) under the at-least-one repair: its frogs idle
+            # in place this step, awaiting teleportation.
             if self.erasure.repairs_empty:
-                # At-Least-One-Out-Edge repair: the uniform pick over a
-                # stranded row's groups is drawn exactly like the fused
-                # kernel; ``vertex_ptr[v] + pick`` is the same group
-                # ``block_offsets[row] + pick`` addresses there, so the
-                # repaired machine choice is bitwise identical.
                 dangling = g_count[bad] == 0
-                if dangling.any():
-                    idle = bad[dangling]
-                    idle_keys = lane_sv[idle] * n + vert_sv[idle]
-                    idle_weights = k_sv[idle]
-                    k_sv = k_sv.copy()
-                    k_sv[idle] = 0
-                    bad = bad[~dangling]
-                if bad.size == 0:
-                    pass  # every stranded row was dangling
-                elif self.shared_sync is None:
-                    pick = np.empty(bad.size, dtype=np.int64)
-                    bad_lanes = lane_sv[bad]
-                    for lane in live:
-                        lo, hi = np.searchsorted(
-                            bad_lanes, [lane.index, lane.index + 1]
-                        )
-                        if hi > lo:
-                            pick[lo:hi] = (
-                                lane.rng.random(hi - lo) * g_count[bad[lo:hi]]
-                            ).astype(np.int64)
-                    gsel = tables.vertex_ptr[vert_sv[bad]] + pick
-                    machines = tables.group_machine[gsel]
-                    sources = masters[vert_sv[bad]].astype(np.int64)
-                    remote = machines != sources
-                    lane_repair = self._pair_matrices(
-                        bad_lanes[remote], sources[remote], machines[remote]
-                    )
-                    repair_records = lane_repair.sum(axis=0)
-                else:
-                    bad_verts = vert_sv[bad]
-                    u_bad, u_inverse = np.unique(
-                        bad_verts, return_inverse=True
-                    )
-                    u_count = (
-                        tables.vertex_ptr[u_bad + 1] - tables.vertex_ptr[u_bad]
-                    )
-                    pick_u = (
-                        self.shared_sync.rng.random(u_bad.size) * u_count
-                    ).astype(np.int64)
-                    gsel_u = tables.vertex_ptr[u_bad] + pick_u
-                    machines_u = tables.group_machine[gsel_u]
-                    sources_u = masters[u_bad].astype(np.int64)
-                    remote_u = machines_u != sources_u
-                    repair_records = np.bincount(
-                        sources_u[remote_u] * num_machines
-                        + machines_u[remote_u],
-                        minlength=num_pairs,
-                    ).reshape(num_machines, num_machines)
-                    gsel = gsel_u[u_inverse]
-                    machines = machines_u[u_inverse]
-                    sources = sources_u[u_inverse]
-                    remote = remote_u[u_inverse]
-                    demand = self._pair_matrices(
-                        lane_sv[bad][remote], sources[remote], machines[remote]
-                    )
-                    lane_repair = apportion_records(repair_records, demand)
-                if bad.size:
-                    forced_g[bad] = gsel
-                    _charge_stack(live, lane_repair, with_ops=True)
+                idle, bad = bad[dangling], bad[~dangling]
             else:
-                # Independent erasures: frogs idle in place this step.
-                idle_keys = lane_sv[bad] * n + vert_sv[bad]
-                idle_weights = k_sv[bad]
+                idle, bad = bad, bad[:0]
+            if idle.size:
+                idle_keys = lane_sv[idle] * n + vert_sv[idle]
+                idle_weights = k_sv[idle]
                 k_sv = k_sv.copy()
-                k_sv[stranded] = 0
+                k_sv[idle] = 0
+            if bad.size:
+                chosen, repair_records, lane_repair = self._draw_repair(
+                    live, lane_sv, vert_sv, bad, g_count
+                )
+                passes.force_groups(bad, chosen)
+                _charge_stack(live, lane_repair, with_ops=True)
+        edge_counts, machine_groups, lane_groups = passes.enabled_totals()
 
-        # -------- enabled totals (post-repair), one compiled pass ------
-        edge_counts, machine_groups, lane_groups = passes.enabled_totals(
-            vert_sv, lane_sv, fresh, forced_g
-        )
-
-        # -------- scatter(): per-lane hop coins, compiled expansion ----
+        # -------- scatter(): per-lane hop coins, one expansion ---------
         hop_keys = empty
         hop_weights = None
         rec_lane = rec_host = rec_dest = empty
         scatter_ops = np.zeros(num_machines, dtype=np.int64)
         hops_per_lane = np.zeros(num_lanes, dtype=np.int64)
         if cfg.scatter_mode == "multinomial":
+            # Split each row's K frogs uniformly over its enabled edges.
             k_send = np.where(edge_counts > 0, k_sv, 0)
             per_lane = np.bincount(
                 lane_sv, weights=k_send, minlength=num_lanes
             ).astype(np.int64)
             total = int(k_send.sum())
             if total:
-                draw = passes.arena.take(total, np.float64)
+                draw = passes.scratch(total, np.float64)
                 draw_bounds = np.concatenate([[0], np.cumsum(per_lane)])
                 for lane in live:
                     lo = draw_bounds[lane.index]
@@ -1178,20 +708,17 @@ class BatchedFrogWildRunner:
                     if hi > lo:
                         draw[lo:hi] = lane.rng.random(hi - lo)
                 rec_dest, rec_host, rec_lane, hop_keys, scatter_ops = (
-                    passes.expand_multinomial(
-                        vert_sv, lane_sv, k_send, edge_counts, forced_g,
-                        fresh, draw,
-                    )
+                    passes.expand_multinomial(k_send, edge_counts, draw)
                 )
                 hops_per_lane = per_lane
         else:
+            # Paper pseudocode: Bin(K, 1/(d_out ps)) per enabled edge.
             total_edges = int(edge_counts.sum())
             if total_edges:
                 chosen, k_per_edge, prob, edge_lane = passes.expand_binomial(
-                    vert_sv, lane_sv, k_sv, forced_g, fresh, edge_counts,
-                    self._lane_ps,
+                    k_sv, edge_counts, self._lane_ps
                 )
-                sent = passes.arena.take(total_edges, np.int64)
+                sent = passes.scratch(total_edges, np.int64)
                 for lane in live:
                     lo, hi = np.searchsorted(
                         edge_lane, [lane.index, lane.index + 1]
@@ -1205,6 +732,8 @@ class BatchedFrogWildRunner:
                     scatter_ops, hops_per_lane,
                 ) = passes.binomial_post(chosen, edge_lane, sent)
 
+        # CPU: one op per hopped frog on the hosting machine, one per
+        # enabled group for the mirror's scatter dispatch.
         scatter_ops = scatter_ops + machine_groups
         for lane in live:
             lane.ledger.charge_ops(
@@ -1212,15 +741,16 @@ class BatchedFrogWildRunner:
                 + int(lane_groups[lane.index])
             )
 
-        # -------- frog records: dense dedupe, no unique sorts ----------
+        # -------- frog records: combined per (lane, host, dest) --------
         frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        lane_frog = None
         if rec_dest.size:
-            demand, phys = passes.frog_records(
+            demand, physical = passes.frog_records(
                 rec_lane, rec_host, rec_dest, dedupe=self.wire_dedupe
             )
             if self.wire_dedupe:
-                frog_records = phys
+                # Lanes aiming at the same (host, destination) share one
+                # physical wire record; the shares hand it back.
+                frog_records = physical
                 lane_frog = apportion_records(frog_records, demand)
                 self.record_totals["frog_demand"] += int(
                     demand.sum() - frog_records.sum()
@@ -1235,196 +765,8 @@ class BatchedFrogWildRunner:
             sync_records, repair_records, frog_records,
             scatter_ops.astype(np.int64),
         )
-
-        # -------- next frontier: dense touched-key reduction -----------
         return passes.reduce_frontier(
             hop_keys, hop_weights, idle_keys, idle_weights
-        )
-
-    # ------------------------------------------------------------------
-    # Lane-loop reference kernel (pre-fusion implementation)
-    # ------------------------------------------------------------------
-    def _superstep_lane_loop(self, step: int) -> bool:
-        """One superstep of the per-lane reference implementation."""
-        state = self.state
-        cfg = self.config
-        masters = self.tables.masters
-        n = state.num_vertices
-        num_machines = state.num_machines
-
-        live: list[tuple[_Lane, np.ndarray]] = []
-        active_union = np.zeros(n, dtype=bool)
-        for lane in self.lanes:
-            if lane.finished_at is not None:
-                continue
-            active_idx = np.flatnonzero(self.frogs[lane.index])
-            if active_idx.size == 0:
-                lane.finished_at = step
-                continue
-            live.append((lane, active_idx))
-            active_union[active_idx] = True
-        if not live:
-            return False
-
-        # ---------------- apply(): per-population deaths -----------
-        apply_ops = np.zeros(num_machines, dtype=np.int64)
-        scatter_mask = np.zeros(n, dtype=bool)
-        for lane, active_idx in live:
-            k_active = self.frogs[lane.index, active_idx]
-            dead = lane.rng.binomial(k_active, cfg.p_teleport)
-            self.counts[lane.index, active_idx] += dead
-            survivors = k_active - dead
-            ops = np.bincount(
-                masters[active_idx], weights=k_active, minlength=num_machines
-            ).astype(np.int64)
-            apply_ops += ops
-            lane.ledger.charge_ops(int(ops.sum()))
-            moving = survivors > 0
-            lane.sv = active_idx[moving]
-            lane.k_sv = survivors[moving].astype(np.int64)
-            scatter_mask[lane.sv] = True
-        state.charge_many(apply_ops, phase="apply")
-
-        sv_union = np.flatnonzero(scatter_mask)
-        if sv_union.size:
-            self._scatter_phase(live, sv_union)
-        else:
-            for lane, _ in live:
-                self.frogs[lane.index] = 0
-
-        self._close_superstep(
-            [lane for lane, _ in live], int(active_union.sum())
-        )
-        return True
-
-    def _scatter_phase(
-        self, live: list[tuple[_Lane, np.ndarray]], sv_union: np.ndarray
-    ) -> None:
-        """Sync + scatter every live population over one shared gather.
-
-        The union frontier is gathered once; each population's group
-        view is a boolean slice of it.  Physical accounting (pair
-        matrices, CPU vectors) is summed across populations and flushed
-        once, in the same round structure as the single-query runner
-        (sync, then repair, then scatter) so a B=1 batch produces the
-        identical message sequence.
-        """
-        state = self.state
-        cfg = self.config
-        tables = self.tables
-        masters = tables.masters
-        n = state.num_vertices
-        num_machines = state.num_machines
-
-        view_union = _gather_groups(tables, sv_union)
-        position_of = np.full(n, -1, dtype=np.int64)
-        position_of[sv_union] = np.arange(sv_union.size, dtype=np.int64)
-
-        sync_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        repair_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        scatter_ops = np.zeros(num_machines, dtype=np.int64)
-
-        for lane, _ in live:
-            next_frogs = np.zeros(n, dtype=np.int64)
-            sv, k_sv = lane.sv, lane.k_sv
-            lane.sv = lane.k_sv = None
-            if sv.size == 0:
-                self.frogs[lane.index] = next_frogs
-                continue
-            member_rows = position_of[sv]
-            if member_rows.size == sv_union.size:
-                view = view_union
-            else:
-                member_mask = np.zeros(sv_union.size, dtype=bool)
-                member_mask[member_rows] = True
-                view = view_union.select(member_rows, member_mask)
-
-            # -------- <sync>: this population's ps coins ---------------
-            fresh, synced = lane.synchronizer.draw_fresh(sv)
-            records = sync_pair_records(masters[sv], synced, num_machines)
-            sync_records += records
-            lane.ledger.charge_pair_records(records)
-            lane.ledger.charge_ops(int(records.sum()))
-
-            enabled_grp = fresh[view.grp_vertex_pos, view.grp_machine]
-            enabled_per_vertex = np.bincount(
-                view.grp_vertex_pos, weights=enabled_grp, minlength=sv.size
-            ).astype(np.int64)
-            stranded = enabled_per_vertex == 0
-            if stranded.any():
-                if self.erasure.repairs_empty:
-                    bad = np.flatnonzero(stranded)
-                    # Dangling vertices (no out-groups) cannot be
-                    # repaired: their frogs idle in place this step.
-                    dangling = view.g_count[bad] == 0
-                    if dangling.any():
-                        idle = bad[dangling]
-                        next_frogs[sv[idle]] += k_sv[idle]
-                        k_sv = k_sv.copy()
-                        k_sv[idle] = 0
-                        bad = bad[~dangling]
-                    if bad.size:
-                        flat_pos = _choose_repair_positions(
-                            lane.rng, view.g_count, bad
-                        )
-                        enabled_grp = enabled_grp.copy()
-                        enabled_grp[flat_pos] = True
-                        machines = view.grp_machine[flat_pos]
-                        sources = masters[sv[bad]].astype(np.int64)
-                        remote = machines != sources
-                        if remote.any():
-                            extra = np.bincount(
-                                sources[remote] * num_machines
-                                + machines[remote],
-                                minlength=num_machines**2,
-                            ).reshape(num_machines, num_machines)
-                            repair_records += extra
-                            lane.ledger.charge_pair_records(extra)
-                            lane.ledger.charge_ops(int(extra.sum()))
-                else:
-                    next_frogs[sv[stranded]] += k_sv[stranded]
-                    k_sv = k_sv.copy()
-                    k_sv[stranded] = 0
-
-            # -------- scatter(): this population's hops ----------------
-            if cfg.scatter_mode == "multinomial":
-                dest, host = _scatter_multinomial(
-                    lane.rng, tables, view, enabled_grp, sv, k_sv, next_frogs
-                )
-            else:
-                dest, host = _scatter_binomial(
-                    lane.rng, lane.ps, tables, view, enabled_grp, sv, k_sv,
-                    next_frogs,
-                )
-            if dest.size:
-                ops = np.bincount(host, minlength=num_machines)
-            else:
-                ops = np.zeros(num_machines, dtype=np.int64)
-            ops += np.bincount(
-                view.grp_machine[enabled_grp], minlength=num_machines
-            )
-            scatter_ops += ops.astype(np.int64)
-            lane.ledger.charge_ops(int(ops.sum()))
-
-            if dest.size:
-                pair_keys = sorted_unique(host * n + dest)
-                host_unique = pair_keys // n
-                dest_master = masters[pair_keys % n].astype(np.int64)
-                remote = host_unique != dest_master
-                if remote.any():
-                    records = np.bincount(
-                        host_unique[remote] * num_machines
-                        + dest_master[remote],
-                        minlength=num_machines**2,
-                    ).reshape(num_machines, num_machines)
-                    frog_records += records
-                    lane.ledger.charge_pair_records(records)
-            self.frogs[lane.index] = next_frogs
-
-        # -------- physical flush: whole batch, once per round ----------
-        self._flush_round(
-            sync_records, repair_records, frog_records, scatter_ops
         )
 
     # ------------------------------------------------------------------
@@ -1571,10 +913,10 @@ def run_frogwild_batch(
 
     Mirrors :func:`repro.core.run_frogwild`: pass a prebuilt ``state``
     to reuse an ingress across batches (the serving layer does), or let
-    this build one.  ``kernel`` selects the fused lane-major kernel
-    (default), the per-lane ``"lane-loop"`` reference implementation,
-    or the Numba ``"compiled"`` tier (see :mod:`repro.core.kernels`;
-    falls back to fused with a warning when numba is absent).
+    this build one.  ``kernel`` selects the numpy passes (``"fused"``,
+    default) or the Numba ``"compiled"`` tier (see
+    :mod:`repro.core.kernels`; falls back to fused with a warning when
+    numba is absent).
     """
     config = config or FrogWildConfig()
     if state is None:

@@ -81,9 +81,9 @@ class FrogWildConfig:
 
     Notes
     -----
-    Kernel-tier selection (``"lane-loop"`` / ``"fused"`` / the Numba
-    ``"compiled"`` tier) is deliberately *not* a config field: the
-    tiers are bitwise-identical implementations of the same semantics,
+    Kernel-tier selection (``"fused"`` / the Numba ``"compiled"``
+    tier) is deliberately *not* a config field: the tiers are
+    bitwise-identical pass implementations under one superstep,
     so the choice is an execution detail carried by the ``kernel=``
     kwarg of the runner and the serving backends (see
     :mod:`repro.core.kernels`), never something that could change a

@@ -24,10 +24,11 @@ Implementation notes mirrored from the paper (Section 3.3):
   actual implementation); ``binomial`` mode follows the pseudocode
   literally with an independent Bin(K, 1/(d_out ps)) per enabled edge.
 
-The superstep kernel is factored into module-level helpers
-(:class:`_KernelTables`, :class:`_GroupView` and the ``_scatter_*``
-functions) shared with :mod:`repro.core.batched`, which advances B
-independent frog populations through a single traversal per superstep.
+The superstep kernel is factored into module-level helpers; the tables
+(:class:`_KernelTables`), the birth law (``_births``) and the edge pick
+(``_pick_enabled_edges``) are shared with :mod:`repro.core.batched`,
+which advances B independent frog populations through a single
+traversal per superstep.
 
 Cost model.  A superstep costs O(frontier rows x machines + frogs): the
 per-row work is the machine-group gather (one entry per (vertex,
@@ -189,24 +190,6 @@ class _GroupView:
         self.grp_sizes = grp_sizes
         self.g_count = g_count
 
-    def select(self, member_rows: np.ndarray, member_mask: np.ndarray) -> "_GroupView":
-        """Sub-view for the subset of vertices at ``member_rows``.
-
-        ``member_rows`` are sorted positions into this view's scatter
-        set and ``member_mask`` is their boolean form; the result is
-        exactly the view :func:`_gather_groups` would build for the
-        subset, without re-touching the global tables.
-        """
-        sel = member_mask[self.grp_vertex_pos]
-        g_count = self.g_count[member_rows]
-        return _GroupView(
-            self.grp_idx[sel],
-            np.repeat(np.arange(member_rows.size, dtype=np.int64), g_count),
-            self.grp_machine[sel],
-            self.grp_sizes[sel],
-            g_count,
-        )
-
 
 def _gather_groups(tables: _KernelTables, sv: np.ndarray) -> _GroupView:
     """Gather the machine-groups of the scattering vertices ``sv``."""
@@ -221,6 +204,22 @@ def _gather_groups(tables: _KernelTables, sv: np.ndarray) -> _GroupView:
         tables.group_sizes[grp_idx],
         g_count,
     )
+
+
+def _check_start_distribution(
+    law: np.ndarray | None, n: int
+) -> np.ndarray | None:
+    """``law`` as a float64 birth law over ``n`` vertices (None: uniform)."""
+    if law is None:
+        return None
+    law = np.asarray(law, np.float64)
+    if law.shape != (n,):
+        raise EngineError("start_distribution must have one entry per vertex")
+    if law.min() < 0 or not np.isclose(law.sum(), 1.0):
+        raise EngineError(
+            "start_distribution must be a probability distribution"
+        )
+    return law
 
 
 def _births(
@@ -398,19 +397,9 @@ class FrogWildRunner:
         *Personalized* PageRank with that teleport vector — see
         :mod:`repro.core.personalized`.
         """
-        if start_distribution is not None:
-            start_distribution = np.asarray(start_distribution, np.float64)
-            if start_distribution.shape != (state.num_vertices,):
-                raise EngineError(
-                    "start_distribution must have one entry per vertex"
-                )
-            if start_distribution.min() < 0 or not np.isclose(
-                start_distribution.sum(), 1.0
-            ):
-                raise EngineError(
-                    "start_distribution must be a probability distribution"
-                )
-        self.start_distribution = start_distribution
+        self.start_distribution = _check_start_distribution(
+            start_distribution, state.num_vertices
+        )
         self.state = state
         self.config = config
         # Distinct seed stream from the cluster components (partition,

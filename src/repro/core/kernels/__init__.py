@@ -1,14 +1,33 @@
-"""Kernel tier selection for the batched FrogWild superstep.
+"""Kernel tiers of the batched FrogWild superstep.
 
-Three tiers sit behind the ``kernel=`` seam of
-:class:`~repro.core.BatchedFrogWildRunner` and every serving backend:
+:class:`~repro.core.BatchedFrogWildRunner` has one superstep.  It makes
+every random draw itself (death coins, sync coins, repair picks, hop
+draws — per lane, in the standalone runner's order) and hands
+everything deterministic between the draws to a *pass implementation*;
+the ``kernel=`` seam of the runner and of every serving backend picks
+which:
 
-* ``"lane-loop"`` — the pre-fusion per-lane reference loop;
-* ``"fused"``     — the numpy lane-major fused kernel (default, and the
-  pinned reference the other tiers are regression-tested against);
-* ``"compiled"``  — Numba-jitted single-pass loops with cache-conscious
-  layout (:mod:`.compiled`, :mod:`.layout`, :mod:`.arena`), installed
-  via the ``[accel]`` extra.
+* ``"fused"``    — :class:`~.fused.FusedPasses`, whole-frontier numpy
+  (default, and the reference the other tier is pinned to);
+* ``"compiled"`` — :class:`~.compiled.CompiledPasses`, Numba-jitted
+  single-pass loops with cache-conscious layout (:mod:`.compiled`,
+  :mod:`.layout`, :mod:`.arena`), installed via the ``[accel]`` extra.
+
+A pass implementation is constructed from the kernel tables plus
+``num_lanes``/``num_machines``/``num_vertices`` and provides, in the
+order a superstep calls them: ``begin_superstep()``; ``apply(counts,
+lane_ids, verts, dead, k)`` (tally deaths, return per-machine ops);
+``enabled_groups(lane_sv, vert_sv, fresh)`` (open the scatter frontier,
+return enabled and total groups per row); ``force_groups(rows,
+groups)`` (switch a repaired row's chosen global group on);
+``enabled_totals()`` (enabled edges per row, enabled groups per machine
+and per lane); ``scratch(size, dtype)`` for the draw buffers;
+``expand_multinomial(k_send, edge_counts, draw)`` or
+``expand_binomial(k_sv, edge_counts, lane_ps)`` + ``binomial_post(
+chosen, edge_lane, sent)`` (the hops); ``frog_records(lane, host, dest,
+dedupe=)`` (per-lane demand and deduped physical record matrices); and
+``reduce_frontier(hop_keys, hop_weights, idle_keys, idle_weights)``
+(the next sorted ``(lane, vertex, count)`` frontier).
 
 Selection degrades gracefully: requesting ``"compiled"`` on a host
 without Numba falls back to ``"fused"`` with a single
@@ -28,6 +47,7 @@ import warnings
 from ...errors import ConfigError
 from .arena import BufferArena
 from .compiled import HAVE_NUMBA, CompiledPasses
+from .fused import FusedPasses
 from .layout import (
     CompiledTables,
     lane_key_dtype,
@@ -42,6 +62,7 @@ __all__ = [
     "BufferArena",
     "CompiledPasses",
     "CompiledTables",
+    "FusedPasses",
     "available_kernels",
     "compiled_available",
     "lane_key_dtype",
@@ -52,7 +73,7 @@ __all__ = [
     "unpack_lane_keys",
 ]
 
-KERNEL_TIERS = ("lane-loop", "fused", "compiled")
+KERNEL_TIERS = ("fused", "compiled")
 
 _warned_fallback = False
 

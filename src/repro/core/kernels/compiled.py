@@ -1,7 +1,7 @@
-"""Numba-compiled single-pass kernels for the fused batch superstep.
+"""Numba-compiled single-pass loops: the ``"compiled"`` pass tier.
 
-The numpy fused kernel (``core/batched.py``) is memory-bound: every
-hot pass streams the full concatenated frontier through
+The numpy passes (:mod:`.fused`) are memory-bound: every hot pass
+streams the full concatenated frontier through
 ``np.unique``/``searchsorted``/multi-``bincount`` chains, each of which
 sorts or re-reads large temporaries.  The passes here replace those
 chains with single compiled loops over the same inputs:
@@ -15,11 +15,10 @@ chains with single compiled loops over the same inputs:
   count map and sorts only the *touched* keys, replacing the
   ``np.unique(..., return_counts)`` sort of every hop key.
 
-**Every random draw stays in numpy**, sliced per lane exactly like the
-fused kernel — the compiled passes are deterministic gathers, scatters
-and reductions, so the compiled tier is bitwise identical to
-``kernel="fused"`` by construction (pinned in
-``tests/test_compiled_kernel.py``).
+**No pass draws a random number** — the superstep in
+``core/batched.py`` makes every draw itself, in numpy, sliced per lane
+— so the compiled tier is bitwise identical to ``kernel="fused"`` by
+construction (pinned in ``tests/test_compiled_kernel.py``).
 
 Numba is optional (the ``[accel]`` extra).  Each pass is written as a
 plain-Python loop and jitted at import when Numba is importable; when
@@ -439,7 +438,9 @@ class CompiledPasses:
     :class:`CompiledTables` and the persistent dense accumulators, and
     decides per accumulator whether the dense map fits the working-set
     budget or the sort+scan variant runs instead (same results either
-    way; the choice is pure bandwidth).
+    way; the choice is pure bandwidth).  Stateful within a superstep:
+    :meth:`enabled_groups` opens the scatter frontier the passes after
+    it walk.
     """
 
     def __init__(
@@ -471,6 +472,9 @@ class CompiledPasses:
     def begin_superstep(self) -> None:
         self.arena.reset()
 
+    def scratch(self, size: int, dtype) -> np.ndarray:
+        return self.arena.take(size, dtype)
+
     # -- apply ----------------------------------------------------------
     def apply(self, counts, lane_ids, verts, dead, k):
         apply_ops = np.zeros(self.num_machines, dtype=np.int64)
@@ -487,8 +491,15 @@ class CompiledPasses:
         return apply_ops
 
     # -- enabled groups -------------------------------------------------
-    def enabled_groups(self, vert_sv, fresh):
+    def enabled_groups(self, lane_sv, vert_sv, fresh):
         frontier = vert_sv.size
+        self.lane_sv = lane_sv
+        self.vert_sv = vert_sv
+        self.fresh = fresh
+        # A repaired row carries its one re-enabled group here instead
+        # of a mutated enabled-group mask.
+        self.forced_g = self.arena.take(frontier, np.int64)
+        self.forced_g.fill(-1)
         groups_per_row = self.arena.take(frontier, np.int64)
         g_count = self.arena.take(frontier, np.int64)
         _enabled_groups_pass(
@@ -501,16 +512,18 @@ class CompiledPasses:
         )
         return groups_per_row, g_count
 
-    def enabled_totals(self, vert_sv, lane_sv, fresh, forced_g):
-        frontier = vert_sv.size
-        edge_counts = self.arena.take(frontier, np.int64)
+    def force_groups(self, rows, groups) -> None:
+        self.forced_g[rows] = groups
+
+    def enabled_totals(self):
+        edge_counts = self.arena.take(self.vert_sv.size, np.int64)
         machine_groups = np.zeros(self.num_machines, dtype=np.int64)
         lane_groups = np.zeros(self.num_lanes, dtype=np.int64)
         _enabled_totals_pass(
-            vert_sv,
-            lane_sv,
-            fresh,
-            forced_g,
+            self.vert_sv,
+            self.lane_sv,
+            self.fresh,
+            self.forced_g,
             self.ct.vertex_ptr,
             self.ct.group_machine,
             self.ct.group_sizes,
@@ -521,9 +534,7 @@ class CompiledPasses:
         return edge_counts, machine_groups, lane_groups
 
     # -- scatter --------------------------------------------------------
-    def expand_multinomial(
-        self, vert_sv, lane_sv, k_send, edge_counts, forced_g, fresh, draw
-    ):
+    def expand_multinomial(self, k_send, edge_counts, draw):
         total = draw.size
         out_offsets = self.arena.take(k_send.size, np.int64)
         np.cumsum(k_send, out=out_offsets)
@@ -538,12 +549,12 @@ class CompiledPasses:
         tile_bounds = plan_tiles(weights, self.l2_bytes)
         _expand_multinomial_pass(
             tile_bounds,
-            vert_sv,
-            lane_sv,
+            self.vert_sv,
+            self.lane_sv,
             k_send,
             edge_counts,
-            forced_g,
-            fresh,
+            self.forced_g,
+            self.fresh,
             self.ct.vertex_ptr,
             self.ct.group_machine,
             self.ct.group_start,
@@ -561,9 +572,7 @@ class CompiledPasses:
         )
         return dest, host, frog_lane, hop_keys, scatter_ops
 
-    def expand_binomial(
-        self, vert_sv, lane_sv, k_sv, forced_g, fresh, edge_counts, lane_ps
-    ):
+    def expand_binomial(self, k_sv, edge_counts, lane_ps):
         total = int(edge_counts.sum())
         out_offsets = self.arena.take(edge_counts.size, np.int64)
         np.cumsum(edge_counts, out=out_offsets)
@@ -576,11 +585,11 @@ class CompiledPasses:
         tile_bounds = plan_tiles(weights, self.l2_bytes)
         _expand_binomial_pass(
             tile_bounds,
-            vert_sv,
-            lane_sv,
+            self.vert_sv,
+            self.lane_sv,
             k_sv,
-            forced_g,
-            fresh,
+            self.forced_g,
+            self.fresh,
             self.ct.vertex_ptr,
             self.ct.group_machine,
             self.ct.group_start,

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import GraphError
 from ..graph import DiGraph, from_sorted_keys, sorted_unique
-from ..graph.digraph import _deprecated
 
 __all__ = ["DynamicDiGraph", "GraphDelta"]
 
@@ -149,18 +148,6 @@ class DynamicDiGraph:
         """Current edges as ``(m, 2)`` rows (internal, consistent)."""
         keys = self._keys
         return np.column_stack([keys // self._n, keys % self._n])
-
-    def edge_array(self) -> np.ndarray:
-        """Deprecated: current edges as ``(m, 2)`` rows.
-
-        Use :meth:`edge_keys` (the canonical store read) or
-        ``repro.store.keys_to_edges(graph.edge_keys(), n)``.
-        """
-        _deprecated(
-            "DynamicDiGraph.edge_array()",
-            "DynamicDiGraph.edge_keys() / repro.store.keys_to_edges()",
-        )
-        return self._edge_array()
 
     def out_degree(self) -> np.ndarray:
         """Current out-degree vector."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..cluster import CostModel, MessageSizeModel
-from ..core import FrogWildConfig, RefreshPolicy
+from ..core import FrogWildConfig, RefreshPolicy, resolve_kernel
 from ..dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from ..errors import ConfigError
 from ..graph import DiGraph
@@ -116,8 +116,8 @@ class LiveRankingService(RankingService):
         :class:`~repro.graph.DiGraph`, which is wrapped).  The service
         applies deltas to it through :meth:`refresh` / :meth:`attach`.
     kernel:
-        Batch-kernel tier handed to every epoch's backend
-        (``"fused"`` / ``"lane-loop"`` / ``"compiled"``).
+        Batch-kernel tier (``"fused"`` / ``"compiled"``), resolved once
+        here and handed to every epoch's backend.
     store:
         Mutually exclusive with ``graph``: serve a live
         :class:`~repro.store.GraphStore` as the churn source instead.
@@ -199,7 +199,7 @@ class LiveRankingService(RankingService):
                 "expected 'fail', 'partial' or 'retry'"
             )
         self.on_shard_failure = on_shard_failure
-        self._kernel = kernel
+        self._kernel = resolve_kernel(kernel)
         self.compact_threshold = compact_threshold
         self.compactions = 0
         if store is not None:

@@ -26,12 +26,13 @@ and the benchmarks are layout-agnostic.  The seam is also where the
 live layer plugs in: :class:`repro.live.EpochManager` is an
 atomically swappable backend *proxy* that lets a refreshed graph
 replace either layout between batches.  The kernel tiers plug in here
-too: both backends run the lane-major fused batch kernel by default,
-and ``kernel=`` selects either the pre-fusion ``"lane-loop"``
-reference or the Numba ``"compiled"`` tier (single-pass loops over
-int32-narrowed tables; bitwise identical to fused, falls back to it
-with a warning when numba is absent — see
-:mod:`repro.core.kernels`).  The config's ``sync_mode`` /
+too: both backends run the batched superstep with its numpy passes
+(``"fused"``) by default, and ``kernel="compiled"`` selects the Numba
+passes (single-pass loops over int32-narrowed tables; bitwise
+identical to fused, falls back to it with a warning when numba is
+absent — see :mod:`repro.core.kernels`).  The tier is resolved when a
+backend is constructed, so an unknown name is a
+:class:`~repro.errors.ConfigError` there.  The config's ``sync_mode`` /
 ``wire_dedupe`` fields flow through ``run_batch`` unchanged — a
 sharded deployment dedupes frog records within each shard's wire.
 """
@@ -54,6 +55,7 @@ from ..core import (
     FrogWildConfig,
     PageRankEstimate,
     merge_shard_results,
+    resolve_kernel,
     run_frogwild_batch,
     seed_distribution,
 )
@@ -260,7 +262,7 @@ class LocalBackend:
         self.cost_model = cost_model
         self.size_model = size_model
         self.seed = seed
-        self.kernel = kernel
+        self.kernel = resolve_kernel(kernel)
         self.store = _checked_store(store)
         if graph is None and self.store is None:
             raise ConfigError("LocalBackend needs a graph or a store")
@@ -372,7 +374,10 @@ class ShardedBackend:
         kernel: str = "fused",
         store=None,
     ) -> None:
-        self.kernel = kernel
+        # Resolved here, once, in the parent: an unknown tier is a
+        # ConfigError before any ingress is built or worker started,
+        # and a process pool's workers are handed the resolved name.
+        self.kernel = resolve_kernel(kernel)
         self.store = _checked_store(store)
         if graph is None and self.store is None:
             raise ConfigError("ShardedBackend needs a graph or a store")

@@ -348,9 +348,10 @@ class RankingService:
     kernel:
         Batch-kernel tier forwarded to any backend this constructor
         builds (ignored when ``backend`` is an explicit instance):
-        ``"fused"`` (default), ``"compiled"`` (Numba tier from
+        ``"fused"`` (default) or ``"compiled"`` (Numba tier from
         :mod:`repro.core.kernels`; falls back to fused with one warning
-        when Numba is absent) or ``"lane-loop"`` (reference loop).
+        when Numba is absent).  The backend resolves it at
+        construction; an unknown name is a ``ConfigError``.
     max_delay_s:
         Deadline for the scheduled path (:meth:`submit`): a partial
         batch dispatches once its oldest query has waited this long.

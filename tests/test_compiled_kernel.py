@@ -213,7 +213,7 @@ class TestFallback:
             resolve_kernel("vectorized")
 
     def test_available_kernels_excludes_compiled(self, no_numba):
-        assert available_kernels() == ("lane-loop", "fused")
+        assert available_kernels() == ("fused",)
 
     def test_available_kernels_with_force(self, force_python):
         assert available_kernels() == KERNEL_TIERS

@@ -85,7 +85,7 @@ class TestDynamicDiGraph:
         snapshot = graph.snapshot()
         assert snapshot.num_vertices == 4
         assert snapshot.num_edges == 4
-        assert np.array_equal(snapshot.edge_array(), graph.edge_array())
+        assert np.array_equal(snapshot.edge_keys(), graph.edge_keys())
 
     def test_snapshot_repairs_dangling(self):
         graph = DynamicDiGraph(3, [(0, 1), (1, 2)])
@@ -146,7 +146,7 @@ class TestChurnGenerator:
         )
         delta = biased.step(live_graph)
         in_degree = np.bincount(
-            live_graph.edge_array()[:, 1],
+            live_graph.edge_keys() % live_graph.num_vertices,
             minlength=live_graph.num_vertices,
         )
         hubs = np.argsort(in_degree)[-50:]

@@ -10,8 +10,8 @@ widths when the edges outnumber the frogs.  Four families of guarantees:
   rule, with disabled groups, rows kept alive by a single (repaired)
   group, zero-width groups and rows without frogs (property-based);
 * kernel parity where the search branch runs every superstep (a
-  hub-heavy graph walked by a few frogs): fused = lane-loop per lane,
-  B=1 = ``FrogWildRunner``, compiled = fused;
+  hub-heavy graph walked by a few frogs): every lane = its standalone
+  ``FrogWildRunner`` run (B=3 and B=1), compiled = fused;
 * ``_births`` is ``rng.choice(n, size, p=law)`` — same births, same rng
   state afterwards — at O(support) (property-based);
 * a gate that can fail: a served batch expands nothing larger than a
@@ -28,6 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batch_reference import (
+    assert_lanes_match_standalone,
+    assert_physical_report_pinned,
+)
 from repro.core import (
     BatchQuery,
     FrogWildConfig,
@@ -36,6 +40,7 @@ from repro.core import (
 )
 from repro.core import batched as bt
 from repro.core import frogwild as fw
+from repro.core.kernels import fused as fk
 from repro.engine import build_cluster
 from repro.graph import from_edges, rmat
 from repro.serving import RankingQuery, RankingService, ServiceConfig
@@ -203,7 +208,7 @@ def picks(monkeypatch):
                     row_of_frog, draw)
 
     monkeypatch.setattr(fw, "_pick_enabled_edges", recording)
-    monkeypatch.setattr(bt, "_pick_enabled_edges", recording)
+    monkeypatch.setattr(fk, "_pick_enabled_edges", recording)
     return seen
 
 
@@ -234,19 +239,32 @@ def _assert_bitwise(left, right):
     assert left.report.total_time_s == right.report.total_time_s
 
 
-class TestSearchBranchParity:
-    QUERIES = [
-        BatchQuery(seed=4),
-        BatchQuery(seed=5, num_frogs=25),
-        BatchQuery(seed=6, num_frogs=60, ps=0.3),
-    ]
+QUERIES = [
+    BatchQuery(seed=4),
+    BatchQuery(seed=5, num_frogs=25),
+    BatchQuery(seed=6, num_frogs=60, ps=0.3),
+]
+# The batches whose physical report is pinned in tests/data (see
+# batch_reference.py for how it was recorded).
+PINNED = {f"search-branch-{erasure}": erasure for erasure in ERASURES}
 
+
+def run_pinned(name, kernel="fused"):
+    return _batch(QUERIES, kernel, erasure_model=PINNED[name])
+
+
+class TestSearchBranchParity:
     @pytest.mark.parametrize("erasure_model", ERASURES)
     def test_fused_matches_lane_loop(self, picks, erasure_model):
-        fused = _batch(self.QUERIES, "fused", erasure_model=erasure_model)
+        name = f"search-branch-{erasure_model}"
+        fused = run_pinned(name)
         fused_calls = len(picks)
-        golden = _batch(self.QUERIES, "lane-loop", erasure_model=erasure_model)
-        _assert_bitwise(fused, golden)
+        assert_lanes_match_standalone(
+            HUBS, MACHINES,
+            FrogWildConfig(**FEW_FROGS, erasure_model=erasure_model),
+            QUERIES, fused,
+        )
+        assert_physical_report_pinned(name, fused)
         assert fused_calls >= FEW_FROGS["iterations"]
         _all_searched(picks, at_least=4 * FEW_FROGS["iterations"])
 
@@ -276,10 +294,10 @@ class TestSearchBranchParity:
         # jit, in Python; CI's kernel-compiled lane runs them jitted.
         monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
         compiled = _batch(
-            self.QUERIES, "compiled", erasure_model=erasure_model
+            QUERIES, "compiled", erasure_model=erasure_model
         )
         assert not picks  # the compiled tier walks groups per frog itself
-        fused = _batch(self.QUERIES, "fused", erasure_model=erasure_model)
+        fused = _batch(QUERIES, "fused", erasure_model=erasure_model)
         _assert_bitwise(compiled, fused)
         _all_searched(picks, at_least=FEW_FROGS["iterations"])
 
@@ -339,7 +357,7 @@ class TestFrogProportionalGate:
         )
         steps = []  # (frogs, groups, largest expansion) per superstep
         real_expand = fw._ranges_to_indices
-        real_scatter = bt.BatchedFrogWildRunner._scatter_fused
+        real_scatter = bt.BatchedFrogWildRunner._scatter
 
         def expand(starts, lengths):
             out = real_expand(starts, lengths)
@@ -353,8 +371,8 @@ class TestFrogProportionalGate:
             return real_scatter(runner, live, lane_sv, vert_sv, k_sv)
 
         monkeypatch.setattr(fw, "_ranges_to_indices", expand)
-        monkeypatch.setattr(bt, "_ranges_to_indices", expand)
-        monkeypatch.setattr(bt.BatchedFrogWildRunner, "_scatter_fused", scatter)
+        monkeypatch.setattr(fk, "_ranges_to_indices", expand)
+        monkeypatch.setattr(bt.BatchedFrogWildRunner, "_scatter", scatter)
         rng = np.random.default_rng(1)
         try:
             answers = service.query_batch(

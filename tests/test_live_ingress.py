@@ -19,6 +19,7 @@ from repro.dynamic import (
 from repro.errors import ConfigError
 from repro.graph import twitter_like
 from repro.live import IncrementalIngress
+from repro.store import keys_to_edges
 
 
 def make_dynamic(n=400, seed=3):
@@ -49,7 +50,7 @@ class TestEquivalence:
     def test_matches_after_noop_and_overlapping_deltas(self):
         graph = make_dynamic(n=60, seed=1)
         ingress = IncrementalIngress(graph, 4, seed=2)
-        edges = graph.edge_array()
+        edges = keys_to_edges(graph.edge_keys(), graph.num_vertices)
         existing = tuple(edges[0])
         # Re-adding an existing edge, removing a missing one, and an
         # atomic rewire (remove + re-add elsewhere) in one delta.
@@ -101,7 +102,7 @@ class TestReuse:
         before = {
             tuple(edge): machine
             for edge, machine in zip(
-                graph.edge_array().tolist(),
+                keys_to_edges(graph.edge_keys(), graph.num_vertices).tolist(),
                 ingress.partition().edge_machine.tolist(),
             )
         }
@@ -110,7 +111,7 @@ class TestReuse:
         after = {
             tuple(edge): machine
             for edge, machine in zip(
-                graph.edge_array().tolist(),
+                keys_to_edges(graph.edge_keys(), graph.num_vertices).tolist(),
                 ingress.partition().edge_machine.tolist(),
             )
         }

@@ -112,17 +112,25 @@ class TestFrogWildPersonalized:
         assert result.estimate.total_stopped == 2_000
 
     def test_bad_start_distribution_rejected(self, graph):
-        from repro.core import FrogWildRunner
+        """One law check serves the single and the batched runner."""
+        from repro.core import BatchedFrogWildRunner, BatchQuery, FrogWildRunner
         from repro.engine import build_cluster
 
+        n = graph.num_vertices
         state = build_cluster(graph, 2, seed=0)
-        with pytest.raises(EngineError):
-            FrogWildRunner(
-                state, FrogWildConfig(), start_distribution=np.ones(3)
-            )
-        with pytest.raises(EngineError):
-            FrogWildRunner(
-                state,
-                FrogWildConfig(),
-                start_distribution=np.full(graph.num_vertices, 0.5),
-            )
+        negative = np.zeros(n)
+        negative[:3] = -0.5, 0.75, 0.75  # sums to 1
+        not_a_number = np.full(n, 1.0 / n)
+        not_a_number[3] = np.nan
+        for law, message in [
+            (np.ones(3), "one entry per vertex"),
+            (negative, "probability distribution"),
+            (not_a_number, "probability distribution"),
+            (np.full(n, 0.5), "probability distribution"),
+        ]:
+            with pytest.raises(EngineError, match=message):
+                FrogWildRunner(state, FrogWildConfig(), start_distribution=law)
+            with pytest.raises(EngineError, match=message):
+                BatchedFrogWildRunner(
+                    state, FrogWildConfig(), [BatchQuery(start_distribution=law)]
+                )

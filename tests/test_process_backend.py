@@ -127,7 +127,7 @@ class TestWireCodec:
 
 class TestSharedComponents:
     def test_graph_csr_roundtrip(self):
-        arrays = SMALL.csr_arrays()
+        arrays = SMALL.csr_components()
         rebuilt = type(SMALL).from_csr_arrays(arrays)
         assert rebuilt.num_vertices == SMALL.num_vertices
         assert rebuilt.num_edges == SMALL.num_edges

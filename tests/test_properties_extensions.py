@@ -42,7 +42,7 @@ def test_dynamic_add_then_remove_roundtrip(initial, extra):
     """Adding a batch and removing exactly what was new restores the
     original edge set."""
     graph = DynamicDiGraph(15, initial)
-    before = graph.edge_array().copy()
+    before = graph.edge_keys().copy()
     fresh = [
         (u, v) for u, v in extra if not graph.has_edge(u, v)
     ]
@@ -50,7 +50,7 @@ def test_dynamic_add_then_remove_roundtrip(initial, extra):
     assert added == len(set(fresh))
     removed = graph.remove_edges(fresh)
     assert removed == added
-    assert np.array_equal(graph.edge_array(), before)
+    assert np.array_equal(graph.edge_keys(), before)
 
 
 @given(edge_lists)
@@ -59,7 +59,7 @@ def test_dynamic_snapshot_matches_edge_set(edges):
     graph = DynamicDiGraph(15, edges)
     snapshot = graph.snapshot(repair_dangling="none")
     assert snapshot.num_edges == graph.num_edges
-    assert np.array_equal(snapshot.edge_array(), graph.edge_array())
+    assert np.array_equal(snapshot.edge_keys(), graph.edge_keys())
 
 
 @given(edge_lists, edge_lists)

@@ -9,14 +9,18 @@ semantics.
 """
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
 from repro.core import FrogWildConfig
+from repro.dynamic import DynamicDiGraph
 from repro.errors import ConfigError
 from repro.graph import twitter_like
+from repro.live import LiveRankingService
 from repro.serving import (
     LocalBackend,
+    ProcessPoolBackend,
     RankingQuery,
     RankingService,
     ServiceConfig,
@@ -54,12 +58,14 @@ class TestEquivalence:
             via_kwargs.close()
             via_config.close()
 
-    def test_normalized_config_is_exposed(self):
+    def test_normalized_config_is_exposed(self, monkeypatch):
+        # The non-default tier runs without Numba under this switch.
+        monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
         service = RankingService(
-            GRAPH, CONFIG, num_machines=4, seed=7, kernel="lane-loop"
+            GRAPH, CONFIG, num_machines=4, seed=7, kernel="compiled"
         )
         try:
-            assert service.service_config.kernel == "lane-loop"
+            assert service.service_config.kernel == "compiled"
             assert service.service_config.num_machines == 4
             assert service.service_config.seed == 7
             assert service.service_config.config is CONFIG
@@ -110,3 +116,55 @@ class TestConfigApi:
     def test_from_config_rejects_frogwild_config(self):
         with pytest.raises(ConfigError):
             RankingService.from_config(GRAPH, CONFIG)
+
+
+class TestKernelResolvedAtConstruction:
+    """An unknown tier is refused where a backend is built, in the
+    parent, before an ingress or a worker exists — not by the first
+    batch (on the process pool: by a worker, wrapped in EngineError)."""
+
+    @pytest.mark.parametrize("kernel", ["simd", "lane-loop"])
+    @pytest.mark.parametrize("backend", ["local", "sharded", "process"])
+    def test_service_rejects_unknown_kernel(self, backend, kernel):
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ConfigError, match="kernel"):
+            RankingService.from_config(
+                GRAPH,
+                ServiceConfig(
+                    config=CONFIG, num_machines=4, num_shards=2,
+                    backend=backend, kernel=kernel,
+                ),
+            )
+        assert set(multiprocessing.active_children()) == children
+
+    @pytest.mark.parametrize("kernel", ["simd", "lane-loop"])
+    @pytest.mark.parametrize("execution", ["simulated", "process"])
+    def test_live_service_rejects_unknown_kernel(self, execution, kernel):
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ConfigError, match="kernel"):
+            LiveRankingService(
+                DynamicDiGraph.from_digraph(GRAPH), CONFIG,
+                num_machines=4, num_shards=2, execution=execution,
+                kernel=kernel,
+            )
+        assert set(multiprocessing.active_children()) == children
+
+    def test_fallback_is_resolved_once_in_the_parent(self, monkeypatch):
+        from repro.core.kernels import compiled, reset_fallback_warning
+
+        monkeypatch.delenv("REPRO_COMPILED_FORCE", raising=False)
+        monkeypatch.setattr(compiled, "HAVE_NUMBA", False)
+        reset_fallback_warning()
+        try:
+            with pytest.warns(RuntimeWarning, match="accel") as caught:
+                with ProcessPoolBackend(
+                    GRAPH, num_shards=2, num_machines=4, kernel="compiled"
+                ) as backend:
+                    # Workers are handed "fused": they never warn.
+                    assert backend.kernel == "fused"
+                    assert len(backend.run_batch(
+                        CONFIG, [RankingQuery(seeds=(1, 2), k=5)]
+                    ).lanes) == 1
+            assert len(caught) == 1
+        finally:
+            reset_fallback_warning()
