@@ -300,8 +300,11 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     # Background-thread lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> "BatchScheduler":
+    def start(self, pin: object = None) -> "BatchScheduler":
         """Run the deadline loop in a daemon thread (idempotent).
+
+        ``pin`` is referenced by the thread for as long as it runs: an
+        owner whose ``dispatch`` reaches it only weakly passes itself.
 
         Requires a real-time clock: ``Condition.wait`` elapses in real
         seconds, so deadlines anchored on a manually advanced clock
@@ -320,7 +323,7 @@ class BatchScheduler:
             self._stop_event = stop_event
             self._thread = threading.Thread(
                 target=self._loop,
-                args=(stop_event,),
+                args=(stop_event, pin),
                 name="ranking-batch-scheduler",
                 daemon=True,
             )
@@ -357,7 +360,7 @@ class BatchScheduler:
     def running(self) -> bool:
         return self._thread is not None
 
-    def _loop(self, stop_event: threading.Event) -> None:
+    def _loop(self, stop_event: threading.Event, pin: object) -> None:
         while True:
             with self._cond:
                 if stop_event.is_set():

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
@@ -550,8 +551,16 @@ class RankingService:
             else None
         )
         self.coalescer = QueryCoalescer(max_batch_size)
+        # The scheduler calls back into the service that owns it.  Held
+        # weakly, service -> scheduler -> service is no reference cycle,
+        # so a dropped service releases its graph and tables at once
+        # instead of whenever the cyclic collector next runs a full pass
+        # (five closed services waited on it: 230 MB or 270 MB of peak
+        # RSS from one run to the next).  A started loop thread pins the
+        # service itself: see start().
+        execute = weakref.WeakMethod(self._execute_batch)
         self.scheduler = BatchScheduler(
-            self._execute_batch,
+            lambda config, entries: execute()(config, entries),
             self.coalescer,
             max_delay_s=max_delay_s,
             clock=self._clock,
@@ -605,8 +614,12 @@ class RankingService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "RankingService":
-        """Run the deadline scheduler in a background thread."""
-        self.scheduler.start()
+        """Run the deadline scheduler in a background thread.
+
+        The thread keeps the service alive until :meth:`stop`: futures
+        already handed out resolve even if the caller drops the service.
+        """
+        self.scheduler.start(pin=self)
         return self
 
     def stop(self) -> None:

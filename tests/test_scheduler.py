@@ -4,6 +4,8 @@ Everything runs under a virtual clock — no sleeps, no background
 threads — so deadline semantics are pinned down deterministically.
 """
 
+import gc
+import weakref
 from time import sleep as time_sleep
 
 import numpy as np
@@ -459,3 +461,70 @@ class TestScheduledService:
         assert not service.scheduler.running
         assert [a.query.seeds[0] for a in answers] == [0, 1, 2]
         assert service.stats.queries_executed == 3
+
+
+class TestServiceLifetime:
+    """The scheduler's callback into its service is weak, so dropping a
+    service frees its graph and tables by reference count alone."""
+
+    CONFIG = FrogWildConfig(num_frogs=400, iterations=2, seed=0)
+
+    @pytest.fixture()
+    def no_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    def test_dropped_service_is_freed_without_the_collector(
+        self, graph, no_collector
+    ):
+        service = RankingService(graph, config=self.CONFIG, num_machines=4)
+        service.query([3])
+        service.close()
+        backend = weakref.ref(service.backend)
+        alive = weakref.ref(service)
+        del service
+        assert alive() is None and backend() is None
+
+    def test_dropped_live_service_is_freed_without_the_collector(
+        self, graph, no_collector
+    ):
+        from repro.dynamic import DynamicDiGraph
+        from repro.live import LiveRankingService
+
+        service = LiveRankingService(
+            DynamicDiGraph.from_digraph(graph),
+            config=self.CONFIG,
+            num_machines=4,
+            seed=0,
+        )
+        service.query([3])
+        service.close()
+        epoch = weakref.ref(service.current_epoch.backend)
+        alive = weakref.ref(service)
+        del service
+        assert alive() is None and epoch() is None
+
+    def test_running_loop_pins_the_service_until_stop(
+        self, graph, no_collector
+    ):
+        service = RankingService(
+            graph,
+            config=self.CONFIG,
+            num_machines=4,
+            max_batch_size=4,
+            max_delay_s=0.01,
+        ).start()
+        future = service.submit([5])
+        scheduler = service.scheduler
+        alive = weakref.ref(service)
+        del service
+        # Nobody holds the service, yet the deadline dispatch happens.
+        assert future.result(timeout=30.0).query.seeds == (5,)
+        assert alive() is not None
+        scheduler.stop()
+        del future
+        assert alive() is None
