@@ -1,179 +1,38 @@
-"""Incremental replication-table maintenance benchmark.
+"""Background-refresh benchmark.
 
-Two claims gate here, both landing machine-readable records in
+One claim gates here, landing a machine-readable record in
 ``BENCH_serving.json`` for the CI perf-gate lane:
 
-* **table patch is O(churn), not O(graph)** — per refresh, the number
-  of vertices whose replica/master/grouping structures are rebuilt is
-  bounded by the endpoints of the changed edge keys (asserted exactly:
-  ``vertices_patched <= 2 * edges_changed``), and the patched table is
-  structurally equal to a from-scratch build; the patch-vs-rebuild
-  wall-clock ratio is recorded as the honest headline;
 * **background refresh keeps the swap off the query path** — the
   publish step a query can ever contend on is the atomic epoch swap,
   orders of magnitude below the build it double-buffers; the p50
   publish latency and mean build time are recorded, and every submitted
   delta is covered by a published epoch even when builds coalesce.
 
+(The patch-vs-rebuild half of this file went with the patch path: a
+table patch never measured cheaper than the from-scratch build — see
+README, "What a refresh costs, and why".)
+
 Set ``REPRO_BENCH_SMOKE=1`` for the CI smoke mode: a tiny graph,
-assertions only, same records.
+assertions only, same record.
 
 Run directly: ``python -m pytest benchmarks/bench_incremental_replication.py -q``.
 """
 
 from __future__ import annotations
 
-import functools
 import os
-import time
 
-import numpy as np
-import pytest
-
-from repro.cluster import ReplicationTable
 from repro.core import FrogWildConfig
 from repro.dynamic import ChurnGenerator, DynamicDiGraph
 from repro.experiments import record_perf
 from repro.graph import rmat
-from repro.live import (
-    IncrementalIngress,
-    IncrementalReplication,
-    LiveRankingService,
-)
+from repro.live import LiveRankingService
 
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
 SCALE = 9 if SMOKE else 13
 MACHINES = 8
 TICKS = 3 if SMOKE else 4
-# Low-churn point first: that is where the patch-vs-rebuild wall-clock
-# claim is asserted (heavier churn touches the hubs, which own most of
-# a power-law edge set — the adaptive gate exists for exactly that).
-RATES = (0.0005, 0.01) if not SMOKE else (0.01,)
-
-
-def _patch_vs_rebuild(rate: float) -> dict[str, float]:
-    from repro.core import RefreshPolicy
-    from repro.core.frogwild import prime_ingress_caches
-
-    graph = rmat(scale=SCALE, edge_factor=12, seed=11)
-    dynamic = DynamicDiGraph.from_digraph(graph)
-    ingress = IncrementalIngress(dynamic, MACHINES, seed=0)
-    # Pin the patch path: the wall-clock comparison below is exactly
-    # the decision the adaptive gate makes adaptively in production.
-    replicator = IncrementalReplication(
-        ingress,
-        dynamic.snapshot(),
-        seed=0,
-        policy=RefreshPolicy(full_rebuild_fraction=1.0),
-    )
-    churn = ChurnGenerator(add_rate=rate, remove_rate=rate, seed=3)
-
-    patch_times, rebuild_times, touched_ratios = [], [], []
-    for _ in range(TICKS):
-        ingress.apply(churn.step(dynamic))
-        snapshot = dynamic.snapshot()
-
-        start = time.perf_counter()
-        patch = replicator.refresh(snapshot)
-        patch_times.append(time.perf_counter() - start)
-
-        # The from-scratch path the patch replaces, including the
-        # kernel-table warm-up both paths hand the next epoch.
-        start = time.perf_counter()
-        scratch = ReplicationTable(snapshot, ingress.partition_for(snapshot), seed=0)
-        prime_ingress_caches(scratch, snapshot)
-        rebuild_times.append(time.perf_counter() - start)
-
-        # The acceptance invariants: equivalence after every delta, and
-        # structure rebuilds bounded by the churned vertices (the
-        # endpoints of the changed edge keys) and their incident edges.
-        assert replicator.table.structurally_equal(scratch)
-        assert not patch.full_rebuild
-        assert patch.vertices_patched <= 2 * patch.edges_changed
-        assert patch.vertices_patched < snapshot.num_vertices
-        touched_ratios.append(
-            patch.vertices_patched / max(2 * patch.edges_changed, 1),
-        )
-
-    ratio = float(np.mean(patch_times) / np.mean(rebuild_times))
-    mean_patched = float(np.mean([p.vertices_patched for p in replicator.history]))
-    regroup_fraction = float(
-        np.mean([p.edges_regrouped for p in replicator.history])
-        / (2 * dynamic.num_edges)
-    )
-    print(
-        f"churn {rate:.2%}/tick: patch {np.mean(patch_times) * 1e3:.1f} ms "
-        f"vs rebuild {np.mean(rebuild_times) * 1e3:.1f} ms "
-        f"(ratio {ratio:.2f}); {mean_patched:.0f} of "
-        f"{dynamic.num_vertices} vertices patched, "
-        f"{regroup_fraction:.1%} of regroup work touched"
-    )
-    return {
-        "ratio": ratio,
-        "mean_patch_s": float(np.mean(patch_times)),
-        "mean_rebuild_s": float(np.mean(rebuild_times)),
-        "touched_per_churned_bound": float(np.max(touched_ratios)),
-        "mean_vertices_patched": mean_patched,
-        "regroup_fraction": regroup_fraction,
-    }
-
-
-@functools.lru_cache(maxsize=None)
-def _sweep() -> dict[float, dict[str, float]]:
-    print()
-    return {rate: _patch_vs_rebuild(rate) for rate in RATES}
-
-
-@pytest.mark.skipif(SMOKE, reason="wall-clock claim needs the full-size graph")
-@pytest.mark.xfail(
-    strict=True,
-    reason="a patch at 0.05% churn costs 1.2-1.3x the from-scratch build; "
-    "open crossover item in ROADMAP (Profile-led speedups)",
-)
-def test_low_churn_patch_beats_rebuild():
-    # At the low-churn operating point the patch must beat the
-    # from-scratch rebuild outright.
-    low = _sweep()[RATES[0]]
-    assert low["ratio"] < 1.0, f"patch/rebuild ratio {low['ratio']:.2f}"
-
-
-def test_table_patch_is_proportional_to_churn():
-    sweep = _sweep()
-    low = sweep[RATES[0]]
-    if not SMOKE:
-        # Until the gate above holds again, bound how far the patch may
-        # trail the rebuild (observed 1.20-1.33 at low churn, 1.46-1.72
-        # at 1%) and require its cost to follow churn.
-        high = sweep[RATES[-1]]
-        assert low["ratio"] < min(1.5, high["ratio"]), (
-            f"patch/rebuild ratio {low['ratio']:.2f} at low churn vs "
-            f"{high['ratio']:.2f} at high churn"
-        )
-    record = {
-        "patch_vs_rebuild_ratio": low["ratio"],
-        "churn_rate": RATES[0],
-        "ticks": TICKS,
-        "scale": SCALE,
-        "smoke": SMOKE,
-    }
-    for rate, row in sweep.items():
-        for key, value in row.items():
-            record[f"{key}@{rate:g}"] = value
-    record_perf("incremental-replication", record)
-
-
-def test_adaptive_gate_prefers_the_cheaper_path():
-    """Under hub-heavy churn the default policy must fall back to the
-    from-scratch build the measurements above show is cheaper there."""
-    graph = rmat(scale=SCALE, edge_factor=12, seed=19)
-    dynamic = DynamicDiGraph.from_digraph(graph)
-    ingress = IncrementalIngress(dynamic, MACHINES, seed=0)
-    replicator = IncrementalReplication(ingress, dynamic.snapshot(), seed=0)
-    heavy = ChurnGenerator(add_rate=0.05, remove_rate=0.05, seed=2)
-    ingress.apply(heavy.step(dynamic))
-    patch = replicator.refresh(dynamic.snapshot())
-    assert patch.full_rebuild
-    assert replicator.full_rebuilds == 1
 
 
 def test_background_refresh_publish_stays_off_the_query_path():

@@ -1123,8 +1123,7 @@ def _live_bench_background(args, service, churn, dynamic, queries) -> int:
     print(f"publish p50 (query path)  : "
           f"{stats.publish_p50_s() * 1e6:.1f} us")
     print(f"lifetime placement reuse  : {live['lifetime_reuse_ratio']:.4f}")
-    print(f"table patches / rebuilds  : {int(live['table_patches'])} / "
-          f"{int(live['table_rebuilds'])}")
+    print(f"table rebuilds            : {int(live['table_rebuilds'])}")
     print(f"final epoch stamp         : "
           f"{int(final[0].report.extra['epoch'])} "
           f"(source version {service.source.version})")
@@ -1144,7 +1143,6 @@ def _live_bench_background(args, service, churn, dynamic, queries) -> int:
                 "epochs_published": live["epochs_published"],
                 "epochs_covered": len(distinct),
                 "lifetime_reuse_ratio": live["lifetime_reuse_ratio"],
-                "table_patches": live["table_patches"],
                 "table_rebuilds": live["table_rebuilds"],
             },
             path=args.save_json,

@@ -9,12 +9,10 @@ from .partition import (
     HdrfVertexCut,
     ObliviousVertexCut,
     Partitioner,
-    PlacementDiff,
     RandomVertexCut,
     StableHashVertexCut,
     grid_shape,
     make_partitioner,
-    placement_diff,
     stable_hash_machines,
 )
 from .replication import ReplicationTable
@@ -28,8 +26,6 @@ __all__ = [
     "NetworkFabric",
     "TrafficSnapshot",
     "EdgePartition",
-    "PlacementDiff",
-    "placement_diff",
     "Partitioner",
     "RandomVertexCut",
     "ObliviousVertexCut",

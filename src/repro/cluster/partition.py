@@ -42,11 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PartitionError
-from ..graph import DiGraph, sorted_unique
+from ..graph import DiGraph
 
 __all__ = [
     "EdgePartition",
-    "PlacementDiff",
     "Partitioner",
     "RandomVertexCut",
     "ObliviousVertexCut",
@@ -54,7 +53,6 @@ __all__ = [
     "HdrfVertexCut",
     "StableHashVertexCut",
     "stable_hash_machines",
-    "placement_diff",
     "make_partitioner",
     "grid_shape",
 ]
@@ -95,79 +93,6 @@ class EdgePartition:
         if mean == 0:
             return 1.0
         return float(loads.max() / mean)
-
-
-@dataclass(frozen=True)
-class PlacementDiff:
-    """Key-level difference between two edge placements.
-
-    All three arrays hold canonical ``source * n + target`` edge keys:
-    ``added`` exist only in the new placement, ``removed`` only in the
-    old one, and ``moved`` survive in both but changed machine (which,
-    under the stable endpoint-pair hash, happens only when the salt
-    changed — i.e. after a full re-salted repartition).  The union of
-    the three is exactly the set of edges whose hosting changed; their
-    endpoints are the only vertices whose replica set, master choice or
-    machine-grouped adjacency can differ between the placements — the
-    bound the incremental replication patcher is held to.
-    """
-
-    added: np.ndarray
-    removed: np.ndarray
-    moved: np.ndarray
-
-    @property
-    def num_changed(self) -> int:
-        """Total edges whose hosting differs between the placements."""
-        return int(self.added.size + self.removed.size + self.moved.size)
-
-    def changed_vertices(self, num_vertices: int) -> np.ndarray:
-        """Sorted unique endpoints of every changed edge key."""
-        keys = np.concatenate([self.added, self.removed, self.moved])
-        if keys.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return sorted_unique(
-            np.concatenate([keys // num_vertices, keys % num_vertices])
-        )
-
-
-def placement_diff(
-    old_keys: np.ndarray,
-    old_machines: np.ndarray,
-    new_keys: np.ndarray,
-    new_machines: np.ndarray,
-) -> PlacementDiff:
-    """Diff two placements given as sorted key arrays + machine arrays.
-
-    Both key arrays must be strictly increasing (the canonical order of
-    :meth:`~repro.dynamic.DynamicDiGraph.edge_keys` and of CSR
-    snapshots); the machine arrays are aligned with them.
-    """
-    old_keys = np.asarray(old_keys, dtype=np.int64)
-    new_keys = np.asarray(new_keys, dtype=np.int64)
-    old_machines = np.asarray(old_machines)
-    new_machines = np.asarray(new_machines)
-    if old_keys.size == 0:
-        return PlacementDiff(
-            added=new_keys,
-            removed=old_keys,
-            moved=np.empty(0, dtype=np.int64),
-        )
-    # One searchsorted pass classifies everything: a new key survived
-    # iff it lands on an equal old key; an old key was removed iff no
-    # surviving new key landed on it.
-    positions = np.minimum(
-        np.searchsorted(old_keys, new_keys), old_keys.size - 1
-    )
-    survived = old_keys[positions] == new_keys
-    hit = np.zeros(old_keys.size, dtype=bool)
-    hit[positions[survived]] = True
-    moved = new_keys[survived][
-        old_machines[positions[survived]] != new_machines[survived]
-    ]
-    return PlacementDiff(
-        added=new_keys[~survived], removed=old_keys[~hit], moved=moved
-    )
 
 
 class Partitioner:

@@ -13,15 +13,9 @@ precomputes everything the engine needs per superstep:
 Everything is laid out in flat numpy arrays so the hot loops touch no
 Python object per edge.
 
-The grouped structures support *incremental* maintenance: a live
-refresh (:class:`~repro.live.IncrementalReplication`) patches a table
-delta by delta instead of rebuilding it, re-sorting only the edges of
-vertices whose incident edge set or machine assignment changed and
-splicing every untouched vertex's segments across
-(:meth:`_GroupedEdges.spliced`, :meth:`ReplicationTable.from_components`).
-The maintained table is pinned — by tests and by
-:meth:`ReplicationTable.structurally_equal` — to be equivalent to a
-from-scratch build of the same snapshot.
+A live refresh (:class:`~repro.live.IncrementalReplication`) builds a
+fresh table per snapshot through this one constructor; tests compare
+tables with :meth:`ReplicationTable.structurally_equal`.
 """
 
 from __future__ import annotations
@@ -35,26 +29,13 @@ from .partition import EdgePartition
 __all__ = ["ReplicationTable"]
 
 
-def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start+length)`` per segment."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    return (
-        np.repeat(np.asarray(starts, dtype=np.int64) - offsets, lengths)
-        + np.arange(total, dtype=np.int64)
-    )
-
-
 def _index_masters(
     masters: np.ndarray, num_machines: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-machine master index: (machine pointer, vertices by master).
 
-    The single definition shared by the from-scratch constructor and
-    the incremental :meth:`ReplicationTable.from_components` path, so
+    The single definition shared by the constructor and the
+    :meth:`ReplicationTable.from_shared_components` attach path, so
     :meth:`ReplicationTable.masters_on` can never diverge between them.
     """
     order = np.argsort(masters, kind="stable")
@@ -71,9 +52,8 @@ def _grouping_order(anchor: np.ndarray, machine: np.ndarray) -> np.ndarray:
     digits first, then anchor digits, as many as each field's maximum
     needs.  ``argsort(uint16, kind="stable")`` is numpy's radix sort, so
     every pass is O(m) — ~4x faster than lexsort's mergesort on the
-    serving-shaped graphs, for both the from-scratch build and the
-    incremental splice's touched-edge subsort.  Both fields must be
-    non-negative (vertex and machine ids are).
+    serving-shaped graphs.  Both fields must be non-negative (vertex
+    and machine ids are).
     """
     if anchor.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -114,23 +94,11 @@ class _GroupedEdges:
         machine: np.ndarray,
         other: np.ndarray,
         num_vertices: int,
-        presorted: bool = False,
     ) -> None:
-        if presorted:
-            # Caller guarantees (anchor, machine)-lexsorted input with
-            # the same tie-break as the sort below (original edge order
-            # within equal keys) — the splice path relies on this to
-            # keep patched tables bit-identical to from-scratch builds.
-            anchor_sorted, machine_sorted, self.sorted_other = (
-                anchor,
-                machine,
-                other,
-            )
-        else:
-            order = _grouping_order(anchor, machine)
-            anchor_sorted = anchor[order]
-            machine_sorted = machine[order]
-            self.sorted_other = other[order]
+        order = _grouping_order(anchor, machine)
+        anchor_sorted = anchor[order]
+        machine_sorted = machine[order]
+        self.sorted_other = other[order]
         self.edge_machine_sorted = machine_sorted.astype(np.int32)
 
         if anchor_sorted.size:
@@ -199,56 +167,6 @@ class _GroupedEdges:
             setattr(grouped, slot, arrays[slot])
         return grouped
 
-    @classmethod
-    def spliced(
-        cls,
-        old: "_GroupedEdges",
-        touched: np.ndarray,
-        t_anchor: np.ndarray,
-        t_machine: np.ndarray,
-        t_other: np.ndarray,
-        num_vertices: int,
-    ) -> "_GroupedEdges":
-        """New grouping: re-sort only the edges anchored at ``touched``
-        vertices, splice every untouched anchor's segment from ``old``.
-
-        ``t_anchor``/``t_machine``/``t_other`` are the *new* edges of the
-        touched anchors, in the snapshot's CSR (canonical key) order.
-        Sorting cost is ``O(t log t)`` in the touched edge count; the
-        untouched remainder is a pure segment memcopy, so the result is
-        bit-identical to a from-scratch build (same stable sort order,
-        same grouping code) at a fraction of the work.
-        """
-        touched = np.asarray(touched, dtype=bool)
-        order = _grouping_order(t_anchor, t_machine)
-        t_anchor = np.asarray(t_anchor, dtype=np.int64)[order]
-        t_machine = np.asarray(t_machine)[order]
-        t_other = np.asarray(t_other)[order]
-
-        t_counts = np.bincount(t_anchor, minlength=num_vertices).astype(
-            np.int64
-        )
-        old_counts = np.diff(old.anchor_edge_ptr)
-        counts = np.where(touched, t_counts, old_counts)
-
-        # One gather permutation over the virtual concatenation
-        # [old sorted edges | touched sorted edges]: per anchor, the
-        # source segment starts in the old arrays (untouched) or —
-        # offset by the old edge count — in the touched arrays.
-        m_old = int(old.sorted_other.size)
-        t_ptr = np.concatenate([[0], np.cumsum(t_counts)[:-1]])
-        starts = np.where(touched, m_old + t_ptr, old.anchor_edge_ptr[:-1])
-        gather = _segment_gather(starts, counts)
-        machine_full = np.concatenate(
-            [old.edge_machine_sorted, t_machine]
-        )[gather]
-        other_full = np.concatenate([old.sorted_other, t_other])[gather]
-
-        anchor_full = np.repeat(np.arange(num_vertices, dtype=np.int64), counts)
-        return cls(
-            anchor_full, machine_full, other_full, num_vertices, presorted=True
-        )
-
 
 class ReplicationTable:
     """Master/mirror placement plus machine-grouped adjacency.
@@ -299,9 +217,10 @@ class ReplicationTable:
 
         # Distinct seed stream: master selection must not correlate with
         # other components (partitioner, sync coins) fed the same seed.
+        rng = np.random.default_rng(seed if seed is None else [101, seed])
         # Uniform master choice among replicas, vectorized: score every
         # (vertex, machine) cell with iid noise, mask non-replicas, argmax.
-        noise = self.master_noise(n, self.num_machines, seed)
+        noise = rng.random((n, self.num_machines))
         noise[~replicas] = -1.0
         self.masters = np.argmax(noise, axis=1).astype(np.int32)
 
@@ -314,56 +233,8 @@ class ReplicationTable:
         )
 
     # ------------------------------------------------------------------
-    # Incremental construction
+    # Shared-memory export / attach
     # ------------------------------------------------------------------
-    @classmethod
-    def master_noise(
-        cls, num_vertices: int, num_machines: int, seed: int | None
-    ) -> np.ndarray:
-        """The master-selection noise matrix a from-scratch build draws.
-
-        Deterministic in ``(n, num_machines, seed)`` for integer seeds,
-        so an incremental maintainer can cache it once and re-derive the
-        *same* master choice as a from-scratch build for any vertex
-        whose replica set changed.  ``seed=None`` draws fresh entropy —
-        still a valid uniform choice, but not reproducible.
-        """
-        rng = np.random.default_rng(seed if seed is None else [101, seed])
-        return rng.random((num_vertices, num_machines))
-
-    @classmethod
-    def from_components(
-        cls,
-        graph: DiGraph,
-        partition: EdgePartition,
-        masters: np.ndarray,
-        replicas: np.ndarray,
-        out_groups: _GroupedEdges,
-        in_groups: _GroupedEdges,
-    ) -> "ReplicationTable":
-        """Assemble a table from prebuilt components (the patch path).
-
-        Skips every O(m log m) / O(n * machines) construction step of
-        :meth:`__init__`; only the per-machine master index (cheap, per
-        vertex) is re-derived.  Callers own the equivalence obligation:
-        the components must be exactly what a from-scratch build of
-        ``(graph, partition)`` would produce.
-        """
-        table = cls.__new__(cls)
-        table.graph = graph
-        table.partition = partition
-        table.num_machines = partition.num_machines
-        table._ingress_cache = {}
-        table._replicas = replicas
-        table.replica_counts = replicas.sum(axis=1).astype(np.int32)
-        table.masters = masters
-        table.out_groups = out_groups
-        table.in_groups = in_groups
-        table._master_ptr, table._master_sorted_vertices = _index_masters(
-            masters, table.num_machines
-        )
-        return table
-
     def shared_components(self) -> dict[str, np.ndarray]:
         """Every component array of this table, flat-keyed for export.
 
@@ -391,119 +262,43 @@ class ReplicationTable:
     ) -> "ReplicationTable":
         """Rebuild a table from :meth:`shared_components` output.
 
-        The zero-copy attach path of the multi-process backend: group
+        The zero-copy attach path of the multi-process backend: the
         arrays are adopted verbatim (possibly read-only shared-memory
-        views) and only the cheap per-vertex derivations of
-        :meth:`from_components` run.  The result is structurally equal
-        to the exported table by construction.
+        views), skipping every O(m log m) / O(n * machines) step of
+        :meth:`__init__`; only the replica counts and the per-machine
+        master index (cheap, per vertex) are re-derived.  The result is
+        structurally equal to the exported table by construction.
         """
-        partition = EdgePartition(
+        table = cls.__new__(cls)
+        table.graph = graph
+        table.partition = EdgePartition(
             arrays["edge_machine"], int(arrays["replicas"].shape[1])
         )
-        out_groups = _GroupedEdges.from_arrays(
+        table.num_machines = table.partition.num_machines
+        table._ingress_cache = {}
+        table._replicas = arrays["replicas"]
+        table.replica_counts = table._replicas.sum(axis=1).astype(np.int32)
+        table.masters = arrays["masters"]
+        table.out_groups = _GroupedEdges.from_arrays(
             {
                 slot: arrays[f"out.{slot}"]
                 for slot in _GroupedEdges.__slots__
             }
         )
-        in_groups = _GroupedEdges.from_arrays(
+        table.in_groups = _GroupedEdges.from_arrays(
             {slot: arrays[f"in.{slot}"] for slot in _GroupedEdges.__slots__}
         )
-        return cls.from_components(
-            graph,
-            partition,
-            arrays["masters"],
-            arrays["replicas"],
-            out_groups,
-            in_groups,
+        table._master_ptr, table._master_sorted_vertices = _index_masters(
+            table.masters, table.num_machines
         )
-
-    def patched(
-        self,
-        graph: DiGraph,
-        partition: EdgePartition,
-        changed_vertices: np.ndarray,
-        noise: np.ndarray,
-    ) -> "ReplicationTable":
-        """A new table for ``(graph, partition)`` built by patching this one.
-
-        ``changed_vertices`` must contain every vertex whose incident
-        edge set or edge-machine assignment differs between this table's
-        snapshot and ``graph`` (see
-        :func:`~repro.cluster.placement_diff`); ``noise`` is the cached
-        :meth:`master_noise` matrix.  Only the changed vertices' replica
-        rows, master choices and machine-grouped adjacency are
-        recomputed — everything else is spliced from this table into
-        fresh arrays (this table is never mutated; epochs still serving
-        it are unaffected).  The result is equivalent to
-        ``ReplicationTable(graph, partition, seed)`` built from scratch
-        (pinned by :meth:`structurally_equal` in the test suite).
-        """
-        n = graph.num_vertices
-        if n != self.graph.num_vertices:
-            raise PartitionError(
-                "patched() requires a fixed vertex universe: "
-                f"{n} vs {self.graph.num_vertices}"
-            )
-        if partition.num_machines != self.num_machines:
-            raise PartitionError(
-                "patched() cannot change the machine count: "
-                f"{partition.num_machines} vs {self.num_machines}"
-            )
-        changed = np.asarray(changed_vertices, dtype=np.int64)
-        touched = np.zeros(n, dtype=bool)
-        touched[changed] = True
-
-        src = graph.edge_sources()
-        dst = graph.indices
-        # EdgePartition normalizes edge_machine to int32 on construction.
-        machine = partition.edge_machine
-
-        # Replica rows of the changed vertices, rebuilt from their new
-        # incident edges; everyone else keeps their row verbatim.
-        replicas = self._replicas.copy()
-        replicas[changed] = False
-        out_touched = touched[src]
-        in_touched = touched[dst]
-        replicas[src[out_touched], machine[out_touched]] = True
-        replicas[dst[in_touched], machine[in_touched]] = True
-        lonely = changed[~replicas[changed].any(axis=1)]
-        replicas[lonely, 0] = True
-
-        # Master re-choice from the cached noise — identical to the
-        # from-scratch argmax for the same replica row.
-        masters = self.masters.copy()
-        if changed.size:
-            scores = noise[changed].copy()
-            scores[~replicas[changed]] = -1.0
-            masters[changed] = np.argmax(scores, axis=1).astype(np.int32)
-
-        out_groups = _GroupedEdges.spliced(
-            self.out_groups,
-            touched,
-            src[out_touched],
-            machine[out_touched],
-            dst[out_touched],
-            n,
-        )
-        in_groups = _GroupedEdges.spliced(
-            self.in_groups,
-            touched,
-            dst[in_touched],
-            machine[in_touched],
-            src[in_touched],
-            n,
-        )
-        return ReplicationTable.from_components(
-            graph, partition, masters, replicas, out_groups, in_groups
-        )
+        return table
 
     def structurally_equal(self, other: "ReplicationTable") -> bool:
         """Full structural equivalence: masters, replicas, both groupings.
 
-        The pinned invariant of incremental maintenance — a patched
-        table must be indistinguishable from a from-scratch build of the
-        same snapshot in every array the engine reads.
+        Equal in every array the engine reads — what the tests hold a
+        refreshed, exported or mapped table to against a from-scratch
+        build of the same snapshot.
         """
         for mine, theirs in (
             (self.masters, other.masters),

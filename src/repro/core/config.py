@@ -134,27 +134,13 @@ class FrogWildConfig:
 
 @dataclass(frozen=True)
 class RefreshPolicy:
-    """How a live service turns graph churn into published epochs.
+    """How a live service queues graph churn for background epoch builds.
 
-    Consumed by :class:`~repro.live.IncrementalReplication` (table
-    maintenance) and :class:`~repro.live.BackgroundRefresher` (the
+    Consumed by :class:`~repro.live.BackgroundRefresher` (the
     off-query-path pipeline).
 
     Attributes
     ----------
-    full_rebuild_fraction:
-        When a refresh's *projected regroup work* — the incident edges
-        of every vertex the placement diff touched, the real cost
-        driver of a table patch — exceeds this fraction of a
-        from-scratch build's regroup work (twice the edge count: both
-        grouping directions), the replication tables are rebuilt from
-        scratch instead of patched.  The gate deliberately counts
-        incident edges rather than changed keys: on power-law graphs a
-        few churned hub edges touch hubs owning most of the edge set,
-        and past this point the from-scratch build's single radix sort
-        beats sorting nearly everything piecewise.  ``1.0`` always
-        patches; ``0.0`` rebuilds on any change (the pre-incremental
-        behavior).
     coalesce:
         Whether the background refresher may cover several queued deltas
         with one epoch build when deltas arrive faster than builds
@@ -166,15 +152,9 @@ class RefreshPolicy:
         loss).  ``None`` leaves the queue unbounded.
     """
 
-    full_rebuild_fraction: float = 0.25
     coalesce: bool = True
     max_pending: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.full_rebuild_fraction <= 1.0:
-            raise ConfigError(
-                "full_rebuild_fraction must lie in [0, 1], got "
-                f"{self.full_rebuild_fraction}"
-            )
         if self.max_pending is not None and self.max_pending < 1:
             raise ConfigError("max_pending must be positive (or None)")

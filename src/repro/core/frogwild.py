@@ -148,11 +148,9 @@ def prime_ingress_caches(replication, graph) -> None:
     would otherwise build lazily on the first batch after an ingress
     appears: the flat kernel tables and the mirror bitmap.  The live
     refresh pipeline (:class:`~repro.live.IncrementalReplication`) calls
-    this off the query path after patching a table, so a freshly
-    published epoch serves its first batch with warm tables — the group
-    arrays the kernel tables view were spliced, not recomputed, for
-    every vertex the refresh did not touch.  Idempotent: existing cache
-    entries are kept.
+    this off the query path after building a table, so a freshly
+    published epoch serves its first batch with warm tables.
+    Idempotent: existing cache entries are kept.
     """
     cache = replication._ingress_cache
     if "kernel_tables" not in cache:

@@ -81,12 +81,11 @@ class ClusterState:
         automatically when a live-graph refresh replaces the table.
 
         The live refresh pipeline *pre-seeds* this cache: when
-        :class:`~repro.live.IncrementalReplication` patches a table to a
-        new snapshot it calls
+        :class:`~repro.live.IncrementalReplication` builds the table of
+        a new snapshot it calls
         :func:`repro.core.frogwild.prime_ingress_caches` off the query
         path, so the entries are already warm when the first batch of
-        the new epoch arrives — built from spliced group arrays rather
-        than recomputed per epoch.
+        the new epoch arrives.
 
         Callers must treat cached values as immutable (or copy-on-write
         them, as :meth:`~repro.engine.MirrorSynchronizer.disable_machine`

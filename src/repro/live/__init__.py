@@ -6,19 +6,18 @@ package is the bridge — the paper's OSN pitch taken to its serving
 conclusion: the graph changes constantly, so the *served* graph must
 follow, incrementally, while user traffic keeps flowing.  Three pieces:
 
-* :class:`IncrementalIngress` — maintains the per-machine edge
-  placement of a :class:`~repro.dynamic.DynamicDiGraph` delta by delta
-  using the deterministic stable hash
+* :class:`IncrementalIngress` — places the edges of a
+  :class:`~repro.dynamic.DynamicDiGraph` across machines with the
+  deterministic stable hash
   (:func:`~repro.cluster.stable_hash_machines`): surviving edges keep
-  their machine, so a refresh pays ingress only for what changed, with
-  a tracked reuse ratio and a full re-salted repartition fallback when
+  their machine, so a deployment ships only what changed, with a
+  tracked reuse ratio and a full re-salted repartition fallback when
   load imbalance drifts past a threshold.
-* :class:`IncrementalReplication` — the same discipline for each
-  machine's *derived* structures: the master/mirror and grouped
-  adjacency tables (:class:`~repro.cluster.ReplicationTable`) are
-  patched from the placement diff, re-sorting only the vertices a delta
-  touched and splicing the rest, with the per-ingress kernel-table
-  cache pre-seeded so a fresh epoch serves its first batch warm.
+* :class:`IncrementalReplication` — each machine's *derived*
+  structures: the master/mirror and grouped adjacency tables
+  (:class:`~repro.cluster.ReplicationTable`) are built from every new
+  snapshot's placement, with the per-ingress kernel-table cache
+  pre-seeded so a fresh epoch serves its first batch warm.
 * :class:`EpochManager` — versioned, atomically swappable backend
   state behind the :class:`~repro.serving.ExecutionBackend` seam.
 * :class:`BackgroundRefresher` — runs the whole build pipeline on a
@@ -27,7 +26,7 @@ follow, incrementally, while user traffic keeps flowing.  Three pieces:
   atomic swap.
 * :class:`LiveRankingService` — a :class:`~repro.serving.RankingService`
   wired to all of it: :meth:`~LiveRankingService.refresh` applies a
-  delta, reconciles placements, patches tables, snapshots, and
+  delta, reconciles placements, snapshots, rebuilds tables, and
   publishes the next epoch, whose id doubles as the cache generation so
   stale top-k entries invalidate exactly on refresh;
   :meth:`~LiveRankingService.refresh_async` does the same off-thread.
@@ -43,13 +42,7 @@ ever dropped by a swap or answered by a mix of two graph versions.
 """
 
 from .epoch import Epoch, EpochManager
-from .ingress import (
-    IncrementalIngress,
-    IncrementalReplication,
-    IngressUpdate,
-    RefreshPlan,
-    ReplicationPatch,
-)
+from .ingress import IncrementalIngress, IncrementalReplication, IngressUpdate
 from .refresh import BackgroundRefresher, RefresherStats, RefreshTicket
 from .service import LiveRankingService, RefreshUpdate
 
@@ -59,8 +52,6 @@ __all__ = [
     "IncrementalIngress",
     "IncrementalReplication",
     "IngressUpdate",
-    "RefreshPlan",
-    "ReplicationPatch",
     "BackgroundRefresher",
     "RefresherStats",
     "RefreshTicket",

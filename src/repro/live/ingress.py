@@ -1,20 +1,21 @@
-"""Incremental edge-placement maintenance for a churning graph.
+"""Edge placement and replication tables for a churning graph.
 
 The paper excludes ingress from its measurements because PowerGraph
 pays it once; a *live* serving stack cannot — every refresh of the
 served snapshot needs the new edge set placed across machines.
-Re-partitioning from scratch per refresh would swamp the savings of a
-fast approximation, so :class:`IncrementalIngress` maintains the
-placement *incrementally*: edges are placed by the deterministic
+:class:`IncrementalIngress` places edges by the deterministic
 endpoint-pair hash of :func:`~repro.cluster.stable_hash_machines`, so
-an edge that survives churn keeps its machine and a refresh only pays
-for the edges that actually changed.  The class tracks exactly how
+an edge that survives churn keeps its machine and a deployment ships
+only the edges that actually changed.  The class tracks exactly how
 much it reused (the honesty metric the serving benchmarks assert on).
 
-Determinism gives a strong invariant, pinned by the test suite: after
-*any* sequence of deltas, the maintained placement is identical to a
+Because the hash is stateless, the placement is a *function of the
+snapshot*: after any sequence of deltas it is, by construction, a
 from-scratch :func:`~repro.dynamic.stable_hash_partition` of the
-current edge set under the ingress's current salt.
+current edge set under the ingress's current salt.  Nothing is carried
+from one refresh to the next except the previous key set, which the
+survivor count reads — hashing every key again is cheaper than looking
+the survivors up in carried state (README, "What a refresh costs").
 
 Hash placement is uniform but not adaptive: adversarial or heavily
 skewed churn can drift the per-machine load.  When
@@ -25,37 +26,27 @@ full ingress cost once to restore statistical balance.
 
 Placement is only half the refresh cost: each machine also keeps the
 *derived* master/mirror and machine-grouped adjacency structures
-(:class:`~repro.cluster.ReplicationTable`).  :class:`IncrementalReplication`
-maintains those the same way — delta by delta from the placement diff,
-re-sorting only the edges of vertices whose incident edge set or
-machine assignment changed and splicing everything else — with the same
-style of pinned invariant: the maintained table is structurally
-equivalent to a from-scratch build of the current snapshot.
+(:class:`~repro.cluster.ReplicationTable`).
+:class:`IncrementalReplication` owns one (sub-)cluster's table and
+builds the next one from each snapshot — always from scratch: patching
+the previous table never measured cheaper than rebuilding it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster import (
-    EdgePartition,
-    ReplicationTable,
-    placement_diff,
-    stable_hash_machines,
-)
-from ..core import RefreshPolicy
+from ..cluster import EdgePartition, ReplicationTable, stable_hash_machines
 from ..core.frogwild import prime_ingress_caches
-from ..dynamic import DynamicDiGraph, GraphDelta
+from ..dynamic import DynamicDiGraph, GraphDelta, stable_hash_partition
 from ..errors import ConfigError
 from ..graph import DiGraph
 
 __all__ = [
     "IngressUpdate",
     "IncrementalIngress",
-    "ReplicationPatch",
     "IncrementalReplication",
 ]
 
@@ -76,7 +67,7 @@ class IngressUpdate:
 
 
 class IncrementalIngress:
-    """Maintains a per-machine edge placement for a live graph.
+    """Places a live graph's edges across machines, refresh by refresh.
 
     Parameters
     ----------
@@ -122,9 +113,6 @@ class IncrementalIngress:
         self.updates: list[IngressUpdate] = []
         self._step = 0
         self._keys = self._graph_keys()
-        self._machines = stable_hash_machines(
-            self._keys, num_machines, self.salt
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -147,11 +135,7 @@ class IncrementalIngress:
         salt)`` placement, so a :class:`~repro.store.SegmentStore`
         whose layout matches answers from that machine's segments alone
         — the shard-local read path that never streams another shard's
-        edges.  Exactness is the store contract; equality with the
-        maintained placement additionally requires that no edge
-        predates the current salt (i.e. after any full repartition the
-        next :meth:`sync` has run), which holds for every caller inside
-        the refresh pipeline.
+        edges.
         """
         from ..store import Window
 
@@ -174,25 +158,15 @@ class IncrementalIngress:
     def sync(self) -> IngressUpdate:
         """Reconcile the placement with the graph's current edge set.
 
-        Only touched edges move: surviving edges keep their machine (a
-        pure array intersection), fresh edges are hashed in, vanished
-        edges are dropped.  If the resulting load imbalance exceeds the
+        Every current key is placed by the stateless hash; the previous
+        key set is read only to count survivors (the edges a deployment
+        would not re-ship).  If the resulting load imbalance exceeds the
         threshold, fall back to a full re-salted repartition.
         """
         keys = self._graph_keys()
-        survived = np.isin(keys, self._keys, assume_unique=True)
-        fresh = keys[~survived]
-        machines = np.empty(keys.size, dtype=np.int32)
-        if survived.any():
-            positions = np.searchsorted(self._keys, keys[survived])
-            machines[survived] = self._machines[positions]
-        machines[~survived] = stable_hash_machines(
-            fresh, self.num_machines, self.salt
-        )
-        reused = int(survived.sum())
+        reused = int(np.isin(keys, self._keys, assume_unique=True).sum())
         removed = int(self._keys.size) - reused
         self._keys = keys
-        self._machines = machines
 
         imbalance = self.load_imbalance()
         full = (
@@ -201,13 +175,14 @@ class IncrementalIngress:
             and imbalance > self.rebalance_threshold
         )
         if full:
-            self._full_repartition()
+            # Re-salt: every placement is replaced by the new stream.
+            self.full_repartitions += 1
             imbalance = self.load_imbalance()
 
         update = IngressUpdate(
             step=self._step,
             num_edges=int(keys.size),
-            new_placements=int(keys.size) if full else int(fresh.size),
+            new_placements=int(keys.size) if full else int(keys.size) - reused,
             removed_placements=removed,
             reused_placements=0 if full else reused,
             reuse_ratio=(
@@ -221,54 +196,33 @@ class IncrementalIngress:
         self._step += 1
         return update
 
-    def _full_repartition(self) -> None:
-        """Re-salt the hash and replace every placement."""
-        self.full_repartitions += 1
-        self._machines = stable_hash_machines(
-            self._keys, self.num_machines, self.salt
-        )
-
     # ------------------------------------------------------------------
     def partition(self) -> EdgePartition:
-        """The maintained placement over the live edge set (key order)."""
-        return EdgePartition(self._machines.copy(), self.num_machines)
+        """The placement of the live edge set (key order)."""
+        return EdgePartition(
+            stable_hash_machines(self._keys, self.num_machines, self.salt),
+            self.num_machines,
+        )
 
     def partition_for(self, snapshot: DiGraph) -> EdgePartition:
         """Placement aligned with ``snapshot``'s CSR edge order.
 
-        Snapshot edges that exist in the live graph reuse their
-        maintained machine; edges the snapshot added on its own (the
-        dangling-vertex self-loop repairs of
-        :meth:`~repro.dynamic.DynamicDiGraph.snapshot`) hash to the same
-        deterministic placement, so the result is byte-identical to a
-        from-scratch stable-hash partition of the snapshot.
+        The same hash over the snapshot's own keys, so the edges a
+        snapshot added on its own (the dangling-vertex self-loop repairs
+        of :meth:`~repro.dynamic.DynamicDiGraph.snapshot`) place like
+        everything else: a from-scratch stable-hash partition of the
+        snapshot under the current salt.
         """
-        n = snapshot.num_vertices
-        if n != self.graph.num_vertices:
+        if snapshot.num_vertices != self.graph.num_vertices:
             raise ConfigError(
                 "snapshot vertex count does not match the live graph"
             )
-        keys = snapshot.edge_sources().astype(np.int64) * n + snapshot.indices
-        machines = np.empty(keys.size, dtype=np.int32)
-        positions = np.searchsorted(self._keys, keys)
-        positions = np.minimum(positions, max(self._keys.size - 1, 0))
-        known = (
-            (self._keys[positions] == keys)
-            if self._keys.size
-            else np.zeros(keys.size, dtype=bool)
-        )
-        machines[known] = self._machines[positions[known]]
-        machines[~known] = stable_hash_machines(
-            keys[~known], self.num_machines, self.salt
-        )
-        return EdgePartition(machines, self.num_machines)
+        return stable_hash_partition(snapshot, self.num_machines, self.salt)
 
     # ------------------------------------------------------------------
     def load_imbalance(self) -> float:
         """Max / mean per-machine edge load of the current placement."""
-        return EdgePartition(
-            self._machines, self.num_machines
-        ).load_imbalance()
+        return self.partition().load_imbalance()
 
     def lifetime_reuse_ratio(self) -> float:
         """Reused placements over total placements across all syncs."""
@@ -287,83 +241,22 @@ class IncrementalIngress:
         )
 
 
-@dataclass(frozen=True)
-class RefreshPlan:
-    """Everything one :meth:`IncrementalReplication.refresh` decided.
-
-    The plan/apply split exists so the patch *computation* can run
-    somewhere else — e.g. on the shard's own worker process through
-    :meth:`~repro.serving.ProcessPoolBackend.patch_tables` — while the
-    bookkeeping (placement diff, rebuild gating, history) stays with
-    the replicator.  ``full`` plans always apply locally (a rebuild is
-    a from-scratch construction, not a patch).
-    """
-
-    #: Sorted edge keys (``src * n + dst``) of the target snapshot.
-    keys: np.ndarray
-    #: Maintained placement of the target snapshot.
-    partition: EdgePartition
-    #: Vertices whose replica row / master / adjacency must be redone.
-    changed: np.ndarray
-    #: Edges changed between the previous and target placements.
-    edges_changed: int
-    #: Incident-edge regroup work a patch would do (both directions).
-    edges_regrouped: int
-    #: Whether churn exceeded the policy gate — rebuild, don't patch.
-    full: bool
-    #: ``time.perf_counter()`` at planning time (patch_time_s anchor).
-    start: float
-
-
-@dataclass(frozen=True)
-class ReplicationPatch:
-    """Table-maintenance record of one :meth:`IncrementalReplication.refresh`.
-
-    ``vertices_patched`` and ``edges_regrouped`` are the *structure
-    rebuild* cost of the step: how many vertices had their replica row,
-    master choice and adjacency groups recomputed, and how many edges
-    were re-sorted to do it.  The serving benchmarks hold them to the
-    incremental contract — O(churned vertices + their incident edges),
-    never O(graph) — whenever ``full_rebuild`` is False.
-    """
-
-    step: int
-    num_edges: int
-    edges_changed: int
-    vertices_patched: int
-    edges_regrouped: int
-    full_rebuild: bool
-    patch_time_s: float
-
-
 class IncrementalReplication:
-    """Maintains one (sub-)cluster's :class:`ReplicationTable` under churn.
+    """Owns one (sub-)cluster's :class:`ReplicationTable` under churn.
 
     Wraps an :class:`IncrementalIngress` and keeps the *derived*
     structures — replica bitmap, master choices, machine-grouped
     adjacency, and the per-ingress kernel-table cache — in lockstep with
-    the maintained placement, snapshot by snapshot.  Each
-    :meth:`refresh` diffs the new snapshot's placement against the
-    previous one (:func:`~repro.cluster.placement_diff`), patches only
-    the vertices the diff touches
-    (:meth:`~repro.cluster.ReplicationTable.patched`), and pre-seeds the
-    new table's ingress cache (kernel tables + mirror bitmap) so the
-    first batch of the next epoch starts warm.
+    the placement, snapshot by snapshot.  Each :meth:`refresh` places
+    the new snapshot, builds its table from scratch, and pre-seeds the
+    table's ingress cache (kernel tables + mirror bitmap) so the first
+    batch of the next epoch starts warm.  The table is a function of
+    ``(snapshot, salt, seed)`` alone: a refresh that raises leaves
+    nothing half-updated, and the next one starts from the snapshot.
 
-    The pinned invariant, tested after arbitrary delta sequences: the
-    maintained table is structurally equivalent
-    (:meth:`~repro.cluster.ReplicationTable.structurally_equal`) to
-    ``ReplicationTable(snapshot, ingress.partition_for(snapshot), seed)``
-    built from scratch.  Master equivalence relies on the deterministic
-    noise stream of
-    :meth:`~repro.cluster.ReplicationTable.master_noise`, so it holds
-    for integer seeds; with ``seed=None`` the maintained masters remain
-    a valid uniform choice but are not reproducible by a rebuild.
-
-    Tables are never mutated in place: a refresh produces a *new* table
-    (sharing spliced arrays' contents, not their buffers), so epochs
-    still serving the previous table are unaffected — the property the
-    background refresh pipeline depends on.
+    Tables are never mutated in place: a refresh produces a *new* table,
+    so epochs still serving the previous one are unaffected — the
+    property the background refresh pipeline depends on.
     """
 
     def __init__(
@@ -371,140 +264,32 @@ class IncrementalReplication:
         ingress: IncrementalIngress,
         snapshot: DiGraph,
         seed: int | None = 0,
-        policy: RefreshPolicy | None = None,
     ) -> None:
         self.ingress = ingress
         self.seed = seed
-        self.policy = policy or RefreshPolicy()
-        self.history: list[ReplicationPatch] = []
-        self.full_rebuilds = 0
-        self._step = 0
-        self._noise = ReplicationTable.master_noise(
-            snapshot.num_vertices, ingress.num_machines, seed
-        )
-        self.table = self._rebuild(
-            snapshot, *self._snapshot_placement(snapshot)
-        )
+        self.table = self.refresh(snapshot)
 
-    # ------------------------------------------------------------------
-    def _snapshot_placement(
-        self, snapshot: DiGraph
-    ) -> tuple[np.ndarray, EdgePartition]:
-        """Canonical keys of a store snapshot and its aligned placement."""
-        return snapshot.edge_keys(), self.ingress.partition_for(snapshot)
-
-    def _rebuild(
-        self, snapshot: DiGraph, keys: np.ndarray, partition: EdgePartition
-    ) -> ReplicationTable:
-        """From-scratch table over ``snapshot``'s placement
-        (``keys`` / ``partition`` as :meth:`_snapshot_placement` gives)."""
-        table = ReplicationTable(snapshot, partition, seed=self.seed)
-        prime_ingress_caches(table, snapshot)
-        self._snap_keys = keys
-        self._snap_machines = partition.edge_machine
-        return table
-
-    # ------------------------------------------------------------------
-    def plan_refresh(self, snapshot: DiGraph) -> RefreshPlan:
-        """Diff ``snapshot`` against the maintained placement.
-
-        Pure planning — nothing is mutated.  The returned
-        :class:`RefreshPlan` says whether a patch suffices (and for
-        which vertices) or churn crossed the
-        ``policy.full_rebuild_fraction`` gate; feed it to
-        :meth:`apply_plan`, optionally with a table somebody else
-        already patched from it.
-        """
-        start = time.perf_counter()
-        n = snapshot.num_vertices
-        if n != self.table.graph.num_vertices:
-            raise ConfigError(
-                "snapshot vertex count does not match the maintained table"
-            )
-        keys, partition = self._snapshot_placement(snapshot)
-        diff = placement_diff(
-            self._snap_keys, self._snap_machines, keys, partition.edge_machine
-        )
-        changed = diff.changed_vertices(n)
-        touched = np.zeros(n, dtype=bool)
-        touched[changed] = True
-        src = snapshot.edge_sources()
-        dst = snapshot.indices
-        # Projected regroup work: the incident edges of every touched
-        # vertex, once per grouping direction.  On power-law graphs a
-        # few churned hub edges can touch hubs owning most of the edge
-        # set, so the rebuild fallback gates on this — the actual work a
-        # patch would do — not on the changed-key count; 2m is what a
-        # from-scratch build regroups.
-        edges_regrouped = int(touched[src].sum() + touched[dst].sum())
-        full = edges_regrouped > self.policy.full_rebuild_fraction * 2 * max(
-            keys.size, 1
-        )
-        return RefreshPlan(
-            keys=keys,
-            partition=partition,
-            changed=changed,
-            edges_changed=diff.num_changed,
-            edges_regrouped=edges_regrouped,
-            full=full,
-            start=start,
-        )
+    # ``bench/`` times a refresh as these two halves by name; folding
+    # them into :meth:`refresh` waits for a benchmark-only change.
+    def plan_refresh(self, snapshot: DiGraph) -> EdgePartition:
+        """Place ``snapshot``: the first half of :meth:`refresh`."""
+        return self.ingress.partition_for(snapshot)
 
     def apply_plan(
-        self,
-        snapshot: DiGraph,
-        plan: RefreshPlan,
-        table: ReplicationTable | None = None,
-    ) -> ReplicationPatch:
-        """Adopt ``snapshot`` per ``plan`` and record the patch.
+        self, snapshot: DiGraph, plan: EdgePartition
+    ) -> ReplicationTable:
+        """Build and adopt the table of ``snapshot`` placed by ``plan``."""
+        table = ReplicationTable(snapshot, plan, seed=self.seed)
+        prime_ingress_caches(table, snapshot)
+        self.table = table
+        return table
 
-        With ``table=None`` the patch is computed here (the serial
-        path).  A caller that already computed the patched table
-        elsewhere — a shard worker holding the same structurally-equal
-        old table, the cached noise and the plan's inputs — passes it
-        in and only the bookkeeping runs; remotely patched tables skip
-        :func:`prime_ingress_caches` because the processes that will
-        execute on them prime their own mapped copies at attach time.
-        ``full`` plans ignore ``table`` and rebuild from scratch.
-        """
-        n = snapshot.num_vertices
-        if plan.full:
-            self.table = self._rebuild(snapshot, plan.keys, plan.partition)
-            self.full_rebuilds += 1
-            vertices_patched = n
-            edges_regrouped = 2 * int(plan.keys.size)
-        else:
-            vertices_patched = int(plan.changed.size)
-            edges_regrouped = plan.edges_regrouped
-            if table is None:
-                table = self.table.patched(
-                    snapshot, plan.partition, plan.changed, self._noise
-                )
-                prime_ingress_caches(table, snapshot)
-            self.table = table
-            self._snap_keys = plan.keys
-            self._snap_machines = plan.partition.edge_machine
-        patch = ReplicationPatch(
-            step=self._step,
-            num_edges=int(plan.keys.size),
-            edges_changed=plan.edges_changed,
-            vertices_patched=vertices_patched,
-            edges_regrouped=edges_regrouped,
-            full_rebuild=plan.full,
-            patch_time_s=time.perf_counter() - plan.start,
-        )
-        self.history.append(patch)
-        self._step += 1
-        return patch
-
-    def refresh(self, snapshot: DiGraph) -> ReplicationPatch:
-        """Bring the table to ``snapshot``; patch, or rebuild if churn
-        exceeds ``policy.full_rebuild_fraction`` of the edge set."""
+    def refresh(self, snapshot: DiGraph) -> ReplicationTable:
+        """Bring the table to ``snapshot``: place, build, prime."""
         return self.apply_plan(snapshot, self.plan_refresh(snapshot))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"IncrementalReplication(m={self.table.graph.num_edges}, "
-            f"machines={self.ingress.num_machines}, "
-            f"patches={len(self.history)}, rebuilds={self.full_rebuilds})"
+            f"machines={self.ingress.num_machines})"
         )

@@ -1,8 +1,8 @@
 """Background refresh: build epochs off the query path.
 
 A synchronous :meth:`~repro.live.LiveRankingService.refresh` runs the
-whole pipeline — apply deltas, reconcile placements, patch replication
-tables, snapshot, build the backend, publish — on the caller's thread.
+whole pipeline — apply deltas, reconcile placements, snapshot, rebuild
+replication tables, build the backend, publish — on the caller's thread.
 That is fine for a driver loop, but in a serving deployment the caller
 is the ingest path, and every millisecond it spends building the next
 epoch is a millisecond of queries racing a busy CPU.  The paper's
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -123,7 +124,11 @@ class BackgroundRefresher:
         The :class:`~repro.live.LiveRankingService` whose source graph,
         ingresses, replication tables and epoch manager the builds
         drive.  The service's ``refresh_policy`` governs coalescing and
-        queue backpressure.
+        queue backpressure.  Held weakly — the service owns its
+        refresher, so a strong back-reference would be a cycle and a
+        closed service would keep its graph and tables until the cyclic
+        collector ran; a started worker thread pins the service itself
+        (see :meth:`start`).
     on_built:
         Optional hook called (with the service) after an epoch is fully
         built but *before* it is published — the seam tear tests use to
@@ -135,7 +140,7 @@ class BackgroundRefresher:
         service: "LiveRankingService",
         on_built: Callable[["LiveRankingService"], None] | None = None,
     ) -> None:
-        self.service = service
+        self._service = weakref.ref(service)
         self.on_built = on_built
         self.stats = RefresherStats()
         #: Last exception a worker-thread build raised; the failing
@@ -146,6 +151,10 @@ class BackgroundRefresher:
         self._thread: threading.Thread | None = None
         self._stop_event: threading.Event | None = None
         self._stopped = False
+
+    @property
+    def service(self) -> "LiveRankingService":
+        return self._service()
 
     # ------------------------------------------------------------------
     # Submission
@@ -230,7 +239,11 @@ class BackgroundRefresher:
     # Worker-thread lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "BackgroundRefresher":
-        """Run the build loop in a daemon thread (idempotent)."""
+        """Run the build loop in a daemon thread (idempotent).
+
+        The thread keeps the service alive until :meth:`stop`: tickets
+        already handed out resolve even if the caller drops the service.
+        """
         with self._cond:
             self._stopped = False
             if self._thread is not None:
@@ -239,7 +252,7 @@ class BackgroundRefresher:
             self._stop_event = stop_event
             self._thread = threading.Thread(
                 target=self._loop,
-                args=(stop_event,),
+                args=(stop_event, self.service),
                 name="live-background-refresher",
                 daemon=True,
             )
@@ -279,7 +292,7 @@ class BackgroundRefresher:
     def running(self) -> bool:
         return self._thread is not None
 
-    def _loop(self, stop_event: threading.Event) -> None:
+    def _loop(self, stop_event: threading.Event, pin: object) -> None:
         while True:
             with self._cond:
                 while not self._pending and not stop_event.is_set():

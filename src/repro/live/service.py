@@ -6,28 +6,27 @@ whose backend follows the graph.  It owns three live-layer pieces:
 * a :class:`~repro.dynamic.DynamicDiGraph` **source** — the mutable
   edge set churn is applied to;
 * one :class:`~repro.live.IncrementalIngress` per (sub-)cluster —
-  stable-hash placements maintained delta by delta, so a refresh pays
-  ingress only for the edges that changed;
+  stable-hash placements, so an edge that survives churn keeps its
+  machine and a refresh ships only the edges that changed;
 * an :class:`~repro.live.EpochManager` — the atomically swappable
   backend proxy, whose current epoch id doubles as the service's cache
   generation so stale top-k entries invalidate exactly on refresh.
 
 :meth:`LiveRankingService.refresh` is the whole lifecycle: apply the
-delta (if given), reconcile placements, patch the replication tables,
-snapshot, build the backend on the reused structures, publish the next
+delta (if given), reconcile placements, snapshot, rebuild the
+replication tables, build the backend on them, publish the next
 epoch.  In-flight batches finish on the epoch they pinned; queries
 queued in the scheduler dispatch on whichever epoch is current when
 their batch leaves.
 
-Both halves of refresh cost are maintained incrementally: the
-*placement* (the machine assignment whose (re)shipment is the ingress
-wire cost a real deployment pays per refresh, reported as
-``new_placements``) by :class:`~repro.live.IncrementalIngress`, and
-each machine's local index — the grouped-adjacency
-:class:`~repro.cluster.ReplicationTable` — by
-:class:`~repro.live.IncrementalReplication`, which patches only the
-vertices a delta touched (``vertices_patched``/``edges_regrouped`` per
-update) instead of rebuilding per epoch.
+A refresh has two costs.  The *placement* — the machine assignment
+whose (re)shipment is the ingress wire cost a real deployment pays per
+refresh — is reported as ``new_placements`` by
+:class:`~repro.live.IncrementalIngress`.  Each machine's local index —
+the grouped-adjacency :class:`~repro.cluster.ReplicationTable` — is
+rebuilt from the snapshot by :class:`~repro.live.IncrementalReplication`
+on every refresh: the table is a function of the snapshot, so there is
+no per-shard state for a failed or skipped refresh to leave behind.
 
 The pipeline itself can leave the caller's thread entirely:
 :meth:`LiveRankingService.refresh_async` hands the delta to a
@@ -57,12 +56,7 @@ from ..serving import (
     choose_num_shards,
 )
 from .epoch import Epoch, EpochManager
-from .ingress import (
-    IncrementalIngress,
-    IncrementalReplication,
-    IngressUpdate,
-    ReplicationPatch,
-)
+from .ingress import IncrementalIngress, IncrementalReplication, IngressUpdate
 from .refresh import BackgroundRefresher, RefreshTicket
 
 __all__ = ["RefreshUpdate", "LiveRankingService"]
@@ -72,12 +66,13 @@ __all__ = ["RefreshUpdate", "LiveRankingService"]
 class RefreshUpdate:
     """Record of one refresh: churn applied, ingress reused, epoch out.
 
-    ``vertices_patched``/``edges_regrouped`` are the replication-table
-    maintenance cost (summed over shards): how many vertices had their
-    replica/master/grouping structures rebuilt and how many edges were
-    re-sorted to do it — O(churn), not O(graph), unless
-    ``table_rebuilds`` says a shard fell back to a from-scratch build.
-    ``build_time_s`` covers apply → reconcile → table patch → snapshot →
+    ``vertices_patched``/``edges_regrouped``/``table_rebuilds`` are the
+    replication-table cost (summed over shards): how many vertices had
+    their replica/master/grouping structures built, how many edges
+    were sorted to do it, and how many shard tables were built from
+    scratch — every refresh rebuilds every shard, so they read ``n``,
+    ``2m`` and 1 per shard.
+    ``build_time_s`` covers apply → reconcile → snapshot → table build →
     backend build; ``publish_s`` is the atomic swap alone — the only
     part the query path ever waits on.  ``coalesced_deltas`` counts the
     submitted deltas this epoch covered (> 1 when a background build
@@ -130,7 +125,7 @@ class LiveRankingService(RankingService):
         :class:`~repro.live.BackgroundRefresher` runs it on its worker
         thread under ``refresh_async``).  Scope note: the *served*
         epoch structures (snapshot + replication tables) stay in RAM —
-        the live tier trades residency for patchability; fully
+        the live tier trades residency for refreshability; fully
         out-of-core serving is the static
         ``RankingService(store=...)`` path.
     compact_threshold:
@@ -144,13 +139,13 @@ class LiveRankingService(RankingService):
         Per-ingress load-imbalance bound beyond which a refresh falls
         back to a full re-salted repartition (``None`` disables).
     refresh_policy:
-        :class:`~repro.core.RefreshPolicy` governing table-patch
-        fallback, background coalescing and queue backpressure.
+        :class:`~repro.core.RefreshPolicy` governing background
+        coalescing and queue backpressure.
     execution:
         ``"simulated"`` (default) builds a fresh in-process
         Local/Sharded backend per epoch; ``"process"`` builds one
         :class:`~repro.serving.ProcessPoolBackend` at construction and
-        *remaps* it on every refresh — each publish exports the patched
+        *remaps* it on every refresh — each publish exports the rebuilt
         tables into fresh epoch-tagged shared-memory arenas, every
         worker process attaches them, and only then is the previous
         epoch's memory retired.  Use :meth:`close` to tear the workers
@@ -226,13 +221,12 @@ class LiveRankingService(RankingService):
         self.refresh_policy = refresh_policy or RefreshPolicy()
         self.refresh_history: list[RefreshUpdate] = []
         # Serializes the whole build pipeline (graph mutation, ingress
-        # reconcile, table patch, snapshot, publish) between synchronous
+        # reconcile, snapshot, table build, publish) between synchronous
         # refresh() callers and the background refresher's worker.  The
         # query path never takes it.
         self._refresh_lock = threading.Lock()
         self.refresher: BackgroundRefresher | None = None
         self.replicators: list[IncrementalReplication] | None = None
-        self._last_patches: list[ReplicationPatch] = []
         effective = config or FrogWildConfig(seed=seed)
         if num_shards is None:
             num_shards = choose_num_shards(
@@ -300,43 +294,20 @@ class LiveRankingService(RankingService):
         return self.epochs.current
 
     def _build_backend(self, snapshot: DiGraph) -> ExecutionBackend:
-        """One epoch's execution backend over the maintained structures.
+        """One epoch's execution backend over ``snapshot``'s tables.
 
-        First call builds the per-shard replication tables from scratch
-        (construction ingress, paid once); every later call *patches*
-        them to the new snapshot via :class:`IncrementalReplication` —
-        the patch records land in ``self._last_patches`` for the
-        refresh summary.  Under process execution the per-shard patch
-        computations fan out to the shard workers
-        (:meth:`~repro.serving.ProcessPoolBackend.patch_tables`): each
-        worker patches its own shard's table on its own core, and the
-        replicators just adopt the results — structurally equal to the
-        serial path by the deterministic-noise invariant, which is why
-        the fan-out requires an integer seed.
+        Every call builds the per-shard replication tables from
+        ``snapshot`` (:class:`IncrementalReplication`); under process
+        execution the pool then exports them to its workers.
         """
         if self.replicators is None:
             self.replicators = [
-                IncrementalReplication(
-                    ingress,
-                    snapshot,
-                    seed=self._seed,
-                    policy=self.refresh_policy,
-                )
+                IncrementalReplication(ingress, snapshot, seed=self._seed)
                 for ingress in self.ingresses
             ]
-            self._last_patches = []
         else:
-            plans = [
-                replicator.plan_refresh(snapshot)
-                for replicator in self.replicators
-            ]
-            patched = self._patch_remote(snapshot, plans)
-            self._last_patches = [
-                replicator.apply_plan(snapshot, plan, table=table)
-                for replicator, plan, table in zip(
-                    self.replicators, plans, patched
-                )
-            ]
+            for replicator in self.replicators:
+                replicator.refresh(snapshot)
         tables = [replicator.table for replicator in self.replicators]
         if self.execution == "process":
             from ..serving import ProcessPoolBackend
@@ -381,24 +352,6 @@ class LiveRankingService(RankingService):
             kernel=self._kernel,
         )
 
-    def _patch_remote(self, snapshot: DiGraph, plans: list) -> list:
-        """Per-shard patched tables from the worker pool, or ``None``\\ s.
-
-        The fan-out only pays off (and only preserves the structural
-        invariant) when there are live shard workers holding the
-        current tables, more than one shard to parallelize over, and a
-        deterministic noise seed; otherwise every slot is ``None`` and
-        :meth:`IncrementalReplication.apply_plan` computes serially.
-        """
-        if (
-            self.execution != "process"
-            or self._process_backend is None
-            or self._seed is None
-            or self._live_shards <= 1
-        ):
-            return [None] * len(plans)
-        return self._process_backend.patch_tables(snapshot, plans)
-
     # ------------------------------------------------------------------
     def refresh(self, delta: GraphDelta | None = None) -> RefreshUpdate:
         """Apply churn (optional), reconcile ingress, publish an epoch.
@@ -421,7 +374,7 @@ class LiveRankingService(RankingService):
         coalesced: int,
         on_built: Callable[["LiveRankingService"], None] | None = None,
     ) -> RefreshUpdate:
-        """The full refresh: apply → reconcile → patch → build → publish.
+        """The full refresh: apply → reconcile → rebuild → publish.
 
         One build may cover several deltas (background coalescing); the
         published epoch reflects all of them.  Everything up to and
@@ -494,7 +447,7 @@ class LiveRankingService(RankingService):
             u.reused_placements + u.new_placements for u in updates
         )
         reused = sum(u.reused_placements for u in updates)
-        patches = self._last_patches
+        shards = len(self.replicators)
         epoch = self.epochs.current
         return RefreshUpdate(
             epoch=epoch.epoch_id,
@@ -509,9 +462,9 @@ class LiveRankingService(RankingService):
             full_repartitions=sum(u.full_repartition for u in updates),
             in_flight_batches=in_flight,
             refresh_time_s=elapsed,
-            vertices_patched=sum(p.vertices_patched for p in patches),
-            edges_regrouped=sum(p.edges_regrouped for p in patches),
-            table_rebuilds=sum(p.full_rebuild for p in patches),
+            vertices_patched=shards * epoch.graph.num_vertices,
+            edges_regrouped=shards * 2 * epoch.graph.num_edges,
+            table_rebuilds=shards,
             build_time_s=build_time_s,
             publish_s=publish_s,
             coalesced_deltas=coalesced,
@@ -605,7 +558,6 @@ class LiveRankingService(RankingService):
     # ------------------------------------------------------------------
     def live_stats(self) -> dict[str, float]:
         """Live-layer counters alongside the base service stats."""
-        replicators = self.replicators or []
         stats = {
             "epoch": float(self.epochs.current.epoch_id),
             "epochs_published": float(self.epochs.epochs_published),
@@ -618,14 +570,11 @@ class LiveRankingService(RankingService):
             "full_repartitions": float(
                 sum(i.full_repartitions for i in self.ingresses)
             ),
-            "table_patches": float(
-                sum(len(r.history) for r in replicators)
-            ),
             "table_rebuilds": float(
-                sum(r.full_rebuilds for r in replicators)
+                sum(u.table_rebuilds for u in self.refresh_history)
             ),
             "vertices_patched": float(
-                sum(p.vertices_patched for r in replicators for p in r.history)
+                sum(u.vertices_patched for u in self.refresh_history)
             ),
             "served_edges": float(self.epochs.current.num_edges),
             "source_edges": float(self.source.num_edges),

@@ -38,8 +38,7 @@ Worker protocol (control pipe, pickled tuples):
 ==============  =====================================================
 parent sends    ``("attach", epoch, graph_spec, table_spec)``,
                 ``("detach", epoch)``, ``("run", task, epoch, config,
-                share, shard_seed, queries)``, ``("patch", task,
-                epoch, snapshot_spec, seed)``, ``("ping", nonce)``,
+                share, shard_seed, queries)``, ``("ping", nonce)``,
                 ``("chaos", kind, seconds)``, ``("stop",)``
 worker replies  ``("attached", epoch)``, ``("detached", epoch)``,
                 ``("result", task, payload)``, ``("error", task,
@@ -117,7 +116,6 @@ import numpy as np
 
 from ..cluster import (
     CostModel,
-    EdgePartition,
     MessageSizeModel,
     RecordChannel,
     ReplicationTable,
@@ -156,10 +154,6 @@ def _worker_main(
     """One shard worker: attach epochs, run batch slices, ship records."""
     channel = RecordChannel(data, size_model)
     epochs: dict[int, tuple[DiGraph, ReplicationTable, tuple]] = {}
-    # Master-selection noise is deterministic in (n, machines, seed)
-    # for integer seeds, so one draw serves every patch this worker
-    # ever computes — the same cache IncrementalReplication keeps.
-    noise_cache: dict[tuple[int, int, int], np.ndarray] = {}
     # One-shot chaos injection: stall the next batch reply this long.
     reply_delay_s = 0.0
     while True:
@@ -267,40 +261,6 @@ def _worker_main(
                 # send time); start the next batch's delta fresh so the
                 # parent's merge never double-counts.
                 channel.sent = TransportTally()
-            elif op == "patch":
-                _, task, epoch, snapshot_spec, patch_seed = message
-                _, old_table, _ = epochs[epoch]
-                snapshot_arena = SharedArena.attach(snapshot_spec)
-                try:
-                    arrays = snapshot_arena.arrays
-                    snapshot = DiGraph.from_csr_arrays(arrays)
-                    partition = EdgePartition(
-                        arrays[f"edge_machine.{shard}"],
-                        machines_per_shard,
-                    )
-                    changed = arrays[f"changed.{shard}"]
-                    key = (
-                        snapshot.num_vertices,
-                        machines_per_shard,
-                        patch_seed,
-                    )
-                    noise = noise_cache.get(key)
-                    if noise is None:
-                        noise = ReplicationTable.master_noise(*key)
-                        noise_cache[key] = noise
-                    patched = old_table.patched(
-                        snapshot, partition, changed, noise
-                    )
-                    # Components are fresh arrays (the patch splices
-                    # into new buffers), so pickling them back on the
-                    # control pipe is safe; this is the off-query-path
-                    # refresh pipeline, not the batch path, so the
-                    # pickle cost is acceptable.
-                    control.send(
-                        ("result", task, patched.shared_components())
-                    )
-                finally:
-                    snapshot_arena.close()
             elif op == "ping":
                 # Supervisor heartbeat: echo the nonce so the parent
                 # can tell a live loop from a buffered stale reply.
@@ -349,7 +309,6 @@ _REPLY_KINDS = {
     "attach": "attached",
     "detach": "detached",
     "run": "result",
-    "patch": "result",
     "ping": "pong",
 }
 
@@ -804,83 +763,6 @@ class ProcessPoolBackend(ShardedBackend):
             for arena in self._arenas.pop(old_epoch, []):
                 arena.destroy()
         return self
-
-    def patch_tables(
-        self,
-        snapshot: DiGraph,
-        plans: Sequence,
-        seed: int | None = None,
-    ) -> list[ReplicationTable | None]:
-        """Compute per-shard table patches on the shard workers.
-
-        The parallel half of the incremental-refresh pipeline: each
-        worker already holds (a structurally-equal mapped copy of) its
-        shard's current table, so the parent ships only the *new*
-        snapshot — one temporary :class:`SharedArena` with the CSR
-        arrays plus each patched shard's ``edge_machine`` and changed
-        vertices — and every shard splices its own
-        :meth:`~repro.cluster.ReplicationTable.patched` table
-        concurrently on its own core.  ``plans`` aligns with shards
-        (one :class:`~repro.live.RefreshPlan`-shaped object each, duck
-        typed to avoid a serving→live import cycle); ``full`` plans
-        are skipped and come back ``None`` — rebuilds are not patches.
-        Master equivalence with a local patch relies on the
-        deterministic noise stream, hence the integer-seed
-        requirement.
-
-        Returns one patched table (rebuilt in the parent from the
-        workers' components, structurally equal to what the serial
-        path would compute) or ``None`` per shard.
-        """
-        if self._closed:
-            raise EngineError("backend is closed")
-        if len(plans) != self.num_shards:
-            raise ConfigError(
-                f"{len(plans)} refresh plans supplied for "
-                f"{self.num_shards} shards"
-            )
-        if seed is None:
-            seed = self.seed
-        if seed is None:
-            raise ConfigError(
-                "patch_tables needs an integer seed: remote patches "
-                "must re-derive the same master noise as the "
-                "maintainer's cached draw"
-            )
-        arrays = dict(snapshot.csr_components())
-        jobs: list[_Worker] = []
-        for worker, plan in zip(self._workers, plans):
-            if plan.full:
-                continue
-            arrays[f"edge_machine.{worker.shard}"] = (
-                plan.partition.edge_machine
-            )
-            arrays[f"changed.{worker.shard}"] = np.asarray(
-                plan.changed, dtype=np.int64
-            )
-            jobs.append(worker)
-        tables: list[ReplicationTable | None] = [None] * self.num_shards
-        if not jobs:
-            return tables
-        with self._lock:
-            self._task_counter += 1
-            task = self._task_counter
-            arena = SharedArena.create(
-                arrays, epoch=self._epoch, prefix=self.arena_prefix
-            )
-            try:
-                message = ("patch", task, self._epoch, arena.spec, seed)
-                for wait in self._gather(
-                    [self._request(worker, message) for worker in jobs]
-                ):
-                    tables[wait.worker.shard] = (
-                        ReplicationTable.from_shared_components(
-                            snapshot, wait.reply[2]
-                        )
-                    )
-            finally:
-                arena.destroy()
-        return tables
 
     def close(self) -> None:
         """Stop workers, close pipes and unlink every shared segment.

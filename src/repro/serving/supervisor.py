@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from ..cluster import SharedArena
@@ -90,7 +91,11 @@ class WorkerSupervisor:
         The owning :class:`~repro.serving.ProcessPoolBackend`.  The
         supervisor reaches into its worker table and spawn/attach
         machinery; the two objects are one component split across two
-        files, not an abstraction boundary.
+        files, not an abstraction boundary.  Held weakly — the pool
+        owns its supervisor, so a strong back-reference would be a
+        cycle and a closed pool would keep its tables until the cyclic
+        collector ran; a running heartbeat thread pins the pool itself
+        (see :meth:`start`).
     heartbeat_s:
         Period of the background liveness thread; ``None`` disables
         the thread (``check()`` can still be called explicitly, and
@@ -122,7 +127,7 @@ class WorkerSupervisor:
             raise ConfigError(
                 "max_backoff_s must be >= respawn_backoff_s"
             )
-        self.backend = backend
+        self._backend = weakref.ref(backend)
         self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.respawn_backoff_s = float(respawn_backoff_s)
@@ -135,6 +140,10 @@ class WorkerSupervisor:
         self._nonce = itertools.count(1)
         self._thread: threading.Thread | None = None
         self._stop_event = threading.Event()
+
+    @property
+    def backend(self):
+        return self._backend()
 
     # ------------------------------------------------------------------
     # Lock-held primitives (callers hold ``backend._lock``)
@@ -253,7 +262,10 @@ class WorkerSupervisor:
         return revived
 
     def start(self) -> None:
-        """Run :meth:`check` every ``heartbeat_s`` on a daemon thread."""
+        """Run :meth:`check` every ``heartbeat_s`` on a daemon thread.
+
+        The thread keeps the pool alive until :meth:`stop`.
+        """
         if self.heartbeat_s is None:
             raise ConfigError(
                 "start() needs heartbeat_s; pass it to the backend (or "
@@ -263,7 +275,7 @@ class WorkerSupervisor:
             return
         self._stop_event.clear()
 
-        def _loop() -> None:
+        def _loop(pin: object) -> None:
             while not self._stop_event.wait(self.heartbeat_s):
                 try:
                     self.check()
@@ -271,7 +283,10 @@ class WorkerSupervisor:
                     self.last_error = error
 
         self._thread = threading.Thread(
-            target=_loop, name="repro-supervisor", daemon=True
+            target=_loop,
+            args=(self.backend,),
+            name="repro-supervisor",
+            daemon=True,
         )
         self._thread.start()
 

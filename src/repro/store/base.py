@@ -3,7 +3,7 @@
 The paper's premise is PageRank on graphs too large to treat casually,
 so the storage layer cannot assume the edge set is a RAM-resident numpy
 array.  This module defines the seam every consumer (ingress, table
-patching, serving backends, CLI) reads through:
+builds, serving backends, CLI) reads through:
 
 * a graph store is an edge *set* over a fixed vertex universe,
   canonically represented as sorted ``source * n + target`` int64 keys

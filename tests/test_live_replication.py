@@ -1,11 +1,12 @@
-"""Incremental replication tables + background refresh.
+"""Live replication tables + background refresh.
 
 Two pinned invariants:
 
-* **equivalence** — after *any* sequence of deltas, the maintained
+* **equivalence** — after *any* sequence of deltas, the replicator's
   :class:`~repro.cluster.ReplicationTable` is structurally equal
   (masters, replica bitmap, both machine-grouped adjacencies, partition)
-  to a from-scratch build of the current snapshot;
+  to a from-scratch build of the current snapshot under a from-scratch
+  stable-hash partition;
 * **epoch purity under background refresh** — queries dispatched while
   the next epoch is being built run, and are stamped, wholly on the
   epoch current at their dispatch; the publish at the end of a build is
@@ -17,9 +18,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import ReplicationTable, placement_diff
+from repro.cluster import ReplicationTable
 from repro.core import FrogWildConfig, RefreshPolicy
-from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
+from repro.dynamic import (
+    ChurnGenerator,
+    DynamicDiGraph,
+    GraphDelta,
+    stable_hash_partition,
+)
 from repro.errors import ConfigError
 from repro.graph import twitter_like
 from repro.live import (
@@ -31,27 +37,22 @@ from repro.live import (
 FAST = FrogWildConfig(num_frogs=500, iterations=3, seed=0)
 
 
-def make_replicator(n=300, graph_seed=3, machines=6, seed=4, policy=None):
+def make_replicator(n=300, graph_seed=3, machines=6, seed=4):
     dynamic = DynamicDiGraph.from_digraph(
         twitter_like(n=n, seed=graph_seed)
     )
     ingress = IncrementalIngress(dynamic, machines, seed=seed)
-    # Tests of the patch path pin full_rebuild_fraction=1.0: on these
-    # small power-law graphs a few churned hub edges can push the
-    # projected regroup work past the adaptive gate's default.
     replicator = IncrementalReplication(
-        ingress,
-        dynamic.snapshot(),
-        seed=seed,
-        policy=policy or RefreshPolicy(full_rebuild_fraction=1.0),
+        ingress, dynamic.snapshot(), seed=seed
     )
     return dynamic, ingress, replicator
 
 
 def assert_equivalent_to_rebuild(replicator, snapshot):
+    ingress = replicator.ingress
     scratch = ReplicationTable(
         snapshot,
-        replicator.ingress.partition_for(snapshot),
+        stable_hash_partition(snapshot, ingress.num_machines, ingress.salt),
         seed=replicator.seed,
     )
     assert replicator.table.structurally_equal(scratch)
@@ -86,8 +87,7 @@ class TestPatchEquivalence:
         for _ in range(5):
             ingress.apply(churn.step(dynamic))
             snapshot = dynamic.snapshot()
-            patch = replicator.refresh(snapshot)
-            assert not patch.full_rebuild
+            replicator.refresh(snapshot)
             assert_equivalent_to_rebuild(replicator, snapshot)
 
     def test_degenerate_deltas(self):
@@ -117,97 +117,22 @@ class TestPatchEquivalence:
             replicator.refresh(snapshot)
             assert_equivalent_to_rebuild(replicator, snapshot)
 
-    def test_full_rebuild_fallback_stays_equivalent(self):
-        """full_rebuild_fraction=0 forces the from-scratch path; the
-        result must be indistinguishable (it IS a from-scratch build),
-        and the patch record must say so."""
-        dynamic, ingress, replicator = make_replicator(
-            policy=RefreshPolicy(full_rebuild_fraction=0.0)
-        )
-        churn = ChurnGenerator(add_rate=0.02, remove_rate=0.02, seed=9)
-        ingress.apply(churn.step(dynamic))
-        snapshot = dynamic.snapshot()
-        patch = replicator.refresh(snapshot)
-        assert patch.full_rebuild
-        assert replicator.full_rebuilds == 1
-        assert_equivalent_to_rebuild(replicator, snapshot)
-
-    def test_adaptive_gate_rebuilds_when_hubs_dominate(self):
-        """The fallback gates on projected regroup work (incident edges
-        of touched vertices), so hub-heavy churn on a power-law graph
-        takes the from-scratch path under the default policy."""
-        dynamic, ingress, replicator = make_replicator(
-            policy=RefreshPolicy()  # default full_rebuild_fraction
-        )
-        churn = ChurnGenerator(add_rate=0.05, remove_rate=0.05, seed=13)
-        ingress.apply(churn.step(dynamic))
-        snapshot = dynamic.snapshot()
-        patch = replicator.refresh(snapshot)
-        assert patch.full_rebuild  # hubs touched -> regroup ~ O(m)
-        assert_equivalent_to_rebuild(replicator, snapshot)
-
     def test_salted_repartition_triggers_rebuild_and_stays_equivalent(self):
         """An imbalance-triggered re-salt moves (nearly) every edge; the
-        placement diff sees it and the table follows to the new salt."""
-        dynamic, ingress, replicator = make_replicator(
-            policy=RefreshPolicy(full_rebuild_fraction=0.5)
-        )
+        table follows to the new salt."""
+        dynamic, ingress, replicator = make_replicator()
+        old_salt = ingress.salt
         # Force a full repartition through the ingress's own fallback.
         ingress.rebalance_threshold = 1.0 + 1e-9
         ingress.apply(GraphDelta(added=[(0, 299)]))
         assert ingress.full_repartitions >= 1
+        assert ingress.salt != old_salt
         snapshot = dynamic.snapshot()
-        patch = replicator.refresh(snapshot)
-        assert patch.full_rebuild  # nearly all placements moved
+        replicator.refresh(snapshot)
         assert_equivalent_to_rebuild(replicator, snapshot)
 
 
 class TestPatchCost:
-    def test_patch_touches_only_changed_vertices(self):
-        """vertices_patched <= 2 * changed edge keys (their endpoints);
-        edges_regrouped <= the changed vertices' incident degree sum."""
-        dynamic, ingress, replicator = make_replicator(n=500)
-        churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=3)
-        for _ in range(4):
-            old_snapshot = replicator.table.graph
-            old_keys = replicator._snap_keys.copy()
-            old_machines = replicator._snap_machines.copy()
-            ingress.apply(churn.step(dynamic))
-            snapshot = dynamic.snapshot()
-            patch = replicator.refresh(snapshot)
-            assert not patch.full_rebuild
-            assert patch.vertices_patched <= 2 * patch.edges_changed
-            assert patch.vertices_patched < snapshot.num_vertices
-            # The regroup bound: incident edges of the changed vertices
-            # in the new snapshot, counted once per grouping direction.
-            n = snapshot.num_vertices
-            keys = (
-                snapshot.edge_sources().astype(np.int64) * n
-                + snapshot.indices
-            )
-            diff = placement_diff(
-                old_keys,
-                old_machines,
-                keys,
-                replicator._snap_machines,
-            )
-            touched = np.zeros(n, dtype=bool)
-            touched[diff.changed_vertices(n)] = True
-            bound = int(
-                touched[snapshot.edge_sources()].sum()
-                + touched[snapshot.indices].sum()
-            )
-            assert patch.edges_regrouped == bound
-            assert old_snapshot.num_edges  # old epoch still intact
-
-    def test_noop_refresh_patches_nothing(self):
-        dynamic, ingress, replicator = make_replicator()
-        ingress.sync()
-        patch = replicator.refresh(dynamic.snapshot())
-        assert patch.edges_changed == 0
-        assert patch.vertices_patched == 0
-        assert patch.edges_regrouped == 0
-
     def test_patch_never_mutates_the_previous_table(self):
         """Epoch safety: the old table keeps serving while the new one
         is built, so patching must be copy-on-write throughout."""
@@ -443,6 +368,68 @@ class TestBackgroundRefresh:
         snapshot = service.current_epoch.graph
         for replicator in service.replicators:
             assert_equivalent_to_rebuild(replicator, snapshot)
-        assert update.vertices_patched == sum(
-            r.history[-1].vertices_patched for r in service.replicators
+        assert update.table_rebuilds == 2
+        assert update.vertices_patched == 2 * snapshot.num_vertices
+        assert update.edges_regrouped == 2 * 2 * snapshot.num_edges
+
+
+class TestFailedRefresh:
+    """A table is a function of the snapshot, so a refresh that raises
+    half-way leaves no per-shard state behind to disagree later."""
+
+    @pytest.mark.parametrize("execution", ["simulated", "process"])
+    def test_failed_build_publishes_nothing_and_the_next_recovers(
+        self, execution, monkeypatch
+    ):
+        from repro.live import ingress as ingress_module
+
+        dynamic = DynamicDiGraph.from_digraph(twitter_like(n=300, seed=5))
+        service = LiveRankingService(
+            dynamic,
+            config=FAST,
+            num_machines=8,
+            num_shards=2,
+            seed=0,
+            execution=execution,
         )
+        churn = ChurnGenerator(add_rate=0.02, remove_rate=0.02, seed=6)
+        try:
+            service.refresh(churn.step(dynamic))
+            old_epoch = service.current_epoch
+            published = service.epochs.epochs_published
+
+            builds = []
+
+            def fail_on_shard_1(*args, **kwargs):
+                builds.append(args)
+                if len(builds) == 2:
+                    raise RuntimeError("shard 1 table build failed")
+                return ReplicationTable(*args, **kwargs)
+
+            monkeypatch.setattr(
+                ingress_module, "ReplicationTable", fail_on_shard_1
+            )
+            with pytest.raises(RuntimeError, match="shard 1"):
+                service.refresh(churn.step(dynamic))
+            monkeypatch.undo()
+
+            # Nothing was published: queries still run on the old epoch.
+            assert service.epochs.epochs_published == published
+            assert service.current_epoch is old_epoch
+            answer = service.query([2])
+            assert answer.report.extra["epoch"] == float(old_epoch.epoch_id)
+
+            # The next refresh covers the delta the failed one applied.
+            service.refresh()
+            assert service.epochs.epochs_published == published + 1
+            epoch = service.current_epoch
+            assert epoch.epoch_id == service.source.version
+            for replicator, served in zip(
+                service.replicators, epoch.backend.replications
+            ):
+                assert served is replicator.table
+                assert_equivalent_to_rebuild(replicator, epoch.graph)
+            answer = service.query([2])
+            assert answer.report.extra["epoch"] == float(epoch.epoch_id)
+        finally:
+            service.close()

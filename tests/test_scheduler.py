@@ -508,6 +508,47 @@ class TestServiceLifetime:
         del service
         assert alive() is None and epoch() is None
 
+    def test_dropped_live_service_with_a_stopped_refresher_is_freed(
+        self, graph, no_collector
+    ):
+        from repro.dynamic import DynamicDiGraph, GraphDelta
+        from repro.live import LiveRankingService
+
+        service = LiveRankingService(
+            DynamicDiGraph.from_digraph(graph),
+            config=self.CONFIG,
+            num_machines=4,
+            seed=0,
+        )
+        ticket = service.refresh_async(GraphDelta(added=[(0, 599)]))
+        assert ticket.result(timeout=30.0).background
+        refresher = service.refresher
+        alive = weakref.ref(service)
+        del service, ticket
+        # The started worker thread pins the service until stop().
+        assert alive() is not None
+        alive().close()
+        assert alive() is None
+        assert refresher.service is None
+
+    def test_dropped_process_pool_is_freed_without_the_collector(
+        self, graph, no_collector
+    ):
+        from repro.serving import ProcessPoolBackend
+
+        pool = ProcessPoolBackend(
+            graph, num_shards=2, machines_per_shard=2, heartbeat_s=30.0
+        )
+        table = weakref.ref(pool.replications[0])
+        alive = weakref.ref(pool)
+        supervisor = pool.supervisor
+        del pool
+        # The heartbeat thread pins the pool until close() stops it.
+        assert alive() is not None
+        alive().close()
+        assert alive() is None and table() is None
+        assert supervisor.backend is None
+
     def test_running_loop_pins_the_service_until_stop(
         self, graph, no_collector
     ):
