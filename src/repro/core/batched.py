@@ -69,6 +69,7 @@ from ..engine import (
     RunReport,
     apportion_records,
     build_cluster,
+    count_marks_by_key,
     sync_pair_records,
 )
 from ..errors import ConfigError, EngineError
@@ -85,6 +86,7 @@ from .frogwild import (
 from .kernels import (
     CompiledPasses,
     CompiledTables,
+    DenseGroupTables,
     FusedPasses,
     resolve_kernel,
 )
@@ -308,22 +310,30 @@ class BatchedFrogWildRunner:
             "sync": 0, "repair": 0, "frog": 0,
             "sync_demand": 0, "frog_demand": 0,
         }
-        if kernel == "compiled":
-            # The int32-narrowed gather tables are per-ingress (shared
-            # across batches like the int64 kernel tables); the pass
-            # pipeline with its buffer arena is per-runner state.
-            pass_tables = state.ingress_cache(
-                "compiled_tables", lambda: CompiledTables(self.tables)
-            )
-            make_passes = CompiledPasses
-        else:
-            pass_tables, make_passes = self.tables, FusedPasses
-        self._passes = make_passes(
-            pass_tables,
+        shape = dict(
             num_lanes=len(self.lanes),
             num_machines=state.num_machines,
             num_vertices=n,
         )
+        # Each tier's own view of the group tables is per-ingress
+        # (shared across batches like the int64 kernel tables) and built
+        # on first use; the pass pipeline is per-runner state.
+        if kernel == "compiled":
+            self._passes = CompiledPasses(
+                state.ingress_cache(
+                    "compiled_tables", lambda: CompiledTables(self.tables)
+                ),
+                **shape,
+            )
+        else:
+            self._passes = FusedPasses(
+                self.tables,
+                state.ingress_cache(
+                    "dense_groups",
+                    lambda: DenseGroupTables(self.tables, state.num_machines),
+                ),
+                **shape,
+            )
 
     # ------------------------------------------------------------------
     def run(self) -> BatchedFrogWildResult:
@@ -443,6 +453,16 @@ class BatchedFrogWildRunner:
         masters = self.tables.masters
         num_machines = state.num_machines
         frontier = vert_sv.size
+        row_master = masters[vert_sv]
+        pair_key = lane_sv * num_machines + row_master
+
+        def lane_pair_counts(marks: np.ndarray) -> np.ndarray:
+            """Per-lane (master, mirror) counts of a (frontier rows x
+            machines) mark matrix, without listing the marks."""
+            return count_marks_by_key(
+                pair_key, marks, len(self.lanes) * num_machines
+            ).reshape(len(self.lanes), num_machines, num_machines)
+
         if self.shared_sync is None:
             # Inlined per-lane draw_fresh over the whole frontier: the
             # mirror bitmap is gathered once, each lane's coins are
@@ -462,13 +482,8 @@ class BatchedFrogWildRunner:
                     coins = lane.rng.random((rows, num_machines)) < lane.ps
                     synced[sl] = mirrors[sl] & coins
             fresh = synced.copy()
-            fresh[
-                np.arange(frontier, dtype=np.int64), masters[vert_sv]
-            ] = True
-            rows_nz, cols_nz = np.nonzero(synced)
-            lane_sync = self._pair_matrices(
-                lane_sv[rows_nz], masters[vert_sv[rows_nz]], cols_nz
-            )
+            fresh[np.arange(frontier, dtype=np.int64), row_master] = True
+            lane_sync = lane_pair_counts(synced)
             sync_records = lane_sync.sum(axis=0)
         else:
             # One coin per (vertex, mirror) in the union frontier: the
@@ -483,10 +498,7 @@ class BatchedFrogWildRunner:
             # Attribution: what each lane would have billed had the
             # shared coins been its own, apportioned so lane shares sum
             # exactly to the physical record count.
-            rows_nz, cols_nz = np.nonzero(synced_u[position])
-            demand = self._pair_matrices(
-                lane_sv[rows_nz], masters[vert_sv[rows_nz]], cols_nz
-            )
+            demand = lane_pair_counts(synced_u[position])
             lane_sync = apportion_records(sync_records, demand)
             self.record_totals["sync_demand"] += int(
                 demand.sum() - sync_records.sum()

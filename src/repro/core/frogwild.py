@@ -31,19 +31,29 @@ which advances B independent frog populations through a single
 traversal per superstep.
 
 Cost model.  A superstep costs O(frontier rows x machines + frogs): the
-per-row work is the machine-group gather (one entry per (vertex,
-machine) group of the frontier), the per-frog work is one hop draw.
-The multinomial scatter resolves each frog's draw against the running
-sum of the enabled group sizes (:func:`_pick_enabled_edges`), so the
+per-row work is one cell per (row, machine) — coin, group width, repair
+— and the per-frog work is one hop draw.  The batched runner's fused
+passes are literally that shape: they gather the rows' (rows x
+machines) block of the dense group widths and reduce it
+(:mod:`repro.core.kernels.fused`; the block is 0.81 full on the R-MAT
+scale-15 benchmark graph, 0.35-0.43 on ``twitter_like(50k)``, at 16
+machines).  This runner still gathers the ragged group list of its
+frontier (:func:`_gather_groups`): the dense block was tried here and
+lost on ``global-topk`` (127.6 / 136.0 / 133.4 ms against 115.3 /
+120.7 / 123.2 without it), so the ragged gather stays until this
+runner becomes the B = 1 lane of the batched one.  Either way the
+multinomial scatter resolves each frog's draw against the running sum
+of the enabled group widths (:func:`_pick_enabled_edges`, one function
+taking flat widths and group starts from both runners), so the
 out-edges of the frontier are not touched at all while they outnumber
 the frogs — on an R-MAT scale-15 graph a served batch moves 21-29k
-frogs per superstep over 9-11k rows and 120-150k groups whose enabled
-out-edges number 1.4-1.7M.  Only when the enabled edges E are within a
-small multiple of the frogs F (``E <= 8 F``, e.g. 400k frogs on a
-50k-vertex graph, E/F = 1.1-1.6) is the enabled edge list materialized,
-because one gather per frog then beats a binary search per frog.  The
-``binomial`` mode flips a coin per enabled edge by definition and always
-expands them.  Disabled groups are never expanded in either mode.
+frogs per superstep over 9-11k rows whose enabled out-edges number
+1.4-1.7M.  Only when the enabled edges E are within a small multiple of
+the frogs F (``E <= 8 F``, e.g. 400k frogs on a 50k-vertex graph, E/F =
+1.1-1.6) is the enabled edge list materialized, because one gather per
+frog then beats a binary search per frog.  The ``binomial`` mode flips
+a coin per enabled edge by definition and always expands them.
+Disabled groups are never expanded in either mode.
 """
 
 from __future__ import annotations
@@ -146,16 +156,23 @@ def prime_ingress_caches(replication, graph) -> None:
 
     Fills the entries :meth:`~repro.engine.ClusterState.ingress_cache`
     would otherwise build lazily on the first batch after an ingress
-    appears: the flat kernel tables and the mirror bitmap.  The live
-    refresh pipeline (:class:`~repro.live.IncrementalReplication`) calls
-    this off the query path after building a table, so a freshly
-    published epoch serves its first batch with warm tables.
-    Idempotent: existing cache entries are kept.
+    appears: the flat kernel tables, the dense group widths of the fused
+    passes and the mirror bitmap.  The live refresh pipeline
+    (:class:`~repro.live.IncrementalReplication`) calls this off the
+    query path after building a table, so a freshly published epoch
+    serves its first batch with warm tables.  Idempotent: existing
+    cache entries are kept.
     """
+    from .kernels.layout import DenseGroupTables
+
     cache = replication._ingress_cache
     if "kernel_tables" not in cache:
         cache["kernel_tables"] = _KernelTables(
             replication, graph.out_degree()
+        )
+    if "dense_groups" not in cache:
+        cache["dense_groups"] = DenseGroupTables(
+            cache["kernel_tables"], replication.num_machines
         )
     if "mirror_matrix" not in cache:
         cache["mirror_matrix"] = MirrorSynchronizer.mirror_matrix_for(
@@ -266,10 +283,8 @@ _EDGES_PER_FROG_SEARCH = 8
 
 
 def _pick_enabled_edges(
-    tables: _KernelTables,
-    grp_idx: np.ndarray,
-    grp_sizes: np.ndarray,
-    enabled_grp: np.ndarray,
+    width: np.ndarray,
+    group_start: np.ndarray,
     enabled_counts: np.ndarray,
     row_of_frog: np.ndarray,
     draw: np.ndarray,
@@ -277,34 +292,34 @@ def _pick_enabled_edges(
     """The out-edge each hopping frog takes: uniform over its row's
     enabled edges, ``draw`` in [0, 1) choosing by position.
 
-    ``grp_idx`` / ``grp_sizes`` / ``enabled_grp`` describe the machine
-    groups of the scatter rows in row order, ``enabled_counts`` the
-    enabled out-edges per row and ``row_of_frog`` (non-decreasing) the
-    row each draw belongs to.  Frog f takes the ``floor(draw[f] *
-    enabled_counts[row])``-th enabled edge of its row, i.e. position
-    ``pick`` of the concatenated enabled edge list of all rows.
+    ``width`` / ``group_start`` describe machine groups of the scatter
+    rows flattened in (row, machine) order — enabled out-edges behind
+    each and its first edge id.  A disabled group is left out (the
+    standalone runner) or reads width 0, as does a machine without a
+    group in the fused passes' (rows x machines) block.
+    ``enabled_counts`` are the enabled out-edges per row and
+    ``row_of_frog`` (non-decreasing) the row each draw belongs to.
+    Frog f takes the ``floor(draw[f] * enabled_counts[row])``-th
+    enabled edge of its row, i.e. position ``pick`` of the concatenated
+    enabled edge list of all rows.
 
     That list has one entry per enabled out-edge of the frontier, which
     on a skewed graph is far more than the frogs that choose from it.
     When it is, ``pick`` is resolved against the running sum of the
-    enabled group widths instead — O(frogs log groups), no per-edge
-    array — and when the frogs are as many as the edges, listing the
-    edges once and gathering is cheaper.  Both branches return the same
-    array; the rule reads only the two sizes.
+    widths instead — O(frogs log groups), no per-edge array — and when
+    the frogs are as many as the edges, listing the edges once and
+    gathering is cheaper.  Both branches return the same array; the
+    rule reads only the two sizes.
     """
     row_end = np.cumsum(enabled_counts)
     pick = (row_end - enabled_counts)[row_of_frog] + (
         draw * enabled_counts[row_of_frog]
     ).astype(np.int64)
     if row_end[-1] <= _EDGES_PER_FROG_SEARCH * draw.size:
-        enabled_edges = _ranges_to_indices(
-            tables.group_start[grp_idx[enabled_grp]], grp_sizes[enabled_grp]
-        )
-        return enabled_edges[pick]
-    width = np.where(enabled_grp, grp_sizes, 0)
+        return _ranges_to_indices(group_start, width)[pick]
     cum = np.cumsum(width)
     g = np.searchsorted(cum, pick, side="right")
-    return tables.group_start[grp_idx[g]] + (pick - (cum[g] - width[g]))
+    return group_start[g] + (pick - (cum[g] - width[g]))
 
 
 def _scatter_multinomial(
@@ -330,8 +345,9 @@ def _scatter_multinomial(
 
     frog_vertex = np.repeat(np.arange(sv.size, dtype=np.int64), k_send)
     chosen = _pick_enabled_edges(
-        tables, view.grp_idx, view.grp_sizes, enabled_grp, enabled_counts,
-        frog_vertex, rng.random(total),
+        view.grp_sizes[enabled_grp],
+        tables.group_start[view.grp_idx[enabled_grp]],
+        enabled_counts, frog_vertex, rng.random(total),
     )
     dest = tables.edge_target[chosen]
     host = tables.edge_host[chosen]

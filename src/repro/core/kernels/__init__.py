@@ -8,12 +8,20 @@ the ``kernel=`` seam of the runner and of every serving backend picks
 which:
 
 * ``"fused"``    — :class:`~.fused.FusedPasses`, whole-frontier numpy
-  (default, and the reference the other tier is pinned to);
+  (default, and the reference the other tier is pinned to).  Its passes
+  have the shape of the documented cost, O(frontier rows x machines +
+  frogs): one (rows x machines) block of dense group widths
+  (:class:`~.layout.DenseGroupTables`, cached per ingress) masked by
+  the coin matrix and reduced along rows and columns — 0.81 full on
+  the benchmark's R-MAT graph at 16 machines, 0.35-0.43 on
+  ``twitter_like(50k)``, and slower than the ragged lists it replaced
+  at 64 machines on the latter (fill 0.12-0.26; README, "Cost model");
 * ``"compiled"`` — :class:`~.compiled.CompiledPasses`, Numba-jitted
   single-pass loops with cache-conscious layout (:mod:`.compiled`,
   :mod:`.layout`, :mod:`.arena`), installed via the ``[accel]`` extra.
 
-A pass implementation is constructed from the kernel tables plus
+A pass implementation is constructed from the kernel tables (and its
+tier's own per-ingress view of them) plus
 ``num_lanes``/``num_machines``/``num_vertices`` and provides, in the
 order a superstep calls them: ``begin_superstep()``; ``apply(counts,
 lane_ids, verts, dead, k)`` (tally deaths, return per-machine ops);
@@ -50,6 +58,7 @@ from .compiled import HAVE_NUMBA, CompiledPasses
 from .fused import FusedPasses
 from .layout import (
     CompiledTables,
+    DenseGroupTables,
     lane_key_dtype,
     pack_lane_keys,
     plan_tiles,
@@ -62,6 +71,7 @@ __all__ = [
     "BufferArena",
     "CompiledPasses",
     "CompiledTables",
+    "DenseGroupTables",
     "FusedPasses",
     "available_kernels",
     "compiled_available",

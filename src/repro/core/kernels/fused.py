@@ -1,13 +1,17 @@
 """Numpy passes of the batched superstep: the default ``"fused"`` tier.
 
 Each pass is a handful of whole-frontier numpy calls over the
-concatenated ``(lane, vertex)`` frontier: the machine groups of every
-frontier row are gathered once per superstep
-(:meth:`FusedPasses.enabled_groups`) and every later pass — repair,
-totals, the two scatter expansions — reads that one gather, so a
-``bincount``/gather touches all populations at once instead of once per
-lane.  The frog-record dedupe and the next-frontier reduction are one
-sort each (``sorted_unique`` / ``np.unique``).
+concatenated ``(lane, vertex)`` frontier.  From the sync coins to the
+edge pick they keep the coins' own (frontier rows x machines) shape:
+:meth:`FusedPasses.enabled_groups` gathers the rows' block of the dense
+group widths (:class:`~.layout.DenseGroupTables`) and masks it with the
+coin matrix; repair, totals and both scatter expansions are
+element-wise passes and row / column reductions of that block, and no
+per-group index list is built.  The block is 0.81 full on the
+benchmark's R-MAT scale-15 graph at 16 machines, 0.35-0.43 on
+``twitter_like(50k)``; at 64 machines (fill 0.12) the ragged lists it
+replaced were cheaper (README, "Cost model").  The frog-record dedupe
+and the next-frontier reduction are one sort each.
 
 :class:`FusedPasses` and :class:`~.compiled.CompiledPasses` implement
 the same interface (see :mod:`repro.core.kernels`); the superstep in
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...engine import count_marks_by_key
 from ...graph import sorted_unique
 from ..frogwild import _pick_enabled_edges, _ranges_to_indices
 
@@ -29,18 +34,21 @@ class FusedPasses:
     """The deterministic superstep passes as whole-frontier numpy calls.
 
     Stateful within a superstep: :meth:`enabled_groups` opens the
-    scatter frontier and keeps its group gather for the passes after it.
+    scatter frontier and keeps its (rows x machines) width block for
+    the passes after it.
     """
 
     def __init__(
         self,
         tables,
+        dense,
         *,
         num_lanes: int,
         num_machines: int,
         num_vertices: int,
     ) -> None:
         self.tables = tables
+        self.dense = dense
         self.num_lanes = int(num_lanes)
         self.num_machines = int(num_machines)
         self.num_vertices = int(num_vertices)
@@ -62,54 +70,46 @@ class FusedPasses:
 
     # -- enabled groups -------------------------------------------------
     def enabled_groups(self, lane_sv, vert_sv, fresh):
-        tables = self.tables
-        frontier = vert_sv.size
-        self.lane_sv = lane_sv
-        self.vert_sv = vert_sv
-        self.g_lo = tables.vertex_ptr[vert_sv]
-        self.g_count = tables.vertex_ptr[vert_sv + 1] - self.g_lo
-        self.grp_idx = _ranges_to_indices(self.g_lo, self.g_count)
-        self.grp_row = np.repeat(
-            np.arange(frontier, dtype=np.int64), self.g_count
+        ptr = self.tables.vertex_ptr
+        self.lane_sv, self.vert_sv = lane_sv, vert_sv
+        # Widened once: every scan below runs on int64.
+        self.sizes = self.dense.size_vm.take(vert_sv, axis=0).astype(
+            np.int64, copy=False
         )
-        self.grp_machine = tables.group_machine[self.grp_idx]
-        self.grp_sizes = tables.group_sizes[self.grp_idx]
-        self.enabled_grp = fresh[self.grp_row, self.grp_machine]
-        groups_per_row = np.bincount(
-            self.grp_row, weights=self.enabled_grp, minlength=frontier
-        ).astype(np.int64)
-        return groups_per_row, self.g_count
+        # Out-edges behind each (row, machine) cell that may scatter.
+        self.width = self.sizes * fresh
+        groups_per_row = np.einsum(
+            "ij->i", (self.width > 0).view(np.int8), dtype=np.int64
+        )
+        return groups_per_row, ptr[vert_sv + 1] - ptr[vert_sv]
 
     def force_groups(self, rows, groups) -> None:
-        block_offsets = np.concatenate([[0], np.cumsum(self.g_count)[:-1]])
-        self.enabled_grp[block_offsets[rows] + groups - self.g_lo[rows]] = True
+        machines = self.tables.group_machine[groups]
+        self.width[rows, machines] = self.sizes[rows, machines]
 
     def enabled_totals(self):
-        enabled = self.enabled_grp
-        edge_counts = np.bincount(
-            self.grp_row,
-            weights=enabled * self.grp_sizes,
-            minlength=self.vert_sv.size,
-        ).astype(np.int64)
-        machine_groups = np.bincount(
-            self.grp_machine[enabled], minlength=self.num_machines
+        by_lane = count_marks_by_key(
+            self.lane_sv, self.width > 0, self.num_lanes
         )
-        lane_groups = np.bincount(
-            self.lane_sv[self.grp_row[enabled]], minlength=self.num_lanes
+        return (
+            np.einsum("ij->i", self.width),
+            by_lane.sum(axis=0),
+            by_lane.sum(axis=1),
         )
-        return edge_counts, machine_groups, lane_groups
 
     # -- scatter --------------------------------------------------------
+    def _group_starts(self):
+        return self.dense.start_vm.take(self.vert_sv, axis=0).reshape(-1)
+
     def expand_multinomial(self, k_send, edge_counts, draw):
         """Split each row's frogs uniformly over its enabled edges."""
-        tables = self.tables
         frog_row = np.repeat(np.arange(k_send.size, dtype=np.int64), k_send)
         chosen = _pick_enabled_edges(
-            tables, self.grp_idx, self.grp_sizes, self.enabled_grp,
-            edge_counts, frog_row, draw,
+            self.width.reshape(-1), self._group_starts(), edge_counts,
+            frog_row, draw,
         )
-        dest = tables.edge_target[chosen]
-        host = tables.edge_host[chosen]
+        dest = self.tables.edge_target[chosen]
+        host = self.tables.edge_host[chosen]
         frog_lane = self.lane_sv[frog_row]
         return (
             dest,
@@ -121,17 +121,16 @@ class FusedPasses:
 
     def expand_binomial(self, k_sv, edge_counts, lane_ps):
         """Paper pseudocode: Bin(K, 1/(d_out ps)) per enabled edge."""
-        tables = self.tables
-        on = np.flatnonzero(self.enabled_grp)
-        sizes_on = self.grp_sizes[on]
-        chosen = _ranges_to_indices(
-            tables.group_start[self.grp_idx[on]], sizes_on
-        )
-        row_pos = np.repeat(self.grp_row[on], sizes_on)
+        width = self.width.reshape(-1)
+        on = np.flatnonzero(width)
+        sizes_on = width[on]
+        chosen = _ranges_to_indices(self._group_starts()[on], sizes_on)
+        row_pos = np.repeat(on // self.num_machines, sizes_on)
         edge_lane = self.lane_sv[row_pos]
         p_eff = np.maximum(lane_ps[edge_lane], 1e-12)
         prob = np.minimum(
-            1.0, 1.0 / (tables.out_degree[self.vert_sv[row_pos]] * p_eff)
+            1.0,
+            1.0 / (self.tables.out_degree[self.vert_sv[row_pos]] * p_eff),
         )
         return chosen, k_sv[row_pos], prob, edge_lane
 

@@ -12,7 +12,7 @@ from .stats import (
     StepRecord,
     apportion_records,
 )
-from .sync import MirrorSynchronizer, sync_pair_records
+from .sync import MirrorSynchronizer, count_marks_by_key, sync_pair_records
 
 __all__ = [
     "ApplyResult",
@@ -28,6 +28,7 @@ __all__ = [
     "RunReport",
     "StepRecord",
     "MirrorSynchronizer",
+    "count_marks_by_key",
     "sync_pair_records",
     "PhaseBreakdown",
     "traffic_breakdown",

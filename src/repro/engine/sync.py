@@ -22,11 +22,34 @@ batch into one physical flush per barrier.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import EngineError
 from .state import ClusterState
 
-__all__ = ["MirrorSynchronizer", "sync_pair_records"]
+__all__ = ["MirrorSynchronizer", "count_marks_by_key", "sync_pair_records"]
+
+
+def count_marks_by_key(
+    keys: np.ndarray, marks: np.ndarray, num_keys: int
+) -> np.ndarray:
+    """Count ``marks[r, c]`` grouped by ``(keys[r], c)``.
+
+    ``marks`` is a boolean (rows x columns) matrix and ``keys[r]`` in
+    ``[0, num_keys)`` the group of row r; entry ``[k, c]`` of the int64
+    (num_keys x columns) result is the number of rows with key k whose
+    column c is marked.  One product of the rows' one-hot key matrix
+    with the mask — the mask is streamed once, in place, and never
+    listed as (row, column) pairs.
+    """
+    rows = keys.size
+    if rows and not 0 <= keys.min() <= keys.max() < num_keys:
+        raise EngineError(f"keys must lie in [0, {num_keys})")
+    onehot = sparse.csc_matrix(
+        (np.ones(rows, dtype=np.int64), keys, np.arange(rows + 1)),
+        shape=(num_keys, rows),
+    )
+    return onehot @ marks.view(np.int8)
 
 
 def sync_pair_records(
@@ -38,14 +61,7 @@ def sync_pair_records(
     ``synced[i, p]`` marks machine ``p`` receiving a sync record for it;
     the result's ``[s, d]`` entry counts records sent from ``s`` to ``d``.
     """
-    rows, cols = np.nonzero(synced)
-    if rows.size == 0:
-        return np.zeros((num_machines, num_machines), dtype=np.int64)
-    masters = np.asarray(masters, dtype=np.int64)
-    return np.bincount(
-        masters[rows] * num_machines + cols,
-        minlength=num_machines**2,
-    ).reshape(num_machines, num_machines)
+    return count_marks_by_key(masters, synced, num_machines)
 
 
 class MirrorSynchronizer:
@@ -211,21 +227,27 @@ class MirrorSynchronizer:
         machines = np.asarray(machines, dtype=np.int64)
         if vertices.shape != machines.shape:
             raise EngineError("vertices/machines misaligned in force_sync")
-        if vertices.size == 0:
-            return
-        extra = np.zeros((vertices.size, self._num_machines), dtype=bool)
-        extra[np.arange(vertices.size), machines] = True
+        masters = self._masters[vertices]
         # Master-hosted groups need no sync; don't bill them.
-        extra[machines == self._masters[vertices]] = False
-        self._account(vertices, extra)
+        remote = machines != masters
+        self._send(
+            np.bincount(
+                masters[remote] * self._num_machines + machines[remote],
+                minlength=self._num_machines**2,
+            ).reshape(self._num_machines, self._num_machines)
+        )
 
     def _account(self, vertices: np.ndarray, synced: np.ndarray) -> None:
         """Charge sync records (master -> mirror) batched per machine pair."""
-        if vertices.size == 0 or not synced.any():
-            return
-        state = self.state
-        records = sync_pair_records(
-            self._masters[vertices], synced, self._num_machines
+        self._send(
+            sync_pair_records(
+                self._masters[vertices], synced, self._num_machines
+            )
         )
-        state.send_pair_matrix(records, kind="sync")
-        state.charge_many(records.sum(axis=0), phase="sync")
+
+    def _send(self, records: np.ndarray) -> None:
+        """Put one (master, mirror) record matrix on the wire."""
+        if not records.any():
+            return
+        self.state.send_pair_matrix(records, kind="sync")
+        self.state.charge_many(records.sum(axis=0), phase="sync")

@@ -4,8 +4,8 @@ A :class:`~repro.store.SegmentStore` bounds the resident set of the
 *edge list*, but a serving backend's working state is its derived
 tables: the CSR snapshot, the per-shard
 :class:`~repro.cluster.ReplicationTable` component arrays, the flat
-kernel tables, and the mirror bitmap.  This module moves that state out
-of core too:
+kernel tables, the dense group widths of the fused passes, and the
+mirror bitmap.  This module moves that state out of core too:
 
 * :func:`spill_serving_tables` writes every component array as a plain
   ``.npy`` file (one directory per spill tag) after the backend has
@@ -15,11 +15,11 @@ of core too:
   the mapped views — :meth:`~repro.graph.DiGraph.from_csr_arrays`
   adopts the CSR pair, :meth:`~repro.cluster.ReplicationTable.
   from_shared_components` adopts the grouped-edge arrays, and the
-  kernel tables / mirror matrix are pre-seeded into the replication's
-  ingress cache exactly as :func:`~repro.core.frogwild.
-  prime_ingress_caches` would build them (the ``_KernelTables``
-  constructor copies two arrays with ``astype``; rebuilding via
-  ``__new__`` keeps the mapped views mapped).
+  kernel tables / dense group tables / mirror matrix are pre-seeded
+  into the replication's ingress cache exactly as
+  :func:`~repro.core.frogwild.prime_ingress_caches` would build them
+  (the table constructors copy; rebuilding via ``__new__`` keeps the
+  mapped views mapped).
 
 Array values are identical before and after the round trip, so serving
 from a loaded spill is bitwise-identical to serving from RAM; the OS
@@ -52,11 +52,12 @@ def spill_serving_tables(directory, graph, replications) -> Path:
     """Write ``graph`` + per-shard serving tables under ``directory``.
 
     ``replications`` is the backend's shard list (a single-backend spill
-    passes a one-element list).  Kernel tables and the mirror matrix are
-    built here — once, in the spilling process — so the loader never
-    pays their construction against mapped arrays.
+    passes a one-element list).  Kernel tables, dense group tables and
+    the mirror matrix are built here — once, in the spilling process —
+    so the loader never pays their construction against mapped arrays.
     """
     from ..core.frogwild import _KernelTables
+    from ..core.kernels.layout import DenseGroupTables
     from ..engine import MirrorSynchronizer
 
     directory = Path(directory)
@@ -71,10 +72,16 @@ def spill_serving_tables(directory, graph, replications) -> Path:
         for key, array in replication.shared_components().items():
             names.append(_save(directory, f"rep{shard}.{key}", array))
         tables = _KernelTables(replication, out_degree)
-        for slot in _KernelTables.__slots__:
-            names.append(
-                _save(directory, f"kt{shard}.{slot}", getattr(tables, slot))
-            )
+        dense = DenseGroupTables(tables, replication.num_machines)
+        for prefix, table in (("kt", tables), ("dg", dense)):
+            for slot in table.__slots__:
+                names.append(
+                    _save(
+                        directory,
+                        f"{prefix}{shard}.{slot}",
+                        getattr(table, slot),
+                    )
+                )
         names.append(
             _save(
                 directory,
@@ -99,11 +106,13 @@ def load_serving_tables(directory):
 
     Every array is an ``np.load(mmap_mode="r")`` view; the returned
     replication tables carry pre-seeded ``kernel_tables`` /
-    ``mirror_matrix`` ingress-cache entries, so the serving hot path
-    never materializes a full in-RAM copy of any spilled component.
+    ``dense_groups`` / ``mirror_matrix`` ingress-cache entries, so the
+    serving hot path never materializes a full in-RAM copy of any
+    spilled component.
     """
     from ..cluster.replication import ReplicationTable
     from ..core.frogwild import _KernelTables
+    from ..core.kernels.layout import DenseGroupTables
     from ..graph import DiGraph
 
     directory = Path(directory)
@@ -131,10 +140,17 @@ def load_serving_tables(directory):
             if name.startswith(prefix)
         }
         replication = ReplicationTable.from_shared_components(graph, arrays)
-        tables = _KernelTables.__new__(_KernelTables)
-        for slot in _KernelTables.__slots__:
-            setattr(tables, slot, _load(f"kt{shard}.{slot}"))
-        replication._ingress_cache["kernel_tables"] = tables
+        for key, prefix, cls in (
+            ("kernel_tables", "kt", _KernelTables),
+            ("dense_groups", "dg", DenseGroupTables),
+        ):
+            if f"{prefix}{shard}.{cls.__slots__[0]}" not in meta["arrays"]:
+                # A spill older than this table: first use builds it.
+                continue
+            table = cls.__new__(cls)
+            for slot in cls.__slots__:
+                setattr(table, slot, _load(f"{prefix}{shard}.{slot}"))
+            replication._ingress_cache[key] = table
         replication._ingress_cache["mirror_matrix"] = _load(f"mm{shard}")
         replications.append(replication)
     return graph, replications

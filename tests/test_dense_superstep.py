@@ -1,0 +1,293 @@
+"""The fused superstep in (rows x machines) shape.
+
+Between the sync coins and the edge pick the fused passes work on one
+dense (frontier rows x machines) block of group widths instead of
+ragged per-row group lists, and sync records are counted by one
+grouped-count primitive instead of a 2-D ``np.nonzero``.  Pinned here:
+
+* ``count_marks_by_key`` equals the ``np.nonzero`` + ``bincount``
+  formulation it replaced — kept in this file as the reference — on
+  empty frontiers, all-false masks, unused keys, one machine, one and
+  sixteen lanes (property-based), and ``force_sync`` bills what its
+  one-hot formulation did;
+* the dense tables are the ragged tables: ``size_vm[v, machine of g]``
+  is the width of group g and 0 elsewhere, rows sum to the out-degree,
+  ``start_vm`` holds the group starts;
+* where the block is mostly empty (64 machines, out-degree ~10) every
+  lane still equals its standalone run, under both erasure models and
+  both scatter modes, for uniform and personalized laws;
+* the tables cost what they should: int32, absent from a process that
+  only runs the standalone runner, warm after ``prime_ingress_caches``,
+  spilled and mapped back with the other serving tables.
+
+No test reads a clock.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from batch_reference import assert_lanes_match_standalone
+from repro.cluster import ReplicationTable, StableHashVertexCut
+from repro.core import (
+    BatchQuery,
+    FrogWildConfig,
+    run_frogwild,
+    run_frogwild_batch,
+    seed_distribution,
+)
+from repro.core.frogwild import _kernel_tables, prime_ingress_caches
+from repro.core.kernels import DenseGroupTables
+from repro.engine import (
+    MirrorSynchronizer,
+    build_cluster,
+    count_marks_by_key,
+    sync_pair_records,
+)
+from repro.errors import EngineError
+from repro.graph import erdos_renyi, twitter_like
+from repro.store import load_serving_tables, spill_serving_tables
+
+
+# ----------------------------------------------------------------------
+# count_marks_by_key vs np.nonzero + bincount
+# ----------------------------------------------------------------------
+def _reference_counts(keys, marks, num_keys):
+    """The replaced formulation: list the marks, then count the pairs."""
+    rows, cols = np.nonzero(marks)
+    width = marks.shape[1]
+    return np.bincount(
+        keys.astype(np.int64)[rows] * width + cols, minlength=num_keys * width
+    ).reshape(num_keys, width)
+
+
+@st.composite
+def _marked_rows(draw):
+    machines = draw(st.sampled_from([1, 2, 5, 16]))
+    lanes = draw(st.sampled_from([1, 16]))
+    rows = draw(st.integers(0, 40))
+    num_keys = lanes * machines
+    # Keys from a subset of the range, so some keys go unused.
+    pool = draw(
+        st.lists(st.integers(0, num_keys - 1), min_size=1, max_size=4)
+    )
+    keys = np.array(
+        [draw(st.sampled_from(pool)) for _ in range(rows)],
+        dtype=draw(st.sampled_from([np.int32, np.int64])),
+    )
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    seed = draw(st.integers(0, 2**16))
+    marks = np.random.default_rng(seed).random((rows, machines)) < density
+    return keys, marks, num_keys
+
+
+class TestCountMarksByKey:
+    @settings(max_examples=300, deadline=None)
+    @given(_marked_rows())
+    def test_equals_the_nonzero_formulation(self, case):
+        keys, marks, num_keys = case
+        counts = count_marks_by_key(keys, marks, num_keys)
+        assert counts.dtype == np.int64
+        assert counts.shape == (num_keys, marks.shape[1])
+        assert np.array_equal(counts, _reference_counts(keys, marks, num_keys))
+
+    def test_sync_pair_records_is_the_master_keyed_count(self):
+        rng = np.random.default_rng(4)
+        masters = rng.integers(0, 8, size=200).astype(np.int32)
+        synced = rng.random((200, 8)) < 0.4
+        assert np.array_equal(
+            sync_pair_records(masters, synced, 8),
+            _reference_counts(masters, synced, 8),
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_a_key_outside_the_range_is_refused(self, bad):
+        with pytest.raises(EngineError):
+            count_marks_by_key(
+                np.array([0, bad]), np.ones((2, 4), dtype=bool), 3
+            )
+
+    def test_force_sync_bills_its_one_hot_formulation(self):
+        graph = twitter_like(n=400, seed=2)
+        rng = np.random.default_rng(8)
+        vertices = rng.integers(0, graph.num_vertices, size=300)
+        machines = rng.integers(0, 8, size=300)
+        state = build_cluster(graph, 8, seed=1)
+        MirrorSynchronizer(state, 0.5, rng).force_sync(vertices, machines)
+
+        masters = state.replication.masters[vertices]
+        one_hot = np.zeros((300, 8), dtype=bool)
+        one_hot[np.arange(300), machines] = True
+        one_hot[machines == masters] = False
+        expected = build_cluster(graph, 8, seed=1)
+        records = _reference_counts(masters, one_hot, 8)
+        expected.send_pair_matrix(records, kind="sync")
+        expected.charge_many(records.sum(axis=0), phase="sync")
+        assert state.fabric.snapshot() == expected.fabric.snapshot()
+        assert np.array_equal(state._step_ops, expected._step_ops)
+
+
+# ----------------------------------------------------------------------
+# The dense tables are the ragged tables
+# ----------------------------------------------------------------------
+class TestDenseGroupTables:
+    @pytest.mark.parametrize("machines", [1, 4, 64])
+    def test_cells_are_the_groups(self, machines):
+        graph = twitter_like(n=500, seed=3)
+        state = build_cluster(graph, machines, seed=0)
+        tables = _kernel_tables(state)
+        dense = DenseGroupTables(tables, machines)
+        n = graph.num_vertices
+        group_vertex = np.repeat(np.arange(n), np.diff(tables.vertex_ptr))
+        at = (group_vertex, tables.group_machine)
+        assert dense.size_vm.shape == dense.start_vm.shape == (n, machines)
+        assert np.array_equal(dense.size_vm[at], tables.group_sizes)
+        assert np.array_equal(dense.start_vm[at], tables.group_start)
+        assert np.count_nonzero(dense.size_vm) == tables.group_sizes.size
+        assert np.array_equal(dense.size_vm.sum(axis=1), tables.out_degree)
+        # Ascending machine order within a vertex: what makes the
+        # row-major scan of a block enumerate groups in ragged order.
+        same_vertex = group_vertex[1:] == group_vertex[:-1]
+        assert (np.diff(tables.group_machine)[same_vertex] > 0).all()
+
+    def test_int32_while_the_edge_count_fits(self):
+        graph = twitter_like(n=300, seed=5)
+        state = build_cluster(graph, 8, seed=0)
+        dense = DenseGroupTables(_kernel_tables(state), 8)
+        assert dense.size_vm.dtype == dense.start_vm.dtype == np.int32
+
+    def test_the_standalone_runner_never_builds_them(self):
+        graph = twitter_like(n=300, seed=5)
+        state = build_cluster(graph, 8, seed=0)
+        config = FrogWildConfig(num_frogs=500, iterations=3, seed=1)
+        run_frogwild(graph, config, state=state)
+        assert "kernel_tables" in state.replication._ingress_cache
+        assert "dense_groups" not in state.replication._ingress_cache
+        run_frogwild_batch(graph, [BatchQuery()], config, state=state)
+        assert "dense_groups" in state.replication._ingress_cache
+
+    def test_priming_warms_them_for_the_first_batch(self):
+        graph = twitter_like(n=300, seed=5)
+        state = build_cluster(graph, 8, seed=0)
+        prime_ingress_caches(state.replication, graph)
+        primed = state.replication._ingress_cache["dense_groups"]
+        run_frogwild_batch(
+            graph,
+            [BatchQuery()],
+            FrogWildConfig(num_frogs=500, iterations=3, seed=1),
+            state=build_cluster(
+                graph, 8, seed=0, replication=state.replication
+            ),
+        )
+        assert state.replication._ingress_cache["dense_groups"] is primed
+
+
+class TestSpillRoundTrip:
+    def _spill(self, tmp_path):
+        graph = twitter_like(n=300, seed=11)
+        replication = ReplicationTable(
+            graph, StableHashVertexCut(seed=3).partition(graph, 4), seed=3
+        )
+        directory = spill_serving_tables(
+            tmp_path / "spill", graph, [replication]
+        )
+        return graph, replication, directory
+
+    def test_dense_tables_are_mapped_not_rebuilt(self, tmp_path):
+        graph, replication, directory = self._spill(tmp_path)
+        loaded_graph, (loaded,) = load_serving_tables(directory)
+        dense = loaded._ingress_cache["dense_groups"]
+        built = DenseGroupTables(
+            loaded._ingress_cache["kernel_tables"], 4
+        )
+        for slot in DenseGroupTables.__slots__:
+            mapped = getattr(dense, slot)
+            assert isinstance(mapped, np.memmap)
+            assert not mapped.flags.writeable
+            assert mapped.dtype == np.int32
+            assert np.array_equal(mapped, getattr(built, slot))
+        # A batch on the loaded tables reuses the mapped entry and
+        # answers exactly as one on the RAM tables does.
+        config = FrogWildConfig(num_frogs=600, iterations=3, seed=2)
+        queries = [BatchQuery(), BatchQuery(seed=9)]
+        mapped_run = run_frogwild_batch(
+            loaded_graph, queries, config,
+            state=build_cluster(loaded_graph, 4, seed=3, replication=loaded),
+        )
+        assert loaded._ingress_cache["dense_groups"] is dense
+        ram_run = run_frogwild_batch(
+            graph, queries, config,
+            state=build_cluster(graph, 4, seed=3, replication=replication),
+        )
+        for mapped_lane, ram_lane in zip(mapped_run.results, ram_run.results):
+            assert np.array_equal(
+                mapped_lane.estimate.counts, ram_lane.estimate.counts
+            )
+        assert mapped_run.report.network_bytes == ram_run.report.network_bytes
+
+    def test_a_spill_without_them_still_loads(self, tmp_path):
+        # What a spill written before the dense tables existed holds.
+        _, _, directory = self._spill(tmp_path)
+        meta = json.loads((directory / "meta.json").read_text())
+        meta["arrays"] = [
+            name for name in meta["arrays"] if not name.startswith("dg")
+        ]
+        (directory / "meta.json").write_text(json.dumps(meta))
+        for path in directory.glob("dg*.npy"):
+            path.unlink()
+        graph, (loaded,) = load_serving_tables(directory)
+        assert "dense_groups" not in loaded._ingress_cache
+        run_frogwild_batch(
+            graph,
+            [BatchQuery()],
+            FrogWildConfig(num_frogs=300, iterations=2, seed=2),
+            state=build_cluster(graph, 4, seed=3, replication=loaded),
+        )
+        assert "dense_groups" in loaded._ingress_cache
+
+
+# ----------------------------------------------------------------------
+# Low fill, wide cluster: 64 machines, out-degree ~10
+# ----------------------------------------------------------------------
+SPARSE = erdos_renyi(n=400, avg_out_degree=10, seed=21)
+WIDE = 64
+
+
+class TestLowFillParity:
+    def test_the_block_really_is_mostly_empty(self):
+        state = build_cluster(SPARSE, WIDE, seed=6)
+        dense = DenseGroupTables(_kernel_tables(state), WIDE)
+        assert np.count_nonzero(dense.size_vm) / dense.size_vm.size < 0.2
+
+    @pytest.mark.parametrize("scatter_mode", ["multinomial", "binomial"])
+    @pytest.mark.parametrize("erasure_model", ["at-least-one", "independent"])
+    def test_every_lane_matches_its_standalone_run(
+        self, erasure_model, scatter_mode
+    ):
+        config = FrogWildConfig(
+            num_frogs=900, iterations=5, ps=0.4, seed=6,
+            erasure_model=erasure_model, scatter_mode=scatter_mode,
+        )
+        n = SPARSE.num_vertices
+        queries = [
+            BatchQuery(seed=1),
+            BatchQuery(
+                seed=2, num_frogs=500,
+                start_distribution=seed_distribution(n, np.array([3, 77])),
+            ),
+            BatchQuery(
+                seed=3, ps=0.9,
+                start_distribution=seed_distribution(
+                    n, np.array([5, 120, 301]), np.array([3.0, 1.0, 1.0])
+                ),
+            ),
+            BatchQuery(seed=4, ps=0.1),
+        ]
+        batch = run_frogwild_batch(
+            SPARSE, queries, config,
+            state=build_cluster(SPARSE, WIDE, seed=config.seed),
+        )
+        assert_lanes_match_standalone(SPARSE, WIDE, config, queries, batch)

@@ -3,24 +3,30 @@
 The multinomial scatter used to list every enabled out-edge of the
 frontier before indexing the list once per frog; ``_pick_enabled_edges``
 resolves the same pick against the running sum of the enabled group
-widths when the edges outnumber the frogs.  Four families of guarantees:
+widths when the edges outnumber the frogs.  Both runners call the one
+function with flat widths and group starts: the standalone runner's are
+its ragged group list, the fused passes' the row-major (rows x
+machines) block, absent cells reading width 0.  Four families of
+guarantees:
 
 * ``_pick_enabled_edges`` equals the materializing expansion — kept
   here as :func:`_reference_pick`, the oracle — on either side of its
   rule, with disabled groups, rows kept alive by a single (repaired)
-  group, zero-width groups and rows without frogs (property-based);
+  group, zero-width groups, rows without frogs, and absent cells
+  interleaved as in the dense block (property-based);
 * kernel parity where the search branch runs every superstep (a
   hub-heavy graph walked by a few frogs): every lane = its standalone
   ``FrogWildRunner`` run (B=3 and B=1), compiled = fused;
 * ``_births`` is ``rng.choice(n, size, p=law)`` — same births, same rng
   state afterwards — at O(support) (property-based);
-* a gate that can fail: a served batch expands nothing larger than a
-  small multiple of (frogs + groups) through ``_ranges_to_indices``
-  (the commit before this one lists 5-8x frogs + groups edge ids per
-  step here, and 1.7M against ~175k on the benchmark's scale-15 graph).
+* a gate that can fail: a served batch calls ``_ranges_to_indices`` in
+  no superstep whose enabled edges outnumber its frogs 8 to 1, and no
+  array its scatter binds is longer than 2 x (frogs + rows x machines)
+  (commit 090d189 lists 5-8x frogs + groups edge ids per step here, and
+  1.7M against ~175k on the benchmark's scale-15 graph).
 """
 
-from types import SimpleNamespace
+import sys
 from unittest import mock
 
 import numpy as np
@@ -110,14 +116,29 @@ def _scatter_rows(draw):
             for _ in range(k.sum())
         ]
     )
-    return grp_row, grp_idx, grp_sizes, enabled_grp, gaps, k, draws
+    # Absent (row, machine) cells of the dense block, as the number of
+    # zero cells in front of each group.
+    absent = [draw(st.integers(0, 2)) for _ in range(total)]
+    return grp_row, grp_idx, grp_sizes, enabled_grp, gaps, k, draws, absent
+
+
+def _flat(values, absent):
+    """``values`` per group with ``absent[g]`` zero cells in front of
+    group g."""
+    return np.insert(values, np.repeat(np.arange(len(absent)), absent), 0)
 
 
 class TestPickEnabledEdges:
     @settings(max_examples=300, deadline=None)
-    @given(_scatter_rows(), st.sampled_from(["search", "materialize"]))
-    def test_equals_the_materializing_expansion(self, case, side):
-        grp_row, grp_idx, grp_sizes, enabled_grp, gaps, k, draws = case
+    @given(
+        _scatter_rows(),
+        st.sampled_from(["search", "materialize"]),
+        st.sampled_from(["ragged", "dense"]),
+    )
+    def test_equals_the_materializing_expansion(self, case, side, layout):
+        grp_row, grp_idx, grp_sizes, enabled_grp, gaps, k, draws, absent = case
+        if layout == "ragged":
+            absent = [0] * len(absent)
         rows = k.size
         if side == "search":
             # Widen every group until the edges outnumber the frogs.
@@ -145,8 +166,9 @@ class TestPickEnabledEdges:
             fw, "_ranges_to_indices", wraps=fw._ranges_to_indices
         ) as expand:
             chosen = fw._pick_enabled_edges(
-                SimpleNamespace(group_start=group_start), grp_idx, grp_sizes,
-                enabled_grp, enabled_counts, row_of_frog, draws,
+                _flat(np.where(enabled_grp, grp_sizes, 0), absent),
+                _flat(group_start[grp_idx], absent),
+                enabled_counts, row_of_frog, draws,
             )
         assert chosen.dtype == np.int64
         assert np.array_equal(chosen, expected)
@@ -164,8 +186,8 @@ class TestPickEnabledEdges:
         row_of_frog = np.array([0, 0, 0, 2, 2])
         draws = np.array([0.0, 0.5, 0.999, 0.0, 0.999])
         chosen = fw._pick_enabled_edges(
-            SimpleNamespace(group_start=group_start), grp_idx, grp_sizes,
-            enabled, enabled_counts, row_of_frog, draws,
+            np.where(enabled, grp_sizes, 0), group_start[grp_idx],
+            enabled_counts, row_of_frog, draws,
         )
         assert chosen.tolist() == [3000, 3100, 3199, 2000, 2699]
 
@@ -201,11 +223,9 @@ def picks(monkeypatch):
     seen = []
     real = fw._pick_enabled_edges
 
-    def recording(tables, grp_idx, grp_sizes, enabled_grp, enabled_counts,
-                  row_of_frog, draw):
+    def recording(width, group_start, enabled_counts, row_of_frog, draw):
         seen.append((int(enabled_counts.sum()), draw.size))
-        return real(tables, grp_idx, grp_sizes, enabled_grp, enabled_counts,
-                    row_of_frog, draw)
+        return real(width, group_start, enabled_counts, row_of_frog, draw)
 
     monkeypatch.setattr(fw, "_pick_enabled_edges", recording)
     monkeypatch.setattr(fk, "_pick_enabled_edges", recording)
@@ -344,31 +364,69 @@ class TestBirths:
 
 
 # ----------------------------------------------------------------------
-# The gate: a served batch expands O(frogs + groups), not O(edges)
+# The gate: a served batch works in O(frogs + rows x machines), not O(edges)
 # ----------------------------------------------------------------------
+KERNEL_FILES = {
+    module.__file__ for module in (bt, fw, fk)
+}
+
+
+def _largest_bound_array(call):
+    """Run ``call()``; the size of the largest array any frame of the
+    kernel modules bound to a local name (or kept on a pass object)
+    while it ran."""
+    largest = 0
+
+    def sizes(values):
+        for value in values:
+            if isinstance(value, np.ndarray):
+                yield value.size
+            elif isinstance(value, fk.FusedPasses):
+                yield from sizes(vars(value).values())
+
+    def trace_lines(frame, event, arg):
+        nonlocal largest
+        largest = max(largest, *sizes(frame.f_locals.values()), 0)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename in KERNEL_FILES else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        return call(), largest
+    finally:
+        sys.settrace(previous)
+
+
 class TestFrogProportionalGate:
     def test_a_served_batch_expands_no_edge_list_of_the_frontier(
-        self, monkeypatch
+        self, monkeypatch, picks
     ):
         graph = rmat(scale=13, edge_factor=16, seed=0)
         config = FrogWildConfig(num_frogs=500, iterations=5, ps=0.8, seed=0)
+        machines = 16
         service = RankingService.from_config(
-            graph, ServiceConfig(config, num_machines=16, max_batch_size=16)
+            graph,
+            ServiceConfig(config, num_machines=machines, max_batch_size=16),
         )
-        steps = []  # (frogs, groups, largest expansion) per superstep
+        # Per superstep: frogs, rows, _ranges_to_indices calls, largest
+        # array bound by the scatter.
+        steps = []
         real_expand = fw._ranges_to_indices
         real_scatter = bt.BatchedFrogWildRunner._scatter
 
         def expand(starts, lengths):
-            out = real_expand(starts, lengths)
-            steps[-1][2] = max(steps[-1][2], out.size)
-            return out
+            steps[-1][2] += 1
+            return real_expand(starts, lengths)
 
         def scatter(runner, live, lane_sv, vert_sv, k_sv):
-            ptr = runner.tables.vertex_ptr
-            groups = int((ptr[vert_sv + 1] - ptr[vert_sv]).sum())
-            steps.append([int(k_sv.sum()), groups, 0])
-            return real_scatter(runner, live, lane_sv, vert_sv, k_sv)
+            steps.append([int(k_sv.sum()), vert_sv.size, 0, 0])
+            out, steps[-1][3] = _largest_bound_array(
+                lambda: real_scatter(runner, live, lane_sv, vert_sv, k_sv)
+            )
+            return out
 
         monkeypatch.setattr(fw, "_ranges_to_indices", expand)
         monkeypatch.setattr(fk, "_ranges_to_indices", expand)
@@ -389,10 +447,15 @@ class TestFrogProportionalGate:
         finally:
             service.stop()
         assert all(a.vertices.size == 10 for a in answers)
-        assert len(steps) == config.iterations
-        # The frontier really is edge-heavy: most steps gather far more
-        # groups than they move frogs, and every step gathers its groups.
-        assert all(largest >= groups for _, groups, largest in steps)
-        assert sum(groups > 4 * frogs for frogs, groups, _ in steps) >= 3
-        for frogs, groups, largest in steps:
-            assert largest <= 2 * (frogs + groups), steps
+        assert len(steps) == len(picks) == config.iterations
+        # The frontier really is edge-heavy: most steps take the search
+        # branch, and none of those lists a range of ids.
+        searched = [
+            step
+            for step, (edges, frogs) in zip(steps, picks)
+            if edges > fw._EDGES_PER_FROG_SEARCH * frogs
+        ]
+        assert len(searched) >= 3
+        assert all(expansions == 0 for _, _, expansions, _ in searched), steps
+        for frogs, rows, _, largest in steps:
+            assert 0 < largest <= 2 * (frogs + rows * machines), steps
