@@ -44,28 +44,26 @@ def _index_masters(
     return ptr, order.astype(np.int64)
 
 
-def _grouping_order(anchor: np.ndarray, machine: np.ndarray) -> np.ndarray:
-    """Stable (anchor, machine) sort order of an edge set.
+def _radix_order(field: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Stable sort order by non-negative ``field``, refining ``order``.
 
-    The same permutation as ``np.lexsort((machine, anchor))``, computed
-    as an LSD radix sort: one stable pass per 16-bit digit, machine
-    digits first, then anchor digits, as many as each field's maximum
+    ``_radix_order(anchor, _radix_order(machine))`` is the permutation
+    ``np.lexsort((machine, anchor))``, computed as an LSD radix sort:
+    one stable pass per 16-bit digit, as many as the field's maximum
     needs.  ``argsort(uint16, kind="stable")`` is numpy's radix sort, so
     every pass is O(m) — ~4x faster than lexsort's mergesort on the
-    serving-shaped graphs.  Both fields must be non-negative (vertex
-    and machine ids are).
+    serving-shaped graphs.  The machine passes are the same for both
+    groupings of a table, which is why they are a separate call.
     """
-    if anchor.size == 0:
+    field = np.asarray(field)
+    if field.size == 0:
         return np.empty(0, dtype=np.int64)
-    order = None
-    for field in (machine, anchor):
-        field = np.asarray(field)
-        for shift in range(0, max(int(field.max()).bit_length(), 1), 16):
-            digit = ((field >> shift) & 0xFFFF).astype(np.uint16)
-            if order is None:
-                order = np.argsort(digit, kind="stable")
-            else:
-                order = order[np.argsort(digit[order], kind="stable")]
+    for shift in range(0, max(int(field.max()).bit_length(), 1), 16):
+        digit = ((field >> shift) & 0xFFFF).astype(np.uint16)
+        if order is None:
+            order = np.argsort(digit, kind="stable")
+        else:
+            order = order[np.argsort(digit[order], kind="stable")]
     return order
 
 
@@ -94,8 +92,9 @@ class _GroupedEdges:
         machine: np.ndarray,
         other: np.ndarray,
         num_vertices: int,
+        by_machine: np.ndarray,
     ) -> None:
-        order = _grouping_order(anchor, machine)
+        order = _radix_order(anchor, by_machine)
         anchor_sorted = anchor[order]
         machine_sorted = machine[order]
         self.sorted_other = other[order]
@@ -204,12 +203,17 @@ class ReplicationTable:
         dst = graph.indices
         machine = partition.edge_machine.astype(np.int32)
 
+        by_machine = _radix_order(machine)
+        self.out_groups = _GroupedEdges(src, machine, dst, n, by_machine)
+        self.in_groups = _GroupedEdges(dst, machine, src, n, by_machine)
+
         # Replica bitmap: vertex v lives on machine p iff p hosts an
-        # incident edge.  Isolated vertices (possible only with repair
-        # disabled) are pinned to machine 0.
+        # incident edge, i.e. (v, p) is a group of either grouping.
+        # Isolated vertices (possible only with repair disabled) are
+        # pinned to machine 0.
         replicas = np.zeros((n, self.num_machines), dtype=bool)
-        replicas[src, machine] = True
-        replicas[dst, machine] = True
+        for groups in (self.out_groups, self.in_groups):
+            replicas[groups.group_anchor, groups.group_machine] = True
         lonely = ~replicas.any(axis=1)
         replicas[lonely, 0] = True
         self._replicas = replicas
@@ -223,9 +227,6 @@ class ReplicationTable:
         noise = rng.random((n, self.num_machines))
         noise[~replicas] = -1.0
         self.masters = np.argmax(noise, axis=1).astype(np.int32)
-
-        self.out_groups = _GroupedEdges(src, machine, dst, n)
-        self.in_groups = _GroupedEdges(dst, machine, src, n)
 
         # Vertices mastered on each machine (for init-phase placement).
         self._master_ptr, self._master_sorted_vertices = _index_masters(

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..graph import DiGraph, from_sorted_keys, sorted_unique
+from ..graph.keys import drop_sorted, merge_sorted
 
 __all__ = ["DynamicDiGraph", "GraphDelta"]
 
@@ -133,10 +134,13 @@ class DynamicDiGraph:
         graph's own internal representation, so this is free.  Reads
         the key array exactly once (mutators replace it wholesale, they
         never write in place), so the result is a consistent snapshot
-        even under concurrent :meth:`apply` from another thread.
-        Callers must treat the array as read-only.
+        even under concurrent :meth:`apply` from another thread.  The
+        array is handed out read-only: an ingress keeps it to count the
+        next refresh's survivors.
         """
-        return self._keys
+        keys = self._keys
+        keys.flags.writeable = False
+        return keys
 
     def scan(self, window) -> np.ndarray:
         """Window-filtered edge keys (see :class:`repro.store.Window`)."""
@@ -161,12 +165,12 @@ class DynamicDiGraph:
             return 0
         if arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
-        fresh = keys[~np.isin(keys, self._keys, assume_unique=True)]
-        if fresh.size:
-            self._keys = np.sort(np.concatenate([self._keys, fresh]))
+        keys = self._keys
+        self._keys = merged = merge_sorted(
+            keys, sorted_unique(arr[:, 0] * self._n + arr[:, 1])
+        )
         self._version += 1
-        return int(fresh.size)
+        return int(merged.size - keys.size)
 
     def remove_edges(self, edges) -> int:
         """Delete edges; returns how many actually existed."""
@@ -175,13 +179,12 @@ class DynamicDiGraph:
             return 0
         if arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
-        present = np.isin(self._keys, keys, assume_unique=True)
-        removed = int(present.sum())
-        if removed:
-            self._keys = self._keys[~present]
+        keys = self._keys
+        self._keys = kept = drop_sorted(
+            keys, sorted_unique(arr[:, 0] * self._n + arr[:, 1])
+        )
         self._version += 1
-        return removed
+        return int(keys.size - kept.size)
 
     def apply(self, delta: GraphDelta) -> tuple[int, int]:
         """Apply one delta; returns (edges added, edges removed).

@@ -40,9 +40,10 @@ import numpy as np
 
 from ..cluster import EdgePartition, ReplicationTable, stable_hash_machines
 from ..core.frogwild import prime_ingress_caches
-from ..dynamic import DynamicDiGraph, GraphDelta, stable_hash_partition
+from ..dynamic import DynamicDiGraph, GraphDelta
 from ..errors import ConfigError
 from ..graph import DiGraph
+from ..graph.keys import count_common, drop_sorted
 
 __all__ = [
     "IngressUpdate",
@@ -112,7 +113,8 @@ class IncrementalIngress:
         self.full_repartitions = 0
         self.updates: list[IngressUpdate] = []
         self._step = 0
-        self._keys = self._graph_keys()
+        self._keys = np.asarray(self.graph.edge_keys(), dtype=np.int64)
+        self._placed: tuple | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -123,10 +125,6 @@ class IncrementalIngress:
     @property
     def num_edges(self) -> int:
         return int(self._keys.size)
-
-    def _graph_keys(self) -> np.ndarray:
-        """The store's current edge keys, sorted ascending."""
-        return np.asarray(self.graph.edge_keys(), dtype=np.int64)
 
     def machine_keys(self, machine: int) -> np.ndarray:
         """One machine's placed edge keys via a window-pruned scan.
@@ -163,8 +161,8 @@ class IncrementalIngress:
         would not re-ship).  If the resulting load imbalance exceeds the
         threshold, fall back to a full re-salted repartition.
         """
-        keys = self._graph_keys()
-        reused = int(np.isin(keys, self._keys, assume_unique=True).sum())
+        keys = np.asarray(self.graph.edge_keys(), dtype=np.int64)
+        reused = count_common(keys, self._keys)
         removed = int(self._keys.size) - reused
         self._keys = keys
 
@@ -198,11 +196,15 @@ class IncrementalIngress:
 
     # ------------------------------------------------------------------
     def partition(self) -> EdgePartition:
-        """The placement of the live edge set (key order)."""
-        return EdgePartition(
-            stable_hash_machines(self._keys, self.num_machines, self.salt),
-            self.num_machines,
-        )
+        """The placement of the live edge set (key order), hashed once
+        per ``(key array, salt)``."""
+        keys, salt, placed = self._keys, self.salt, self._placed
+        if placed is None or placed[0] is not keys or placed[1] != salt:
+            machines = stable_hash_machines(keys, self.num_machines, salt)
+            machines.flags.writeable = False  # every caller shares it
+            placed = keys, salt, EdgePartition(machines, self.num_machines)
+            self._placed = placed
+        return placed[2]
 
     def partition_for(self, snapshot: DiGraph) -> EdgePartition:
         """Placement aligned with ``snapshot``'s CSR edge order.
@@ -211,13 +213,27 @@ class IncrementalIngress:
         snapshot added on its own (the dangling-vertex self-loop repairs
         of :meth:`~repro.dynamic.DynamicDiGraph.snapshot`) place like
         everything else: a from-scratch stable-hash partition of the
-        snapshot under the current salt.
+        snapshot under the current salt.  A snapshot of the synced keys
+        takes :meth:`partition` and hashes only its repair loops.
         """
-        if snapshot.num_vertices != self.graph.num_vertices:
+        n, own = snapshot.num_vertices, self._keys
+        if n != self.graph.num_vertices:
             raise ConfigError(
                 "snapshot vertex count does not match the live graph"
             )
-        return stable_hash_partition(snapshot, self.num_machines, self.salt)
+        # Repair loops: rows that are exactly [v] whose key is not ours.
+        rows = np.flatnonzero(np.diff(snapshot.indptr) == 1)
+        rows = rows[snapshot.indices[snapshot.indptr[rows]] == rows]
+        loops = drop_sorted(rows * (n + 1), own)
+        slots = np.searchsorted(own, loops)
+        keys = snapshot.edge_sources() * n + snapshot.indices
+        synced = np.array_equal(np.insert(own, slots, loops), keys)
+        machines = stable_hash_machines(
+            loops if synced else keys, self.num_machines, self.salt
+        )
+        if synced:
+            machines = np.insert(self.partition().edge_machine, slots, machines)
+        return EdgePartition(machines, self.num_machines)
 
     # ------------------------------------------------------------------
     def load_imbalance(self) -> float:

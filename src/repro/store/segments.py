@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigError, GraphError
-from ..graph.keys import sorted_unique
+from ..graph.keys import drop_sorted, merge_sorted, sorted_unique
 from .base import ScanStats, Window, edges_to_keys, scan_keys
 
 __all__ = ["CompactionStats", "SegmentMeta", "SegmentStore"]
@@ -102,6 +103,8 @@ class SegmentStore:
     #: out-of-core store spill their derived tables to disk and serve
     #: from mapped views (see ``repro.store.spill``).
     out_of_core = True
+    #: ``(version, weakref)`` of the last :meth:`edge_keys` merge.
+    _merged = None
 
     def __init__(self, directory: str | os.PathLike[str]) -> None:
         """Open an existing store directory (see :meth:`create`)."""
@@ -229,16 +232,34 @@ class SegmentStore:
         return self._version
 
     def edge_keys(self) -> np.ndarray:
-        """The merged edge set: base segments overlaid with the delta."""
-        parts = [self._segment_keys(seg) for seg in self._segments]
-        if self._added.size:
-            parts.append(self._added)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        keys = np.sort(np.concatenate(parts))
-        if self._removed.size:
-            keys = keys[~np.isin(keys, self._removed, assume_unique=True)]
+        """The merged edge set: base segments overlaid with the delta.
+
+        Read-only, and remembered per :attr:`version` by a *weak*
+        reference: readers of one version (each ingress, the snapshot
+        build) share one merge, and the store keeps nothing alive.
+        """
+        version, memo = self._version, self._merged
+        keys = memo[1]() if memo and memo[0] == version else None
+        if keys is None:
+            segments = self._segments
+            runs = [self._segment_keys(seg) for seg in segments]
+            machines = len({seg.machine for seg in segments})
+            keys = merge_sorted(self._live_base(runs, machines), self._added)
+            keys.flags.writeable = False
+            if self._version == version:  # no mutation raced the merge
+                self._merged = version, weakref.ref(keys)
         return keys
+
+    def _live_base(self, runs: list[np.ndarray], machines: int) -> np.ndarray:
+        """Segment ``runs`` (in manifest order) minus the removed keys."""
+        if not runs:
+            return np.empty(0, dtype=np.int64)
+        keys = np.concatenate(runs)
+        if machines > 1:
+            # Runs of one machine are disjoint and ordered; runs of
+            # different machines interleave and need the one real sort.
+            keys = np.sort(keys)
+        return drop_sorted(keys, self._removed)
 
     def scan(self, window: Window) -> np.ndarray:
         """Window-pruned scan, exactness-equal to the full-scan filter.
@@ -275,28 +296,11 @@ class SegmentStore:
             if b > a:
                 parts.append(np.asarray(arr[a:b]))
                 machines_hit.add(seg.machine)
-        if parts:
-            base = (
-                np.concatenate(parts)
-                if len(machines_hit) <= 1
-                # Runs from one machine are disjoint and ordered; runs
-                # from different machines interleave and need a merge.
-                else np.sort(np.concatenate(parts))
-            )
-            if self._removed.size:
-                base = base[
-                    ~np.isin(base, self._removed, assume_unique=True)
-                ]
-        else:
-            base = np.empty(0, dtype=np.int64)
+        base = self._live_base(parts, len(machines_hit))
         if not aligned and window.machine is not None:
             base = scan_keys(base, self._n, window)
-        if self._added.size:
-            a, b = np.searchsorted(self._added, [lo, hi])
-            extra = scan_keys(self._added[a:b], self._n, window)
-            if extra.size:
-                base = np.sort(np.concatenate([base, extra]))
-        return base
+        a, b = np.searchsorted(self._added, [lo, hi])
+        return merge_sorted(base, scan_keys(self._added[a:b], self._n, window))
 
     def snapshot(self, repair_dangling: str = "self-loop"):
         """Freeze the merged edge set into an immutable CSR graph."""
@@ -322,23 +326,10 @@ class SegmentStore:
         if keys is None:
             return 0
         missing = keys[~self._contains(keys)]
-        if missing.size:
-            resurrect = np.isin(
-                missing, self._removed, assume_unique=True
-            )
-            if resurrect.any():
-                self._removed = self._removed[
-                    ~np.isin(
-                        self._removed,
-                        missing[resurrect],
-                        assume_unique=True,
-                    )
-                ]
-            fresh = missing[~resurrect]
-            if fresh.size:
-                self._added = np.sort(
-                    np.concatenate([self._added, fresh])
-                )
+        # A missing key is either tombstoned (resurrect it) or new.
+        fresh = drop_sorted(missing, self._removed)
+        self._removed = drop_sorted(self._removed, missing)
+        self._added = merge_sorted(self._added, fresh)
         self._version += 1
         return int(missing.size)
 
@@ -348,19 +339,11 @@ class SegmentStore:
         if keys is None:
             return 0
         present = keys[self._contains(keys)]
-        if present.size:
-            in_added = np.isin(present, self._added, assume_unique=True)
-            if in_added.any():
-                self._added = self._added[
-                    ~np.isin(
-                        self._added, present[in_added], assume_unique=True
-                    )
-                ]
-            from_base = present[~in_added]
-            if from_base.size:
-                self._removed = np.sort(
-                    np.concatenate([self._removed, from_base])
-                )
+        # A present key either sits in the delta layer (retract it) or
+        # in a segment (tombstone it).
+        from_base = drop_sorted(present, self._added)
+        self._added = drop_sorted(self._added, present)
+        self._removed = merge_sorted(self._removed, from_base)
         self._version += 1
         return int(present.size)
 

@@ -1,24 +1,36 @@
 """The sorted-key layer: ``sorted_unique`` + ``from_sorted_keys``.
 
-Four families of guarantees:
+Five families of guarantees:
 
 * ``sorted_unique`` is bit-identical to plain ``np.unique`` on integer
   arrays (property-based);
+* ``merge_sorted`` / ``drop_sorted`` / ``count_common`` are
+  ``np.union1d`` / ``np.setdiff1d`` / ``np.intersect1d`` on sorted
+  distinct keys (property-based), and the key arrays both stores hand
+  out are read-only;
 * ``from_sorted_keys`` builds exactly the CSR the pre-refactor
   ``from_edges(keys_to_edges(keys, n), n, repair)`` round trip built —
   that round trip (``np.unique`` dedup, ``np.lexsort`` self-loop merge)
   is kept here as :func:`_reference_csr`, the oracle — and rejects
   anything but strictly increasing in-range keys;
-* ``_grouping_order`` is the ``np.lexsort((machine, anchor))``
-  permutation, whatever the width of either field;
+* ``_radix_order`` chained machine-then-anchor is the
+  ``np.lexsort((machine, anchor))`` permutation, whatever the width of
+  either field;
 * a gate that can fail: with plain ``np.unique`` and ``np.lexsort``
   patched to raise, a live refresh, a served batch and a standalone
   FrogWild run still complete, and no plain ``np.unique(`` call is left
-  under ``src/repro`` (both fail on the commit before the refactor).
+  under ``src/repro`` (both fail on the commit before the refactor);
+  and, counting calls instead of reading a clock, a store-backed
+  ``refresh(delta)`` merges the segments once, hashes the m keys once
+  per ingress, and never runs an m-sized ``np.isin`` or re-sorts the
+  ordered runs of a one-machine store (fails on 042739b, where the
+  merge and the hash both ran twice and the survivor count was an
+  ``np.isin`` over all m keys).
 """
 
 import ast
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +40,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro
-from repro.cluster.replication import _grouping_order
+from repro.cluster import partition as partition_module
+from repro.cluster import stable_hash_machines
+from repro.cluster.replication import _radix_order
 from repro.core import FrogWildConfig, run_frogwild
 from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from repro.errors import GraphError
@@ -39,6 +53,7 @@ from repro.graph import (
     sorted_unique,
     twitter_like,
 )
+from repro.graph.keys import count_common, drop_sorted, merge_sorted
 from repro.live import LiveRankingService
 from repro.pagerank.sparsified import sparsify_uniform
 from repro.serving import RankingQuery
@@ -86,6 +101,124 @@ class TestSortedUnique:
         result = sorted_unique(values)
         result[0] = 99
         assert values[0] == 1
+
+
+# ----------------------------------------------------------------------
+# merge_sorted / drop_sorted / count_common
+# ----------------------------------------------------------------------
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+_key_values = (
+    st.integers(0, 12)
+    | st.integers(-(2**62), 2**62)
+    | st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX])
+)
+_key_sets = st.sets(_key_values, max_size=40).map(
+    lambda values: np.array(sorted(values), dtype=np.int64)
+)
+
+_PAIRS = {
+    "both-empty": ([], []),
+    "left-empty": ([], [3, 9]),
+    "right-empty": ([3, 9], []),
+    "disjoint": ([1, 5, 9], [2, 6, 10]),
+    "identical": ([1, 5, 9], [1, 5, 9]),
+    "one-element-hit": ([1, 5, 9], [5]),
+    "one-element-miss": ([1, 5, 9], [7]),
+    "one-element-each": ([4], [4]),
+    "absent-below-and-above": ([10, 20], [-5, 10, 15, 99]),
+    "longer-members": ([5], [1, 3, 5, 7, 9]),
+    "int64-extremes": ([INT64_MIN, 0, INT64_MAX], [INT64_MIN, INT64_MAX]),
+    "extremes-absent": ([-1, 0, 1], [INT64_MIN, INT64_MAX]),
+}
+
+
+class TestSortedSetAlgebra:
+    @staticmethod
+    def _check(a, b):
+        for ours, theirs in (
+            (merge_sorted(a, b), np.union1d(a, b)),
+            (drop_sorted(a, b), np.setdiff1d(a, b)),
+        ):
+            assert ours.dtype == np.int64
+            assert np.array_equal(ours, theirs)
+        common = count_common(a, b)
+        assert isinstance(common, int)
+        assert common == np.intersect1d(a, b).size == count_common(b, a)
+        assert count_common(a, a) == a.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(_key_sets, _key_sets)
+    def test_match_the_numpy_set_routines(self, a, b):
+        self._check(a, b)
+        self._check(a, a.copy())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_key_sets, st.randoms())
+    def test_a_subset_and_a_superset(self, a, rnd):
+        """The refresh shapes: a few members of a long array, and a long
+        array against a few more of its own."""
+        part = np.array(
+            sorted(rnd.sample(a.tolist(), k=a.size // 3)), dtype=np.int64
+        )
+        self._check(a, part)
+        self._check(part, a)
+
+    @pytest.mark.parametrize("pair", _PAIRS.values(), ids=_PAIRS.keys())
+    def test_edge_cases(self, pair):
+        a, b = (np.array(values, dtype=np.int64) for values in pair)
+        self._check(a, b)
+
+    def test_inputs_are_never_written(self):
+        a = np.array([1, 5, 9], dtype=np.int64)
+        b = np.array([5, 7], dtype=np.int64)
+        a.flags.writeable = b.flags.writeable = False
+        self._check(a, b)
+        assert a.tolist() == [1, 5, 9] and b.tolist() == [5, 7]
+
+
+class TestKeyArraysAreReadOnly:
+    """One caller's write must not corrupt the next refresh's survivor
+    count: the arrays are shared with every ingress's ``_keys``."""
+
+    def test_dynamic_graph_keys_reject_writes(self):
+        graph = DynamicDiGraph(5, [(0, 1), (1, 2), (3, 4)])
+        deltas = (GraphDelta(added=[(4, 0)]), GraphDelta(removed=[(0, 1)]))
+        for delta in (None, *deltas):
+            if delta is not None:
+                graph.apply(delta)
+            keys = graph.edge_keys()
+            with pytest.raises(ValueError, match="read-only"):
+                keys[0] = 99
+            assert graph.edge_keys()[0] != 99
+        assert graph.add_edges([(2, 2)]) == 1  # mutators still work
+
+    @pytest.mark.parametrize("machines", [1, 3])
+    def test_store_keys_reject_writes_and_are_shared_weakly(
+        self, tmp_path, machines
+    ):
+        graph = twitter_like(n=60, seed=2)
+        store = SegmentStore.create(
+            tmp_path / "s", source=graph, num_machines=machines, segment_edges=64
+        )
+        assert len(store.segment_files()) > machines  # several runs each
+        keys = store.edge_keys()
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0] = 99
+        # Same version, a reader still holding the array: one merge.
+        assert store.edge_keys() is keys
+        store.compact()  # no pending delta: the key set is unchanged
+        assert store.edge_keys() is keys
+        # A mutation retires it ...
+        first = tuple(keys_to_edges(keys[:1], 60)[0])
+        store.apply(GraphDelta(added=[(0, 0)], removed=[first]))
+        fresh = store.edge_keys()
+        assert fresh is not keys and not fresh.flags.writeable
+        assert fresh.size == keys.size and fresh[0] == 0 and keys[0] != 0
+        # ... and the store itself keeps nothing alive.
+        alive = weakref.ref(fresh)
+        del fresh
+        assert alive() is None
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +335,12 @@ class TestFromSortedKeys:
 
 
 # ----------------------------------------------------------------------
-# _grouping_order
+# _radix_order
 # ----------------------------------------------------------------------
+def _grouping_order(anchor, machine):
+    return _radix_order(anchor, _radix_order(machine))
+
+
 class TestGroupingOrder:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -333,6 +470,54 @@ def _forbid(monkeypatch):
     monkeypatch.setattr(np, "lexsort", lexsort_forbidden)
 
 
+def _count_o_m_calls(monkeypatch, big):
+    """Count, from here on, the calls a refresh must not repeat.
+
+    ``big`` is the size from which an array counts as "all m keys".
+    A segment merge is an ``edge_keys()`` call that opened a segment
+    file (a shared read opens none); a hash is counted at ``_mix64``,
+    under every spelling of the stable hash.
+    """
+    counts = {
+        "segment merges": 0,
+        "m-sized hashes": 0,
+        "m-sized np.isin": 0,
+        "m-sized default np.sort": 0,
+    }
+    opened = [0]
+    real_open, real_keys = SegmentStore._segment_keys, SegmentStore.edge_keys
+    real_mix, real_isin, real_sort = partition_module._mix64, np.isin, np.sort
+
+    def segment_keys(self, seg):
+        opened[0] += 1
+        return real_open(self, seg)
+
+    def edge_keys(self):
+        before = opened[0]
+        keys = real_keys(self)
+        counts["segment merges"] += opened[0] > before
+        return keys
+
+    def mix64(values):
+        counts["m-sized hashes"] += np.size(values) >= big
+        return real_mix(values)
+
+    def isin(element, *args, **kwargs):
+        counts["m-sized np.isin"] += np.size(element) >= big
+        return real_isin(element, *args, **kwargs)
+
+    def sort(a, axis=-1, kind=None, **kwargs):
+        counts["m-sized default np.sort"] += kind is None and np.size(a) >= big
+        return real_sort(a, axis=axis, kind=kind, **kwargs)
+
+    monkeypatch.setattr(SegmentStore, "_segment_keys", segment_keys)
+    monkeypatch.setattr(SegmentStore, "edge_keys", edge_keys)
+    monkeypatch.setattr(partition_module, "_mix64", mix64)
+    monkeypatch.setattr(np, "isin", isin)
+    monkeypatch.setattr(np, "sort", sort)
+    return counts
+
+
 class TestNoResortGate:
     def test_refresh_query_and_run_avoid_unique_and_lexsort(
         self, monkeypatch, tmp_path
@@ -365,6 +550,71 @@ class TestNoResortGate:
             service.stop()
         result = run_frogwild(service.graph, config, num_machines=4)
         assert result.estimate.counts.sum() > 0
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("resalt", [False, True], ids=["steady", "re-salt"])
+    def test_a_refresh_derives_each_o_m_artifact_once(
+        self, monkeypatch, tmp_path, shards, resalt
+    ):
+        """Call counts, not a clock: per ``refresh(delta)`` the segments
+        are merged once (both ingresses and the snapshot share it), the
+        m keys are hashed once per ingress (twice when the refresh
+        re-salts), no ``np.isin`` scans m keys and no default-kind
+        ``np.sort`` runs over the ordered runs of a one-machine store."""
+        graph = twitter_like(n=400, seed=3)
+        store = SegmentStore.create(tmp_path / "s", source=graph, segment_edges=512)
+        assert len(store.segment_files()) > 4
+        service = LiveRankingService(
+            store=store,
+            config=FrogWildConfig(num_frogs=600, iterations=3, seed=0),
+            num_machines=4,
+            num_shards=shards,
+            seed=0,
+            compact_threshold=10**9,  # a compaction re-reads the segments
+            # Any imbalance at all re-salts: every refresh repartitions.
+            rebalance_threshold=1.0 + 1e-9 if resalt else None,
+        )
+        big = store.num_edges // 2
+        counts = _count_o_m_calls(monkeypatch, big)
+        try:
+            churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=1)
+            for tick in range(1, 4):
+                delta = churn.step(service.source)
+                for name in counts:
+                    counts[name] = 0
+                update = service.refresh(delta)
+                assert update.edges_added > 0 and update.edges_removed > 0
+                assert update.full_repartitions == (shards if resalt else 0)
+                assert counts == {
+                    "segment merges": 1,
+                    "m-sized hashes": shards * (2 if resalt else 1),
+                    "m-sized np.isin": 0,
+                    "m-sized default np.sort": 0,
+                }, f"refresh {tick}: {counts}"
+        finally:
+            service.stop()
+
+    def test_the_call_counters_can_fail(self, monkeypatch, tmp_path):
+        """Each counter sees the call it exists to forbid."""
+        graph = twitter_like(n=400, seed=3)
+        store = SegmentStore.create(tmp_path / "s", source=graph, segment_edges=512)
+        keys = store.edge_keys()
+        counts = _count_o_m_calls(monkeypatch, keys.size // 2)
+        np.isin(keys, keys[:5])
+        np.sort(np.concatenate([keys, keys[:5]]))
+        np.sort(keys, kind="stable")  # a linear merge of ordered runs: allowed
+        np.isin(keys[:5], keys)  # a few members against m keys: allowed
+        stable_hash_machines(keys, 4, 0)
+        stable_hash_machines(keys[:5], 4, 0)
+        del keys
+        for _ in range(2):  # nobody holds the result: merged twice
+            store.edge_keys()
+        assert counts == {
+            "segment merges": 2,
+            "m-sized hashes": 1,
+            "m-sized np.isin": 1,
+            "m-sized default np.sort": 1,
+        }
 
     def test_the_gate_itself_can_fail(self, monkeypatch):
         _forbid(monkeypatch)
