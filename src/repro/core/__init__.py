@@ -22,7 +22,7 @@ from .erasures import (
     erased_walk_step,
     make_erasure_model,
 )
-from .estimator import PageRankEstimate, top_k_indices
+from .estimator import PageRankEstimate, RankedEstimate, top_k_indices
 from .frogwild import FrogWildResult, FrogWildRunner, run_frogwild
 from .gossip import GossipResult, run_gossip
 from .kernels import (
@@ -59,6 +59,7 @@ __all__ = [
     "run_gossip",
     "seed_distribution",
     "PageRankEstimate",
+    "RankedEstimate",
     "top_k_indices",
     "ErasureModel",
     "IndependentErasures",

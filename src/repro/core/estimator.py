@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["PageRankEstimate", "top_k_indices"]
+__all__ = ["PageRankEstimate", "RankedEstimate", "top_k_indices"]
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -25,6 +25,12 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     k = min(k, values.size)
     if k == 0:
         return np.empty(0, dtype=np.int64)
+    if values.dtype.kind == "u":
+        # Negation wraps on unsigned input (a zero would sort first):
+        # rank a signed copy instead.
+        if values.dtype.itemsize == 8 and values.max() > np.iinfo(np.int64).max:
+            raise ConfigError("unsigned values beyond int64 cannot be ranked")
+        values = values.astype(np.int64)
     # argsort on (-value, index): stable mergesort on negated values.
     order = np.argsort(-values, kind="stable")
     return order[:k].astype(np.int64)
@@ -39,6 +45,10 @@ class PageRankEstimate:
         Per-vertex stop counters ``c(i)``, length n.
     num_frogs:
         The number N of walkers launched; the estimator denominator.
+
+    Only :attr:`counts`, :attr:`num_vertices` and :meth:`ranked` read
+    the stored vector; every other method goes through those three, so
+    :class:`RankedEstimate` changes the storage by overriding them.
     """
 
     def __init__(self, counts: np.ndarray, num_frogs: int) -> None:
@@ -70,7 +80,7 @@ class PageRankEstimate:
         counts = np.zeros(n, dtype=np.int64)
         for estimate in estimates:
             counts += estimate.counts
-        return cls(counts, sum(e.num_frogs for e in estimates))
+        return PageRankEstimate(counts, sum(e.num_frogs for e in estimates))
 
     @property
     def counts(self) -> np.ndarray:
@@ -88,39 +98,65 @@ class PageRankEstimate:
     @property
     def total_stopped(self) -> int:
         """Total counted frogs (== N in multinomial scatter mode)."""
-        return int(self._counts.sum())
+        return int(self.counts.sum())
 
     def vector(self) -> np.ndarray:
         """The estimate pi_hat as a float vector summing to
         ``total_stopped / N`` (== 1 when no frogs were lost)."""
-        return self._counts / self._num_frogs
+        return self.counts / self._num_frogs
 
     def distribution(self) -> np.ndarray:
         """pi_hat renormalized to sum exactly to 1 (when non-degenerate)."""
-        total = self._counts.sum()
+        counts = self.counts
+        total = counts.sum()
         if total == 0:
-            return np.full(self._counts.size, 1.0 / self._counts.size)
-        return self._counts / total
+            return np.full(counts.size, 1.0 / counts.size)
+        return counts / total
+
+    def ranked(self) -> "RankedEstimate":
+        """The same estimate as its ranked support (see
+        :class:`RankedEstimate`): one ``flatnonzero`` plus one stable
+        ``argsort`` of the nonzero counters."""
+        support = np.flatnonzero(self._counts)
+        counts = self._counts[support]
+        # Ascending ids keep the lower-id tie-break of the stable sort.
+        order = top_k_indices(counts, counts.size)
+        return RankedEstimate(
+            support[order], counts[order], self._num_frogs, self._counts.size
+        )
 
     def top_k(self, k: int) -> np.ndarray:
-        """Vertex ids of the estimated top-k, by decreasing count.
+        """Vertex ids of the estimated top-k, by decreasing count, as a
+        fresh int64 array.
 
-        Equal to ``top_k_indices(counts, k)``, ranking only the nonzero
-        counters when they already fill the answer: a personalized
-        estimate stops frogs on a few hundred to a few thousand of n
-        vertices, counters are non-negative, and the ascending support
-        keeps the lower-id tie-break.
+        Equal to ``top_k_indices(counts, k)``: a prefix of the ranked
+        support, then — for k beyond it — the zero-count vertices in id
+        order.  The dense form ranks on every call, so a caller asking
+        more than once should keep :meth:`ranked` and ask that.
         """
-        support = np.flatnonzero(self._counts)
-        if support.size < k:
-            return top_k_indices(self._counts, k)
-        return support[top_k_indices(self._counts[support], k)]
+        if k < 0:
+            raise ConfigError("k must be non-negative")
+        ranked = self.ranked()
+        k = min(k, ranked.num_vertices)
+        top = ranked.ranked_ids[:k].astype(np.int64)
+        missing = k - top.size
+        if missing == 0:
+            return top
+        # The first ``missing`` ids outside the support all lie below k
+        # (at most support-size of the ids under k are taken).
+        free = np.ones(k, dtype=bool)
+        free[top[top < k]] = False
+        return np.concatenate((top, np.flatnonzero(free)[:missing]))
 
     def top_k_with_scores(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """``(vertex ids, pi_hat scores)`` of the top-k, by decreasing
-        count — the serving layer's answer payload."""
-        top = self.top_k(k)
-        return top, self._counts[top] / self._num_frogs
+        count — the serving layer's answer payload, two fresh arrays."""
+        ranked = self.ranked()
+        top = ranked.top_k(k)
+        scores = ranked.ranked_counts[:k] / ranked.num_frogs
+        if scores.size < top.size:
+            scores = np.concatenate((scores, np.zeros(top.size - scores.size)))
+        return top, scores
 
     def standard_errors(self) -> np.ndarray:
         """Per-vertex binomial standard error of pi_hat.
@@ -147,7 +183,7 @@ class PageRankEstimate:
             raise ConfigError("k must be positive")
         if k >= self.num_vertices:
             return float("inf")
-        order = top_k_indices(self._counts, k + 1)
+        order = top_k_indices(self.counts, k + 1)
         kth, next_one = order[k - 1], order[k]
         p = self.distribution()
         gap = p[kth] - p[next_one]
@@ -163,4 +199,100 @@ class PageRankEstimate:
         return (
             f"PageRankEstimate(n={self.num_vertices}, "
             f"N={self._num_frogs}, stopped={self.total_stopped})"
+        )
+
+
+class RankedEstimate(PageRankEstimate):
+    """The same estimator, stored as its ranked support.
+
+    The estimator is N frogs' stop counters, so a personalized estimate
+    has at most N nonzero entries of n.  This form keeps only those —
+    at most 16 bytes per frog instead of 8 per vertex — already in rank
+    order, so ``top_k(k)`` is a prefix copy for every k.  It is what
+    the serving backends return and the only thing the answer cache
+    stores of an estimate.  Build it with
+    :meth:`PageRankEstimate.ranked`.
+
+    It overrides exactly the three accessors the base class derives
+    everything else from: :attr:`counts` (here an O(n) materialisation,
+    like every dense view built on it — ``vector()``, ``distribution()``,
+    ... — for tests and diagnostics; nothing on the serving path calls
+    them), :attr:`num_vertices` and :meth:`ranked` (itself).
+
+    Parameters
+    ----------
+    ranked_ids:
+        The distinct vertex ids with a nonzero counter, by decreasing
+        count, lower id first among equals.
+    ranked_counts:
+        Their positive counters, aligned with ``ranked_ids``.
+    num_frogs:
+        The number N of walkers launched; the estimator denominator.
+    num_vertices:
+        The size n of the vertex universe.
+    """
+
+    def __init__(
+        self,
+        ranked_ids: np.ndarray,
+        ranked_counts: np.ndarray,
+        num_frogs: int,
+        num_vertices: int,
+    ) -> None:
+        # Imported here: kernels -> frogwild -> this module is a cycle.
+        from .kernels.layout import _narrow
+
+        ids = np.asarray(ranked_ids, dtype=np.int64)
+        counts = np.asarray(ranked_counts, dtype=np.int64)
+        if ids.ndim != 1 or ids.shape != counts.shape:
+            raise ConfigError("ranked ids/counts must be equal-length 1-d")
+        if num_frogs < 1:
+            raise ConfigError("num_frogs must be positive")
+        if ids.size and not 0 <= ids.min() <= ids.max() < num_vertices:
+            raise ConfigError(f"ranked ids must lie in [0, {num_vertices})")
+        if counts.min(initial=1) < 1:
+            raise ConfigError("ranked counts must be positive")
+        step = counts[1:] - counts[:-1]
+        if (step > 0).any() or (ids[1:] <= ids[:-1])[step == 0].any():
+            raise ConfigError(
+                "records must be in rank order: decreasing count, "
+                "lower id first among equals"
+            )
+        self._ranked_ids = _narrow(ids)
+        self._ranked_counts = _narrow(counts)
+        self._ranked_ids.flags.writeable = False
+        self._ranked_counts.flags.writeable = False
+        self._num_frogs = int(num_frogs)
+        self._num_vertices = int(num_vertices)
+
+    @property
+    def ranked_ids(self) -> np.ndarray:
+        """Vertex ids with a nonzero counter, in rank order (read-only;
+        int32 whenever they fit)."""
+        return self._ranked_ids
+
+    @property
+    def ranked_counts(self) -> np.ndarray:
+        """Counters of :attr:`ranked_ids`, aligned with it."""
+        return self._ranked_counts
+
+    @property
+    def num_vertices(self) -> int:
+        return self._num_vertices
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense counter vector ``c``, materialised (O(n))."""
+        counts = np.zeros(self._num_vertices, dtype=np.int64)
+        counts[self._ranked_ids] = self._ranked_counts
+        return counts
+
+    def ranked(self) -> "RankedEstimate":
+        """Itself: ``top_k`` of this form never ranks again."""
+        return self
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"RankedEstimate(n={self._num_vertices}, "
+            f"N={self._num_frogs}, support={self._ranked_ids.size})"
         )

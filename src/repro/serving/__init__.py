@@ -16,8 +16,9 @@ rests on two facts from the paper:
   frog budget across shard sub-clusters and the per-shard counters
   merge back by exact summation.
 * **Definition 5 / Theorem 1** (the counter estimate): a completed
-  estimate is an immutable counter vector whose top-k answers any k
-  by prefix — ideal cache material.  The service keys its TTL/LRU
+  estimate is immutable and has at most N nonzero counters, so its
+  ranked support (:class:`~repro.core.RankedEstimate`) answers any k
+  by prefix copy — ideal cache material.  The service keys its TTL/LRU
   cache on ``(generation, seeds, weights, config)`` so repeated
   queries cost zero cluster work, with an injectable generation
   counter invalidating exactly on graph churn and TTL bounding

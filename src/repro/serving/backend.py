@@ -53,7 +53,7 @@ from ..cluster import (
 from ..core import (
     BatchQuery,
     FrogWildConfig,
-    PageRankEstimate,
+    RankedEstimate,
     merge_shard_results,
     resolve_kernel,
     run_frogwild_batch,
@@ -111,9 +111,15 @@ def choose_num_shards(
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """One query's executed estimate plus its attributed report."""
+    """One query's executed estimate plus its attributed report.
 
-    estimate: PageRankEstimate
+    The estimate is the lane's ranked support
+    (:class:`~repro.core.RankedEstimate`), ranked once inside
+    ``run_batch``: the service caches it as is and answers any ``k``
+    from it by prefix copy.
+    """
+
+    estimate: RankedEstimate
     report: RunReport
 
 
@@ -318,7 +324,7 @@ class LocalBackend:
         )
         return BatchOutcome(
             lanes=tuple(
-                QueryOutcome(lane.estimate, lane.report)
+                QueryOutcome(lane.estimate.ranked(), lane.report)
                 for lane in result.results
             ),
             shared_network_bytes=result.report.network_bytes,
@@ -535,7 +541,8 @@ class ShardedBackend:
         merged = [merge_shard_results(lanes) for lanes in per_query_lanes]
         return BatchOutcome(
             lanes=tuple(
-                QueryOutcome(lane.estimate, lane.report) for lane in merged
+                QueryOutcome(lane.estimate.ranked(), lane.report)
+                for lane in merged
             ),
             shared_network_bytes=sum(
                 cost.shared_network_bytes for cost in shard_costs

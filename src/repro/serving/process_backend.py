@@ -974,7 +974,8 @@ class ProcessPoolBackend(ShardedBackend):
         merged = [merge_shard_results(lanes) for lanes in per_query_lanes]
         return BatchOutcome(
             lanes=tuple(
-                QueryOutcome(lane.estimate, lane.report) for lane in merged
+                QueryOutcome(lane.estimate.ranked(), lane.report)
+                for lane in merged
             ),
             shared_network_bytes=sum(
                 cost.shared_network_bytes for cost in shard_costs

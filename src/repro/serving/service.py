@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 import numpy as np
 
 from ..cluster import CostModel, MessageSizeModel
-from ..core import FrogWildConfig
+from ..core import FrogWildConfig, RankedEstimate
 from ..engine import RunReport
 from ..errors import ConfigError, EngineError, OverloadError
 from ..graph import DiGraph
@@ -290,6 +290,8 @@ class ServiceStats:
 class _CacheEntry:
     """Cached outcome of one executed query (estimate + its report).
 
+    ``estimate`` is the lane's ranked support — O(num_frogs) bytes,
+    never an n-vector — so a hit of any ``k`` is a prefix copy of it.
     ``degrade_level``/``error_bound`` record whether the estimate was
     computed under an admission-degraded config, so cache re-serves of
     a degraded answer keep reporting the accuracy they actually
@@ -299,7 +301,7 @@ class _CacheEntry:
     healed pool instead of re-serving the crash.
     """
 
-    estimate: object
+    estimate: RankedEstimate
     report: RunReport
     batch_size: int
     degrade_level: int = 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PageRankEstimate, top_k_indices
+from repro.core import PageRankEstimate, RankedEstimate, top_k_indices
 from repro.errors import ConfigError
 
 
@@ -28,6 +28,27 @@ class TestTopK:
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigError):
             top_k_indices(np.array([1.0]), -1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_unsigned_zeros_rank_last(self, dtype):
+        # -values wraps on unsigned input; a zero must not sort first.
+        values = np.array([0, 5, 3, 0, 5], dtype=dtype)
+        for k in range(7):
+            np.testing.assert_array_equal(
+                top_k_indices(values, k),
+                top_k_indices(values.astype(np.int64), k),
+            )
+        assert list(top_k_indices(np.array([0, 5, 3], dtype=dtype), 2)) == [1, 2]
+
+    def test_unsigned_extremes(self):
+        top = np.iinfo(np.uint32).max
+        values = np.array([0, top, 1, top, 0], dtype=np.uint32)
+        assert list(top_k_indices(values, 5)) == [1, 3, 2, 0, 4]
+        assert list(top_k_indices(np.array([255, 0, 128], dtype=np.uint8), 3)) == [
+            0, 2, 1,
+        ]
+        with pytest.raises(ConfigError):
+            top_k_indices(np.array([0, 2**63], dtype=np.uint64), 1)
 
 
 class TestPageRankEstimate:
@@ -93,3 +114,145 @@ class TestPageRankEstimate:
     def test_rejects_matrix_counts(self):
         with pytest.raises(ConfigError):
             PageRankEstimate(np.zeros((2, 2)), num_frogs=1)
+
+
+# Mostly-zero counters with heavy ties, down to all-zero and up to
+# counts that do not fit int32.
+COUNTS = st.lists(
+    st.sampled_from([0, 0, 0, 1, 1, 2, 5]) | st.integers(0, 3) | st.just(2**40),
+    min_size=1,
+    max_size=30,
+)
+
+
+def boundary_ks(counts):
+    support, n = int(np.count_nonzero(counts)), len(counts)
+    ks = {0, 1, support - 1, support, support + 1, n, n + 5}
+    return sorted(k for k in ks if k >= 0)
+
+
+def assert_same_form(left, right):
+    for name in ("ranked_ids", "ranked_counts"):
+        a, b = getattr(left, name), getattr(right, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert left.num_frogs == right.num_frogs
+    assert left.num_vertices == right.num_vertices
+
+
+class TestRankedEstimate:
+    @settings(max_examples=300, deadline=None)
+    @given(COUNTS, st.integers(1, 50))
+    def test_every_k_is_the_dense_reference_bitwise(self, counts, num_frogs):
+        counts = np.array(counts, dtype=np.int64)
+        dense = PageRankEstimate(counts, num_frogs)
+        ranked = dense.ranked()
+        for k in boundary_ks(counts):
+            expected = top_k_indices(counts, k)
+            expected_scores = counts[expected] / num_frogs
+            for form in (ranked, dense):
+                top = form.top_k(k)
+                assert top.dtype == expected.dtype == np.int64
+                np.testing.assert_array_equal(top, expected)
+                top, scores = form.top_k_with_scores(k)
+                np.testing.assert_array_equal(top, expected)
+                assert scores.dtype == expected_scores.dtype == np.float64
+                assert scores.tobytes() == expected_scores.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 25).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.lists(
+                    st.sampled_from([0, 0, 1, 2, 2, 7, 2**31 - 1]),
+                    min_size=n, max_size=n,
+                ),
+                st.integers(1, 9),
+            ),
+            min_size=1, max_size=4,
+        )
+    ))
+    def test_merge_of_ranked_parts_is_the_dense_merge(self, parts):
+        dense = [PageRankEstimate(np.array(c), frogs) for c, frogs in parts]
+        expected = PageRankEstimate.merge(dense)
+        # Ranked parts sum through their materialised counts, to the
+        # dense form: the same class whichever name merge is called by.
+        for merge in (PageRankEstimate.merge, RankedEstimate.merge):
+            merged = merge([estimate.ranked() for estimate in dense])
+            assert type(merged) is PageRankEstimate
+            assert merged.num_frogs == expected.num_frogs
+            np.testing.assert_array_equal(merged.counts, expected.counts)
+            assert_same_form(merged.ranked(), expected.ranked())
+
+    @settings(max_examples=200, deadline=None)
+    @given(COUNTS)
+    def test_round_trip_through_dense_counts_is_the_identity(self, counts):
+        counts = np.array(counts, dtype=np.int64)
+        ranked = PageRankEstimate(counts, 3).ranked()
+        assert ranked.counts.dtype == np.int64
+        assert ranked.ranked() is ranked
+        assert isinstance(ranked, PageRankEstimate)
+        np.testing.assert_array_equal(ranked.counts, counts)
+        assert_same_form(PageRankEstimate(ranked.counts, 3).ranked(), ranked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(COUNTS)
+    def test_every_inherited_view_reads_the_overridden_storage(self, counts):
+        counts = np.array(counts, dtype=np.int64)
+        dense = PageRankEstimate(counts, 3)
+        ranked = dense.ranked()
+        assert not hasattr(ranked, "_counts")
+        assert ranked.num_vertices == dense.num_vertices
+        assert ranked.total_stopped == dense.total_stopped
+        assert ranked.separation_z(1) == dense.separation_z(1)
+        for view in ("vector", "distribution", "standard_errors"):
+            np.testing.assert_array_equal(
+                getattr(ranked, view)(), getattr(dense, view)()
+            )
+
+    def test_narrows_to_int32_only_when_everything_fits(self):
+        small = RankedEstimate([4, 1], [9, 3], num_frogs=12, num_vertices=6)
+        assert small.ranked_ids.dtype == small.ranked_counts.dtype == np.int32
+        big = RankedEstimate([4, 1], [2**31, 3], num_frogs=12, num_vertices=6)
+        assert big.ranked_ids.dtype == np.int32
+        assert big.ranked_counts.dtype == np.int64
+        assert list(big.top_k(3)) == [4, 1, 0]
+
+    def test_answers_are_copies_of_a_read_only_support(self):
+        ranked = PageRankEstimate(
+            np.array([4, 0, 9, 0, 0, 4, 0, 0]), num_frogs=17
+        ).ranked()
+        assert list(ranked.ranked_ids) == [2, 0, 5]
+        top, scores = ranked.top_k_with_scores(2)
+        top[:] = -1
+        scores[:] = -1.0
+        again, again_scores = ranked.top_k_with_scores(2)
+        assert list(again) == [2, 0]
+        np.testing.assert_array_equal(again_scores, np.array([9, 4]) / 17)
+        with pytest.raises(ValueError):
+            ranked.ranked_ids[0] = 1
+        with pytest.raises(ValueError):
+            ranked.ranked_counts[0] = 1
+
+    def test_rejects_records_out_of_rank_order(self):
+        for ids, counts in (
+            ([1, 2], [1, 5]),  # count increases
+            ([2, 1], [3, 3]),  # tie with the higher id first
+            ([1, 1], [3, 3]),  # not distinct
+            ([0, 9], [2, 1]),  # beyond the universe
+            ([-1, 2], [2, 1]),
+            ([0, 1], [1, 0]),  # a zero is not support
+            ([0, 1], [1]),
+        ):
+            with pytest.raises(ConfigError):
+                RankedEstimate(ids, counts, num_frogs=5, num_vertices=4)
+        with pytest.raises(ConfigError):
+            RankedEstimate([0], [1], num_frogs=0, num_vertices=4)
+        with pytest.raises(ConfigError):
+            RankedEstimate([0], [1], num_frogs=1, num_vertices=4).top_k(-1)
+
+    def test_empty_support_answers_in_id_order(self):
+        empty = PageRankEstimate(np.zeros(4), num_frogs=2).ranked()
+        assert empty.ranked_ids.size == 0 and empty.num_frogs == 2
+        assert list(empty.top_k(2)) == [0, 1]
+        assert list(empty.top_k_with_scores(9)[1]) == [0.0] * 4

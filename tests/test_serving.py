@@ -531,3 +531,203 @@ class TestServiceStatsGuards:
         assert not any(
             key.startswith("shard") for key in service.stats.as_dict()
         )
+
+
+# ----------------------------------------------------------------------
+# The cache holds a ranked support; a hit is a prefix copy of it
+# ----------------------------------------------------------------------
+def _reachable_arrays(value, depth=4):
+    """Every ndarray reachable from ``value`` through containers and
+    the attributes of ``repro`` objects."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif depth == 0:
+        return
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _reachable_arrays(item, depth - 1)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _reachable_arrays(item, depth - 1)
+    elif type(value).__module__.startswith("repro."):
+        for item in vars(value).values():
+            yield from _reachable_arrays(item, depth - 1)
+
+
+def _footprint(array):
+    """Elements an array keeps alive: its own or its base's."""
+    base = array.base
+    return max(array.size, base.size if isinstance(base, np.ndarray) else 0)
+
+
+def _largest_answer_array(call):
+    """Run ``call()``; the largest array (by footprint) that any frame of
+    the service, cache or estimator modules bound to a local name — or
+    held inside a local cache entry, estimate or answer — while it ran."""
+    import sys
+
+    from repro.core import estimator
+    from repro.serving import cache, service
+
+    files = {module.__file__ for module in (estimator, cache, service)}
+    carriers = (
+        service._CacheEntry,
+        service.RankingAnswer,
+        estimator.PageRankEstimate,
+    )
+    largest = 0
+
+    def trace_lines(frame, event, arg):
+        nonlocal largest
+        for value in list(frame.f_locals.values()) + [arg]:
+            if isinstance(value, (np.ndarray, tuple) + carriers):
+                for array in _reachable_arrays(value):
+                    largest = max(largest, _footprint(array))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        return call(), largest
+    finally:
+        sys.settrace(previous)
+
+
+class TestRankedCache:
+    CONFIG = FrogWildConfig(num_frogs=400, iterations=4, seed=0)
+
+    @pytest.fixture(scope="class")
+    def wide_graph(self):
+        # Far more vertices than frogs: the regime the paper runs in.
+        from repro.graph import twitter_like
+
+        return twitter_like(n=4000, seed=3)
+
+    def _dense_lane(self, service, seeds):
+        """The lane's dense estimate, run the way LocalBackend runs it."""
+        from repro.core import BatchQuery, run_frogwild_batch, seed_distribution
+
+        backend = service.backend
+        result = run_frogwild_batch(
+            backend.graph,
+            [
+                BatchQuery(
+                    start_distribution=seed_distribution(
+                        backend.graph.num_vertices, np.asarray(seeds), None
+                    )
+                )
+            ],
+            self.CONFIG,
+            state=backend.fresh_state(),
+            kernel=backend.kernel,
+        )
+        return result.results[0].estimate
+
+    def test_a_hit_neither_ranks_nor_touches_n_elements(
+        self, wide_graph, monkeypatch
+    ):
+        n = wide_graph.num_vertices
+        service = make_service(wide_graph, config=self.CONFIG)
+        miss = service.query([5, 9], k=10)
+        assert not miss.cached
+        calls = {"flatnonzero": 0, "argsort": 0}
+        for name in calls:
+            real = getattr(np, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        hit, largest = _largest_answer_array(lambda: service.query([5, 9], k=10))
+        assert hit.cached
+        assert calls == {"flatnonzero": 0, "argsort": 0}
+        assert 10 <= largest <= self.CONFIG.num_frogs < n
+        np.testing.assert_array_equal(hit.vertices, miss.vertices)
+        np.testing.assert_array_equal(hit.scores, miss.scores)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_no_cache_entry_references_an_n_vector(self, wide_graph, shards):
+        from dataclasses import fields
+
+        n = wide_graph.num_vertices
+        service = make_service(wide_graph, config=self.CONFIG, num_shards=shards)
+        service.query_batch(
+            [RankingQuery(seeds=(s, s + 7), k=5) for s in range(6)]
+        )
+        entries = [entry for _, entry in service.cache._entries.values()]
+        assert len(entries) == 6
+        for entry in entries:
+            arrays = [
+                array
+                for field in fields(entry)
+                for array in _reachable_arrays(getattr(entry, field.name))
+            ]
+            assert arrays  # the ranked support itself
+            assert max(_footprint(array) for array in arrays) < n
+            frogs = entry.estimate.num_frogs
+            assert frogs == self.CONFIG.num_frogs
+            assert sum(array.nbytes for array in arrays) <= 16 * frogs
+
+    def test_writing_into_an_answer_leaves_the_next_hit_alone(self, wide_graph):
+        service = make_service(wide_graph, config=self.CONFIG)
+        first = service.query([11], k=8)
+        vertices, scores = first.vertices.copy(), first.scores.copy()
+        first.vertices[:] = -1
+        first.scores[:] = -1.0
+        for _ in range(2):
+            hit = service.query([11], k=8)
+            assert hit.cached
+            np.testing.assert_array_equal(hit.vertices, vertices)
+            np.testing.assert_array_equal(hit.scores, scores)
+            hit.vertices[:] = -2
+            hit.scores[:] = -2.0
+
+    def test_a_hit_of_any_k_is_a_fresh_dense_ranking_of_the_lane(
+        self, wide_graph
+    ):
+        from repro.core import top_k_indices
+
+        service = make_service(wide_graph, config=self.CONFIG)
+        assert not service.query([21, 40], k=10).cached
+        dense = self._dense_lane(service, [21, 40])
+        support = int(np.count_nonzero(dense.counts))
+        assert 50 < support < wide_graph.num_vertices
+        for k in (1, 50, support + 3):
+            hit = service.query([21, 40], k=k)
+            assert hit.cached
+            expected = top_k_indices(dense.counts, k)
+            assert hit.vertices.dtype == expected.dtype
+            np.testing.assert_array_equal(hit.vertices, expected)
+            expected_scores = dense.counts[expected] / dense.num_frogs
+            assert hit.scores.tobytes() == expected_scores.tobytes()
+        assert service.stats.queries_executed == 1
+
+    @pytest.mark.parametrize("backend", ["local", "sharded", "process"])
+    def test_the_serving_path_never_materialises_the_dense_vector(
+        self, wide_graph, backend, monkeypatch
+    ):
+        from repro.core import RankedEstimate
+
+        def refuse(self):
+            raise AssertionError("O(n) materialisation on the serving path")
+
+        # vector(), distribution(), ... all read through .counts.
+        monkeypatch.setattr(RankedEstimate, "counts", property(refuse))
+        service = make_service(
+            wide_graph,
+            config=self.CONFIG,
+            backend=backend,
+            num_shards=1 if backend == "local" else 2,
+        )
+        try:
+            miss = service.query([3, 30], k=6)
+            hit = service.query([3, 30], k=6)
+        finally:
+            service.close()
+        assert not miss.cached and hit.cached
+        assert type(service.cache._entries.popitem()[1][1].estimate) is RankedEstimate
+        np.testing.assert_array_equal(hit.vertices, miss.vertices)
