@@ -1,17 +1,22 @@
 """Master/mirror replication tables derived from a vertex-cut.
 
 Given an :class:`~repro.cluster.partition.EdgePartition`, this module
-precomputes everything the engine needs per superstep:
+precomputes what the engine reads per superstep:
 
 * which machines replicate each vertex and which one is the master,
-* the out-edges of each vertex grouped by hosting machine (the unit of
-  work a *synchronized mirror* performs during scatter),
-* the in-edges of each vertex grouped by hosting machine (the unit of a
-  distributed gather: each machine sends one partial-sum record to the
-  master).
+* the out-edges of each vertex grouped by hosting machine — the unit of
+  work a *synchronized mirror* performs during scatter, and the only
+  grouping FrogWild reads (its gather is empty),
+* on first access only, the in-edges grouped the same way — the unit of
+  a distributed gather, read by the GraphLab-PR baseline engines.
 
-Everything is laid out in flat numpy arrays so the hot loops touch no
-Python object per edge.
+The module has one sort, :func:`_by_column`: a stable counting sort of
+CSR entries by column.  The graph is CSR-ordered already and the keys
+are few (machines) or dense (vertices), so a grouping is two passes —
+edges machine-major, then anchor-major — that leave the edges in
+``np.lexsort((machine, anchor))`` order with the row pointers as a
+by-product and no permutation to gather through.  Everything is flat
+numpy arrays; the hot loops touch no Python object per edge.
 
 A live refresh (:class:`~repro.live.IncrementalReplication`) builds a
 fresh table per snapshot through this one constructor; tests compare
@@ -20,13 +25,32 @@ tables with :meth:`ReplicationTable.structurally_equal`.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+from scipy import sparse
 
 from ..errors import PartitionError
 from ..graph import DiGraph
 from .partition import EdgePartition
 
 __all__ = ["ReplicationTable"]
+
+
+def _by_column(
+    ptr: np.ndarray, col: np.ndarray, data: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable counting sort of CSR entries by column.
+
+    ``(ptr, col, data)`` is a CSR layout of ``shape``; rows may be
+    unsorted and repeat a column.  Returns ``(column pointer, row,
+    data)`` of every entry, column-major, a column's entries in CSR
+    order: scipy's CSR -> CSC conversion (one histogram, one prefix sum,
+    one scatter; it never sorts or sums duplicates).  ``col`` must lie
+    in ``[0, shape[1])`` — the scatter is unchecked.
+    """
+    csc = sparse.csr_matrix((data, col, ptr), shape=shape).tocsc()
+    return csc.indptr, csc.indices, csc.data
 
 
 def _index_masters(
@@ -38,33 +62,9 @@ def _index_masters(
     :meth:`ReplicationTable.from_shared_components` attach path, so
     :meth:`ReplicationTable.masters_on` can never diverge between them.
     """
-    order = np.argsort(masters, kind="stable")
-    counts = np.bincount(masters, minlength=num_machines)
-    ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return ptr, order.astype(np.int64)
-
-
-def _radix_order(field: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """Stable sort order by non-negative ``field``, refining ``order``.
-
-    ``_radix_order(anchor, _radix_order(machine))`` is the permutation
-    ``np.lexsort((machine, anchor))``, computed as an LSD radix sort:
-    one stable pass per 16-bit digit, as many as the field's maximum
-    needs.  ``argsort(uint16, kind="stable")`` is numpy's radix sort, so
-    every pass is O(m) — ~4x faster than lexsort's mergesort on the
-    serving-shaped graphs.  The machine passes are the same for both
-    groupings of a table, which is why they are a separate call.
-    """
-    field = np.asarray(field)
-    if field.size == 0:
-        return np.empty(0, dtype=np.int64)
-    for shift in range(0, max(int(field.max()).bit_length(), 1), 16):
-        digit = ((field >> shift) & 0xFFFF).astype(np.uint16)
-        if order is None:
-            order = np.argsort(digit, kind="stable")
-        else:
-            order = order[np.argsort(digit[order], kind="stable")]
-    return order
+    rows = np.arange(masters.size + 1)  # one entry per row: its master
+    ptr, vertices, _ = _by_column(rows, masters, masters, (masters.size, num_machines))
+    return ptr.astype(np.int64), vertices.astype(np.int64)
 
 
 class _GroupedEdges:
@@ -76,52 +76,43 @@ class _GroupedEdges:
     """
 
     __slots__ = (
-        "group_machine",
-        "group_anchor",
-        "group_start",
-        "group_stop",
-        "vertex_ptr",
-        "anchor_edge_ptr",
-        "sorted_other",
-        "edge_machine_sorted",
+        "group_machine", "group_anchor", "group_start", "group_stop",
+        "vertex_ptr", "anchor_edge_ptr", "sorted_other", "edge_machine_sorted",
     )
 
     def __init__(
-        self,
-        anchor: np.ndarray,
-        machine: np.ndarray,
-        other: np.ndarray,
-        num_vertices: int,
-        by_machine: np.ndarray,
+        self, graph: DiGraph, machine: np.ndarray, num_machines: int,
+        anchor: str = "src",
     ) -> None:
-        order = _radix_order(anchor, by_machine)
-        anchor_sorted = anchor[order]
-        machine_sorted = machine[order]
-        self.sorted_other = other[order]
-        self.edge_machine_sorted = machine_sorted.astype(np.int32)
-
-        if anchor_sorted.size:
-            boundary = np.empty(anchor_sorted.size, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = (anchor_sorted[1:] != anchor_sorted[:-1]) | (
-                machine_sorted[1:] != machine_sorted[:-1]
-            )
-            starts = np.flatnonzero(boundary)
-        else:
-            starts = np.empty(0, dtype=np.int64)
-        self.group_start = starts
-        self.group_stop = np.concatenate([starts[1:], [anchor_sorted.size]]).astype(
-            np.int64
+        """Group ``graph``'s edges, hosted on ``machine`` (CSR-aligned,
+        in ``[0, num_machines)``), by ``anchor`` ("src" or "dst")."""
+        n, m = graph.num_vertices, graph.num_edges
+        # Pass 1: edges machine-major, CSR order within a machine.
+        machine_ptr, src, dst = _by_column(
+            graph.indptr, machine, graph.indices, (n, num_machines)
         )
-        self.group_machine = machine_sorted[starts].astype(np.int32)
-        self.group_anchor = anchor_sorted[starts].astype(np.int64)
-        counts = np.bincount(self.group_anchor, minlength=num_vertices)
-        self.vertex_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        # Edge range of each anchor vertex in the (anchor, machine)-sorted
-        # edge order; edges of a vertex are contiguous in that order.
-        edge_counts = np.bincount(anchor_sorted, minlength=num_vertices)
-        self.anchor_edge_ptr = np.concatenate([[0], np.cumsum(edge_counts)]).astype(
-            np.int64
+        # Pass 2: anchor-major, machine order within an anchor: the
+        # (anchor, machine)-sorted edges and each anchor's edge range.
+        col, other = (src, dst) if anchor == "src" else (dst, src)
+        edge_ptr, machine_sorted, other = _by_column(
+            machine_ptr, col, other, (num_machines, n)
+        )
+        self.anchor_edge_ptr = edge_ptr.astype(np.int64)
+        self.edge_machine_sorted = machine_sorted.astype(np.int32, copy=False)
+        self.sorted_other = other.astype(np.int64, copy=False)
+
+        # A group starts where the machine changes or a vertex's edges do.
+        boundary = np.empty(m, dtype=bool)
+        boundary[:1] = True
+        np.not_equal(machine_sorted[1:], machine_sorted[:-1], out=boundary[1:])
+        boundary[edge_ptr[edge_ptr < m]] = True
+        starts = np.flatnonzero(boundary)
+        self.group_start = starts
+        self.group_stop = np.concatenate([starts[1:], [m]]).astype(np.int64)
+        self.group_machine = self.edge_machine_sorted[starts]
+        self.vertex_ptr = np.searchsorted(starts, self.anchor_edge_ptr)
+        self.group_anchor = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(self.vertex_ptr)
         )
 
     @property
@@ -139,21 +130,20 @@ class _GroupedEdges:
             np.arange(n, dtype=np.int64), np.diff(self.anchor_edge_ptr)
         )
 
-    def groups_of(self, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(machines, slice starts, slice stops) of vertex ``v``'s groups."""
+    def split(self, v: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(machines, other endpoints per machine) of ``v``'s groups."""
         lo, hi = self.vertex_ptr[v], self.vertex_ptr[v + 1]
-        return (
-            self.group_machine[lo:hi],
-            self.group_start[lo:hi],
-            self.group_stop[lo:hi],
-        )
+        spans = zip(self.group_start[lo:hi], self.group_stop[lo:hi])
+        return self.group_machine[lo:hi], [self.sorted_other[a:b] for a, b in spans]
 
-    def as_arrays(self) -> dict[str, np.ndarray]:
+    def as_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Flat component arrays, keyed by slot (shared-memory export)."""
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return {prefix + slot: getattr(self, slot) for slot in self.__slots__}
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "_GroupedEdges":
+    def from_arrays(
+        cls, arrays: dict[str, np.ndarray], prefix: str = ""
+    ) -> "_GroupedEdges":
         """Reassemble a grouping directly from :meth:`as_arrays` output.
 
         No sorting, grouping or validation happens — the arrays are
@@ -163,7 +153,7 @@ class _GroupedEdges:
         """
         grouped = cls.__new__(cls)
         for slot in cls.__slots__:
-            setattr(grouped, slot, arrays[slot])
+            setattr(grouped, slot, arrays[prefix + slot])
         return grouped
 
 
@@ -199,21 +189,20 @@ class ReplicationTable:
         self._ingress_cache: dict = {}
         n = graph.num_vertices
 
-        src = graph.edge_sources()
-        dst = graph.indices
-        machine = partition.edge_machine.astype(np.int32)
-
-        by_machine = _radix_order(machine)
-        self.out_groups = _GroupedEdges(src, machine, dst, n, by_machine)
-        self.in_groups = _GroupedEdges(dst, machine, src, n, by_machine)
+        self.out_groups = _GroupedEdges(
+            graph, partition.edge_machine, self.num_machines
+        )
 
         # Replica bitmap: vertex v lives on machine p iff p hosts an
-        # incident edge, i.e. (v, p) is a group of either grouping.
-        # Isolated vertices (possible only with repair disabled) are
-        # pinned to machine 0.
+        # incident edge: (v, p) is an out-group, or some edge hosted on
+        # p points at v.  Isolated vertices (possible only with repair
+        # disabled) are pinned to machine 0.
         replicas = np.zeros((n, self.num_machines), dtype=bool)
-        for groups in (self.out_groups, self.in_groups):
-            replicas[groups.group_anchor, groups.group_machine] = True
+        out = self.out_groups
+        replicas[out.group_anchor, out.group_machine] = True
+        replicas.reshape(-1)[
+            out.sorted_other * self.num_machines + out.edge_machine_sorted
+        ] = True
         lonely = ~replicas.any(axis=1)
         replicas[lonely, 0] = True
         self._replicas = replicas
@@ -233,29 +222,35 @@ class ReplicationTable:
             self.masters, self.num_machines
         )
 
+    @cached_property
+    def in_groups(self) -> _GroupedEdges:
+        """In-edges grouped by (target, hosting machine): the gather side.
+
+        FrogWild never reads it: built on first access (the GraphLab-PR
+        baselines) and kept, with nothing m-sized held for it meanwhile.
+        """
+        return _GroupedEdges(
+            self.graph, self.partition.edge_machine, self.num_machines, "dst"
+        )
+
     # ------------------------------------------------------------------
     # Shared-memory export / attach
     # ------------------------------------------------------------------
     def shared_components(self) -> dict[str, np.ndarray]:
-        """Every component array of this table, flat-keyed for export.
+        """The component arrays serving reads, flat-keyed for export.
 
         The multi-process backend places these in a
         :class:`~repro.cluster.SharedArena`; a worker rebuilds an
         equivalent table with :meth:`from_shared_components` from the
-        mapped views — no pickling, no re-sorting, no re-grouping.
+        mapped views — no pickling, no re-sorting, no re-grouping.  The
+        gather grouping is not exported: an importer builds its own.
         """
-        arrays: dict[str, np.ndarray] = {
+        return {
             "masters": self.masters,
             "replicas": self._replicas,
             "edge_machine": self.partition.edge_machine,
+            **self.out_groups.as_arrays("out."),
         }
-        for prefix, groups in (
-            ("out", self.out_groups),
-            ("in", self.in_groups),
-        ):
-            for slot, array in groups.as_arrays().items():
-                arrays[f"{prefix}.{slot}"] = array
-        return arrays
 
     @classmethod
     def from_shared_components(
@@ -265,9 +260,11 @@ class ReplicationTable:
 
         The zero-copy attach path of the multi-process backend: the
         arrays are adopted verbatim (possibly read-only shared-memory
-        views), skipping every O(m log m) / O(n * machines) step of
+        views), skipping every O(m) / O(n * machines) step of
         :meth:`__init__`; only the replica counts and the per-machine
-        master index (cheap, per vertex) are re-derived.  The result is
+        master index (cheap, per vertex) are re-derived.  ``in.*``
+        arrays (an older spill, a test oracle) are adopted when given;
+        otherwise :attr:`in_groups` stays lazy.  The result is
         structurally equal to the exported table by construction.
         """
         table = cls.__new__(cls)
@@ -280,15 +277,9 @@ class ReplicationTable:
         table._replicas = arrays["replicas"]
         table.replica_counts = table._replicas.sum(axis=1).astype(np.int32)
         table.masters = arrays["masters"]
-        table.out_groups = _GroupedEdges.from_arrays(
-            {
-                slot: arrays[f"out.{slot}"]
-                for slot in _GroupedEdges.__slots__
-            }
-        )
-        table.in_groups = _GroupedEdges.from_arrays(
-            {slot: arrays[f"in.{slot}"] for slot in _GroupedEdges.__slots__}
-        )
+        table.out_groups = _GroupedEdges.from_arrays(arrays, "out.")
+        if "in.group_start" in arrays:
+            table.in_groups = _GroupedEdges.from_arrays(arrays, "in.")
         table._master_ptr, table._master_sorted_vertices = _index_masters(
             table.masters, table.num_machines
         )
@@ -301,24 +292,18 @@ class ReplicationTable:
         refreshed, exported or mapped table to against a from-scratch
         build of the same snapshot.
         """
-        for mine, theirs in (
+        pairs = [
             (self.masters, other.masters),
             (self._replicas, other._replicas),
             (self.replica_counts, other.replica_counts),
             (self.partition.edge_machine, other.partition.edge_machine),
-        ):
-            if not np.array_equal(mine, theirs):
-                return False
+        ]
         for mine, theirs in (
             (self.out_groups, other.out_groups),
             (self.in_groups, other.in_groups),
         ):
-            for slot in _GroupedEdges.__slots__:
-                if not np.array_equal(
-                    getattr(mine, slot), getattr(theirs, slot)
-                ):
-                    return False
-        return True
+            pairs += zip(mine.as_arrays().values(), theirs.as_arrays().values())
+        return all(np.array_equal(mine, theirs) for mine, theirs in pairs)
 
     # ------------------------------------------------------------------
     # Placement queries
@@ -382,19 +367,11 @@ class ReplicationTable:
         ``targets_per_machine[i]`` are the successors reachable through
         the mirror on ``machines[i]``.
         """
-        machines, starts, stops = self.out_groups.groups_of(v)
-        targets = [
-            self.out_groups.sorted_other[a:b] for a, b in zip(starts, stops)
-        ]
-        return machines, targets
+        return self.out_groups.split(v)
 
     def in_edge_groups(self, v: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """In-edges of ``v`` split by hosting machine (gather grouping)."""
-        machines, starts, stops = self.in_groups.groups_of(v)
-        sources = [
-            self.in_groups.sorted_other[a:b] for a, b in zip(starts, stops)
-        ]
-        return machines, sources
+        return self.in_groups.split(v)
 
     def out_group_count(self, v: int) -> int:
         """Number of machines hosting at least one out-edge of ``v``."""

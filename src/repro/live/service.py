@@ -69,9 +69,9 @@ class RefreshUpdate:
     ``vertices_patched``/``edges_regrouped``/``table_rebuilds`` are the
     replication-table cost (summed over shards): how many vertices had
     their replica/master/grouping structures built, how many edges
-    were sorted to do it, and how many shard tables were built from
-    scratch — every refresh rebuilds every shard, so they read ``n``,
-    ``2m`` and 1 per shard.
+    were grouped to do it, and how many shard tables were built from
+    scratch — every refresh rebuilds every shard's scatter grouping
+    (never the gather one), so they read ``n``, ``m`` and 1 per shard.
     ``build_time_s`` covers apply → reconcile → snapshot → table build →
     backend build; ``publish_s`` is the atomic swap alone — the only
     part the query path ever waits on.  ``coalesced_deltas`` counts the
@@ -463,7 +463,7 @@ class LiveRankingService(RankingService):
             in_flight_batches=in_flight,
             refresh_time_s=elapsed,
             vertices_patched=shards * epoch.graph.num_vertices,
-            edges_regrouped=shards * 2 * epoch.graph.num_edges,
+            edges_regrouped=shards * epoch.graph.num_edges,
             table_rebuilds=shards,
             build_time_s=build_time_s,
             publish_s=publish_s,

@@ -13,12 +13,12 @@ the traversals execute changes.
 Three mechanisms make that cheap and honest:
 
 * **Shared-memory graph state** — the graph CSR arrays and every
-  shard's :class:`~repro.cluster.ReplicationTable` components live in
-  :class:`~repro.cluster.SharedArena` segments.  Workers attach the
-  picklable :class:`~repro.cluster.ArenaSpec` manifests and map the
-  arrays zero-copy (``DiGraph.from_csr_arrays``,
-  ``ReplicationTable.from_shared_components``); nothing
-  edge-proportional is ever pickled.
+  shard's :class:`~repro.cluster.ReplicationTable` components (the
+  scatter grouping only) live in :class:`~repro.cluster.SharedArena`
+  segments.  Workers attach the picklable
+  :class:`~repro.cluster.ArenaSpec` manifests and map the arrays
+  zero-copy (``DiGraph.from_csr_arrays``, ``ReplicationTable.
+  from_shared_components``); nothing edge-proportional is ever pickled.
 * **A real transport** — per-lane ``(vertex, count)`` results return on
   a :class:`~repro.cluster.RecordChannel` whose frame layout is priced
   by the same :class:`~repro.cluster.MessageSizeModel` the simulator

@@ -14,9 +14,9 @@ mirror bitmap.  This module moves that state out of core too:
   ``np.load(mmap_mode="r")`` and rebuilds the object graph *around*
   the mapped views — :meth:`~repro.graph.DiGraph.from_csr_arrays`
   adopts the CSR pair, :meth:`~repro.cluster.ReplicationTable.
-  from_shared_components` adopts the grouped-edge arrays, and the
-  kernel tables / dense group tables / mirror matrix are pre-seeded
-  into the replication's ingress cache exactly as
+  from_shared_components` adopts the scatter grouping (the gather one
+  is never spilled), and the kernel tables / dense group tables /
+  mirror matrix are pre-seeded into the ingress cache exactly as
   :func:`~repro.core.frogwild.prime_ingress_caches` would build them
   (the table constructors copy; rebuilding via ``__new__`` keeps the
   mapped views mapped).

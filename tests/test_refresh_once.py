@@ -4,18 +4,21 @@
   ``sync()`` already hashed and hashes only the snapshot's repair
   self-loops; it must stay a from-scratch ``stable_hash_partition`` of
   the snapshot under the current salt, whatever the snapshot.
-* ``ReplicationTable`` runs the machine-digit radix pass once for both
-  groupings and fills the replica bitmap from the groups; the table
-  must stay ``structurally_equal`` to the construction it replaced
-  (one ``np.lexsort`` per grouping, the bitmap scattered from the
-  edges), kept here as :func:`_reference_table`, the oracle.
+* ``ReplicationTable`` groups the out-edges with two counting-sort
+  passes, fills the replica bitmap from those groups plus one scatter
+  of the targets, and builds the gather grouping only when asked; the
+  table must stay ``structurally_equal``, dtypes included, to the
+  construction it replaced (one ``np.lexsort`` per grouping, the
+  bitmap scattered from the edges), kept here as
+  :func:`_reference_table`, the oracle — and reach no ``np.argsort`` /
+  ``np.lexsort`` doing it.
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster import ReplicationTable
-from repro.cluster.replication import _GroupedEdges, _radix_order
+from repro.cluster.replication import _GroupedEdges
 from repro.dynamic import DynamicDiGraph, GraphDelta, stable_hash_partition
 from repro.errors import ConfigError
 from repro.graph import DiGraph, from_edges, rmat, twitter_like
@@ -146,7 +149,7 @@ class TestPartitionFor:
 # ReplicationTable vs the construction it replaced
 # ----------------------------------------------------------------------
 def _reference_groups(anchor, machine, other, n):
-    """``_GroupedEdges`` as built before the shared machine pass: one
+    """``_GroupedEdges`` as built before the counting sorts: one
     lexsort per grouping, every array derived from the sorted edges."""
     order = np.lexsort((machine, anchor))
     anchor, machine = anchor[order], machine[order]
@@ -202,6 +205,13 @@ GRAPHS = {
 }
 
 
+def _assert_same_groups(groups, expected):
+    for slot, array in expected.items():
+        built = getattr(groups, slot)
+        assert built.dtype == array.dtype, slot
+        assert np.array_equal(built, array), slot
+
+
 class TestSharedMachinePass:
     @pytest.mark.parametrize("machines", [1, 5, 16])
     @pytest.mark.parametrize("name", GRAPHS)
@@ -209,9 +219,16 @@ class TestSharedMachinePass:
         graph = GRAPHS[name]()
         partition = stable_hash_partition(graph, machines, seed=11)
         table = ReplicationTable(graph, partition, seed=7)
+        assert "in_groups" not in vars(table)  # built on first access
         reference = _reference_table(graph, partition, 7)
         assert table.structurally_equal(reference)
         assert reference.structurally_equal(table)
+        for prefix, groups in (("out", table.out_groups), ("in", table.in_groups)):
+            _assert_same_groups(
+                groups, getattr(reference, f"{prefix}_groups").as_arrays()
+            )
+        for slot in ("masters", "_replicas", "replica_counts"):
+            assert getattr(table, slot).dtype == getattr(reference, slot).dtype
 
     def test_isolated_vertices_are_pinned_to_machine_zero(self):
         graph = _with_isolated_vertices()
@@ -225,16 +242,42 @@ class TestSharedMachinePass:
         assert table.replica_counts.min() == 1
 
     def test_wide_machine_ids_take_every_digit_pass(self):
-        """Machine ids past 16 bits run two machine passes, shared too."""
+        """Machine ids past 16 bits are one more column of the same
+        counting sort, whichever integer type carries them."""
         graph = twitter_like(n=200, seed=1)
+        machines = 2**16 + 9
         rng = np.random.default_rng(0)
-        machine = rng.integers(0, 2**16 + 9, size=graph.num_edges).astype(np.int32)
-        machine[-1] = 2**16 + 8
-        by_machine = _radix_order(machine)
-        assert np.array_equal(by_machine, np.argsort(machine, kind="stable"))
+        machine = rng.integers(0, machines, size=graph.num_edges)
+        machine[-1] = machines - 1
+        assert machine.dtype == np.int64
         src, dst, n = graph.edge_sources(), graph.indices, graph.num_vertices
-        for anchor, other in ((src, dst), (dst, src)):
-            groups = _GroupedEdges(anchor, machine, other, n, by_machine)
-            expected = _reference_groups(anchor, machine, other, n)
-            for slot, array in expected.items():
-                assert np.array_equal(getattr(groups, slot), array), slot
+        for anchor, key, other in (("src", src, dst), ("dst", dst, src)):
+            for given in (machine, machine.astype(np.int32)):
+                groups = _GroupedEdges(graph, given, machines, anchor)
+                _assert_same_groups(
+                    groups, _reference_groups(key, machine, other, n)
+                )
+
+    def test_a_table_build_reaches_no_comparison_sort(self, monkeypatch):
+        """Call counts, not a clock: building a table — and then its
+        gather grouping — calls neither ``np.argsort`` nor ``np.lexsort``."""
+        graph = twitter_like(n=300, seed=2)
+        partition = stable_hash_partition(graph, 8, seed=3)
+        reference = _reference_table(graph, partition, 5)
+        calls = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("argsort", "lexsort"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        table = ReplicationTable(graph, partition, seed=5)
+        table.in_groups
+        assert calls == []
+        assert table.structurally_equal(reference)
+        np.argsort(np.arange(3)), np.lexsort((np.arange(3),))
+        assert calls == ["argsort", "lexsort"]  # the counter can fail

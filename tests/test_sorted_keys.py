@@ -13,9 +13,10 @@ Five families of guarantees:
   that round trip (``np.unique`` dedup, ``np.lexsort`` self-loop merge)
   is kept here as :func:`_reference_csr`, the oracle — and rejects
   anything but strictly increasing in-range keys;
-* ``_radix_order`` chained machine-then-anchor is the
-  ``np.lexsort((machine, anchor))`` permutation, whatever the width of
-  either field;
+* ``_by_column`` chained machine-then-anchor (the two counting-sort
+  passes of a ``_GroupedEdges``) applies the
+  ``np.lexsort((machine, anchor))`` permutation — ties in CSR order —
+  whatever the machine count, the machine dtype or the graph's shape;
 * a gate that can fail: with plain ``np.unique`` and ``np.lexsort``
   patched to raise, a live refresh, a served batch and a standalone
   FrogWild run still complete, and no plain ``np.unique(`` call is left
@@ -42,7 +43,7 @@ from hypothesis.extra import numpy as hnp
 import repro
 from repro.cluster import partition as partition_module
 from repro.cluster import stable_hash_machines
-from repro.cluster.replication import _radix_order
+from repro.cluster.replication import _by_column, _GroupedEdges
 from repro.core import FrogWildConfig, run_frogwild
 from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from repro.errors import GraphError
@@ -335,35 +336,79 @@ class TestFromSortedKeys:
 
 
 # ----------------------------------------------------------------------
-# _radix_order
+# _by_column / _GroupedEdges
 # ----------------------------------------------------------------------
-def _grouping_order(anchor, machine):
-    return _radix_order(anchor, _radix_order(machine))
+def _grouping_order(graph, machine, machines, anchor):
+    """The edge permutation of the two counting-sort passes: the passes
+    ``_GroupedEdges`` runs, with CSR edge ids riding as the data."""
+    n, ids = graph.num_vertices, np.arange(graph.num_edges)
+    machine_ptr, src, ids = _by_column(graph.indptr, machine, ids, (n, machines))
+    col = src if anchor == "src" else graph.indices[ids]
+    return _by_column(machine_ptr, col, ids, (machines, n))[2]
+
+
+def _hand_csr(n, src, dst):
+    """Rows unsorted, edges repeated: whatever ``src``/``dst`` hold."""
+    src = np.sort(src)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return DiGraph(indptr, dst), src
 
 
 class TestGroupingOrder:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(0, 400),
-        st.sampled_from([1, 200, 2**16 - 1, 2**16, 2**21, 2**33]),
-        st.sampled_from([1, 16, 2**8 + 3, 2**16 + 5]),
+        st.integers(1, 60),
+        st.integers(0, 300),
+        st.sampled_from([1, 16, 2**16 + 5]),
+        st.sampled_from(["src", "dst"]),
+        st.sampled_from([np.int32, np.int64]),
         st.integers(0, 2**31),
     )
-    def test_matches_lexsort(self, size, anchor_span, machine_span, seed):
+    def test_matches_lexsort(self, n, size, machines, anchor, dtype, seed):
         rng = np.random.default_rng(seed)
-        anchor = rng.integers(0, anchor_span, size=size, dtype=np.int64)
-        machine = rng.integers(0, machine_span, size=size).astype(np.int32)
+        # Endpoints from the lower half only: the rest stay isolated,
+        # and 300 edges over <= 30 vertices repeat (ties).
+        span = max(n // 2, 1)
+        graph, src = _hand_csr(
+            n, rng.integers(0, span, size=size), rng.integers(0, span, size=size)
+        )
+        dst = graph.indices
+        machine = rng.integers(0, machines, size=size).astype(dtype)
         if size:
-            # Pin the top of each range so every digit pass runs.
-            anchor[0], machine[-1] = anchor_span - 1, machine_span - 1
-        order = _grouping_order(anchor, machine)
-        assert order.dtype == np.int64
-        assert np.array_equal(order, np.lexsort((machine, anchor)))
+            machine[-1] = machines - 1  # the top of the range is used
+        key, other = (src, dst) if anchor == "src" else (dst, src)
+        expected = np.lexsort((machine, key))
+        assert np.array_equal(
+            _grouping_order(graph, machine, machines, anchor), expected
+        )
+        groups = _GroupedEdges(graph, machine, machines, anchor)
+        assert np.array_equal(groups.edge_machine_sorted, machine[expected])
+        assert np.array_equal(groups.sorted_other, other[expected])
+        assert np.array_equal(groups.edge_anchor(), key[expected])
+        assert groups.edge_machine_sorted.dtype == np.int32
+        assert groups.sorted_other.dtype == np.int64
 
     def test_ties_keep_input_order(self):
-        anchor = np.array([70_000, 3, 70_000, 3, 70_000], dtype=np.int64)
-        machine = np.array([300, 1, 300, 1, 2], dtype=np.int32)
-        assert _grouping_order(anchor, machine).tolist() == [1, 3, 4, 0, 2]
+        # 0 -> 1, then 1 -> 0 four times around 1 -> 2, on machines 0/3.
+        graph, _ = _hand_csr(
+            3, np.array([1, 1, 1, 1, 1, 0]), np.array([1, 0, 0, 2, 0, 0])
+        )
+        assert graph.indices.tolist() == [1, 0, 0, 2, 0, 0]
+        machine = np.array([0, 3, 0, 3, 3, 0], dtype=np.int32)
+        assert _grouping_order(graph, machine, 4, "src").tolist() == [
+            0, 2, 5, 1, 3, 4,
+        ]
+        assert _grouping_order(graph, machine, 4, "dst").tolist() == [
+            2, 5, 1, 4, 0, 3,
+        ]
+
+    def test_no_edges(self):
+        graph = DiGraph(np.zeros(5, dtype=np.int64), np.empty(0, dtype=np.int64))
+        for anchor in ("src", "dst"):
+            groups = _GroupedEdges(graph, np.empty(0, dtype=np.int32), 16, anchor)
+            assert groups.num_groups == 0 and groups.group_start.dtype == np.int64
+            assert groups.vertex_ptr.tolist() == [0] * 5
+            assert groups.anchor_edge_ptr.tolist() == [0] * 5
 
 
 # ----------------------------------------------------------------------
