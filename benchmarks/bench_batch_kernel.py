@@ -1,20 +1,14 @@
-"""Batch-kernel microbenchmark: the one batched superstep, per tier.
+"""Batch-kernel microbenchmark: the one batched superstep.
 
 What is measured and asserted:
 
-* **throughput** — the record of the default (``"fused"``) tier: wall
-  time and frog-steps/s of advancing B populations through one
-  concatenated ``(lane, vertex)`` frontier, at B in {1, 4, 16, 64} on
-  the sharded-serving shape (many lanes with modest per-lane budgets,
-  the frontier mix a shard sees when per-query budgets are split).  The
+* **throughput** — wall time and frog-steps/s of advancing B
+  populations through one concatenated ``(lane, vertex)`` frontier,
+  at B in {1, 4, 16, 64} on the sharded-serving shape (many lanes with
+  modest per-lane budgets, the frontier mix a shard sees when
+  per-query budgets are split).  The
   B=1 batch is asserted bit-identical to ``run_frogwild``.  The
   timings are a record, not a gate: single shots on a shared host.
-* **compiled tier** — ``kernel="compiled"`` (Numba single-pass loops,
-  int32 tables, buffer arena) returns bit-identical lanes and, where
-  Numba is importable on a multi-core host, matches or beats the fused
-  wall-clock at the largest B.  The ``batch-kernel-compiled`` record is
-  honest about degraded hosts (``numba``/``fallback``/``cpu_count``
-  fields) and carries the arena's peak-vs-demand allocation bytes.
 * **shared sync** — ``sync_mode="shared"`` emits one sync record per
   (vertex, mirror) per barrier regardless of B.  On an
   identical-frontier batch (every lane walks the same frontier, so the
@@ -29,16 +23,13 @@ are persisted via :func:`repro.experiments.record_perf` into
 
 Run directly: ``python -m pytest benchmarks/bench_batch_kernel.py -q``.
 Set ``REPRO_BENCH_SMOKE=1`` for the CI smoke mode: a tiny graph, every
-correctness/record assertion intact (tiny-graph timings on shared CI
-runners are noise-dominated, so the compiled speed bar is asserted in
-the full-size run only).
+correctness/record assertion intact.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -50,8 +41,6 @@ from repro.core import (
     run_frogwild,
     run_frogwild_batch,
 )
-from repro.core.batched import BatchedFrogWildRunner
-from repro.core.kernels import HAVE_NUMBA, resolve_kernel
 from repro.engine import build_cluster
 from repro.experiments import record_perf
 from repro.graph import rmat
@@ -95,7 +84,7 @@ def _timed(fn, repeats):
 
 
 def test_fused_kernel_throughput(cluster):
-    """Superstep throughput of the default tier at B in {1, 4, 16, 64};
+    """Superstep throughput at B in {1, 4, 16, 64};
     the B=1 batch must be bit-identical to the standalone runner."""
     graph, replication = cluster
     config = FrogWildConfig(
@@ -137,107 +126,6 @@ def test_fused_kernel_throughput(cluster):
             f"({frog_steps / fused_s / 1e6:.2f}M frog-steps/s)"
         )
     record_perf("batch-kernel-throughput", metrics)
-
-
-def test_compiled_kernel_tier(cluster):
-    """Compiled tier vs the pinned fused kernel, honestly recorded.
-
-    Always asserts bit-identity (under the Numba-less fallback that is
-    trivially fused-vs-fused, and the record says so: ``numba=0``,
-    ``fallback=1``) and always persists a ``batch-kernel-compiled``
-    record with the host's true ``cpu_count`` plus the arena's
-    allocation accounting — ``arena_scratch_peak_bytes`` (the reused
-    high-water mark) against ``arena_alloc_demand_bytes`` (what
-    per-pass ``np.empty`` calls would have allocated before the arena).
-    The speed bar (compiled wall-clock <= fused at the largest B) is
-    enforced only where it is meaningful: Numba importable, multi-core
-    host, full-size run."""
-    graph, replication = cluster
-    config = FrogWildConfig(
-        num_frogs=FROGS_PER_LANE, iterations=ITERATIONS, ps=PS, seed=0
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        resolved = resolve_kernel("compiled")
-    cpu_count = os.cpu_count() or 1
-    metrics: dict[str, float] = {
-        "frogs_per_lane": FROGS_PER_LANE,
-        "iterations": ITERATIONS,
-        "machines": MACHINES,
-        "rmat_scale": SCALE,
-        "numba": float(HAVE_NUMBA),
-        "fallback": float(resolved != "compiled"),
-        "cpu_count": float(cpu_count),
-        "smoke": float(SMOKE),
-    }
-    compiled_sizes = (4, 16) if SMOKE else (16, 64)
-    speedups: dict[int, float] = {}
-    for batch_size in compiled_sizes:
-        queries = [BatchQuery(seed=s) for s in range(batch_size)]
-
-        def run(kernel):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                return run_frogwild_batch(
-                    graph,
-                    queries,
-                    config,
-                    state=_state(graph, replication),
-                    kernel=kernel,
-                )
-
-        run("compiled"), run("fused")  # warm both paths (and the jit)
-        compiled, compiled_s = _timed(lambda: run("compiled"), repeats=3)
-        fused, fused_s = _timed(lambda: run("fused"), repeats=3)
-        for lane_c, lane_f in zip(compiled.results, fused.results):
-            np.testing.assert_array_equal(
-                lane_c.estimate.counts, lane_f.estimate.counts
-            )
-        assert compiled.report.network_bytes == fused.report.network_bytes
-        frog_steps = sum(
-            lane.report.extra["num_frogs"] * lane.report.supersteps
-            for lane in fused.results
-        )
-        speedups[batch_size] = fused_s / compiled_s
-        metrics[f"compiled_s_b{batch_size}"] = compiled_s
-        metrics[f"fused_s_b{batch_size}"] = fused_s
-        metrics[f"speedup_b{batch_size}"] = speedups[batch_size]
-        metrics[f"frog_steps_per_s_b{batch_size}"] = frog_steps / compiled_s
-        print(
-            f"\nB={batch_size:3d}  compiled {compiled_s * 1e3:7.2f} ms  "
-            f"fused {fused_s * 1e3:7.2f} ms  "
-            f"speedup {speedups[batch_size]:.3f}x  "
-            f"({frog_steps / compiled_s / 1e6:.2f}M frog-steps/s compiled)"
-        )
-    # Arena accounting at the largest B.  The byte tallies are
-    # deterministic and jit-independent, so a Numba-less host still
-    # records them by running the compiled passes in pure Python
-    # (timings above stay on the honest fallback path).
-    force_token = os.environ.get("REPRO_COMPILED_FORCE")
-    os.environ["REPRO_COMPILED_FORCE"] = "python"
-    try:
-        queries = [BatchQuery(seed=s) for s in range(compiled_sizes[-1])]
-        runner = BatchedFrogWildRunner(
-            _state(graph, replication), config, queries, kernel="compiled"
-        )
-        runner.run()
-        arena_stats = runner._passes.arena.stats()
-    finally:
-        if force_token is None:
-            del os.environ["REPRO_COMPILED_FORCE"]
-        else:
-            os.environ["REPRO_COMPILED_FORCE"] = force_token
-    for key in ("capacity_bytes", "scratch_peak_bytes",
-                "alloc_demand_bytes"):
-        metrics[f"arena_{key}"] = float(arena_stats[key])
-    record_perf("batch-kernel-compiled", metrics)
-    if HAVE_NUMBA and resolved == "compiled" and cpu_count >= 2 and not SMOKE:
-        top = compiled_sizes[-1]
-        assert speedups[top] >= 1.0, (
-            f"compiled kernel took {1 / speedups[top]:.3f}x of the fused "
-            f"wall-clock at B={top}; the compiled tier must not lose to "
-            "the numpy kernel where Numba is available"
-        )
 
 
 def test_shared_sync_cuts_physical_records(cluster):

@@ -72,22 +72,15 @@ def add_service_args(
 ) -> None:
     """Install the service-construction flags every bench shares.
 
-    ``--machines``, ``--kernel``, ``--backend``, ``--store`` and
-    ``--store-dir`` get one spelling, one choice set and one help
-    string across ``serve-bench`` / ``live-bench`` / ``traffic-bench``
-    / ``chaos-bench``, and :func:`service_from_args` /
+    ``--machines``, ``--backend``, ``--store`` and ``--store-dir`` get
+    one spelling, one choice set and one help string across
+    ``serve-bench`` / ``live-bench`` / ``traffic-bench`` /
+    ``chaos-bench``, and :func:`service_from_args` /
     :func:`store_from_args` give them one resolution path, so the
     flags also *behave* identically.  Pinned by the golden ``--help``
     snapshots under ``tests/data/``.
     """
     parser.add_argument("--machines", type=int, default=machines)
-    parser.add_argument(
-        "--kernel", choices=("fused", "compiled"),
-        default="fused",
-        help="batch-kernel tier: 'compiled' runs the Numba single-pass "
-             "loops (install the [accel] extra; falls back to 'fused' "
-             "with a warning when numba is absent)",
-    )
     parser.add_argument(
         "--backend", choices=("auto", "local", "sharded", "process"),
         default=backend_default,
@@ -134,20 +127,18 @@ def service_from_args(graph, config, args, **overrides):
     """Build the :class:`~repro.serving.RankingService` a bench asked for.
 
     One resolution path for the flags :func:`add_service_args`
-    installs — kernel-tier fallback, ``--backend auto``, the storage
-    tier — normalized into a :class:`~repro.serving.ServiceConfig` and
-    built via ``RankingService.from_config``.  ``overrides`` are
+    installs — ``--backend auto``, the storage tier — normalized into
+    a :class:`~repro.serving.ServiceConfig` and built via
+    ``RankingService.from_config``.  ``overrides`` are
     command-specific config fields (cache sizing, clocks, admission,
     an explicit backend...).
     """
-    from .core.kernels import resolve_kernel
     from .serving import RankingService, ServiceConfig
 
     kwargs = dict(
         config=config,
         num_machines=args.machines,
         seed=args.seed,
-        kernel=resolve_kernel(getattr(args, "kernel", "fused")),
         num_shards=getattr(args, "shards", 1) or 1,
         backend=(
             None if getattr(args, "backend", "auto") == "auto"
@@ -801,14 +792,6 @@ def _cmd_serve_bench(args) -> int:
             f"kernel modes              : sync={args.sync_mode}, "
             f"wire-dedupe={'on' if args.wire_dedupe else 'off'}"
         )
-    from .core.kernels import resolve_kernel
-
-    resolved_kernel = resolve_kernel(args.kernel)
-    tier_note = (
-        "" if resolved_kernel == args.kernel
-        else f" (requested {args.kernel}, numba unavailable)"
-    )
-    print(f"kernel tier               : {resolved_kernel}{tier_note}")
     rng = np.random.default_rng(args.seed)
     seed_sets = [
         np.sort(
@@ -967,8 +950,6 @@ def _cmd_live_bench(args) -> int:
     config = FrogWildConfig(
         num_frogs=args.frogs, iterations=args.iterations, seed=args.seed
     )
-    from .core.kernels import resolve_kernel
-
     # The shared --store flag swaps the churn source: RAM twin or the
     # on-disk segment store (deltas land in its delta layer and the
     # refresh pipeline compacts them off the query path).
@@ -981,7 +962,6 @@ def _cmd_live_bench(args) -> int:
         num_shards=args.shards,
         rebalance_threshold=args.rebalance_threshold,
         seed=args.seed,
-        kernel=resolve_kernel(args.kernel),
         execution="process" if args.backend == "process" else "simulated",
         store=store,
     )
@@ -1346,8 +1326,6 @@ def _cmd_chaos_bench(args) -> int:
     config = FrogWildConfig(
         num_frogs=args.frogs, iterations=args.iterations, seed=args.seed
     )
-    from .core.kernels import resolve_kernel
-
     store = store_from_args(args, graph)
     pool = ProcessPoolBackend(
         graph if store is None else None,
@@ -1355,7 +1333,6 @@ def _cmd_chaos_bench(args) -> int:
         num_machines=args.machines,
         seed=args.seed,
         timeout_s=args.timeout_s,
-        kernel=resolve_kernel(args.kernel),
         on_shard_failure="partial",
         store=store,
     )

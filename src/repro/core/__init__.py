@@ -25,12 +25,7 @@ from .erasures import (
 from .estimator import PageRankEstimate, RankedEstimate, top_k_indices
 from .frogwild import FrogWildResult, FrogWildRunner, run_frogwild
 from .gossip import GossipResult, run_gossip
-from .kernels import (
-    KERNEL_TIERS,
-    available_kernels,
-    compiled_available,
-    resolve_kernel,
-)
+from .kernels import resolve_kernel
 from .personalized import (
     run_personalized_frogwild,
     run_personalized_frogwild_batch,
@@ -66,8 +61,5 @@ __all__ = [
     "AtLeastOneOutEdge",
     "make_erasure_model",
     "erased_walk_step",
-    "KERNEL_TIERS",
-    "available_kernels",
-    "compiled_available",
     "resolve_kernel",
 ]

@@ -20,8 +20,7 @@ size one is **bit-identical** to
 every lane of a larger batch is bit-identical to its standalone run
 (``tests/test_batched_frogwild.py``, ``tests/test_batch_kernel.py``).
 The superstep makes the draws; the deterministic passes between them
-come from a pass implementation chosen by ``kernel=`` — numpy
-(``"fused"``) or Numba (``"compiled"``), see :mod:`repro.core.kernels`.
+are the numpy :class:`~repro.core.kernels.FusedPasses`.
 
 Per superstep the batch pays once for
 
@@ -83,13 +82,7 @@ from .frogwild import (
     _check_start_distribution,
     _kernel_tables,
 )
-from .kernels import (
-    CompiledPasses,
-    CompiledTables,
-    DenseGroupTables,
-    FusedPasses,
-    resolve_kernel,
-)
+from .kernels import DenseGroupTables, FusedPasses
 
 __all__ = [
     "BatchQuery",
@@ -216,14 +209,10 @@ class BatchedFrogWildRunner:
     layer's coalescer never mixes configs in one batch); frog budget,
     birth law, seed and — in per-lane sync mode — ``ps`` are per-query.
 
-    There is one superstep; ``kernel`` selects who runs its
-    deterministic passes: ``"fused"`` (default) is whole-frontier numpy
-    (:class:`~repro.core.kernels.FusedPasses`), ``"compiled"`` the
-    Numba-jitted single-pass loops of
-    :class:`~repro.core.kernels.CompiledPasses` (falling back to
-    ``"fused"`` with one warning when Numba is absent).  Every random
-    draw is made by the superstep itself from the per-lane numpy
-    streams, so the tiers are bit-identical.
+    There is one superstep: it makes every random draw from the
+    per-lane numpy streams and runs the deterministic passes between
+    them as whole-frontier numpy
+    (:class:`~repro.core.kernels.FusedPasses`).
     """
 
     def __init__(
@@ -231,14 +220,11 @@ class BatchedFrogWildRunner:
         state: ClusterState,
         config: FrogWildConfig,
         queries: Sequence[BatchQuery],
-        kernel: str = "fused",
     ) -> None:
         if not queries:
             raise ConfigError("a batch needs at least one query")
-        kernel = resolve_kernel(kernel)
         self.state = state
         self.config = config
-        self.kernel = kernel
         self.shared_sync_mode = config.sync_mode == "shared"
         self.wire_dedupe = config.wire_dedupe
         self.tables = _kernel_tables(state)
@@ -310,30 +296,19 @@ class BatchedFrogWildRunner:
             "sync": 0, "repair": 0, "frog": 0,
             "sync_demand": 0, "frog_demand": 0,
         }
-        shape = dict(
+        # The dense group tables are per-ingress (shared across batches
+        # like the int64 kernel tables) and built on first use; the pass
+        # state is per-runner.
+        self._passes = FusedPasses(
+            self.tables,
+            state.ingress_cache(
+                "dense_groups",
+                lambda: DenseGroupTables(self.tables, state.num_machines),
+            ),
             num_lanes=len(self.lanes),
             num_machines=state.num_machines,
             num_vertices=n,
         )
-        # Each tier's own view of the group tables is per-ingress
-        # (shared across batches like the int64 kernel tables) and built
-        # on first use; the pass pipeline is per-runner state.
-        if kernel == "compiled":
-            self._passes = CompiledPasses(
-                state.ingress_cache(
-                    "compiled_tables", lambda: CompiledTables(self.tables)
-                ),
-                **shape,
-            )
-        else:
-            self._passes = FusedPasses(
-                self.tables,
-                state.ingress_cache(
-                    "dense_groups",
-                    lambda: DenseGroupTables(self.tables, state.num_machines),
-                ),
-                **shape,
-            )
 
     # ------------------------------------------------------------------
     def run(self) -> BatchedFrogWildResult:
@@ -591,7 +566,6 @@ class BatchedFrogWildRunner:
         state = self.state
         num_lanes = len(self.lanes)
         passes = self._passes
-        passes.begin_superstep()
 
         lane_ids, verts, k = frontier
         row_counts = np.bincount(lane_ids, minlength=num_lanes)
@@ -712,7 +686,7 @@ class BatchedFrogWildRunner:
             ).astype(np.int64)
             total = int(k_send.sum())
             if total:
-                draw = passes.scratch(total, np.float64)
+                draw = np.empty(total, dtype=np.float64)
                 draw_bounds = np.concatenate([[0], np.cumsum(per_lane)])
                 for lane in live:
                     lo = draw_bounds[lane.index]
@@ -730,7 +704,7 @@ class BatchedFrogWildRunner:
                 chosen, k_per_edge, prob, edge_lane = passes.expand_binomial(
                     k_sv, edge_counts, self._lane_ps
                 )
-                sent = passes.scratch(total_edges, np.int64)
+                sent = np.empty(total_edges, dtype=np.int64)
                 for lane in live:
                     lo, hi = np.searchsorted(
                         edge_lane, [lane.index, lane.index + 1]
@@ -919,16 +893,12 @@ def run_frogwild_batch(
     size_model: MessageSizeModel | None = None,
     partition: EdgePartition | None = None,
     state: ClusterState | None = None,
-    kernel: str = "fused",
 ) -> BatchedFrogWildResult:
     """Run a batch of FrogWild queries through one shared traversal.
 
     Mirrors :func:`repro.core.run_frogwild`: pass a prebuilt ``state``
     to reuse an ingress across batches (the serving layer does), or let
-    this build one.  ``kernel`` selects the numpy passes (``"fused"``,
-    default) or the Numba ``"compiled"`` tier (see
-    :mod:`repro.core.kernels`; falls back to fused with a warning when
-    numba is absent).
+    this build one.
     """
     config = config or FrogWildConfig()
     if state is None:
@@ -941,4 +911,4 @@ def run_frogwild_batch(
             seed=config.seed,
             partition=partition,
         )
-    return BatchedFrogWildRunner(state, config, queries, kernel=kernel).run()
+    return BatchedFrogWildRunner(state, config, queries).run()

@@ -81,13 +81,10 @@ class FrogWildConfig:
 
     Notes
     -----
-    Kernel-tier selection (``"fused"`` / the Numba ``"compiled"``
-    tier) is deliberately *not* a config field: the tiers are
-    bitwise-identical pass implementations under one superstep,
-    so the choice is an execution detail carried by the ``kernel=``
-    kwarg of the runner and the serving backends (see
-    :mod:`repro.core.kernels`), never something that could change a
-    result between two runs of one config.
+    There is no kernel field: the batched superstep has one pass
+    implementation (:mod:`repro.core.kernels`).  The serving entry
+    points keep a ``kernel=`` keyword for caller compatibility, and
+    its only value is ``"fused"``.
     """
 
     num_frogs: int = 10_000

@@ -1,4 +1,4 @@
-"""Numpy passes of the batched superstep: the default ``"fused"`` tier.
+"""Numpy passes of the batched superstep.
 
 Each pass is a handful of whole-frontier numpy calls over the
 concatenated ``(lane, vertex)`` frontier.  From the sync coins to the
@@ -13,10 +13,8 @@ benchmark's R-MAT scale-15 graph at 16 machines, 0.35-0.43 on
 replaced were cheaper (README, "Cost model").  The frog-record dedupe
 and the next-frontier reduction are one sort each.
 
-:class:`FusedPasses` and :class:`~.compiled.CompiledPasses` implement
-the same interface (see :mod:`repro.core.kernels`); the superstep in
-``core/batched.py`` draws every random number itself and calls one of
-them for everything deterministic.
+The superstep in ``core/batched.py`` draws every random number itself
+and calls :class:`FusedPasses` for everything deterministic.
 """
 
 from __future__ import annotations
@@ -52,13 +50,6 @@ class FusedPasses:
         self.num_lanes = int(num_lanes)
         self.num_machines = int(num_machines)
         self.num_vertices = int(num_vertices)
-
-    # -- superstep lifecycle -------------------------------------------
-    def begin_superstep(self) -> None:
-        """Nothing to recycle: numpy allocates per pass."""
-
-    def scratch(self, size: int, dtype) -> np.ndarray:
-        return np.empty(size, dtype=dtype)
 
     # -- apply ----------------------------------------------------------
     def apply(self, counts, lane_ids, verts, dead, k):

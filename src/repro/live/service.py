@@ -111,8 +111,9 @@ class LiveRankingService(RankingService):
         :class:`~repro.graph.DiGraph`, which is wrapped).  The service
         applies deltas to it through :meth:`refresh` / :meth:`attach`.
     kernel:
-        Batch-kernel tier (``"fused"`` / ``"compiled"``), resolved once
-        here and handed to every epoch's backend.
+        Kept for caller compatibility; its single value is ``"fused"``,
+        and any other name is a ``ConfigError`` before anything is
+        built.
     store:
         Mutually exclusive with ``graph``: serve a live
         :class:`~repro.store.GraphStore` as the churn source instead.
@@ -194,7 +195,7 @@ class LiveRankingService(RankingService):
                 "expected 'fail', 'partial' or 'retry'"
             )
         self.on_shard_failure = on_shard_failure
-        self._kernel = resolve_kernel(kernel)
+        resolve_kernel(kernel)
         self.compact_threshold = compact_threshold
         self.compactions = 0
         if store is not None:
@@ -321,7 +322,6 @@ class LiveRankingService(RankingService):
                     size_model=self._size_model,
                     seed=self._seed,
                     replications=tables,
-                    kernel=self._kernel,
                     on_shard_failure=self.on_shard_failure,
                 )
             else:
@@ -340,7 +340,6 @@ class LiveRankingService(RankingService):
                 size_model=self._size_model,
                 seed=self._seed,
                 replications=tables,
-                kernel=self._kernel,
             )
         return LocalBackend(
             snapshot,
@@ -349,7 +348,6 @@ class LiveRankingService(RankingService):
             size_model=self._size_model,
             seed=self._seed,
             replication=tables[0],
-            kernel=self._kernel,
         )
 
     # ------------------------------------------------------------------

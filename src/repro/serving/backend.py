@@ -25,16 +25,14 @@ Both expose the same contract, so the service, the scheduler, the CLI
 and the benchmarks are layout-agnostic.  The seam is also where the
 live layer plugs in: :class:`repro.live.EpochManager` is an
 atomically swappable backend *proxy* that lets a refreshed graph
-replace either layout between batches.  The kernel tiers plug in here
-too: both backends run the batched superstep with its numpy passes
-(``"fused"``) by default, and ``kernel="compiled"`` selects the Numba
-passes (single-pass loops over int32-narrowed tables; bitwise
-identical to fused, falls back to it with a warning when numba is
-absent — see :mod:`repro.core.kernels`).  The tier is resolved when a
-backend is constructed, so an unknown name is a
-:class:`~repro.errors.ConfigError` there.  The config's ``sync_mode`` /
-``wire_dedupe`` fields flow through ``run_batch`` unchanged — a
-sharded deployment dedupes frog records within each shard's wire.
+replace either layout between batches.  Both backends run the batched
+superstep with its numpy passes (:mod:`repro.core.kernels`).
+:class:`ShardedBackend` keeps a ``kernel=`` keyword for caller
+compatibility: its only value is ``"fused"``, and any other name is a
+:class:`~repro.errors.ConfigError` at construction.  The config's
+``sync_mode`` / ``wire_dedupe`` fields flow through ``run_batch``
+unchanged — a sharded deployment dedupes frog records within each
+shard's wire.
 """
 
 from __future__ import annotations
@@ -261,14 +259,12 @@ class LocalBackend:
         size_model: MessageSizeModel | None = None,
         seed: int | None = 0,
         replication: ReplicationTable | None = None,
-        kernel: str = "fused",
         store=None,
     ) -> None:
         self.num_machines = num_machines
         self.cost_model = cost_model
         self.size_model = size_model
         self.seed = seed
-        self.kernel = resolve_kernel(kernel)
         self.store = _checked_store(store)
         if graph is None and self.store is None:
             raise ConfigError("LocalBackend needs a graph or a store")
@@ -320,7 +316,6 @@ class LocalBackend:
             [BatchQuery(start_distribution=d) for d in distributions],
             config,
             state=self.fresh_state(),
-            kernel=self.kernel,
         )
         return BatchOutcome(
             lanes=tuple(
@@ -363,6 +358,9 @@ class ShardedBackend:
     within-shard vertex-cut machinery already simulates.  The price is
     ingress memory proportional to ``num_shards``; the payoff is
     fleet-level parallelism with exactly mergeable counters/ledgers.
+
+    ``kernel`` stays for caller compatibility and has a single value,
+    ``"fused"``; it is only validated.
     """
 
     def __init__(
@@ -380,10 +378,8 @@ class ShardedBackend:
         kernel: str = "fused",
         store=None,
     ) -> None:
-        # Resolved here, once, in the parent: an unknown tier is a
-        # ConfigError before any ingress is built or worker started,
-        # and a process pool's workers are handed the resolved name.
-        self.kernel = resolve_kernel(kernel)
+        # Checked before any ingress is built or worker started.
+        resolve_kernel(kernel)
         self.store = _checked_store(store)
         if graph is None and self.store is None:
             raise ConfigError("ShardedBackend needs a graph or a store")
@@ -520,7 +516,6 @@ class ShardedBackend:
                 ],
                 config,
                 state=self.fresh_state(shard),
-                kernel=self.kernel,
             )
             for lanes, shard_lane in zip(per_query_lanes, result.results):
                 lanes.append(shard_lane)

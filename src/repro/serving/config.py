@@ -1,11 +1,11 @@
 """Typed construction config for :class:`~repro.serving.RankingService`.
 
 ``RankingService.__init__`` accreted well over a dozen keyword
-arguments as the serving layer grew (backend layout, kernel tier,
-cache sizing, admission, tracing, fail-soft policy, the graph store
-seam...).  :class:`ServiceConfig` is the typed consolidation: one
-frozen dataclass carrying every construction knob, built once and
-handed to :meth:`~repro.serving.RankingService.from_config`.
+arguments as the serving layer grew (backend layout, cache sizing,
+admission, tracing, fail-soft policy, the graph store seam...).
+:class:`ServiceConfig` is the typed consolidation: one frozen
+dataclass carrying every construction knob, built once and handed to
+:meth:`~repro.serving.RankingService.from_config`.
 
 The old kwargs keep working — ``__init__`` normalizes them into the
 same dataclass (exposed as ``service.service_config``), so the two
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable
+
+from ..core.kernels import resolve_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids cycles
     from ..cluster import CostModel, MessageSizeModel
@@ -36,7 +38,8 @@ class ServiceConfig:
     Field semantics are documented on the service constructor; the
     dataclass only fixes their names, defaults and grouping.  Use
     :func:`dataclasses.replace` (or :meth:`evolve`) to derive variants
-    and :meth:`to_kwargs` to feed the legacy kwargs path.
+    and :meth:`to_kwargs` to feed the legacy kwargs path.  ``kernel``
+    stays for caller compatibility; ``"fused"`` is its only value.
     """
 
     # Execution defaults
@@ -65,6 +68,9 @@ class ServiceConfig:
         default=None, repr=False
     )
     tracer: "QueryTracer | None" = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        resolve_kernel(self.kernel)
 
     def to_kwargs(self) -> dict:
         """The equivalent keyword-argument mapping of this config.

@@ -149,7 +149,6 @@ def _worker_main(
     cost_model,
     size_model,
     seed,
-    kernel: str,
 ) -> None:
     """One shard worker: attach epochs, run batch slices, ship records."""
     channel = RecordChannel(data, size_model)
@@ -217,7 +216,6 @@ def _worker_main(
                     ],
                     config,
                     state=state,
-                    kernel=kernel,
                 )
                 if reply_delay_s > 0.0:
                     # Injected chaos: the slice is computed but nothing
@@ -361,12 +359,10 @@ class ProcessPoolBackend(ShardedBackend):
     merges the returned lanes through the same
     :func:`~repro.core.batched.merge_shard_results` /
     ``CostLedger.merge`` machinery, so results and cost attribution are
-    identical — only wall-clock parallelism differs.  The ``kernel=``
-    tier (``"fused"`` default, or the Numba ``"compiled"`` tier from
-    :mod:`repro.core.kernels`) is resolved here, before any worker
-    starts — an unknown name is a :class:`~repro.errors.ConfigError`,
-    and a Numba-less host warns about the fused fallback once, in the
-    parent — and every worker is handed the resolved tier.
+    identical — only wall-clock parallelism differs.  ``kernel=``
+    stays for caller compatibility and has a single value,
+    ``"fused"``: any other name is a :class:`~repro.errors.ConfigError`
+    before a worker starts, and it is not forwarded to the workers.
 
     Extra parameters on top of :class:`ShardedBackend`:
 
@@ -550,7 +546,6 @@ class ProcessPoolBackend(ShardedBackend):
                 self.cost_model,
                 self.size_model,
                 self.seed,
-                self.kernel,
             ),
             name=f"repro-shard-{shard}",
             daemon=True,

@@ -349,12 +349,9 @@ class RankingService:
         shard count from the fleet size and the default config's frog
         budget (:func:`~repro.serving.choose_num_shards`).
     kernel:
-        Batch-kernel tier forwarded to any backend this constructor
-        builds (ignored when ``backend`` is an explicit instance):
-        ``"fused"`` (default) or ``"compiled"`` (Numba tier from
-        :mod:`repro.core.kernels`; falls back to fused with one warning
-        when Numba is absent).  The backend resolves it at
-        construction; an unknown name is a ``ConfigError``.
+        Kept for caller compatibility (and the :class:`ServiceConfig`
+        round trip); its single value is ``"fused"``, and any other
+        name is a ``ConfigError`` before a backend is built.
     max_delay_s:
         Deadline for the scheduled path (:meth:`submit`): a partial
         batch dispatches once its oldest query has waited this long.
@@ -500,7 +497,6 @@ class RankingService:
                     cost_model=cost_model,
                     size_model=size_model,
                     seed=seed,
-                    kernel=kernel,
                     on_shard_failure=on_shard_failure,
                     store=self.store,
                 )
@@ -513,7 +509,6 @@ class RankingService:
                     cost_model=cost_model,
                     size_model=size_model,
                     seed=seed,
-                    kernel=kernel,
                     store=self.store,
                 )
             elif kind == "local":
@@ -524,7 +519,6 @@ class RankingService:
                     cost_model=cost_model,
                     size_model=size_model,
                     seed=seed,
-                    kernel=kernel,
                     store=self.store,
                 )
             else:

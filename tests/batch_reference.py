@@ -12,18 +12,20 @@ report prices physical messages whose headers the lanes share.  Those
 are pinned (:func:`assert_physical_report_pinned`) to the values the
 per-lane reference loop produced at commit 3781176, the last one that
 carried it (``kernel="lane-loop"``), stored in
-``data/batch_reports_3781176.json``.  They were recorded with::
+``data/batch_reports_3781176.json``.  They were recorded by this script
+as of commit 203fb0a, whose ``run_pinned`` still took a tier::
 
     git archive 3781176 src | tar -x -C /tmp/parent
-    PYTHONPATH=/tmp/parent/src python tests/batch_reference.py lane-loop
+    git archive 203fb0a tests | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python /tmp/parent/tests/batch_reference.py lane-loop
 
-The same command with ``fused`` against the current ``src`` rewrites the
-file from today's kernel; a diff in it is a changed answer.
+Running ``python tests/batch_reference.py`` against the current ``src``
+rewrites the file from today's superstep; a diff in it is a changed
+answer.
 """
 
 import json
 import pathlib
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -76,9 +78,8 @@ if __name__ == "__main__":
     import test_batch_kernel
     import test_frog_proportional
 
-    kernel = sys.argv[1]
     reports = {
-        name: physical_report(module.run_pinned(name, kernel))
+        name: physical_report(module.run_pinned(name))
         for module in (test_batch_kernel, test_frog_proportional)
         for name in module.PINNED
     }

@@ -37,6 +37,7 @@ from batch_reference import (
 from repro.core import (
     BatchQuery,
     FrogWildConfig,
+    resolve_kernel,
     run_frogwild_batch,
 )
 from repro.engine import MirrorSynchronizer, apportion_records, build_cluster
@@ -52,14 +53,13 @@ def _config(**config_kwargs):
     )
 
 
-def _run(queries, kernel="fused", machines=4, **config_kwargs):
+def _run(queries, machines=4, **config_kwargs):
     config = _config(**config_kwargs)
     return run_frogwild_batch(
         GRAPH,
         queries,
         config,
         state=build_cluster(GRAPH, machines, seed=config.seed),
-        kernel=kernel,
     )
 
 
@@ -95,9 +95,9 @@ PINNED = {
 }
 
 
-def run_pinned(name, kernel="fused"):
+def run_pinned(name):
     queries, config_kwargs = PINNED[name]
-    return _run(queries, kernel=kernel, **config_kwargs)
+    return _run(queries, **config_kwargs)
 
 
 def _check_pinned(name):
@@ -125,43 +125,37 @@ class TestKernelEquivalence:
         supersteps = [lane.report.supersteps for lane in batch.results]
         assert supersteps[3] == 40 and min(supersteps) < 40
 
-    @pytest.mark.parametrize("kernel", ["fused", "compiled"])
-    def test_dangling_vertices_idle_instead_of_crashing(
-        self, monkeypatch, kernel
-    ):
+    @pytest.mark.parametrize(
+        "config_kwargs",
+        [dict(), dict(scatter_mode="binomial"), dict(sync_mode="shared")],
+    )
+    def test_dangling_vertices_idle_instead_of_crashing(self, config_kwargs):
         """A frog stranded on a dangling vertex (no out-groups) has
         nothing the at-least-one repair can enable: it must idle in
-        place (conserving the population) instead of mis-indexing into
-        a neighboring row's group block — in every kernel, matching
-        the single-query runner."""
-        from repro.core import run_frogwild
+        place instead of mis-indexing into a neighboring row's group
+        block.  Every per-lane-sync lane is its standalone run, bitwise;
+        a shared-sync lane draws its coins from the batch's stream, so
+        no standalone run replays it.  Multinomial scatter conserves
+        the population; binomial may duplicate frogs."""
         from repro.graph import from_edges
 
-        monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
         graph = from_edges(
             [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (4, 0),
              (0, 4), (4, 3)],
             repair_dangling="none",
         )
         config = FrogWildConfig(
-            num_frogs=300, iterations=6, ps=0.2, seed=5
+            num_frogs=300, iterations=6, ps=0.2, seed=5, **config_kwargs
         )
+        queries = [BatchQuery(seed=5 + s) for s in range(3)]
         result = run_frogwild_batch(
-            graph,
-            [BatchQuery(seed=5 + s) for s in range(3)],
-            config,
-            state=build_cluster(graph, 3, seed=5),
-            kernel=kernel,
+            graph, queries, config, state=build_cluster(graph, 3, seed=5)
         )
-        for lane in result.results:
-            assert lane.estimate.total_stopped == 300
-        single = run_frogwild(
-            graph, config, state=build_cluster(graph, 3, seed=5)
-        )
-        assert single.estimate.total_stopped == 300
-        np.testing.assert_array_equal(
-            single.estimate.counts, result.results[0].estimate.counts
-        )
+        if config.sync_mode == "per-lane":
+            assert_lanes_match_standalone(graph, 3, config, queries, result)
+        if config.scatter_mode == "multinomial":
+            for lane in result.results:
+                assert lane.estimate.total_stopped == 300
 
     def test_dangling_vertices_idle_in_shared_sync_mode(self):
         from repro.graph import from_edges
@@ -184,9 +178,14 @@ class TestKernelEquivalence:
             assert lane.estimate.total_stopped == 300
 
     def test_unknown_kernel_rejected(self):
-        for kernel in ("simd", "lane-loop"):
-            with pytest.raises(ConfigError):
-                _run([BatchQuery()], kernel=kernel)
+        """``resolve_kernel`` is the one check behind every serving
+        entry point's ``kernel=``; the runner takes no such keyword."""
+        for kernel in ("simd", "lane-loop", "compiled"):
+            with pytest.raises(ConfigError, match="removed.*only kernel"):
+                resolve_kernel(kernel)
+        assert resolve_kernel("fused") == "fused"
+        with pytest.raises(TypeError, match="kernel"):
+            run_frogwild_batch(GRAPH, [BatchQuery()], kernel="fused")
 
 
 class TestSharedSync:

@@ -1,7 +1,7 @@
 """The shared service flags: one spelling across every bench command.
 
-``add_service_args`` installs ``--machines`` / ``--kernel`` /
-``--backend`` / ``--store`` / ``--store-dir`` identically on
+``add_service_args`` installs ``--machines`` / ``--backend`` /
+``--store`` / ``--store-dir`` identically on
 serve-bench, live-bench, traffic-bench and chaos-bench, and
 ``service_from_args`` / ``store_from_args`` resolve them identically.
 The golden ``--help`` snapshots under ``tests/data/`` pin the exact
@@ -26,8 +26,7 @@ from repro.graph import twitter_like
 
 BENCHES = ["serve-bench", "live-bench", "traffic-bench", "chaos-bench"]
 DATA = Path(__file__).parent / "data"
-SHARED_FLAGS = ("--machines", "--kernel", "--backend", "--store",
-                "--store-dir")
+SHARED_FLAGS = ("--machines", "--backend", "--store", "--store-dir")
 
 
 class TestGoldenHelp:
@@ -97,7 +96,6 @@ class TestStoreFromArgs:
         # Fleet sizes are per-command; tier/selection defaults are not.
         assert serve.machines == 16 and live.machines == 8
         for args in (serve, live, chaos):
-            assert args.kernel == "fused"
             assert args.store == "ram"
         assert serve.backend == "auto"
         assert chaos.backend == "process"

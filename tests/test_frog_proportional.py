@@ -14,9 +14,9 @@ guarantees:
   rule, with disabled groups, rows kept alive by a single (repaired)
   group, zero-width groups, rows without frogs, and absent cells
   interleaved as in the dense block (property-based);
-* kernel parity where the search branch runs every superstep (a
+* batch parity where the search branch runs every superstep (a
   hub-heavy graph walked by a few frogs): every lane = its standalone
-  ``FrogWildRunner`` run (B=3 and B=1), compiled = fused;
+  ``FrogWildRunner`` run (B=3 and B=1);
 * ``_births`` is ``rng.choice(n, size, p=law)`` — same births, same rng
   state afterwards — at O(support) (property-based);
 * a gate that can fail: a served batch calls ``_ranges_to_indices`` in
@@ -193,7 +193,7 @@ class TestPickEnabledEdges:
 
 
 # ----------------------------------------------------------------------
-# Kernel parity with the search branch on every superstep
+# Batch parity with the search branch on every superstep
 # ----------------------------------------------------------------------
 def _hub_graph():
     """80 hubs linked to all 400 vertices, everyone linked to every hub:
@@ -219,7 +219,7 @@ ERASURES = ("at-least-one", "independent")
 
 @pytest.fixture
 def picks(monkeypatch):
-    """Record (enabled edges, frogs) of every pick made by any kernel."""
+    """Record (enabled edges, frogs) of every pick made by either runner."""
     seen = []
     real = fw._pick_enabled_edges
 
@@ -237,26 +237,12 @@ def _all_searched(seen, at_least):
     assert all(e > fw._EDGES_PER_FROG_SEARCH * f for e, f in seen), seen
 
 
-def _batch(queries, kernel, **config_kwargs):
+def _batch(queries, **config_kwargs):
     config = FrogWildConfig(**{**FEW_FROGS, **config_kwargs})
     return run_frogwild_batch(
         HUBS, queries, config,
         state=build_cluster(HUBS, MACHINES, seed=config.seed),
-        kernel=kernel,
     )
-
-
-def _assert_bitwise(left, right):
-    for lane_l, lane_r in zip(left.results, right.results):
-        np.testing.assert_array_equal(
-            lane_l.estimate.counts, lane_r.estimate.counts
-        )
-        assert lane_l.report.network_bytes == lane_r.report.network_bytes
-        assert lane_l.report.cpu_seconds == lane_r.report.cpu_seconds
-        assert lane_l.report.supersteps == lane_r.report.supersteps
-    assert left.report.network_bytes == right.report.network_bytes
-    assert left.report.cpu_seconds == right.report.cpu_seconds
-    assert left.report.total_time_s == right.report.total_time_s
 
 
 QUERIES = [
@@ -269,8 +255,8 @@ QUERIES = [
 PINNED = {f"search-branch-{erasure}": erasure for erasure in ERASURES}
 
 
-def run_pinned(name, kernel="fused"):
-    return _batch(QUERIES, kernel, erasure_model=PINNED[name])
+def run_pinned(name):
+    return _batch(QUERIES, erasure_model=PINNED[name])
 
 
 class TestSearchBranchParity:
@@ -307,19 +293,6 @@ class TestSearchBranchParity:
         )
         assert single.estimate.total_stopped == config.num_frogs
         _all_searched(picks, at_least=2 * config.iterations)
-
-    @pytest.mark.parametrize("erasure_model", ERASURES)
-    def test_compiled_matches_fused(self, monkeypatch, picks, erasure_model):
-        # Without Numba the compiled tier runs the loops Numba would
-        # jit, in Python; CI's kernel-compiled lane runs them jitted.
-        monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
-        compiled = _batch(
-            QUERIES, "compiled", erasure_model=erasure_model
-        )
-        assert not picks  # the compiled tier walks groups per frog itself
-        fused = _batch(QUERIES, "fused", erasure_model=erasure_model)
-        _assert_bitwise(compiled, fused)
-        _all_searched(picks, at_least=FEW_FROGS["iterations"])
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.graph import twitter_like
 from repro.live import LiveRankingService
 from repro.serving import (
     LocalBackend,
-    ProcessPoolBackend,
     RankingQuery,
     RankingService,
     ServiceConfig,
@@ -58,14 +57,12 @@ class TestEquivalence:
             via_kwargs.close()
             via_config.close()
 
-    def test_normalized_config_is_exposed(self, monkeypatch):
-        # The non-default tier runs without Numba under this switch.
-        monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
+    def test_normalized_config_is_exposed(self):
         service = RankingService(
-            GRAPH, CONFIG, num_machines=4, seed=7, kernel="compiled"
+            GRAPH, CONFIG, num_machines=4, seed=7, kernel="fused"
         )
         try:
-            assert service.service_config.kernel == "compiled"
+            assert service.service_config.kernel == "fused"
             assert service.service_config.num_machines == 4
             assert service.service_config.seed == 7
             assert service.service_config.config is CONFIG
@@ -119,11 +116,12 @@ class TestConfigApi:
 
 
 class TestKernelResolvedAtConstruction:
-    """An unknown tier is refused where a backend is built, in the
-    parent, before an ingress or a worker exists — not by the first
-    batch (on the process pool: by a worker, wrapped in EngineError)."""
+    """``"fused"`` is the only kernel: any other name — the removed
+    ``"compiled"`` tier included — is refused in the parent, before an
+    ingress or a worker exists, not by the first batch (on the process
+    pool: by a worker, wrapped in EngineError)."""
 
-    @pytest.mark.parametrize("kernel", ["simd", "lane-loop"])
+    @pytest.mark.parametrize("kernel", ["simd", "lane-loop", "compiled"])
     @pytest.mark.parametrize("backend", ["local", "sharded", "process"])
     def test_service_rejects_unknown_kernel(self, backend, kernel):
         children = set(multiprocessing.active_children())
@@ -137,7 +135,7 @@ class TestKernelResolvedAtConstruction:
             )
         assert set(multiprocessing.active_children()) == children
 
-    @pytest.mark.parametrize("kernel", ["simd", "lane-loop"])
+    @pytest.mark.parametrize("kernel", ["simd", "lane-loop", "compiled"])
     @pytest.mark.parametrize("execution", ["simulated", "process"])
     def test_live_service_rejects_unknown_kernel(self, execution, kernel):
         children = set(multiprocessing.active_children())
@@ -149,22 +147,11 @@ class TestKernelResolvedAtConstruction:
             )
         assert set(multiprocessing.active_children()) == children
 
-    def test_fallback_is_resolved_once_in_the_parent(self, monkeypatch):
-        from repro.core.kernels import compiled, reset_fallback_warning
-
-        monkeypatch.delenv("REPRO_COMPILED_FORCE", raising=False)
-        monkeypatch.setattr(compiled, "HAVE_NUMBA", False)
-        reset_fallback_warning()
+    def test_fused_round_trips_through_to_kwargs(self):
+        cfg = ServiceConfig(config=CONFIG, num_machines=4, kernel="fused")
+        assert cfg.to_kwargs()["kernel"] == "fused"
+        service = RankingService(GRAPH, **cfg.to_kwargs())
         try:
-            with pytest.warns(RuntimeWarning, match="accel") as caught:
-                with ProcessPoolBackend(
-                    GRAPH, num_shards=2, num_machines=4, kernel="compiled"
-                ) as backend:
-                    # Workers are handed "fused": they never warn.
-                    assert backend.kernel == "fused"
-                    assert len(backend.run_batch(
-                        CONFIG, [RankingQuery(seeds=(1, 2), k=5)]
-                    ).lanes) == 1
-            assert len(caught) == 1
+            assert service.service_config == cfg
         finally:
-            reset_fallback_warning()
+            service.close()

@@ -622,7 +622,6 @@ class TestRankedCache:
             ],
             self.CONFIG,
             state=backend.fresh_state(),
-            kernel=backend.kernel,
         )
         return result.results[0].estimate
 

@@ -1,6 +1,6 @@
 """The out-of-core graph tier: SegmentStore vs the in-RAM reference.
 
-Four families of guarantees pin the store down:
+Three families of guarantees pin the store down:
 
 * **delta parity**: ``SegmentStore.apply`` / ``add_edges`` /
   ``remove_edges`` mirror :class:`~repro.dynamic.DynamicDiGraph`'s
@@ -13,9 +13,7 @@ Four families of guarantees pin the store down:
   delta sequences, segment sizes, and (mis)aligned machine placements,
   before and after compaction;
 * **compaction/manifest discipline**: intervals stay sorted, disjoint
-  per machine and covering; crash debris is sweepable; reopen round-trips;
-* **tile planning**: :func:`~repro.core.kernels.plan_store_tiles`
-  equals :func:`~repro.core.kernels.plan_tiles` fed the same weights.
+  per machine and covering; crash debris is sweepable; reopen round-trips.
 """
 
 import tempfile
@@ -26,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels.layout import plan_store_tiles, plan_tiles
 from repro.dynamic import DynamicDiGraph, GraphDelta
 from repro.errors import ConfigError, GraphError
 from repro.graph import DiGraph, twitter_like
@@ -355,44 +352,6 @@ class TestWindowPruningProperty:
         full = store.edge_keys()
         assert np.array_equal(
             store.scan(window), scan_keys(full, n, window)
-        )
-
-
-class TestStoreTiles:
-    def test_plan_store_tiles_equals_plan_tiles(self, tmp_path):
-        store = _store(tmp_path)
-        n = store.num_vertices
-        keys = store.edge_keys()
-        weights = np.bincount(keys // n, minlength=n) * 16
-        for budget in (64, 1024, 16 * GRAPH.num_edges + 1):
-            expected = plan_tiles(weights, budget)
-            got = plan_store_tiles(
-                store, budget, chunk_vertices=37
-            )
-            assert np.array_equal(got, expected), budget
-
-    def test_plan_store_tiles_windowed(self, tmp_path):
-        store = _store(tmp_path)
-        n = store.num_vertices
-        window = Window(40, 210)
-        keys = scan_keys(store.edge_keys(), n, window)
-        weights = np.bincount(
-            keys // n - 40, minlength=210 - 40
-        ) * 16
-        expected = 40 + plan_tiles(weights, 512)
-        got = plan_store_tiles(
-            store, 512, window=window, chunk_vertices=11
-        )
-        assert np.array_equal(got, expected)
-
-    def test_plan_store_tiles_on_ram_store(self):
-        weights = np.bincount(
-            GRAPH.edge_keys() // GRAPH.num_vertices,
-            minlength=GRAPH.num_vertices,
-        ) * 16
-        assert np.array_equal(
-            plan_store_tiles(GRAPH, 2048),
-            plan_tiles(weights, 2048),
         )
 
 
