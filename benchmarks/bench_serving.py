@@ -10,10 +10,10 @@ amortization, not approximation.
 
 Two baselines are measured on a Graph500-style RMAT workload:
 
-* the repo's repeated-run idiom (cf. ``repro.core.adaptive``): the
-  ingress *partition* is shared, per-run replication tables are rebuilt
-  — this is what B independent ``run_personalized_frogwild`` calls cost
-  today, and the < 0.5x acceptance bar is asserted against it;
+* the repo's repeated-run idiom: the ingress *partition* is shared,
+  per-run replication tables are rebuilt — this is what B independent
+  ``run_personalized_frogwild`` calls cost today, and the < 0.5x
+  acceptance bar is asserted against it;
 * a stricter baseline that also shares the replication tables (the
   serving layer's own trick applied to the sequential path), against
   which the batched runner must still win.

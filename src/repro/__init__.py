@@ -20,7 +20,6 @@ Subpackages: :mod:`repro.graph` (CSR graphs and generators),
 :mod:`repro.core` (FrogWild itself), :mod:`repro.pagerank` (baselines),
 :mod:`repro.metrics`, :mod:`repro.theory`,
 :mod:`repro.experiments` (per-figure reproduction harness),
-:mod:`repro.apps` (keyword extraction, influencer and churn analyses),
 :mod:`repro.serving` (the batched/sharded top-k ranking service),
 :mod:`repro.dynamic` (churn generation and tracking) and
 :mod:`repro.live` (incremental ingress maintenance and epoch-swapped
@@ -29,9 +28,6 @@ serving of a churning graph).
 
 from .cluster import CostModel, MessageSizeModel
 from .core import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    run_adaptive_frogwild,
     BatchQuery,
     BatchedFrogWildResult,
     BatchedFrogWildRunner,
@@ -88,9 +84,6 @@ __all__ = [
     "twitter_like",
     "livejournal_like",
     "read_edge_list",
-    "AdaptiveConfig",
-    "AdaptiveResult",
-    "run_adaptive_frogwild",
     "BatchQuery",
     "BatchedFrogWildResult",
     "BatchedFrogWildRunner",

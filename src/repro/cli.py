@@ -3,9 +3,8 @@
 Subcommands
 -----------
 ``figure N``
-    Re-run the reproduction of paper figure N (1–8) and print its rows;
-    optionally render an ASCII chart (``--render-x/--render-y``) and
-    save JSON/CSV.
+    Re-run the reproduction of paper figure N (1–8), print its rows
+    and optionally save them as JSON/CSV.
 ``run``
     Run FrogWild (or a baseline) once on a workload or an edge-list
     file and print the report plus the top-k vertices.
@@ -13,8 +12,6 @@ Subcommands
     Print workload statistics.
 ``ppr``
     Personalized PageRank for a seed set via seeded frog births.
-``adaptive``
-    Grow the frog budget until the top-k stabilizes (Remark 6).
 ``track``
     Track the top-k over a churning graph (the OSN scenario).
 ``faults``
@@ -179,17 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="vertices in the LiveJournal-like workload",
     )
     fig.add_argument("--seed", type=int, default=0)
-    fig.add_argument(
-        "--render-x", metavar="COLUMN",
-        help="render an ASCII chart with this row column on the x axis",
-    )
-    fig.add_argument(
-        "--render-y", metavar="COLUMN", default="mass@100",
-        help="y-axis column for --render-x (default: mass@100)",
-    )
-    fig.add_argument("--kind", choices=("scatter", "line"), default="scatter")
-    fig.add_argument("--log-x", action="store_true")
-    fig.add_argument("--log-y", action="store_true")
     fig.add_argument("--save-json", metavar="PATH")
     fig.add_argument("--save-csv", metavar="PATH")
 
@@ -201,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", type=int, default=20_000, help="synthetic graph size")
     run.add_argument(
         "--algorithm",
-        choices=("frogwild", "graphlab", "graphlab-exact", "async"),
+        choices=("frogwild", "graphlab", "graphlab-exact"),
         default="frogwild",
     )
     run.add_argument(
@@ -242,22 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     ppr.add_argument("--machines", type=int, default=16)
     ppr.add_argument("--top-k", type=int, default=10)
     ppr.add_argument("--seed", type=int, default=0)
-
-    adaptive = sub.add_parser(
-        "adaptive",
-        help="grow the frog budget until the top-k stabilizes (Remark 6)",
-    )
-    adaptive.add_argument(
-        "--workload", choices=("twitter", "livejournal"), default="twitter"
-    )
-    adaptive.add_argument("--edge-list")
-    adaptive.add_argument("--n", type=int, default=20_000)
-    adaptive.add_argument("--k", type=int, default=100)
-    adaptive.add_argument("--pilot-frogs", type=int, default=2_000)
-    adaptive.add_argument("--max-frogs", type=int, default=500_000)
-    adaptive.add_argument("--ps", type=float, default=1.0)
-    adaptive.add_argument("--machines", type=int, default=16)
-    adaptive.add_argument("--seed", type=int, default=0)
 
     track = sub.add_parser(
         "track", help="track the top-k over a churning graph (OSN scenario)"
@@ -481,18 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge a machine-readable perf record into this JSON file "
              "(default name BENCH_serving.json)",
     )
-
-    chart = sub.add_parser(
-        "chart", help="render a saved figure JSON as an ASCII chart"
-    )
-    chart.add_argument("path", help="file written by figure --save-json")
-    chart.add_argument("--x", default="total_time_s")
-    chart.add_argument("--y", default="mass@100")
-    chart.add_argument("--kind", choices=("scatter", "line"), default="scatter")
-    chart.add_argument("--log-x", action="store_true")
-    chart.add_argument("--log-y", action="store_true")
-    chart.add_argument("--width", type=int, default=72)
-    chart.add_argument("--height", type=int, default=20)
     return parser
 
 
@@ -517,20 +475,6 @@ def _cmd_figure(args) -> int:
     result = ALL_FIGURES[args.number](workload, seed=args.seed)
     print(result.to_text())
     print(f"(reproduced in {time.perf_counter() - start:.1f}s wall time)")
-    if args.render_x:
-        from .viz import figure_chart
-
-        print()
-        print(
-            figure_chart(
-                result,
-                x=args.render_x,
-                y=args.render_y,
-                kind=args.kind,
-                log_x=args.log_x,
-                log_y=args.log_y,
-            )
-        )
     if args.save_json:
         from .experiments import save_figure_json
 
@@ -561,18 +505,6 @@ def _cmd_run(args) -> int:
         report = result.report
         ranking = result.estimate.vector()
         top = result.estimate.top_k(args.top_k)
-    elif args.algorithm == "async":
-        from .pagerank import async_pagerank
-
-        pr = async_pagerank(
-            graph,
-            num_machines=args.machines,
-            partitioner=args.partitioner,
-            seed=args.seed,
-        )
-        report = pr.report
-        ranking = pr.ranks
-        top = pr.top_k(args.top_k)
     else:
         from .pagerank import graphlab_pagerank
 
@@ -638,45 +570,6 @@ def _cmd_ppr(args) -> int:
     for position, vertex in enumerate(top, start=1):
         print(f"  #{position:>2}  vertex {vertex:>7}  "
               f"score {distribution[vertex]:.5f}")
-    return 0
-
-
-def _cmd_adaptive(args) -> int:
-    from .core import AdaptiveConfig, run_adaptive_frogwild
-    from .experiments import format_table
-
-    graph = _load_graph(args)
-    outcome = run_adaptive_frogwild(
-        graph,
-        AdaptiveConfig(
-            k=args.k,
-            pilot_frogs=args.pilot_frogs,
-            max_frogs=args.max_frogs,
-        ),
-        base_config=FrogWildConfig(ps=args.ps, seed=args.seed),
-        num_machines=args.machines,
-        seed=args.seed,
-    )
-    rows = [
-        {
-            "round": r.round_index,
-            "frogs": r.num_frogs,
-            "iters": r.iterations,
-            "mu_k (self)": r.mu_k_self_estimate,
-            "sep z": r.separation_z,
-            "jaccard": r.jaccard_with_previous,
-            "net bytes": r.network_bytes,
-            "time (s)": r.total_time_s,
-        }
-        for r in outcome.rounds
-    ]
-    print(format_table(rows, title=f"adaptive top-{args.k} schedule"))
-    print(f"converged              : {outcome.converged}")
-    print(f"Remark 6 target frogs  : {outcome.recommended_frogs:,}")
-    print(f"Remark 6 target iters  : {outcome.recommended_iterations}")
-    print(f"total frogs launched   : {outcome.total_frogs():,}")
-    print(f"total network          : {outcome.total_network_bytes():,} bytes")
-    print(f"top-{args.k}: {outcome.estimate.top_k(args.k).tolist()}")
     return 0
 
 
@@ -824,7 +717,7 @@ def _cmd_serve_bench(args) -> int:
     )
 
     # Sequential baseline: one traversal per query over one shared
-    # ingress partition (the repo's repeated-run idiom, cf. adaptive).
+    # ingress partition.
     if service.replication is not None:
         baseline_partition = service.replication.partition
     else:
@@ -940,10 +833,10 @@ def _cmd_serve_bench(args) -> int:
 def _cmd_live_bench(args) -> int:
     import numpy as np
 
-    from .core import top_k_jaccard
     from .dynamic import ChurnGenerator, DynamicDiGraph
     from .experiments import format_table
     from .live import LiveRankingService
+    from .metrics import top_k_jaccard
     from .serving import RankingQuery
 
     base = _load_graph(args)
@@ -1499,39 +1392,17 @@ def _cmd_chaos_bench(args) -> int:
     return 0
 
 
-def _cmd_chart(args) -> int:
-    from .experiments import load_figure_json
-    from .viz import figure_chart
-
-    figure = load_figure_json(args.path)
-    print(
-        figure_chart(
-            figure,
-            x=args.x,
-            y=args.y,
-            kind=args.kind,
-            log_x=args.log_x,
-            log_y=args.log_y,
-            width=args.width,
-            height=args.height,
-        )
-    )
-    return 0
-
-
 _COMMANDS = {
     "figure": _cmd_figure,
     "run": _cmd_run,
     "info": _cmd_info,
     "ppr": _cmd_ppr,
-    "adaptive": _cmd_adaptive,
     "track": _cmd_track,
     "faults": _cmd_faults,
     "serve-bench": _cmd_serve_bench,
     "live-bench": _cmd_live_bench,
     "traffic-bench": _cmd_traffic_bench,
     "chaos-bench": _cmd_chaos_bench,
-    "chart": _cmd_chart,
 }
 
 

@@ -356,23 +356,3 @@ class ReplicationTable:
                 )
                 records[:, mirror] += counts
         return records
-
-    # ------------------------------------------------------------------
-    # Machine-grouped adjacency
-    # ------------------------------------------------------------------
-    def out_edge_groups(self, v: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Out-edges of ``v`` split by hosting machine.
-
-        Returns ``(machines, targets_per_machine)`` where
-        ``targets_per_machine[i]`` are the successors reachable through
-        the mirror on ``machines[i]``.
-        """
-        return self.out_groups.split(v)
-
-    def in_edge_groups(self, v: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """In-edges of ``v`` split by hosting machine (gather grouping)."""
-        return self.in_groups.split(v)
-
-    def out_group_count(self, v: int) -> int:
-        """Number of machines hosting at least one out-edge of ``v``."""
-        return int(self.out_groups.vertex_ptr[v + 1] - self.out_groups.vertex_ptr[v])

@@ -1,12 +1,5 @@
 """FrogWild! — the paper's primary contribution."""
 
-from .adaptive import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    AdaptiveRound,
-    run_adaptive_frogwild,
-    top_k_jaccard,
-)
 from .batched import (
     BatchedFrogWildResult,
     BatchedFrogWildRunner,
@@ -24,7 +17,6 @@ from .erasures import (
 )
 from .estimator import PageRankEstimate, RankedEstimate, top_k_indices
 from .frogwild import FrogWildResult, FrogWildRunner, run_frogwild
-from .gossip import GossipResult, run_gossip
 from .kernels import resolve_kernel
 from .personalized import (
     run_personalized_frogwild,
@@ -39,19 +31,12 @@ __all__ = [
     "merge_shard_results",
     "run_frogwild_batch",
     "run_personalized_frogwild_batch",
-    "AdaptiveConfig",
-    "AdaptiveResult",
-    "AdaptiveRound",
-    "run_adaptive_frogwild",
-    "top_k_jaccard",
     "FrogWildConfig",
     "RefreshPolicy",
     "FrogWildResult",
     "FrogWildRunner",
     "run_frogwild",
     "run_personalized_frogwild",
-    "GossipResult",
-    "run_gossip",
     "seed_distribution",
     "PageRankEstimate",
     "RankedEstimate",

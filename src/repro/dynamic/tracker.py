@@ -32,11 +32,11 @@ from ..cluster import (
     MessageSizeModel,
     stable_hash_machines,
 )
-from ..core import FrogWildConfig, FrogWildRunner, top_k_jaccard
+from ..core import FrogWildConfig, FrogWildRunner
 from ..engine import build_cluster
 from ..errors import ConfigError
 from ..graph import DiGraph
-from ..metrics import normalized_mass_captured
+from ..metrics import normalized_mass_captured, top_k_jaccard
 from ..pagerank import exact_pagerank
 from .graph import DynamicDiGraph, GraphDelta
 

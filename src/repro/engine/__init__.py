@@ -1,6 +1,5 @@
 """Simulated GAS/BSP graph engine with byte-exact traffic accounting."""
 
-from .async_engine import AsyncEngine, AsyncVertexProgram
 from .breakdown import PhaseBreakdown, traffic_breakdown
 from .bsp import BSPEngine
 from .program import ApplyResult, BulkVertexProgram
@@ -18,8 +17,6 @@ __all__ = [
     "ApplyResult",
     "BulkVertexProgram",
     "BSPEngine",
-    "AsyncVertexProgram",
-    "AsyncEngine",
     "ClusterState",
     "build_cluster",
     "CostLedger",

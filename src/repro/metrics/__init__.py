@@ -8,7 +8,12 @@ from .accuracy import (
     normalized_mass_captured,
     optimal_mass,
 )
-from .comparison import mean_true_rank, topk_jaccard, topk_kendall_tau
+from .comparison import (
+    mean_true_rank,
+    top_k_jaccard,
+    topk_jaccard,
+    topk_kendall_tau,
+)
 from .ranking import ndcg_at_k, rank_biased_overlap
 
 __all__ = [
@@ -18,6 +23,7 @@ __all__ = [
     "exact_identification",
     "l1_error",
     "linf_error",
+    "top_k_jaccard",
     "topk_jaccard",
     "topk_kendall_tau",
     "mean_true_rank",

@@ -13,22 +13,29 @@ from ..core.estimator import top_k_indices
 from ..errors import ConfigError
 
 __all__ = [
+    "top_k_jaccard",
     "topk_jaccard",
     "topk_kendall_tau",
     "mean_true_rank",
 ]
 
 
+def top_k_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """Jaccard overlap of two vertex-id sets (order ignored)."""
+    set_a, set_b = set(map(int, a)), set(map(int, b))
+    if not set_a and not set_b:
+        return 1.0
+    return len(set_a & set_b) / len(set_a | set_b)
+
+
 def topk_jaccard(estimate: np.ndarray, truth: np.ndarray, k: int) -> float:
     """Jaccard similarity of the two top-k sets."""
     if k < 1:
         raise ConfigError("k must be positive")
-    a = set(top_k_indices(np.asarray(estimate), k).tolist())
-    b = set(top_k_indices(np.asarray(truth), k).tolist())
-    union = a | b
-    if not union:
-        return 1.0
-    return len(a & b) / len(union)
+    return top_k_jaccard(
+        top_k_indices(np.asarray(estimate), k),
+        top_k_indices(np.asarray(truth), k),
+    )
 
 
 def topk_kendall_tau(estimate: np.ndarray, truth: np.ndarray, k: int) -> float:

@@ -1,6 +1,5 @@
 """PageRank solvers and the paper's baselines."""
 
-from .async_pr import AsyncPageRank, async_pagerank
 from .exact import PowerIterationResult, exact_pagerank, pagerank_operator
 from .graphlab_pr import (
     GraphLabPageRank,
@@ -24,6 +23,4 @@ __all__ = [
     "simulate_walkers",
     "PushResult",
     "forward_push_pagerank",
-    "AsyncPageRank",
-    "async_pagerank",
 ]

@@ -83,7 +83,12 @@ def theorem1_epsilon(
     p_teleport: float = 0.15,
 ) -> float:
     """The ε of Theorem 1: with probability ≥ 1 − δ,
-    ``mu_k(pi_hat) ≥ mu_k(pi) − ε``."""
+    ``mu_k(pi_hat) ≥ mu_k(pi) − ε``.
+
+    This is the paper's bound as stated, and it is vacuous (above 1,
+    while top-k mass is at most 1) at practical settings: the mixing
+    term alone is 1.59 at t = 5 and stays above 1 until t ≥ 11.
+    """
     return mixing_loss_bound(p_teleport, t) + sampling_loss_bound(
         k, delta, num_frogs, ps, p_intersect
     )
@@ -109,6 +114,11 @@ def config_error_bound(
     population actually guarantees, through exactly the machinery the
     :class:`~repro.traffic.DegradationLadder` uses for load-shed
     answers.
+
+    The value is Theorem 1's ε, not a calibrated error: with the
+    constant ``pi_max`` it exceeds 1 at every benchmarked serving
+    configuration (k=10, t=5, ps=0.8, n=32768 gives 5.055 at 3 000
+    frogs and 5.051 at 20 000), so it bounds nothing there.
     """
     frogs = config.num_frogs if num_frogs is None else int(num_frogs)
     p_intersect = intersection_probability_bound(

@@ -204,7 +204,9 @@ class TestRankedEstimate:
         assert not hasattr(ranked, "_counts")
         assert ranked.num_vertices == dense.num_vertices
         assert ranked.total_stopped == dense.total_stopped
-        assert ranked.separation_z(1) == dense.separation_z(1)
+        for k in boundary_ks(counts):
+            if k >= 1:
+                assert ranked.separation_z(k) == dense.separation_z(k)
         for view in ("vector", "distribution", "standard_errors"):
             np.testing.assert_array_equal(
                 getattr(ranked, view)(), getattr(dense, view)()
@@ -256,3 +258,33 @@ class TestRankedEstimate:
         assert empty.ranked_ids.size == 0 and empty.num_frogs == 2
         assert list(empty.top_k(2)) == [0, 1]
         assert list(empty.top_k_with_scores(9)[1]) == [0.0] * 4
+
+
+class TestSeparationZ:
+    def test_hand_computed(self):
+        # p = (0.6, 0.3, 0.1); the z is the rank-1/rank-2 gap over the
+        # root of the two squared binomial standard errors.
+        est = PageRankEstimate(np.array([6, 3, 1]), num_frogs=10)
+        se = est.standard_errors()
+        assert se[0] ** 2 == pytest.approx(0.6 * 0.4 / 10)
+        assert se[1] ** 2 == pytest.approx(0.3 * 0.7 / 10)
+        assert est.separation_z(1) == pytest.approx(0.3 / np.sqrt(0.045))
+        # Lost frogs: the gap is taken on the renormalized distribution,
+        # the standard errors keep the launched N as denominator.
+        lossy = PageRankEstimate(np.array([6, 3, 1]), num_frogs=20)
+        assert lossy.separation_z(1) == pytest.approx(2.0)
+
+    def test_zero_count_tie_at_the_boundary_is_zero(self):
+        est = PageRankEstimate(np.array([4, 0, 0, 0]), num_frogs=4)
+        assert est.separation_z(2) == 0.0
+
+    def test_k_covering_every_vertex_is_infinite(self):
+        est = PageRankEstimate(np.array([1, 2, 3]), num_frogs=6)
+        assert est.separation_z(3) == float("inf")
+        assert est.separation_z(5) == float("inf")
+
+    def test_rejects_k_below_one(self):
+        est = PageRankEstimate(np.array([1, 2, 3]), num_frogs=6)
+        for k in (0, -1):
+            with pytest.raises(ConfigError):
+                est.separation_z(k)

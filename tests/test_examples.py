@@ -33,12 +33,8 @@ class TestExamples:
         names = {path.stem for path in EXAMPLE_FILES}
         assert {
             "quickstart",
-            "keyword_extraction",
-            "influencer_analysis",
-            "churn_prediction",
             "personalized_search",
             "dynamic_rank_tracking",
-            "adaptive_topk",
             "fault_tolerant_ranking",
             "activity_stream",
         } <= names

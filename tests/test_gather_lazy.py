@@ -14,10 +14,10 @@ import numpy as np
 from repro.cluster import ReplicationTable
 from repro.core import FrogWildConfig
 from repro.dynamic import ChurnGenerator, DynamicDiGraph
-from repro.engine import AsyncEngine, build_cluster
+from repro.engine import build_cluster
 from repro.graph import twitter_like
 from repro.live import LiveRankingService
-from repro.pagerank import AsyncPageRank, graphlab_pagerank
+from repro.pagerank import graphlab_pagerank
 from repro.serving import ProcessPoolBackend, RankingQuery, RankingService
 from repro.store import load_serving_tables, spill_serving_tables
 
@@ -108,8 +108,3 @@ def test_the_baselines_build_it_on_demand():
     built = table.in_groups
     assert table.in_groups is built  # kept, not rebuilt
     assert np.array_equal(np.sort(built.sorted_other), GRAPH.edge_sources())
-
-    state = build_cluster(GRAPH, 4, seed=0)
-    assert _unbuilt(state.replication)
-    AsyncEngine(state, AsyncPageRank()).run(max_updates=50)
-    assert not _unbuilt(state.replication)

@@ -1,20 +1,15 @@
 """Integration tests across the extension subsystems.
 
 Each test wires several of the newer packages together the way a
-downstream user would: generators feeding the adaptive runner, fault
-injection inside a dynamic tracker's refresh loop, persistence round
-trips through the chart adapters, and the full interaction-stream
+downstream user would: fault injection inside a dynamic tracker's
+refresh loop, persistence round trips of harness rows, independent
+solvers cross-validating each other, and the full interaction-stream
 pipeline.
 """
 
 import numpy as np
 
-from repro.core import (
-    AdaptiveConfig,
-    FrogWildConfig,
-    run_adaptive_frogwild,
-    run_frogwild,
-)
+from repro.core import FrogWildConfig, run_frogwild
 from repro.dynamic import (
     ActivityWindow,
     ChurnGenerator,
@@ -37,30 +32,9 @@ from repro.faults import (
     StragglerCostModel,
     run_frogwild_with_faults,
 )
-from repro.graph import rmat, twitter_like
+from repro.graph import twitter_like
 from repro.metrics import ndcg_at_k, normalized_mass_captured
-from repro.pagerank import (
-    async_pagerank,
-    exact_pagerank,
-    forward_push_pagerank,
-)
-from repro.viz import figure_chart
-
-
-class TestAdaptiveOnRmat:
-    def test_adaptive_runs_on_rmat_graph(self):
-        """The Graph500 generator feeds the Remark 6 runner end to end."""
-        graph = rmat(scale=10, edge_factor=8, seed=3)
-        outcome = run_adaptive_frogwild(
-            graph,
-            AdaptiveConfig(k=10, pilot_frogs=1_000, max_frogs=32_000),
-            num_machines=4,
-            partitioner="hdrf",
-            seed=0,
-        )
-        truth = exact_pagerank(graph)
-        mass = normalized_mass_captured(outcome.estimate.vector(), truth, 10)
-        assert mass > 0.8
+from repro.pagerank import exact_pagerank, forward_push_pagerank
 
 
 class TestFaultsInsideTracking:
@@ -109,9 +83,9 @@ class TestStragglerWithPartialSyncTracking:
         assert tracker.history[0].total_time_s > 0
 
 
-class TestHarnessPersistenceViz:
-    def test_harness_rows_chart_and_roundtrip(self, tmp_path, small_twitter):
-        """Harness rows -> figure -> JSON -> chart, the full report
+class TestHarnessPersistence:
+    def test_harness_rows_roundtrip(self, tmp_path, small_twitter):
+        """Harness rows -> figure -> JSON -> figure, the full report
         pipeline."""
         workload = Workload(
             name="tiny",
@@ -128,9 +102,8 @@ class TestHarnessPersistenceViz:
 
         path = save_figure_json(figure, tmp_path / "fig.json")
         restored = load_figure_json(path)
-        chart = figure_chart(restored, x="total_time_s", y="mass@10")
-        assert "integration smoke" in chart
-        assert "FrogWild" in chart
+        assert restored.to_text() == figure.to_text()
+        assert "FrogWild" in restored.to_text()
 
     def test_breakdown_of_harness_state(self, small_twitter):
         """traffic_breakdown applies to any engine run's state."""
@@ -146,27 +119,19 @@ class TestHarnessPersistenceViz:
 
 class TestBaselineAgreement:
     def test_all_solvers_agree_on_the_head(self, small_twitter):
-        """Exact, push, async and FrogWild name (almost) the same top-10
-        — four independent code paths cross-validating each other."""
+        """Exact, push and FrogWild name (almost) the same top-10 —
+        three independent code paths cross-validating each other."""
         truth = exact_pagerank(small_twitter)
         push = forward_push_pagerank(small_twitter, eps=1e-7)
-        asynchronous = async_pagerank(
-            small_twitter, num_machines=4, tolerance=1e-6
-        )
         frog = run_frogwild(
             small_twitter,
             FrogWildConfig(num_frogs=30_000, iterations=5, seed=0),
             num_machines=4,
         )
-        for estimate in (
-            push.estimate,
-            asynchronous.distribution(),
-            frog.estimate.vector(),
-        ):
+        for estimate in (push.estimate, frog.estimate.vector()):
             assert normalized_mass_captured(estimate, truth, 10) > 0.9
-        # NDCG agreement on the head for the deterministic solvers.
+        # NDCG agreement on the head for the deterministic solver.
         assert ndcg_at_k(push.estimate, truth, 10) > 0.99
-        assert ndcg_at_k(asynchronous.distribution(), truth, 10) > 0.99
 
 
 class TestWindowToTrackerPipeline:

@@ -66,8 +66,8 @@ def assert_equivalent_to_rebuild(replicator, snapshot):
         np.testing.assert_array_equal(
             table.mirrors_of(v), scratch.mirrors_of(v)
         )
-        mine = table.out_edge_groups(v)
-        theirs = scratch.out_edge_groups(v)
+        mine = table.out_groups.split(v)
+        theirs = scratch.out_groups.split(v)
         np.testing.assert_array_equal(mine[0], theirs[0])
         for a, b in zip(mine[1], theirs[1]):
             np.testing.assert_array_equal(a, b)

@@ -12,6 +12,7 @@ from repro.metrics import (
     mean_true_rank,
     normalized_mass_captured,
     optimal_mass,
+    top_k_jaccard,
     topk_jaccard,
     topk_kendall_tau,
 )
@@ -92,6 +93,21 @@ class TestDistances:
             l1_error(np.ones(2), np.ones(3))
         with pytest.raises(ConfigError):
             linf_error(np.ones(2), np.ones(3))
+
+
+class TestTopKJaccard:
+    def test_identical_sets(self):
+        assert top_k_jaccard(np.array([1, 2, 3]), np.array([3, 2, 1])) == 1.0
+
+    def test_disjoint_sets(self):
+        assert top_k_jaccard(np.array([1, 2]), np.array([3, 4])) == 0.0
+
+    def test_partial_overlap(self):
+        value = top_k_jaccard(np.array([1, 2, 3]), np.array([2, 3, 4]))
+        assert value == pytest.approx(0.5)
+
+    def test_empty_sets(self):
+        assert top_k_jaccard(np.array([]), np.array([])) == 1.0
 
 
 class TestComparison:

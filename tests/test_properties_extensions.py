@@ -1,18 +1,16 @@
 """Property-based tests (hypothesis) for the extension subsystems:
-dynamic graphs, forward push, chart scales, ranking metrics and the
-stable hash ingress."""
+dynamic graphs, forward push, ranking metrics and the stable hash
+ingress."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.core import top_k_jaccard
 from repro.dynamic import DynamicDiGraph, GraphDelta, stable_hash_partition
 from repro.graph import from_edges
-from repro.metrics import ndcg_at_k, rank_biased_overlap
+from repro.metrics import ndcg_at_k, rank_biased_overlap, top_k_jaccard
 from repro.pagerank import forward_push_pagerank
-from repro.viz import LinearScale, LogScale
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -96,35 +94,6 @@ def test_push_personalized_seed_validity(edges, seed_vertex):
     result = forward_push_pagerank(graph, eps=1e-3, source=seed_vertex)
     total = result.estimate.sum() + result.residual.sum()
     assert abs(total - 1.0) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Chart scale invariants
-# ---------------------------------------------------------------------------
-
-
-@given(
-    st.floats(-1e6, 1e6),
-    st.floats(1e-6, 1e6),
-    st.floats(0.0, 1.0),
-)
-@settings(max_examples=80, deadline=None)
-def test_linear_scale_projection_in_unit_interval(lo, span, frac):
-    scale = LinearScale(lo, lo + span)
-    value = lo + frac * span
-    projected = float(scale.project(np.array([value]))[0])
-    assert -1e-9 <= projected <= 1.0 + 1e-9
-
-
-@given(st.floats(1e-6, 1e6), st.floats(1.01, 1e6))
-@settings(max_examples=80, deadline=None)
-def test_log_scale_monotone(lo, factor):
-    scale = LogScale(lo, lo * factor)
-    mid = lo * np.sqrt(factor)
-    p_lo, p_mid, p_hi = scale.project(np.array([lo, mid, lo * factor]))
-    assert p_lo <= p_mid <= p_hi
-    assert abs(p_lo - 0.0) < 1e-6
-    assert abs(p_hi - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ class TestSharedMachinePass:
         for lonely in (3, 8, 9):
             assert table.replicas_of(lonely).tolist() == [0]
             assert table.master_of(lonely) == 0
-            assert table.out_group_count(lonely) == 0
+            assert table.out_groups.split(lonely)[0].size == 0
         assert table.replica_counts.min() == 1
 
     def test_wide_machine_ids_take_every_digit_pass(self):

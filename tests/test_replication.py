@@ -65,7 +65,7 @@ class TestEdgeGroups:
     def test_out_groups_partition_out_edges(self, tiny_table):
         graph, table = tiny_table
         for v in range(4):
-            machines, targets = table.out_edge_groups(v)
+            machines, targets = table.out_groups.split(v)
             grouped = np.sort(np.concatenate(targets)) if targets else []
             assert list(grouped) == sorted(graph.successors(v).tolist())
             assert len(set(machines.tolist())) == len(machines)
@@ -73,21 +73,22 @@ class TestEdgeGroups:
     def test_in_groups_partition_in_edges(self, tiny_table):
         graph, table = tiny_table
         for v in range(4):
-            machines, sources = table.in_edge_groups(v)
+            machines, sources = table.in_groups.split(v)
             grouped = np.sort(np.concatenate(sources)) if sources else []
             assert list(grouped) == sorted(graph.predecessors(v).tolist())
 
     def test_out_group_machines_host_the_edges(self, tiny_table):
         graph, table = tiny_table
         # Vertex 0 out-edges: (0,1)@m0, (0,2)@m1.
-        machines, targets = table.out_edge_groups(0)
+        machines, targets = table.out_groups.split(0)
         by_machine = {int(m): t.tolist() for m, t in zip(machines, targets)}
         assert by_machine == {0: [1], 1: [2]}
 
-    def test_out_group_count(self, tiny_table):
+    def test_vertex_ptr_counts_out_groups(self, tiny_table):
         _, table = tiny_table
-        assert table.out_group_count(0) == 2
-        assert table.out_group_count(1) == 1
+        counts = np.diff(table.out_groups.vertex_ptr)
+        assert counts[0] == 2
+        assert counts[1] == 1
 
     def test_edge_anchor_matches_ptr(self, small_twitter):
         part = RandomVertexCut(seed=1).partition(small_twitter, 4)

@@ -127,6 +127,34 @@ class TestTTLCache:
         assert cache.stats.expirations == 1
         assert cache.stats.evictions == 0
 
+    def test_hit_rate(self):
+        cache = TTLCache(capacity=8)
+        assert cache.stats.hit_rate() == 0.0
+        cache.put("a", 1)
+        for key in ("a", "a", "a", "b"):
+            cache.get(key)
+        assert cache.stats.hit_rate() == 0.75
+        assert cache.stats.as_dict()["hit_rate"] == 0.75
+
+    def test_membership_test_touches_nothing(self):
+        """``in`` neither counts a lookup nor refreshes LRU recency."""
+        cache = TTLCache(capacity=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert "a" in cache and "zzz" not in cache
+        assert cache.stats.hits == 0 and cache.stats.misses == 0
+        cache.put("c", 3)  # "a" is still the LRU entry
+        assert "a" not in cache and "b" in cache
+
+    def test_clear_keeps_stats(self):
+        cache = TTLCache(capacity=8)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.get("a") is None
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
+
 
 class TestCoalescer:
     def test_mixed_configs_never_share_a_batch(self):

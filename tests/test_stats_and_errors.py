@@ -1,8 +1,18 @@
-"""Coverage for engine stats, run reports and the error hierarchy."""
+"""Coverage for engine stats, cost ledgers, run reports and the error
+hierarchy."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import EngineStats, RunReport, StepRecord
+from repro.engine import (
+    CostLedger,
+    EngineStats,
+    RunReport,
+    StepRecord,
+    apportion_records,
+)
 from repro.errors import (
     ConfigError,
     EngineError,
@@ -91,3 +101,68 @@ class TestRunReport:
         report = RunReport("y", 1, 1, 0.0, 0.0, 0, 0.0)
         assert report.extra == {}
         assert "algorithm" in report.as_dict()
+
+
+class TestCostLedger:
+    def ledger(self):
+        return CostLedger(record_bytes=8, message_header_bytes=32)
+
+    def test_charge_ops_accumulates_as_int(self):
+        ledger = self.ledger()
+        ledger.charge_ops(np.int64(5))
+        ledger.charge_ops(3)
+        assert ledger.cpu_ops == 8
+        assert type(ledger.cpu_ops) is int
+
+    def test_pair_records_bill_only_the_off_diagonal(self):
+        ledger = self.ledger()
+        records = np.array([[9, 2, 0], [0, 9, 4], [1, 0, 9]])
+        ledger.charge_pair_records(records)
+        assert ledger.network_records == 7
+        assert ledger.network_messages == 3
+        assert records[0, 0] == 9  # the caller's matrix is left alone
+
+    def test_counts_equal_pair_records_per_lane(self):
+        """The fused kernel's per-lane counts are the same bill as
+        charging each lane's record matrix on its own."""
+        rng = np.random.default_rng(3)
+        stacked = rng.integers(0, 3, size=(4, 5, 5))
+        off = stacked.copy()
+        off[:, np.arange(5), np.arange(5)] = 0
+        records = off.sum(axis=(1, 2))
+        messages = np.count_nonzero(off, axis=(1, 2))
+        for lane in range(4):
+            by_matrix, by_counts = self.ledger(), self.ledger()
+            by_matrix.charge_pair_records(stacked[lane])
+            by_counts.charge_counts(records[lane], messages[lane])
+            assert by_matrix == by_counts
+
+    def test_standalone_bytes_price_headers_and_records(self):
+        ledger = self.ledger()
+        ledger.charge_counts(records=10, messages=3)
+        assert ledger.standalone_network_bytes() == 3 * 32 + 10 * 8
+        assert self.ledger().standalone_network_bytes() == 0
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda lanes: st.lists(
+            st.lists(st.integers(0, 50), min_size=lanes, max_size=lanes),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_apportion_records_is_largest_remainder(cells, fill):
+    """Shares add up to the physical records, never exceed a lane's
+    demand, and sit within one record of the exact proportional quota."""
+    demand = np.array(cells, dtype=np.int64).T  # (lanes, cells)
+    totals = demand.sum(axis=0)
+    physical = np.floor(totals * fill).astype(np.int64)
+    shares = apportion_records(physical, demand)
+    np.testing.assert_array_equal(shares.sum(axis=0), physical)
+    assert (shares <= demand).all()
+    quota = physical * demand / np.where(totals > 0, totals, 1)
+    assert (np.abs(shares - quota) < 1).all()

@@ -29,6 +29,7 @@ from repro.errors import ConfigError, GraphError
 from repro.graph import DiGraph, twitter_like
 from repro.store import (
     GraphStore,
+    ScanStats,
     SegmentStore,
     Window,
     as_graph_store,
@@ -36,6 +37,7 @@ from repro.store import (
     keys_to_edges,
     scan_keys,
 )
+from repro.store.segments import SegmentMeta
 
 GRAPH = twitter_like(n=300, seed=3)
 
@@ -362,3 +364,56 @@ class TestDeprecatedReaches:
             GRAPH.scan(window),
             scan_keys(GRAPH.edge_keys(), GRAPH.num_vertices, window),
         )
+
+
+class TestWindowAndManifestIntervals:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(vertex_lo=-1, vertex_hi=5),
+            dict(vertex_lo=6, vertex_hi=5),
+            dict(vertex_lo=0, vertex_hi=5, num_machines=0),
+            dict(vertex_lo=0, vertex_hi=5, machine=4, num_machines=4),
+            dict(vertex_lo=0, vertex_hi=5, machine=-1, num_machines=4),
+        ],
+        ids=["negative-lo", "hi-below-lo", "no-machines", "machine-past-end",
+             "negative-machine"],
+    )
+    def test_invalid_windows_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            Window(**kwargs)
+
+    def test_key_range_clamps_to_the_vertex_universe(self):
+        assert Window(2, 5).key_range(10) == (20, 50)
+        assert Window(2, 50).key_range(10) == (20, 100)
+        assert Window(3, 3).key_range(10) == (30, 30)
+
+    @pytest.mark.parametrize(
+        "lo, hi, expected",
+        [
+            (0, 10, False),  # ends just before key_lo (half-open)
+            (0, 11, True),  # reaches key_lo
+            (20, 30, True),  # starts on key_hi (closed)
+            (21, 30, False),  # starts past key_hi
+            (12, 15, True),  # inside
+            (0, 100, True),  # covers
+        ],
+    )
+    def test_segment_interval_meets_half_open_window(self, lo, hi, expected):
+        meta = SegmentMeta(machine=0, key_lo=10, key_hi=20, count=3, file="f")
+        assert meta.intersects(lo, hi) is expected
+
+    def test_pruned_fraction(self):
+        assert ScanStats().pruned_fraction() == 0.0
+        stats = ScanStats(scans=1, segments_considered=8, segments_pruned=6)
+        assert stats.pruned_fraction() == 0.75
+        assert stats.as_dict()["pruned_fraction"] == 0.75
+
+    def test_nbytes_on_disk_counts_segment_keys_only(self, tmp_path, rng):
+        store = _store(tmp_path)
+        assert store.nbytes_on_disk() == 8 * GRAPH.num_edges
+        added = store.add_edges(_random_edges(rng, store.num_vertices, 50))
+        assert added > 0
+        assert store.nbytes_on_disk() == 8 * GRAPH.num_edges  # delta layer
+        store.compact()
+        assert store.nbytes_on_disk() == 8 * store.num_edges
