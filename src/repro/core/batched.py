@@ -50,7 +50,7 @@ Cost attribution stays per-population: every lane carries a
 messages it alone caused, and its :class:`~repro.engine.RunReport`
 prices them as if it had run standalone.  The gap between the summed
 standalone bytes and the fabric's actual bytes is the amortization the
-batch bought — the quantity ``benchmarks/bench_serving.py`` plots.
+batch bought (:meth:`BatchedFrogWildResult.amortization_ratio`).
 """
 
 from __future__ import annotations

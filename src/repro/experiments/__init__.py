@@ -13,7 +13,6 @@ from .figures import (
     figure8,
 )
 from .harness import ExperimentHarness, ExperimentRow
-from .perf import default_perf_path, load_perf, record_perf
 from .persistence import (
     load_figure_json,
     load_rows_json,
@@ -67,7 +66,4 @@ __all__ = [
     "save_figure_json",
     "load_figure_json",
     "save_rows_csv",
-    "default_perf_path",
-    "load_perf",
-    "record_perf",
 ]

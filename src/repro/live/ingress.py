@@ -7,7 +7,8 @@ served snapshot needs the new edge set placed across machines.
 endpoint-pair hash of :func:`~repro.cluster.stable_hash_machines`, so
 an edge that survives churn keeps its machine and a deployment ships
 only the edges that actually changed.  The class tracks exactly how
-much it reused (the honesty metric the serving benchmarks assert on).
+much it reused (the honesty metric ``tests/test_live_ingress.py``
+asserts on).
 
 Because the hash is stateless, the placement is a *function of the
 snapshot*: after any sequence of deltas it is, by construction, a

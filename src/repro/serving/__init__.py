@@ -42,9 +42,9 @@ shared-memory hygiene behind the pool's fail-soft
 tying cache → coalescer → scheduler → backend together, with per-query
 cost attribution for honest metering).
 
-Benchmarked by ``benchmarks/bench_serving.py``; demonstrated end to
-end by ``examples/ranking_service.py``, ``examples/sharded_service.py``
-and the ``repro serve-bench`` CLI command.
+Demonstrated end to end by ``examples/ranking_service.py`` and
+``examples/sharded_service.py``; timed by the ``serve-*`` workloads of
+``bench/run.py``.
 """
 
 from .backend import (

@@ -52,8 +52,7 @@ class SupervisorStats:
     """Lifetime counters and event logs of one supervisor.
 
     The logs carry ``time.monotonic()`` stamps so recovery latency
-    (kill observed → worker serving again) can be measured externally,
-    e.g. by the chaos bench.
+    (kill observed → worker serving again) can be measured externally.
     """
 
     crashes_detected: int = 0

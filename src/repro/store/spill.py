@@ -24,8 +24,8 @@ mirror bitmap.  This module moves that state out of core too:
 Array values are identical before and after the round trip, so serving
 from a loaded spill is bitwise-identical to serving from RAM; the OS
 pages table slices in on demand, which is what bounds peak RSS when the
-graph outgrows the working-set cap (the ``out-of-core`` bench asserts
-both halves).
+graph outgrows the working-set cap (``tests/test_store_serving.py``
+asserts the bitwise half).
 """
 
 from __future__ import annotations

@@ -17,19 +17,17 @@ operational lever rather than a benchmark curiosity:
 * :mod:`~repro.traffic.trace` / :mod:`~repro.traffic.report` —
   per-query traces (enqueue → dispatch → resolve, with degrade
   decisions) folded into streaming p50/p95/p99 latency, shed-rate and
-  batch-occupancy summaries that land in ``BENCH_serving.json``;
-* :mod:`~repro.traffic.harness` — the drivers: a deterministic
-  virtual-time single-server queue (tests, CI) and a wall-clock
-  threaded replay (demos);
+  batch-occupancy summaries in one flat report row;
+* :mod:`~repro.traffic.harness` — the driver: a deterministic
+  virtual-time single-server queue;
 * :mod:`~repro.traffic.chaos` — real-process fault injection under
   load: :class:`ChaosSchedule` speaks the same event taxonomy as the
   simulated :mod:`repro.faults` layer but its ``kill`` events SIGKILL
   actual shard workers (``hang``/``delay`` stall them), exercising the
-  fail-soft process pool's supervision and partial-answer paths
-  (``repro chaos-bench``, the CI ``chaos`` lane).
+  fail-soft process pool's supervision and partial-answer paths.
 
-Exercised by ``benchmarks/bench_traffic.py``, the ``repro
-traffic-bench`` CLI command and the CI ``traffic`` lane.
+Exercised by ``tests/test_traffic_service.py`` (the overload
+acceptance scenario) and ``tests/test_supervisor.py`` (chaos).
 """
 
 from .admission import (

@@ -19,7 +19,7 @@ Three processes cover the shapes production traffic actually takes:
 All processes are inhomogeneous-Poisson under the hood and sample via
 Lewis–Shedler thinning against their peak rate, so a fixed seed yields
 a bit-identical arrival sequence on every run — the property the
-deterministic virtual-clock harness and CI lane rely on.
+deterministic virtual-clock harness relies on.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ fraction.
 (a :class:`~repro.serving.ProcessPoolBackend`, a
 :class:`~repro.serving.RankingService` over one, or a live
 :class:`~repro.live.EpochManager`) on daemon timers, so the events
-land while the :class:`~repro.traffic.TrafficHarness` drives load —
-see ``run_threaded(chaos=...)`` and the ``repro chaos-bench`` CLI.
+land while the target serves (``tests/test_supervisor.py``).
 """
 
 from __future__ import annotations
@@ -214,20 +213,12 @@ class ChaosInjector:
                 (time.monotonic() - (self._start or 0.0), event)
             )
 
-    def arm(self, time_scale: float = 1.0) -> "ChaosInjector":
-        """Start one timer per event (idempotent per arm/disarm cycle).
-
-        ``time_scale`` matches the harness's schedule compression, so
-        chaos stays aligned with the workload it is injected under.
-        """
-        if time_scale <= 0:
-            raise ConfigError("time_scale must be positive")
+    def arm(self) -> "ChaosInjector":
+        """Start one timer per event (idempotent per arm/disarm cycle)."""
         self.disarm()
         self._start = time.monotonic()
         for event in self.schedule.events:
-            timer = threading.Timer(
-                event.time_s * time_scale, self._fire, (event,)
-            )
+            timer = threading.Timer(event.time_s, self._fire, (event,))
             timer.daemon = True
             timer.start()
             self._timers.append(timer)

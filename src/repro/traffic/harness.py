@@ -1,31 +1,23 @@
 """Driving a :class:`~repro.serving.RankingService` with real traffic.
 
-Two drivers over the same workload:
+:meth:`TrafficHarness.run_virtual` models the service as a
+**single-server queue over virtual time**: the simulated cluster's own
+batch makespan (the ``simulated_time_s`` every backend already
+reports) is the service time, so while a batch "runs" the server is
+busy and arrivals pile up in the scheduler queue.  The harness
+interleaves arrival events and server-free dispatch events in strict
+time order on the service's :class:`~repro.serving.VirtualClock` — no
+threads, no sleeps, bit-identical on every run.  This is what makes
+overload *observable* under a virtual clock at all: without the busy
+gate, dispatch would be instantaneous and no queue could ever form.
 
-* :meth:`TrafficHarness.run_virtual` — the deterministic mode tests
-  and CI use.  It models the service as a **single-server queue over
-  virtual time**: the simulated cluster's own batch makespan (the
-  ``simulated_time_s`` every backend already reports) is the service
-  time, so while a batch "runs" the server is busy and arrivals pile
-  up in the scheduler queue.  The harness interleaves arrival events
-  and server-free dispatch events in strict time order on the
-  service's :class:`~repro.serving.VirtualClock` — no threads, no
-  sleeps, bit-identical on every run.  This is what makes overload
-  *observable* under a virtual clock at all: without the busy gate,
-  dispatch would be instantaneous and no queue could ever form.
-* :meth:`TrafficHarness.run_threaded` — the wall-clock mode: the same
-  event schedule replayed with real sleeps against a *started*
-  service (background scheduler thread), for demos and smoke runs on
-  a real clock.
-
-Both return a :class:`TrafficRunResult` carrying every future, the
+It returns a :class:`TrafficRunResult` carrying every future, the
 queue-depth time series and the folded :class:`TrafficReport`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, OverloadError
@@ -49,9 +41,6 @@ class TrafficRunResult:
     #: arrival and every dispatch — the series the overload acceptance
     #: test asserts monotone growth / boundedness on.
     depth_samples: list[tuple[float, int]] = field(default_factory=list)
-    #: Chaos events that actually fired during the run, as
-    #: ``(elapsed_s, event)`` (threaded mode with ``chaos=`` only).
-    chaos_fired: list = field(default_factory=list)
 
     def answers(self) -> list[RankingAnswer]:
         """All successfully served answers, in arrival order."""
@@ -125,8 +114,7 @@ class TrafficHarness:
         clock = service.clock
         if not isinstance(clock, VirtualClock):
             raise ConfigError(
-                "run_virtual needs a service built on a VirtualClock; "
-                "use run_threaded for wall-clock services"
+                "run_virtual needs a service built on a VirtualClock"
             )
         if service.scheduler.max_delay_s is None:
             raise ConfigError(
@@ -193,109 +181,6 @@ class TrafficHarness:
             events=events,
             futures=futures,
             depth_samples=depth_samples,
-        )
-
-    # ------------------------------------------------------------------
-    # Wall-clock mode
-    # ------------------------------------------------------------------
-    def run_threaded(
-        self,
-        duration_s: float,
-        time_scale: float = 1.0,
-        result_timeout_s: float = 30.0,
-        chaos=None,
-    ) -> TrafficRunResult:
-        """Replay the schedule in real time against a started service.
-
-        ``time_scale`` compresses the schedule (0.1 replays a 10 s
-        workload in 1 s of wall time).  The service's background
-        scheduler must be running (:meth:`RankingService.start`).
-
-        ``chaos`` optionally injects real faults while the load runs:
-        a :class:`~repro.traffic.ChaosSchedule` (armed against the
-        service's process pool on the same ``time_scale``) or a
-        pre-built :class:`~repro.traffic.ChaosInjector`.  The events
-        that actually fired come back on the result's
-        ``chaos_fired`` list.
-        """
-        if time_scale <= 0:
-            raise ConfigError("time_scale must be positive")
-        service = self.service
-        if isinstance(service.clock, VirtualClock):
-            raise ConfigError(
-                "run_threaded needs a real-time service; "
-                "use run_virtual for VirtualClock services"
-            )
-        if not service.scheduler.running:
-            raise ConfigError(
-                "run_threaded needs a started service "
-                "(call service.start() first)"
-            )
-        injector = None
-        if chaos is not None:
-            from .chaos import ChaosInjector, ChaosSchedule
-
-            if isinstance(chaos, ChaosSchedule):
-                injector = ChaosInjector(service, chaos)
-            elif isinstance(chaos, ChaosInjector):
-                injector = chaos
-            else:
-                raise ConfigError(
-                    "chaos must be a ChaosSchedule or ChaosInjector, "
-                    f"got {type(chaos).__name__}"
-                )
-        events = self.workload.events(duration_s)
-        futures: list[RankingFuture] = []
-        depth_samples: list[tuple[float, int]] = []
-        sim_before = service.stats.simulated_time_s
-        start = time.monotonic()
-        if injector is not None:
-            injector.arm(time_scale)
-        try:
-            for event in events:
-                target = start + event.time_s * time_scale
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                futures.append(service.submit_query(event.query))
-                depth_samples.append(
-                    (
-                        time.monotonic() - start,
-                        service.scheduler.pending_count(),
-                    )
-                )
-            service.flush()
-            deadline = time.monotonic() + result_timeout_s
-            for future in futures:
-                remaining = deadline - time.monotonic()
-                try:
-                    future.result(timeout=max(0.0, remaining))
-                except Exception:
-                    # Shed / failed futures already carry their error;
-                    # the report counts them through the tracer.
-                    continue
-        finally:
-            if injector is not None:
-                injector.disarm()
-        elapsed = time.monotonic() - start
-        busy_s = (
-            service.stats.simulated_time_s - sim_before
-        ) * self.service_time_scale
-        report = self._collect(
-            duration_s=duration_s,
-            arrivals=len(events),
-            depth_samples=depth_samples,
-            busy_s=busy_s,
-            elapsed_s=max(elapsed, 1e-9),
-        )
-        return TrafficRunResult(
-            report=report,
-            events=events,
-            futures=futures,
-            depth_samples=depth_samples,
-            chaos_fired=(
-                [] if injector is None else list(injector.fired)
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -3,11 +3,10 @@
 A :class:`TrafficReport` is the single artifact a traffic run leaves
 behind: arrival volume, queue behavior, utilization, the tracer's
 latency/shed/degrade summary, the admission controller's decision
-counters and the service's own lifetime stats — flattened into the
-``str -> float`` row that :func:`repro.experiments.perf.record_perf`
-lands in ``BENCH_serving.json`` and the CI traffic lane asserts
-against (shed rate bounded, p99 finite, degraded answers carrying
-bounds).
+counters and the service's own lifetime stats — flattened into one
+``str -> float`` row (:meth:`TrafficReport.as_dict`) that
+``tests/test_traffic_service.py`` asserts against (shed rate bounded,
+p99 finite, degraded answers carrying bounds).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ __all__ = ["TrafficReport"]
 
 @dataclass(frozen=True)
 class TrafficReport:
-    """Summary of one traffic run (virtual or wall-clock)."""
+    """Summary of one traffic run."""
 
     duration_s: float
     arrivals: int

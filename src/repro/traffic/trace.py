@@ -166,8 +166,8 @@ class QueryTracer:
 
     ``recent(n)`` returns the last completed traces (up to the ring
     capacity) for debugging and tests; :meth:`summary` folds the whole
-    stream into the flat metric row the benchmarks and the CI lane
-    assert against.
+    stream into the flat metric row the overload tests assert
+    against.
     """
 
     def __init__(

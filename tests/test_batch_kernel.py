@@ -220,6 +220,29 @@ class TestSharedSync:
         # (walk randomness stays per-lane), so wire savings are sync-side.
         assert shared.report.network_bytes < per_lane.report.network_bytes
 
+    def test_cut_against_per_lane_billing_of_the_same_coins(self):
+        """The report carries both the physical sync records and the
+        demand (what per-lane billing of the very same coins would
+        cost), so the cut is exact.  An identical-frontier batch of B
+        cuts >= (B-1)/B; distinct lanes on a saturating budget, whose
+        union frontier exceeds any one lane's, still cut half."""
+        batch_size = 16
+
+        def cut(queries):
+            extra = _run(
+                queries,
+                num_frogs=4 * GRAPH.num_vertices,
+                iterations=3,
+                ps=0.7,
+                sync_mode="shared",
+            ).report.extra
+            return 1.0 - extra["sync_records"] / extra["sync_demand_records"]
+
+        identical = cut([BatchQuery(seed=7) for _ in range(batch_size)])
+        distinct = cut([BatchQuery(seed=100 + s) for s in range(batch_size)])
+        assert identical >= (batch_size - 1) / batch_size
+        assert distinct >= 0.5
+
     def test_attribution_sums_to_physical_records(self):
         result = _run(
             [BatchQuery(seed=s) for s in range(5)],
@@ -332,6 +355,17 @@ class TestWireDedupe:
             < plain.report.extra["frog_records"]
         )
         assert deduped.report.network_bytes < plain.report.network_bytes
+
+    def test_saturating_lanes_share_most_frog_records(self):
+        """Eight distinct lanes on a budget of 4n frogs overlap heavily:
+        dedupe must cut the physical frog records by over a quarter."""
+        queries = [BatchQuery(seed=100 + s) for s in range(8)]
+        budget = dict(num_frogs=4 * GRAPH.num_vertices, iterations=3, ps=0.7)
+        plain = _run(queries, **budget).report.extra["frog_records"]
+        deduped = _run(queries, wire_dedupe=True, **budget).report.extra[
+            "frog_records"
+        ]
+        assert deduped < 0.75 * plain
 
     def test_identical_lanes_collapse_to_single_lane_records(self):
         single = _run([BatchQuery(seed=3)], ps=0.9, wire_dedupe=True)

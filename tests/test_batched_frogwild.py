@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ReplicationTable, make_partitioner
 from repro.core import (
     BatchQuery,
     FrogWildConfig,
@@ -192,6 +193,38 @@ class TestSingleQueryEquivalence:
                 GRAPH,
                 config.with_updates(seed=lane_seed),
                 state=build_cluster(GRAPH, 4, seed=config.seed),
+            )
+            np.testing.assert_array_equal(
+                single.estimate.counts, lane.estimate.counts
+            )
+
+    def test_personalized_lanes_match_sequential_calls(self):
+        """B personalized queries on one shared replication table answer
+        exactly what B sequential calls answer, each of which rebuilds
+        the tables from the same partition: batching is amortization,
+        never approximation."""
+        config = FrogWildConfig(num_frogs=1500, iterations=5, ps=0.8, seed=0)
+        partition = make_partitioner("random", 0).partition(GRAPH, 8)
+        rng = np.random.default_rng(123)
+        seed_sets = [
+            np.sort(rng.choice(GRAPH.num_vertices, size=3, replace=False))
+            for _ in range(6)
+        ]
+        batched = run_personalized_frogwild_batch(
+            GRAPH,
+            seed_sets,
+            config,
+            state=build_cluster(
+                GRAPH, 8, seed=0,
+                replication=ReplicationTable(GRAPH, partition, seed=0),
+            ),
+        )
+        for seeds, lane in zip(seed_sets, batched.results):
+            single = run_personalized_frogwild(
+                GRAPH,
+                seeds,
+                config,
+                state=build_cluster(GRAPH, 8, seed=0, partition=partition),
             )
             np.testing.assert_array_equal(
                 single.estimate.counts, lane.estimate.counts

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -30,9 +35,73 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert (
-            "{figure,run,info,ppr,track,faults,serve-bench,live-bench,"
-            "traffic-bench,chaos-bench}"
-        ) in capsys.readouterr().out
+            "{figure,run,info,ppr,track,faults}" in capsys.readouterr().out
+        )
+
+
+class TestBadInput:
+    """A value the library rejects, a malformed edge list or a missing
+    file is one ``frogwild <command>: error:`` line and exit code 2,
+    the way argparse reports a bad flag — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["faults", "--crash", "9", "--machines", "4", "--n", "300",
+              "--frogs", "300"],
+             "frogwild faults: error: crash targets machine 9 but the "
+             "cluster has 4"),
+            (["ppr", "999999", "--n", "300"],
+             "frogwild ppr: error: seed ids out of range"),
+            (["run", "--ps", "1.5", "--n", "300"],
+             "frogwild run: error: ps must lie in [0, 1], got 1.5"),
+            (["faults", "--top-k", "0", "--n", "300", "--frogs", "300"],
+             "frogwild faults: error: k must be positive"),
+        ],
+        ids=["crash-machine", "ppr-seed", "run-ps", "faults-top-k"],
+    )
+    def test_config_error_is_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert "Traceback" not in captured.err
+
+    def test_missing_edge_list(self, capsys, tmp_path):
+        missing = tmp_path / "nope.txt"
+        assert main(["info", "--edge-list", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"frogwild info: error: No such file or directory: {missing}\n"
+        )
+
+    def test_malformed_edge_list(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\nfoo bar\n")
+        assert main(["run", "--edge-list", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"frogwild run: error: {path}:2: non-integer vertex id in "
+            "'foo bar'\n"
+        )
+
+    def test_other_exceptions_still_propagate(self, monkeypatch):
+        def broken(graph):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(repro.cli, "summarize", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["info", "--n", "200"])
+
+    def test_module_entry_point_prints_no_traceback(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "info", "--edge-list",
+             str(tmp_path / "nope.txt")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("frogwild info: error: ")
+        assert "Traceback" not in result.stderr
 
 
 class TestInfoCommand:

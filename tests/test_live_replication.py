@@ -345,6 +345,25 @@ class TestBackgroundRefresh:
         # Served epoch caught up with the source graph.
         assert service.current_epoch.epoch_id == service.source.version
 
+    def test_refresher_stats_account_for_every_delta(self):
+        """Each submitted delta is either built or folded into another
+        delta's build, and the distinct published updates cover every
+        submission exactly once."""
+        dynamic, service = self.make_service()
+        service.start_refresher()
+        churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=5)
+        try:
+            tickets = service.attach(churn, ticks=4, background=True)
+            updates = [ticket.result(timeout=60) for ticket in tickets]
+        finally:
+            service.stop()
+        stats = service.refresher.stats
+        assert stats.deltas_submitted == 4
+        assert stats.builds >= 1
+        assert stats.builds + stats.deltas_coalesced == stats.deltas_submitted
+        distinct = {id(u): u for u in updates}.values()
+        assert sum(u.coalesced_deltas for u in distinct) == 4
+
     def test_sync_and_async_refresh_share_one_pipeline(self):
         """A synchronous refresh between background builds serializes on
         the refresh lock; sequences never skip or collide."""

@@ -341,6 +341,14 @@ class TestLiveServiceShapes:
         # Served epoch and source graph agree: nothing dropped.
         assert service.current_epoch.epoch_id == service.source.version
 
+    def test_refresh_places_only_the_churned_slice(self):
+        """A rebuild repartitions every edge; a refresh under 0.5% churn
+        must place at most 5% of the edge set and reuse the rest."""
+        dynamic, service = make_live(n=2000)
+        churn = ChurnGenerator(add_rate=0.005, remove_rate=0.005, seed=9)
+        update = service.refresh(churn.step(dynamic))
+        assert 0 < update.new_placements <= 0.05 * update.num_edges
+
     def test_refresh_history_and_live_stats(self):
         dynamic, service = make_live()
         churn = ChurnGenerator(seed=7)

@@ -208,6 +208,13 @@ class TestProcessEquivalence:
                 _overlap(top, local_lane.estimate.vector(), 10) >= 0.6
             )
 
+    def test_every_worker_runs_a_share(self, outcomes):
+        _, sharded, process, _ = outcomes
+        assert len(sharded.shards) == 2
+        assert [shard_cost.shard for shard_cost in process.shards] == [0, 1]
+        for shard_cost in process.shards:
+            assert shard_cost.attributed_network_bytes > 0
+
     def test_full_budget_spent(self, outcomes):
         _, _, process, _ = outcomes
         for lane in process.lanes:

@@ -378,6 +378,24 @@ class TestScheduledService:
         assert [answer.query.seeds[0] for answer in answers] == [0, 1, 2]
         assert all(answer.batch_size == 3 for answer in answers)
 
+    def test_one_query_per_tick_still_forms_batches(self, graph):
+        """Queries trickling in one per millisecond under a 5 ms
+        deadline ride shared traversals, not one batch per arrival."""
+        service, clock = self.make_service(
+            graph, max_batch_size=16, max_delay_s=0.005
+        )
+        futures = []
+        for vertex in range(12):
+            futures.append(service.submit([vertex, vertex + 100]))
+            clock.advance(0.001)
+            service.pump()
+        clock.advance(0.005)
+        service.pump()
+        assert all(future.done() for future in futures)
+        assert service.scheduler.stats.deadline_dispatches >= 1
+        assert max(service.stats.batch_sizes) >= 4
+        assert service.stats.amortization_ratio() < 1.0
+
     def test_fill_dispatches_without_waiting(self, graph):
         service, _ = self.make_service(graph)
         futures = [service.submit([vertex]) for vertex in range(4)]

@@ -107,6 +107,19 @@ class TestCreateAndScan:
         assert stats.segments_pruned > 0
         assert stats.segments_scanned < stats.segments_considered
 
+    def test_narrow_window_prunes_most_segments(self, tmp_path):
+        """An eighth of the vertex range on one of four machines opens
+        well under half of the segments it considers."""
+        graph = twitter_like(n=2000, seed=3)
+        store = _store(tmp_path, graph=graph)
+        n = store.num_vertices
+        full = store.edge_keys()
+        window = Window(
+            n // 4, n // 4 + n // 8, machine=1, num_machines=4, salt=0
+        )
+        assert np.array_equal(store.scan(window), scan_keys(full, n, window))
+        assert store.scan_stats.pruned_fraction() > 0.5
+
     def test_misaligned_scan_falls_back_to_hash_filter(self, tmp_path):
         store = _store(tmp_path)
         n = store.num_vertices

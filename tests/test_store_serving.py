@@ -132,6 +132,27 @@ class TestSpillRoundTrip:
         again.close()
         assert list((store.directory / "serving").iterdir()) == spill_dirs
 
+    def test_reopened_store_serves_its_spill_bitwise(self, store):
+        """A later process reopens the store from its directory and maps
+        the spilled tables instead of rebuilding them; its answers are
+        the RAM tier's, bit for bit, and the directory holds nothing
+        the manifest does not name."""
+        ram = _answers(RankingService(
+            GRAPH, CONFIG, num_machines=4, seed=2, cache_capacity=0
+        ))
+        RankingService(
+            config=CONFIG, num_machines=4, seed=2, store=store
+        ).close()
+        spill_dirs = list((store.directory / "serving").iterdir())
+        reopened = SegmentStore(store.directory)
+        mapped = _answers(RankingService(
+            config=CONFIG, num_machines=4, seed=2, store=reopened,
+            cache_capacity=0,
+        ))
+        assert mapped == ram
+        assert list((store.directory / "serving").iterdir()) == spill_dirs
+        assert reopened.sweep_orphans() == []
+
     def test_store_version_bump_forces_new_spill(self, tmp_path, store):
         RankingService(
             config=CONFIG, num_machines=4, seed=2, store=store
