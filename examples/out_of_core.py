@@ -74,13 +74,14 @@ def main() -> None:
     # -- 2. bitwise parity with the RAM serving tier ------------------
     seeds = (17, 400, 1_200)
     ram_service = RankingService(
-        graph, CONFIG, num_machines=MACHINES, seed=3
+        graph, ServiceConfig(config=CONFIG, num_machines=MACHINES, seed=3)
     )
     ram_answer = ram_service.query(seeds=seeds, k=10)
     ram_service.close()
 
-    mapped_service = RankingService.from_config(
-        config=ServiceConfig(
+    mapped_service = RankingService(
+        None,
+        ServiceConfig(
             config=CONFIG, num_machines=MACHINES, seed=3, store=store
         ),
     )

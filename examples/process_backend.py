@@ -32,6 +32,7 @@ from repro.serving import (
     ProcessPoolBackend,
     RankingQuery,
     RankingService,
+    ServiceConfig,
     ShardedBackend,
 )
 
@@ -55,10 +56,10 @@ def main() -> None:
     for kind in ("sharded", "process"):
         service = RankingService(
             graph,
-            config=CONFIG,
-            num_machines=MACHINES,
-            num_shards=WORKERS,
-            backend=kind,
+            ServiceConfig(
+                config=CONFIG, num_machines=MACHINES, num_shards=WORKERS,
+                backend=kind
+            ),
         )
         try:
             answers[kind] = [

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from repro import FrogWildConfig, run_personalized_frogwild, twitter_like
-from repro.serving import RankingQuery, RankingService
+from repro.serving import RankingQuery, RankingService, ServiceConfig
 
 
 def main() -> None:
@@ -37,7 +37,11 @@ def main() -> None:
 
     print("Starting the ranking service (ingress paid once)...")
     service = RankingService(
-        graph, config, num_machines=16, max_batch_size=16, cache_ttl_s=600.0
+        graph,
+        ServiceConfig(
+            config=config, num_machines=16, max_batch_size=16,
+            cache_ttl_s=600.0
+        ),
     )
 
     start = time.perf_counter()

@@ -27,7 +27,7 @@ Usage::
 import numpy as np
 
 from repro import FrogWildConfig, twitter_like
-from repro.serving import RankingService, VirtualClock
+from repro.serving import RankingService, ServiceConfig, VirtualClock
 
 
 def main() -> None:
@@ -38,12 +38,14 @@ def main() -> None:
     clock = VirtualClock()
     service = RankingService(
         graph,
-        config,
-        num_machines=16,     # fleet of 16 machines...
-        num_shards=4,        # ...split into 4 sub-clusters of 4
-        max_batch_size=16,
-        max_delay_s=0.005,   # dispatch partial batches after 5 ms
-        clock=clock,
+        ServiceConfig(
+            config=config,
+            num_machines=16,     # fleet of 16 machines...
+            num_shards=4,        # ...split into 4 sub-clusters of 4
+            max_batch_size=16,
+            max_delay_s=0.005,   # dispatch partial batches after 5 ms
+            clock=clock,
+        ),
     )
     print("Service started: 4 shards x "
           f"{service.backend.machines_per_shard} machines, "

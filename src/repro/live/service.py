@@ -40,21 +40,15 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from ..cluster import CostModel, MessageSizeModel
-from ..core import FrogWildConfig, RefreshPolicy, resolve_kernel
+from ..core import FrogWildConfig, RefreshPolicy
 from ..dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from ..errors import ConfigError
 from ..graph import DiGraph
-from ..serving import (
-    ExecutionBackend,
-    LocalBackend,
-    RankingService,
-    ShardedBackend,
-    choose_num_shards,
-)
+from ..serving import ExecutionBackend, RankingService, ServiceConfig
+from ..serving.backend import build_backend, shard_layout
 from .epoch import Epoch, EpochManager
 from .ingress import IncrementalIngress, IncrementalReplication, IngressUpdate
 from .refresh import BackgroundRefresher, RefreshTicket
@@ -100,20 +94,31 @@ class RefreshUpdate:
     background: bool = False
 
 
+#: ServiceConfig fields the live service does not forward: it sets its
+#: layout, store and generation itself, and offers no traffic hooks.
+_NOT_FORWARDED = frozenset(
+    {"backend", "partitioner", "store", "generation", "admission", "tracer"}
+)
+
+
 class LiveRankingService(RankingService):
     """Serves personalized top-k over a graph that keeps changing.
 
-    Parameters mirror :class:`~repro.serving.RankingService` where they
-    overlap; the live-specific ones:
+    ``config`` is the default :class:`~repro.core.FrogWildConfig`, and
+    every keyword not listed below is a
+    :class:`~repro.serving.ServiceConfig` field with its meaning and
+    default there.  ``backend``, ``partitioner``, ``store`` and
+    ``generation`` are set here — stable-hash ingress, one
+    :class:`IncrementalIngress` per shard (the layout
+    :func:`~repro.serving.backend.shard_layout` gives), the current
+    epoch id as the cache generation — and ``admission``/``tracer``
+    are not offered; passing any of them is a ``ConfigError``.  The
+    live-specific parameters:
 
     graph:
         A :class:`~repro.dynamic.DynamicDiGraph` (or a static
         :class:`~repro.graph.DiGraph`, which is wrapped).  The service
         applies deltas to it through :meth:`refresh` / :meth:`attach`.
-    kernel:
-        Kept for caller compatibility; its single value is ``"fused"``,
-        and any other name is a ``ConfigError`` before anything is
-        built.
     store:
         Mutually exclusive with ``graph``: serve a live
         :class:`~repro.store.GraphStore` as the churn source instead.
@@ -128,14 +133,10 @@ class LiveRankingService(RankingService):
         epoch structures (snapshot + replication tables) stay in RAM —
         the live tier trades residency for refreshability; fully
         out-of-core serving is the static
-        ``RankingService(store=...)`` path.
+        ``RankingService(None, ServiceConfig(store=...))`` path.
     compact_threshold:
         Delta-layer size (in keys) at which a refresh compacts the
         store; only meaningful with a compactable ``store``.
-    num_shards:
-        As in the base service; ``None`` autotunes via
-        :func:`~repro.serving.choose_num_shards`.  Sharded layouts run
-        one :class:`IncrementalIngress` per shard under distinct salts.
     rebalance_threshold:
         Per-ingress load-imbalance bound beyond which a refresh falls
         back to a full re-salted repartition (``None`` disables).
@@ -150,52 +151,40 @@ class LiveRankingService(RankingService):
         tables into fresh epoch-tagged shared-memory arenas, every
         worker process attaches them, and only then is the previous
         epoch's memory retired.  Use :meth:`close` to tear the workers
-        down.
-    on_shard_failure:
-        Fail-soft policy for ``execution="process"`` (``"fail"``,
-        ``"partial"`` or ``"retry"``; see
-        :class:`~repro.serving.ProcessPoolBackend`).  Under
-        ``"partial"`` a batch that loses a worker mid-flight still
-        answers from the surviving shards, the epoch's lane reports
-        carry a ``degraded_shards`` stamp, and the supervisor respawns
-        the worker against the *current* epoch's arenas.  Ignored for
-        simulated execution.
+        down.  Under ``on_shard_failure="partial"`` a batch that loses
+        a worker mid-flight still answers from the surviving shards,
+        and the supervisor respawns the worker against the *current*
+        epoch's arenas.
     """
 
     def __init__(
         self,
         graph: DynamicDiGraph | DiGraph | None = None,
         config: FrogWildConfig | None = None,
-        num_machines: int = 16,
-        num_shards: int | None = 1,
-        max_batch_size: int = 16,
-        cache_capacity: int = 256,
-        cache_ttl_s: float | None = None,
-        cost_model: CostModel | None = None,
-        size_model: MessageSizeModel | None = None,
-        seed: int | None = 0,
-        clock: Callable[[], float] | None = None,
-        max_delay_s: float | None = None,
+        store=None,
+        compact_threshold: int = 4096,
         rebalance_threshold: float | None = 2.0,
         refresh_policy: RefreshPolicy | None = None,
         execution: str = "simulated",
-        on_shard_failure: str = "fail",
-        kernel: str = "fused",
-        store=None,
-        compact_threshold: int = 4096,
+        **settings,
     ) -> None:
         if execution not in ("simulated", "process"):
             raise ConfigError(
                 f"unknown execution mode {execution!r}: expected "
                 "'simulated' or 'process'"
             )
-        if on_shard_failure not in ("fail", "partial", "retry"):
+        refused = sorted(_NOT_FORWARDED & set(settings))
+        if refused:
             raise ConfigError(
-                f"unknown on_shard_failure {on_shard_failure!r}: "
-                "expected 'fail', 'partial' or 'retry'"
+                f"LiveRankingService does not take {', '.join(refused)}"
             )
-        self.on_shard_failure = on_shard_failure
-        resolve_kernel(kernel)
+        # What every epoch's backend is built from.
+        self._epoch_config = ServiceConfig(
+            config=config,
+            partitioner="stable-hash",
+            backend="process" if execution == "process" else None,
+            **settings,
+        )
         self.compact_threshold = compact_threshold
         self.compactions = 0
         if store is not None:
@@ -228,39 +217,16 @@ class LiveRankingService(RankingService):
         self._refresh_lock = threading.Lock()
         self.refresher: BackgroundRefresher | None = None
         self.replicators: list[IncrementalReplication] | None = None
-        effective = config or FrogWildConfig(seed=seed)
-        if num_shards is None:
-            num_shards = choose_num_shards(
-                num_machines, num_frogs=effective.num_frogs
-            )
-        if num_shards > 1:
-            if num_shards > num_machines:
-                raise ConfigError(
-                    f"cannot split a {num_machines}-machine fleet into "
-                    f"{num_shards} shards"
-                )
-            machines_per_ingress = num_machines // num_shards
-            ingress_seeds = [
-                ShardedBackend._shard_seed(seed, shard)
-                for shard in range(num_shards)
-            ]
-        else:
-            machines_per_ingress = num_machines
-            ingress_seeds = [seed]
-        self._live_shards = num_shards
-        self._machines_per_ingress = machines_per_ingress
+        machines, ingress_seeds = shard_layout(self._epoch_config)
         self.ingresses = [
             IncrementalIngress(
                 graph,
-                machines_per_ingress,
+                machines,
                 seed=ingress_seed,
                 rebalance_threshold=rebalance_threshold,
             )
             for ingress_seed in ingress_seeds
         ]
-        self._cost_model = cost_model
-        self._size_model = size_model
-        self._seed = seed
 
         snapshot = graph.snapshot()
         self.epochs = EpochManager(
@@ -271,22 +237,11 @@ class LiveRankingService(RankingService):
                 backend=self._build_backend(snapshot),
             )
         )
+        # generation defaults to self.epochs.generation (the current
+        # epoch id) via the backend hook, so cached rankings invalidate
+        # exactly when refresh() publishes.
         super().__init__(
-            snapshot,
-            config=config,
-            num_machines=num_machines,
-            max_batch_size=max_batch_size,
-            cache_capacity=cache_capacity,
-            cache_ttl_s=cache_ttl_s,
-            cost_model=cost_model,
-            size_model=size_model,
-            seed=seed,
-            clock=clock,
-            backend=self.epochs,
-            max_delay_s=max_delay_s,
-            # generation defaults to self.epochs.generation (the current
-            # epoch id) via the backend hook, so cached rankings
-            # invalidate exactly when refresh() publishes.
+            snapshot, replace(self._epoch_config, backend=self.epochs)
         )
 
     # ------------------------------------------------------------------
@@ -298,57 +253,29 @@ class LiveRankingService(RankingService):
         """One epoch's execution backend over ``snapshot``'s tables.
 
         Every call builds the per-shard replication tables from
-        ``snapshot`` (:class:`IncrementalReplication`); under process
-        execution the pool then exports them to its workers.
+        ``snapshot`` (:class:`IncrementalReplication`).  Simulated
+        execution builds a backend on them; process execution builds
+        its pool once and then remaps it: the pool exports the tables
+        to its workers under the next epoch tag (graph versions may
+        repeat on a no-op refresh, so the pool counts its own epochs).
         """
         if self.replicators is None:
             self.replicators = [
-                IncrementalReplication(ingress, snapshot, seed=self._seed)
+                IncrementalReplication(
+                    ingress, snapshot, seed=self._epoch_config.seed
+                )
                 for ingress in self.ingresses
             ]
         else:
             for replicator in self.replicators:
                 replicator.refresh(snapshot)
         tables = [replicator.table for replicator in self.replicators]
+        if self._process_backend is not None:
+            return self._process_backend.refresh(snapshot, tables)
+        backend = build_backend(self._epoch_config, snapshot, tables)
         if self.execution == "process":
-            from ..serving import ProcessPoolBackend
-
-            if self._process_backend is None:
-                self._process_backend = ProcessPoolBackend(
-                    snapshot,
-                    num_shards=self._live_shards,
-                    machines_per_shard=self._machines_per_ingress,
-                    cost_model=self._cost_model,
-                    size_model=self._size_model,
-                    seed=self._seed,
-                    replications=tables,
-                    on_shard_failure=self.on_shard_failure,
-                )
-            else:
-                # Epoch-tagged remap: workers attach the new arenas
-                # before the old epoch's segments are retired; the
-                # backend's internal epoch counter advances on its own
-                # (graph versions may repeat on a no-op refresh).
-                self._process_backend.refresh(snapshot, tables)
-            return self._process_backend
-        if self._live_shards > 1:
-            return ShardedBackend(
-                snapshot,
-                num_shards=self._live_shards,
-                machines_per_shard=self._machines_per_ingress,
-                cost_model=self._cost_model,
-                size_model=self._size_model,
-                seed=self._seed,
-                replications=tables,
-            )
-        return LocalBackend(
-            snapshot,
-            num_machines=self._machines_per_ingress,
-            cost_model=self._cost_model,
-            size_model=self._size_model,
-            seed=self._seed,
-            replication=tables[0],
-        )
+            self._process_backend = backend
+        return backend
 
     # ------------------------------------------------------------------
     def refresh(self, delta: GraphDelta | None = None) -> RefreshUpdate:

@@ -38,7 +38,7 @@ shard's wire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -62,6 +62,9 @@ from ..errors import ConfigError
 from ..graph import DiGraph
 from .batching import RankingQuery
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
+    from .config import ServiceConfig
+
 __all__ = [
     "QueryOutcome",
     "ShardCost",
@@ -69,7 +72,9 @@ __all__ = [
     "ExecutionBackend",
     "LocalBackend",
     "ShardedBackend",
+    "build_backend",
     "choose_num_shards",
+    "shard_layout",
 ]
 
 
@@ -105,6 +110,23 @@ def choose_num_shards(
     if num_frogs is not None:
         bound = min(bound, num_frogs // max(min_frogs_per_shard, 1))
     return max(1, bound)
+
+
+def _shard_seed(base: int | None, shard: int) -> int | None:
+    """Deterministic distinct stream per shard (None stays None)."""
+    return None if base is None else base + 7919 * (shard + 1)
+
+
+def _split_fleet(fleet: int, num_shards: int) -> int:
+    """Machines per shard; remainder machines (``fleet % num_shards``)
+    are left idle."""
+    if num_shards > fleet:
+        raise ConfigError(
+            f"cannot split a {fleet}-machine fleet into {num_shards} "
+            "shards: each shard needs at least one machine (grow the "
+            "fleet or reduce the shard count)"
+        )
+    return fleet // num_shards
 
 
 @dataclass(frozen=True)
@@ -238,6 +260,64 @@ def _batch_queries(
     ]
 
 
+def _checked_tables(
+    replications: Sequence[ReplicationTable],
+    num_shards: int,
+    machines_per_shard: int,
+    graph: DiGraph,
+) -> list[ReplicationTable]:
+    """Prebuilt per-shard tables, checked against the layout they serve."""
+    tables = list(replications)
+    if len(tables) != num_shards:
+        raise ConfigError(
+            f"{len(tables)} replication tables supplied for "
+            f"{num_shards} shards"
+        )
+    for shard, table in enumerate(tables):
+        if table.num_machines != machines_per_shard:
+            raise ConfigError(
+                f"shard {shard} replication targets {table.num_machines} "
+                f"machines, expected {machines_per_shard}"
+            )
+        if table.graph.num_vertices != graph.num_vertices:
+            raise ConfigError(
+                f"shard {shard} replication was built for a different "
+                "graph"
+            )
+    return tables
+
+
+def _merged_outcome(
+    per_query_lanes: Sequence[Sequence],
+    shard_costs: Sequence[ShardCost],
+    degraded_shards: tuple[int, ...] = (),
+    lost_frogs: int = 0,
+) -> BatchOutcome:
+    """One batch's outcome from its per-shard lanes and costs.
+
+    Counters and ledgers merge exactly
+    (:func:`~repro.core.batched.merge_shard_results`); wire bytes add
+    and wall time is the slowest shard's, since shards run
+    concurrently.
+    """
+    merged = [merge_shard_results(lanes) for lanes in per_query_lanes]
+    return BatchOutcome(
+        lanes=tuple(
+            QueryOutcome(lane.estimate.ranked(), lane.report)
+            for lane in merged
+        ),
+        shared_network_bytes=sum(
+            cost.shared_network_bytes for cost in shard_costs
+        ),
+        simulated_time_s=max(
+            (cost.simulated_time_s for cost in shard_costs), default=0.0
+        ),
+        shards=tuple(shard_costs),
+        degraded_shards=degraded_shards,
+        lost_frogs=lost_frogs,
+    )
+
+
 class LocalBackend:
     """Single-cluster execution: one batched traversal per batch.
 
@@ -330,8 +410,9 @@ class LocalBackend:
 class ShardedBackend:
     """Shard fan-out execution with exact counter and ledger merging.
 
-    The fleet is split into ``num_shards`` sub-clusters of
-    ``machines_per_shard`` machines; each shard partitions the graph
+    The ``num_machines`` fleet is split into ``num_shards`` sub-clusters
+    of ``machines_per_shard = num_machines // num_shards`` machines
+    (remainder machines stay idle); each shard partitions the graph
     across its own machines at construction (its own per-partition
     masters and replication tables, seeded distinctly so shard layouts
     are independent).  ``run_batch`` splits every query's frog budget
@@ -366,14 +447,12 @@ class ShardedBackend:
     def __init__(
         self,
         graph: DiGraph | None = None,
-        num_shards: int | None = 4,
-        machines_per_shard: int | None = None,
-        num_machines: int | None = None,
+        num_shards: int = 4,
+        num_machines: int = 16,
         partitioner: str = "random",
         cost_model: CostModel | None = None,
         size_model: MessageSizeModel | None = None,
         seed: int | None = 0,
-        num_frogs: int | None = None,
         replications: Sequence[ReplicationTable] | None = None,
         kernel: str = "fused",
         store=None,
@@ -383,32 +462,9 @@ class ShardedBackend:
         self.store = _checked_store(store)
         if graph is None and self.store is None:
             raise ConfigError("ShardedBackend needs a graph or a store")
-        fleet = num_machines if num_machines is not None else 16
-        if num_shards is None:
-            # Shard-count autotuning: size the fan-out to the fleet, the
-            # ingress budget and the (optional) frog-budget hint so tiny
-            # budgets stop wasting sub-clusters.
-            num_shards = (
-                len(replications)
-                if replications is not None
-                else choose_num_shards(fleet, num_frogs=num_frogs)
-            )
         if num_shards < 1:
             raise ConfigError("num_shards must be positive")
-        if machines_per_shard is None:
-            if num_shards > fleet:
-                raise ConfigError(
-                    f"cannot split a {fleet}-machine fleet into "
-                    f"{num_shards} shards: each shard needs at least "
-                    "one machine (grow the fleet or reduce the shard "
-                    "count)"
-                )
-            # Remainder machines (fleet % num_shards) are left idle;
-            # callers see the effective layout via num_shards x
-            # machines_per_shard.
-            machines_per_shard = fleet // num_shards
-        if machines_per_shard < 1:
-            raise ConfigError("machines_per_shard must be positive")
+        machines_per_shard = _split_fleet(num_machines, num_shards)
         self.num_shards = num_shards
         self.machines_per_shard = machines_per_shard
         self.cost_model = cost_model
@@ -425,32 +481,16 @@ class ShardedBackend:
                 # Prebuilt per-shard ingress (e.g. maintained
                 # incrementally by repro.live.IncrementalIngress across
                 # graph epochs).
-                tables = list(replications)
-                if len(tables) != num_shards:
-                    raise ConfigError(
-                        f"{len(tables)} replication tables supplied "
-                        f"for {num_shards} shards"
-                    )
-                for shard, table in enumerate(tables):
-                    if table.num_machines != machines_per_shard:
-                        raise ConfigError(
-                            f"shard {shard} replication targets "
-                            f"{table.num_machines} machines, expected "
-                            f"{machines_per_shard}"
-                        )
-                    if table.graph.num_vertices != snapshot.num_vertices:
-                        raise ConfigError(
-                            f"shard {shard} replication was built for a "
-                            "different graph"
-                        )
-                return snapshot, tables
+                return snapshot, _checked_tables(
+                    replications, num_shards, machines_per_shard, snapshot
+                )
             # Ingress paid once per shard: each sub-cluster partitions
             # the graph across its own machines under a distinct seed.
             return snapshot, [
                 ReplicationTable(
                     snapshot,
                     make_partitioner(
-                        partitioner, self._shard_seed(seed, shard)
+                        partitioner, _shard_seed(seed, shard)
                     ).partition(snapshot, machines_per_shard),
                     seed=seed,
                 )
@@ -469,11 +509,6 @@ class ShardedBackend:
             )
         else:
             self.graph, self.replications = build()
-
-    @staticmethod
-    def _shard_seed(base: int | None, shard: int) -> int | None:
-        """Deterministic distinct stream per shard (None stays None)."""
-        return None if base is None else base + 7919 * (shard + 1)
 
     def _shares(self, num_frogs: int) -> list[int]:
         """Split a frog budget across shards; remainder to low shards."""
@@ -510,7 +545,7 @@ class ShardedBackend:
                     BatchQuery(
                         num_frogs=share,
                         start_distribution=distribution,
-                        seed=self._shard_seed(config.seed, shard),
+                        seed=_shard_seed(config.seed, shard),
                     )
                     for distribution in distributions
                 ],
@@ -533,17 +568,72 @@ class ShardedBackend:
                     simulated_time_s=result.report.total_time_s,
                 )
             )
-        merged = [merge_shard_results(lanes) for lanes in per_query_lanes]
-        return BatchOutcome(
-            lanes=tuple(
-                QueryOutcome(lane.estimate.ranked(), lane.report)
-                for lane in merged
-            ),
-            shared_network_bytes=sum(
-                cost.shared_network_bytes for cost in shard_costs
-            ),
-            simulated_time_s=max(
-                (cost.simulated_time_s for cost in shard_costs), default=0.0
-            ),
-            shards=tuple(shard_costs),
+        return _merged_outcome(per_query_lanes, shard_costs)
+
+
+def shard_layout(settings: "ServiceConfig") -> tuple[int, list[int | None]]:
+    """Machines per shard and each shard's partition seed.
+
+    For callers that build the per-shard tables themselves
+    (:class:`repro.live.LiveRankingService`): one shard partitions the
+    whole fleet under the base seed, as :class:`LocalBackend` does; a
+    fan-out gives each shard ``num_machines // num_shards`` machines
+    and its own seed, as :class:`ShardedBackend` does.
+    """
+    shards = settings.shard_count
+    if shards == 1:
+        return settings.num_machines, [settings.seed]
+    return _split_fleet(settings.num_machines, shards), [
+        _shard_seed(settings.seed, shard) for shard in range(shards)
+    ]
+
+
+def build_backend(
+    settings: "ServiceConfig",
+    graph: DiGraph | None,
+    replications: Sequence[ReplicationTable] | None = None,
+) -> ExecutionBackend:
+    """The backend ``settings`` describe, serving ``graph``.
+
+    The one place a backend is constructed.  An explicit
+    ``settings.backend`` instance is returned as is; otherwise
+    ``settings.layout`` picks a :class:`LocalBackend`, a
+    :class:`ShardedBackend` or a
+    :class:`~repro.serving.ProcessPoolBackend` over
+    ``settings.shard_count`` shards of the ``settings.num_machines``
+    fleet.  ``replications`` are prebuilt tables, one per shard (see
+    :func:`shard_layout`); without them the backend partitions ``graph``
+    (or ``settings.store``) with ``settings.partitioner``.
+    """
+    if settings.backend is not None and not isinstance(settings.backend, str):
+        return settings.backend
+    layout = dict(
+        num_machines=settings.num_machines,
+        partitioner=settings.partitioner,
+        cost_model=settings.cost_model,
+        size_model=settings.size_model,
+        seed=settings.seed,
+        store=settings.store,
+    )
+    if settings.layout == "local":
+        return LocalBackend(
+            graph,
+            replication=None if replications is None else replications[0],
+            **layout,
         )
+    if settings.layout == "sharded":
+        return ShardedBackend(
+            graph,
+            num_shards=settings.shard_count,
+            replications=replications,
+            **layout,
+        )
+    from .process_backend import ProcessPoolBackend
+
+    return ProcessPoolBackend(
+        graph,
+        num_shards=settings.shard_count,
+        replications=replications,
+        on_shard_failure=settings.on_shard_failure,
+        **layout,
+    )

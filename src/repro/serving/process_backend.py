@@ -115,7 +115,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..cluster import (
-    CostModel,
     MessageSizeModel,
     RecordChannel,
     ReplicationTable,
@@ -126,16 +125,27 @@ from ..core import (
     BatchQuery,
     FrogWildConfig,
     PageRankEstimate,
-    merge_shard_results,
     run_frogwild_batch,
     seed_distribution,
 )
+
+# The merge runs in .backend (``_merged_outcome``); bench/ still wraps
+# this module's name for its trace, so it stays bound here.
+from ..core import merge_shard_results  # noqa: F401
 from ..core.frogwild import FrogWildResult, prime_ingress_caches
 from ..engine import build_cluster
 from ..errors import ConfigError, EngineError, ShardFailure, WorkerCrashError
 from ..graph import DiGraph
-from .backend import BatchOutcome, QueryOutcome, ShardCost, ShardedBackend
+from .backend import (
+    BatchOutcome,
+    ShardCost,
+    ShardedBackend,
+    _checked_tables,
+    _merged_outcome,
+    _shard_seed,
+)
 from .batching import RankingQuery
+from .config import SHARD_FAILURE_POLICIES
 from .supervisor import WorkerSupervisor
 
 __all__ = ["ProcessPoolBackend"]
@@ -364,7 +374,8 @@ class ProcessPoolBackend(ShardedBackend):
     ``"fused"``: any other name is a :class:`~repro.errors.ConfigError`
     before a worker starts, and it is not forwarded to the workers.
 
-    Extra parameters on top of :class:`ShardedBackend`:
+    Every :class:`ShardedBackend` keyword is accepted and means the
+    same.  Extra parameters:
 
     ``start_method``
         ``multiprocessing`` start method; default prefers ``fork``
@@ -409,47 +420,24 @@ class ProcessPoolBackend(ShardedBackend):
     def __init__(
         self,
         graph: DiGraph | None = None,
-        num_shards: int | None = 4,
-        machines_per_shard: int | None = None,
-        num_machines: int | None = None,
-        partitioner: str = "random",
-        cost_model: CostModel | None = None,
-        size_model: MessageSizeModel | None = None,
-        seed: int | None = 0,
-        num_frogs: int | None = None,
-        replications: Sequence[ReplicationTable] | None = None,
-        kernel: str = "fused",
         start_method: str | None = None,
         timeout_s: float = 120.0,
         on_shard_failure: str = "fail",
         retry_budget: int = 2,
         retry_backoff_s: float = 0.05,
         heartbeat_s: float | None = None,
-        store=None,
+        **layout,
     ) -> None:
         # ``store=`` rides the ShardedBackend seam: results stay
         # bitwise identical, but publishing an epoch *copies* the
         # (possibly mapped) tables into shared memory, so the RSS-bound
         # guarantee of the out-of-core tier is the in-process backends'
         # — this backend trades residency back for process parallelism.
-        super().__init__(
-            graph,
-            num_shards=num_shards,
-            machines_per_shard=machines_per_shard,
-            num_machines=num_machines,
-            partitioner=partitioner,
-            cost_model=cost_model,
-            size_model=size_model,
-            seed=seed,
-            num_frogs=num_frogs,
-            replications=replications,
-            kernel=kernel,
-            store=store,
-        )
-        if on_shard_failure not in ("fail", "partial", "retry"):
+        super().__init__(graph, **layout)
+        if on_shard_failure not in SHARD_FAILURE_POLICIES:
             raise ConfigError(
                 f"unknown on_shard_failure {on_shard_failure!r}: "
-                "expected 'fail', 'partial' or 'retry'"
+                f"expected one of {SHARD_FAILURE_POLICIES}"
             )
         if timeout_s <= 0:
             raise ConfigError("timeout_s must be positive")
@@ -714,23 +702,9 @@ class ProcessPoolBackend(ShardedBackend):
         serialize with this on the backend lock, so every batch runs
         against exactly one epoch's arrays.
         """
-        if len(replications) != self.num_shards:
-            raise ConfigError(
-                f"{len(replications)} replication tables supplied for "
-                f"{self.num_shards} shards"
-            )
-        for shard, table in enumerate(replications):
-            if table.num_machines != self.machines_per_shard:
-                raise ConfigError(
-                    f"shard {shard} replication targets "
-                    f"{table.num_machines} machines, expected "
-                    f"{self.machines_per_shard}"
-                )
-            if table.graph.num_vertices != graph.num_vertices:
-                raise ConfigError(
-                    f"shard {shard} replication was built for a "
-                    "different graph"
-                )
+        replications = _checked_tables(
+            replications, self.num_shards, self.machines_per_shard, graph
+        )
         with self._lock:
             old_epoch = self._epoch
             new_epoch = epoch if epoch is not None else old_epoch + 1
@@ -748,7 +722,7 @@ class ProcessPoolBackend(ShardedBackend):
                 raise
             self._epoch = new_epoch
             self.graph = graph
-            self.replications = list(replications)
+            self.replications = replications
             self._gather(
                 [
                     self._request(worker, ("detach", old_epoch))
@@ -857,7 +831,7 @@ class ProcessPoolBackend(ShardedBackend):
                         self._epoch,
                         config,
                         shares[shard],
-                        self._shard_seed(config.seed, shard),
+                        _shard_seed(config.seed, shard),
                         query_specs,
                     ),
                     lanes=len(queries),
@@ -966,20 +940,9 @@ class ProcessPoolBackend(ShardedBackend):
         # path, and the merged estimate's num_frogs automatically
         # drops to the surviving population — the estimator rescales
         # itself, the batch just carries a wider sampling bound.
-        merged = [merge_shard_results(lanes) for lanes in per_query_lanes]
-        return BatchOutcome(
-            lanes=tuple(
-                QueryOutcome(lane.estimate.ranked(), lane.report)
-                for lane in merged
-            ),
-            shared_network_bytes=sum(
-                cost.shared_network_bytes for cost in shard_costs
-            ),
-            simulated_time_s=max(
-                (cost.simulated_time_s for cost in shard_costs),
-                default=0.0,
-            ),
-            shards=tuple(shard_costs),
+        return _merged_outcome(
+            per_query_lanes,
+            shard_costs,
             degraded_shards=tuple(sorted(failures)),
             lost_frogs=lost_frogs,
         )

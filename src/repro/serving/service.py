@@ -39,26 +39,19 @@ from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..cluster import CostModel, MessageSizeModel
 from ..core import FrogWildConfig, RankedEstimate
 from ..engine import RunReport
 from ..errors import ConfigError, EngineError, OverloadError
 from ..graph import DiGraph
 from ..theory.bounds import config_error_bound
-from .backend import (
-    BatchOutcome,
-    ExecutionBackend,
-    LocalBackend,
-    ShardedBackend,
-    choose_num_shards,
-)
+from .backend import BatchOutcome, _checked_store, build_backend
 from .batching import PendingQuery, QueryCoalescer, RankingQuery
 from .cache import TTLCache
+from .config import ServiceConfig
 from .scheduler import BatchScheduler, VirtualClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
-    from ..traffic.admission import AdmissionController
-    from ..traffic.trace import QueryTrace, QueryTracer
+    from ..traffic.trace import QueryTrace
 
 __all__ = [
     "RankingAnswer",
@@ -322,133 +315,35 @@ class RankingService:
         ``generation`` provider to the live graph's version counter, so
         churn invalidation is on by default (the served snapshot itself
         stays frozen — :class:`~repro.live.LiveRankingService` is the
-        variant that refreshes the backend too).
+        variant that refreshes the backend too).  ``None`` serves
+        ``config.store``.
     config:
-        Default :class:`FrogWildConfig` for queries that don't override.
-    num_machines, partitioner, cost_model, size_model, seed:
-        Simulated-cluster construction, as everywhere in the repo.
-    max_batch_size:
-        Largest number of queries one batched traversal carries.
-    cache_capacity, cache_ttl_s:
-        TTL/LRU cache sizing; ``cache_capacity=0`` disables caching.
-    clock:
-        Injectable time source shared by the cache and the scheduler
-        (tests and benchmarks use a
-        :class:`~repro.serving.VirtualClock`).
-    backend:
-        Explicit :class:`~repro.serving.backend.ExecutionBackend`
-        (overrides ``num_shards``), or a layout name: ``"local"``,
-        ``"sharded"``, or ``"process"`` (a
-        :class:`~repro.serving.ProcessPoolBackend` — one OS process
-        per shard over shared-memory graph state; pair with
-        :meth:`close` to tear the workers down).
-    num_shards:
-        ``> 1`` builds a :class:`~repro.serving.ShardedBackend` that
-        splits the ``num_machines`` fleet into that many sub-clusters
-        and fans every batch out across them.  ``None`` autotunes the
-        shard count from the fleet size and the default config's frog
-        budget (:func:`~repro.serving.choose_num_shards`).
-    kernel:
-        Kept for caller compatibility (and the :class:`ServiceConfig`
-        round trip); its single value is ``"fused"``, and any other
-        name is a ``ConfigError`` before a backend is built.
-    max_delay_s:
-        Deadline for the scheduled path (:meth:`submit`): a partial
-        batch dispatches once its oldest query has waited this long.
-        ``None`` disables deadline dispatch (batches leave on fill or
-        flush only).  The synchronous :meth:`query_batch` is unaffected
-        — it always flushes immediately.
-    generation:
-        Injectable graph-generation counter mixed into every cache key
-        (e.g. ``lambda: dynamic_graph.version``).  When the counter
-        moves, previously cached rankings stop matching and re-execute
-        — churn invalidation without TTL guesswork.  Defaults
-        automatically when the service has a generation source: a
-        :class:`~repro.dynamic.DynamicDiGraph` ``graph`` provides its
-        version counter, and an explicit ``backend`` exposing a
-        ``generation`` callable (e.g. :class:`~repro.live.EpochManager`)
-        provides its epoch.  Note the scope here: this invalidates the
-        *cache*; a plain RankingService keeps serving the snapshot its
-        backend ingested at construction, so re-executions price
-        against that snapshot until the backend is refreshed
-        (:class:`~repro.live.LiveRankingService` does exactly that).
-    admission:
-        Optional :class:`~repro.traffic.AdmissionController`.  When
-        set, every query that needs a *new* execution lane (cache hits
-        and coalesced duplicates are free and never ruled on) is
-        subject to its policy: past the queue bound the future fails
-        fast with a typed :class:`~repro.errors.OverloadError`; under
-        backlog the degradation ladder rewrites the query to a cheaper
-        config whose Theorem-1 error bound rides on the answer.
-    tracer:
-        Optional :class:`~repro.traffic.QueryTracer`.  When set, every
-        submitted query carries a per-query trace (enqueue → dispatch
-        → resolve, with cache/coalesce/degrade/shed provenance) and
-        the tracer folds them into streaming latency percentiles.
-    on_shard_failure:
-        Fail-soft policy forwarded to a ``backend="process"`` pool
-        (``"fail"``, ``"partial"`` or ``"retry"``; see
-        :class:`~repro.serving.ProcessPoolBackend`).  Ignored when the
-        backend is an explicit instance or an in-process layout.
-        Under ``"partial"`` a crash-degraded batch resolves its
-        waiters with :attr:`RankingAnswer.degraded_shards` set and a
-        recomputed (wider) Theorem-1 ``error_bound``, and is excluded
-        from the answer cache.
+        The :class:`~repro.serving.ServiceConfig` holding every other
+        setting (its docstring says what each one means); ``None``
+        means all defaults.  Anything else — a ``FrogWildConfig``
+        included — is a ``ConfigError``: the per-query default goes in
+        as ``ServiceConfig(config=...)``.
     """
 
     def __init__(
         self,
         graph: DiGraph | None = None,
-        config: FrogWildConfig | None = None,
-        num_machines: int = 16,
-        partitioner: str = "random",
-        max_batch_size: int = 16,
-        cache_capacity: int = 256,
-        cache_ttl_s: float | None = None,
-        cost_model: CostModel | None = None,
-        size_model: MessageSizeModel | None = None,
-        seed: int | None = 0,
-        clock: Callable[[], float] | None = None,
-        backend: ExecutionBackend | str | None = None,
-        num_shards: int | None = 1,
-        max_delay_s: float | None = None,
-        generation: Callable[[], int] | None = None,
-        kernel: str = "fused",
-        admission: "AdmissionController | None" = None,
-        tracer: "QueryTracer | None" = None,
-        on_shard_failure: str = "fail",
-        store=None,
+        config: ServiceConfig | None = None,
     ) -> None:
         from ..dynamic import DynamicDiGraph
-        from .backend import _checked_store
-        from .config import ServiceConfig
 
-        #: The normalized construction config: the kwargs path and
-        #: :meth:`from_config` are one path with two spellings, and
-        #: this is where they meet (the mapping shim).
-        self.service_config = ServiceConfig(
-            config=config,
-            num_machines=num_machines,
-            partitioner=partitioner,
-            cost_model=cost_model,
-            size_model=size_model,
-            seed=seed,
-            backend=backend,
-            num_shards=num_shards,
-            kernel=kernel,
-            on_shard_failure=on_shard_failure,
-            store=store,
-            max_batch_size=max_batch_size,
-            cache_capacity=cache_capacity,
-            cache_ttl_s=cache_ttl_s,
-            max_delay_s=max_delay_s,
-            clock=clock,
-            generation=generation,
-            admission=admission,
-            tracer=tracer,
-        )
-        self.store = _checked_store(store)
-        if graph is None and store is None:
+        if config is None:
+            config = ServiceConfig()
+        if not isinstance(config, ServiceConfig):
+            raise ConfigError(
+                "RankingService takes a ServiceConfig (got "
+                f"{type(config).__name__}); pass a FrogWildConfig as "
+                "ServiceConfig(config=...)"
+            )
+        #: The construction settings this service was built from.
+        self.service_config = config
+        self.store = _checked_store(config.store)
+        if graph is None and self.store is None:
             raise ConfigError("RankingService needs a graph or a store")
         if (
             graph is None
@@ -459,6 +354,7 @@ class RankingService:
             # resolves through the backend (which maps the spilled
             # snapshot instead of materializing one here).
             graph = self.store
+        generation = config.generation
         if isinstance(graph, DynamicDiGraph):
             # Serve a snapshot of the live graph, and default churn
             # invalidation to its version counter so callers no longer
@@ -474,79 +370,30 @@ class RankingService:
             # into cache keys gives churn invalidation for free.
             live_store = self.store
             generation = lambda: live_store.version  # noqa: E731
-        self.graph = graph
-        self.default_config = config or FrogWildConfig(seed=seed)
-        self.num_machines = num_machines
-        self.seed = seed
-        if backend is None or isinstance(backend, str):
-            kind = backend
-            if num_shards is None:
-                num_shards = choose_num_shards(
-                    num_machines, num_frogs=self.default_config.num_frogs
-                )
-            if kind is None:
-                kind = "sharded" if num_shards > 1 else "local"
-            if kind == "process":
-                from .process_backend import ProcessPoolBackend
-
-                backend = ProcessPoolBackend(
-                    graph,
-                    num_shards=num_shards,
-                    num_machines=num_machines,
-                    partitioner=partitioner,
-                    cost_model=cost_model,
-                    size_model=size_model,
-                    seed=seed,
-                    on_shard_failure=on_shard_failure,
-                    store=self.store,
-                )
-            elif kind == "sharded":
-                backend = ShardedBackend(
-                    graph,
-                    num_shards=num_shards,
-                    num_machines=num_machines,
-                    partitioner=partitioner,
-                    cost_model=cost_model,
-                    size_model=size_model,
-                    seed=seed,
-                    store=self.store,
-                )
-            elif kind == "local":
-                backend = LocalBackend(
-                    graph,
-                    num_machines=num_machines,
-                    partitioner=partitioner,
-                    cost_model=cost_model,
-                    size_model=size_model,
-                    seed=seed,
-                    store=self.store,
-                )
-            else:
-                raise ConfigError(
-                    f"unknown backend {kind!r}: expected 'local', "
-                    "'sharded' or 'process'"
-                )
-        if self.graph is None:
+        self.default_config = config.frog_config
+        backend = build_backend(config, graph)
+        if graph is None:
             # Out-of-core store: adopt the backend's mapped snapshot.
-            self.graph = getattr(backend, "graph", None)
-            if self.graph is None:
+            graph = getattr(backend, "graph", None)
+            if graph is None:
                 raise ConfigError(
                     "an explicit backend without a graph attribute "
                     "requires graph= (or a RAM store)"
                 )
+        self.graph = graph
         if generation is None:
             # A backend that knows its graph generation (the epoch-swap
             # proxy in repro.live) keys the cache by default.
             generation = getattr(backend, "generation", None)
         self.generation = generation
         self.backend = backend
-        self._clock = clock or time.monotonic
+        self._clock = config.clock or time.monotonic
         self.cache: TTLCache | None = (
-            TTLCache(cache_capacity, cache_ttl_s, self._clock)
-            if cache_capacity > 0
+            TTLCache(config.cache_capacity, config.cache_ttl_s, self._clock)
+            if config.cache_capacity > 0
             else None
         )
-        self.coalescer = QueryCoalescer(max_batch_size)
+        self.coalescer = QueryCoalescer(config.max_batch_size)
         # The scheduler calls back into the service that owns it.  Held
         # weakly, service -> scheduler -> service is no reference cycle,
         # so a dropped service releases its graph and tables at once
@@ -558,12 +405,12 @@ class RankingService:
         self.scheduler = BatchScheduler(
             lambda config, entries: execute()(config, entries),
             self.coalescer,
-            max_delay_s=max_delay_s,
+            max_delay_s=config.max_delay_s,
             clock=self._clock,
         )
         self.stats = ServiceStats()
-        self.admission = admission
-        self.tracer = tracer
+        self.admission = config.admission
+        self.tracer = config.tracer
         #: Calibration factor applied to a batch's simulated makespan
         #: when stamping virtual-clock resolve times.  The cost model's
         #: absolute seconds are arbitrary units; the traffic harness
@@ -586,25 +433,10 @@ class RankingService:
 
     @classmethod
     def from_config(
-        cls, graph: DiGraph | None = None, config=None
+        cls, graph: DiGraph | None = None, config: ServiceConfig | None = None
     ) -> "RankingService":
-        """Build a service from a typed :class:`~repro.serving.
-        ServiceConfig` instead of the legacy kwargs spread.
-
-        ``config=None`` means all defaults.  Equivalent by construction
-        to ``cls(graph, **config.to_kwargs())`` — both paths normalize
-        into the same dataclass (``service.service_config``).
-        """
-        from .config import ServiceConfig
-
-        config = config if config is not None else ServiceConfig()
-        if not isinstance(config, ServiceConfig):
-            raise ConfigError(
-                "from_config takes a ServiceConfig (got "
-                f"{type(config).__name__}); pass FrogWildConfig via "
-                "ServiceConfig(config=...)"
-            )
-        return cls(graph, **config.to_kwargs())
+        """Alias of the constructor: ``cls(graph, config)``."""
+        return cls(graph, config)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -18,7 +18,12 @@ from repro.engine import build_cluster
 from repro.graph import twitter_like
 from repro.live import LiveRankingService
 from repro.pagerank import graphlab_pagerank
-from repro.serving import ProcessPoolBackend, RankingQuery, RankingService
+from repro.serving import (
+    ProcessPoolBackend,
+    RankingQuery,
+    RankingService,
+    ServiceConfig,
+)
 from repro.store import load_serving_tables, spill_serving_tables
 
 GRAPH = twitter_like(n=300, seed=11)
@@ -32,7 +37,9 @@ def _unbuilt(*tables):
 
 
 def test_a_service_batch_leaves_it_unbuilt():
-    service = RankingService(GRAPH, CONFIG, num_machines=4, seed=2)
+    service = RankingService(
+        GRAPH, ServiceConfig(config=CONFIG, num_machines=4, seed=2)
+    )
     try:
         answers = service.query_batch(QUERIES)
         assert all(a.vertices.size == 10 for a in answers)

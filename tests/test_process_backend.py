@@ -46,6 +46,7 @@ from repro.serving import (
     ProcessPoolBackend,
     RankingQuery,
     RankingService,
+    ServiceConfig,
     ShardedBackend,
 )
 from repro.serving.process_backend import _Worker
@@ -499,10 +500,9 @@ class TestServiceWiring:
         for kind in ("sharded", "process"):
             service = RankingService(
                 SMALL,
-                config=FAST,
-                num_machines=4,
-                num_shards=2,
-                backend=kind,
+                ServiceConfig(
+                    config=FAST, num_machines=4, num_shards=2, backend=kind
+                ),
             )
             try:
                 answers[kind] = service.query([7, 12], k=8)
@@ -517,4 +517,6 @@ class TestServiceWiring:
 
     def test_unknown_backend_string_rejected(self):
         with pytest.raises(ConfigError, match="unknown backend"):
-            RankingService(SMALL, config=FAST, backend="quantum")
+            RankingService(
+                SMALL, ServiceConfig(config=FAST, backend="quantum")
+            )

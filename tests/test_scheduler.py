@@ -18,6 +18,7 @@ from repro.serving import (
     QueryCoalescer,
     RankingQuery,
     RankingService,
+    ServiceConfig,
     VirtualClock,
 )
 
@@ -329,10 +330,10 @@ class TestBatchScheduler:
 
         service = RankingService(
             star_graph(20),
-            config=FrogWildConfig(num_frogs=100, iterations=2, seed=0),
-            num_machines=2,
-            max_delay_s=0.01,
-            clock=VirtualClock(),
+            ServiceConfig(
+                config=FrogWildConfig(num_frogs=100, iterations=2, seed=0),
+                num_machines=2, max_delay_s=0.01, clock=VirtualClock()
+            ),
         )
         with pytest.raises(ConfigError):
             with service:
@@ -364,7 +365,7 @@ class TestScheduledService:
             clock=clock,
         )
         defaults.update(kwargs)
-        return RankingService(graph, **defaults), clock
+        return RankingService(graph, ServiceConfig(**defaults)), clock
 
     def test_trickle_batches_on_deadline(self, graph):
         service, clock = self.make_service(graph)
@@ -467,10 +468,10 @@ class TestScheduledService:
         answers a trickle without explicit pumps (stop flushes)."""
         service = RankingService(
             graph,
-            config=FrogWildConfig(num_frogs=400, iterations=2, seed=0),
-            num_machines=4,
-            max_batch_size=4,
-            max_delay_s=0.01,
+            ServiceConfig(
+                config=FrogWildConfig(num_frogs=400, iterations=2, seed=0),
+                num_machines=4, max_batch_size=4, max_delay_s=0.01
+            ),
         )
         with service:
             assert service.scheduler.running
@@ -499,7 +500,9 @@ class TestServiceLifetime:
     def test_dropped_service_is_freed_without_the_collector(
         self, graph, no_collector
     ):
-        service = RankingService(graph, config=self.CONFIG, num_machines=4)
+        service = RankingService(
+            graph, ServiceConfig(config=self.CONFIG, num_machines=4)
+        )
         service.query([3])
         service.close()
         backend = weakref.ref(service.backend)
@@ -555,7 +558,7 @@ class TestServiceLifetime:
         from repro.serving import ProcessPoolBackend
 
         pool = ProcessPoolBackend(
-            graph, num_shards=2, machines_per_shard=2, heartbeat_s=30.0
+            graph, num_shards=2, num_machines=4, heartbeat_s=30.0
         )
         table = weakref.ref(pool.replications[0])
         alive = weakref.ref(pool)
@@ -572,10 +575,10 @@ class TestServiceLifetime:
     ):
         service = RankingService(
             graph,
-            config=self.CONFIG,
-            num_machines=4,
-            max_batch_size=4,
-            max_delay_s=0.01,
+            ServiceConfig(
+                config=self.CONFIG, num_machines=4, max_batch_size=4,
+                max_delay_s=0.01
+            ),
         ).start()
         future = service.submit([5])
         scheduler = service.scheduler

@@ -1,11 +1,11 @@
-"""ServiceConfig: the typed construction path and its kwargs shim.
+"""ServiceConfig: the one construction path of both services.
 
-``RankingService(graph, **cfg.to_kwargs())`` and
-``RankingService.from_config(graph, cfg)`` must build *identical*
-services — same backend layout, same cache, same normalized
-``service_config`` — because the kwargs path is a one-release
-deprecation window over the dataclass, not a second construction
-semantics.
+``RankingService(graph, config)`` takes a :class:`ServiceConfig` and
+nothing else; :class:`~repro.live.LiveRankingService` forwards its
+keywords into one, and :func:`~repro.serving.backend.build_backend`
+builds every backend from one.  So a setting is validated once, in
+``ServiceConfig``, for every layout — and a live service at epoch 0
+answers bitwise like the static service with the same layout.
 """
 
 import dataclasses
@@ -31,66 +31,28 @@ CONFIG = FrogWildConfig(num_frogs=600, iterations=3, seed=1)
 
 
 class TestEquivalence:
-    def test_kwargs_and_from_config_build_identical_services(self):
-        cfg = ServiceConfig(
-            config=CONFIG,
-            num_machines=4,
-            num_shards=2,
-            seed=9,
-            max_batch_size=8,
-            cache_capacity=32,
-        )
-        via_kwargs = RankingService(GRAPH, **cfg.to_kwargs())
-        via_config = RankingService.from_config(GRAPH, cfg)
-        try:
-            assert via_kwargs.service_config == via_config.service_config
-            assert type(via_kwargs.backend) is type(via_config.backend)
-            assert via_kwargs.num_machines == via_config.num_machines
-            assert via_kwargs.coalescer.max_batch_size == 8
-            assert via_config.coalescer.max_batch_size == 8
-            query = [RankingQuery(seeds=(1, 2), k=5)]
-            a = via_kwargs.query_batch(query)[0]
-            b = via_config.query_batch(query)[0]
-            assert list(a.vertices) == list(b.vertices)
-            assert list(a.scores) == list(b.scores)
-        finally:
-            via_kwargs.close()
-            via_config.close()
-
     def test_normalized_config_is_exposed(self):
-        service = RankingService(
-            GRAPH, CONFIG, num_machines=4, seed=7, kernel="fused"
+        cfg = ServiceConfig(
+            config=CONFIG, num_machines=4, seed=7, kernel="fused"
         )
+        service = RankingService(GRAPH, cfg)
         try:
-            assert service.service_config.kernel == "fused"
-            assert service.service_config.num_machines == 4
-            assert service.service_config.seed == 7
-            assert service.service_config.config is CONFIG
+            assert service.service_config is cfg
+            assert service.default_config is CONFIG
         finally:
             service.close()
 
     def test_defaults_match_init_defaults(self):
-        cfg = ServiceConfig()
         service = RankingService(GRAPH)
         try:
-            for field in dataclasses.fields(ServiceConfig):
-                if field.name == "config":
-                    continue  # __init__ defaults it per-seed
-                assert getattr(service.service_config, field.name) == (
-                    getattr(cfg, field.name)
-                ), field.name
+            assert service.service_config == ServiceConfig()
+            assert service.default_config == FrogWildConfig(seed=0)
+            assert isinstance(service.backend, LocalBackend)
         finally:
             service.close()
 
 
 class TestConfigApi:
-    def test_evolve_returns_updated_copy(self):
-        cfg = ServiceConfig(num_machines=4)
-        shardy = cfg.evolve(num_shards=4)
-        assert shardy.num_shards == 4
-        assert shardy.num_machines == 4
-        assert cfg.num_shards == 1  # original untouched
-
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ServiceConfig().num_machines = 3
@@ -113,6 +75,117 @@ class TestConfigApi:
     def test_from_config_rejects_frogwild_config(self):
         with pytest.raises(ConfigError):
             RankingService.from_config(GRAPH, CONFIG)
+
+    def test_constructor_rejects_frogwild_config(self):
+        with pytest.raises(ConfigError, match="ServiceConfig"):
+            RankingService(GRAPH, CONFIG)
+        with pytest.raises(ConfigError, match="ServiceConfig"):
+            RankingService(GRAPH, config=CONFIG)
+
+    def test_constructor_takes_no_setting_keywords(self):
+        with pytest.raises(TypeError):
+            RankingService(GRAPH, num_machines=4)
+
+    def test_autotuned_shard_count_picks_the_layout(self):
+        cfg = ServiceConfig(config=CONFIG, num_machines=16, num_shards=None)
+        assert cfg.shard_count == 1  # 600 frogs do not fan out
+        assert cfg.layout == "local"
+        big = dataclasses.replace(
+            cfg, config=FrogWildConfig(num_frogs=8_000, seed=1)
+        )
+        assert big.shard_count == 4
+        assert big.layout == "sharded"
+
+
+#: Settings the parent accepted silently; each is a ConfigError now.
+OUT_OF_RANGE = [
+    {"num_shards": 0},
+    {"num_shards": -3},
+    {"cache_capacity": -5},
+    {"on_shard_failure": "bogus"},
+    {"num_machines": 0},
+    {"backend": "quantum"},
+]
+
+
+class TestOutOfRangeSettings:
+    @pytest.mark.parametrize("bad", OUT_OF_RANGE, ids=str)
+    def test_service_config_rejects(self, bad):
+        with pytest.raises(ConfigError):
+            ServiceConfig(**{"config": CONFIG, "num_machines": 4, **bad})
+
+    @pytest.mark.parametrize("num_shards", [0, -3])
+    def test_static_service_builds_no_backend(self, num_shards):
+        with pytest.raises(ConfigError, match="num_shards"):
+            RankingService(
+                GRAPH,
+                ServiceConfig(
+                    config=CONFIG, num_machines=4, num_shards=num_shards
+                ),
+            )
+
+    @pytest.mark.parametrize("bad", OUT_OF_RANGE[:4], ids=str)
+    def test_live_service_rejects(self, bad):
+        with pytest.raises(ConfigError):
+            LiveRankingService(
+                DynamicDiGraph.from_digraph(GRAPH), CONFIG,
+                num_machines=4, **bad,
+            )
+
+    @pytest.mark.parametrize("backend", ["local", "sharded"])
+    def test_failure_policy_checked_for_every_layout(self, backend):
+        with pytest.raises(ConfigError, match="on_shard_failure"):
+            RankingService(
+                GRAPH,
+                ServiceConfig(
+                    config=CONFIG, num_machines=4, num_shards=2,
+                    backend=backend, on_shard_failure="bogus",
+                ),
+            )
+
+    @pytest.mark.parametrize("field", ["backend", "partitioner", "tracer"])
+    def test_live_service_sets_its_layout_itself(self, field):
+        with pytest.raises(ConfigError, match=field):
+            LiveRankingService(
+                DynamicDiGraph.from_digraph(GRAPH), CONFIG,
+                num_machines=4, **{field: "sharded"},
+            )
+
+
+class TestLiveMatchesStatic:
+    """One factory builds both services' backends, so a live service at
+    epoch 0 is the static service over a stable-hash partition."""
+
+    QUERIES = [
+        RankingQuery(seeds=(3, 40), k=10),
+        RankingQuery(seeds=(7, 120, 200), k=10),
+    ]
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_epoch_zero_answers_bitwise_like_static(self, num_shards):
+        static = RankingService(
+            GRAPH,
+            ServiceConfig(
+                config=CONFIG, num_machines=4, num_shards=num_shards,
+                seed=3, partitioner="stable-hash",
+            ),
+        )
+        live = LiveRankingService(
+            DynamicDiGraph.from_digraph(GRAPH), CONFIG,
+            num_machines=4, num_shards=num_shards, seed=3,
+        )
+        try:
+            assert type(live.current_epoch.backend) is type(static.backend)
+            for a, b in zip(
+                static.query_batch(self.QUERIES),
+                live.query_batch(self.QUERIES),
+            ):
+                assert list(a.vertices) == list(b.vertices)
+                assert list(a.scores) == list(b.scores)
+                assert a.network_bytes == b.network_bytes
+        finally:
+            static.close()
+            live.close()
 
 
 class TestKernelResolvedAtConstruction:
@@ -146,12 +219,3 @@ class TestKernelResolvedAtConstruction:
                 kernel=kernel,
             )
         assert set(multiprocessing.active_children()) == children
-
-    def test_fused_round_trips_through_to_kwargs(self):
-        cfg = ServiceConfig(config=CONFIG, num_machines=4, kernel="fused")
-        assert cfg.to_kwargs()["kernel"] == "fused"
-        service = RankingService(GRAPH, **cfg.to_kwargs())
-        try:
-            assert service.service_config == cfg
-        finally:
-            service.close()

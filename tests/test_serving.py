@@ -9,6 +9,7 @@ from repro.serving import (
     QueryCoalescer,
     RankingQuery,
     RankingService,
+    ServiceConfig,
     TTLCache,
 )
 
@@ -40,7 +41,7 @@ def make_service(graph, **kwargs):
         max_batch_size=4,
     )
     defaults.update(kwargs)
-    return RankingService(graph, **defaults)
+    return RankingService(graph, ServiceConfig(**defaults))
 
 
 class TestTTLCache:
@@ -494,17 +495,23 @@ class TestShardAutotuning:
 
     def test_sharded_backend_autotunes_when_unset(self, graph):
         from repro.serving import ShardedBackend, choose_num_shards
+        from repro.serving.backend import build_backend
 
-        backend = ShardedBackend(
-            graph, num_shards=None, num_machines=16, num_frogs=100_000
-        )
+        def build(num_frogs):
+            return build_backend(
+                ServiceConfig(
+                    config=FrogWildConfig(num_frogs=num_frogs, seed=0),
+                    num_machines=16, num_shards=None, backend="sharded",
+                ),
+                graph,
+            )
+
+        backend = build(100_000)
+        assert isinstance(backend, ShardedBackend)
         assert backend.num_shards == choose_num_shards(
             16, num_frogs=100_000
         )
-        small = ShardedBackend(
-            graph, num_shards=None, num_machines=16, num_frogs=500
-        )
-        assert small.num_shards == 1
+        assert build(500).num_shards == 1
 
     def test_service_num_shards_none_uses_the_config_budget(self, graph):
         big = make_service(

@@ -29,6 +29,7 @@ from repro.serving import (
     LocalBackend,
     RankingQuery,
     RankingService,
+    ServiceConfig,
     ShardedBackend,
 )
 
@@ -185,26 +186,22 @@ class TestBudgetSplit:
     def test_validation(self):
         with pytest.raises(ConfigError):
             ShardedBackend(GRAPH, num_shards=0)
-        with pytest.raises(ConfigError):
-            ShardedBackend(GRAPH, num_shards=2, machines_per_shard=0)
         # A fleet smaller than the shard count cannot be split honestly.
         with pytest.raises(ConfigError):
             ShardedBackend(GRAPH, num_shards=4, num_machines=2)
-        # Explicit machines_per_shard sizes shards independently.
-        backend = ShardedBackend(
-            GRAPH, num_shards=4, machines_per_shard=1, num_machines=2
-        )
-        assert backend.machines_per_shard == 1
+        # Remainder machines stay idle.
+        backend = ShardedBackend(GRAPH, num_shards=3, num_machines=7)
+        assert backend.machines_per_shard == 2
 
 
 class TestShardedService:
     def test_service_with_shards_reports_breakdown(self):
         service = RankingService(
             GRAPH,
-            FrogWildConfig(num_frogs=2_000, iterations=4, seed=0),
-            num_machines=8,
-            num_shards=4,
-            max_batch_size=4,
+            ServiceConfig(
+                config=FrogWildConfig(num_frogs=2_000, iterations=4, seed=0),
+                num_machines=8, num_shards=4, max_batch_size=4
+            ),
         )
         assert service.num_shards == 4
         assert service.replication is None  # no single-cluster ingress

@@ -20,7 +20,7 @@ from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from repro.errors import ConfigError
 from repro.graph import twitter_like
 from repro.live import LiveRankingService
-from repro.serving import RankingQuery, RankingService
+from repro.serving import RankingQuery, RankingService, ServiceConfig
 from repro.store import (
     SegmentStore,
     load_serving_tables,
@@ -55,46 +55,60 @@ def store(tmp_path):
 class TestBackendParity:
     def test_local_backend_bitwise(self, store):
         ram = _answers(RankingService(
-            GRAPH, CONFIG, num_machines=4, seed=2
+            GRAPH, ServiceConfig(config=CONFIG, num_machines=4, seed=2)
         ))
         ooc = _answers(RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=store
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=store
+            ),
         ))
         assert ram == ooc
 
     def test_sharded_backend_bitwise(self, store):
         ram = _answers(RankingService(
-            GRAPH, CONFIG, num_machines=4, num_shards=2, seed=2
+            GRAPH,
+            ServiceConfig(
+                config=CONFIG, num_machines=4, num_shards=2, seed=2
+            ),
         ))
         ooc = _answers(RankingService(
-            config=CONFIG, num_machines=4, num_shards=2, seed=2,
-            store=store,
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, num_shards=2, seed=2,
+                store=store
+            ),
         ))
         assert ram == ooc
 
     def test_process_backend_bitwise(self, store):
         ram = _answers(RankingService(
-            GRAPH, CONFIG, num_machines=4, num_shards=2, seed=2,
-            backend="process",
+            GRAPH,
+            ServiceConfig(
+                config=CONFIG, num_machines=4, num_shards=2, seed=2,
+                backend="process"
+            ),
         ))
         ooc = _answers(RankingService(
-            config=CONFIG, num_machines=4, num_shards=2, seed=2,
-            backend="process", store=store,
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, num_shards=2, seed=2,
+                backend="process", store=store
+            ),
         ))
         assert ram == ooc
 
     def test_ram_store_is_a_graph_source(self):
         ram = _answers(RankingService(
-            GRAPH, CONFIG, num_machines=4, seed=2
+            GRAPH, ServiceConfig(config=CONFIG, num_machines=4, seed=2)
         ))
         via_store = _answers(RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=GRAPH
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=GRAPH
+            ),
         ))
         assert ram == via_store
 
     def test_needs_graph_or_store(self):
         with pytest.raises(ConfigError):
-            RankingService(config=CONFIG)
+            RankingService(config=ServiceConfig(config=CONFIG))
 
 
 class TestSpillRoundTrip:
@@ -121,13 +135,17 @@ class TestSpillRoundTrip:
 
     def test_spill_reuse_skips_rebuild(self, tmp_path, store):
         service = RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=store
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=store
+            ),
         )
         service.close()
         spill_dirs = list((store.directory / "serving").iterdir())
         assert len(spill_dirs) == 1
         again = RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=store
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=store
+            ),
         )
         again.close()
         assert list((store.directory / "serving").iterdir()) == spill_dirs
@@ -138,16 +156,23 @@ class TestSpillRoundTrip:
         the RAM tier's, bit for bit, and the directory holds nothing
         the manifest does not name."""
         ram = _answers(RankingService(
-            GRAPH, CONFIG, num_machines=4, seed=2, cache_capacity=0
+            GRAPH,
+            ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, cache_capacity=0
+            ),
         ))
         RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=store
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=store
+            ),
         ).close()
         spill_dirs = list((store.directory / "serving").iterdir())
         reopened = SegmentStore(store.directory)
         mapped = _answers(RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=reopened,
-            cache_capacity=0,
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=reopened,
+                cache_capacity=0
+            ),
         ))
         assert mapped == ram
         assert list((store.directory / "serving").iterdir()) == spill_dirs
@@ -155,11 +180,15 @@ class TestSpillRoundTrip:
 
     def test_store_version_bump_forces_new_spill(self, tmp_path, store):
         RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=store
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=store
+            ),
         ).close()
         store.add_edges(np.array([[5, 250]], dtype=np.int64))
         RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=store
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=store
+            ),
         ).close()
         assert len(list((store.directory / "serving").iterdir())) == 2
 
@@ -167,7 +196,9 @@ class TestSpillRoundTrip:
 class TestCacheInvalidation:
     def test_store_version_is_the_default_generation(self, store):
         service = RankingService(
-            config=CONFIG, num_machines=4, seed=2, store=store
+            config=ServiceConfig(
+                config=CONFIG, num_machines=4, seed=2, store=store
+            ),
         )
         try:
             first = service.query(seeds=(3, 40), k=5)

@@ -46,7 +46,12 @@ from repro.faults import (
 from repro.graph import twitter_like
 from repro.metrics import normalized_mass_captured
 from repro.pagerank import exact_pagerank
-from repro.serving import ProcessPoolBackend, RankingQuery, RankingService
+from repro.serving import (
+    ProcessPoolBackend,
+    RankingQuery,
+    RankingService,
+    ServiceConfig,
+)
 from repro.theory.bounds import config_error_bound
 from repro.traffic import ChaosEvent, ChaosInjector, ChaosSchedule
 
@@ -112,11 +117,10 @@ class TestPartialPolicy:
         pool = _pool()
         service = RankingService(
             GRAPH,
-            CONFIG,
-            num_machines=6,
-            cache_capacity=8,
-            seed=0,
-            backend=pool,
+            ServiceConfig(
+                config=CONFIG, num_machines=6, cache_capacity=8, seed=0,
+                backend=pool
+            ),
         )
         try:
             _kill_mid_batch(pool, shard=1)

@@ -20,7 +20,12 @@ import pytest
 
 from repro.core import FrogWildConfig
 from repro.errors import ConfigError, OverloadError
-from repro.serving import RankingQuery, RankingService, VirtualClock
+from repro.serving import (
+    RankingQuery,
+    RankingService,
+    ServiceConfig,
+    VirtualClock,
+)
 from repro.serving.service import BATCH_SIZE_WINDOW, ServiceStats
 from repro.traffic import (
     AdmissionController,
@@ -58,13 +63,11 @@ def workload(graph):
 def make_service(graph, admission=None):
     return RankingService(
         graph,
-        FrogWildConfig(num_frogs=800, iterations=3, seed=0),
-        num_machines=4,
-        max_batch_size=4,
-        max_delay_s=0.05,
-        cache_ttl_s=0.5,
-        clock=VirtualClock(),
-        admission=admission,
+        ServiceConfig(
+            config=FrogWildConfig(num_frogs=800, iterations=3, seed=0),
+            num_machines=4, max_batch_size=4, max_delay_s=0.05,
+            cache_ttl_s=0.5, clock=VirtualClock(), admission=admission
+        ),
     )
 
 
