@@ -70,12 +70,14 @@ def main() -> None:
             f"(reused {update.reuse_ratio:.1%})"
         )
 
-    stats = service.live_stats()
-    print(f"\nepochs published        : {int(stats['epochs_published'])}")
-    print(f"lifetime placement reuse: {stats['lifetime_reuse_ratio']:.2%}")
+    row = service.snapshot()
+    reused = row["ingress_reused_placements"]
+    print(f"\nepochs published        : {int(row['epochs_published'])}")
+    print(f"lifetime placement reuse: "
+          f"{reused / (reused + row['ingress_new_placements']):.2%}")
     print(f"amortization ratio      : "
           f"{service.stats.amortization_ratio():.3f}")
-    print(f"queries served/executed : {service.stats.queries_served}/"
+    print(f"queries served/executed : {int(row['service_queries_served'])}/"
           f"{service.stats.queries_executed}")
 
 

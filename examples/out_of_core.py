@@ -107,9 +107,8 @@ def main() -> None:
         print(f"tick {tick}: +{update.edges_added} -{update.edges_removed} "
               f"edges, epoch {update.epoch}, "
               f"delta layer {store.pending_delta} keys")
-    stats = live.live_stats()
     print(f"compactions on the refresh path: "
-          f"{int(stats['store_compactions'])}")
+          f"{int(live.snapshot()['store_compactions'])}")
     print(f"orphaned segment files         : {len(store.sweep_orphans())}")
     live.stop()
 

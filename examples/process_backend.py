@@ -66,12 +66,12 @@ def main() -> None:
                 service.query(seeds, k=10) for seeds in seed_sets
             ]
             if kind == "process":
-                summary = service.backend.transport_summary()
+                row = service.snapshot()
                 print(
-                    f"transport: {summary['sent_measured_bytes']:,.0f} "
-                    f"measured bytes over {summary['sent_messages']:.0f} "
+                    f"transport: {row['transport_sent_measured_bytes']:,.0f} "
+                    f"measured bytes over {row['transport_sent_messages']:.0f} "
                     "frames, reconciles="
-                    + ("yes" if summary["reconciles"] else "no")
+                    + ("yes" if row["transport_reconciles"] else "no")
                 )
         finally:
             service.close()

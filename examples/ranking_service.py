@@ -60,7 +60,7 @@ def main() -> None:
           f"({sequential_s / batched_s:.1f}x slower)")
     stats = service.stats
     print(f"batches run                : {stats.batches_run} "
-          f"(sizes {stats.batch_sizes})")
+          f"(sizes {list(stats.batch_size.recent)})")
     print(f"network amortization       : {stats.amortization_ratio():.3f} "
           "(shared wire bytes / standalone-priced bytes)")
 
@@ -76,7 +76,7 @@ def main() -> None:
     assert all(answer.cached for answer in replay)
     print(f"\nreplaying the burst        : {replay_s * 1000:.1f} ms "
           f"(all {len(replay)} answers from cache, "
-          f"hit rate {service.cache_stats()['hit_rate']:.0%})")
+          f"hit rate {service.cache.stats.hit_rate():.0%})")
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ def main() -> None:
 
     stats = service.stats
     sched = service.scheduler.stats
-    print(f"batches formed             : {stats.batch_sizes} "
+    print(f"batches formed             : {list(stats.batch_size.recent)} "
           f"({sched.deadline_dispatches} by deadline, "
           f"{sched.fill_dispatches} by fill)")
     print(f"network amortization       : {stats.amortization_ratio():.3f} "
@@ -94,7 +94,7 @@ def main() -> None:
     replay = service.query([int(users[0])], k=5)
     assert replay.cached
     print(f"\nreplaying user {users[0]}      : served from cache "
-          f"(hit rate {service.cache_stats()['hit_rate']:.0%})")
+          f"(hit rate {service.cache.stats.hit_rate():.0%})")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ separately and excluded from record-traffic reconciliation.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,20 +132,14 @@ class TransportTally:
     messages: int = 0
     records: int = 0
     empty_frames: int = 0
-    bytes_by_kind: dict[str, int] = field(default_factory=dict)
-    messages_by_kind: dict[str, int] = field(default_factory=dict)
 
-    def add(self, kind: str, num_records: int, frame_bytes: int, model_bytes: int) -> None:
+    def add(self, num_records: int, frame_bytes: int, model_bytes: int) -> None:
         self.measured_bytes += frame_bytes
         self.model_bytes += model_bytes
         self.messages += 1
         self.records += num_records
         if num_records == 0:
             self.empty_frames += 1
-        self.bytes_by_kind[kind] = (
-            self.bytes_by_kind.get(kind, 0) + frame_bytes
-        )
-        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
 
     def merge(self, other: "TransportTally") -> None:
         self.measured_bytes += other.measured_bytes
@@ -153,12 +147,6 @@ class TransportTally:
         self.messages += other.messages
         self.records += other.records
         self.empty_frames += other.empty_frames
-        for kind, nbytes in other.bytes_by_kind.items():
-            self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + nbytes
-        for kind, count in other.messages_by_kind.items():
-            self.messages_by_kind[kind] = (
-                self.messages_by_kind.get(kind, 0) + count
-            )
 
     def reconciles(self, size_model: MessageSizeModel | None = None) -> bool:
         """Measured bytes match the model's pricing of the same frames."""
@@ -166,15 +154,6 @@ class TransportTally:
         return self.measured_bytes == (
             self.model_bytes + self.empty_frames * header
         )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "measured_bytes": float(self.measured_bytes),
-            "model_bytes": float(self.model_bytes),
-            "messages": float(self.messages),
-            "records": float(self.records),
-            "empty_frames": float(self.empty_frames),
-        }
 
 
 class RecordChannel:
@@ -202,7 +181,7 @@ class RecordChannel:
         self.connection.send_bytes(frame)
         num_records = int(np.asarray(vertices).size)
         model = self.codec.size_model.batch_bytes(num_records)
-        self.sent.add(kind, num_records, len(frame), model)
+        self.sent.add(num_records, len(frame), model)
         return len(frame)
 
     def recv_records(self) -> tuple[str, int, np.ndarray, np.ndarray]:
@@ -220,7 +199,7 @@ class RecordChannel:
                 f"transport frame of {len(frame)} bytes does not "
                 f"reconcile with the size model's {expected}"
             )
-        self.received.add(kind, int(vertices.size), len(frame), model)
+        self.received.add(int(vertices.size), len(frame), model)
         return kind, tag, vertices, payloads
 
     def fileno(self) -> int:

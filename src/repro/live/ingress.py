@@ -112,7 +112,10 @@ class IncrementalIngress:
         self.seed = 0 if seed is None else int(seed)
         self.rebalance_threshold = rebalance_threshold
         self.full_repartitions = 0
-        self.updates: list[IngressUpdate] = []
+        #: Running totals over every :meth:`sync` (each returns its own
+        #: :class:`IngressUpdate`; none is kept).
+        self.new_placements = 0
+        self.reused_placements = 0
         self._step = 0
         self._keys = np.asarray(self.graph.edge_keys(), dtype=np.int64)
         self._placed: tuple | None = None
@@ -191,7 +194,8 @@ class IncrementalIngress:
             full_repartition=full,
             salt=self.salt,
         )
-        self.updates.append(update)
+        self.new_placements += update.new_placements
+        self.reused_placements += update.reused_placements
         self._step += 1
         return update
 
@@ -243,12 +247,8 @@ class IncrementalIngress:
 
     def lifetime_reuse_ratio(self) -> float:
         """Reused placements over total placements across all syncs."""
-        placed = sum(
-            u.reused_placements + u.new_placements for u in self.updates
-        )
-        if placed == 0:
-            return 1.0
-        return sum(u.reused_placements for u in self.updates) / placed
+        placed = self.reused_placements + self.new_placements
+        return self.reused_placements / placed if placed else 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

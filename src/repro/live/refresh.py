@@ -33,13 +33,13 @@ queries (they must run, and be stamped, wholly on the old epoch).
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..dynamic import GraphDelta
 from ..errors import ConfigError
+from ..obs import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .service import LiveRankingService, RefreshUpdate
@@ -85,34 +85,17 @@ class RefreshTicket:
 class RefresherStats:
     """Lifetime counters of one :class:`BackgroundRefresher`."""
 
-    builds: int = 0
     deltas_submitted: int = 0
     deltas_coalesced: int = 0
     max_coalesced: int = 0
-    build_times_s: list[float] = field(default_factory=list)
-    publish_times_s: list[float] = field(default_factory=list)
+    #: Seconds per build, and per publish: the swap, the only part the
+    #: query path is exposed to.
+    build_s: Histogram = field(default_factory=Histogram)
+    publish_s: Histogram = field(default_factory=Histogram)
 
-    def mean_build_s(self) -> float:
-        if not self.build_times_s:
-            return 0.0
-        return sum(self.build_times_s) / len(self.build_times_s)
-
-    def publish_p50_s(self) -> float:
-        """Median time the query path was exposed to a swap."""
-        if not self.publish_times_s:
-            return 0.0
-        ordered = sorted(self.publish_times_s)
-        return ordered[len(ordered) // 2]
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "builds": float(self.builds),
-            "deltas_submitted": float(self.deltas_submitted),
-            "deltas_coalesced": float(self.deltas_coalesced),
-            "max_coalesced": float(self.max_coalesced),
-            "mean_build_s": self.mean_build_s(),
-            "publish_p50_s": self.publish_p50_s(),
-        }
+    @property
+    def builds(self) -> int:
+        return self.build_s.count
 
 
 class BackgroundRefresher:
@@ -225,12 +208,11 @@ class BackgroundRefresher:
                 ticket._fail(error)
             raise
         with self._cond:
-            self.stats.builds += 1
             if len(batch) > 1:
                 self.stats.deltas_coalesced += len(batch) - 1
             self.stats.max_coalesced = max(self.stats.max_coalesced, len(batch))
-            self.stats.build_times_s.append(update.build_time_s)
-            self.stats.publish_times_s.append(update.publish_s)
+            self.stats.build_s.add(update.build_time_s)
+            self.stats.publish_s.add(update.publish_s)
         for ticket in batch:
             ticket._resolve(update)
         return update

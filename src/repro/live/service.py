@@ -51,9 +51,9 @@ from ..serving import ExecutionBackend, RankingService, ServiceConfig
 from ..serving.backend import build_backend, shard_layout
 from .epoch import Epoch, EpochManager
 from .ingress import IncrementalIngress, IncrementalReplication, IngressUpdate
-from .refresh import BackgroundRefresher, RefreshTicket
+from .refresh import BackgroundRefresher, RefresherStats, RefreshTicket
 
-__all__ = ["RefreshUpdate", "LiveRankingService"]
+__all__ = ["RefreshUpdate", "RefreshTotals", "LiveRankingService"]
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,28 @@ class RefreshUpdate:
     publish_s: float = 0.0
     coalesced_deltas: int = 1
     background: bool = False
+
+
+@dataclass
+class RefreshTotals:
+    """Running sums over every :class:`RefreshUpdate` a service made.
+
+    Each refresh publishes one epoch, so ``epochs_published - 1`` in the
+    service's snapshot counts them.
+    """
+
+    edges_added: int = 0
+    edges_removed: int = 0
+    vertices_patched: int = 0
+    edges_regrouped: int = 0
+    table_rebuilds: int = 0
+
+    def add(self, update: RefreshUpdate) -> None:
+        self.edges_added += update.edges_added
+        self.edges_removed += update.edges_removed
+        self.vertices_patched += update.vertices_patched
+        self.edges_regrouped += update.edges_regrouped
+        self.table_rebuilds += update.table_rebuilds
 
 
 #: ServiceConfig fields the live service does not forward: it sets its
@@ -209,7 +231,10 @@ class LiveRankingService(RankingService):
         self._process_backend = None
         self.rebalance_threshold = rebalance_threshold
         self.refresh_policy = refresh_policy or RefreshPolicy()
-        self.refresh_history: list[RefreshUpdate] = []
+        #: Running totals over every refresh, and the latest record
+        #: (each refresh returns its own; none is kept).
+        self.refreshes = RefreshTotals()
+        self.last_refresh: RefreshUpdate | None = None
         # Serializes the whole build pipeline (graph mutation, ingress
         # reconcile, snapshot, table build, publish) between synchronous
         # refresh() callers and the background refresher's worker.  The
@@ -353,7 +378,8 @@ class LiveRankingService(RankingService):
                 coalesced=coalesced,
                 background=background,
             )
-            self.refresh_history.append(update)
+            self.refreshes.add(update)
+            self.last_refresh = update
             return update
 
     def _summarize(
@@ -481,35 +507,47 @@ class LiveRankingService(RankingService):
         super().stop()
 
     # ------------------------------------------------------------------
-    def live_stats(self) -> dict[str, float]:
-        """Live-layer counters alongside the base service stats."""
-        stats = {
-            "epoch": float(self.epochs.current.epoch_id),
-            "epochs_published": float(self.epochs.epochs_published),
-            "publishes_mid_flight": float(self.epochs.publishes_mid_flight),
-            "refreshes": float(len(self.refresh_history)),
-            "lifetime_reuse_ratio": (
-                sum(i.lifetime_reuse_ratio() for i in self.ingresses)
-                / len(self.ingresses)
-            ),
-            "full_repartitions": float(
-                sum(i.full_repartitions for i in self.ingresses)
-            ),
-            "table_rebuilds": float(
-                sum(u.table_rebuilds for u in self.refresh_history)
-            ),
-            "vertices_patched": float(
-                sum(u.vertices_patched for u in self.refresh_history)
-            ),
-            "served_edges": float(self.epochs.current.num_edges),
-            "source_edges": float(self.source.num_edges),
+    def stats_parts(self) -> dict[str, object]:
+        """The static service's parts plus the live layer's.
+
+        ``epochs`` (the current epoch and publish counts),
+        ``source_edges``, ``refresh`` (:class:`RefreshTotals`),
+        ``ingress`` (placement totals over every shard's ingress),
+        ``refresher``; with a ``store``, its scan counters (``store``),
+        ``store_compactions`` and ``store_pending_delta``; under
+        ``execution="process"``, the pool's ``transport`` and
+        ``supervisor``.
+        """
+        parts = super().stats_parts()
+        epoch = self.epochs.current
+        parts["epochs"] = {
+            "current": epoch.epoch_id,
+            "published": self.epochs.epochs_published,
+            "publishes_mid_flight": self.epochs.publishes_mid_flight,
+            "served_edges": epoch.num_edges,
         }
+        parts["source_edges"] = self.source.num_edges
+        parts["refresh"] = self.refreshes
+        parts["ingress"] = {
+            "new_placements": sum(i.new_placements for i in self.ingresses),
+            "reused_placements": sum(
+                i.reused_placements for i in self.ingresses
+            ),
+            "full_repartitions": sum(
+                i.full_repartitions for i in self.ingresses
+            ),
+        }
+        parts["refresher"] = (
+            RefresherStats() if self.refresher is None else self.refresher.stats
+        )
         if self.live_store is not None:
-            stats["store_compactions"] = float(self.compactions)
-            stats["store_pending_delta"] = float(
-                getattr(self.source, "pending_delta", 0)
+            scan_stats = getattr(self.source, "scan_stats", None)
+            if scan_stats is not None:
+                parts["store"] = scan_stats
+            parts["store_compactions"] = self.compactions
+            parts["store_pending_delta"] = getattr(
+                self.source, "pending_delta", 0
             )
-        if self.refresher is not None:
-            for key, value in self.refresher.stats.as_dict().items():
-                stats[f"refresher_{key}"] = value
-        return stats
+        if self._process_backend is not None:
+            parts.update(self._process_backend.stats_parts())
+        return parts

@@ -41,15 +41,6 @@ class CacheStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "expirations": float(self.expirations),
-            "hit_rate": self.hit_rate(),
-        }
-
 
 class TTLCache:
     """An LRU mapping whose entries also expire after ``ttl_s``.

@@ -114,8 +114,9 @@ class ServiceConfig:
     tracer:
         Optional :class:`~repro.traffic.QueryTracer`: every submitted
         query carries a per-query trace (enqueue → dispatch → resolve,
-        with cache/coalesce/degrade/shed provenance) folded into
-        streaming latency percentiles.
+        with cache/coalesce/degrade/shed provenance) folded into the
+        latency histograms
+        :meth:`~repro.serving.RankingService.snapshot` reports.
     """
 
     # Execution defaults

@@ -136,6 +136,7 @@ from ..core.frogwild import FrogWildResult, prime_ingress_caches
 from ..engine import build_cluster
 from ..errors import ConfigError, EngineError, ShardFailure, WorkerCrashError
 from ..graph import DiGraph
+from ..obs import flatten
 from .backend import (
     BatchOutcome,
     ShardCost,
@@ -989,8 +990,9 @@ class ProcessPoolBackend(ShardedBackend):
     def transport_summary(self) -> dict[str, float]:
         """Measured-vs-model byte accounting of the record transport.
 
-        ``reconciles`` is 1.0 when both directions' measured bytes
-        equal the :class:`MessageSizeModel` pricing of the same record
+        The ``sent_*``/``received_*`` counters of the two tallies, and
+        ``reconciles``: 1.0 when both directions' measured bytes equal
+        the :class:`MessageSizeModel` pricing of the same record
         traffic (plus the real header of any empty frame) *and* the
         parent received byte-for-byte what workers sent.
         """
@@ -1002,9 +1004,13 @@ class ProcessPoolBackend(ShardedBackend):
             and sent.measured_bytes == received.measured_bytes
             and sent.records == received.records
         )
-        summary = {f"sent_{k}": v for k, v in sent.as_dict().items()}
-        summary.update(
-            {f"received_{k}": v for k, v in received.as_dict().items()}
+        return flatten(
+            {"sent": sent, "received": received, "reconciles": reconciles}
         )
-        summary["reconciles"] = float(reconciles)
-        return summary
+
+    def stats_parts(self) -> dict[str, object]:
+        """The pool's parts of the owning service's snapshot."""
+        return {
+            "transport": self.transport_summary(),
+            "supervisor": self.supervisor.stats,
+        }

@@ -62,22 +62,6 @@ class SchedulerStats:
     flush_dispatches: int = 0
     queries_dispatched: int = 0
 
-    def batches_dispatched(self) -> int:
-        return (
-            self.fill_dispatches
-            + self.deadline_dispatches
-            + self.flush_dispatches
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "fill_dispatches": float(self.fill_dispatches),
-            "deadline_dispatches": float(self.deadline_dispatches),
-            "flush_dispatches": float(self.flush_dispatches),
-            "batches_dispatched": float(self.batches_dispatched()),
-            "queries_dispatched": float(self.queries_dispatched),
-        }
-
 
 class BatchScheduler:
     """Dispatches coalesced batches when they fill or their deadline hits.

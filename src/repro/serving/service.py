@@ -33,7 +33,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
@@ -43,6 +42,7 @@ from ..core import FrogWildConfig, RankedEstimate
 from ..engine import RunReport
 from ..errors import ConfigError, EngineError, OverloadError
 from ..graph import DiGraph
+from ..obs import Histogram, flatten
 from ..theory.bounds import config_error_bound
 from .backend import BatchOutcome, _checked_store, build_backend
 from .batching import PendingQuery, QueryCoalescer, RankingQuery
@@ -145,40 +145,27 @@ class RankingFuture:
         self._event.set()
 
 
-#: How many recent executed batch sizes :class:`ServiceStats` retains
-#: for its percentile window (the exact count/sum/max aggregates cover
-#: the full lifetime regardless).
-BATCH_SIZE_WINDOW = 512
-
-
 @dataclass
 class ServiceStats:
     """Lifetime counters of one :class:`RankingService`.
 
-    Executed batch sizes are kept as O(1) aggregates
-    (``batch_size_count``/``batch_size_sum``/``largest_batch``) plus a
-    bounded recent-window reservoir — a service under sustained load
-    runs millions of batches, so the unbounded list this once was is
-    exactly the slow leak the traffic harness exists to catch.
+    Every submitted query ends as exactly one of: served, failed, shed
+    (counted by the admission controller) or still in flight.  Executed
+    batch sizes live in one bounded :class:`~repro.obs.Histogram`: a
+    service under sustained load runs millions of batches.
     """
 
+    queries_submitted: int = 0
     queries_served: int = 0
-    queries_executed: int = 0
-    queries_shed: int = 0
+    queries_failed: int = 0
+    queries_coalesced: int = 0
     queries_degraded: int = 0
     queries_partial: int = 0
-    batches_run: int = 0
-    largest_batch: int = 0
-    batch_size_count: int = 0
-    batch_size_sum: int = 0
+    batch_size: Histogram = field(default_factory=Histogram)
     frogs_launched: int = 0
     attributed_network_bytes: int = 0
     shared_network_bytes: int = 0
     simulated_time_s: float = 0.0
-    _recent_batch_sizes: deque = field(
-        default_factory=lambda: deque(maxlen=BATCH_SIZE_WINDOW),
-        repr=False,
-    )
     # Per-shard cost partition, keyed by shard id (empty when the
     # backend is unsharded).
     shard_shared_bytes: dict[int, int] = field(default_factory=dict)
@@ -186,20 +173,17 @@ class ServiceStats:
     shard_cpu_seconds: dict[int, float] = field(default_factory=dict)
 
     @property
-    def batch_sizes(self) -> list[int]:
-        """Recent executed batch sizes (bounded window, oldest first).
+    def batches_run(self) -> int:
+        return self.batch_size.count
 
-        Compatibility view of the pre-bounded attribute; use the exact
-        aggregates for lifetime statistics.
-        """
-        return list(self._recent_batch_sizes)
+    @property
+    def queries_executed(self) -> int:
+        """Lanes executed: the sum of every executed batch's size."""
+        return self.batch_size.total
 
-    def record_batch_size(self, size: int) -> None:
-        size = int(size)
-        self.batch_size_count += 1
-        self.batch_size_sum += size
-        self.largest_batch = max(self.largest_batch, size)
-        self._recent_batch_sizes.append(size)
+    # ``bench/`` reads the two aggregates under these names.
+    batch_size_count = batches_run
+    batch_size_sum = queries_executed
 
     def amortization_ratio(self) -> float:
         """Actual wire bytes over standalone-priced bytes (<= 1).
@@ -211,24 +195,6 @@ class ServiceStats:
         if self.attributed_network_bytes == 0:
             return 1.0
         return self.shared_network_bytes / self.attributed_network_bytes
-
-    def mean_batch_size(self) -> float:
-        """Average executed batch size (0.0 before any traversal).
-
-        Exact over the service lifetime (sum/count aggregates, not the
-        bounded window).
-        """
-        if not self.batch_size_count:
-            return 0.0
-        return self.batch_size_sum / self.batch_size_count
-
-    def batch_size_quantile(self, q: float) -> float:
-        """Batch-size quantile over the recent window (0.0 when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError("q must lie in [0, 1]")
-        if not self._recent_batch_sizes:
-            return 0.0
-        return float(np.quantile(list(self._recent_batch_sizes), q))
 
     def shard_breakdown(self) -> dict[int, dict[str, float]]:
         """Per-shard cost partition (empty when unsharded).
@@ -255,28 +221,6 @@ class ServiceStats:
             }
             for shard in sorted(shards)
         }
-
-    def as_dict(self) -> dict[str, float]:
-        row = {
-            "queries_served": float(self.queries_served),
-            "queries_executed": float(self.queries_executed),
-            "queries_shed": float(self.queries_shed),
-            "queries_degraded": float(self.queries_degraded),
-            "queries_partial": float(self.queries_partial),
-            "batches_run": float(self.batches_run),
-            "largest_batch": float(self.largest_batch),
-            "mean_batch_size": self.mean_batch_size(),
-            "batch_size_p95": self.batch_size_quantile(0.95),
-            "frogs_launched": float(self.frogs_launched),
-            "attributed_network_bytes": float(self.attributed_network_bytes),
-            "shared_network_bytes": float(self.shared_network_bytes),
-            "simulated_time_s": self.simulated_time_s,
-            "amortization_ratio": self.amortization_ratio(),
-        }
-        for shard, costs in self.shard_breakdown().items():
-            for key, value in costs.items():
-                row[f"shard{shard}_{key}"] = value
-        return row
 
 
 @dataclass(frozen=True)
@@ -551,8 +495,7 @@ class RankingService:
                     for entry in abandoned
                     for waiter in self._inflight.pop(entry.payload, [])
                 ]
-            for _, future in waiters:
-                future._fail(error)
+                self._fail_futures([future for _, future in waiters], error)
             raise
         return [future.result() for future, _ in submitted]
 
@@ -577,9 +520,41 @@ class RankingService:
         future, _ = self._submit_validated(query)
         return future
 
-    def cache_stats(self) -> dict[str, float]:
-        """The cache's counters (empty dict when caching is disabled)."""
-        return {} if self.cache is None else self.cache.stats.as_dict()
+    def stats_parts(self) -> dict[str, object]:
+        """The named stats objects :meth:`snapshot` flattens.
+
+        Always ``service`` and ``scheduler`` plus the ``queries_in_flight``
+        gauge; ``cache``, ``admission``, the tracer's ``latency`` and
+        ``queue_delay`` histograms, and a process pool's ``transport`` and
+        ``supervisor`` when the service has them.
+        """
+        with self._lock:
+            in_flight = sum(len(waiters) for waiters in self._inflight.values())
+        parts: dict[str, object] = {
+            "service": self.stats,
+            "scheduler": self.scheduler.stats,
+            "queries_in_flight": in_flight,
+        }
+        if self.cache is not None:
+            parts["cache"] = self.cache.stats
+        if self.admission is not None:
+            parts["admission"] = self.admission.stats
+        if self.tracer is not None:
+            parts["latency"] = self.tracer.latency
+            parts["queue_delay"] = self.tracer.queue_delay
+        pool_parts = getattr(self.backend, "stats_parts", None)
+        if pool_parts is not None:
+            parts.update(pool_parts())
+        return parts
+
+    def snapshot(self) -> dict[str, float]:
+        """What the service is doing right now, as one flat row.
+
+        :func:`repro.obs.flatten` of :meth:`stats_parts`: every counter
+        the service and the parts it owns keep, read in one place.
+        """
+        with self._lock:
+            return flatten(self.stats_parts())
 
     # ------------------------------------------------------------------
     # Internals
@@ -651,6 +626,7 @@ class RankingService:
         waiters = self._inflight.get(key)
         if waiters is not None:
             # A duplicate of an already queued query: ride its lane.
+            self.stats.queries_coalesced += 1
             if trace is not None:
                 trace.coalesced = True
             waiters.append((query, future))
@@ -664,6 +640,7 @@ class RankingService:
         future = RankingFuture(query)
         with self._lock:
             now = self._clock()
+            self.stats.queries_submitted += 1
             if self.tracer is not None:
                 future.trace = self.tracer.begin(query.seeds, query.k, now)
             key = self._cache_key(query)
@@ -677,7 +654,6 @@ class RankingService:
                     self.scheduler.pending_count()
                 )
                 if decision.action == "shed":
-                    self.stats.queries_shed += 1
                     if future.trace is not None:
                         future.trace.status = "shed"
                         future.trace.shed_depth = decision.depth
@@ -778,6 +754,9 @@ class RankingService:
                         resolved.append((query, future, cached))
                 if degraded_shards:
                     self.stats.queries_partial += len(entries)
+                # Counted as they leave the in-flight table, so a
+                # snapshot never sees a query in neither place.
+                self.stats.queries_served += len(resolved)
         except BaseException as error:
             # Fail every future this batch owes an answer to — both
             # the keys not yet popped from the in-flight table and any
@@ -793,16 +772,12 @@ class RankingService:
                 ]
                 for entry in entries:
                     self._degrade_info.pop(entry.payload, None)
-            failed_at = self._clock()
-            for _, future, _ in resolved:
-                self._trace_failed(future, failed_at)
-                future._fail(error)
-            for _, future in waiters:
-                self._trace_failed(future, failed_at)
-                future._fail(error)
+                self._fail_futures(
+                    [future for _, future, _ in resolved]
+                    + [future for _, future in waiters],
+                    error,
+                )
             raise
-        with self._lock:
-            self.stats.queries_served += len(resolved)
         for query, future, cached in resolved:
             trace = future.trace
             if self.tracer is not None and trace is not None:
@@ -820,19 +795,27 @@ class RankingService:
                 self.tracer.complete(trace)
             future._resolve(self._answer(query, cached, cached=False))
 
-    def _trace_failed(self, future: RankingFuture, now: float) -> None:
-        trace = future.trace
-        if self.tracer is None or trace is None:
-            return
-        trace.status = "failed"
-        trace.resolve_s = now
-        self.tracer.complete(trace)
+    def _fail_futures(
+        self, futures: list[RankingFuture], error: BaseException
+    ) -> None:
+        """Fail futures this service owed an answer; counts each once.
+
+        Caller holds the service lock, under which it took the futures
+        out of the in-flight table.
+        """
+        now = self._clock()
+        self.stats.queries_failed += len(futures)
+        for future in futures:
+            trace = future.trace
+            if self.tracer is not None and trace is not None:
+                trace.status = "failed"
+                trace.resolve_s = now
+                self.tracer.complete(trace)
+            future._fail(error)
 
     def _record_outcome(self, outcome: BatchOutcome, batch_size: int) -> None:
         stats = self.stats
-        stats.batches_run += 1
-        stats.record_batch_size(batch_size)
-        stats.queries_executed += batch_size
+        stats.batch_size.add(batch_size)
         stats.shared_network_bytes += outcome.shared_network_bytes
         stats.simulated_time_s += outcome.simulated_time_s
         for cost in outcome.shards:

@@ -39,7 +39,7 @@ import itertools
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster import SharedArena
 from ..errors import ConfigError, EngineError, WorkerCrashError
@@ -49,11 +49,7 @@ __all__ = ["SupervisorStats", "WorkerSupervisor"]
 
 @dataclass
 class SupervisorStats:
-    """Lifetime counters and event logs of one supervisor.
-
-    The logs carry ``time.monotonic()`` stamps so recovery latency
-    (kill observed → worker serving again) can be measured externally.
-    """
+    """Lifetime counters of one supervisor."""
 
     crashes_detected: int = 0
     respawns: int = 0
@@ -61,24 +57,6 @@ class SupervisorStats:
     heartbeats: int = 0
     heartbeat_failures: int = 0
     segments_swept: int = 0
-    #: ``(monotonic_stamp, shard, cause)`` per detected crash.
-    crash_log: list[tuple[float, int, str]] = field(default_factory=list)
-    #: ``(monotonic_stamp, shard, respawn_seconds)`` per successful
-    #: respawn; the stamp marks the moment the new worker finished its
-    #: attach handshake (i.e. is serving again).
-    respawn_log: list[tuple[float, int, float]] = field(
-        default_factory=list
-    )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "crashes_detected": float(self.crashes_detected),
-            "respawns": float(self.respawns),
-            "respawn_failures": float(self.respawn_failures),
-            "heartbeats": float(self.heartbeats),
-            "heartbeat_failures": float(self.heartbeat_failures),
-            "segments_swept": float(self.segments_swept),
-        }
 
 
 class WorkerSupervisor:
@@ -132,6 +110,9 @@ class WorkerSupervisor:
         self.respawn_backoff_s = float(respawn_backoff_s)
         self.max_backoff_s = float(max_backoff_s)
         self.stats = SupervisorStats()
+        #: ``(monotonic_stamp, shard, cause)`` per detected crash, so the
+        #: moment a death was noticed can be checked against the kill.
+        self.crash_log: list[tuple[float, int, str]] = []
         #: Last exception a background heartbeat swallowed (the thread
         #: must survive anything), for post-mortems.
         self.last_error: BaseException | None = None
@@ -160,8 +141,7 @@ class WorkerSupervisor:
         """
         backend = self.backend
         self.stats.crashes_detected += 1
-        self.stats.crash_log.append((time.monotonic(), shard, cause))
-        started = time.monotonic()
+        self.crash_log.append((time.monotonic(), shard, cause))
         old = backend._workers[shard]
         if old.process.is_alive():
             old.process.kill()
@@ -202,8 +182,6 @@ class WorkerSupervisor:
             )
         )
         self.stats.respawns += 1
-        now = time.monotonic()
-        self.stats.respawn_log.append((now, shard, now - started))
 
     def ping_locked(self, shard: int) -> bool:
         """One liveness probe: does this worker answer a fresh ping?

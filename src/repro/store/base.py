@@ -27,7 +27,7 @@ branching on graph type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -106,23 +106,12 @@ class ScanStats:
     segments_scanned: int = 0
     segments_pruned: int = 0
     bytes_scanned: int = 0
-    extra: dict = field(default_factory=dict)
 
     def pruned_fraction(self) -> float:
         """Fraction of considered segments skipped without a read."""
         if self.segments_considered == 0:
             return 0.0
         return self.segments_pruned / self.segments_considered
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "scans": float(self.scans),
-            "segments_considered": float(self.segments_considered),
-            "segments_scanned": float(self.segments_scanned),
-            "segments_pruned": float(self.segments_pruned),
-            "bytes_scanned": float(self.bytes_scanned),
-            "pruned_fraction": self.pruned_fraction(),
-        }
 
 
 @runtime_checkable

@@ -435,9 +435,6 @@ class SegmentStore:
             except OSError:
                 pass  # an orphan; the sweep reclaims it
         self.check_intervals()
-        self.scan_stats.extra["compactions"] = (
-            self.scan_stats.extra.get("compactions", 0) + 1
-        )
         return CompactionStats(
             folded_keys=folded,
             machines_rewritten=len(dirty),

@@ -14,10 +14,9 @@ operational lever rather than a benchmark curiosity:
   backlog-triggered :class:`DegradationLadder` that shrinks frog
   budgets / early-stops supersteps, each degraded answer carrying the
   Theorem-1 error bound it implies (:mod:`repro.theory.bounds`);
-* :mod:`~repro.traffic.trace` / :mod:`~repro.traffic.report` —
-  per-query traces (enqueue → dispatch → resolve, with degrade
-  decisions) folded into streaming p50/p95/p99 latency, shed-rate and
-  batch-occupancy summaries in one flat report row;
+* :mod:`~repro.traffic.trace` — per-query traces (enqueue → dispatch
+  → resolve, with degrade decisions) and the latency histograms the
+  service's flat :meth:`~repro.serving.RankingService.snapshot` reads;
 * :mod:`~repro.traffic.harness` — the driver: a deterministic
   virtual-time single-server queue;
 * :mod:`~repro.traffic.chaos` — real-process fault injection under
@@ -45,8 +44,7 @@ from .arrivals import (
 )
 from .chaos import ChaosEvent, ChaosInjector, ChaosSchedule
 from .harness import TrafficHarness, TrafficRunResult
-from .report import TrafficReport
-from .trace import QueryTrace, QueryTracer, StreamingReservoir
+from .trace import QueryTrace, QueryTracer
 from .workload import QueryEvent, TrafficWorkload, UserPopulation
 
 __all__ = [
@@ -62,10 +60,8 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionStats",
     "AdmissionController",
-    "StreamingReservoir",
     "QueryTrace",
     "QueryTracer",
-    "TrafficReport",
     "TrafficHarness",
     "TrafficRunResult",
     "ChaosEvent",

@@ -132,22 +132,6 @@ class AdmissionStats:
     def shed_rate(self) -> float:
         return self.shed / self.offered if self.offered else 0.0
 
-    def degraded_rate(self) -> float:
-        return self.degraded / self.offered if self.offered else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        row = {
-            "offered": float(self.offered),
-            "admitted": float(self.admitted),
-            "degraded": float(self.degraded),
-            "shed": float(self.shed),
-            "shed_rate": self.shed_rate(),
-            "degraded_rate": self.degraded_rate(),
-        }
-        for level, count in sorted(self.degraded_by_level.items()):
-            row[f"degraded_level{level}"] = float(count)
-        return row
-
 
 class AdmissionController:
     """Queue-bound admission with an SLO ladder of degraded modes.

@@ -12,7 +12,8 @@ overload *observable* under a virtual clock at all: without the busy
 gate, dispatch would be instantaneous and no queue could ever form.
 
 It returns a :class:`TrafficRunResult` carrying every future, the
-queue-depth time series and the folded :class:`TrafficReport`.
+queue-depth time series and one flat report row: the run's own
+figures plus the service's :meth:`~repro.serving.RankingService.snapshot`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, OverloadError
+from ..obs import flatten
 from ..serving.scheduler import VirtualClock
 from ..serving.service import RankingAnswer, RankingFuture, RankingService
-from .report import TrafficReport
 from .trace import QueryTracer
 from .workload import QueryEvent, TrafficWorkload
 
@@ -34,7 +35,11 @@ __all__ = ["TrafficRunResult", "TrafficHarness"]
 class TrafficRunResult:
     """Everything one traffic run produced."""
 
-    report: TrafficReport
+    #: One flat ``str -> float`` row: ``duration_s``, ``arrivals``,
+    #: ``offered_rate_qps``, ``queue_depth_max``/``_mean``,
+    #: ``utilization`` and ``busy_s``, beside every key of the
+    #: service's snapshot at the end of the run.
+    report: dict[str, float]
     events: list[QueryEvent]
     futures: list[RankingFuture]
     #: (clock reading, scheduler queue depth) samples, one after every
@@ -193,23 +198,15 @@ class TrafficHarness:
         depth_samples: list[tuple[float, int]],
         busy_s: float,
         elapsed_s: float,
-    ) -> TrafficReport:
+    ) -> dict[str, float]:
         depths = [depth for _, depth in depth_samples]
-        admission = self.service.admission
-        return TrafficReport(
-            duration_s=duration_s,
-            arrivals=arrivals,
-            queue_depth_max=max(depths) if depths else 0,
-            queue_depth_mean=(
-                sum(depths) / len(depths) if depths else 0.0
-            ),
-            utilization=busy_s / elapsed_s if elapsed_s else 0.0,
-            busy_s=busy_s,
-            traffic=self.tracer.summary(),
-            admission=(
-                {} if admission is None else admission.stats.as_dict()
-            ),
-            service=self.service.stats.as_dict(),
-            scheduler=self.service.scheduler.stats.as_dict(),
-            cache=self.service.cache_stats(),
-        )
+        run = {
+            "duration_s": duration_s,
+            "arrivals": arrivals,
+            "offered_rate_qps": arrivals / duration_s if duration_s else 0.0,
+            "queue_depth_max": max(depths) if depths else 0,
+            "queue_depth_mean": sum(depths) / len(depths) if depths else 0.0,
+            "utilization": busy_s / elapsed_s if elapsed_s else 0.0,
+            "busy_s": busy_s,
+        }
+        return flatten({**run, **self.service.stats_parts()})

@@ -375,7 +375,7 @@ class TestBackgroundRefresh:
         background_update = refresher.run_pending()
         assert background_update.sequence == sync_update.sequence + 1
         assert not sync_update.background
-        assert service.live_stats()["refresher_builds"] == 1.0
+        assert service.snapshot()["refresher_build_s_count"] == 1.0
 
     def test_sharded_service_patches_every_shard(self):
         dynamic, service = self.make_service(

@@ -8,6 +8,8 @@ its epoch once, a publish never tears or drops in-flight queries) with
 the virtual-clock scheduler — no sleeps, no background threads.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ from repro.serving import (
 )
 
 FAST = FrogWildConfig(num_frogs=600, iterations=3, seed=0)
+#: RefreshUpdate fields the live snapshot keeps running totals of.
+REFRESH_TOTALS = (
+    "edges_added",
+    "edges_removed",
+    "vertices_patched",
+    "edges_regrouped",
+    "table_rebuilds",
+)
+INGRESS_TOTALS = ("new_placements", "reused_placements", "full_repartitions")
 
 
 def _overlap(estimated: np.ndarray, ranking: np.ndarray, k: int) -> float:
@@ -316,7 +327,7 @@ class TestLiveServiceShapes:
         churn = ChurnGenerator(seed=3)
         updates = service.attach(churn, ticks=3)
         assert [u.sequence for u in updates] == [1, 2, 3]
-        assert service.live_stats()["epochs_published"] == 4.0
+        assert service.snapshot()["epochs_published"] == 4.0
         deltas = [churn.step(dynamic) for _ in range(2)]
         more = service.attach(iter(deltas))
         assert [u.sequence for u in more] == [4, 5]
@@ -349,15 +360,63 @@ class TestLiveServiceShapes:
         update = service.refresh(churn.step(dynamic))
         assert 0 < update.new_placements <= 0.05 * update.num_edges
 
-    def test_refresh_history_and_live_stats(self):
+    def test_refresh_totals_in_snapshot(self):
         dynamic, service = make_live()
         churn = ChurnGenerator(seed=7)
-        service.attach(churn, ticks=2)
-        assert len(service.refresh_history) == 2
-        stats = service.live_stats()
-        assert stats["refreshes"] == 2.0
-        assert stats["lifetime_reuse_ratio"] >= 0.8
-        assert stats["served_edges"] == stats["source_edges"]
+        updates = service.attach(churn, ticks=2)
+        assert service.last_refresh is updates[-1]
+        row = service.snapshot()
+        assert row["epochs_published"] == 3.0
+        reused = row["ingress_reused_placements"]
+        assert reused / (reused + row["ingress_new_placements"]) >= 0.8
+        assert row["epochs_served_edges"] == row["source_edges"]
+
+    def test_refresh_totals_stay_exact_and_memory_flat(self):
+        """Fifty refreshes keep running totals, not a growing history:
+        the snapshot's totals are the sums over the returned updates,
+        and memory retained under ``repro/live/`` does not grow from
+        the 25th refresh to the 50th."""
+        dynamic, service = make_live(n=300)
+        fresh = [
+            (v, (v + 150) % 300)
+            for v in range(300)
+            if not dynamic.has_edge(v, (v + 150) % 300)
+        ][:50]
+        assert len(fresh) == 50
+        live_files = [tracemalloc.Filter(True, "*repro/live/*")]
+        sums: dict[str, int] = {}
+        tracemalloc.start()
+        try:
+            for i, edge in enumerate(fresh):
+                # Add one edge and drop the previous one: the edge count,
+                # and every array sized by it, is the same after each
+                # refresh from the first on.
+                update = service.refresh(
+                    GraphDelta(added=[edge], removed=fresh[i - 1 : i])
+                )
+                for key in REFRESH_TOTALS + INGRESS_TOTALS:
+                    sums[key] = sums.get(key, 0) + getattr(update, key)
+                del update
+                if i + 1 == 25:
+                    before = tracemalloc.take_snapshot().filter_traces(
+                        live_files
+                    )
+            after = tracemalloc.take_snapshot().filter_traces(live_files)
+        finally:
+            tracemalloc.stop()
+        growth = sum(
+            stat.size_diff for stat in after.compare_to(before, "filename")
+        )
+        # A kept history retained ~700 B per refresh here; what is left
+        # is numpy's bookkeeping for the read-only placement array.
+        assert growth < 25 * 120, growth
+        row = service.snapshot()
+        assert row["epochs_published"] == 51
+        for key in REFRESH_TOTALS:
+            assert row[f"refresh_{key}"] == sums[key], key
+        for key in INGRESS_TOTALS:
+            assert row[f"ingress_{key}"] == sums[key], key
+        assert sums["edges_added"] == 50 and sums["edges_removed"] == 49
 
 
 class TestParallelPatchEquivalence:

@@ -115,9 +115,9 @@ class TestWireCodec:
     def test_tally_reconciles_by_construction(self):
         model = MessageSizeModel()
         tally = TransportTally()
-        tally.add("result", 5, model.batch_bytes(5), model.batch_bytes(5))
+        tally.add(5, model.batch_bytes(5), model.batch_bytes(5))
         # An empty frame carries a real header the model prices at zero.
-        tally.add("result", 0, model.message_header_bytes, 0)
+        tally.add(0, model.message_header_bytes, 0)
         assert tally.reconciles(model)
         assert tally.empty_frames == 1
         merged = TransportTally()

@@ -374,7 +374,7 @@ class TestScheduledService:
         clock.advance(5.0)
         assert service.pump() == 1
         assert all(future.done() for future in futures)
-        assert service.stats.batch_sizes == [3]
+        assert list(service.stats.batch_size.recent) == [3]
         answers = [future.result() for future in futures]
         assert [answer.query.seeds[0] for answer in answers] == [0, 1, 2]
         assert all(answer.batch_size == 3 for answer in answers)
@@ -394,7 +394,7 @@ class TestScheduledService:
         service.pump()
         assert all(future.done() for future in futures)
         assert service.scheduler.stats.deadline_dispatches >= 1
-        assert max(service.stats.batch_sizes) >= 4
+        assert service.stats.batch_size.max >= 4
         assert service.stats.amortization_ratio() < 1.0
 
     def test_fill_dispatches_without_waiting(self, graph):
@@ -445,7 +445,7 @@ class TestScheduledService:
         clock.advance(5.0)
         service.pump()
         assert trickling.done()
-        assert service.stats.batch_sizes == [1, 1]
+        assert list(service.stats.batch_size.recent) == [1, 1]
 
     def test_sync_call_flushes_an_inflight_duplicate_it_depends_on(
         self, graph

@@ -135,7 +135,6 @@ class TestTTLCache:
         for key in ("a", "a", "a", "b"):
             cache.get(key)
         assert cache.stats.hit_rate() == 0.75
-        assert cache.stats.as_dict()["hit_rate"] == 0.75
 
     def test_membership_test_touches_nothing(self):
         """``in`` neither counts a lookup nor refreshes LRU recency."""
@@ -230,8 +229,8 @@ class TestRankingService:
         assert not first.cached and second.cached
         np.testing.assert_array_equal(first.vertices, second.vertices)
         np.testing.assert_array_equal(first.scores, second.scores)
-        stats = service.cache_stats()
-        assert stats["hits"] == 1.0 and stats["misses"] == 1.0
+        row = service.snapshot()
+        assert row["cache_hits"] == 1.0 and row["cache_misses"] == 1.0
 
     def test_k_is_a_prefix_of_the_cached_estimate(self, graph):
         service = make_service(graph)
@@ -256,7 +255,7 @@ class TestRankingService:
         # vertex 1 was evicted; 3 is fresh.
         assert service.query([3]).cached
         assert not service.query([1]).cached
-        assert service.cache_stats()["evictions"] >= 1.0
+        assert service.cache.stats.evictions >= 1
 
     def test_coalescing_splits_mixed_configs(self, graph):
         service = make_service(graph)
@@ -265,7 +264,7 @@ class TestRankingService:
         queries.append(RankingQuery(seeds=(3,), config=fast))
         answers = service.query_batch(queries)
         assert service.stats.batches_run == 2
-        assert sorted(service.stats.batch_sizes) == [1, 3]
+        assert sorted(service.stats.batch_size.recent) == [1, 3]
         assert answers[3].report.extra["num_frogs"] == 400.0
         for answer in answers[:3]:
             assert answer.batch_size == 3
@@ -275,7 +274,7 @@ class TestRankingService:
         answers = service.query_batch(
             [RankingQuery(seeds=(v,)) for v in range(7)]
         )
-        assert service.stats.batch_sizes == [3, 3, 1]
+        assert list(service.stats.batch_size.recent) == [3, 3, 1]
         assert all(answer is not None for answer in answers)
 
     def test_duplicate_queries_collapse_into_one_population(self, graph):
@@ -340,7 +339,7 @@ class TestRankingService:
         answer = service.query([4])
         assert not answer.cached
         assert service.stats.queries_executed == 2
-        assert service.cache_stats() == {}
+        assert not any(key.startswith("cache_") for key in service.snapshot())
 
     def test_deterministic_across_service_instances(self, graph):
         first = make_service(graph).query([8, 13], k=7)
@@ -543,29 +542,27 @@ class TestServiceStatsGuards:
         service = make_service(graph)
         stats = service.stats
         assert stats.amortization_ratio() == 1.0
-        assert stats.mean_batch_size() == 0.0
+        assert stats.batch_size.mean() == 0.0
         assert stats.shard_breakdown() == {}
-        row = stats.as_dict()
-        assert row["amortization_ratio"] == 1.0
-        assert row["mean_batch_size"] == 0.0
-        assert not any(key.startswith("shard") for key in row)
+        row = service.snapshot()
+        assert row["service_batch_size_mean"] == 0.0
+        assert row["service_batch_size_p99"] == 0.0
+        assert not any("shard" in key for key in row)
 
     def test_cache_only_service_keeps_neutral_ratio(self, graph):
         service = make_service(graph)
         service.query([2])
         service.query([2])  # pure cache hit: no new traversal
-        row = service.stats.as_dict()
-        assert row["queries_served"] == 2.0
-        assert row["queries_executed"] == 1.0
-        assert 0.0 < row["amortization_ratio"] <= 1.0
-        assert row["mean_batch_size"] == 1.0
+        row = service.snapshot()
+        assert row["service_queries_served"] == 2.0
+        assert row["service_batch_size_count"] == 1.0
+        assert 0.0 < service.stats.amortization_ratio() <= 1.0
+        assert row["service_batch_size_mean"] == 1.0
 
     def test_unsharded_as_dict_has_no_shard_keys(self, graph):
         service = make_service(graph)
         service.query([1])
-        assert not any(
-            key.startswith("shard") for key in service.stats.as_dict()
-        )
+        assert not any("shard" in key for key in service.snapshot())
 
 
 # ----------------------------------------------------------------------

@@ -214,8 +214,8 @@ class TestShardedService:
         assert sum(
             costs["attributed_network_bytes"] for costs in breakdown.values()
         ) == service.stats.attributed_network_bytes
-        row = service.stats.as_dict()
-        assert "shard0_shared_network_bytes" in row
+        row = service.snapshot()
+        assert "service_shard_shared_bytes_0" in row
         # Cached replay is unaffected by sharding.
         assert service.query([0]).cached
 

@@ -420,7 +420,6 @@ class TestWindowAndManifestIntervals:
         assert ScanStats().pruned_fraction() == 0.0
         stats = ScanStats(scans=1, segments_considered=8, segments_pruned=6)
         assert stats.pruned_fraction() == 0.75
-        assert stats.as_dict()["pruned_fraction"] == 0.75
 
     def test_nbytes_on_disk_counts_segment_keys_only(self, tmp_path, rng):
         store = _store(tmp_path)

@@ -268,7 +268,7 @@ class TestSupervisor:
             assert backend.supervisor.check() == 1
             assert backend.worker_pid(1) != old_pid
             assert backend.supervisor.stats.respawns == 1
-            assert backend.supervisor.stats.crash_log[0][1] == 1
+            assert backend.supervisor.crash_log[0][1] == 1
 
     def test_crash_is_logged_when_it_happens(self):
         """A death is an event of the gather loop, not something found
@@ -282,7 +282,7 @@ class TestSupervisor:
             dispatched = time.monotonic()
             outcome = backend.run_batch(CONFIG, QUERIES)
             assert outcome.degraded_shards == (1,)
-            stamp, shard, cause = backend.supervisor.stats.crash_log[0]
+            stamp, shard, cause = backend.supervisor.crash_log[0]
             assert (shard, cause) == (1, "died")
             assert stamp - dispatched < 0.5
 

@@ -1,8 +1,8 @@
 """Unit tests for the traffic subsystem's building blocks.
 
 Arrival processes (determinism, thinning correctness), the double-Zipf
-workload, the admission controller and its degradation ladder, the
-streaming reservoir and the query tracer.  End-to-end overload behavior
+workload, the admission controller and its degradation ladder, and the
+query tracer.  End-to-end overload behavior
 against a real service lives in ``test_traffic_service.py``.
 """
 
@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import FrogWildConfig
 from repro.errors import ConfigError
+from repro.obs import flatten
 from repro.theory.bounds import (
     intersection_probability_bound,
     theorem1_epsilon,
@@ -24,8 +25,6 @@ from repro.traffic import (
     PoissonArrivals,
     QueryTrace,
     QueryTracer,
-    StreamingReservoir,
-    TrafficReport,
     TrafficWorkload,
     UserPopulation,
 )
@@ -184,14 +183,15 @@ class TestAdmissionController:
         shed = ctl.decide(16)
         assert shed.action == "shed"
         assert shed.depth == 16 and shed.limit == 16
-        stats = ctl.stats.as_dict()
-        assert stats["offered"] == 4
-        assert stats["admitted"] == 1
-        assert stats["degraded"] == 2
-        assert stats["shed"] == 1
-        assert stats["shed_rate"] == pytest.approx(0.25)
-        assert stats["degraded_level1"] == 1
-        assert stats["degraded_level2"] == 1
+        assert ctl.stats.shed_rate() == pytest.approx(0.25)
+        assert flatten({"admission": ctl.stats}) == {
+            "admission_offered": 4.0,
+            "admission_admitted": 1.0,
+            "admission_degraded": 2.0,
+            "admission_shed": 1.0,
+            "admission_degraded_by_level_1": 1.0,
+            "admission_degraded_by_level_2": 1.0,
+        }
 
     def test_degraded_config_shrinks_monotonically(self):
         ctl = AdmissionController(max_pending=16)
@@ -236,38 +236,6 @@ class TestAdmissionController:
         assert ctl.error_bound(cheaper, 10, 1000) > expected
 
 
-class TestStreamingReservoir:
-    def test_exact_until_capacity(self):
-        res = StreamingReservoir(capacity=100, seed=0)
-        values = np.arange(50, dtype=float)
-        for v in values:
-            res.add(v)
-        assert res.count == 50
-        assert res.mean() == pytest.approx(values.mean())
-        assert res.quantile(0.5) == pytest.approx(np.quantile(values, 0.5))
-        assert res.min == 0.0 and res.max == 49.0
-
-    def test_bounded_memory_with_exact_moments(self):
-        res = StreamingReservoir(capacity=64, seed=0)
-        for v in range(10_000):
-            res.add(float(v))
-        assert len(res._sample) == 64
-        assert res.count == 10_000
-        assert res.mean() == pytest.approx(4999.5)
-        assert res.max == 9999.0
-        # The sampled median of 0..9999 lands near the true median.
-        assert abs(res.quantile(0.5) - 4999.5) < 2000
-
-    def test_as_dict_keys(self):
-        res = StreamingReservoir(seed=0)
-        res.add(1.0)
-        row = res.as_dict("latency_")
-        assert set(row) == {
-            "latency_count", "latency_mean", "latency_p50",
-            "latency_p95", "latency_p99", "latency_max",
-        }
-
-
 class TestQueryTracer:
     def test_lifecycle_routes_by_status(self):
         tracer = QueryTracer()
@@ -281,15 +249,12 @@ class TestQueryTracer:
         shed.status = "shed"
         shed.shed_depth = 16
         tracer.complete(shed)
-        summary = tracer.summary()
-        assert summary["offered"] == 2
-        assert summary["served"] == 1
-        assert summary["shed"] == 1
-        assert summary["shed_rate"] == pytest.approx(0.5)
-        assert summary["latency_max"] == pytest.approx(1.0)
-        assert summary["queue_delay_max"] == pytest.approx(0.5)
-        assert summary["batch_occupancy_mean"] == pytest.approx(4.0)
+        # Only the served trace has a latency to record.
+        assert tracer.latency.count == 1
+        assert tracer.latency.max == pytest.approx(1.0)
+        assert tracer.queue_delay.max == pytest.approx(0.5)
         assert [t.status for t in tracer.recent()] == ["served", "shed"]
+        assert tracer.recent()[1].shed_depth == 16
 
     def test_degraded_answers_feed_max_error_bound(self):
         tracer = QueryTracer()
@@ -298,10 +263,10 @@ class TestQueryTracer:
         trace.degrade_level = 2
         trace.error_bound = 0.42
         tracer.complete(trace)
-        summary = tracer.summary()
-        assert summary["degraded"] == 1
-        assert summary["degraded_with_bound"] == 1
-        assert summary["max_error_bound"] == pytest.approx(0.42)
+        # The rung and the bound stay on the trace itself.
+        degraded = [t for t in tracer.recent() if t.degraded]
+        assert [t.degrade_level for t in degraded] == [2]
+        assert max(t.error_bound for t in degraded) == pytest.approx(0.42)
 
     def test_pending_trace_cannot_complete(self):
         tracer = QueryTracer()
@@ -317,30 +282,6 @@ class TestQueryTracer:
             tracer.complete(trace)
         assert len(tracer.recent()) == 8
         assert tracer.recent(3)[-1].seeds == (20,)
-
-
-class TestTrafficReport:
-    def test_as_dict_flattens_with_prefixes(self):
-        report = TrafficReport(
-            duration_s=10.0,
-            arrivals=100,
-            queue_depth_max=7,
-            queue_depth_mean=2.5,
-            utilization=0.6,
-            busy_s=6.0,
-            traffic={"shed_rate": 0.1},
-            admission={"shed": 10.0},
-            service={"batches_run": 20.0},
-            scheduler={"fill_dispatches": 5.0},
-            cache={"hits": 30.0},
-        )
-        row = report.as_dict()
-        assert row["offered_rate_qps"] == pytest.approx(10.0)
-        assert row["shed_rate"] == 0.1
-        assert row["admission_shed"] == 10.0
-        assert row["service_batches_run"] == 20.0
-        assert row["scheduler_fill_dispatches"] == 5.0
-        assert row["cache_hits"] == 30.0
 
 
 def test_trace_dataclass_round_trip():

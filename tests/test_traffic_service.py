@@ -11,8 +11,10 @@ full-fidelity golden result.
 
 Also here: the :class:`~repro.serving.service.ServiceStats` memory
 regressions the traffic harness exists to catch (bounded batch-size
-window, shard-breakdown key union) and the
-:class:`~repro.serving.RankingFuture` failure paths.
+window, shard-breakdown key union), the
+:class:`~repro.serving.RankingFuture` failure paths, and the count
+every snapshot must balance: each submitted query is served, failed,
+shed or still in flight, exactly once.
 """
 
 import numpy as np
@@ -26,7 +28,8 @@ from repro.serving import (
     ServiceConfig,
     VirtualClock,
 )
-from repro.serving.service import BATCH_SIZE_WINDOW, ServiceStats
+from repro.obs import flatten
+from repro.serving.service import ServiceStats
 from repro.traffic import (
     AdmissionController,
     BurstArrivals,
@@ -106,20 +109,23 @@ class TestOverloadWithoutAdmission:
         assert peaks[-1] > peaks[0]
 
     def test_queue_depth_blows_past_any_reasonable_bound(self, open_loop):
-        assert open_loop.report.queue_depth_max > 2 * MAX_PENDING
+        assert open_loop.report["queue_depth_max"] > 2 * MAX_PENDING
 
     def test_nothing_is_shed_and_everyone_eventually_answers(
         self, open_loop
     ):
         assert open_loop.shed_count() == 0
-        assert len(open_loop.answers()) == open_loop.report.arrivals
-        assert open_loop.report.traffic["shed"] == 0
+        assert len(open_loop.answers()) == open_loop.report["arrivals"]
+        assert "admission_shed" not in open_loop.report
+        assert open_loop.report["service_queries_served"] == (
+            open_loop.report["arrivals"]
+        )
 
 
 class TestAdmissionControl:
     def test_queue_depth_is_bounded_at_max_pending(self, admitted):
         _, result = admitted
-        assert result.report.queue_depth_max <= MAX_PENDING
+        assert result.report["queue_depth_max"] <= MAX_PENDING
         assert max(d for _, d in result.depth_samples) <= MAX_PENDING
 
     def test_shed_queries_fail_fast_with_typed_error(self, admitted):
@@ -141,17 +147,19 @@ class TestAdmissionControl:
         assert all(f.trace is not None for f in result.futures)
         statuses = {f.trace.status for f in result.futures}
         assert statuses <= {"served", "shed"}
-        summary = result.report.traffic
-        assert summary["offered"] == result.report.arrivals
-        assert summary["served"] + summary["shed"] == summary["offered"]
+        row = result.report
+        assert row["service_queries_submitted"] == row["arrivals"]
+        assert row["service_queries_served"] + row["admission_shed"] == (
+            row["service_queries_submitted"]
+        )
 
     def test_latency_is_tamed_relative_to_open_loop(
         self, admitted, open_loop
     ):
         _, result = admitted
-        p99 = result.report.traffic["latency_p99"]
+        p99 = result.report["latency_p99"]
         assert np.isfinite(p99)
-        assert p99 < 0.75 * open_loop.report.traffic["latency_p99"]
+        assert p99 < 0.75 * open_loop.report["latency_p99"]
 
     def test_degraded_answers_carry_their_error_bound(self, admitted):
         service, result = admitted
@@ -166,9 +174,9 @@ class TestAdmissionControl:
                 service.graph.num_vertices,
             )
             assert answer.error_bound == pytest.approx(expected)
-        summary = result.report.traffic
-        assert summary["degraded_with_bound"] == summary["degraded"]
-        assert summary["max_error_bound"] > 0
+        traces = [f.trace for f in result.futures if f.trace.degraded]
+        assert all(trace.error_bound is not None for trace in traces)
+        assert max(trace.error_bound for trace in traces) > 0
 
     def test_degraded_configs_walked_down_the_ladder(self, admitted):
         service, result = admitted
@@ -206,18 +214,17 @@ class TestAdmissionControl:
         assert stats.offered == (
             stats.admitted + stats.degraded + stats.shed
         )
-        assert stats.shed == service.stats.queries_shed
         assert 0.0 < stats.shed_rate() < 1.0
-        assert result.report.admission["shed"] == float(stats.shed)
+        assert result.report["admission_shed"] == float(stats.shed)
 
     def test_perf_row_is_flat_and_json_ready(self, admitted):
         _, result = admitted
-        row = result.report.as_dict()
+        row = result.report
         for key, value in row.items():
             assert isinstance(key, str)
-            assert isinstance(value, (int, float)), key
+            assert isinstance(value, float) and np.isfinite(value), key
         assert row["queue_depth_max"] <= MAX_PENDING
-        assert row["admission_shed_rate"] > 0
+        assert row["admission_shed"] > 0
 
 
 class TestFutureFailurePaths:
@@ -273,27 +280,29 @@ class TestFutureFailurePaths:
 class TestServiceStatsRegressions:
     def test_batch_size_memory_is_bounded(self):
         stats = ServiceStats()
-        for i in range(3 * BATCH_SIZE_WINDOW):
-            stats.record_batch_size(1 + (i % 7))
-        assert len(stats.batch_sizes) == BATCH_SIZE_WINDOW
-        assert stats.batch_size_count == 3 * BATCH_SIZE_WINDOW
-        assert stats.batch_size_sum == sum(
-            1 + (i % 7) for i in range(3 * BATCH_SIZE_WINDOW)
+        window = stats.batch_size.recent.maxlen
+        for i in range(3 * window):
+            stats.batch_size.add(1 + (i % 7))
+        assert len(stats.batch_size.recent) == window
+        assert stats.batch_size_count == stats.batches_run == 3 * window
+        assert stats.batch_size_sum == stats.queries_executed == sum(
+            1 + (i % 7) for i in range(3 * window)
         )
-        assert stats.largest_batch == 7
-        assert stats.mean_batch_size() == pytest.approx(
+        assert stats.batch_size.max == 7
+        assert stats.batch_size.mean() == pytest.approx(
             stats.batch_size_sum / stats.batch_size_count
         )
-        assert 1 <= stats.batch_size_quantile(0.95) <= 7
+        assert 1 <= stats.batch_size.quantile(0.95) <= 7
         with pytest.raises(ConfigError):
-            stats.batch_size_quantile(1.5)
+            stats.batch_size.quantile(1.5)
 
     def test_batch_sizes_window_keeps_most_recent(self):
         stats = ServiceStats()
-        for i in range(BATCH_SIZE_WINDOW + 10):
-            stats.record_batch_size(i)
-        assert stats.batch_sizes[0] == 10
-        assert stats.batch_sizes[-1] == BATCH_SIZE_WINDOW + 9
+        window = stats.batch_size.recent.maxlen
+        for i in range(window + 10):
+            stats.batch_size.add(i)
+        assert stats.batch_size.recent[0] == 10
+        assert stats.batch_size.recent[-1] == window + 9
 
     def test_shard_breakdown_unions_all_key_sets(self):
         stats = ServiceStats()
@@ -305,5 +314,79 @@ class TestServiceStatsRegressions:
         assert breakdown[1]["attributed_network_bytes"] == 200.0
         assert breakdown[1]["shared_network_bytes"] == 0.0
         assert breakdown[2]["cpu_seconds"] == 0.5
-        row = stats.as_dict()
-        assert row["shard2_cpu_seconds"] == 0.5
+        row = flatten({"service": stats})
+        assert row["service_shard_cpu_seconds_2"] == 0.5
+        assert "service_shard_shared_bytes_1" not in row
+
+
+def _unaccounted(row: dict[str, float]) -> float:
+    """Submitted queries not yet served, failed, shed or in flight."""
+    return row["service_queries_submitted"] - (
+        row["service_queries_served"]
+        + row["service_queries_failed"]
+        + row.get("admission_shed", 0.0)
+        + row["queries_in_flight"]
+    )
+
+
+class TestEveryQueryAccountedOnce:
+    """submitted == served + failed + shed + in flight, in every case."""
+
+    def test_burst_with_admission(self, admitted):
+        _, result = admitted
+        row = result.report
+        assert row["admission_shed"] > 0
+        assert _unaccounted(row) == 0
+
+    def test_queries_still_queued_count_as_in_flight(self, graph):
+        service = make_service(graph)
+        service.submit(seeds=(1,), k=5)
+        service.submit(seeds=(2,), k=5)
+        row = service.snapshot()
+        assert row["queries_in_flight"] == 2
+        assert _unaccounted(row) == 0
+        service.flush()
+        row = service.snapshot()
+        assert row["queries_in_flight"] == 0
+        assert row["service_queries_served"] == 2
+        assert _unaccounted(row) == 0
+
+    def test_a_raising_backend_fails_every_query_once(self, graph):
+        class Exploding:
+            num_shards = 1
+
+            def run_batch(self, config, queries):
+                raise RuntimeError("backend down")
+
+        service = RankingService(
+            graph,
+            ServiceConfig(
+                config=FrogWildConfig(num_frogs=200, iterations=2, seed=0),
+                num_machines=4, max_batch_size=2, backend=Exploding(),
+            ),
+        )
+        other = FrogWildConfig(num_frogs=300, iterations=2, seed=0)
+        queries = [
+            RankingQuery(seeds=(1,), config=other),  # abandoned lane
+            RankingQuery(seeds=(2,)),
+            RankingQuery(seeds=(3,)),  # fills the batch that raises
+        ]
+        with pytest.raises(RuntimeError, match="backend down"):
+            service.query_batch(queries)
+        row = service.snapshot()
+        assert row["service_queries_submitted"] == 3
+        assert row["service_queries_failed"] == 3
+        assert _unaccounted(row) == 0
+
+    def test_coalesced_duplicates_are_served_once_each(self, graph):
+        service = make_service(graph)
+        answers = service.query_batch(
+            [RankingQuery(seeds=(4,)), RankingQuery(seeds=(4,), k=3)]
+            + [RankingQuery(seeds=(5,))]
+        )
+        assert len(answers) == 3
+        row = service.snapshot()
+        assert row["service_queries_coalesced"] == 1
+        assert row["service_batch_size_count"] == 1
+        assert row["service_queries_served"] == 3
+        assert _unaccounted(row) == 0
