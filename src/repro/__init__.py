@@ -33,7 +33,6 @@ from .core import (
     BatchedFrogWildRunner,
     FrogWildConfig,
     FrogWildResult,
-    FrogWildRunner,
     PageRankEstimate,
     run_frogwild,
     run_frogwild_batch,
@@ -89,7 +88,6 @@ __all__ = [
     "BatchedFrogWildRunner",
     "FrogWildConfig",
     "FrogWildResult",
-    "FrogWildRunner",
     "run_frogwild",
     "run_frogwild_batch",
     "run_personalized_frogwild",

@@ -5,6 +5,7 @@ from .batched import (
     BatchedFrogWildRunner,
     BatchQuery,
     merge_shard_results,
+    run_frogwild,
     run_frogwild_batch,
 )
 from .config import FrogWildConfig, RefreshPolicy
@@ -16,7 +17,7 @@ from .erasures import (
     make_erasure_model,
 )
 from .estimator import PageRankEstimate, RankedEstimate, top_k_indices
-from .frogwild import FrogWildResult, FrogWildRunner, run_frogwild
+from .frogwild import FrogWildResult
 from .kernels import resolve_kernel
 from .personalized import (
     run_personalized_frogwild,
@@ -34,7 +35,6 @@ __all__ = [
     "FrogWildConfig",
     "RefreshPolicy",
     "FrogWildResult",
-    "FrogWildRunner",
     "run_frogwild",
     "run_personalized_frogwild",
     "seed_distribution",

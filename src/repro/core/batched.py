@@ -13,14 +13,18 @@ superstep runs apply/death, stranded repair and scatter over that
 single concatenated frontier addressed by lane-offset keys
 (``lane * n + vertex``), so every deterministic pass touches all
 populations at once instead of once per lane.  Only the random draws
-stay per-lane — each population owns an rng seeded exactly like the
-single-query runner's and consumes it in the same order — so a batch of
-size one is **bit-identical** to
-:class:`~repro.core.frogwild.FrogWildRunner` under the same seed, and
-every lane of a larger batch is bit-identical to its standalone run
-(``tests/test_batched_frogwild.py``, ``tests/test_batch_kernel.py``).
+stay per-lane — each population owns an rng on the stream ``[104,
+seed]`` and consumes it in the order a run alone would — so every lane
+of a batch is bit-identical to the B = 1 run of its query, and that
+B = 1 run *is* the paper's single run: :func:`run_frogwild` is one lane
+of this runner reported as the whole execution, bitwise equal to the
+standalone runner it replaced (pinned in ``tests/data``;
+``tests/test_batched_frogwild.py``, ``tests/test_batch_kernel.py``).
 The superstep makes the draws; the deterministic passes between them
-are the numpy :class:`~repro.core.kernels.FusedPasses`.
+are the numpy :class:`~repro.core.kernels.FusedPasses`.  Fault
+injection (:mod:`repro.faults`) rides the same superstep through two
+hooks, :meth:`BatchedFrogWildRunner._begin_superstep` and
+:meth:`BatchedFrogWildRunner._deliver`.
 
 Per superstep the batch pays once for
 
@@ -80,15 +84,18 @@ from .frogwild import (
     FrogWildResult,
     _births,
     _check_start_distribution,
+    _keep_scratch_on_the_heap,
     _kernel_tables,
 )
 from .kernels import DenseGroupTables, FusedPasses
+from .kernels.fused import count_keys
 
 __all__ = [
     "BatchQuery",
     "BatchedFrogWildResult",
     "BatchedFrogWildRunner",
     "merge_shard_results",
+    "run_frogwild",
     "run_frogwild_batch",
 ]
 
@@ -101,8 +108,8 @@ def _charge_stack(
     One vectorized pass computes every lane's off-diagonal record and
     message counts (equivalent to per-lane
     :meth:`~repro.engine.CostLedger.charge_pair_records` calls); sync
-    and repair records additionally bill one CPU op per record, like
-    the single-query runner.
+    and repair records additionally bill one CPU op per record, as a
+    single run does.
     """
     num_machines = stack.shape[1]
     off_diagonal = stack.copy()
@@ -212,7 +219,9 @@ class BatchedFrogWildRunner:
     There is one superstep: it makes every random draw from the
     per-lane numpy streams and runs the deterministic passes between
     them as whole-frontier numpy
-    (:class:`~repro.core.kernels.FusedPasses`).
+    (:class:`~repro.core.kernels.FusedPasses`).  :meth:`run` returns
+    the batch; :meth:`run_single` runs a one-lane batch as the paper's
+    single run.
     """
 
     def __init__(
@@ -223,6 +232,7 @@ class BatchedFrogWildRunner:
     ) -> None:
         if not queries:
             raise ConfigError("a batch needs at least one query")
+        _keep_scratch_on_the_heap()
         self.state = state
         self.config = config
         self.shared_sync_mode = config.sync_mode == "shared"
@@ -259,8 +269,8 @@ class BatchedFrogWildRunner:
             lane.start_distribution = _check_start_distribution(
                 query.start_distribution, n
             )
-            # Same stream derivation as the single-query runner, so a
-            # B=1 batch replays its exact coin sequence.
+            # The walk stream of a query: its B = 1 run and its lane in
+            # any batch consume the same coin sequence.
             lane.rng = np.random.default_rng(
                 lane.seed if lane.seed is None else [104, lane.seed]
             )
@@ -313,9 +323,54 @@ class BatchedFrogWildRunner:
     # ------------------------------------------------------------------
     def run(self) -> BatchedFrogWildResult:
         """Run the shared superstep loop and return per-query results."""
-        state = self.state
-        cfg = self.config
-        n = state.num_vertices
+        self._walk()
+        results = []
+        for lane in self.lanes:
+            estimate = PageRankEstimate(
+                self.counts[lane.index], lane.num_frogs
+            )
+            results.append(
+                FrogWildResult(
+                    estimate, self._lane_report(lane), self.state, lane.ledger
+                )
+            )
+        return BatchedFrogWildResult(
+            tuple(results), self._batch_report(), self.state
+        )
+
+    def run_single(self) -> FrogWildResult:
+        """Run a one-lane batch as the paper's single run.
+
+        Its report is the physical execution — every superstep and
+        every byte on the fabric, which with one lane are the lane's own
+        plus whatever a fault subclass put on the wire — under the
+        label ``frogwild(ps=...)``; it carries no ledger.
+        """
+        if len(self.lanes) != 1:
+            raise ConfigError("a single run has exactly one population")
+        self._walk()
+        lane = self.lanes[0]
+        report = self._physical_report(
+            f"frogwild(ps={lane.ps:g})",
+            {
+                "num_frogs": float(lane.num_frogs),
+                "iterations": float(self.config.iterations),
+                "ps": float(lane.ps),
+                "replication_factor": (
+                    self.state.replication.replication_factor()
+                ),
+            },
+        )
+        return FrogWildResult(
+            PageRankEstimate(self.counts[0], lane.num_frogs),
+            report,
+            self.state,
+        )
+
+    def _walk(self) -> None:
+        """Births, ``iterations`` supersteps and the cut-off, into
+        ``self.counts``."""
+        n = self.state.num_vertices
         if n == 0:
             raise EngineError("cannot run FrogWild on an empty graph")
 
@@ -327,15 +382,15 @@ class BatchedFrogWildRunner:
 
         # The frontier travels between supersteps as sorted (lane,
         # vertex, count) arrays — from the births on: the first frontier
-        # is one sort of the lane-offset birth keys.
-        born, k = np.unique(
+        # is one count of the lane-offset birth keys.
+        born, k = count_keys(
             np.concatenate(
                 [lane.index * n + b for lane, b in zip(self.lanes, births)]
             ),
-            return_counts=True,
+            len(self.lanes) * n,
         )
         frontier = (*np.divmod(born, n), k)
-        for step in range(cfg.iterations):
+        for step in range(self.config.iterations):
             frontier = self._superstep(step, frontier)
             if frontier is None:
                 break
@@ -344,19 +399,31 @@ class BatchedFrogWildRunner:
             # 15); (lane, vertex) keys are unique, so the add is exact.
             lane_ids, verts, k = frontier
             self.counts.reshape(-1)[lane_ids * n + verts] += k
-        results = []
-        for lane in self.lanes:
-            estimate = PageRankEstimate(
-                self.counts[lane.index], lane.num_frogs
-            )
-            results.append(
-                FrogWildResult(
-                    estimate, self._lane_report(lane), state, lane.ledger
-                )
-            )
-        return BatchedFrogWildResult(
-            tuple(results), self._batch_report(), state
-        )
+
+    # ------------------------------------------------------------------
+    # Hooks: fault injection (repro.faults) runs one lane through them.
+    # ------------------------------------------------------------------
+    def _begin_superstep(
+        self, step: int, frontier: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sees the ``(lane, vertex, count)`` frontier as superstep
+        ``step`` starts and returns the one to walk.  Identity here."""
+        return frontier
+
+    def _deliver(
+        self,
+        dest: np.ndarray,
+        host: np.ndarray,
+        hop_keys: np.ndarray,
+        hop_weights: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Sees every hop's destination and hosting machine after its
+        records were billed, before the next frontier is reduced, and
+        returns the ``(lane * n + vertex)`` keys and frog counts that
+        land.  ``hop_weights`` is None when every hop is one frog
+        (multinomial scatter), else the frogs per hop.  Everything lands
+        here."""
+        return hop_keys, hop_weights
 
     # ------------------------------------------------------------------
     def _flush_round(
@@ -367,7 +434,7 @@ class BatchedFrogWildRunner:
         scatter_ops: np.ndarray,
     ) -> None:
         """Flush one round's physical traffic (sync, repair, scatter:
-        the single-query runner's order)."""
+        the order the single run has always billed them in)."""
         state = self.state
         if sync_records.any():
             state.send_pair_matrix(sync_records, kind="sync")
@@ -420,7 +487,7 @@ class BatchedFrogWildRunner:
         """The ps coin pass.
 
         Draws every sync coin (per-lane or batch-shared) in exactly the
-        single-query runner's stream order and returns the ``fresh``
+        single run's stream order and returns the ``fresh``
         mirror matrix of the concatenated frontier plus the physical
         and per-lane sync record matrices.
         """
@@ -567,7 +634,7 @@ class BatchedFrogWildRunner:
         num_lanes = len(self.lanes)
         passes = self._passes
 
-        lane_ids, verts, k = frontier
+        lane_ids, verts, k = self._begin_superstep(step, frontier)
         row_counts = np.bincount(lane_ids, minlength=num_lanes)
         bounds = np.concatenate([[0], np.cumsum(row_counts)])
         live: list[_Lane] = []
@@ -751,6 +818,9 @@ class BatchedFrogWildRunner:
             sync_records, repair_records, frog_records,
             scatter_ops.astype(np.int64),
         )
+        hop_keys, hop_weights = self._deliver(
+            rec_dest, rec_host, hop_keys, hop_weights
+        )
         return passes.reduce_frontier(
             hop_keys, hop_weights, idle_keys, idle_weights
         )
@@ -782,24 +852,31 @@ class BatchedFrogWildRunner:
             },
         )
 
-    def _batch_report(self) -> RunReport:
+    def _physical_report(self, algorithm: str, extra: dict) -> RunReport:
+        """What the cluster as a whole did: its supersteps, simulated
+        time, fabric bytes and CPU."""
         state = self.state
         stats = state.stats
-        cfg = self.config
-        attributed = sum(
-            lane.ledger.standalone_network_bytes() for lane in self.lanes
-        )
         return RunReport(
-            algorithm=(
-                f"frogwild-batched(B={len(self.lanes)},ps={cfg.ps:g})"
-            ),
+            algorithm=algorithm,
             num_machines=state.num_machines,
             supersteps=stats.num_supersteps,
             total_time_s=stats.total_seconds(),
             time_per_iteration_s=stats.seconds_per_step(),
             network_bytes=state.fabric.total_bytes(),
             cpu_seconds=state.cost_model.cpu_seconds(stats.total_cpu_ops()),
-            extra={
+            extra=extra,
+        )
+
+    def _batch_report(self) -> RunReport:
+        state = self.state
+        cfg = self.config
+        attributed = sum(
+            lane.ledger.standalone_network_bytes() for lane in self.lanes
+        )
+        return self._physical_report(
+            f"frogwild-batched(B={len(self.lanes)},ps={cfg.ps:g})",
+            {
                 "batch_size": float(len(self.lanes)),
                 "total_frogs": float(
                     sum(lane.num_frogs for lane in self.lanes)
@@ -881,6 +958,37 @@ def merge_shard_results(lanes: Sequence[FrogWildResult]) -> FrogWildResult:
         extra=extra,
     )
     return FrogWildResult(estimate, merged, lanes[0].state, ledger)
+
+
+def run_frogwild(
+    graph: DiGraph,
+    config: FrogWildConfig | None = None,
+    num_machines: int = 16,
+    partitioner: str = "random",
+    cost_model: CostModel | None = None,
+    size_model: MessageSizeModel | None = None,
+    partition: EdgePartition | None = None,
+    state: ClusterState | None = None,
+) -> FrogWildResult:
+    """Run FrogWild end to end on a simulated cluster.
+
+    Either pass a prebuilt ``state`` (to reuse an ingress across runs,
+    as the paper does — ingress is excluded from all measurements) or
+    let this build one.  The run is the one-lane batch of
+    :meth:`BatchedFrogWildRunner.run_single`.
+    """
+    config = config or FrogWildConfig()
+    if state is None:
+        state = build_cluster(
+            graph,
+            num_machines,
+            partitioner=partitioner,
+            cost_model=cost_model,
+            size_model=size_model,
+            seed=config.seed,
+            partition=partition,
+        )
+    return BatchedFrogWildRunner(state, config, [BatchQuery()]).run_single()
 
 
 def run_frogwild_batch(

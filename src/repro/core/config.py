@@ -53,8 +53,9 @@ class FrogWildConfig:
     sync_mode:
         Batched-execution sync-coin sharing.  ``"per-lane"`` (default)
         flips the paper's ``ps`` coins independently per frog
-        population, which keeps a B=1 batch bitwise-identical to the
-        single-query runner and allows per-query ``ps``.  ``"shared"``
+        population, from the population's own walk stream — so every
+        lane of a batch replays its query's single run — and allows
+        per-query ``ps``.  ``"shared"``
         flips **one** coin stream for the whole batch: each barrier
         emits exactly one sync record per (vertex, mirror) regardless
         of the batch size — the remaining sync traffic is ~1/B of
@@ -62,12 +63,11 @@ class FrogWildConfig:
         cross-query estimator correlation (the erasure processes of
         the populations are no longer independent; Lemma 18's variance
         argument applies per query but errors now co-fluctuate).
-        The field only affects :mod:`repro.core.batched`
-        (:class:`~repro.core.FrogWildRunner` ignores it), and shared
-        coins come from a dedicated batch-level stream: even a B=1
-        batch samples different (equally valid) coins than per-lane
-        mode under the same seed — the bitwise B=1 equivalence with
-        the single-query runner holds in the default mode only.
+        Shared coins come from a dedicated batch-level stream, and a
+        single run uses the shared stream too (it is the B = 1 batch):
+        it samples different (equally valid) coins than per-lane mode
+        under the same seed, so a lane replays its single run in the
+        default mode only.
     wire_dedupe:
         When True, frog records of different populations addressed to
         the same (hosting machine, destination vertex) in one superstep

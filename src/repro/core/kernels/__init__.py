@@ -2,7 +2,7 @@
 
 :class:`~repro.core.BatchedFrogWildRunner` has one superstep.  It makes
 every random draw itself (death coins, sync coins, repair picks, hop
-draws — per lane, in the standalone runner's order) and hands
+draws — per lane, in the order of the lane's single run) and hands
 everything deterministic between the draws to
 :class:`~.fused.FusedPasses`: whole-frontier numpy passes whose shape
 is the documented cost, O(frontier rows x machines + frogs) — one

@@ -11,7 +11,14 @@ per-group index list is built.  The block is 0.81 full on the
 benchmark's R-MAT scale-15 graph at 16 machines, 0.35-0.43 on
 ``twitter_like(50k)``; at 64 machines (fill 0.12) the ragged lists it
 replaced were cheaper (README, "Cost model").  The frog-record dedupe
-and the next-frontier reduction are one sort each.
+is one sort; the births and the next-frontier reduction are one sort,
+or one count when the key range is within a few times the keys
+(:func:`count_keys`).
+
+A single run is the batch of one lane, so nothing here may cost more
+at B = 1 than the runner it replaced: with one lane the lane arrays are
+never built — a hop's key is its destination, a frog record's key is
+``host * n + dest`` and the per-lane totals are the column counts.
 
 The superstep in ``core/batched.py`` draws every random number itself
 and calls :class:`FusedPasses` for everything deterministic.
@@ -25,7 +32,23 @@ from ...engine import count_marks_by_key
 from ...graph import sorted_unique
 from ..frogwild import _pick_enabled_edges, _ranges_to_indices
 
-__all__ = ["FusedPasses"]
+__all__ = ["FusedPasses", "count_keys"]
+
+# Key range per key at or below which distinct keys are counted by one
+# bincount over the range instead of a sort of the keys.
+_RANGE_PER_KEY_COUNT = 4
+
+
+def count_keys(keys: np.ndarray, num_keys: int):
+    """Sorted distinct ``keys`` (in ``[0, num_keys)``) and their counts:
+    ``np.unique(keys, return_counts=True)``, by a bincount over the range
+    when it is at most 4x the keys (a served batch's sparse keys still
+    sort).  The rule reads the two sizes only."""
+    if num_keys <= _RANGE_PER_KEY_COUNT * keys.size:
+        counts = np.bincount(keys, minlength=num_keys)
+        distinct = np.flatnonzero(counts)
+        return distinct, counts[distinct]
+    return np.unique(keys, return_counts=True)
 
 
 class FusedPasses:
@@ -63,10 +86,9 @@ class FusedPasses:
     def enabled_groups(self, lane_sv, vert_sv, fresh):
         ptr = self.tables.vertex_ptr
         self.lane_sv, self.vert_sv = lane_sv, vert_sv
-        # Widened once: every scan below runs on int64.
-        self.sizes = self.dense.size_vm.take(vert_sv, axis=0).astype(
-            np.int64, copy=False
-        )
+        # Kept in the dense tables' int32: the running sums below
+        # accumulate in int64 (numpy widens cumsum; the row sums ask).
+        self.sizes = self.dense.size_vm.take(vert_sv, axis=0)
         # Out-edges behind each (row, machine) cell that may scatter.
         self.width = self.sizes * fresh
         groups_per_row = np.einsum(
@@ -79,14 +101,14 @@ class FusedPasses:
         self.width[rows, machines] = self.sizes[rows, machines]
 
     def enabled_totals(self):
+        edges = np.einsum("ij->i", self.width, dtype=np.int64)
+        if self.num_lanes == 1:
+            by_machine = np.count_nonzero(self.width, axis=0)
+            return edges, by_machine, by_machine.sum(keepdims=True)
         by_lane = count_marks_by_key(
             self.lane_sv, self.width > 0, self.num_lanes
         )
-        return (
-            np.einsum("ij->i", self.width),
-            by_lane.sum(axis=0),
-            by_lane.sum(axis=1),
-        )
+        return edges, by_lane.sum(axis=0), by_lane.sum(axis=1)
 
     # -- scatter --------------------------------------------------------
     def _group_starts(self):
@@ -101,13 +123,16 @@ class FusedPasses:
         )
         dest = self.tables.edge_target[chosen]
         host = self.tables.edge_host[chosen]
+        scatter_ops = np.bincount(host, minlength=self.num_machines)
+        if self.num_lanes == 1:
+            return dest, host, None, dest, scatter_ops
         frog_lane = self.lane_sv[frog_row]
         return (
             dest,
             host,
             frog_lane,
             frog_lane * self.num_vertices + dest,
-            np.bincount(host, minlength=self.num_machines),
+            scatter_ops,
         )
 
     def expand_binomial(self, k_sv, edge_counts, lane_ps):
@@ -141,6 +166,8 @@ class FusedPasses:
         lane_hops = np.bincount(
             hop_lane, weights=hop_weights, minlength=self.num_lanes
         ).astype(np.int64)
+        if self.num_lanes == 1:
+            return dest, hop_weights, None, host, dest, scatter_ops, lane_hops
         return (
             hop_lane * self.num_vertices + dest,
             hop_weights,
@@ -153,11 +180,17 @@ class FusedPasses:
 
     # -- frog records ---------------------------------------------------
     def frog_records(self, frog_lane, host, dest, *, dedupe: bool):
+        """Combined (lane, host, dest) records as per-lane (host, dest
+        master) counts; ``frog_lane`` is None with one lane."""
         masters = self.tables.masters
         B, M, n = self.num_lanes, self.num_machines, self.num_vertices
-        unique_keys = sorted_unique((frog_lane * M + host) * n + dest)
-        lane_u = unique_keys // (M * n)
-        pair_u = unique_keys % (M * n)
+        if frog_lane is None:
+            pair_u = sorted_unique(host * n + dest)
+            lane_u = 0
+        else:
+            unique_keys = sorted_unique((frog_lane * M + host) * n + dest)
+            lane_u = unique_keys // (M * n)
+            pair_u = unique_keys % (M * n)
         host_u = pair_u // n
         dest_master = masters[pair_u % n].astype(np.int64)
         remote = host_u != dest_master
@@ -179,8 +212,8 @@ class FusedPasses:
         n = self.num_vertices
         if idle_keys is None and hop_weights is None:
             # Hot path (multinomial, no idling): every hop lands one
-            # frog, so the unique pass yields the counts directly.
-            unique_next, counts = np.unique(hop_keys, return_counts=True)
+            # frog, so counting the keys yields the frontier directly.
+            unique_next, counts = count_keys(hop_keys, self.num_lanes * n)
             return unique_next // n, unique_next % n, counts
         if hop_weights is None:
             hop_weights = np.ones(hop_keys.size, dtype=np.int64)

@@ -22,9 +22,14 @@ from ..cluster import CostModel, MessageSizeModel
 from ..engine import ClusterState, build_cluster
 from ..errors import ConfigError
 from ..graph import DiGraph, sorted_unique
-from .batched import BatchedFrogWildResult, BatchQuery, run_frogwild_batch
+from .batched import (
+    BatchedFrogWildResult,
+    BatchedFrogWildRunner,
+    BatchQuery,
+    run_frogwild_batch,
+)
 from .config import FrogWildConfig
-from .frogwild import FrogWildResult, FrogWildRunner
+from .frogwild import FrogWildResult
 
 __all__ = [
     "seed_distribution",
@@ -91,8 +96,9 @@ def run_personalized_frogwild(
             size_model=size_model,
             seed=config.seed,
         )
-    runner = FrogWildRunner(state, config, start_distribution=distribution)
-    return runner.run()
+    return BatchedFrogWildRunner(
+        state, config, [BatchQuery(start_distribution=distribution)]
+    ).run_single()
 
 
 def run_personalized_frogwild_batch(

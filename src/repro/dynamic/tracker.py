@@ -32,7 +32,7 @@ from ..cluster import (
     MessageSizeModel,
     stable_hash_machines,
 )
-from ..core import FrogWildConfig, FrogWildRunner
+from ..core import FrogWildConfig, run_frogwild
 from ..engine import build_cluster
 from ..errors import ConfigError
 from ..graph import DiGraph
@@ -170,7 +170,7 @@ class PageRankTracker:
             seed=None if self.config.seed is None
             else self.config.seed + self._step
         )
-        result = FrogWildRunner(state, run_config).run()
+        result = run_frogwild(snapshot, run_config, state=state)
 
         top = result.estimate.top_k(self.k)
         jaccard = (

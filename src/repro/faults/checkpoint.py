@@ -29,7 +29,7 @@ import numpy as np
 from ..core import FrogWildConfig
 from ..engine import ClusterState
 from ..errors import ConfigError
-from .runner import FaultyFrogWildRunner
+from .runner import FaultyFrogWildRunner, _dense, _frontier
 from .schedule import FaultSchedule
 
 __all__ = ["CheckpointConfig", "CheckpointedFrogWildRunner"]
@@ -82,21 +82,18 @@ class CheckpointedFrogWildRunner(FaultyFrogWildRunner):
         self.checkpoints_taken = 0
 
     # ------------------------------------------------------------------
-    def _begin_superstep(
-        self, step: int, frogs: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
+    def _begin_superstep(self, step, frontier):
+        n = self.state.num_vertices
         if step % self.checkpoint.interval == 0:
-            self._take_checkpoint(frogs)
+            self._take_checkpoint(_dense(frontier, n))
 
         crashes = self.schedule.crashes_at(step)
         if not crashes:
-            return frogs
-        frogs = frogs.copy()
+            return frontier
+        frogs = _dense(frontier, n)
         for crash in crashes:
-            machine = crash.machine
-            self.fault_log.crashed_machines.append(machine)
-            self.synchronizer.disable_machine(machine)
-            mastered = self.state.replication.masters_on(machine)
+            self._crash(crash.machine)
+            mastered = self.state.replication.masters_on(crash.machine)
             lost = int(frogs[mastered].sum())
             self.fault_log.frogs_lost_to_crashes += lost
             if self._snapshot is None:
@@ -105,13 +102,13 @@ class CheckpointedFrogWildRunner(FaultyFrogWildRunner):
             restored = self._snapshot[mastered]
             frogs[mastered] = restored
             self.frogs_restored += int(restored.sum())
-        return frogs
+        return _frontier(frogs)
 
     # ------------------------------------------------------------------
     def _take_checkpoint(self, frogs: np.ndarray) -> None:
         """Replicate each machine's mastered frog counters to a buddy."""
         state = self.state
-        self._snapshot = frogs.copy()
+        self._snapshot = frogs
         self.checkpoints_taken += 1
         num_machines = state.num_machines
         if num_machines < 2:

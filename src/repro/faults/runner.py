@@ -1,15 +1,23 @@
 """FrogWild under injected faults.
 
-:class:`FaultyFrogWildRunner` extends the stock runner through its two
-subclass hooks:
+:class:`FaultyFrogWildRunner` is a one-lane
+:class:`~repro.core.BatchedFrogWildRunner` — the single run of
+:func:`~repro.core.run_frogwild` — plus a schedule, applied through the
+superstep's two hooks:
 
 * ``_begin_superstep`` fires scheduled :class:`~repro.faults.MachineCrash`
   events — frogs mastered on the dead machine are lost (and optionally
   reborn uniformly), and the machine's mirrors leave the sync pool for
-  good;
-* ``_post_scatter`` applies :class:`~repro.faults.MessageDrop` — each
+  good (the run forks the per-ingress mirror bitmap before its first
+  crash, so later runs on the ingress never see it);
+* ``_deliver`` applies :class:`~repro.faults.MessageDrop` — each
   machine-crossing frog delivery is lost independently, *after* its
   bytes were charged (the message really was sent).
+
+Only these hooks turn the sparse frontier into a dense frog vector and
+back.  Fault coins come from their own stream (``[108, seed]``), so the
+walk stream is untouched and an empty schedule is the plain run, bit
+for bit.
 
 The headline property this module exists to demonstrate: because frogs
 are anonymous, uniformly born, and individually meaningless, FrogWild
@@ -26,14 +34,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import CostModel, EdgePartition, MessageSizeModel
-from ..core import FrogWildConfig
-from ..core.frogwild import FrogWildResult, FrogWildRunner
+from ..core import BatchedFrogWildRunner, BatchQuery, FrogWildConfig
+from ..core.frogwild import FrogWildResult
 from ..engine import ClusterState, build_cluster
 from ..errors import ConfigError
 from ..graph import DiGraph
 from .schedule import FaultSchedule
 
 __all__ = ["FaultLog", "FaultyFrogWildRunner", "run_frogwild_with_faults"]
+
+
+def _dense(frontier, n: int) -> np.ndarray:
+    """The frog count of every vertex of a one-lane frontier."""
+    _, verts, k = frontier
+    frogs = np.zeros(n, dtype=np.int64)
+    frogs[verts] = k
+    return frogs
+
+
+def _frontier(frogs: np.ndarray):
+    """The one-lane ``(lane, vertex, count)`` frontier of ``frogs``."""
+    verts = np.flatnonzero(frogs)
+    return np.zeros_like(verts), verts, frogs[verts]
 
 
 @dataclass
@@ -55,8 +77,8 @@ class FaultLog:
         )
 
 
-class FaultyFrogWildRunner(FrogWildRunner):
-    """The stock runner plus a fault schedule."""
+class FaultyFrogWildRunner(BatchedFrogWildRunner):
+    """The single run plus a fault schedule."""
 
     def __init__(
         self,
@@ -65,15 +87,23 @@ class FaultyFrogWildRunner(FrogWildRunner):
         schedule: FaultSchedule,
         start_distribution: np.ndarray | None = None,
     ) -> None:
-        super().__init__(state, config, start_distribution)
+        super().__init__(
+            state, config, [BatchQuery(start_distribution=start_distribution)]
+        )
         for crash in schedule.crashes:
             if crash.machine >= state.num_machines:
                 raise ConfigError(
                     f"crash targets machine {crash.machine} but the "
                     f"cluster has {state.num_machines}"
                 )
+            if crash.step >= config.iterations:
+                raise ConfigError(
+                    f"crash at superstep {crash.step} would never fire: "
+                    f"the run has {config.iterations}"
+                )
         self.schedule = schedule
         self.fault_log = FaultLog()
+        self._private_mirrors = False
         # Fault randomness must not perturb the walk randomness, so a
         # run with an empty schedule is bit-identical to the stock
         # runner: distinct stream.
@@ -81,20 +111,31 @@ class FaultyFrogWildRunner(FrogWildRunner):
             config.seed if config.seed is None else [108, config.seed]
         )
 
+    def run(self) -> FrogWildResult:
+        """Run the schedule; the result is the single run's."""
+        return self.run_single()
+
     # ------------------------------------------------------------------
-    def _begin_superstep(
-        self, step: int, frogs: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
+    def _crash(self, machine: int) -> None:
+        """Log ``machine`` and take its mirrors out of every later sync."""
+        self.fault_log.crashed_machines.append(machine)
+        if not self._private_mirrors:
+            # Copy-on-disable: the bitmap is the per-ingress cache.
+            self._mirror_matrix = self._mirror_matrix.copy()
+            self._private_mirrors = True
+        self._mirror_matrix[:, machine] = False
+        if self.shared_sync is not None:
+            self.shared_sync.disable_machine(machine)
+
+    def _begin_superstep(self, step, frontier):
         crashes = self.schedule.crashes_at(step)
         if not crashes:
-            return frogs
-        frogs = frogs.copy()
-        n = frogs.size
+            return frontier
+        n = self.state.num_vertices
+        frogs = _dense(frontier, n)
         for crash in crashes:
-            machine = crash.machine
-            self.fault_log.crashed_machines.append(machine)
-            self.synchronizer.disable_machine(machine)
-            mastered = self.state.replication.masters_on(machine)
+            self._crash(crash.machine)
+            mastered = self.state.replication.masters_on(crash.machine)
             lost = int(frogs[mastered].sum())
             frogs[mastered] = 0
             self.fault_log.frogs_lost_to_crashes += lost
@@ -104,20 +145,22 @@ class FaultyFrogWildRunner(FrogWildRunner):
                 )
                 frogs += np.bincount(rebirth_positions, minlength=n)
                 self.fault_log.frogs_reborn += lost
-        return frogs
+        return _frontier(frogs)
 
-    def _post_scatter(
-        self, dest: np.ndarray, host: np.ndarray, next_frogs: np.ndarray
-    ) -> None:
+    def _deliver(self, dest, host, hop_keys, hop_weights):
         drop = self.schedule.message_drop
         if drop is None or drop.probability == 0.0 or dest.size == 0:
-            return
-        remote = host != self._masters[dest]
+            return hop_keys, hop_weights
+        if hop_weights is not None:
+            # One coin per frog, not per weighted hop.
+            dest = np.repeat(dest, hop_weights)
+            host = np.repeat(host, hop_weights)
+        remote = host != self.tables.masters[dest]
         coins = self._fault_rng.random(dest.size) < drop.probability
         lost = remote & coins
-        if lost.any():
-            np.subtract.at(next_frogs, dest[lost], 1)
-            self.fault_log.frogs_dropped_in_flight += int(lost.sum())
+        self.fault_log.frogs_dropped_in_flight += int(lost.sum())
+        # One lane: a frog's key is its destination.
+        return dest[~lost], None
 
 
 def run_frogwild_with_faults(
@@ -148,5 +191,4 @@ def run_frogwild_with_faults(
             partition=partition,
         )
     runner = FaultyFrogWildRunner(state, config, schedule)
-    result = runner.run()
-    return result, runner.fault_log
+    return runner.run(), runner.fault_log

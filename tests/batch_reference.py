@@ -1,12 +1,23 @@
-"""What the batch parity suites compare the one batched superstep to.
+"""What the parity suites compare the one superstep to.
 
 A lane of a batch is the paper's algorithm run alone, so its counters,
-attributed bytes, CPU seconds and supersteps must equal a standalone
-:class:`~repro.core.FrogWildRunner` run with that lane's frog budget,
-seed, ``ps`` and birth law on a fresh state of the same ingress
-(:func:`assert_lanes_match_standalone`).
+attributed bytes, CPU seconds and supersteps must equal a run alone
+with that lane's frog budget, seed, ``ps`` and birth law on a fresh
+state of the same ingress.  A run alone is itself the B = 1 lane of the
+batched runner now, so the reference is data: the outputs of the
+standalone runner that ran it until commit ef87423 — counts digest,
+``network_bytes``, ``cpu_seconds``, ``supersteps`` and ``total_time_s``
+of every case the suites name in their ``STANDALONE`` tables, plus the
+fault and checkpoint runs of their ``FAULT_RUNS`` tables with their
+fault logs — stored in ``data/standalone_ef87423.json``
+(:func:`assert_lanes_match_standalone`, :func:`assert_run_pinned`).
+They were recorded with this script, through the public entry points
+that commit still ran on the standalone runner::
 
-Two things no standalone run can give: a lane's ``total_time_s`` is the
+    git archive ef87423 src | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python tests/batch_reference.py standalone
+
+Two things no run alone can give: a lane's ``total_time_s`` is the
 *batch's* simulated time while the lane was live, and the batch-level
 report prices physical messages whose headers the lanes share.  Those
 are pinned (:func:`assert_physical_report_pinned`) to the values the
@@ -19,43 +30,86 @@ as of commit 203fb0a, whose ``run_pinned`` still took a tier::
     git archive 203fb0a tests | tar -x -C /tmp/parent
     PYTHONPATH=/tmp/parent/src python /tmp/parent/tests/batch_reference.py lane-loop
 
-Running ``python tests/batch_reference.py`` against the current ``src``
-rewrites the file from today's superstep; a diff in it is a changed
-answer.
+Running ``python tests/batch_reference.py [standalone]`` against the
+current ``src`` rewrites either file from today's superstep; a diff in
+it is a changed answer.
 """
 
+import hashlib
 import json
 import pathlib
+import sys
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core import FrogWildRunner
+from repro.core import (
+    run_frogwild,
+    run_personalized_frogwild,
+    seed_distribution,
+)
 from repro.engine import build_cluster
 
-PINNED_PATH = (
-    pathlib.Path(__file__).parent / "data" / "batch_reports_3781176.json"
-)
+DATA = pathlib.Path(__file__).parent / "data"
+PINNED_PATH = DATA / "batch_reports_3781176.json"
+STANDALONE_PATH = DATA / "standalone_ef87423.json"
+# What a lane shares with its run alone (its time is the batch's).
+LANE_FIELDS = ("counts", "network_bytes", "cpu_seconds", "supersteps")
 
 
-def assert_lanes_match_standalone(graph, machines, config, queries, batch):
-    for query, lane in zip(queries, batch.results):
-        overrides = {
-            field: getattr(query, field)
-            for field in ("num_frogs", "seed", "ps")
-            if getattr(query, field) is not None
+def outcome(result):
+    """The pinned outputs of one run or lane."""
+    counts = np.ascontiguousarray(result.estimate.counts, dtype=np.int64)
+    return {
+        "counts": hashlib.sha256(counts.tobytes()).hexdigest()[:16],
+        "network_bytes": result.report.network_bytes,
+        "cpu_seconds": result.report.cpu_seconds,
+        "supersteps": result.report.supersteps,
+        "total_time_s": result.report.total_time_s,
+    }
+
+
+def run_alone(graph, machines, config, query):
+    """``query`` of a ``config`` batch run alone on a fresh state of the
+    batch's ingress, through the public entry points (a birth law goes
+    in as the seeds and weights it was made of)."""
+    state = build_cluster(graph, machines, seed=config.seed)
+    overrides = {
+        field: getattr(query, field)
+        for field in ("num_frogs", "seed", "ps")
+        if getattr(query, field) is not None
+    }
+    config = replace(config, **overrides)
+    law = query.start_distribution
+    if law is None:
+        return run_frogwild(graph, config, state=state)
+    seeds = np.flatnonzero(law)
+    weights = law[seeds]
+    assert np.array_equal(seed_distribution(law.size, seeds, weights), law)
+    return run_personalized_frogwild(
+        graph, seeds, config, weights=weights, state=state
+    )
+
+
+def _standalone():
+    return json.loads(STANDALONE_PATH.read_text())
+
+
+def assert_lanes_match_standalone(name, batch):
+    """Every lane of ``batch`` is the pinned run alone of its query."""
+    pinned = _standalone()[name]
+    assert len(pinned) == len(batch.results)
+    for lane, alone in zip(batch.results, pinned):
+        got = outcome(lane)
+        assert {f: got[f] for f in LANE_FIELDS} == {
+            f: alone[f] for f in LANE_FIELDS
         }
-        single = FrogWildRunner(
-            build_cluster(graph, machines, seed=config.seed),
-            replace(config, **overrides),
-            query.start_distribution,
-        ).run()
-        np.testing.assert_array_equal(
-            lane.estimate.counts, single.estimate.counts
-        )
-        assert lane.report.network_bytes == single.report.network_bytes
-        assert lane.report.cpu_seconds == single.report.cpu_seconds
-        assert lane.report.supersteps == single.report.supersteps
+
+
+def assert_run_pinned(name, result, **extra):
+    """A run alone (and ``extra`` facts about it, e.g. its fault log)
+    is the pinned one, every field."""
+    assert [{**outcome(result), **extra}] == _standalone()[name]
 
 
 def physical_report(batch):
@@ -74,13 +128,45 @@ def assert_physical_report_pinned(name, batch):
     assert physical_report(batch) == pinned[name]
 
 
-if __name__ == "__main__":
+def _record_standalone():
     import test_batch_kernel
+    import test_batched_frogwild
+    import test_checkpoint
+    import test_dense_superstep
+    import test_faults
     import test_frog_proportional
 
-    reports = {
-        name: physical_report(module.run_pinned(name))
-        for module in (test_batch_kernel, test_frog_proportional)
-        for name in module.PINNED
-    }
-    PINNED_PATH.write_text(json.dumps(reports, indent=1) + "\n")
+    modules = (
+        test_batch_kernel, test_batched_frogwild, test_checkpoint,
+        test_dense_superstep, test_faults, test_frog_proportional,
+    )
+    reports = {}
+    for module in modules:
+        for name, (graph, machines, config, queries) in getattr(
+            module, "STANDALONE", {}
+        ).items():
+            reports[name] = [
+                outcome(run_alone(graph, machines, config, query))
+                for query in queries
+            ]
+        for name, run in getattr(module, "FAULT_RUNS", {}).items():
+            result, extra = run()
+            reports[name] = [{**outcome(result), **extra}]
+    STANDALONE_PATH.write_text(
+        json.dumps(dict(sorted(reports.items())), indent=1) + "\n"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["standalone"]:
+        _record_standalone()
+    else:
+        import test_batch_kernel
+        import test_frog_proportional
+
+        reports = {
+            name: physical_report(module.run_pinned(name))
+            for module in (test_batch_kernel, test_frog_proportional)
+            for name in module.PINNED
+        }
+        PINNED_PATH.write_text(json.dumps(reports, indent=1) + "\n")

@@ -3,13 +3,13 @@
 Four families of guarantees pin the batched superstep down:
 
 * **kernel equivalence** — every lane of a batch (estimates, attributed
-  bytes, CPU, supersteps) is bit-identical to a standalone
-  :class:`~repro.core.FrogWildRunner` run of that lane, for every
-  supported configuration, and what only a batch has — each lane's
-  simulated time inside it and the physical report — is pinned to the
-  values of the per-lane reference loop this kernel replaced (see
-  ``batch_reference.py``; the test names still say what they were
-  first compared to);
+  bytes, CPU, supersteps) is bit-identical to the pinned run alone of
+  that lane (the standalone runner's output, recorded before a run
+  alone became the B = 1 lane), for every supported configuration, and
+  what only a batch has — each lane's simulated time inside it and the
+  physical report — is pinned to the values of the per-lane reference
+  loop this kernel replaced (see ``batch_reference.py``; the test names
+  still say what they were first compared to);
 * **shared sync** (``sync_mode="shared"``) — one physical sync record
   per (vertex, mirror) per barrier *independent of B* (exact, proved on
   identical-frontier batches), per-lane attribution sums exactly to the
@@ -23,8 +23,8 @@ Four families of guarantees pin the batched superstep down:
   shrink to the cross-lane union, and largest-remainder attribution
   sums exactly to the physical count;
 * **per-ingress caching** — kernel tables and the mirror bitmap build
-  once per ingress, and fault injection (``disable_machine``) can never
-  corrupt the shared cache.
+  once per ingress, and fault injection (``disable_machine``, a crash
+  in the faulty runner) can never corrupt the shared cache.
 """
 
 import numpy as np
@@ -38,13 +38,19 @@ from repro.core import (
     BatchQuery,
     FrogWildConfig,
     resolve_kernel,
+    run_frogwild,
     run_frogwild_batch,
 )
 from repro.engine import MirrorSynchronizer, apportion_records, build_cluster
 from repro.errors import ConfigError, EngineError
-from repro.graph import twitter_like
+from repro.graph import from_edges, twitter_like
 
 GRAPH = twitter_like(n=600, seed=13)
+# Vertex 3 has no out-edges: a frog stranded there has nothing to repair.
+DANGLING = from_edges(
+    [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (4, 0), (0, 4), (4, 3)],
+    repair_dangling="none",
+)
 
 
 def _config(**config_kwargs):
@@ -95,17 +101,34 @@ PINNED = {
 }
 
 
+_DANGLING_CONFIG = dict(num_frogs=300, iterations=6, ps=0.2, seed=5)
+_DANGLING_QUERIES = [BatchQuery(seed=5 + s) for s in range(3)]
+# name -> (graph, machines, config, queries): every lane's run alone is
+# pinned in tests/data (see batch_reference.py).
+STANDALONE = {
+    **{
+        name: (GRAPH, 4, _config(**config_kwargs), queries)
+        for name, (queries, config_kwargs) in PINNED.items()
+    },
+    **{
+        f"dangling-{mode}": (
+            DANGLING, 3,
+            FrogWildConfig(**_DANGLING_CONFIG, scatter_mode=mode),
+            _DANGLING_QUERIES,
+        )
+        for mode in ("multinomial", "binomial")
+    },
+}
+
+
 def run_pinned(name):
     queries, config_kwargs = PINNED[name]
     return _run(queries, **config_kwargs)
 
 
 def _check_pinned(name):
-    queries, config_kwargs = PINNED[name]
     batch = run_pinned(name)
-    assert_lanes_match_standalone(
-        GRAPH, 4, _config(**config_kwargs), queries, batch
-    )
+    assert_lanes_match_standalone(name, batch)
     assert_physical_report_pinned(name, batch)
     return batch
 
@@ -133,46 +156,32 @@ class TestKernelEquivalence:
         """A frog stranded on a dangling vertex (no out-groups) has
         nothing the at-least-one repair can enable: it must idle in
         place instead of mis-indexing into a neighboring row's group
-        block.  Every per-lane-sync lane is its standalone run, bitwise;
-        a shared-sync lane draws its coins from the batch's stream, so
-        no standalone run replays it.  Multinomial scatter conserves
-        the population; binomial may duplicate frogs."""
-        from repro.graph import from_edges
-
-        graph = from_edges(
-            [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (4, 0),
-             (0, 4), (4, 3)],
-            repair_dangling="none",
-        )
-        config = FrogWildConfig(
-            num_frogs=300, iterations=6, ps=0.2, seed=5, **config_kwargs
-        )
-        queries = [BatchQuery(seed=5 + s) for s in range(3)]
+        block.  Every per-lane-sync lane is its pinned run alone,
+        bitwise; a shared-sync lane draws its coins from the batch's
+        stream, so no run alone replays it.  Multinomial scatter
+        conserves the population; binomial may duplicate frogs."""
+        config = FrogWildConfig(**_DANGLING_CONFIG, **config_kwargs)
         result = run_frogwild_batch(
-            graph, queries, config, state=build_cluster(graph, 3, seed=5)
+            DANGLING, _DANGLING_QUERIES, config,
+            state=build_cluster(DANGLING, 3, seed=5),
         )
         if config.sync_mode == "per-lane":
-            assert_lanes_match_standalone(graph, 3, config, queries, result)
+            assert_lanes_match_standalone(
+                f"dangling-{config.scatter_mode}", result
+            )
         if config.scatter_mode == "multinomial":
             for lane in result.results:
                 assert lane.estimate.total_stopped == 300
 
     def test_dangling_vertices_idle_in_shared_sync_mode(self):
-        from repro.graph import from_edges
-
-        graph = from_edges(
-            [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (4, 0),
-             (0, 4), (4, 3)],
-            repair_dangling="none",
-        )
         result = run_frogwild_batch(
-            graph,
+            DANGLING,
             [BatchQuery(seed=s) for s in range(3)],
             FrogWildConfig(
                 num_frogs=300, iterations=6, ps=0.2, seed=5,
                 sync_mode="shared", wire_dedupe=True,
             ),
-            state=build_cluster(graph, 3, seed=5),
+            state=build_cluster(DANGLING, 3, seed=5),
         )
         for lane in result.results:
             assert lane.estimate.total_stopped == 300
@@ -463,6 +472,37 @@ class TestIngressCaching:
         assert not fresh[:, 2][
             state.replication.masters[vertices] != 2
         ].any()
+
+    @pytest.mark.parametrize("sync_mode", ["per-lane", "shared"])
+    def test_a_crash_in_the_faulty_runner_never_corrupts_it(self, sync_mode):
+        """The faulty runner is a one-lane batch on the per-ingress
+        bitmap: its crash forks the bitmap before disabling a machine,
+        and the next run on the ingress syncs every mirror again."""
+        from repro.faults import (
+            FaultSchedule,
+            FaultyFrogWildRunner,
+            MachineCrash,
+        )
+
+        state = build_cluster(GRAPH, 4, seed=0)
+        shared = MirrorSynchronizer.shared_mirror_matrix(state)
+        baseline = shared.copy()
+        config = _config(num_frogs=400, ps=1.0, sync_mode=sync_mode)
+        runner = FaultyFrogWildRunner(
+            state, config, FaultSchedule(crashes=(MachineCrash(1, 2),))
+        )
+        runner.run()
+        assert runner.fault_log.crashed_machines == [2]
+        assert not runner._mirror_matrix[:, 2].any()
+        assert MirrorSynchronizer.shared_mirror_matrix(state) is shared
+        np.testing.assert_array_equal(shared, baseline)
+        # A later run on the ingress is the crash-free run.
+        sibling = build_cluster(GRAPH, 4, seed=0, replication=state.replication)
+        fresh = build_cluster(GRAPH, 4, seed=0)
+        np.testing.assert_array_equal(
+            run_frogwild(GRAPH, config, state=sibling).estimate.counts,
+            run_frogwild(GRAPH, config, state=fresh).estimate.counts,
+        )
 
 
 class TestApportionRecords:

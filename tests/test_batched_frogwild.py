@@ -5,10 +5,11 @@ Three families of guarantees pin the kernel down:
 * **invariants** (property-based, via hypothesis): frog conservation in
   multinomial scatter mode, non-negative estimates summing to at most 1,
   per-population cost attribution summing exactly to the shared totals;
-* **B=1 equivalence**: a single-query batch is bit-identical — estimate
-  *and* report numerics — to :func:`repro.core.run_frogwild` under the
-  same seed, so the batched path can never drift from the validated
-  single-query kernel;
+* **B=1 equivalence**: :func:`repro.core.run_frogwild` and a
+  single-query batch are bit-identical — estimate *and* report numerics
+  — to the standalone runner they replaced, pinned as data
+  (``batch_reference.py``), so the one superstep can never drift from
+  the validated single-query kernel;
 * **behaviour**: config-mixing rules, early termination, amortization.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batch_reference import assert_lanes_match_standalone, assert_run_pinned
 from repro.cluster import ReplicationTable, make_partitioner
 from repro.core import (
     BatchQuery,
@@ -25,6 +27,7 @@ from repro.core import (
     run_frogwild_batch,
     run_personalized_frogwild,
     run_personalized_frogwild_batch,
+    seed_distribution,
 )
 from repro.engine import build_cluster
 from repro.errors import ConfigError, EngineError
@@ -123,21 +126,65 @@ class TestInvariants:
             assert lane.estimate.counts.min() >= 0
 
 
-class TestSingleQueryEquivalence:
-    """B=1 batches replay the single-query runner bit for bit."""
+_CONFIGS = [
+    dict(num_frogs=2000, iterations=4, seed=7),
+    dict(num_frogs=1500, iterations=5, seed=3, ps=0.6),
+    dict(num_frogs=1000, iterations=4, seed=9, ps=0.3,
+         erasure_model="independent"),
+    dict(num_frogs=1200, iterations=4, seed=11, scatter_mode="binomial",
+         ps=0.8),
+    dict(num_frogs=1200, iterations=6, seed=5, ps=0.0),
+]
+_PERSONAL_CONFIG = FrogWildConfig(num_frogs=1500, iterations=6, seed=2, ps=0.7)
+_PERSONAL_SEEDS = np.array([3, 77, 140])
+_SEQUENTIAL_CONFIG = FrogWildConfig(num_frogs=1000, iterations=4, seed=0, ps=0.8)
+_SEQUENTIAL_SEEDS = [4, 5, 6]
+_SHARED_TABLE_CONFIG = FrogWildConfig(
+    num_frogs=1500, iterations=5, ps=0.8, seed=0
+)
+_rng = np.random.default_rng(123)
+_SHARED_TABLE_SEED_SETS = [
+    np.sort(_rng.choice(GRAPH.num_vertices, size=3, replace=False))
+    for _ in range(6)
+]
+# name -> (graph, machines, config, queries): the runs alone pinned in
+# tests/data (see batch_reference.py).
+STANDALONE = {
+    **{
+        f"single-{index}": (GRAPH, 4, FrogWildConfig(**kwargs), [BatchQuery()])
+        for index, kwargs in enumerate(_CONFIGS)
+    },
+    "personalized-single": (
+        GRAPH, 4, _PERSONAL_CONFIG,
+        [BatchQuery(start_distribution=seed_distribution(
+            GRAPH.num_vertices, _PERSONAL_SEEDS
+        ))],
+    ),
+    "sequential-lanes": (
+        GRAPH, 4, _SEQUENTIAL_CONFIG,
+        [BatchQuery(seed=s) for s in _SEQUENTIAL_SEEDS],
+    ),
+    "personalized-shared-table": (
+        GRAPH, 8, _SHARED_TABLE_CONFIG,
+        [
+            BatchQuery(start_distribution=seed_distribution(
+                GRAPH.num_vertices, seeds
+            ))
+            for seeds in _SHARED_TABLE_SEED_SETS
+        ],
+    ),
+}
 
-    CONFIGS = [
-        dict(num_frogs=2000, iterations=4, seed=7),
-        dict(num_frogs=1500, iterations=5, seed=3, ps=0.6),
-        dict(num_frogs=1000, iterations=4, seed=9, ps=0.3,
-             erasure_model="independent"),
-        dict(num_frogs=1200, iterations=4, seed=11, scatter_mode="binomial",
-             ps=0.8),
-        dict(num_frogs=1200, iterations=6, seed=5, ps=0.0),
-    ]
+
+class TestSingleQueryEquivalence:
+    """A run alone and the B=1 batch replay the pinned standalone run
+    bit for bit (see ``batch_reference.py``)."""
+
+    CONFIGS = _CONFIGS
 
     @pytest.mark.parametrize("config_kwargs", CONFIGS)
     def test_bitwise_identical_estimate_and_report(self, config_kwargs):
+        name = f"single-{_CONFIGS.index(config_kwargs)}"
         config = FrogWildConfig(**config_kwargs)
         single = run_frogwild(
             GRAPH, config, state=build_cluster(GRAPH, 4, seed=config.seed)
@@ -148,78 +195,61 @@ class TestSingleQueryEquivalence:
             config,
             state=build_cluster(GRAPH, 4, seed=config.seed),
         )
+        assert_run_pinned(name, single)
+        assert_lanes_match_standalone(name, batched)
         lane = batched.results[0]
-        np.testing.assert_array_equal(
-            single.estimate.counts, lane.estimate.counts
-        )
-        assert single.report.network_bytes == lane.report.network_bytes
-        assert single.report.cpu_seconds == lane.report.cpu_seconds
-        assert single.report.supersteps == lane.report.supersteps
         assert single.report.total_time_s == lane.report.total_time_s
         # The batch-level (physical) report agrees too: with one lane
         # there is nothing to amortize.
         assert batched.report.network_bytes == single.report.network_bytes
+        # A run alone keeps the standalone report's label and keys.
+        assert single.report.algorithm == f"frogwild(ps={config.ps:g})"
+        assert list(single.report.extra) == [
+            "num_frogs", "iterations", "ps", "replication_factor"
+        ]
+        assert single.ledger is None
 
     def test_personalized_single_query_equivalence(self):
-        seeds = np.array([3, 77, 140])
-        config = FrogWildConfig(num_frogs=1500, iterations=6, seed=2, ps=0.7)
+        config = _PERSONAL_CONFIG
         single = run_personalized_frogwild(
-            GRAPH, seeds, config, num_machines=4
+            GRAPH, _PERSONAL_SEEDS, config, num_machines=4
         )
         batched = run_personalized_frogwild_batch(
-            GRAPH, [seeds], config, num_machines=4
+            GRAPH, [_PERSONAL_SEEDS], config, num_machines=4
         )
-        np.testing.assert_array_equal(
-            single.estimate.counts, batched.results[0].estimate.counts
-        )
-        assert (
-            single.report.network_bytes
-            == batched.results[0].report.network_bytes
-        )
+        assert_run_pinned("personalized-single", single)
+        assert_lanes_match_standalone("personalized-single", batched)
 
     def test_lane_matches_sequential_run_inside_larger_batch(self):
         """Populations are independent: each lane of a B=3 batch equals
-        the standalone run with the same seed and birth law."""
-        config = FrogWildConfig(num_frogs=1000, iterations=4, seed=0, ps=0.8)
-        seeds = [4, 5, 6]
+        the pinned run alone with the same seed and birth law."""
+        config = _SEQUENTIAL_CONFIG
         batched = run_frogwild_batch(
             GRAPH,
-            [BatchQuery(seed=s) for s in seeds],
+            [BatchQuery(seed=s) for s in _SEQUENTIAL_SEEDS],
             config,
             state=build_cluster(GRAPH, 4, seed=config.seed),
         )
-        for lane_seed, lane in zip(seeds, batched.results):
-            single = run_frogwild(
-                GRAPH,
-                config.with_updates(seed=lane_seed),
-                state=build_cluster(GRAPH, 4, seed=config.seed),
-            )
-            np.testing.assert_array_equal(
-                single.estimate.counts, lane.estimate.counts
-            )
+        assert_lanes_match_standalone("sequential-lanes", batched)
 
     def test_personalized_lanes_match_sequential_calls(self):
         """B personalized queries on one shared replication table answer
         exactly what B sequential calls answer, each of which rebuilds
         the tables from the same partition: batching is amortization,
         never approximation."""
-        config = FrogWildConfig(num_frogs=1500, iterations=5, ps=0.8, seed=0)
+        config = _SHARED_TABLE_CONFIG
         partition = make_partitioner("random", 0).partition(GRAPH, 8)
-        rng = np.random.default_rng(123)
-        seed_sets = [
-            np.sort(rng.choice(GRAPH.num_vertices, size=3, replace=False))
-            for _ in range(6)
-        ]
         batched = run_personalized_frogwild_batch(
             GRAPH,
-            seed_sets,
+            _SHARED_TABLE_SEED_SETS,
             config,
             state=build_cluster(
                 GRAPH, 8, seed=0,
                 replication=ReplicationTable(GRAPH, partition, seed=0),
             ),
         )
-        for seeds, lane in zip(seed_sets, batched.results):
+        assert_lanes_match_standalone("personalized-shared-table", batched)
+        for seeds, lane in zip(_SHARED_TABLE_SEED_SETS, batched.results):
             single = run_personalized_frogwild(
                 GRAPH,
                 seeds,

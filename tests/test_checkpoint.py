@@ -1,8 +1,17 @@
-"""Tests for checkpoint/restore recovery vs uniform rebirth."""
+"""Tests for checkpoint/restore recovery vs uniform rebirth.
+
+Every checkpointed run below is also pinned bit for bit — counts
+digest, report numerics, fault log and checkpoint counters — to the
+standalone runner it subclassed before it became a one-lane batch
+(:data:`FAULT_RUNS`, ``batch_reference.py``).
+"""
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from batch_reference import assert_run_pinned
 from repro.core import FrogWildConfig
 from repro.engine import build_cluster, traffic_breakdown
 from repro.errors import ConfigError
@@ -12,6 +21,7 @@ from repro.faults import (
     FaultSchedule,
     MachineCrash,
 )
+from repro.graph import twitter_like
 from repro.metrics import normalized_mass_captured
 from repro.pagerank import exact_pagerank
 
@@ -25,6 +35,45 @@ def _run(graph, schedule, interval=1, machines=4):
     )
     result = runner.run()
     return runner, result
+
+
+def _pinned(schedule, interval=1, machines=4):
+    """A pinned checkpointed run: (result, log and counters) when called."""
+
+    def run():
+        runner, result = _run(
+            twitter_like(n=1500, seed=42),  # the small_twitter fixture
+            schedule, interval, machines,
+        )
+        return result, {
+            **asdict(runner.fault_log),
+            "frogs_restored": runner.frogs_restored,
+            "checkpoints_taken": runner.checkpoints_taken,
+        }
+
+    return run
+
+
+def _crash(step, machine):
+    return FaultSchedule(crashes=(MachineCrash(step=step, machine=machine),))
+
+
+# name -> checkpointed run whose output is pinned in tests/data.
+FAULT_RUNS = {
+    "checkpoint-every-step": _pinned(FaultSchedule()),
+    "checkpoint-every-2": _pinned(FaultSchedule(), interval=2),
+    "checkpoint-one-machine": _pinned(FaultSchedule(), machines=1),
+    "checkpoint-crash": _pinned(_crash(2, 0)),
+    "checkpoint-crash-8": _pinned(_crash(2, 1), machines=8),
+    "checkpoint-stale": _pinned(_crash(3, 0), interval=4),
+}
+
+
+class TestPinnedToTheStandaloneRunner:
+    @pytest.mark.parametrize("name", sorted(FAULT_RUNS))
+    def test_checkpointed_run_is_the_pinned_run(self, name):
+        result, extra = FAULT_RUNS[name]()
+        assert_run_pinned(name, result, **extra)
 
 
 class TestConfig:

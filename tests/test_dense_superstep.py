@@ -14,10 +14,10 @@ grouped-count primitive instead of a 2-D ``np.nonzero``.  Pinned here:
   is the width of group g and 0 elsewhere, rows sum to the out-degree,
   ``start_vm`` holds the group starts;
 * where the block is mostly empty (64 machines, out-degree ~10) every
-  lane still equals its standalone run, under both erasure models and
+  lane still equals its pinned run alone, under both erasure models and
   both scatter modes, for uniform and personalized laws;
-* the tables cost what they should: int32, absent from a process that
-  only runs the standalone runner, warm after ``prime_ingress_caches``,
+* the tables cost what they should: int32, built once per ingress
+  however many runs read them, warm after ``prime_ingress_caches``,
   spilled and mapped back with the other serving tables.
 
 No test reads a clock.
@@ -159,15 +159,47 @@ class TestDenseGroupTables:
         dense = DenseGroupTables(_kernel_tables(state), 8)
         assert dense.size_vm.dtype == dense.start_vm.dtype == np.int32
 
-    def test_the_standalone_runner_never_builds_them(self):
+    def test_repeated_runs_on_one_ingress_build_them_once(self, monkeypatch):
+        """A single run is a one-lane batch, so it reads the dense tables
+        too: the first run on an ingress builds the kernel tables, the
+        dense tables and the mirror bitmap, and every later run on a
+        fresh state of that ingress reuses them."""
+        from repro.core import batched, frogwild
+
         graph = twitter_like(n=300, seed=5)
-        state = build_cluster(graph, 8, seed=0)
-        config = FrogWildConfig(num_frogs=500, iterations=3, seed=1)
-        run_frogwild(graph, config, state=state)
-        assert "kernel_tables" in state.replication._ingress_cache
-        assert "dense_groups" not in state.replication._ingress_cache
-        run_frogwild_batch(graph, [BatchQuery()], config, state=state)
-        assert "dense_groups" in state.replication._ingress_cache
+        replication = build_cluster(graph, 8, seed=0).replication
+        builds = []
+
+        def counting(name, build):
+            def wrapper(*args, **kwargs):
+                builds.append(name)
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            frogwild, "_KernelTables",
+            counting("kernel_tables", frogwild._KernelTables),
+        )
+        monkeypatch.setattr(
+            batched, "DenseGroupTables",
+            counting("dense_groups", DenseGroupTables),
+        )
+        monkeypatch.setattr(
+            MirrorSynchronizer, "mirror_matrix_for",
+            staticmethod(
+                counting("mirror_matrix", MirrorSynchronizer.mirror_matrix_for)
+            ),
+        )
+        for seed in range(3):
+            run_frogwild(
+                graph,
+                FrogWildConfig(num_frogs=500, iterations=3, seed=seed),
+                state=build_cluster(graph, 8, seed=0, replication=replication),
+            )
+        assert sorted(builds) == ["dense_groups", "kernel_tables", "mirror_matrix"]
+        cache = replication._ingress_cache
+        assert {"kernel_tables", "dense_groups", "mirror_matrix"} <= set(cache)
 
     def test_priming_warms_them_for_the_first_batch(self):
         graph = twitter_like(n=300, seed=5)
@@ -254,6 +286,41 @@ class TestSpillRoundTrip:
 # ----------------------------------------------------------------------
 SPARSE = erdos_renyi(n=400, avg_out_degree=10, seed=21)
 WIDE = 64
+_LOW_FILL_QUERIES = [
+    BatchQuery(seed=1),
+    BatchQuery(
+        seed=2, num_frogs=500,
+        start_distribution=seed_distribution(
+            SPARSE.num_vertices, np.array([3, 77])
+        ),
+    ),
+    BatchQuery(
+        seed=3, ps=0.9,
+        start_distribution=seed_distribution(
+            SPARSE.num_vertices, np.array([5, 120, 301]),
+            np.array([3.0, 1.0, 1.0]),
+        ),
+    ),
+    BatchQuery(seed=4, ps=0.1),
+]
+
+
+def _low_fill_config(erasure_model, scatter_mode):
+    return FrogWildConfig(
+        num_frogs=900, iterations=5, ps=0.4, seed=6,
+        erasure_model=erasure_model, scatter_mode=scatter_mode,
+    )
+
+
+# name -> (graph, machines, config, queries) whose runs alone are pinned
+# in tests/data (see batch_reference.py).
+STANDALONE = {
+    f"low-fill-{erasure}-{scatter}": (
+        SPARSE, WIDE, _low_fill_config(erasure, scatter), _LOW_FILL_QUERIES
+    )
+    for erasure in ("at-least-one", "independent")
+    for scatter in ("multinomial", "binomial")
+}
 
 
 class TestLowFillParity:
@@ -267,27 +334,11 @@ class TestLowFillParity:
     def test_every_lane_matches_its_standalone_run(
         self, erasure_model, scatter_mode
     ):
-        config = FrogWildConfig(
-            num_frogs=900, iterations=5, ps=0.4, seed=6,
-            erasure_model=erasure_model, scatter_mode=scatter_mode,
-        )
-        n = SPARSE.num_vertices
-        queries = [
-            BatchQuery(seed=1),
-            BatchQuery(
-                seed=2, num_frogs=500,
-                start_distribution=seed_distribution(n, np.array([3, 77])),
-            ),
-            BatchQuery(
-                seed=3, ps=0.9,
-                start_distribution=seed_distribution(
-                    n, np.array([5, 120, 301]), np.array([3.0, 1.0, 1.0])
-                ),
-            ),
-            BatchQuery(seed=4, ps=0.1),
-        ]
+        config = _low_fill_config(erasure_model, scatter_mode)
         batch = run_frogwild_batch(
-            SPARSE, queries, config,
+            SPARSE, _LOW_FILL_QUERIES, config,
             state=build_cluster(SPARSE, WIDE, seed=config.seed),
         )
-        assert_lanes_match_standalone(SPARSE, WIDE, config, queries, batch)
+        assert_lanes_match_standalone(
+            f"low-fill-{erasure_model}-{scatter_mode}", batch
+        )

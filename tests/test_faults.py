@@ -1,8 +1,17 @@
-"""Tests for fault schedules, the faulty runner and the straggler model."""
+"""Tests for fault schedules, the faulty runner and the straggler model.
+
+Every fault run below is also pinned bit for bit — counts digest,
+report numerics and fault log — to the standalone runner the faulty
+runner subclassed before it became a one-lane batch
+(:data:`FAULT_RUNS`, ``batch_reference.py``).
+"""
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from batch_reference import assert_run_pinned
 from repro.cluster import CostModel
 from repro.core import FrogWildConfig, run_frogwild
 from repro.errors import ConfigError
@@ -13,10 +22,72 @@ from repro.faults import (
     StragglerCostModel,
     run_frogwild_with_faults,
 )
+from repro.graph import twitter_like
 from repro.metrics import normalized_mass_captured
 from repro.pagerank import exact_pagerank
 
 _CONFIG = FrogWildConfig(num_frogs=10_000, iterations=4, seed=0)
+
+
+def _faulty(schedule, machines=4, **config_kwargs):
+    """A pinned fault run: (result, fault-log fields) when called."""
+
+    def run():
+        result, log = run_frogwild_with_faults(
+            twitter_like(n=1500, seed=42),  # the small_twitter fixture
+            schedule,
+            _CONFIG.with_updates(**config_kwargs),
+            num_machines=machines,
+        )
+        return result, asdict(log)
+
+    return run
+
+
+_CRASH_AND_DROP = FaultSchedule(
+    crashes=(MachineCrash(step=1, machine=2),),
+    message_drop=MessageDrop(0.05),
+)
+# name -> fault run whose output is pinned in tests/data.
+FAULT_RUNS = {
+    "faults-empty": _faulty(FaultSchedule()),
+    "faults-crash": _faulty(
+        FaultSchedule(crashes=(MachineCrash(step=1, machine=0, rebirth=False),))
+    ),
+    "faults-crash-rebirth": _faulty(
+        FaultSchedule(crashes=(MachineCrash(step=1, machine=0, rebirth=True),))
+    ),
+    "faults-crash-rebirth-8": _faulty(
+        FaultSchedule(crashes=(MachineCrash(step=1, machine=3, rebirth=True),)),
+        machines=8,
+    ),
+    "faults-drop": _faulty(FaultSchedule(message_drop=MessageDrop(0.2))),
+    "faults-drop-8": _faulty(
+        FaultSchedule(message_drop=MessageDrop(0.1)), machines=8
+    ),
+    "faults-two-crashes": _faulty(
+        FaultSchedule(
+            crashes=(
+                MachineCrash(step=1, machine=0),
+                MachineCrash(step=2, machine=1),
+            )
+        )
+    ),
+    "faults-crash-and-drop": _faulty(_CRASH_AND_DROP),
+    "faults-crash-and-drop-binomial": _faulty(
+        _CRASH_AND_DROP, scatter_mode="binomial", ps=0.7
+    ),
+    "faults-crash-and-drop-independent": _faulty(
+        _CRASH_AND_DROP, erasure_model="independent", ps=0.5
+    ),
+}
+
+
+class TestPinnedToTheStandaloneRunner:
+    @pytest.mark.parametrize("name", sorted(FAULT_RUNS))
+    def test_fault_run_is_the_pinned_run(self, name):
+        result, log = FAULT_RUNS[name]()
+        assert_run_pinned(name, result, **log)
 
 
 class TestScheduleValidation:
@@ -102,6 +173,27 @@ class TestFaultyRunner:
             run_frogwild_with_faults(
                 small_twitter, schedule, _CONFIG, num_machines=4
             )
+
+    @pytest.mark.parametrize("step", [4, 9])
+    def test_crash_past_the_last_superstep_is_refused(
+        self, small_twitter, step
+    ):
+        """A crash scheduled at or after the run's last superstep would
+        never fire; the run refuses it instead of returning an empty
+        fault log."""
+        schedule = FaultSchedule(crashes=(MachineCrash(step=step, machine=0),))
+        with pytest.raises(ConfigError, match="never fire"):
+            run_frogwild_with_faults(
+                small_twitter, schedule, _CONFIG, num_machines=4
+            )
+        # The last superstep itself still fires.
+        last = FaultSchedule(
+            crashes=(MachineCrash(step=_CONFIG.iterations - 1, machine=0),)
+        )
+        _, log = run_frogwild_with_faults(
+            small_twitter, last, _CONFIG, num_machines=4
+        )
+        assert log.crashed_machines == [0]
 
     def test_message_drop_loses_frogs(self, small_twitter):
         schedule = FaultSchedule(message_drop=MessageDrop(0.2))

@@ -3,22 +3,26 @@
 The multinomial scatter used to list every enabled out-edge of the
 frontier before indexing the list once per frog; ``_pick_enabled_edges``
 resolves the same pick against the running sum of the enabled group
-widths when the edges outnumber the frogs.  Both runners call the one
-function with flat widths and group starts: the standalone runner's are
-its ragged group list, the fused passes' the row-major (rows x
-machines) block, absent cells reading width 0.  Four families of
+widths when the edges outnumber the frogs.  The fused passes call it
+with the flat widths and group starts of the row-major (rows x
+machines) block, absent cells reading width 0.  Five families of
 guarantees:
 
 * ``_pick_enabled_edges`` equals the materializing expansion — kept
   here as :func:`_reference_pick`, the oracle — on either side of its
   rule, with disabled groups, rows kept alive by a single (repaired)
-  group, zero-width groups, rows without frogs, and absent cells
-  interleaved as in the dense block (property-based);
+  group, zero-width groups, rows without frogs, and the group list
+  ragged, with absent cells interleaved as in the dense block, or with
+  every zero cell dropped as the listing branch does (property-based);
 * batch parity where the search branch runs every superstep (a
-  hub-heavy graph walked by a few frogs): every lane = its standalone
-  ``FrogWildRunner`` run (B=3 and B=1);
+  hub-heavy graph walked by a few frogs): every lane = the pinned run
+  alone of its query (B=3 and B=1, see ``batch_reference.py``);
 * ``_births`` is ``rng.choice(n, size, p=law)`` — same births, same rng
   state afterwards — at O(support) (property-based);
+* the size rules of a one-lane run: ``count_keys`` is
+  ``np.unique(..., return_counts=True)`` on both sides of its range
+  rule, for birth and hop keys, and the one-lane shortcuts of the fused
+  passes equal their general formulation (property-based);
 * a gate that can fail: a served batch calls ``_ranges_to_indices`` in
   no superstep whose enabled edges outnumber its frogs 8 to 1, and no
   array its scatter binds is longer than 2 x (frogs + rows x machines)
@@ -37,6 +41,7 @@ from hypothesis import strategies as st
 from batch_reference import (
     assert_lanes_match_standalone,
     assert_physical_report_pinned,
+    assert_run_pinned,
 )
 from repro.core import (
     BatchQuery,
@@ -46,6 +51,7 @@ from repro.core import (
 )
 from repro.core import batched as bt
 from repro.core import frogwild as fw
+from repro.core.kernels import DenseGroupTables
 from repro.core.kernels import fused as fk
 from repro.engine import build_cluster
 from repro.graph import from_edges, rmat
@@ -133,11 +139,11 @@ class TestPickEnabledEdges:
     @given(
         _scatter_rows(),
         st.sampled_from(["search", "materialize"]),
-        st.sampled_from(["ragged", "dense"]),
+        st.sampled_from(["ragged", "dense", "dropped"]),
     )
     def test_equals_the_materializing_expansion(self, case, side, layout):
         grp_row, grp_idx, grp_sizes, enabled_grp, gaps, k, draws, absent = case
-        if layout == "ragged":
+        if layout != "dense":
             absent = [0] * len(absent)
         rows = k.size
         if side == "search":
@@ -162,13 +168,16 @@ class TestPickEnabledEdges:
             group_start, grp_idx, grp_sizes, enabled_grp, enabled_counts,
             row_of_frog, draws,
         )
+        width = _flat(np.where(enabled_grp, grp_sizes, 0), absent)
+        starts = _flat(group_start[grp_idx], absent)
+        if layout == "dropped":
+            # What the listing branch itself lists: nonzero cells only.
+            starts, width = starts[width > 0], width[width > 0]
         with mock.patch.object(
             fw, "_ranges_to_indices", wraps=fw._ranges_to_indices
         ) as expand:
             chosen = fw._pick_enabled_edges(
-                _flat(np.where(enabled_grp, grp_sizes, 0), absent),
-                _flat(group_start[grp_idx], absent),
-                enabled_counts, row_of_frog, draws,
+                width, starts, enabled_counts, row_of_frog, draws
             )
         assert chosen.dtype == np.int64
         assert np.array_equal(chosen, expected)
@@ -253,6 +262,16 @@ QUERIES = [
 # The batches whose physical report is pinned in tests/data (see
 # batch_reference.py for how it was recorded).
 PINNED = {f"search-branch-{erasure}": erasure for erasure in ERASURES}
+# name -> (graph, machines, config, queries) whose runs alone are pinned.
+STANDALONE = {
+    f"{prefix}search-branch-{erasure}": (
+        HUBS, MACHINES,
+        FrogWildConfig(**FEW_FROGS, erasure_model=erasure),
+        queries,
+    )
+    for erasure in ERASURES
+    for prefix, queries in (("", QUERIES), ("b1-", [BatchQuery()]))
+}
 
 
 def run_pinned(name):
@@ -264,18 +283,13 @@ class TestSearchBranchParity:
     def test_fused_matches_lane_loop(self, picks, erasure_model):
         name = f"search-branch-{erasure_model}"
         fused = run_pinned(name)
-        fused_calls = len(picks)
-        assert_lanes_match_standalone(
-            HUBS, MACHINES,
-            FrogWildConfig(**FEW_FROGS, erasure_model=erasure_model),
-            QUERIES, fused,
-        )
+        assert_lanes_match_standalone(name, fused)
         assert_physical_report_pinned(name, fused)
-        assert fused_calls >= FEW_FROGS["iterations"]
-        _all_searched(picks, at_least=4 * FEW_FROGS["iterations"])
+        _all_searched(picks, at_least=FEW_FROGS["iterations"])
 
     @pytest.mark.parametrize("erasure_model", ERASURES)
     def test_b1_matches_the_single_query_runner(self, picks, erasure_model):
+        name = f"b1-search-branch-{erasure_model}"
         config = FrogWildConfig(**FEW_FROGS, erasure_model=erasure_model)
         batch = run_frogwild_batch(
             HUBS, [BatchQuery()], config,
@@ -284,13 +298,8 @@ class TestSearchBranchParity:
         single = run_frogwild(
             HUBS, config, state=build_cluster(HUBS, MACHINES, seed=config.seed)
         )
-        np.testing.assert_array_equal(
-            batch.results[0].estimate.counts, single.estimate.counts
-        )
-        assert (
-            batch.results[0].report.network_bytes
-            == single.report.network_bytes
-        )
+        assert_lanes_match_standalone(name, batch)
+        assert_run_pinned(name, single)
         assert single.estimate.total_stopped == config.num_frogs
         _all_searched(picks, at_least=2 * config.iterations)
 
@@ -334,6 +343,111 @@ class TestBirths:
             fw._births(ours, 50, 200, None), theirs.integers(0, 50, size=200)
         )
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The size rules of a one-lane run
+# ----------------------------------------------------------------------
+@st.composite
+def _keyed_frogs(draw):
+    """Lane-offset keys of B populations on n vertices, with the key
+    range B * n on either side of 4x the keys."""
+    lanes = draw(st.sampled_from([1, 2, 16]))
+    n = draw(st.integers(1, 60))
+    keys = draw(st.integers(1, 3 * lanes * n // 4 + 1) | st.integers(0, 8))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    frogs = rng.integers(0, n, size=keys)
+    lane = np.sort(rng.integers(0, lanes, size=keys))
+    return lanes, n, lane * n + frogs
+
+
+class TestCountKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(_keyed_frogs())
+    def test_equals_np_unique_on_both_sides_of_the_rule(self, case):
+        lanes, n, keys = case
+        ours = fk.count_keys(keys, lanes * n)
+        theirs = np.unique(keys, return_counts=True)
+        for a, b in zip(ours, theirs):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        # As (lane, vertex, count): what births and hops hand on.
+        assert np.array_equal(np.divmod(ours[0], n), np.divmod(theirs[0], n))
+
+    @pytest.mark.parametrize("counted", [True, False])
+    def test_births_and_hops_take_the_branch_their_sizes_pick(
+        self, monkeypatch, counted
+    ):
+        """A run of 4n frogs counts its birth and hop keys; a run of
+        n / 8 frogs sorts them (the property above: both branches give
+        the same frontier)."""
+        graph = HUBS
+        n = graph.num_vertices
+        frogs = 4 * n if counted else n // 8
+        config = FrogWildConfig(num_frogs=frogs, iterations=3, ps=1.0, seed=1)
+        sorts = []
+        real_unique = np.unique
+
+        def unique(ar, *args, **kwargs):
+            sorts.append(ar.size)
+            return real_unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", unique)
+        result = run_frogwild(
+            graph, config, state=build_cluster(graph, MACHINES, seed=1)
+        )
+        assert result.estimate.total_stopped == frogs
+        # Multinomial, every mirror synced: no idling, all hot paths.
+        assert (sorts == []) == counted, sorts
+
+
+class TestOneLaneShortcuts:
+    """With one lane the passes build no lane array; a one-lane frontier
+    in a two-lane pass object takes the general formulation instead,
+    and every output must agree (lane 1 empty)."""
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    @pytest.mark.parametrize("ps", [0.0, 0.5, 1.0])
+    def test_equal_the_general_formulation(self, ps, dedupe):
+        graph = rmat(scale=9, edge_factor=8, seed=2)
+        n = graph.num_vertices
+        tables = fw._kernel_tables(build_cluster(graph, MACHINES, seed=0))
+        dense = DenseGroupTables(tables, MACHINES)
+        rng = np.random.default_rng(int(10 * ps) + dedupe)
+        verts = np.flatnonzero(rng.random(n) < 0.4)
+        lanes = np.zeros_like(verts)
+        fresh = rng.random((verts.size, MACHINES)) < ps
+        fresh[np.arange(verts.size), tables.masters[verts]] = True
+        k = rng.integers(1, 5, size=verts.size)
+
+        outputs = []
+        for num_lanes in (1, 2):
+            passes = fk.FusedPasses(
+                tables, dense, num_lanes=num_lanes,
+                num_machines=MACHINES, num_vertices=n,
+            )
+            passes.enabled_groups(lanes, verts, fresh)
+            edges, by_machine, by_lane = passes.enabled_totals()
+            k_send = np.where(edges > 0, k, 0)
+            draw = np.random.default_rng(7).random(int(k_send.sum()))
+            dest, host, frog_lane, hop_keys, ops = passes.expand_multinomial(
+                k_send, edges, draw
+            )
+            demand, physical = passes.frog_records(
+                frog_lane, host, dest, dedupe=dedupe
+            )
+            outputs.append(
+                (edges, by_machine, by_lane[:1], dest, host, hop_keys, ops,
+                 demand[0], physical)
+            )
+            if num_lanes == 2:
+                assert by_lane[1] == 0 and not demand[1].any()
+        for one, general in zip(*outputs):
+            if one is None:
+                assert general is None
+            else:
+                assert np.array_equal(one, general)
 
 
 # ----------------------------------------------------------------------

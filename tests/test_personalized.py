@@ -112,9 +112,11 @@ class TestFrogWildPersonalized:
         assert result.estimate.total_stopped == 2_000
 
     def test_bad_start_distribution_rejected(self, graph):
-        """One law check serves the single and the batched runner."""
-        from repro.core import BatchedFrogWildRunner, BatchQuery, FrogWildRunner
+        """One law check serves every run: a batch, its single run and
+        the faulty single run built on it."""
+        from repro.core import BatchedFrogWildRunner, BatchQuery
         from repro.engine import build_cluster
+        from repro.faults import FaultSchedule, FaultyFrogWildRunner
 
         n = graph.num_vertices
         state = build_cluster(graph, 2, seed=0)
@@ -129,8 +131,14 @@ class TestFrogWildPersonalized:
             (np.full(n, 0.5), "probability distribution"),
         ]:
             with pytest.raises(EngineError, match=message):
-                FrogWildRunner(state, FrogWildConfig(), start_distribution=law)
-            with pytest.raises(EngineError, match=message):
-                BatchedFrogWildRunner(
-                    state, FrogWildConfig(), [BatchQuery(start_distribution=law)]
+                FaultyFrogWildRunner(
+                    state, FrogWildConfig(), FaultSchedule(),
+                    start_distribution=law,
                 )
+            for queries in ([law], [None, law]):
+                with pytest.raises(EngineError, match=message):
+                    BatchedFrogWildRunner(
+                        state,
+                        FrogWildConfig(),
+                        [BatchQuery(start_distribution=q) for q in queries],
+                    )
