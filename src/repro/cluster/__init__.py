@@ -1,8 +1,8 @@
-"""Simulated PowerGraph cluster: machines, network, vertex-cuts, time."""
+"""Simulated PowerGraph cluster: vertex-cuts, replication, wire sizes,
+the cost model and the process transport."""
 
-from .costmodel import CostModel, SimulatedClock, SuperstepCost
-from .machine import Machine, MachineGroup
-from .network import MessageSizeModel, NetworkFabric, TrafficSnapshot
+from .costmodel import CostModel, SuperstepCost
+from .network import MessageSizeModel
 from .partition import (
     EdgePartition,
     GridVertexCut,
@@ -20,11 +20,7 @@ from .shared import ArenaSpec, SharedArena
 from .transport import RecordChannel, TransportTally, WireCodec
 
 __all__ = [
-    "Machine",
-    "MachineGroup",
     "MessageSizeModel",
-    "NetworkFabric",
-    "TrafficSnapshot",
     "EdgePartition",
     "Partitioner",
     "RandomVertexCut",
@@ -43,5 +39,4 @@ __all__ = [
     "TransportTally",
     "CostModel",
     "SuperstepCost",
-    "SimulatedClock",
 ]

@@ -25,11 +25,11 @@ of these constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostModel", "SuperstepCost", "SimulatedClock"]
+__all__ = ["CostModel", "SuperstepCost"]
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,3 @@ class SuperstepCost:
     @property
     def total_s(self) -> float:
         return self.barrier_s + self.comm_s + self.compute_s
-
-
-@dataclass
-class SimulatedClock:
-    """Accumulates superstep costs into a running total."""
-
-    elapsed_s: float = 0.0
-    steps: list[SuperstepCost] = field(default_factory=list)
-
-    def advance(self, cost: SuperstepCost) -> None:
-        self.steps.append(cost)
-        self.elapsed_s += cost.total_s
-
-    @property
-    def num_supersteps(self) -> int:
-        return len(self.steps)
-
-    def time_per_superstep(self) -> float:
-        """Mean superstep duration; 0 if nothing ran."""
-        if not self.steps:
-            return 0.0
-        return self.elapsed_s / len(self.steps)

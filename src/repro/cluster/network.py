@@ -1,8 +1,9 @@
-"""Network fabric: byte-exact accounting of inter-machine traffic.
+"""Wire sizes of inter-machine traffic.
 
 The paper's headline result (Figure 1c: a 1000x reduction in "network
 sent" bytes versus exact GraphLab PageRank) is an accounting statement,
-so the simulator counts every byte crossing a machine boundary:
+so the simulator bills every byte crossing a machine boundary
+(:meth:`repro.engine.ClusterState.send_pair_matrix`):
 
 * **sync** records — a master pushing vertex data to one mirror,
 * **gather** records — a mirror pushing a partial gather sum to the master,
@@ -18,12 +19,9 @@ as in the real system.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["MessageSizeModel", "NetworkFabric", "TrafficSnapshot"]
+__all__ = ["MessageSizeModel"]
 
 
 @dataclass(frozen=True)
@@ -49,185 +47,3 @@ class MessageSizeModel:
         if num_records <= 0:
             return 0
         return self.message_header_bytes + num_records * self.record_bytes()
-
-
-@dataclass(frozen=True)
-class TrafficSnapshot:
-    """Immutable view of cumulative traffic at a point in time."""
-
-    total_bytes: int
-    total_messages: int
-    bytes_by_kind: dict[str, int]
-    messages_by_kind: dict[str, int]
-    # Same-machine deliveries: free, off the wire tallies above.
-    local_messages: int = 0
-    local_records: int = 0
-
-    def bytes_for(self, kind: str) -> int:
-        return self.bytes_by_kind.get(kind, 0)
-
-
-class NetworkFabric:
-    """Counts traffic between the ``num_machines`` simulated machines."""
-
-    def __init__(
-        self,
-        num_machines: int,
-        size_model: MessageSizeModel | None = None,
-    ) -> None:
-        if num_machines < 1:
-            raise ValueError("fabric needs at least one machine")
-        self.num_machines = num_machines
-        self.size_model = size_model or MessageSizeModel()
-        # Dense per-pair byte matrix: row = sender, col = receiver.
-        self._bytes_matrix = np.zeros((num_machines, num_machines), dtype=np.int64)
-        self._bytes_by_kind: dict[str, int] = defaultdict(int)
-        self._messages_by_kind: dict[str, int] = defaultdict(int)
-        # Per-superstep accumulation, reset by the engine at barriers.
-        self._step_sent = np.zeros(num_machines, dtype=np.int64)
-        self._step_received = np.zeros(num_machines, dtype=np.int64)
-        # Local (same-machine) deliveries: free and excluded from every
-        # wire tally, but observable — operators sizing a partition
-        # want to see how much traffic the vertex-cut kept local.
-        self.local_messages = 0
-        self.local_records = 0
-
-    # ------------------------------------------------------------------
-    # Sending
-    # ------------------------------------------------------------------
-    def send(
-        self, src: int, dst: int, num_records: int, kind: str
-    ) -> int:
-        """Record one message of ``num_records`` records; returns bytes.
-
-        Same-machine traffic is free (no serialization in PowerGraph for
-        local mirrors) and is **excluded from the wire tallies** —
-        ``bytes_by_kind``/``messages_by_kind`` count only messages that
-        crossed a machine boundary, which is what every downstream
-        ledger reconciliation prices.  Local deliveries are tracked
-        separately in :attr:`local_messages`/:attr:`local_records`
-        (:meth:`send_matrix` diagonal entries count there too).
-        """
-        self._check_machine(src)
-        self._check_machine(dst)
-        if num_records < 0:
-            raise ValueError("num_records must be non-negative")
-        if num_records == 0:
-            return 0
-        if src == dst:
-            self.local_messages += 1
-            self.local_records += num_records
-            return 0
-        nbytes = self.size_model.batch_bytes(num_records)
-        self._bytes_matrix[src, dst] += nbytes
-        self._bytes_by_kind[kind] += nbytes
-        self._messages_by_kind[kind] += 1
-        self._step_sent[src] += nbytes
-        self._step_received[dst] += nbytes
-        return nbytes
-
-    def send_matrix(self, records: np.ndarray, kind: str) -> tuple[int, int]:
-        """Record one batched message per nonzero (src, dst) pair at once.
-
-        ``records[s, d]`` is the record count machine ``s`` sends to
-        ``d``; diagonal entries are local deliveries — free, excluded
-        from the wire tallies, and counted into
-        :attr:`local_messages`/:attr:`local_records` exactly as
-        :meth:`send` counts a ``src == dst`` call.  This
-        is the vectorized equivalent of calling :meth:`send` per pair —
-        byte-for-byte the same accounting, without the Python loop the
-        batched runner used to pay per superstep flush.  Returns
-        ``(total_bytes, num_messages)`` so callers tracking message
-        counts need not rescan the matrix.
-        """
-        records = np.asarray(records)
-        if records.shape != (self.num_machines, self.num_machines):
-            raise ValueError(
-                f"record matrix must be ({self.num_machines}, "
-                f"{self.num_machines}), got {records.shape}"
-            )
-        if (records < 0).any():
-            raise ValueError("num_records must be non-negative")
-        off_diagonal = records.astype(np.int64, copy=True)
-        diagonal = np.diagonal(off_diagonal)
-        self.local_messages += int(np.count_nonzero(diagonal))
-        self.local_records += int(diagonal.sum())
-        np.fill_diagonal(off_diagonal, 0)
-        messages = int(np.count_nonzero(off_diagonal))
-        if messages == 0:
-            return 0, 0
-        size = self.size_model
-        nbytes = np.where(
-            off_diagonal > 0,
-            size.message_header_bytes + off_diagonal * size.record_bytes(),
-            0,
-        )
-        self._bytes_matrix += nbytes
-        total = int(nbytes.sum())
-        self._bytes_by_kind[kind] += total
-        self._messages_by_kind[kind] += messages
-        self._step_sent += nbytes.sum(axis=1)
-        self._step_received += nbytes.sum(axis=0)
-        return total, messages
-
-    def broadcast(self, src: int, dsts: np.ndarray, num_records: int, kind: str) -> int:
-        """Send the same ``num_records``-record message to many machines."""
-        total = 0
-        for dst in np.asarray(dsts).ravel():
-            total += self.send(src, int(dst), num_records, kind)
-        return total
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        """All bytes sent since construction (or the last reset)."""
-        return int(self._bytes_matrix.sum())
-
-    def bytes_between(self, src: int, dst: int) -> int:
-        self._check_machine(src)
-        self._check_machine(dst)
-        return int(self._bytes_matrix[src, dst])
-
-    def bytes_sent_per_machine(self) -> np.ndarray:
-        return self._bytes_matrix.sum(axis=1)
-
-    def bytes_received_per_machine(self) -> np.ndarray:
-        return self._bytes_matrix.sum(axis=0)
-
-    def snapshot(self) -> TrafficSnapshot:
-        return TrafficSnapshot(
-            total_bytes=self.total_bytes(),
-            total_messages=sum(self._messages_by_kind.values()),
-            bytes_by_kind=dict(self._bytes_by_kind),
-            messages_by_kind=dict(self._messages_by_kind),
-            local_messages=self.local_messages,
-            local_records=self.local_records,
-        )
-
-    # ------------------------------------------------------------------
-    # Superstep bookkeeping (used by the cost model)
-    # ------------------------------------------------------------------
-    def step_traffic(self) -> tuple[np.ndarray, np.ndarray]:
-        """(bytes sent, bytes received) per machine since the last barrier."""
-        return self._step_sent.copy(), self._step_received.copy()
-
-    def end_superstep(self) -> None:
-        """Reset the per-superstep accumulators (called at each barrier)."""
-        self._step_sent[:] = 0
-        self._step_received[:] = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self._bytes_matrix[:] = 0
-        self._bytes_by_kind.clear()
-        self._messages_by_kind.clear()
-        self.local_messages = 0
-        self.local_records = 0
-        self.end_superstep()
-
-    def _check_machine(self, machine: int) -> None:
-        if not 0 <= machine < self.num_machines:
-            raise ValueError(
-                f"machine {machine} out of range [0, {self.num_machines})"
-            )

@@ -1,7 +1,7 @@
 """Real record transport whose framing is priced by ``MessageSizeModel``.
 
-The simulated :class:`~repro.cluster.NetworkFabric` *counts* bytes; this
-module actually *moves* them.  A :class:`RecordChannel` wraps one
+The simulated cluster's bill (:class:`~repro.engine.ClusterState`)
+*counts* bytes; this module actually *moves* them.  A :class:`RecordChannel` wraps one
 ``multiprocessing`` pipe connection and ships batches of
 ``(vertex id, payload)`` records as framed binary messages whose layout
 is generated from a :class:`~repro.cluster.MessageSizeModel`:

@@ -53,8 +53,8 @@ Cost attribution stays per-population: every lane carries a
 :class:`~repro.engine.CostLedger` tallying the CPU ops, records and
 messages it alone caused, and its :class:`~repro.engine.RunReport`
 prices them as if it had run standalone.  The gap between the summed
-standalone bytes and the fabric's actual bytes is the amortization the
-batch bought (:meth:`BatchedFrogWildResult.amortization_ratio`).
+standalone bytes and the bytes the cluster billed is the amortization
+the batch bought (:meth:`BatchedFrogWildResult.amortization_ratio`).
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class BatchedFrogWildRunner:
         self.wire_dedupe = config.wire_dedupe
         self.tables = _kernel_tables(state)
         self.erasure = make_erasure_model(config.erasure_model)
-        size_model = state.fabric.size_model
+        size_model = state.size_model
         # One mirror bitmap read by every population's coin pass (and
         # across batches: it is the per-ingress cached bitmap).
         mirror_matrix = MirrorSynchronizer.shared_mirror_matrix(state)
@@ -341,16 +341,16 @@ class BatchedFrogWildRunner:
     def run_single(self) -> FrogWildResult:
         """Run a one-lane batch as the paper's single run.
 
-        Its report is the physical execution — every superstep and
-        every byte on the fabric, which with one lane are the lane's own
-        plus whatever a fault subclass put on the wire — under the
-        label ``frogwild(ps=...)``; it carries no ledger.
+        Its report is the cluster's bill — every superstep and every
+        byte billed, which with one lane are the lane's own plus
+        whatever a fault subclass put on the wire — under the label
+        ``frogwild(ps=...)``; it carries no ledger.
         """
         if len(self.lanes) != 1:
             raise ConfigError("a single run has exactly one population")
         self._walk()
         lane = self.lanes[0]
-        report = self._physical_report(
+        report = self.state.report(
             f"frogwild(ps={lane.ps:g})",
             {
                 "num_frogs": float(lane.num_frogs),
@@ -455,11 +455,9 @@ class BatchedFrogWildRunner:
         self.record_totals["frog_demand"] += int(frog_records.sum())
 
     # ------------------------------------------------------------------
-    def _close_superstep(self, live: list[_Lane], active_union: int) -> None:
+    def _close_superstep(self, live: list[_Lane]) -> None:
         """Barrier + per-lane superstep/time attribution."""
-        state = self.state
-        state.end_superstep(active_union)
-        step_seconds = state.stats.steps[-1].sim_seconds
+        step_seconds = self.state.end_superstep()
         for lane in live:
             lane.ledger.supersteps += 1
             lane.sim_time_s += step_seconds
@@ -647,9 +645,6 @@ class BatchedFrogWildRunner:
             live.append(lane)
         if not live:
             return None
-        active_mask = np.zeros(state.num_vertices, dtype=bool)
-        active_mask[verts] = True
-        active_union = int(active_mask.sum())
 
         # ---------------- apply(): per-lane death coins ----------------
         dead = np.empty(lane_ids.size, dtype=np.int64)
@@ -670,7 +665,7 @@ class BatchedFrogWildRunner:
         else:
             empty = np.empty(0, dtype=np.int64)
             next_frontier = (empty, empty, empty)
-        self._close_superstep(live, active_union)
+        self._close_superstep(live)
         return next_frontier
 
     def _scatter(
@@ -852,29 +847,13 @@ class BatchedFrogWildRunner:
             },
         )
 
-    def _physical_report(self, algorithm: str, extra: dict) -> RunReport:
-        """What the cluster as a whole did: its supersteps, simulated
-        time, fabric bytes and CPU."""
-        state = self.state
-        stats = state.stats
-        return RunReport(
-            algorithm=algorithm,
-            num_machines=state.num_machines,
-            supersteps=stats.num_supersteps,
-            total_time_s=stats.total_seconds(),
-            time_per_iteration_s=stats.seconds_per_step(),
-            network_bytes=state.fabric.total_bytes(),
-            cpu_seconds=state.cost_model.cpu_seconds(stats.total_cpu_ops()),
-            extra=extra,
-        )
-
     def _batch_report(self) -> RunReport:
         state = self.state
         cfg = self.config
         attributed = sum(
             lane.ledger.standalone_network_bytes() for lane in self.lanes
         )
-        return self._physical_report(
+        return state.report(
             f"frogwild-batched(B={len(self.lanes)},ps={cfg.ps:g})",
             {
                 "batch_size": float(len(self.lanes)),

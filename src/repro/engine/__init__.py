@@ -4,13 +4,7 @@ from .breakdown import PhaseBreakdown, traffic_breakdown
 from .bsp import BSPEngine
 from .program import ApplyResult, BulkVertexProgram
 from .state import ClusterState, build_cluster
-from .stats import (
-    CostLedger,
-    EngineStats,
-    RunReport,
-    StepRecord,
-    apportion_records,
-)
+from .stats import CostLedger, RunReport, apportion_records
 from .sync import MirrorSynchronizer, count_marks_by_key, sync_pair_records
 
 __all__ = [
@@ -21,9 +15,7 @@ __all__ = [
     "build_cluster",
     "CostLedger",
     "apportion_records",
-    "EngineStats",
     "RunReport",
-    "StepRecord",
     "MirrorSynchronizer",
     "count_marks_by_key",
     "sync_pair_records",

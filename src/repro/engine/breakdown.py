@@ -68,13 +68,8 @@ class PhaseBreakdown:
 
 def traffic_breakdown(state: ClusterState) -> PhaseBreakdown:
     """Decompose everything a run charged to ``state`` so far."""
-    snapshot = state.fabric.snapshot()
-    ops: dict[str, int] = {}
-    for machine in state.machines:
-        for phase, count in machine.ops_by_phase.items():
-            ops[phase] = ops.get(phase, 0) + count
     return PhaseBreakdown(
-        bytes_by_kind=dict(snapshot.bytes_by_kind),
-        messages_by_kind=dict(snapshot.messages_by_kind),
-        ops_by_phase=ops,
+        bytes_by_kind=dict(state.bytes_by_kind),
+        messages_by_kind=dict(state.messages_by_kind),
+        ops_by_phase=dict(state.ops_by_phase),
     )

@@ -83,12 +83,12 @@ class BSPEngine:
             self._sync(changed_mask)
 
             active_mask = self._scatter(active_idx, result.signal_mask)
-            state.end_superstep(int(active_idx.size))
+            state.end_superstep()
             if result.done:
                 break
 
         self.data = data
-        return self.report()
+        return state.report(program.name)
 
     # ------------------------------------------------------------------
     def _gather(self, active_mask: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -193,18 +193,3 @@ class BSPEngine:
             phase="scatter",
         )
         return next_active
-
-    # ------------------------------------------------------------------
-    def report(self) -> RunReport:
-        """Summarize the completed run."""
-        state = self.state
-        stats = state.stats
-        return RunReport(
-            algorithm=self.program.name,
-            num_machines=state.num_machines,
-            supersteps=stats.num_supersteps,
-            total_time_s=stats.total_seconds(),
-            time_per_iteration_s=stats.seconds_per_step(),
-            network_bytes=state.fabric.total_bytes(),
-            cpu_seconds=state.cost_model.cpu_seconds(stats.total_cpu_ops()),
-        )

@@ -1,17 +1,18 @@
 """Shared mutable state of a running simulated-cluster computation.
 
-A :class:`ClusterState` bundles the graph, its replication tables, the
-network fabric, the machine group and the simulated clock, and provides
-the accounting primitives every algorithm uses:
+A :class:`ClusterState` bundles the graph, its replication tables and
+the cost and message-size models, and keeps the run's one bill: bytes
+and messages by record kind, CPU ops by phase, supersteps and simulated
+time.  Every algorithm writes it through three primitives:
 
-* :meth:`charge` — CPU work on one machine (vectorized variant
-  :meth:`charge_many`),
-* :meth:`send_batched` — one batched message of N records between two
-  machines,
-* :meth:`end_superstep` — close the BSP barrier: convert this step's
-  traffic and work into simulated time, append a stats row, reset the
-  per-step accumulators.
+* :meth:`charge_many` — a per-machine CPU ops vector of one phase,
+* :meth:`send_pair_matrix` — one batched message per machine pair with
+  records to send,
+* :meth:`end_superstep` — close the BSP barrier: price this step's
+  per-machine traffic and work into simulated time and reset the
+  per-step sums.
 
+:meth:`report` reads the bill back as a :class:`~repro.engine.RunReport`.
 Both the generic BSP engine and the FrogWild runner (which patches the
 synchronization behaviour) are built on these primitives, so their
 network/CPU/time numbers are directly comparable — the property the
@@ -20,46 +21,58 @@ paper's evaluation relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cluster import (
     CostModel,
     EdgePartition,
-    MachineGroup,
     MessageSizeModel,
-    NetworkFabric,
     ReplicationTable,
-    SimulatedClock,
     make_partitioner,
 )
 from ..errors import EngineError
 from ..graph import DiGraph
-from .stats import EngineStats
+from .stats import RunReport
 
 __all__ = ["ClusterState", "build_cluster"]
 
 
 @dataclass
 class ClusterState:
-    """All state shared by machines during one computation."""
+    """All state shared by machines during one computation.
+
+    ``bytes_by_kind``/``messages_by_kind`` count only machine-crossing
+    messages (local delivery is free and uncounted); a kind or phase
+    appears once something nonzero was billed to it.
+    """
 
     graph: DiGraph
     replication: ReplicationTable
-    fabric: NetworkFabric
-    machines: MachineGroup
     cost_model: CostModel
-    clock: SimulatedClock
-    stats: EngineStats
+    size_model: MessageSizeModel
+    bytes_by_kind: dict[str, int] = field(init=False, default_factory=dict)
+    messages_by_kind: dict[str, int] = field(init=False, default_factory=dict)
+    ops_by_phase: dict[str, int] = field(init=False, default_factory=dict)
+    supersteps: int = field(init=False, default=0)
+    total_time_s: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        self._step_ops = np.zeros(self.num_machines, dtype=np.int64)
+        machines = self.num_machines
+        self._step_sent = np.zeros(machines, dtype=np.int64)
+        self._step_received = np.zeros(machines, dtype=np.int64)
+        self._step_ops = np.zeros(machines, dtype=np.int64)
         self._step_messages = 0
+        # Price an empty step now: a cost model sized for another
+        # cluster refuses here, not at the first barrier of a run.
+        self.cost_model.superstep_time(
+            self._step_sent, self._step_received, self._step_ops
+        )
 
     @property
     def num_machines(self) -> int:
-        return self.fabric.num_machines
+        return self.replication.num_machines
 
     @property
     def num_vertices(self) -> int:
@@ -72,10 +85,10 @@ class ClusterState:
         """Memoize a derived read-only structure on this state's ingress.
 
         The serving layer builds a *fresh* :class:`ClusterState` per
-        dispatched batch (clean traffic/CPU/time accounting) while
-        sharing one :class:`~repro.cluster.ReplicationTable`; anything
-        derived purely from that ingress — the FrogWild kernel tables,
-        the mirror bitmap — is therefore identical across those states.
+        dispatched batch (a clean bill per batch) while sharing one
+        :class:`~repro.cluster.ReplicationTable`; anything derived
+        purely from that ingress — the FrogWild kernel tables, the
+        mirror bitmap — is therefore identical across those states.
         This memo lives on the replication table itself, so it is built
         once per ingress and reused by every batch, and is dropped
         automatically when a live-graph refresh replaces the table.
@@ -102,64 +115,92 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Accounting primitives
     # ------------------------------------------------------------------
-    def charge(self, machine: int, ops: int, phase: str = "compute") -> None:
-        """Charge CPU ops to one machine within the current superstep."""
-        self.machines[machine].charge(ops, phase)
-        self._step_ops[machine] += ops
-
     def charge_many(self, ops_per_machine: np.ndarray, phase: str = "compute") -> None:
-        """Charge an ops vector (length ``num_machines``) at once."""
-        ops_per_machine = np.asarray(ops_per_machine, dtype=np.int64)
-        if ops_per_machine.shape != (self.num_machines,):
+        """Charge an ops vector (length ``num_machines``) to ``phase``."""
+        ops = np.asarray(ops_per_machine, dtype=np.int64)
+        if ops.shape != (self.num_machines,):
             raise EngineError(
                 f"ops vector must have shape ({self.num_machines},), "
-                f"got {ops_per_machine.shape}"
+                f"got {ops.shape}"
             )
-        for machine_id in np.flatnonzero(ops_per_machine):
-            self.machines[machine_id].charge(
-                int(ops_per_machine[machine_id]), phase
-            )
-        self._step_ops += ops_per_machine
-
-    def send_batched(self, src: int, dst: int, num_records: int, kind: str) -> None:
-        """Send one batched message; no-ops for local or empty batches."""
-        self.fabric.send(src, dst, num_records, kind)
-        if src != dst and num_records > 0:
-            self._step_messages += 1
+        if (ops < 0).any():
+            raise EngineError("cannot charge negative ops")
+        total = int(ops.sum())
+        if total:
+            self.ops_by_phase[phase] = self.ops_by_phase.get(phase, 0) + total
+            self._step_ops += ops
 
     def send_pair_matrix(self, records: np.ndarray, kind: str) -> None:
-        """Send batched messages for a full (src, dst) record-count matrix.
+        """Send one batched message per machine pair with records.
 
         ``records[s, d]`` is the number of records machine ``s`` sends to
-        machine ``d`` this superstep (diagonal ignored: local is free).
-        Delegates to the fabric's vectorized matrix send — one pass over
-        the pair matrix instead of a Python call per machine pair.
+        machine ``d`` this superstep.  Each nonzero off-diagonal cell is
+        one message of ``message_header_bytes + records * record_bytes``;
+        the diagonal is local delivery — free and uncounted.
         """
         records = np.asarray(records)
         if records.shape != (self.num_machines, self.num_machines):
-            raise EngineError("record matrix shape mismatch")
-        _, messages = self.fabric.send_matrix(records, kind)
+            raise EngineError(
+                f"record matrix must be ({self.num_machines}, "
+                f"{self.num_machines}), got {records.shape}"
+            )
+        if (records < 0).any():
+            raise EngineError("record counts must be non-negative")
+        wire = records.astype(np.int64)
+        np.fill_diagonal(wire, 0)
+        messages = int(np.count_nonzero(wire))
+        if messages == 0:
+            return
+        size = self.size_model
+        nbytes = np.where(
+            wire > 0,
+            size.message_header_bytes + wire * size.record_bytes(),
+            0,
+        )
+        self.bytes_by_kind[kind] = (
+            self.bytes_by_kind.get(kind, 0) + int(nbytes.sum())
+        )
+        self.messages_by_kind[kind] = (
+            self.messages_by_kind.get(kind, 0) + messages
+        )
+        self._step_sent += nbytes.sum(axis=1)
+        self._step_received += nbytes.sum(axis=0)
         self._step_messages += messages
 
     # ------------------------------------------------------------------
-    # Barrier
+    # Barrier and bill
     # ------------------------------------------------------------------
-    def end_superstep(self, active_vertices: int) -> None:
-        """Close the superstep: time accounting + stats row + reset."""
-        sent, received = self.fabric.step_traffic()
-        cost = self.cost_model.superstep_time(
-            sent, received, self._step_ops, self._step_messages
-        )
-        self.clock.advance(cost)
-        self.stats.record_step(
-            active=active_vertices,
-            bytes_sent=int(sent.sum()),
-            cpu_ops=int(self._step_ops.sum()),
-            sim_seconds=cost.total_s,
-        )
-        self.fabric.end_superstep()
+    def end_superstep(self) -> float:
+        """Close the superstep; returns its simulated seconds."""
+        seconds = self.cost_model.superstep_time(
+            self._step_sent,
+            self._step_received,
+            self._step_ops,
+            self._step_messages,
+        ).total_s
+        self.supersteps += 1
+        self.total_time_s += seconds
+        self._step_sent[:] = 0
+        self._step_received[:] = 0
         self._step_ops[:] = 0
         self._step_messages = 0
+        return seconds
+
+    def report(self, algorithm: str, extra: dict | None = None) -> RunReport:
+        """The bill so far as a :class:`RunReport` labelled ``algorithm``."""
+        steps = self.supersteps
+        return RunReport(
+            algorithm=algorithm,
+            num_machines=self.num_machines,
+            supersteps=steps,
+            total_time_s=self.total_time_s,
+            time_per_iteration_s=self.total_time_s / steps if steps else 0.0,
+            network_bytes=sum(self.bytes_by_kind.values()),
+            cpu_seconds=self.cost_model.cpu_seconds(
+                sum(self.ops_by_phase.values())
+            ),
+            extra=dict(extra or {}),
+        )
 
 
 def build_cluster(
@@ -178,7 +219,7 @@ def build_cluster(
     paper excludes ingress from all measurements, and so do we);
     ``replication`` additionally reuses the derived master/mirror tables
     — the serving layer's per-batch states share one such ingress while
-    keeping fresh traffic/CPU/time accounting per batch.
+    keeping a fresh bill per batch.
     """
     if replication is not None:
         if replication.num_machines != num_machines:
@@ -204,9 +245,6 @@ def build_cluster(
     return ClusterState(
         graph=graph,
         replication=replication,
-        fabric=NetworkFabric(num_machines, size_model),
-        machines=MachineGroup(num_machines),
         cost_model=cost_model or CostModel(),
-        clock=SimulatedClock(),
-        stats=EngineStats(),
+        size_model=size_model or MessageSizeModel(),
     )

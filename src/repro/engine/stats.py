@@ -1,7 +1,8 @@
-"""Per-superstep and per-run execution statistics.
+"""Per-run execution statistics.
 
-These are the quantities the paper's figures plot: time per iteration
-(Fig. 1a), total time (1b), network bytes (1c) and CPU seconds (1d).
+:class:`RunReport` carries the quantities the paper's figures plot:
+time per iteration (Fig. 1a), total time (1b), network bytes (1c) and
+CPU seconds (1d), read off a :class:`~repro.engine.ClusterState`'s bill.
 :class:`CostLedger` additionally attributes shared-execution costs to
 the individual frog populations of a batched run.
 """
@@ -15,8 +16,6 @@ import numpy as np
 from ..errors import EngineError
 
 __all__ = [
-    "StepRecord",
-    "EngineStats",
     "RunReport",
     "CostLedger",
     "apportion_records",
@@ -78,55 +77,6 @@ def apportion_records(
     return shares.reshape(demand.shape)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Measurements for one superstep."""
-
-    step: int
-    active: int
-    bytes_sent: int
-    cpu_ops: int
-    sim_seconds: float
-
-
-@dataclass
-class EngineStats:
-    """Accumulates :class:`StepRecord` rows over a run."""
-
-    steps: list[StepRecord] = field(default_factory=list)
-
-    def record_step(
-        self, active: int, bytes_sent: int, cpu_ops: int, sim_seconds: float
-    ) -> None:
-        self.steps.append(
-            StepRecord(
-                step=len(self.steps),
-                active=active,
-                bytes_sent=bytes_sent,
-                cpu_ops=cpu_ops,
-                sim_seconds=sim_seconds,
-            )
-        )
-
-    @property
-    def num_supersteps(self) -> int:
-        return len(self.steps)
-
-    def total_bytes(self) -> int:
-        return sum(s.bytes_sent for s in self.steps)
-
-    def total_cpu_ops(self) -> int:
-        return sum(s.cpu_ops for s in self.steps)
-
-    def total_seconds(self) -> float:
-        return sum(s.sim_seconds for s in self.steps)
-
-    def seconds_per_step(self) -> float:
-        if not self.steps:
-            return 0.0
-        return self.total_seconds() / len(self.steps)
-
-
 @dataclass
 class CostLedger:
     """Per-population cost attribution inside a shared batched execution.
@@ -136,7 +86,7 @@ class CostLedger:
     tallies the CPU ops, network records and per-pair messages it alone
     caused.  :meth:`standalone_network_bytes` prices those records as if
     the population had run by itself — per-message headers included — so
-    ``sum(lane.standalone_network_bytes()) - fabric.total_bytes()`` is
+    ``sum(lane.standalone_network_bytes()) - report.network_bytes`` is
     exactly the header amortization the batch bought.
     """
 
@@ -153,7 +103,7 @@ class CostLedger:
 
     def charge_pair_records(self, records: np.ndarray) -> None:
         """Attribute one machine-pair record matrix (diagonal is local,
-        hence free — mirroring :class:`~repro.cluster.NetworkFabric`)."""
+        hence free — as :meth:`ClusterState.send_pair_matrix` bills it)."""
         off_diagonal = np.asarray(records).copy()
         np.fill_diagonal(off_diagonal, 0)
         self.network_records += int(off_diagonal.sum())

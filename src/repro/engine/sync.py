@@ -7,16 +7,16 @@ synchronized independently with probability ``ps``, and mirrors left
 un-synchronized stay idle for the following scatter phase.  Setting
 ``ps = 1`` reproduces stock behaviour exactly.
 
-:class:`MirrorSynchronizer` implements the patch against the simulated
-cluster, accounting one sync record per synchronized mirror.  The
-returned coin matrix tells the caller (the FrogWild runner) which
-replicas may participate in scatter — the coupling that turns partial
-synchronization into the edge-erasure model of Definition 8.
-
-The coin draw and the accounting are separable (:meth:`draw_fresh`):
-the batched runner of :mod:`repro.core.batched` flips coins per frog
-population but aggregates the resulting sync records across the whole
-batch into one physical flush per barrier.
+:class:`MirrorSynchronizer` flips the patch's coins
+(:meth:`~MirrorSynchronizer.draw_fresh`).  The returned fresh-replica
+matrix tells the caller (the FrogWild runner) which replicas may
+participate in scatter — the coupling that turns partial
+synchronization into the edge-erasure model of Definition 8.  Billing
+is the caller's: one sync record per synchronized mirror, counted per
+machine pair by :func:`sync_pair_records` and sent with
+:meth:`~repro.engine.ClusterState.send_pair_matrix`, so the batched
+runner of :mod:`repro.core.batched` aggregates the records of every
+frog population into one physical flush per barrier.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class MirrorSynchronizer:
     ) -> None:
         if not 0.0 <= ps <= 1.0:
             raise EngineError(f"ps must lie in [0, 1], got {ps}")
-        self.state = state
         self.ps = ps
         self.rng = rng
         repl = state.replication
@@ -165,10 +164,8 @@ class MirrorSynchronizer:
         Returns ``(fresh, synced_mirrors)``: ``fresh`` marks machines
         whose replica is fresh after the barrier (master always, each
         mirror with probability ``ps``); ``synced_mirrors`` is the
-        mirror-only subset that a caller must account for (one sync
-        record each).  :meth:`synchronize` is this plus the accounting;
-        the batched runner uses the split to aggregate records across
-        populations before charging the fabric.
+        mirror-only subset that a caller must bill (one sync record
+        each, :func:`sync_pair_records`).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         k = vertices.size
@@ -186,20 +183,6 @@ class MirrorSynchronizer:
             fresh[np.arange(k), self._masters[vertices]] = True
         return fresh, synced_mirrors
 
-    def synchronize(self, vertices: np.ndarray) -> np.ndarray:
-        """Synchronize the mirrors of ``vertices``; returns fresh-replica map.
-
-        The result is a boolean matrix of shape ``(len(vertices),
-        num_machines)`` marking machines whose replica of the vertex is
-        fresh after the barrier: the master always, each mirror with
-        probability ``ps``.  One sync record per synchronized mirror is
-        charged to the network, batched per machine pair.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        fresh, synced_mirrors = self.draw_fresh(vertices)
-        self._account(vertices, synced_mirrors)
-        return fresh
-
     def disable_machine(self, machine: int) -> None:
         """Permanently exclude a machine's mirrors from synchronization.
 
@@ -215,39 +198,3 @@ class MirrorSynchronizer:
             self._mirror_matrix = self._mirror_matrix.copy()
             self._copy_on_disable = False
         self._mirror_matrix[:, machine] = False
-
-    def force_sync(self, vertices: np.ndarray, machines: np.ndarray) -> None:
-        """Synchronize one extra (vertex, mirror) pair each — erasure repair.
-
-        Used by the "At Least One Out-Edge Per Node" model (Example 10):
-        when every mirror coin failed for a vertex that must scatter, one
-        uniformly chosen mirror is synchronized after all.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        machines = np.asarray(machines, dtype=np.int64)
-        if vertices.shape != machines.shape:
-            raise EngineError("vertices/machines misaligned in force_sync")
-        masters = self._masters[vertices]
-        # Master-hosted groups need no sync; don't bill them.
-        remote = machines != masters
-        self._send(
-            np.bincount(
-                masters[remote] * self._num_machines + machines[remote],
-                minlength=self._num_machines**2,
-            ).reshape(self._num_machines, self._num_machines)
-        )
-
-    def _account(self, vertices: np.ndarray, synced: np.ndarray) -> None:
-        """Charge sync records (master -> mirror) batched per machine pair."""
-        self._send(
-            sync_pair_records(
-                self._masters[vertices], synced, self._num_machines
-            )
-        )
-
-    def _send(self, records: np.ndarray) -> None:
-        """Put one (master, mirror) record matrix on the wire."""
-        if not records.any():
-            return
-        self.state.send_pair_matrix(records, kind="sync")
-        self.state.charge_many(records.sum(axis=0), phase="sync")

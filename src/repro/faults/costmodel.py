@@ -49,25 +49,22 @@ class StragglerCostModel(CostModel):
         cpu_ops: np.ndarray,
         num_messages: int = 0,
     ) -> SuperstepCost:
-        sent = np.asarray(bytes_sent, dtype=np.float64)
-        received = np.asarray(bytes_received, dtype=np.float64)
-        ops = np.asarray(cpu_ops, dtype=np.float64)
+        """:meth:`CostModel.superstep_time` of the slowed-down vectors.
+
+        Scaling each machine's bytes and ops by a positive factor keeps
+        which one is largest, so this is exactly the base formula with
+        the straggler's bytes and ops stretched.
+        """
         factors = np.asarray(self.slowdowns, dtype=np.float64)
+        sent = np.asarray(bytes_sent, dtype=np.float64)
         if sent.shape != factors.shape:
             raise ConfigError(
                 f"cost model sized for {factors.size} machines, "
                 f"got traffic vectors of shape {sent.shape}"
             )
-        per_machine_comm = np.maximum(sent, received) * factors
-        comm_time = float(per_machine_comm.max(initial=0.0))
-        comm_time /= self.bandwidth_bytes_per_s
-        comm_time += num_messages * self.per_message_overhead_s
-        per_machine_compute = ops * factors
-        compute_time = (
-            float(per_machine_compute.max(initial=0.0)) / self.cpu_ops_per_s
-        )
-        return SuperstepCost(
-            barrier_s=self.barrier_latency_s,
-            comm_s=comm_time,
-            compute_s=compute_time,
+        return super().superstep_time(
+            sent * factors,
+            np.asarray(bytes_received, dtype=np.float64) * factors,
+            np.asarray(cpu_ops, dtype=np.float64) * factors,
+            num_messages,
         )

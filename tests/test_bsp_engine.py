@@ -102,7 +102,7 @@ class TestTrafficAccounting:
         state = build_cluster(small_twitter, num_machines=4, seed=0)
         engine = BSPEngine(state, SumInNeighbours(rounds=2))
         engine.run()
-        kinds = state.fabric.snapshot().bytes_by_kind
+        kinds = state.bytes_by_kind
         assert kinds.get("gather", 0) > 0
         assert kinds.get("sync", 0) > 0
         assert kinds.get("scatter", 0) > 0
@@ -111,8 +111,8 @@ class TestTrafficAccounting:
         totals = []
         for machines in (2, 8):
             state = build_cluster(small_twitter, machines, seed=0)
-            BSPEngine(state, SumInNeighbours(rounds=2)).run()
-            totals.append(state.fabric.total_bytes())
+            report = BSPEngine(state, SumInNeighbours(rounds=2)).run()
+            totals.append(report.network_bytes)
         assert totals[1] > totals[0]
 
     def test_report_fields(self, small_twitter):

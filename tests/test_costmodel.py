@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import CostModel, SimulatedClock, SuperstepCost
+from repro.cluster import CostModel
 
 
 class TestCostModel:
@@ -49,18 +49,3 @@ class TestCostModel:
     def test_cpu_seconds(self):
         model = CostModel(cpu_ops_per_s=100.0)
         assert model.cpu_seconds(250) == pytest.approx(2.5)
-
-
-class TestSimulatedClock:
-    def test_advance_accumulates(self):
-        clock = SimulatedClock()
-        clock.advance(SuperstepCost(1.0, 2.0, 3.0))
-        clock.advance(SuperstepCost(0.0, 1.0, 0.0))
-        assert clock.elapsed_s == pytest.approx(7.0)
-        assert clock.num_supersteps == 2
-        assert clock.time_per_superstep() == pytest.approx(3.5)
-
-    def test_empty_clock(self):
-        clock = SimulatedClock()
-        assert clock.elapsed_s == 0.0
-        assert clock.time_per_superstep() == 0.0

@@ -8,8 +8,8 @@ grouped-count primitive instead of a 2-D ``np.nonzero``.  Pinned here:
 * ``count_marks_by_key`` equals the ``np.nonzero`` + ``bincount``
   formulation it replaced — kept in this file as the reference — on
   empty frontiers, all-false masks, unused keys, one machine, one and
-  sixteen lanes (property-based), and ``force_sync`` bills what its
-  one-hot formulation did;
+  sixteen lanes (property-based), and a batch bills its repair
+  records as sync records;
 * the dense tables are the ragged tables: ``size_vm[v, machine of g]``
   is the width of group g and 0 elsewhere, rows sum to the out-degree,
   ``start_vm`` holds the group starts;
@@ -110,24 +110,27 @@ class TestCountMarksByKey:
                 np.array([0, bad]), np.ones((2, 4), dtype=bool), 3
             )
 
-    def test_force_sync_bills_its_one_hot_formulation(self):
-        graph = twitter_like(n=400, seed=2)
-        rng = np.random.default_rng(8)
-        vertices = rng.integers(0, graph.num_vertices, size=300)
-        machines = rng.integers(0, 8, size=300)
-        state = build_cluster(graph, 8, seed=1)
-        MirrorSynchronizer(state, 0.5, rng).force_sync(vertices, machines)
-
-        masters = state.replication.masters[vertices]
-        one_hot = np.zeros((300, 8), dtype=bool)
-        one_hot[np.arange(300), machines] = True
-        one_hot[machines == masters] = False
-        expected = build_cluster(graph, 8, seed=1)
-        records = _reference_counts(masters, one_hot, 8)
-        expected.send_pair_matrix(records, kind="sync")
-        expected.charge_many(records.sum(axis=0), phase="sync")
-        assert state.fabric.snapshot() == expected.fabric.snapshot()
-        assert np.array_equal(state._step_ops, expected._step_ops)
+    def test_repair_records_are_billed_as_sync_records(self):
+        """At ps = 0 every mirror stays stale, so each sync record a
+        batch bills is an At-Least-One repair (Example 10): one record
+        per remote repaired group, priced and charged like any sync
+        record."""
+        result = run_frogwild_batch(
+            twitter_like(n=400, seed=2),
+            [BatchQuery(seed=s) for s in range(3)],
+            FrogWildConfig(num_frogs=2000, iterations=3, ps=0.0, seed=1),
+            num_machines=8,
+        )
+        extra = result.report.extra
+        state = result.state
+        size = state.size_model
+        assert extra["sync_records"] == 0
+        assert extra["repair_records"] > 0
+        assert state.bytes_by_kind["sync"] == (
+            state.messages_by_kind["sync"] * size.message_header_bytes
+            + extra["repair_records"] * size.record_bytes()
+        )
+        assert state.ops_by_phase["sync"] == extra["repair_records"]
 
 
 # ----------------------------------------------------------------------

@@ -66,7 +66,7 @@ class TestApplyResultSemantics:
         engine = BSPEngine(tiny_state, PartialChange())
         engine.run()
         # Nothing changed: no sync traffic at all.
-        assert tiny_state.fabric.snapshot().bytes_for("sync") == 0
+        assert "sync" not in tiny_state.bytes_by_kind
 
     def test_no_signal_ends_run(self, tiny_state):
         class NoSignal(MinimalProgram):

@@ -1,18 +1,11 @@
-"""Coverage for engine stats, cost ledgers, run reports and the error
-hierarchy."""
+"""Coverage for cost ledgers, run reports and the error hierarchy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    CostLedger,
-    EngineStats,
-    RunReport,
-    StepRecord,
-    apportion_records,
-)
+from repro.engine import CostLedger, RunReport, apportion_records
 from repro.errors import (
     ConfigError,
     EngineError,
@@ -50,34 +43,6 @@ class TestErrorHierarchy:
                 raise ValueError("not ours")
             except ReproError:  # pragma: no cover - must not trigger
                 pytest.fail("ReproError must not catch ValueError")
-
-
-class TestEngineStats:
-    def test_accumulation(self):
-        stats = EngineStats()
-        stats.record_step(active=10, bytes_sent=100, cpu_ops=5, sim_seconds=0.5)
-        stats.record_step(active=3, bytes_sent=50, cpu_ops=2, sim_seconds=0.25)
-        assert stats.num_supersteps == 2
-        assert stats.total_bytes() == 150
-        assert stats.total_cpu_ops() == 7
-        assert stats.total_seconds() == pytest.approx(0.75)
-        assert stats.seconds_per_step() == pytest.approx(0.375)
-
-    def test_step_indices(self):
-        stats = EngineStats()
-        for _ in range(3):
-            stats.record_step(0, 0, 0, 0.0)
-        assert [s.step for s in stats.steps] == [0, 1, 2]
-
-    def test_empty(self):
-        stats = EngineStats()
-        assert stats.total_bytes() == 0
-        assert stats.seconds_per_step() == 0.0
-
-    def test_records_are_frozen(self):
-        record = StepRecord(0, 1, 2, 3, 4.0)
-        with pytest.raises(Exception):
-            record.active = 99
 
 
 class TestRunReport:

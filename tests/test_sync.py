@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import MirrorSynchronizer, build_cluster
+from repro.engine import MirrorSynchronizer, build_cluster, sync_pair_records
 from repro.errors import EngineError
 
 
@@ -18,11 +18,25 @@ def _vertices_with_mirrors(state, count=200):
     return np.flatnonzero(has_mirror)[:count]
 
 
+def _bill_sync(state, sync, vertices):
+    """Draw the coins of ``vertices`` and bill their sync records the
+    way the superstep does: one record per synced mirror, counted per
+    (master, mirror) pair and sent on ``state``."""
+    fresh, synced = sync.draw_fresh(vertices)
+    state.send_pair_matrix(
+        sync_pair_records(
+            state.replication.masters[vertices], synced, state.num_machines
+        ),
+        kind="sync",
+    )
+    return fresh
+
+
 class TestCoins:
     def test_ps1_syncs_every_mirror(self, state):
         sync = MirrorSynchronizer(state, 1.0, np.random.default_rng(0))
         vertices = _vertices_with_mirrors(state)
-        fresh = sync.synchronize(vertices)
+        fresh, _ = sync.draw_fresh(vertices)
         repl = state.replication
         for row, v in enumerate(vertices):
             assert set(np.flatnonzero(fresh[row])) == set(repl.replicas_of(v))
@@ -30,7 +44,7 @@ class TestCoins:
     def test_ps0_syncs_only_master(self, state):
         sync = MirrorSynchronizer(state, 0.0, np.random.default_rng(0))
         vertices = _vertices_with_mirrors(state)
-        fresh = sync.synchronize(vertices)
+        fresh, _ = sync.draw_fresh(vertices)
         repl = state.replication
         for row, v in enumerate(vertices):
             assert list(np.flatnonzero(fresh[row])) == [repl.master_of(v)]
@@ -40,7 +54,7 @@ class TestCoins:
         sync = MirrorSynchronizer(state, ps, np.random.default_rng(0))
         repl = state.replication
         vertices = _vertices_with_mirrors(state, count=10_000)
-        fresh = sync.synchronize(vertices)
+        fresh, _ = sync.draw_fresh(vertices)
         masters = repl.masters[vertices]
         fresh_mirrors = fresh.sum() - vertices.size  # subtract masters
         total_mirrors = (repl.replica_counts[vertices] - 1).sum()
@@ -51,23 +65,22 @@ class TestCoins:
 
     def test_empty_vertex_list(self, state):
         sync = MirrorSynchronizer(state, 0.5, np.random.default_rng(0))
-        fresh = sync.synchronize(np.array([], dtype=np.int64))
-        assert fresh.shape == (0, state.num_machines)
+        fresh, synced = sync.draw_fresh(np.array([], dtype=np.int64))
+        assert fresh.shape == synced.shape == (0, state.num_machines)
 
 
 class TestAccounting:
     def test_ps1_record_count_matches_mirrors(self, state):
         sync = MirrorSynchronizer(state, 1.0, np.random.default_rng(0))
         vertices = _vertices_with_mirrors(state, count=500)
-        sync.synchronize(vertices)
+        _bill_sync(state, sync, vertices)
         repl = state.replication
         expected_records = int((repl.replica_counts[vertices] - 1).sum())
-        model = state.fabric.size_model
+        model = state.size_model
         # Every sync record costs record_bytes; headers per machine pair.
-        snapshot = state.fabric.snapshot()
-        sync_bytes = snapshot.bytes_for("sync")
+        sync_bytes = state.bytes_by_kind["sync"]
         header_bytes = (
-            snapshot.messages_by_kind["sync"] * model.message_header_bytes
+            state.messages_by_kind["sync"] * model.message_header_bytes
         )
         assert sync_bytes - header_bytes == expected_records * model.record_bytes()
 
@@ -76,30 +89,9 @@ class TestAccounting:
         for ps in (1.0, 0.3):
             state = build_cluster(small_twitter, num_machines=4, seed=0)
             sync = MirrorSynchronizer(state, ps, np.random.default_rng(1))
-            sync.synchronize(_vertices_with_mirrors(state, count=1000))
-            totals.append(state.fabric.total_bytes())
+            _bill_sync(state, sync, _vertices_with_mirrors(state, count=1000))
+            totals.append(state.bytes_by_kind["sync"])
         assert totals[1] < 0.6 * totals[0]
-
-    def test_force_sync_bills_mirrors_only(self, state):
-        sync = MirrorSynchronizer(state, 0.0, np.random.default_rng(0))
-        repl = state.replication
-        vertices = _vertices_with_mirrors(state, count=10)
-        mirrors = np.array(
-            [repl.mirrors_of(v)[0] for v in vertices], dtype=np.int64
-        )
-        sync.force_sync(vertices, mirrors)
-        assert state.fabric.total_bytes() > 0
-
-        # Forcing the master machine is free.
-        state2_masters = repl.masters[vertices].astype(np.int64)
-        before = state.fabric.total_bytes()
-        sync.force_sync(vertices, state2_masters)
-        assert state.fabric.total_bytes() == before
-
-    def test_force_sync_misalignment_rejected(self, state):
-        sync = MirrorSynchronizer(state, 0.5, np.random.default_rng(0))
-        with pytest.raises(EngineError):
-            sync.force_sync(np.array([1, 2]), np.array([0]))
 
 
 class TestValidation:
