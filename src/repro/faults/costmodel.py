@@ -51,9 +51,9 @@ class StragglerCostModel(CostModel):
     ) -> SuperstepCost:
         """:meth:`CostModel.superstep_time` of the slowed-down vectors.
 
-        Scaling each machine's bytes and ops by a positive factor keeps
-        which one is largest, so this is exactly the base formula with
-        the straggler's bytes and ops stretched.
+        Scaling a machine's sent and received bytes by the same positive
+        factor keeps the larger of the two, so this prices each machine
+        at exactly ``max(sent, received) * slowdown``.
         """
         factors = np.asarray(self.slowdowns, dtype=np.float64)
         sent = np.asarray(bytes_sent, dtype=np.float64)
