@@ -103,13 +103,6 @@ def test_checkpoint_bytes_are_pinned():
     assert pinned["bytes_by_kind"]["checkpoint"] > 0
 
 
-def test_one_machine_bills_no_wire():
-    pinned = json.loads(PINNED_PATH.read_text())
-    for name in ("graphlab-m1-it1", "graphlab-m1-exact", "frogwild-m1"):
-        assert pinned[name]["bytes_by_kind"] == {}
-        assert pinned[name]["report"]["network_bytes"] == 0
-
-
 if __name__ == "__main__":
     PINNED_PATH.write_text(
         json.dumps(
