@@ -20,8 +20,10 @@ B = 1 run *is* the paper's single run: :func:`run_frogwild` is one lane
 of this runner reported as the whole execution, bitwise equal to the
 standalone runner it replaced (pinned in ``tests/data``;
 ``tests/test_batched_frogwild.py``, ``tests/test_batch_kernel.py``).
-The superstep makes the draws; the deterministic passes between them
-are the numpy :class:`~repro.core.kernels.FusedPasses`.  Fault
+Each population's erasure process — its ``ps`` coins and repair picks —
+is its own, so the populations are independent, as Lemma 18 assumes of
+one query.  The superstep makes the draws; the deterministic passes
+between them are the numpy :class:`~repro.core.kernels.FusedPasses`.  Fault
 injection (:mod:`repro.faults`) rides the same superstep through two
 hooks, :meth:`BatchedFrogWildRunner._begin_superstep` and
 :meth:`BatchedFrogWildRunner._deliver`.
@@ -33,21 +35,6 @@ Per superstep the batch pays once for
 * the physical per-machine-pair messages — all populations' sync and
   frog records ride the same wire flush, so per-message headers are
   amortized across the batch.
-
-Two opt-in modes push the sharing onto the records themselves:
-
-* ``config.sync_mode == "shared"`` flips **one** coin stream for the
-  whole batch — each barrier emits exactly one sync record per
-  (vertex, mirror) regardless of B, at the price of cross-query
-  estimator correlation (the populations see the same erasure process);
-* ``config.wire_dedupe`` lets lanes targeting the same (hosting
-  machine, destination vertex) in one superstep share one physical
-  frog record (the record carries per-lane counts).
-
-Both keep cost attribution honest: physical records are split back to
-the lanes by exact largest-remainder apportionment
-(:func:`~repro.engine.apportion_records`), so per-lane attributed
-records always sum to the physical record count.
 
 Cost attribution stays per-population: every lane carries a
 :class:`~repro.engine.CostLedger` tallying the CPU ops, records and
@@ -68,22 +55,19 @@ from ..cluster import CostModel, EdgePartition, MessageSizeModel
 from ..engine import (
     ClusterState,
     CostLedger,
-    MirrorSynchronizer,
     RunReport,
-    apportion_records,
     build_cluster,
     count_marks_by_key,
-    sync_pair_records,
+    mirror_matrix,
+    sync_coins,
 )
 from ..errors import ConfigError, EngineError
-from ..graph import DiGraph, sorted_unique
+from ..graph import DiGraph
 from .config import FrogWildConfig
 from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
 from .frogwild import (
     FrogWildResult,
-    _births,
-    _check_start_distribution,
     _keep_scratch_on_the_heap,
     _kernel_tables,
 )
@@ -127,6 +111,46 @@ def _charge_stack(
                 lane.ledger.charge_ops(count)
 
 
+def _check_start_distribution(
+    law: np.ndarray | None, n: int
+) -> np.ndarray | None:
+    """``law`` as a float64 birth law over ``n`` vertices (None: uniform)."""
+    if law is None:
+        return None
+    law = np.asarray(law, np.float64)
+    if law.shape != (n,):
+        raise EngineError("start_distribution must have one entry per vertex")
+    if law.min() < 0 or not np.isclose(law.sum(), 1.0):
+        raise EngineError(
+            "start_distribution must be a probability distribution"
+        )
+    return law
+
+
+def _births(
+    rng: np.random.Generator,
+    n: int,
+    num_frogs: int,
+    law: np.ndarray | None,
+) -> np.ndarray:
+    """Birth vertices of ``num_frogs`` frogs under ``law`` (None: uniform).
+
+    Inverse-cdf sampling over the law's support only: the running sum
+    of the nonzero entries holds the same floats as the dense running
+    sum ``rng.choice(n, size, p=law)`` builds (adding 0.0 is exact), and
+    the uniforms are the same ``rng.random`` call, so births and rng
+    state equal ``rng.choice``'s.  The only O(n) work left is the one
+    ``flatnonzero`` scan; ``rng.choice`` re-validates, sums and divides
+    the dense vector on every call (0.5 ms at n = 32768 for 3 seeds).
+    """
+    if law is None:
+        return rng.integers(0, n, size=num_frogs)
+    support = np.flatnonzero(law)
+    cdf = np.cumsum(law[support])
+    cdf /= cdf[-1]
+    return support[cdf.searchsorted(rng.random(num_frogs), side="right")]
+
+
 @dataclass(frozen=True, eq=False)
 class BatchQuery:
     """One frog population riding a batched execution.
@@ -134,9 +158,7 @@ class BatchQuery:
     Every field defaults to the batch-wide :class:`FrogWildConfig`;
     ``start_distribution`` is the per-query teleport/birth law (None
     means uniform, i.e. global PageRank) and ``ps`` may thin this
-    population's mirror synchronization independently of its batchmates
-    (per-lane sync mode only; shared sync uses one coin stream, hence
-    one ``ps``, for the whole batch).
+    population's mirror synchronization independently of its batchmates.
     """
 
     num_frogs: int | None = None
@@ -211,10 +233,10 @@ class BatchedFrogWildRunner:
     The frog state is the concatenated ``(lane, vertex, count)``
     frontier of all populations, advanced by a single traversal of the
     partitioned graph per superstep.  All populations share
-    ``iterations``, ``p_teleport``, ``scatter_mode``, ``erasure_model``,
-    ``sync_mode`` and ``wire_dedupe`` from the batch config (the serving
-    layer's coalescer never mixes configs in one batch); frog budget,
-    birth law, seed and — in per-lane sync mode — ``ps`` are per-query.
+    ``iterations``, ``p_teleport``, ``scatter_mode`` and
+    ``erasure_model`` from the batch config (the serving layer's
+    coalescer never mixes configs in one batch); frog budget, birth law,
+    seed and ``ps`` are per-query.
 
     There is one superstep: it makes every random draw from the
     per-lane numpy streams and runs the deterministic passes between
@@ -235,15 +257,14 @@ class BatchedFrogWildRunner:
         _keep_scratch_on_the_heap()
         self.state = state
         self.config = config
-        self.shared_sync_mode = config.sync_mode == "shared"
-        self.wire_dedupe = config.wire_dedupe
         self.tables = _kernel_tables(state)
         self.erasure = make_erasure_model(config.erasure_model)
         size_model = state.size_model
         # One mirror bitmap read by every population's coin pass (and
         # across batches: it is the per-ingress cached bitmap).
-        mirror_matrix = MirrorSynchronizer.shared_mirror_matrix(state)
-        self._mirror_matrix = mirror_matrix
+        self._mirror_matrix = state.ingress_cache(
+            "mirror_matrix", lambda: mirror_matrix(state.replication)
+        )
         n = state.num_vertices
         self.lanes: list[_Lane] = []
         for index, query in enumerate(queries):
@@ -258,13 +279,6 @@ class BatchedFrogWildRunner:
             lane.ps = config.ps if query.ps is None else query.ps
             if not 0.0 <= lane.ps <= 1.0:
                 raise ConfigError(f"ps must lie in [0, 1], got {lane.ps}")
-            if self.shared_sync_mode and lane.ps != config.ps:
-                raise ConfigError(
-                    "shared sync flips one coin stream for the whole "
-                    "batch, so per-query ps overrides are not allowed "
-                    f"(query {index} wants ps={lane.ps:g}, batch uses "
-                    f"ps={config.ps:g})"
-                )
             lane.seed = config.seed if query.seed is None else query.seed
             lane.start_distribution = _check_start_distribution(
                 query.start_distribution, n
@@ -279,33 +293,11 @@ class BatchedFrogWildRunner:
                 message_header_bytes=size_model.message_header_bytes,
             )
             self.lanes.append(lane)
-        if self.shared_sync_mode:
-            # One coin stream for the whole batch, on its own seed
-            # stream (105) so it never collides with lane streams (104)
-            # or cluster-component streams.
-            self.shared_sync = MirrorSynchronizer(
-                state,
-                config.ps,
-                np.random.default_rng(
-                    config.seed if config.seed is None else [105, config.seed]
-                ),
-                mirror_matrix=mirror_matrix,
-                copy_on_disable=True,
-            )
-        else:
-            self.shared_sync = None
         # Row b tallies where population b's frogs stopped.
         self.counts = np.zeros((len(self.lanes), n), dtype=np.int64)
         self._lane_ps = np.array([lane.ps for lane in self.lanes])
-        # Physical records actually flushed, by kind — the quantities
-        # the shared-sync and dedupe guarantees are stated against —
-        # plus the *demand* totals: what the same coin outcomes would
-        # have billed under per-lane accounting (demand == physical in
-        # the default modes; the gap is exactly what sharing saved).
-        self.record_totals = {
-            "sync": 0, "repair": 0, "frog": 0,
-            "sync_demand": 0, "frog_demand": 0,
-        }
+        # Physical records actually flushed, by kind.
+        self.record_totals = {"sync": 0, "repair": 0, "frog": 0}
         # The dense group tables are per-ingress (shared across batches
         # like the int64 kernel tables) and built on first use; the pass
         # state is per-runner.
@@ -448,11 +440,6 @@ class BatchedFrogWildRunner:
         self.record_totals["sync"] += int(sync_records.sum())
         self.record_totals["repair"] += int(repair_records.sum())
         self.record_totals["frog"] += int(frog_records.sum())
-        # Demand starts at the physical count; the shared-sync and
-        # dedupe paths add their surplus (per-lane billing of the same
-        # coins/hops) on top, so demand - physical = records saved.
-        self.record_totals["sync_demand"] += int(sync_records.sum())
-        self.record_totals["frog_demand"] += int(frog_records.sum())
 
     # ------------------------------------------------------------------
     def _close_superstep(self, live: list[_Lane]) -> None:
@@ -481,69 +468,34 @@ class BatchedFrogWildRunner:
         lane_sv: np.ndarray,
         vert_sv: np.ndarray,
         sv_bounds: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The ps coin pass.
 
-        Draws every sync coin (per-lane or batch-shared) in exactly the
-        single run's stream order and returns the ``fresh``
-        mirror matrix of the concatenated frontier plus the physical
-        and per-lane sync record matrices.
+        The mirror bitmap is gathered once for the whole frontier and
+        each lane flips its coins over its contiguous slice
+        (:func:`~repro.engine.sync_coins`: the rng call shape of its run
+        alone, so streams replay exactly).  Returns the ``fresh``
+        replica matrix of the concatenated frontier (synced mirrors plus
+        the master) and the per-lane (master, mirror) sync record
+        matrices.
         """
-        state = self.state
-        masters = self.tables.masters
-        num_machines = state.num_machines
-        frontier = vert_sv.size
-        row_master = masters[vert_sv]
-        pair_key = lane_sv * num_machines + row_master
-
-        def lane_pair_counts(marks: np.ndarray) -> np.ndarray:
-            """Per-lane (master, mirror) counts of a (frontier rows x
-            machines) mark matrix, without listing the marks."""
-            return count_marks_by_key(
-                pair_key, marks, len(self.lanes) * num_machines
-            ).reshape(len(self.lanes), num_machines, num_machines)
-
-        if self.shared_sync is None:
-            # Inlined per-lane draw_fresh over the whole frontier: the
-            # mirror bitmap is gathered once, each lane's coins are
-            # drawn into its contiguous slice (same rng call shape as
-            # its standalone run, so streams replay exactly), and the
-            # fresh/synced matrices are assembled in one pass.
-            mirrors = self._mirror_matrix[vert_sv]
-            synced = np.zeros((frontier, num_machines), dtype=bool)
-            for lane in live:
-                sl = slice(sv_bounds[lane.index], sv_bounds[lane.index + 1])
-                rows = sl.stop - sl.start
-                if rows == 0:
-                    continue
-                if lane.ps >= 1.0:
-                    synced[sl] = mirrors[sl]
-                elif lane.ps > 0.0:
-                    coins = lane.rng.random((rows, num_machines)) < lane.ps
-                    synced[sl] = mirrors[sl] & coins
-            fresh = synced.copy()
-            fresh[np.arange(frontier, dtype=np.int64), row_master] = True
-            lane_sync = lane_pair_counts(synced)
-            sync_records = lane_sync.sum(axis=0)
-        else:
-            # One coin per (vertex, mirror) in the union frontier: the
-            # physical sync traffic is independent of the batch size.
-            union_verts = sorted_unique(vert_sv)
-            fresh_u, synced_u = self.shared_sync.draw_fresh(union_verts)
-            position = np.searchsorted(union_verts, vert_sv)
-            fresh = fresh_u[position]
-            sync_records = sync_pair_records(
-                masters[union_verts], synced_u, num_machines
-            )
-            # Attribution: what each lane would have billed had the
-            # shared coins been its own, apportioned so lane shares sum
-            # exactly to the physical record count.
-            demand = lane_pair_counts(synced_u[position])
-            lane_sync = apportion_records(sync_records, demand)
-            self.record_totals["sync_demand"] += int(
-                demand.sum() - sync_records.sum()
-            )
-        return fresh, sync_records, lane_sync
+        num_lanes = len(self.lanes)
+        num_machines = self.state.num_machines
+        row_master = self.tables.masters[vert_sv]
+        mirrors = self._mirror_matrix[vert_sv]
+        synced = np.zeros(mirrors.shape, dtype=bool)
+        for lane in live:
+            sl = slice(sv_bounds[lane.index], sv_bounds[lane.index + 1])
+            if sl.stop > sl.start:
+                synced[sl] = sync_coins(mirrors[sl], lane.ps, lane.rng)
+        fresh = synced.copy()
+        fresh[np.arange(vert_sv.size, dtype=np.int64), row_master] = True
+        lane_sync = count_marks_by_key(
+            lane_sv * num_machines + row_master,
+            synced,
+            num_lanes * num_machines,
+        ).reshape(num_lanes, num_machines, num_machines)
+        return fresh, lane_sync
 
     # ------------------------------------------------------------------
     def _draw_repair(
@@ -553,62 +505,29 @@ class BatchedFrogWildRunner:
         vert_sv: np.ndarray,
         bad: np.ndarray,
         g_count: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """At-Least-One-Out-Edge repair (Example 10) of the rows ``bad``.
 
-        Enables one uniform group per stranded frontier row and returns
-        the chosen *global* group index (``vertex_ptr[v] + pick``) per
-        row plus the physical and per-lane repair record matrices.  In
-        shared sync mode the coin belongs to the vertex (all lanes
-        stranded there share the repaired mirror and the one physical
-        record); per-lane mode draws from each lane's own rng exactly
-        like its standalone run.
+        Enables one uniform group per stranded frontier row, drawn from
+        the row's lane rng exactly like its run alone, and returns the
+        chosen *global* group index (``vertex_ptr[v] + pick``) per row
+        plus the per-lane repair record matrices.
         """
         tables = self.tables
-        masters = tables.masters
-        num_machines = self.state.num_machines
-        if self.shared_sync is None:
-            pick = np.empty(bad.size, dtype=np.int64)
-            bad_lanes = lane_sv[bad]
-            for lane in live:
-                lo, hi = np.searchsorted(
-                    bad_lanes, [lane.index, lane.index + 1]
-                )
-                if hi > lo:
-                    pick[lo:hi] = (
-                        lane.rng.random(hi - lo) * g_count[bad[lo:hi]]
-                    ).astype(np.int64)
-            chosen = tables.vertex_ptr[vert_sv[bad]] + pick
-            machines = tables.group_machine[chosen]
-            sources = masters[vert_sv[bad]].astype(np.int64)
-            remote = machines != sources
-            lane_repair = self._pair_matrices(
-                bad_lanes[remote], sources[remote], machines[remote]
-            )
-            return chosen, lane_repair.sum(axis=0), lane_repair
-        u_bad, u_inverse = np.unique(vert_sv[bad], return_inverse=True)
-        u_lo = tables.vertex_ptr[u_bad]
-        pick_u = (
-            self.shared_sync.rng.random(u_bad.size)
-            * (tables.vertex_ptr[u_bad + 1] - u_lo)
-        ).astype(np.int64)
-        machines_u = tables.group_machine[u_lo + pick_u]
-        sources_u = masters[u_bad].astype(np.int64)
-        remote_u = machines_u != sources_u
-        repair_records = np.bincount(
-            sources_u[remote_u] * num_machines + machines_u[remote_u],
-            minlength=num_machines * num_machines,
-        ).reshape(num_machines, num_machines)
-        remote = remote_u[u_inverse]
-        demand = self._pair_matrices(
-            lane_sv[bad][remote],
-            sources_u[u_inverse][remote],
-            machines_u[u_inverse][remote],
-        )
-        return (
-            (u_lo + pick_u)[u_inverse],
-            repair_records,
-            apportion_records(repair_records, demand),
+        pick = np.empty(bad.size, dtype=np.int64)
+        bad_lanes = lane_sv[bad]
+        for lane in live:
+            lo, hi = np.searchsorted(bad_lanes, [lane.index, lane.index + 1])
+            if hi > lo:
+                pick[lo:hi] = (
+                    lane.rng.random(hi - lo) * g_count[bad[lo:hi]]
+                ).astype(np.int64)
+        chosen = tables.vertex_ptr[vert_sv[bad]] + pick
+        machines = tables.group_machine[chosen]
+        sources = tables.masters[vert_sv[bad]].astype(np.int64)
+        remote = machines != sources
+        return chosen, self._pair_matrices(
+            bad_lanes[remote], sources[remote], machines[remote]
         )
 
     # ------------------------------------------------------------------
@@ -693,10 +612,8 @@ class BatchedFrogWildRunner:
             [[0], np.cumsum(np.bincount(lane_sv, minlength=num_lanes))]
         )
 
-        # -------- <sync>: ps coins, per-lane or batch-shared ----------
-        fresh, sync_records, lane_sync = self._draw_sync(
-            live, lane_sv, vert_sv, sv_bounds
-        )
+        # -------- <sync>: per-lane ps coins ----------------------------
+        fresh, lane_sync = self._draw_sync(live, lane_sv, vert_sv, sv_bounds)
         _charge_stack(live, lane_sync, with_ops=True)
 
         # -------- enabled groups of the concatenated frontier ----------
@@ -727,11 +644,12 @@ class BatchedFrogWildRunner:
                 k_sv = k_sv.copy()
                 k_sv[idle] = 0
             if bad.size:
-                chosen, repair_records, lane_repair = self._draw_repair(
+                chosen, lane_repair = self._draw_repair(
                     live, lane_sv, vert_sv, bad, g_count
                 )
                 passes.force_groups(bad, chosen)
                 _charge_stack(live, lane_repair, with_ops=True)
+                repair_records = lane_repair.sum(axis=0)
         edge_counts, machine_groups, lane_groups = passes.enabled_totals()
 
         # -------- scatter(): per-lane hop coins, one expansion ---------
@@ -792,25 +710,13 @@ class BatchedFrogWildRunner:
         # -------- frog records: combined per (lane, host, dest) --------
         frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
         if rec_dest.size:
-            demand, physical = passes.frog_records(
-                rec_lane, rec_host, rec_dest, dedupe=self.wire_dedupe
-            )
-            if self.wire_dedupe:
-                # Lanes aiming at the same (host, destination) share one
-                # physical wire record; the shares hand it back.
-                frog_records = physical
-                lane_frog = apportion_records(frog_records, demand)
-                self.record_totals["frog_demand"] += int(
-                    demand.sum() - frog_records.sum()
-                )
-            else:
-                lane_frog = demand
-                frog_records = demand.sum(axis=0)
+            lane_frog = passes.frog_records(rec_lane, rec_host, rec_dest)
+            frog_records = lane_frog.sum(axis=0)
             _charge_stack(live, lane_frog, with_ops=False)
 
         # -------- physical flush: whole batch, once per round ----------
         self._flush_round(
-            sync_records, repair_records, frog_records,
+            lane_sync.sum(axis=0), repair_records, frog_records,
             scatter_ops.astype(np.int64),
         )
         hop_keys, hop_weights = self._deliver(
@@ -863,17 +769,9 @@ class BatchedFrogWildRunner:
                 "attributed_network_bytes": float(attributed),
                 "ps": float(cfg.ps),
                 "replication_factor": state.replication.replication_factor(),
-                "shared_sync": float(self.shared_sync_mode),
-                "wire_dedupe": float(self.wire_dedupe),
                 "sync_records": float(self.record_totals["sync"]),
                 "repair_records": float(self.record_totals["repair"]),
                 "frog_records": float(self.record_totals["frog"]),
-                "sync_demand_records": float(
-                    self.record_totals["sync_demand"]
-                ),
-                "frog_demand_records": float(
-                    self.record_totals["frog_demand"]
-                ),
             },
         )
 

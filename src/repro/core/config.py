@@ -16,7 +16,6 @@ __all__ = ["FrogWildConfig", "RefreshPolicy"]
 
 _SCATTER_MODES = ("multinomial", "binomial")
 _ERASURE_MODELS = ("at-least-one", "independent")
-_SYNC_MODES = ("per-lane", "shared")
 
 
 @dataclass(frozen=True)
@@ -50,34 +49,6 @@ class FrogWildConfig:
         (Example 9) lets such frogs idle in place for the step.
     seed:
         Seed for all run randomness (placement, deaths, coins, hops).
-    sync_mode:
-        Batched-execution sync-coin sharing.  ``"per-lane"`` (default)
-        flips the paper's ``ps`` coins independently per frog
-        population, from the population's own walk stream — so every
-        lane of a batch replays its query's single run — and allows
-        per-query ``ps``.  ``"shared"``
-        flips **one** coin stream for the whole batch: each barrier
-        emits exactly one sync record per (vertex, mirror) regardless
-        of the batch size — the remaining sync traffic is ~1/B of
-        per-lane mode on overlapping frontiers — at the price of
-        cross-query estimator correlation (the erasure processes of
-        the populations are no longer independent; Lemma 18's variance
-        argument applies per query but errors now co-fluctuate).
-        Shared coins come from a dedicated batch-level stream, and a
-        single run uses the shared stream too (it is the B = 1 batch):
-        it samples different (equally valid) coins than per-lane mode
-        under the same seed, so a lane replays its single run in the
-        default mode only.
-    wire_dedupe:
-        When True, frog records of different populations addressed to
-        the same (hosting machine, destination vertex) in one superstep
-        travel as **one** physical wire record (the shared record
-        carries per-lane counts; the simulator bills one record).  The
-        physical record count is attributed back to the lanes
-        proportionally to the records each would have sent alone, using
-        exact largest-remainder apportionment, so per-lane attributed
-        records always sum to the physical count.  Only affects batched
-        execution; a single population already combines its own frogs.
 
     Notes
     -----
@@ -94,8 +65,6 @@ class FrogWildConfig:
     scatter_mode: str = "multinomial"
     erasure_model: str = "at-least-one"
     seed: int | None = 0
-    sync_mode: str = "per-lane"
-    wire_dedupe: bool = False
 
     def __post_init__(self) -> None:
         if self.num_frogs < 1:
@@ -117,11 +86,6 @@ class FrogWildConfig:
             raise ConfigError(
                 f"erasure_model must be one of {_ERASURE_MODELS}, "
                 f"got {self.erasure_model!r}"
-            )
-        if self.sync_mode not in _SYNC_MODES:
-            raise ConfigError(
-                f"sync_mode must be one of {_SYNC_MODES}, "
-                f"got {self.sync_mode!r}"
             )
 
     def with_updates(self, **changes) -> "FrogWildConfig":

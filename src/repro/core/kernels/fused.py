@@ -10,10 +10,11 @@ element-wise passes and row / column reductions of that block, and no
 per-group index list is built.  The block is 0.81 full on the
 benchmark's R-MAT scale-15 graph at 16 machines, 0.35-0.43 on
 ``twitter_like(50k)``; at 64 machines (fill 0.12) the ragged lists it
-replaced were cheaper (README, "Cost model").  The frog-record dedupe
-is one sort; the births and the next-frontier reduction are one sort,
-or one count when the key range is within a few times the keys
-(:func:`count_keys`).
+replaced were cheaper (README, "Cost model").  The multinomial edge
+pick (:func:`_pick_enabled_edges`) searches the running sum of that
+block's widths.  Combining frog records is one sort; the births and
+the next-frontier reduction are one sort, or one count when the key
+range is within a few times the keys (:func:`count_keys`).
 
 A single run is the batch of one lane, so nothing here may cost more
 at B = 1 than the runner it replaced: with one lane the lane arrays are
@@ -30,7 +31,6 @@ import numpy as np
 
 from ...engine import count_marks_by_key
 from ...graph import sorted_unique
-from ..frogwild import _pick_enabled_edges, _ranges_to_indices
 
 __all__ = ["FusedPasses", "count_keys"]
 
@@ -49,6 +49,66 @@ def count_keys(keys: np.ndarray, num_keys: int):
         distinct = np.flatnonzero(counts)
         return distinct, counts[distinct]
     return np.unique(keys, return_counts=True)
+
+
+def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(s, s + l)`` for every (s, l) pair, vectorized."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    return (
+        np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
+    )
+
+
+# Enabled out-edges per hopping frog above which the multinomial pick
+# searches the group table instead of listing the edges (the branches
+# cross between 5 and 9 on the reference host: listing wins by 2x at
+# E/F = 1.3, the search by 3-4x at E/F = 40-75).
+_EDGES_PER_FROG_SEARCH = 8
+
+
+def _pick_enabled_edges(
+    width: np.ndarray,
+    group_start: np.ndarray,
+    enabled_counts: np.ndarray,
+    row_of_frog: np.ndarray,
+    draw: np.ndarray,
+) -> np.ndarray:
+    """The out-edge each hopping frog takes: uniform over its row's
+    enabled edges, ``draw`` in [0, 1) choosing by position.
+
+    ``width`` / ``group_start`` describe machine groups of the scatter
+    rows flattened in (row, machine) order — enabled out-edges behind
+    each and its first edge id.  A disabled group reads width 0, as
+    does a machine without a group in the fused passes' (rows x
+    machines) block.
+    ``enabled_counts`` are the enabled out-edges per row and
+    ``row_of_frog`` (non-decreasing) the row each draw belongs to.
+    Frog f takes the ``floor(draw[f] * enabled_counts[row])``-th
+    enabled edge of its row, i.e. position ``pick`` of the concatenated
+    enabled edge list of all rows.
+
+    That list has one entry per enabled out-edge of the frontier, which
+    on a skewed graph is far more than the frogs that choose from it.
+    When it is, ``pick`` is resolved against the running sum of the
+    widths instead — O(frogs log groups), no per-edge array — and when
+    the frogs are as many as the edges, listing the edges once and
+    gathering is cheaper; the listing skips the zero-width cells, which
+    on a low-fill block are most of them.  Both branches return the
+    same array; the rule reads only the two sizes.
+    """
+    row_end = np.cumsum(enabled_counts)
+    pick = (row_end - enabled_counts)[row_of_frog] + (
+        draw * enabled_counts[row_of_frog]
+    ).astype(np.int64)
+    if row_end[-1] <= _EDGES_PER_FROG_SEARCH * draw.size:
+        cells = np.flatnonzero(width)
+        return _ranges_to_indices(group_start[cells], width[cells])[pick]
+    cum = np.cumsum(width)
+    g = np.searchsorted(cum, pick, side="right")
+    return group_start[g] + (pick - (cum[g] - width[g]))
 
 
 class FusedPasses:
@@ -179,9 +239,10 @@ class FusedPasses:
         )
 
     # -- frog records ---------------------------------------------------
-    def frog_records(self, frog_lane, host, dest, *, dedupe: bool):
-        """Combined (lane, host, dest) records as per-lane (host, dest
-        master) counts; ``frog_lane`` is None with one lane."""
+    def frog_records(self, frog_lane, host, dest):
+        """Combined (lane, host, dest) records as the per-lane (B x M x
+        M) matrix of (host, dest master) counts; ``frog_lane`` is None
+        with one lane."""
         masters = self.tables.masters
         B, M, n = self.num_lanes, self.num_machines, self.num_vertices
         if frog_lane is None:
@@ -194,18 +255,10 @@ class FusedPasses:
         host_u = pair_u // n
         dest_master = masters[pair_u % n].astype(np.int64)
         remote = host_u != dest_master
-        demand = np.bincount(
+        return np.bincount(
             ((lane_u * M + host_u) * M + dest_master)[remote],
             minlength=B * M * M,
         ).reshape(B, M, M)
-        if not dedupe:
-            return demand, None
-        phys_keys = sorted_unique(pair_u[remote])
-        phys = np.bincount(
-            phys_keys // n * M + masters[phys_keys % n].astype(np.int64),
-            minlength=M * M,
-        ).reshape(M, M)
-        return demand, phys
 
     # -- next frontier --------------------------------------------------
     def reduce_frontier(self, hop_keys, hop_weights, idle_keys, idle_weights):

@@ -62,6 +62,8 @@ def seed_distribution(
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != seeds.shape:
             raise ConfigError("weights must align with seeds")
+        if not np.isfinite(weights).all():
+            raise ConfigError("weights must be finite")
         if weights.min() < 0 or weights.sum() <= 0:
             raise ConfigError("weights must be non-negative with mass")
         distribution[seeds] = weights / weights.sum()

@@ -4,8 +4,8 @@ from .breakdown import PhaseBreakdown, traffic_breakdown
 from .bsp import BSPEngine
 from .program import ApplyResult, BulkVertexProgram
 from .state import ClusterState, build_cluster
-from .stats import CostLedger, RunReport, apportion_records
-from .sync import MirrorSynchronizer, count_marks_by_key, sync_pair_records
+from .stats import CostLedger, RunReport
+from .sync import count_marks_by_key, mirror_matrix, sync_coins
 
 __all__ = [
     "ApplyResult",
@@ -14,11 +14,10 @@ __all__ = [
     "ClusterState",
     "build_cluster",
     "CostLedger",
-    "apportion_records",
     "RunReport",
-    "MirrorSynchronizer",
     "count_marks_by_key",
-    "sync_pair_records",
+    "mirror_matrix",
+    "sync_coins",
     "PhaseBreakdown",
     "traffic_breakdown",
 ]

@@ -101,8 +101,8 @@ class ClusterState:
         the new epoch arrives.
 
         Callers must treat cached values as immutable (or copy-on-write
-        them, as :meth:`~repro.engine.MirrorSynchronizer.disable_machine`
-        does): they are shared across executions.
+        them, as a machine crash in :mod:`repro.faults` forks the mirror
+        bitmap): they are shared across executions.
         """
         cache = getattr(self.replication, "_ingress_cache", None)
         if cache is None:

@@ -15,66 +15,7 @@ import numpy as np
 
 from ..errors import EngineError
 
-__all__ = [
-    "RunReport",
-    "CostLedger",
-    "apportion_records",
-]
-
-
-def apportion_records(
-    physical: np.ndarray, demand: np.ndarray
-) -> np.ndarray:
-    """Split integer record counts across lanes proportionally to demand.
-
-    ``physical`` holds the records that actually crossed the wire (any
-    shape, typically a machine-pair matrix) and ``demand[b]`` what lane
-    ``b`` would have sent running alone (shape ``(B,) + physical.shape``).
-    Sharing is exact largest-remainder apportionment per cell: each
-    lane's share is ``floor(physical * demand_b / total_demand)`` plus
-    one bonus record for the largest fractional remainders (ties broken
-    toward lower lane index), so the returned integer shares satisfy
-
-    * ``shares.sum(axis=0) == physical`` exactly (fairness bookkeeping
-      never invents or drops a record), and
-    * ``shares[b] <= demand[b]`` whenever ``physical <= total_demand``
-      (no lane is billed more than it asked to send).
-
-    Cells with zero total demand must carry zero physical records.
-    """
-    physical = np.asarray(physical, dtype=np.int64)
-    demand = np.asarray(demand, dtype=np.int64)
-    if demand.shape[1:] != physical.shape:
-        raise EngineError(
-            "demand must stack one physical-shaped matrix per lane: "
-            f"{demand.shape} vs {physical.shape}"
-        )
-    num_lanes = demand.shape[0]
-    flat_physical = physical.reshape(-1)
-    flat_demand = demand.reshape(num_lanes, -1)
-    totals = flat_demand.sum(axis=0)
-    if np.any(flat_physical[totals == 0] != 0):
-        raise EngineError("physical records present where no lane demanded")
-    safe_totals = np.where(totals > 0, totals, 1)
-    scaled = flat_physical * flat_demand
-    shares = scaled // safe_totals
-    leftover = flat_physical - shares.sum(axis=0)
-    if leftover.any():
-        fractions = scaled % safe_totals
-        # Stable argsort on -fraction ranks lanes by fractional part,
-        # ties resolved toward the lower lane index.
-        order = np.argsort(-fractions, axis=0, kind="stable")
-        ranks = np.empty_like(order)
-        np.put_along_axis(
-            ranks,
-            order,
-            np.broadcast_to(
-                np.arange(num_lanes, dtype=np.int64)[:, None], order.shape
-            ),
-            axis=0,
-        )
-        shares += ranks < leftover
-    return shares.reshape(demand.shape)
+__all__ = ["RunReport", "CostLedger"]
 
 
 @dataclass

@@ -124,8 +124,6 @@ class FaultyFrogWildRunner(BatchedFrogWildRunner):
             self._mirror_matrix = self._mirror_matrix.copy()
             self._private_mirrors = True
         self._mirror_matrix[:, machine] = False
-        if self.shared_sync is not None:
-            self.shared_sync.disable_machine(machine)
 
     def _begin_superstep(self, step, frontier):
         crashes = self.schedule.crashes_at(step)

@@ -29,10 +29,7 @@ replace either layout between batches.  Both backends run the batched
 superstep with its numpy passes (:mod:`repro.core.kernels`).
 :class:`ShardedBackend` keeps a ``kernel=`` keyword for caller
 compatibility: its only value is ``"fused"``, and any other name is a
-:class:`~repro.errors.ConfigError` at construction.  The config's
-``sync_mode`` / ``wire_dedupe`` fields flow through ``run_batch``
-unchanged — a sharded deployment dedupes frog records within each
-shard's wire.
+:class:`~repro.errors.ConfigError` at construction.
 """
 
 from __future__ import annotations

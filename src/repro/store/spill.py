@@ -58,7 +58,7 @@ def spill_serving_tables(directory, graph, replications) -> Path:
     """
     from ..core.frogwild import _KernelTables
     from ..core.kernels.layout import DenseGroupTables
-    from ..engine import MirrorSynchronizer
+    from ..engine import mirror_matrix
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -83,11 +83,7 @@ def spill_serving_tables(directory, graph, replications) -> Path:
                     )
                 )
         names.append(
-            _save(
-                directory,
-                f"mm{shard}",
-                MirrorSynchronizer.mirror_matrix_for(replication),
-            )
+            _save(directory, f"mm{shard}", mirror_matrix(replication))
         )
     meta = {
         "num_vertices": int(graph.num_vertices),

@@ -41,12 +41,7 @@ from repro.core import (
 )
 from repro.core.frogwild import _kernel_tables, prime_ingress_caches
 from repro.core.kernels import DenseGroupTables
-from repro.engine import (
-    MirrorSynchronizer,
-    build_cluster,
-    count_marks_by_key,
-    sync_pair_records,
-)
+from repro.engine import build_cluster, count_marks_by_key
 from repro.errors import EngineError
 from repro.graph import erdos_renyi, twitter_like
 from repro.store import load_serving_tables, spill_serving_tables
@@ -94,12 +89,14 @@ class TestCountMarksByKey:
         assert counts.shape == (num_keys, marks.shape[1])
         assert np.array_equal(counts, _reference_counts(keys, marks, num_keys))
 
-    def test_sync_pair_records_is_the_master_keyed_count(self):
+    def test_sync_records_are_the_master_keyed_count(self):
+        """Keyed by master machine, the count is the (master, mirror)
+        sync record matrix a superstep sends."""
         rng = np.random.default_rng(4)
         masters = rng.integers(0, 8, size=200).astype(np.int32)
         synced = rng.random((200, 8)) < 0.4
         assert np.array_equal(
-            sync_pair_records(masters, synced, 8),
+            count_marks_by_key(masters, synced, 8),
             _reference_counts(masters, synced, 8),
         )
 
@@ -189,10 +186,8 @@ class TestDenseGroupTables:
             counting("dense_groups", DenseGroupTables),
         )
         monkeypatch.setattr(
-            MirrorSynchronizer, "mirror_matrix_for",
-            staticmethod(
-                counting("mirror_matrix", MirrorSynchronizer.mirror_matrix_for)
-            ),
+            batched, "mirror_matrix",
+            counting("mirror_matrix", batched.mirror_matrix),
         )
         for seed in range(3):
             run_frogwild(

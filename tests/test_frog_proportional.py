@@ -148,7 +148,7 @@ class TestPickEnabledEdges:
         rows = k.size
         if side == "search":
             # Widen every group until the edges outnumber the frogs.
-            grp_sizes = grp_sizes * (fw._EDGES_PER_FROG_SEARCH * k.sum() + 1)
+            grp_sizes = grp_sizes * (fk._EDGES_PER_FROG_SEARCH * k.sum() + 1)
         enabled_counts = np.bincount(
             grp_row, weights=enabled_grp * grp_sizes, minlength=rows
         ).astype(np.int64)
@@ -174,9 +174,9 @@ class TestPickEnabledEdges:
             # What the listing branch itself lists: nonzero cells only.
             starts, width = starts[width > 0], width[width > 0]
         with mock.patch.object(
-            fw, "_ranges_to_indices", wraps=fw._ranges_to_indices
+            fk, "_ranges_to_indices", wraps=fk._ranges_to_indices
         ) as expand:
-            chosen = fw._pick_enabled_edges(
+            chosen = fk._pick_enabled_edges(
                 width, starts, enabled_counts, row_of_frog, draws
             )
         assert chosen.dtype == np.int64
@@ -194,7 +194,7 @@ class TestPickEnabledEdges:
         enabled_counts = np.array([200, 400, 700])
         row_of_frog = np.array([0, 0, 0, 2, 2])
         draws = np.array([0.0, 0.5, 0.999, 0.0, 0.999])
-        chosen = fw._pick_enabled_edges(
+        chosen = fk._pick_enabled_edges(
             np.where(enabled, grp_sizes, 0), group_start[grp_idx],
             enabled_counts, row_of_frog, draws,
         )
@@ -230,20 +230,19 @@ ERASURES = ("at-least-one", "independent")
 def picks(monkeypatch):
     """Record (enabled edges, frogs) of every pick made by either runner."""
     seen = []
-    real = fw._pick_enabled_edges
+    real = fk._pick_enabled_edges
 
     def recording(width, group_start, enabled_counts, row_of_frog, draw):
         seen.append((int(enabled_counts.sum()), draw.size))
         return real(width, group_start, enabled_counts, row_of_frog, draw)
 
-    monkeypatch.setattr(fw, "_pick_enabled_edges", recording)
     monkeypatch.setattr(fk, "_pick_enabled_edges", recording)
     return seen
 
 
 def _all_searched(seen, at_least):
     assert len(seen) >= at_least
-    assert all(e > fw._EDGES_PER_FROG_SEARCH * f for e, f in seen), seen
+    assert all(e > fk._EDGES_PER_FROG_SEARCH * f for e, f in seen), seen
 
 
 def _batch(queries, **config_kwargs):
@@ -331,7 +330,7 @@ class TestBirths:
     @given(_laws(), st.sampled_from([1, 2, 17, 400]), st.integers(0, 2**32))
     def test_equals_rng_choice(self, law, num_frogs, seed):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        births = fw._births(ours, law.size, num_frogs, law)
+        births = bt._births(ours, law.size, num_frogs, law)
         expected = theirs.choice(law.size, size=num_frogs, p=law)
         assert births.dtype == expected.dtype
         assert np.array_equal(births, expected)
@@ -340,7 +339,7 @@ class TestBirths:
     def test_uniform_births_are_rng_integers(self):
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         assert np.array_equal(
-            fw._births(ours, 50, 200, None), theirs.integers(0, 50, size=200)
+            bt._births(ours, 50, 200, None), theirs.integers(0, 50, size=200)
         )
         assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -407,14 +406,13 @@ class TestOneLaneShortcuts:
     in a two-lane pass object takes the general formulation instead,
     and every output must agree (lane 1 empty)."""
 
-    @pytest.mark.parametrize("dedupe", [False, True])
     @pytest.mark.parametrize("ps", [0.0, 0.5, 1.0])
-    def test_equal_the_general_formulation(self, ps, dedupe):
+    def test_equal_the_general_formulation(self, ps):
         graph = rmat(scale=9, edge_factor=8, seed=2)
         n = graph.num_vertices
         tables = fw._kernel_tables(build_cluster(graph, MACHINES, seed=0))
         dense = DenseGroupTables(tables, MACHINES)
-        rng = np.random.default_rng(int(10 * ps) + dedupe)
+        rng = np.random.default_rng(int(10 * ps))
         verts = np.flatnonzero(rng.random(n) < 0.4)
         lanes = np.zeros_like(verts)
         fresh = rng.random((verts.size, MACHINES)) < ps
@@ -434,20 +432,15 @@ class TestOneLaneShortcuts:
             dest, host, frog_lane, hop_keys, ops = passes.expand_multinomial(
                 k_send, edges, draw
             )
-            demand, physical = passes.frog_records(
-                frog_lane, host, dest, dedupe=dedupe
-            )
+            records = passes.frog_records(frog_lane, host, dest)
             outputs.append(
                 (edges, by_machine, by_lane[:1], dest, host, hop_keys, ops,
-                 demand[0], physical)
+                 records[0])
             )
             if num_lanes == 2:
-                assert by_lane[1] == 0 and not demand[1].any()
+                assert by_lane[1] == 0 and not records[1].any()
         for one, general in zip(*outputs):
-            if one is None:
-                assert general is None
-            else:
-                assert np.array_equal(one, general)
+            assert np.array_equal(one, general)
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +494,7 @@ class TestFrogProportionalGate:
         # Per superstep: frogs, rows, _ranges_to_indices calls, largest
         # array bound by the scatter.
         steps = []
-        real_expand = fw._ranges_to_indices
+        real_expand = fk._ranges_to_indices
         real_scatter = bt.BatchedFrogWildRunner._scatter
 
         def expand(starts, lengths):
@@ -515,7 +508,6 @@ class TestFrogProportionalGate:
             )
             return out
 
-        monkeypatch.setattr(fw, "_ranges_to_indices", expand)
         monkeypatch.setattr(fk, "_ranges_to_indices", expand)
         monkeypatch.setattr(bt.BatchedFrogWildRunner, "_scatter", scatter)
         rng = np.random.default_rng(1)
@@ -540,7 +532,7 @@ class TestFrogProportionalGate:
         searched = [
             step
             for step, (edges, frogs) in zip(steps, picks)
-            if edges > fw._EDGES_PER_FROG_SEARCH * frogs
+            if edges > fk._EDGES_PER_FROG_SEARCH * frogs
         ]
         assert len(searched) >= 3
         assert all(expansions == 0 for _, _, expansions, _ in searched), steps

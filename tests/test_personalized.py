@@ -38,6 +38,21 @@ class TestSeedDistribution:
         with pytest.raises(ConfigError):
             seed_distribution(5, np.array([0]), np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        """A non-finite weight is refused where the law is made, never
+        turned into a NaN law that the runner rejects later."""
+        with pytest.raises(ConfigError, match="finite"):
+            seed_distribution(10, np.array([0, 1]), np.array([bad, 1.0]))
+        with pytest.raises(ConfigError, match="finite"):
+            run_personalized_frogwild(
+                cycle_graph(10),
+                np.array([0, 1]),
+                FrogWildConfig(num_frogs=50, iterations=2),
+                weights=np.array([bad, 1.0]),
+                num_machines=2,
+            )
+
 
 class TestExactPersonalized:
     def test_mass_concentrates_near_seeds(self):

@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.engine import CostLedger, RunReport, apportion_records
+from repro.engine import CostLedger, RunReport
 from repro.errors import (
     ConfigError,
     EngineError,
@@ -107,27 +105,3 @@ class TestCostLedger:
         ledger.charge_counts(records=10, messages=3)
         assert ledger.standalone_network_bytes() == 3 * 32 + 10 * 8
         assert self.ledger().standalone_network_bytes() == 0
-
-
-@given(
-    st.integers(1, 4).flatmap(
-        lambda lanes: st.lists(
-            st.lists(st.integers(0, 50), min_size=lanes, max_size=lanes),
-            min_size=1,
-            max_size=6,
-        )
-    ),
-    st.floats(0.0, 1.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_apportion_records_is_largest_remainder(cells, fill):
-    """Shares add up to the physical records, never exceed a lane's
-    demand, and sit within one record of the exact proportional quota."""
-    demand = np.array(cells, dtype=np.int64).T  # (lanes, cells)
-    totals = demand.sum(axis=0)
-    physical = np.floor(totals * fill).astype(np.int64)
-    shares = apportion_records(physical, demand)
-    np.testing.assert_array_equal(shares.sum(axis=0), physical)
-    assert (shares <= demand).all()
-    quota = physical * demand / np.where(totals > 0, totals, 1)
-    assert (np.abs(shares - quota) < 1).all()

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.engine import MirrorSynchronizer, build_cluster, sync_pair_records
-from repro.errors import EngineError
+from repro.engine import (
+    build_cluster,
+    count_marks_by_key,
+    mirror_matrix,
+    sync_coins,
+)
 
 
 @pytest.fixture
@@ -18,13 +22,24 @@ def _vertices_with_mirrors(state, count=200):
     return np.flatnonzero(has_mirror)[:count]
 
 
-def _bill_sync(state, sync, vertices):
+def _draw(state, vertices, ps, rng):
+    """The coin pass of ``vertices`` as the superstep makes it: the
+    synced mirrors, and the fresh replicas (synced mirrors plus the
+    master column) that may scatter."""
+    repl = state.replication
+    synced = sync_coins(mirror_matrix(repl)[vertices], ps, rng)
+    fresh = synced.copy()
+    fresh[np.arange(vertices.size), repl.masters[vertices]] = True
+    return fresh, synced
+
+
+def _bill_sync(state, vertices, ps, rng):
     """Draw the coins of ``vertices`` and bill their sync records the
     way the superstep does: one record per synced mirror, counted per
     (master, mirror) pair and sent on ``state``."""
-    fresh, synced = sync.draw_fresh(vertices)
+    fresh, synced = _draw(state, vertices, ps, rng)
     state.send_pair_matrix(
-        sync_pair_records(
+        count_marks_by_key(
             state.replication.masters[vertices], synced, state.num_machines
         ),
         kind="sync",
@@ -34,27 +49,24 @@ def _bill_sync(state, sync, vertices):
 
 class TestCoins:
     def test_ps1_syncs_every_mirror(self, state):
-        sync = MirrorSynchronizer(state, 1.0, np.random.default_rng(0))
         vertices = _vertices_with_mirrors(state)
-        fresh, _ = sync.draw_fresh(vertices)
+        fresh, _ = _draw(state, vertices, 1.0, np.random.default_rng(0))
         repl = state.replication
         for row, v in enumerate(vertices):
             assert set(np.flatnonzero(fresh[row])) == set(repl.replicas_of(v))
 
     def test_ps0_syncs_only_master(self, state):
-        sync = MirrorSynchronizer(state, 0.0, np.random.default_rng(0))
         vertices = _vertices_with_mirrors(state)
-        fresh, _ = sync.draw_fresh(vertices)
+        fresh, _ = _draw(state, vertices, 0.0, np.random.default_rng(0))
         repl = state.replication
         for row, v in enumerate(vertices):
             assert list(np.flatnonzero(fresh[row])) == [repl.master_of(v)]
 
     def test_fraction_close_to_ps(self, state):
         ps = 0.4
-        sync = MirrorSynchronizer(state, ps, np.random.default_rng(0))
         repl = state.replication
         vertices = _vertices_with_mirrors(state, count=10_000)
-        fresh, _ = sync.draw_fresh(vertices)
+        fresh, _ = _draw(state, vertices, ps, np.random.default_rng(0))
         masters = repl.masters[vertices]
         fresh_mirrors = fresh.sum() - vertices.size  # subtract masters
         total_mirrors = (repl.replica_counts[vertices] - 1).sum()
@@ -64,16 +76,16 @@ class TestCoins:
         assert np.all(fresh[np.arange(vertices.size), masters])
 
     def test_empty_vertex_list(self, state):
-        sync = MirrorSynchronizer(state, 0.5, np.random.default_rng(0))
-        fresh, synced = sync.draw_fresh(np.array([], dtype=np.int64))
+        fresh, synced = _draw(
+            state, np.array([], dtype=np.int64), 0.5, np.random.default_rng(0)
+        )
         assert fresh.shape == synced.shape == (0, state.num_machines)
 
 
 class TestAccounting:
     def test_ps1_record_count_matches_mirrors(self, state):
-        sync = MirrorSynchronizer(state, 1.0, np.random.default_rng(0))
         vertices = _vertices_with_mirrors(state, count=500)
-        _bill_sync(state, sync, vertices)
+        _bill_sync(state, vertices, 1.0, np.random.default_rng(0))
         repl = state.replication
         expected_records = int((repl.replica_counts[vertices] - 1).sum())
         model = state.size_model
@@ -88,15 +100,11 @@ class TestAccounting:
         totals = []
         for ps in (1.0, 0.3):
             state = build_cluster(small_twitter, num_machines=4, seed=0)
-            sync = MirrorSynchronizer(state, ps, np.random.default_rng(1))
-            _bill_sync(state, sync, _vertices_with_mirrors(state, count=1000))
+            _bill_sync(
+                state,
+                _vertices_with_mirrors(state, count=1000),
+                ps,
+                np.random.default_rng(1),
+            )
             totals.append(state.bytes_by_kind["sync"])
         assert totals[1] < 0.6 * totals[0]
-
-
-class TestValidation:
-    def test_ps_out_of_range(self, state):
-        with pytest.raises(EngineError, match="ps"):
-            MirrorSynchronizer(state, 1.5, np.random.default_rng(0))
-        with pytest.raises(EngineError, match="ps"):
-            MirrorSynchronizer(state, -0.1, np.random.default_rng(0))
