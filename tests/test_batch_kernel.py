@@ -201,6 +201,57 @@ class TestPerLaneSync:
             result.report.cpu_seconds, abs=1e-12
         )
 
+    @pytest.mark.parametrize("config_kwargs", [
+        dict(ps=1.0),
+        dict(ps=0.4),
+        dict(ps=0.6, scatter_mode="binomial"),
+    ])
+    def test_physical_records_are_the_sum_of_runs_alone(self, config_kwargs):
+        """No record is shared between lanes: every physical record count
+        of a batch is the sum of its lanes' counts in one-lane batches."""
+        queries = [BatchQuery(seed=seed) for seed in (2, 3, 4)]
+        batch = _run(queries, **config_kwargs).report.extra
+        alone = [_run([query], **config_kwargs).report.extra for query in queries]
+        for key in ("sync_records", "repair_records", "frog_records"):
+            assert batch[key] == sum(extra[key] for extra in alone)
+        assert batch["sync_records"] > 0
+
+    @pytest.mark.parametrize("ps", [0.0, 0.5, 1.0])
+    def test_every_lane_conserves_its_population(self, ps):
+        """Under multinomial scatter each lane's frogs all stop, whatever
+        the sync probability, and its estimate is a probability law."""
+        result = _run(_THREE_LANES, ps=ps)
+        for lane, frogs in zip(result.results, (1500, 700, 2200)):
+            assert lane.estimate.total_stopped == frogs
+            vector = lane.estimate.vector()
+            assert np.all(vector >= 0)
+            assert vector.sum() == pytest.approx(1.0)
+
+    def test_a_per_query_ps_override_is_that_lanes_own(self):
+        """A lane with ``ps = 0`` syncs no mirror, even beside a lane that
+        syncs every one."""
+        silent = _run([BatchQuery(seed=1, ps=0.0)] * 2, ps=1.0).report.extra
+        assert silent["sync_records"] == 0
+        mixed = _run(
+            [BatchQuery(seed=1, ps=0.0), BatchQuery(seed=2, ps=1.0)], ps=0.5
+        ).report.extra
+        loud = _run([BatchQuery(seed=2, ps=1.0)], ps=0.5).report.extra
+        assert mixed["sync_records"] == loud["sync_records"] > 0
+
+    @pytest.mark.parametrize("neighbour", [
+        BatchQuery(seed=9, ps=0.0),
+        BatchQuery(seed=9, ps=0.3, num_frogs=3000),
+    ])
+    def test_a_lane_ignores_its_neighbour(self, neighbour):
+        """Lane 0's coins, hops and bill do not depend on the lane beside it."""
+        first = BatchQuery(seed=8, ps=0.5)
+        alone = _run([first]).results[0]
+        beside = _run([first, neighbour]).results[0]
+        np.testing.assert_array_equal(
+            beside.estimate.counts, alone.estimate.counts
+        )
+        assert beside.ledger.network_records == alone.ledger.network_records
+
     def test_correlation_bound(self):
         """Two lanes of one batch are independent populations (cf.
         Lemma 18, which assumes one query's erasure process is its

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core import BatchQuery, FrogWildConfig, run_frogwild_batch
 from repro.engine import (
     build_cluster,
     count_marks_by_key,
     mirror_matrix,
     sync_coins,
 )
+from repro.errors import ConfigError
+from repro.graph import twitter_like
 
 
 @pytest.fixture
@@ -108,3 +111,97 @@ class TestAccounting:
             )
             totals.append(state.bytes_by_kind["sync"])
         assert totals[1] < 0.6 * totals[0]
+
+
+class TestSyncCoins:
+    """``sync_coins`` is the paper's coin rule over a block of the bitmap."""
+
+    @pytest.mark.parametrize("ps", [1.0, 1.5])
+    def test_full_ps_copies_the_mirrors_without_drawing(self, state, ps):
+        mirrors = mirror_matrix(state.replication)[_vertices_with_mirrors(state)]
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        synced = sync_coins(mirrors, ps, rng)
+        np.testing.assert_array_equal(synced, mirrors)
+        assert synced is not mirrors
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("ps", [0.0, -0.5])
+    def test_zero_ps_marks_nothing_without_drawing(self, state, ps):
+        mirrors = mirror_matrix(state.replication)[_vertices_with_mirrors(state)]
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        synced = sync_coins(mirrors, ps, rng)
+        assert synced.shape == mirrors.shape and not synced.any()
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("ps", [0.25, 0.75])
+    def test_partial_ps_is_one_random_call_of_the_block_shape(self, state, ps):
+        """The draw is exactly ``rng.random(mirrors.shape) < ps`` under the
+        mirrors, so a run that slices its frontier per lane replays the
+        stream of the run alone."""
+        mirrors = mirror_matrix(state.replication)[_vertices_with_mirrors(state)]
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        synced = sync_coins(mirrors, ps, rng)
+        np.testing.assert_array_equal(
+            synced, mirrors & (replay.random(mirrors.shape) < ps)
+        )
+        assert rng.random() == replay.random()
+
+    def test_coins_never_mark_a_non_mirror(self, state):
+        mirrors = mirror_matrix(state.replication)[_vertices_with_mirrors(state)]
+        synced = sync_coins(mirrors, 0.5, np.random.default_rng(2))
+        assert not (synced & ~mirrors).any()
+        assert 0 < synced.sum() < mirrors.sum()
+
+    def test_empty_block(self, state):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        synced = sync_coins(
+            np.zeros((0, state.num_machines), dtype=bool), 0.5, rng
+        )
+        assert synced.shape == (0, state.num_machines)
+        assert rng.bit_generator.state == before
+
+
+class TestMirrorMatrix:
+    def test_masters_are_never_mirrors(self, state):
+        repl = state.replication
+        matrix = mirror_matrix(repl)
+        assert not matrix[np.arange(repl.masters.size), repl.masters].any()
+
+    def test_mirrors_plus_masters_are_the_replicas(self, state):
+        repl = state.replication
+        matrix = mirror_matrix(repl)
+        matrix[np.arange(repl.masters.size), repl.masters] = True
+        np.testing.assert_array_equal(matrix, repl.replica_matrix)
+
+    def test_row_counts_are_replica_counts_less_the_master(self, state):
+        repl = state.replication
+        np.testing.assert_array_equal(
+            mirror_matrix(repl).sum(axis=1), repl.replica_counts - 1
+        )
+
+    def test_writing_it_leaves_the_replication_intact(self, state):
+        repl = state.replication
+        replicas = repl.replica_matrix.copy()
+        matrix = mirror_matrix(repl)
+        matrix[:] = False
+        np.testing.assert_array_equal(repl.replica_matrix, replicas)
+        assert mirror_matrix(repl).any()
+
+
+class TestValidation:
+    def test_ps_out_of_range(self):
+        """With the synchronizer gone, ``ps`` is checked where it enters a
+        run: the config and each batch lane's override."""
+        graph = twitter_like(n=200, seed=1)
+        for ps in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigError, match="ps"):
+                FrogWildConfig(ps=ps)
+            with pytest.raises(ConfigError, match="ps"):
+                run_frogwild_batch(
+                    graph,
+                    [BatchQuery(ps=ps)],
+                    FrogWildConfig(num_frogs=50, iterations=2, seed=0),
+                )
