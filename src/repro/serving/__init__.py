@@ -27,9 +27,9 @@ rests on two facts from the paper:
 Module map: :mod:`~repro.serving.cache` (TTL/LRU store),
 :mod:`~repro.serving.batching` (query normalization and the
 config-pure, deadline-aware coalescer), :mod:`~repro.serving.backend`
-(the :class:`ExecutionBackend` seam: :class:`LocalBackend` single
-cluster, :class:`ShardedBackend` shard fan-out with exact cost
-partitioning), :mod:`~repro.serving.process_backend`
+(the :class:`ExecutionBackend` seam: :class:`ShardedBackend` shard
+fan-out with exact cost partitioning, whose one-shard case is the
+single-cluster :class:`LocalBackend`), :mod:`~repro.serving.process_backend`
 (:class:`ProcessPoolBackend`: the same shard fan-out on one OS process
 per shard over shared-memory graph state, for real multi-core
 scale-out), :mod:`~repro.serving.supervisor`

@@ -3,33 +3,29 @@
 The serving layer is split at an :class:`ExecutionBackend` seam: the
 :class:`~repro.serving.RankingService` owns caching, coalescing and
 scheduling, while a backend owns *cluster layout* — how a config-pure
-batch of queries turns into traversals of the partitioned graph.  Two
-backends ship:
+batch of queries turns into traversals of the partitioned graph.
 
-* :class:`LocalBackend` — the original single-cluster path: one
-  :class:`~repro.core.batched.BatchedFrogWildRunner` traversal over one
-  partitioned ingress (paid once, reused by every batch).
-* :class:`ShardedBackend` — a scale-out tier: the machine fleet is
-  split into ``num_shards`` sub-clusters, each holding its own
-  partitioned ingress of the graph (per-shard masters and replication
-  tables, built once).  Because frogs are independent walkers, the
-  shardable unit is the *population*: each query's frog budget is split
-  across shards, every shard advances its slice of every population
-  through its own batched traversal, and the per-shard surviving-frog
-  counters merge by exact summation before top-k
-  (:func:`~repro.core.batched.merge_shard_results`).  Per-query cost
-  attribution merges the same way — shard ledgers add, so the billed
-  bytes partition exactly across shards.
+One class runs every layout, :class:`ShardedBackend`: the fleet is
+split into ``num_shards`` sub-clusters, each holding its own
+partitioned ingress of the graph (built once).  Because frogs are
+independent walkers, the shardable unit is the *population*: each
+query's frog budget is split across shards, every shard runs its slice
+of every population in one batched traversal (:func:`_run_slice`), and
+the per-shard counters and cost ledgers merge by exact summation
+(:func:`~repro.core.batched.merge_shard_results`), so the billed bytes
+partition exactly across shards.  A single cluster is the one-shard
+case — the whole fleet under the base seed (:func:`_shard_seed`) — so
+:class:`LocalBackend` is ``ShardedBackend(num_shards=1)`` bit for bit,
+and :class:`~repro.serving.ProcessPoolBackend` runs the same slice in
+one OS process per shard.
 
-Both expose the same contract, so the service, the scheduler, the CLI
-and the benchmarks are layout-agnostic.  The seam is also where the
-live layer plugs in: :class:`repro.live.EpochManager` is an
-atomically swappable backend *proxy* that lets a refreshed graph
-replace either layout between batches.  Both backends run the batched
-superstep with its numpy passes (:mod:`repro.core.kernels`).
-:class:`ShardedBackend` keeps a ``kernel=`` keyword for caller
-compatibility: its only value is ``"fused"``, and any other name is a
-:class:`~repro.errors.ConfigError` at construction.
+Every backend has the same contract, so the service, the scheduler,
+the CLI and the benchmarks are layout-agnostic; the live layer's
+:class:`repro.live.EpochManager` is an atomically swappable backend
+*proxy* that replaces the layout between batches.  Every backend runs
+the numpy passes of :mod:`repro.core.kernels`; ``kernel=`` stays for
+caller compatibility, its only value is ``"fused"``, and any other
+name is a :class:`~repro.errors.ConfigError` at construction.
 """
 
 from __future__ import annotations
@@ -109,9 +105,13 @@ def choose_num_shards(
     return max(1, bound)
 
 
-def _shard_seed(base: int | None, shard: int) -> int | None:
-    """Deterministic distinct stream per shard (None stays None)."""
-    return None if base is None else base + 7919 * (shard + 1)
+def _shard_seed(base: int | None, shard: int, num_shards: int) -> int | None:
+    """Seed of one shard's partition and frog streams: a one-shard
+    layout is the whole cluster and keeps ``base``; a fan-out gives each
+    shard its own stream (independent samples).  None stays None."""
+    if base is None or num_shards == 1:
+        return base
+    return base + 7919 * (shard + 1)
 
 
 def _split_fleet(fleet: int, num_shards: int) -> int:
@@ -160,8 +160,8 @@ class BatchOutcome:
     what actually crossed the wire (summed over shards when sharded);
     ``simulated_time_s`` is the batch's wall time on the simulated
     cluster (the slowest shard when sharded, since shards run
-    concurrently); ``shards`` carries the per-shard cost breakdown and
-    is empty for single-cluster execution.
+    concurrently); ``shards`` carries the per-shard cost breakdown (empty
+    for a one-shard layout, whose one row would repeat the totals).
 
     ``degraded_shards`` names the shards whose frog slice was *lost*
     to a worker crash under a fail-soft backend's ``"partial"`` policy
@@ -284,9 +284,39 @@ def _checked_tables(
     return tables
 
 
+def _run_slice(
+    graph: DiGraph, state, config: FrogWildConfig, laws, share: int, seed
+):
+    """One shard's slice of a batch, for the in-process fan-out and the
+    pool worker alike: ``share`` frogs per query, born from its law
+    under the shard's seed, in one batched traversal over ``state``."""
+    return run_frogwild_batch(
+        graph,
+        [
+            BatchQuery(num_frogs=share, start_distribution=law, seed=seed)
+            for law in laws
+        ],
+        config,
+        state=state,
+    )
+
+
+def _shard_cost(shard: int, machines: int, result) -> ShardCost:
+    """What one shard's slice (a :func:`_run_slice` result) spent."""
+    return ShardCost(
+        shard=shard,
+        num_machines=machines,
+        shared_network_bytes=result.report.network_bytes,
+        attributed_network_bytes=result.attributed_network_bytes(),
+        cpu_seconds=sum(lane.report.cpu_seconds for lane in result.results),
+        simulated_time_s=result.report.total_time_s,
+    )
+
+
 def _merged_outcome(
     per_query_lanes: Sequence[Sequence],
     shard_costs: Sequence[ShardCost],
+    num_shards: int,
     degraded_shards: tuple[int, ...] = (),
     lost_frogs: int = 0,
 ) -> BatchOutcome:
@@ -295,7 +325,7 @@ def _merged_outcome(
     Counters and ledgers merge exactly
     (:func:`~repro.core.batched.merge_shard_results`); wire bytes add
     and wall time is the slowest shard's, since shards run
-    concurrently.
+    concurrently; a one-shard layout drops its row after the totals.
     """
     merged = [merge_shard_results(lanes) for lanes in per_query_lanes]
     return BatchOutcome(
@@ -309,99 +339,10 @@ def _merged_outcome(
         simulated_time_s=max(
             (cost.simulated_time_s for cost in shard_costs), default=0.0
         ),
-        shards=tuple(shard_costs),
+        shards=tuple(shard_costs) if num_shards > 1 else (),
         degraded_shards=degraded_shards,
         lost_frogs=lost_frogs,
     )
-
-
-class LocalBackend:
-    """Single-cluster execution: one batched traversal per batch.
-
-    This is exactly the execution path :class:`RankingService` inlined
-    before the backend seam existed: the ingress (partition + derived
-    replication tables) is paid once here and shared by every batch,
-    while each batch gets a fresh accounting state so per-batch
-    traffic/CPU/time numbers stay clean.
-    """
-
-    num_shards = 1
-
-    def __init__(
-        self,
-        graph: DiGraph | None = None,
-        num_machines: int = 16,
-        partitioner: str = "random",
-        cost_model: CostModel | None = None,
-        size_model: MessageSizeModel | None = None,
-        seed: int | None = 0,
-        replication: ReplicationTable | None = None,
-        store=None,
-    ) -> None:
-        self.num_machines = num_machines
-        self.cost_model = cost_model
-        self.size_model = size_model
-        self.seed = seed
-        self.store = _checked_store(store)
-        if graph is None and self.store is None:
-            raise ConfigError("LocalBackend needs a graph or a store")
-
-        def build() -> tuple[DiGraph, list[ReplicationTable]]:
-            snapshot = (
-                graph if graph is not None else _store_snapshot(self.store)
-            )
-            if snapshot.num_vertices == 0:
-                raise ConfigError("cannot serve an empty graph")
-            table = replication
-            if table is None:
-                partition = make_partitioner(partitioner, seed).partition(
-                    snapshot, num_machines
-                )
-                table = ReplicationTable(snapshot, partition, seed=seed)
-            return snapshot, [table]
-
-        if self.store is not None and getattr(
-            self.store, "out_of_core", False
-        ):
-            # Out-of-core serving: build the tables once (or reuse the
-            # spill a previous backend with this layout left), then
-            # serve from the mapped views only.
-            tag = f"local-m{num_machines}-p{partitioner}-s{seed}"
-            self.graph, (self.replication,) = _out_of_core_tables(
-                self.store, tag, build, fresh=replication is not None
-            )
-        else:
-            self.graph, (self.replication,) = build()
-
-    def fresh_state(self):
-        """A fresh accounting state over the shared ingress."""
-        return build_cluster(
-            self.graph,
-            self.num_machines,
-            cost_model=self.cost_model,
-            size_model=self.size_model,
-            seed=self.seed,
-            replication=self.replication,
-        )
-
-    def run_batch(
-        self, config: FrogWildConfig, queries: Sequence[RankingQuery]
-    ) -> BatchOutcome:
-        distributions = _batch_queries(self.graph, queries)
-        result = run_frogwild_batch(
-            self.graph,
-            [BatchQuery(start_distribution=d) for d in distributions],
-            config,
-            state=self.fresh_state(),
-        )
-        return BatchOutcome(
-            lanes=tuple(
-                QueryOutcome(lane.estimate.ranked(), lane.report)
-                for lane in result.results
-            ),
-            shared_network_bytes=result.report.network_bytes,
-            simulated_time_s=result.report.total_time_s,
-        )
 
 
 class ShardedBackend:
@@ -411,12 +352,12 @@ class ShardedBackend:
     of ``machines_per_shard = num_machines // num_shards`` machines
     (remainder machines stay idle); each shard partitions the graph
     across its own machines at construction (its own per-partition
-    masters and replication tables, seeded distinctly so shard layouts
-    are independent).  ``run_batch`` splits every query's frog budget
-    across the shards — remainder frogs go to the lowest-numbered
-    shards, and shards whose share is zero sit the batch out — derives a
-    distinct per-shard rng seed so shard populations are independent
-    samples, runs one batched traversal per shard, and merges:
+    masters and replication tables, seeded by :func:`_shard_seed` so
+    shard layouts are independent).  ``run_batch`` splits every query's
+    frog budget across the shards — remainder frogs go to the
+    lowest-numbered shards, and shards whose share is zero sit the
+    batch out — runs each shard's slice under its :func:`_shard_seed`
+    (:func:`_run_slice`), and merges:
 
     * per-query counters by summation (exact — frogs are independent,
       see :meth:`~repro.core.PageRankEstimate.merge`);
@@ -436,9 +377,6 @@ class ShardedBackend:
     within-shard vertex-cut machinery already simulates.  The price is
     ingress memory proportional to ``num_shards``; the payoff is
     fleet-level parallelism with exactly mergeable counters/ledgers.
-
-    ``kernel`` stays for caller compatibility and has a single value,
-    ``"fused"``; it is only validated.
     """
 
     def __init__(
@@ -458,7 +396,9 @@ class ShardedBackend:
         resolve_kernel(kernel)
         self.store = _checked_store(store)
         if graph is None and self.store is None:
-            raise ConfigError("ShardedBackend needs a graph or a store")
+            raise ConfigError(
+                f"{type(self).__name__} needs a graph or a store"
+            )
         if num_shards < 1:
             raise ConfigError("num_shards must be positive")
         machines_per_shard = _split_fleet(num_machines, num_shards)
@@ -482,12 +422,12 @@ class ShardedBackend:
                     replications, num_shards, machines_per_shard, snapshot
                 )
             # Ingress paid once per shard: each sub-cluster partitions
-            # the graph across its own machines under a distinct seed.
+            # the graph across its own machines under its shard seed.
             return snapshot, [
                 ReplicationTable(
                     snapshot,
                     make_partitioner(
-                        partitioner, _shard_seed(seed, shard)
+                        partitioner, _shard_seed(seed, shard, num_shards)
                     ).partition(snapshot, machines_per_shard),
                     seed=seed,
                 )
@@ -497,6 +437,9 @@ class ShardedBackend:
         if self.store is not None and getattr(
             self.store, "out_of_core", False
         ):
+            # Out-of-core serving: build the tables once (or reuse the
+            # spill a previous backend with this layout left), then
+            # serve from the mapped views only.
             tag = (
                 f"sharded-n{num_shards}-m{machines_per_shard}"
                 f"-p{partitioner}-s{seed}"
@@ -507,6 +450,11 @@ class ShardedBackend:
         else:
             self.graph, self.replications = build()
 
+    @property
+    def replication(self) -> ReplicationTable | None:
+        """The ingress of a one-shard layout (None past one shard)."""
+        return self.replications[0] if self.num_shards == 1 else None
+
     def _shares(self, num_frogs: int) -> list[int]:
         """Split a frog budget across shards; remainder to low shards."""
         base, extra = divmod(num_frogs, self.num_shards)
@@ -515,7 +463,7 @@ class ShardedBackend:
             for shard in range(self.num_shards)
         ]
 
-    def fresh_state(self, shard: int):
+    def fresh_state(self, shard: int = 0):
         """A fresh accounting state over one shard's shared ingress."""
         return build_cluster(
             self.graph,
@@ -529,59 +477,71 @@ class ShardedBackend:
     def run_batch(
         self, config: FrogWildConfig, queries: Sequence[RankingQuery]
     ) -> BatchOutcome:
-        distributions = _batch_queries(self.graph, queries)
-        shares = self._shares(config.num_frogs)
+        laws = _batch_queries(self.graph, queries)
         per_query_lanes: list[list] = [[] for _ in queries]
         shard_costs: list[ShardCost] = []
-        for shard, share in enumerate(shares):
+        for shard, share in enumerate(self._shares(config.num_frogs)):
             if share == 0:
                 continue
-            result = run_frogwild_batch(
+            result = _run_slice(
                 self.graph,
-                [
-                    BatchQuery(
-                        num_frogs=share,
-                        start_distribution=distribution,
-                        seed=_shard_seed(config.seed, shard),
-                    )
-                    for distribution in distributions
-                ],
+                self.fresh_state(shard),
                 config,
-                state=self.fresh_state(shard),
+                laws,
+                share,
+                _shard_seed(config.seed, shard, self.num_shards),
             )
             for lanes, shard_lane in zip(per_query_lanes, result.results):
                 lanes.append(shard_lane)
             shard_costs.append(
-                ShardCost(
-                    shard=shard,
-                    num_machines=self.machines_per_shard,
-                    shared_network_bytes=result.report.network_bytes,
-                    attributed_network_bytes=(
-                        result.attributed_network_bytes()
-                    ),
-                    cpu_seconds=sum(
-                        lane.report.cpu_seconds for lane in result.results
-                    ),
-                    simulated_time_s=result.report.total_time_s,
-                )
+                _shard_cost(shard, self.machines_per_shard, result)
             )
-        return _merged_outcome(per_query_lanes, shard_costs)
+        return _merged_outcome(per_query_lanes, shard_costs, self.num_shards)
+
+
+class LocalBackend(ShardedBackend):
+    """Single-cluster execution: the one-shard :class:`ShardedBackend`.
+
+    One shard is the whole ``num_machines`` fleet under the base seed,
+    so this is ``ShardedBackend(num_shards=1)`` bit for bit; it only
+    spells the prebuilt ingress as one ``replication=`` table.
+    """
+
+    def __init__(
+        self,
+        graph: DiGraph | None = None,
+        num_machines: int = 16,
+        partitioner: str = "random",
+        cost_model: CostModel | None = None,
+        size_model: MessageSizeModel | None = None,
+        seed: int | None = 0,
+        replication: ReplicationTable | None = None,
+        store=None,
+    ) -> None:
+        super().__init__(
+            graph,
+            num_shards=1,
+            num_machines=num_machines,
+            partitioner=partitioner,
+            cost_model=cost_model,
+            size_model=size_model,
+            seed=seed,
+            replications=None if replication is None else [replication],
+            store=store,
+        )
 
 
 def shard_layout(settings: "ServiceConfig") -> tuple[int, list[int | None]]:
     """Machines per shard and each shard's partition seed.
 
     For callers that build the per-shard tables themselves
-    (:class:`repro.live.LiveRankingService`): one shard partitions the
-    whole fleet under the base seed, as :class:`LocalBackend` does; a
-    fan-out gives each shard ``num_machines // num_shards`` machines
-    and its own seed, as :class:`ShardedBackend` does.
+    (:class:`repro.live.LiveRankingService`): each shard gets
+    ``num_machines // num_shards`` machines and its
+    :func:`_shard_seed`, as :class:`ShardedBackend` partitions them.
     """
     shards = settings.shard_count
-    if shards == 1:
-        return settings.num_machines, [settings.seed]
     return _split_fleet(settings.num_machines, shards), [
-        _shard_seed(settings.seed, shard) for shard in range(shards)
+        _shard_seed(settings.seed, shard, shards) for shard in range(shards)
     ]
 
 

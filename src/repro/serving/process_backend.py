@@ -3,12 +3,12 @@
 :class:`ProcessPoolBackend` gives the :class:`ShardedBackend` fan-out a
 real execution substrate: every shard runs in its own OS process (its
 own interpreter, its own GIL), so "16 machines" can finally use 16
-cores.  The layout, seeding and merge semantics are *inherited* from
-:class:`ShardedBackend` — the parent builds the identical per-shard
-ingress, splits frog budgets with the identical :meth:`_shares`, and
-derives the identical per-shard seeds — so the merged counters are
-bit-for-bit what the in-process sharded backend produces; only *where*
-the traversals execute changes.
+cores.  The parent builds the same per-shard ingress, budget split and
+seeds, and each worker runs and bills its slice with the in-process
+fan-out's own :func:`~repro.serving.backend._run_slice` and
+:func:`~repro.serving.backend._shard_cost`, so answers and bills are
+bit for bit the in-process backend's; only *where* the traversals
+execute changes.
 
 Three mechanisms make that cheap and honest:
 
@@ -24,7 +24,8 @@ Three mechanisms make that cheap and honest:
   by the same :class:`~repro.cluster.MessageSizeModel` the simulator
   uses, and whose measured byte tallies must reconcile with that model
   (:meth:`transport_summary`).  Small control metadata (configs,
-  reports, ledgers) travels on a separate pickled control pipe.
+  queries, reports, ledgers, shard costs) travels on a separate
+  pickled control pipe.
 * **Epoch-tagged remapping** — a live refresh
   (:class:`~repro.live.BackgroundRefresher` publishes) calls
   :meth:`refresh` with the new snapshot's tables: fresh arenas are
@@ -121,13 +122,7 @@ from ..cluster import (
     SharedArena,
     TransportTally,
 )
-from ..core import (
-    BatchQuery,
-    FrogWildConfig,
-    PageRankEstimate,
-    run_frogwild_batch,
-    seed_distribution,
-)
+from ..core import FrogWildConfig, PageRankEstimate
 
 # The merge runs in .backend (``_merged_outcome``); bench/ still wraps
 # this module's name for its trace, so it stays bound here.
@@ -141,8 +136,11 @@ from .backend import (
     BatchOutcome,
     ShardCost,
     ShardedBackend,
+    _batch_queries,
     _checked_tables,
     _merged_outcome,
+    _run_slice,
+    _shard_cost,
     _shard_seed,
 )
 from .batching import RankingQuery
@@ -197,16 +195,6 @@ def _worker_main(
             elif op == "run":
                 _, task, epoch, config, share, shard_seed, queries = message
                 graph, table, _ = epochs[epoch]
-                distributions = [
-                    seed_distribution(
-                        graph.num_vertices,
-                        np.asarray(seeds, dtype=np.int64),
-                        None
-                        if weights is None
-                        else np.asarray(weights, dtype=np.float64),
-                    )
-                    for seeds, weights in queries
-                ]
                 state = build_cluster(
                     graph,
                     machines_per_shard,
@@ -215,18 +203,9 @@ def _worker_main(
                     seed=seed,
                     replication=table,
                 )
-                result = run_frogwild_batch(
-                    graph,
-                    [
-                        BatchQuery(
-                            num_frogs=share,
-                            start_distribution=distribution,
-                            seed=shard_seed,
-                        )
-                        for distribution in distributions
-                    ],
-                    config,
-                    state=state,
+                laws = _batch_queries(graph, queries)
+                result = _run_slice(
+                    graph, state, config, laws, share, shard_seed
                 )
                 if reply_delay_s > 0.0:
                     # Injected chaos: the slice is computed but nothing
@@ -251,17 +230,9 @@ def _worker_main(
                         task,
                         {
                             "lanes": lanes,
-                            "shared_network_bytes": (
-                                result.report.network_bytes
+                            "cost": _shard_cost(
+                                shard, machines_per_shard, result
                             ),
-                            "attributed_network_bytes": (
-                                result.attributed_network_bytes()
-                            ),
-                            "cpu_seconds": sum(
-                                lane.report.cpu_seconds
-                                for lane in result.results
-                            ),
-                            "simulated_time_s": result.report.total_time_s,
                             "sent": channel.sent,
                         },
                     )
@@ -362,18 +333,16 @@ class _Wait:
 class ProcessPoolBackend(ShardedBackend):
     """Shard fan-out on OS processes over shared-memory graph state.
 
-    Construction mirrors :class:`ShardedBackend` (same layout, same
-    per-shard seeds, same tables — built once in the parent), then
-    exports the graph and each shard's table into shared memory and
-    spawns one worker process per shard.  ``run_batch`` fans each
-    query's frog budget out exactly as the in-process backend does and
-    merges the returned lanes through the same
-    :func:`~repro.core.batched.merge_shard_results` /
-    ``CostLedger.merge`` machinery, so results and cost attribution are
-    identical — only wall-clock parallelism differs.  ``kernel=``
-    stays for caller compatibility and has a single value,
-    ``"fused"``: any other name is a :class:`~repro.errors.ConfigError`
-    before a worker starts, and it is not forwarded to the workers.
+    Construction is :class:`ShardedBackend`'s (same layout, seeds and
+    tables, built once in the parent), then exports the graph and each
+    shard's table into shared memory and spawns one worker per shard.
+    Each worker runs the in-process fan-out's shard slice and ships its
+    lanes and :class:`~repro.serving.backend.ShardCost` back, and the
+    parent merges them as :class:`ShardedBackend` does — answers and
+    bills are identical (a one-shard pool is :class:`LocalBackend`'s),
+    only wall-clock parallelism differs.  ``kernel=`` has a single
+    value, ``"fused"``; any other name is a
+    :class:`~repro.errors.ConfigError` before a worker starts.
 
     Every :class:`ShardedBackend` keyword is accepted and means the
     same.  Extra parameters:
@@ -809,13 +778,6 @@ class ProcessPoolBackend(ShardedBackend):
             return BatchOutcome(
                 lanes=(), shared_network_bytes=0, simulated_time_s=0.0
             )
-        query_specs = [
-            (
-                tuple(query.seeds),
-                None if query.weights is None else tuple(query.weights),
-            )
-            for query in queries
-        ]
         with self._lock:
             self._task_counter += 1
             task = self._task_counter
@@ -832,8 +794,8 @@ class ProcessPoolBackend(ShardedBackend):
                         self._epoch,
                         config,
                         shares[shard],
-                        _shard_seed(config.seed, shard),
-                        query_specs,
+                        _shard_seed(config.seed, shard, self.num_shards),
+                        queries,
                     ),
                     lanes=len(queries),
                 )
@@ -922,20 +884,7 @@ class ProcessPoolBackend(ShardedBackend):
                 self.transport_sent.merge(payload["sent"])
                 self.transport_received.merge(worker.channel.received)
                 worker.channel.received = TransportTally()
-                shard_costs.append(
-                    ShardCost(
-                        shard=shard,
-                        num_machines=self.machines_per_shard,
-                        shared_network_bytes=payload[
-                            "shared_network_bytes"
-                        ],
-                        attributed_network_bytes=payload[
-                            "attributed_network_bytes"
-                        ],
-                        cpu_seconds=payload["cpu_seconds"],
-                        simulated_time_s=payload["simulated_time_s"],
-                    )
-                )
+                shard_costs.append(payload["cost"])
         # Partial merging is the paper's claim made operational: the
         # surviving shards' counters merge through the normal exact
         # path, and the merged estimate's num_frogs automatically
@@ -944,6 +893,7 @@ class ProcessPoolBackend(ShardedBackend):
         return _merged_outcome(
             per_query_lanes,
             shard_costs,
+            self.num_shards,
             degraded_shards=tuple(sorted(failures)),
             lost_frogs=lost_frogs,
         )
@@ -951,9 +901,17 @@ class ProcessPoolBackend(ShardedBackend):
     # ------------------------------------------------------------------
     # Fault injection (repro.traffic.chaos)
     # ------------------------------------------------------------------
+    def _chaos_worker(self, shard: int) -> _Worker:
+        """One shard's worker; a shard the pool lacks is a ConfigError."""
+        if not 0 <= shard < self.num_shards:
+            raise ConfigError(
+                f"no shard {shard} in a {self.num_shards}-shard pool"
+            )
+        return self._workers[shard]
+
     def worker_pid(self, shard: int) -> int:
         """OS pid of one shard's *current* worker (for chaos kills)."""
-        return self._workers[shard].process.pid
+        return self._chaos_worker(shard).process.pid
 
     def inject_chaos(
         self, shard: int, kind: str, duration_s: float = 0.0
@@ -980,7 +938,7 @@ class ProcessPoolBackend(ShardedBackend):
         if self._closed:
             raise EngineError("backend is closed")
         with self._lock:
-            self._workers[shard].control.send(
+            self._chaos_worker(shard).control.send(
                 ("chaos", kind, float(duration_s))
             )
 

@@ -17,10 +17,9 @@ stages:
    has waited ``max_delay_s`` (the synchronous
    :meth:`RankingService.query_batch` is just a zero-delay schedule:
    submit, then flush);
-4. **backend execution** — the batch runs on the backend's cluster
-   layout: one shared traversal (:class:`~repro.serving.LocalBackend`)
-   or a shard fan-out with exact counter/ledger merging
-   (:class:`~repro.serving.ShardedBackend`).
+4. **backend execution** — the batch runs as a shard fan-out with
+   exact counter/ledger merging (:class:`~repro.serving.ShardedBackend`;
+   a single cluster, :class:`~repro.serving.LocalBackend`, is one shard).
 
 Answers carry their per-query *attributed* costs (what the query alone
 caused inside its batch, standalone-priced, summed exactly across

@@ -192,6 +192,14 @@ class ChaosInjector:
 
     def __post_init__(self) -> None:
         self.pool = _resolve_pool(self.target)
+        # Checked now: at fire time a bad shard would only land in
+        # ``errors``.
+        for event in self.schedule.events:
+            if event.shard >= self.pool.num_shards:
+                raise ConfigError(
+                    f"chaos event for shard {event.shard} of a "
+                    f"{self.pool.num_shards}-shard pool"
+                )
         self._timers: list[threading.Timer] = []
         self._start: float | None = None
         self._lock = threading.Lock()

@@ -9,6 +9,8 @@ not merely statistically close.  These tests pin down:
   and per-shard cost attribution, and golden-tolerance agreement with
   :class:`LocalBackend` / exact PageRank at the thresholds of
   ``test_sharded_service``;
+* the one-shard layout: :class:`LocalBackend`, a one-shard
+  :class:`ShardedBackend` and a one-shard pool answer bit for bit alike;
 * byte-exact reconciliation of the *measured* record transport against
   the simulated :class:`MessageSizeModel` pricing, across batches and
   epoch refreshes;
@@ -220,6 +222,80 @@ class TestProcessEquivalence:
         _, _, process, _ = outcomes
         for lane in process.lanes:
             assert lane.estimate.num_frogs == CONFIG.num_frogs
+
+
+# ----------------------------------------------------------------------
+# One shard is the whole cluster
+# ----------------------------------------------------------------------
+ONE_SHARD_QUERIES = [
+    RankingQuery(seeds=(5,), k=10),
+    RankingQuery(seeds=(9, 17), weights=(0.3, 0.7), k=10),
+    RankingQuery(seeds=(2, 40, 300), k=10),
+]
+
+
+def _assert_bitwise_alike(outcome, expected):
+    """Ranked ids and counts, lane reports, bytes, time, no shard rows."""
+    assert len(outcome.lanes) == len(expected.lanes)
+    for lane, reference in zip(outcome.lanes, expected.lanes):
+        np.testing.assert_array_equal(
+            lane.estimate.ranked_ids, reference.estimate.ranked_ids
+        )
+        np.testing.assert_array_equal(
+            lane.estimate.ranked_counts, reference.estimate.ranked_counts
+        )
+        assert lane.estimate.num_frogs == reference.estimate.num_frogs
+        assert lane.report == reference.report
+    assert outcome.shared_network_bytes == expected.shared_network_bytes
+    assert outcome.simulated_time_s == expected.simulated_time_s
+    assert outcome.shards == () and expected.shards == ()
+
+
+@pytest.fixture(scope="module")
+def one_shard_pool():
+    with ProcessPoolBackend(
+        SMALL, num_shards=1, num_machines=4, seed=0
+    ) as pool:
+        yield pool
+
+
+class TestOneShardLayout:
+    """A one-shard layout seeds its partition and frogs with the base
+    seed, as the whole cluster does, so ``LocalBackend``,
+    ``ShardedBackend(num_shards=1)`` and a one-shard pool are the same
+    backend, bit for bit."""
+
+    @pytest.mark.parametrize("ps", [1.0, 0.6, 0.1])
+    @pytest.mark.parametrize("scatter_mode", ["multinomial", "binomial"])
+    def test_local_sharded_and_pool_agree(
+        self, one_shard_pool, ps, scatter_mode
+    ):
+        config = FrogWildConfig(
+            num_frogs=1_500,
+            iterations=4,
+            seed=7,
+            ps=ps,
+            scatter_mode=scatter_mode,
+        )
+        local = LocalBackend(SMALL, num_machines=4, seed=0)
+        sharded = ShardedBackend(SMALL, num_shards=1, num_machines=4, seed=0)
+        expected = local.run_batch(config, ONE_SHARD_QUERIES)
+        for backend in (sharded, one_shard_pool):
+            _assert_bitwise_alike(
+                backend.run_batch(config, ONE_SHARD_QUERIES), expected
+            )
+
+    @pytest.mark.parametrize("partitioner", ["oblivious", "grid"])
+    def test_partitioners_seed_alike(self, partitioner):
+        config = FrogWildConfig(num_frogs=1_500, iterations=4, seed=3, ps=0.5)
+        layout = dict(num_machines=4, partitioner=partitioner, seed=11)
+        local = LocalBackend(SMALL, **layout)
+        sharded = ShardedBackend(SMALL, num_shards=1, **layout)
+        assert sharded.replication.structurally_equal(local.replication)
+        _assert_bitwise_alike(
+            sharded.run_batch(config, ONE_SHARD_QUERIES),
+            local.run_batch(config, ONE_SHARD_QUERIES),
+        )
 
 
 class TestTransportReconciliation:

@@ -194,6 +194,19 @@ class TestBudgetSplit:
         assert backend.machines_per_shard == 2
 
 
+class TestPrebuiltTables:
+    def test_local_refuses_a_table_for_another_layout(self):
+        """A prebuilt table for another fleet or another graph is refused
+        when the backend is built, not at its first batch."""
+        table = LocalBackend(GRAPH, num_machines=8, seed=0).replication
+        with pytest.raises(ConfigError, match="targets 8 machines"):
+            LocalBackend(GRAPH, num_machines=4, replication=table)
+        other = twitter_like(n=500, seed=2)
+        with pytest.raises(ConfigError, match="different graph"):
+            LocalBackend(other, num_machines=8, replication=table)
+        assert LocalBackend(GRAPH, num_machines=8, replication=table)
+
+
 class TestShardedService:
     def test_service_with_shards_reports_breakdown(self):
         service = RankingService(

@@ -428,6 +428,26 @@ class TestChaosSchedule:
         with pytest.raises(ConfigError):
             ChaosInjector(object(), ChaosSchedule())
 
+    def test_pool_refuses_shards_it_does_not_have(self):
+        """A shard outside the pool is a ConfigError: no negative index
+        onto the last worker, no raw IndexError, and no chaos event
+        that would only fail silently when its timer fires."""
+        with _pool(num_shards=2, num_machines=4) as backend:
+            for shard in (-1, 2):
+                with pytest.raises(ConfigError, match="2-shard pool"):
+                    backend.worker_pid(shard)
+                with pytest.raises(ConfigError, match="2-shard pool"):
+                    backend.inject_chaos(shard, "hang", 0.0)
+            crash = FaultSchedule(crashes=(MachineCrash(step=1, machine=3),))
+            for schedule in (
+                ChaosSchedule(events=(ChaosEvent(0.0, "kill", 5),)),
+                ChaosSchedule.from_fault_schedule(crash),
+            ):
+                with pytest.raises(ConfigError, match="2-shard pool"):
+                    ChaosInjector(backend, schedule)
+            assert backend.worker_pid(1) > 0
+            ChaosInjector(backend, ChaosSchedule((ChaosEvent(0.0, "kill", 1),)))
+
     def test_injector_fires_against_real_pool(self):
         with _pool() as backend:
             backend.run_batch(CONFIG, QUERIES)
