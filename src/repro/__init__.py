@@ -16,7 +16,7 @@ Quickstart::
 
 Subpackages: :mod:`repro.graph` (CSR graphs and generators),
 :mod:`repro.cluster` (the simulated PowerGraph cluster),
-:mod:`repro.engine` (the GAS/BSP engine and the ``ps`` sync patch),
+:mod:`repro.engine` (cluster state, its bill and the ``ps`` sync patch),
 :mod:`repro.core` (FrogWild itself), :mod:`repro.pagerank` (baselines),
 :mod:`repro.metrics`, :mod:`repro.theory`,
 :mod:`repro.experiments` (per-figure reproduction harness),
@@ -41,7 +41,7 @@ from .core import (
     seed_distribution,
     top_k_indices,
 )
-from .engine import BSPEngine, build_cluster
+from .engine import build_cluster
 from .errors import (
     ConfigError,
     EngineError,
@@ -95,7 +95,6 @@ __all__ = [
     "seed_distribution",
     "PageRankEstimate",
     "top_k_indices",
-    "BSPEngine",
     "build_cluster",
     "CostModel",
     "MessageSizeModel",

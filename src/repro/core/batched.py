@@ -865,6 +865,8 @@ def run_frogwild(
             seed=config.seed,
             partition=partition,
         )
+    else:
+        state.check_graph(graph)
     return BatchedFrogWildRunner(state, config, [BatchQuery()]).run_single()
 
 
@@ -896,4 +898,6 @@ def run_frogwild_batch(
             seed=config.seed,
             partition=partition,
         )
+    else:
+        state.check_graph(graph)
     return BatchedFrogWildRunner(state, config, queries).run()

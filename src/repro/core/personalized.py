@@ -98,6 +98,8 @@ def run_personalized_frogwild(
             size_model=size_model,
             seed=config.seed,
         )
+    else:
+        state.check_graph(graph)
     return BatchedFrogWildRunner(
         state, config, [BatchQuery(start_distribution=distribution)]
     ).run_single()

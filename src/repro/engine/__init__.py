@@ -1,16 +1,15 @@
-"""Simulated GAS/BSP graph engine with byte-exact traffic accounting."""
+"""The simulated cluster: state, its one bill and FrogWild's sync coins.
+
+FrogWild (:mod:`repro.core`) and the GraphLab PR baseline
+(:mod:`repro.pagerank.graphlab_pr`) each drive their own supersteps on it.
+"""
 
 from .breakdown import PhaseBreakdown, traffic_breakdown
-from .bsp import BSPEngine
-from .program import ApplyResult, BulkVertexProgram
 from .state import ClusterState, build_cluster
 from .stats import CostLedger, RunReport
 from .sync import count_marks_by_key, mirror_matrix, sync_coins
 
 __all__ = [
-    "ApplyResult",
-    "BulkVertexProgram",
-    "BSPEngine",
     "ClusterState",
     "build_cluster",
     "CostLedger",

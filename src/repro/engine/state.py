@@ -13,8 +13,8 @@ time.  Every algorithm writes it through three primitives:
   per-step sums.
 
 :meth:`report` reads the bill back as a :class:`~repro.engine.RunReport`.
-Both the generic BSP engine and the FrogWild runner (which patches the
-synchronization behaviour) are built on these primitives, so their
+Both the GraphLab PR baseline and the FrogWild runner (which patches
+the synchronization behaviour) are built on these primitives, so their
 network/CPU/time numbers are directly comparable — the property the
 paper's evaluation relies on.
 """
@@ -32,7 +32,7 @@ from ..cluster import (
     ReplicationTable,
     make_partitioner,
 )
-from ..errors import EngineError
+from ..errors import ConfigError, EngineError
 from ..graph import DiGraph
 from .stats import RunReport
 
@@ -77,6 +77,17 @@ class ClusterState:
     @property
     def num_vertices(self) -> int:
         return self.graph.num_vertices
+
+    def check_graph(self, graph: DiGraph) -> None:
+        """Refuse ``graph`` if this state was built for another graph
+        (every entry point taking a graph and a prebuilt state calls it)."""
+        mine = (self.graph.num_vertices, self.graph.num_edges)
+        theirs = (graph.num_vertices, graph.num_edges)
+        if mine != theirs:
+            raise ConfigError(
+                f"state was built for a graph with {mine[0]} vertices and "
+                f"{mine[1]} edges, got {theirs[0]} and {theirs[1]}"
+            )
 
     # ------------------------------------------------------------------
     # Derived-structure cache (per ingress, not per state)

@@ -25,7 +25,7 @@ class PartitionError(ReproError):
 
 
 class EngineError(ReproError):
-    """Raised for misuse of the BSP engine or vertex-program API."""
+    """Raised for misuse of the simulated cluster engine."""
 
 
 class ConfigError(ReproError):

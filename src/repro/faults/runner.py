@@ -188,5 +188,7 @@ def run_frogwild_with_faults(
             seed=config.seed,
             partition=partition,
         )
+    else:
+        state.check_graph(graph)
     runner = FaultyFrogWildRunner(state, config, schedule)
     return runner.run(), runner.fault_log

@@ -1,11 +1,7 @@
 """PageRank solvers and the paper's baselines."""
 
 from .exact import PowerIterationResult, exact_pagerank, pagerank_operator
-from .graphlab_pr import (
-    GraphLabPageRank,
-    GraphLabPageRankResult,
-    graphlab_pagerank,
-)
+from .graphlab_pr import GraphLabPageRankResult, graphlab_pagerank
 from .montecarlo import monte_carlo_pagerank, simulate_walkers
 from .push import PushResult, forward_push_pagerank
 from .sparsified import sparsified_pagerank, sparsify_uniform
@@ -14,7 +10,6 @@ __all__ = [
     "exact_pagerank",
     "pagerank_operator",
     "PowerIterationResult",
-    "GraphLabPageRank",
     "GraphLabPageRankResult",
     "graphlab_pagerank",
     "sparsify_uniform",

@@ -1,6 +1,6 @@
 """Chaos schedules: real-process fault injection under live traffic.
 
-:mod:`repro.faults` *simulates* failures inside the BSP engine — a
+:mod:`repro.faults` *simulates* failures inside the simulated cluster — a
 :class:`~repro.faults.MachineCrash` deletes frogs from arrays.  This
 module injects the same scenarios into the **real** multi-process
 serving stack: a :class:`ChaosEvent` of kind ``"kill"`` sends an

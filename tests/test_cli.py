@@ -57,8 +57,13 @@ class TestBadInput:
              "frogwild run: error: ps must lie in [0, 1], got 1.5"),
             (["faults", "--top-k", "0", "--n", "300", "--frogs", "300"],
              "frogwild faults: error: k must be positive"),
+            (["run", "--algorithm", "graphlab", "--iterations", "201",
+              "--n", "300"],
+             "frogwild run: error: iterations=201 exceeds "
+             "max_supersteps=200"),
         ],
-        ids=["crash-machine", "ppr-seed", "run-ps", "faults-top-k"],
+        ids=["crash-machine", "ppr-seed", "run-ps", "faults-top-k",
+             "graphlab-iterations"],
     )
     def test_config_error_is_one_line(self, argv, message, capsys):
         assert main(argv) == 2

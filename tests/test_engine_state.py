@@ -4,9 +4,43 @@ import numpy as np
 import pytest
 
 from repro.cluster import CostModel, MessageSizeModel, RandomVertexCut
+from repro.core import (
+    BatchQuery,
+    FrogWildConfig,
+    run_frogwild,
+    run_frogwild_batch,
+    run_personalized_frogwild,
+    run_personalized_frogwild_batch,
+)
 from repro.engine import build_cluster, traffic_breakdown
 from repro.errors import ConfigError, EngineError, PartitionError
-from repro.faults import StragglerCostModel
+from repro.faults import FaultSchedule, StragglerCostModel, run_frogwild_with_faults
+from repro.graph import twitter_like
+from repro.pagerank import graphlab_pagerank
+
+_FEW_FROGS = FrogWildConfig(num_frogs=200, iterations=2, seed=0)
+
+#: Every entry point that takes both a graph and a prebuilt state.
+ENTRY_POINTS = {
+    "run_frogwild": lambda graph, state: run_frogwild(
+        graph, _FEW_FROGS, state=state
+    ),
+    "run_frogwild_batch": lambda graph, state: run_frogwild_batch(
+        graph, [BatchQuery()], _FEW_FROGS, state=state
+    ),
+    "run_personalized_frogwild": lambda graph, state: (
+        run_personalized_frogwild(graph, [0, 1], _FEW_FROGS, state=state)
+    ),
+    "run_personalized_frogwild_batch": lambda graph, state: (
+        run_personalized_frogwild_batch(graph, [[0, 1]], _FEW_FROGS, state=state)
+    ),
+    "run_frogwild_with_faults": lambda graph, state: run_frogwild_with_faults(
+        graph, FaultSchedule(), _FEW_FROGS, state=state
+    ),
+    "graphlab_pagerank": lambda graph, state: graphlab_pagerank(
+        graph, iterations=1, state=state
+    ),
+}
 
 
 class TestBuildCluster:
@@ -47,6 +81,24 @@ class TestBuildCluster:
     def test_accepts_cost_model_sized_for_it(self, small_twitter):
         model = StragglerCostModel(slowdowns=(1.0, 3.0))
         assert build_cluster(small_twitter, 2, cost_model=model).cost_model is model
+
+
+class TestStateBuiltForAnotherGraph:
+    """A prebuilt state answers only for the graph it was built for."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_foreign_state_refused(self, entry):
+        graph = twitter_like(n=500, seed=1)
+        foreign = build_cluster(twitter_like(n=800, seed=1), 4, seed=0)
+        with pytest.raises(ConfigError, match="800 vertices"):
+            ENTRY_POINTS[entry](graph, foreign)
+
+    def test_same_size_other_edges_refused(self, small_twitter):
+        state = build_cluster(small_twitter, 4, seed=0)
+        other = twitter_like(n=small_twitter.num_vertices, seed=7)
+        assert other.num_edges != small_twitter.num_edges
+        with pytest.raises(ConfigError, match="edges"):
+            state.check_graph(other)
 
 
 class TestMessageSizeModel:
