@@ -63,7 +63,7 @@ from ..engine import (
 )
 from ..errors import ConfigError, EngineError
 from ..graph import DiGraph
-from .config import FrogWildConfig
+from .config import FrogWildConfig, check_positive_int, check_seed
 from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
 from .frogwild import (
@@ -139,13 +139,15 @@ def _births(
     of the nonzero entries holds the same floats as the dense running
     sum ``rng.choice(n, size, p=law)`` builds (adding 0.0 is exact), and
     the uniforms are the same ``rng.random`` call, so births and rng
-    state equal ``rng.choice``'s.  The only O(n) work left is the one
-    ``flatnonzero`` scan; ``rng.choice`` re-validates, sums and divides
-    the dense vector on every call (0.5 ms at n = 32768 for 3 seeds).
+    state equal ``rng.choice``'s.  The only O(n) work left is the
+    ``law > 0`` mask and its ``flatnonzero``, a bool scan that numpy
+    runs about 10x faster than the same scan of the float law;
+    ``rng.choice`` re-validates, sums and divides the dense vector on
+    every call (0.5 ms at n = 32768 for 3 seeds).
     """
     if law is None:
         return rng.integers(0, n, size=num_frogs)
-    support = np.flatnonzero(law)
+    support = np.flatnonzero(law > 0)
     cdf = np.cumsum(law[support])
     cdf /= cdf[-1]
     return support[cdf.searchsorted(rng.random(num_frogs), side="right")]
@@ -274,12 +276,12 @@ class BatchedFrogWildRunner:
             lane.num_frogs = (
                 config.num_frogs if query.num_frogs is None else query.num_frogs
             )
-            if lane.num_frogs < 1:
-                raise ConfigError("num_frogs must be positive")
+            check_positive_int("num_frogs", lane.num_frogs)
             lane.ps = config.ps if query.ps is None else query.ps
             if not 0.0 <= lane.ps <= 1.0:
                 raise ConfigError(f"ps must lie in [0, 1], got {lane.ps}")
             lane.seed = config.seed if query.seed is None else query.seed
+            check_seed(lane.seed)
             lane.start_distribution = _check_start_distribution(
                 query.start_distribution, n
             )
@@ -482,7 +484,7 @@ class BatchedFrogWildRunner:
         num_lanes = len(self.lanes)
         num_machines = self.state.num_machines
         row_master = self.tables.masters[vert_sv]
-        mirrors = self._mirror_matrix[vert_sv]
+        mirrors = self._mirror_matrix.take(vert_sv, axis=0)
         synced = np.zeros(mirrors.shape, dtype=bool)
         for lane in live:
             sl = slice(sv_bounds[lane.index], sv_bounds[lane.index + 1])

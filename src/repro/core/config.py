@@ -9,6 +9,7 @@ and the implementation choices discussed in Sections 2.2 and 3.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from ..errors import ConfigError
 
@@ -16,6 +17,25 @@ __all__ = ["FrogWildConfig", "RefreshPolicy"]
 
 _SCATTER_MODES = ("multinomial", "binomial")
 _ERASURE_MODELS = ("at-least-one", "independent")
+
+
+def check_positive_int(name: str, value) -> None:
+    """Refuse anything but a positive integer (``bool`` excluded)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be positive")
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed other than None or a non-negative integer, the
+    seeds ``np.random.default_rng`` accepts."""
+    if seed is None:
+        return
+    if not isinstance(seed, Integral) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer or None, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +87,9 @@ class FrogWildConfig:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
-        if self.num_frogs < 1:
-            raise ConfigError("num_frogs must be positive")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be positive")
+        check_positive_int("num_frogs", self.num_frogs)
+        check_positive_int("iterations", self.iterations)
+        check_seed(self.seed)
         if not 0.0 <= self.ps <= 1.0:
             raise ConfigError(f"ps must lie in [0, 1], got {self.ps}")
         if not 0.0 < self.p_teleport < 1.0:

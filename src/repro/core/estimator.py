@@ -115,9 +115,9 @@ class PageRankEstimate:
 
     def ranked(self) -> "RankedEstimate":
         """The same estimate as its ranked support (see
-        :class:`RankedEstimate`): one ``flatnonzero`` plus one stable
-        ``argsort`` of the nonzero counters."""
-        support = np.flatnonzero(self._counts)
+        :class:`RankedEstimate`): one ``flatnonzero`` of the nonzero
+        mask plus one stable ``argsort`` of the nonzero counters."""
+        support = np.flatnonzero(self._counts != 0)
         counts = self._counts[support]
         # Ascending ids keep the lower-id tie-break of the stable sort.
         order = top_k_indices(counts, counts.size)

@@ -12,14 +12,17 @@ benchmark's R-MAT scale-15 graph at 16 machines, 0.35-0.43 on
 ``twitter_like(50k)``; at 64 machines (fill 0.12) the ragged lists it
 replaced were cheaper (README, "Cost model").  The multinomial edge
 pick (:func:`_pick_enabled_edges`) searches the running sum of that
-block's widths.  Combining frog records is one sort; the births and
-the next-frontier reduction are one sort, or one count when the key
-range is within a few times the keys (:func:`count_keys`).
+block's widths.  Combining frog records, the births and the
+next-frontier reduction are each one count when the key range is
+within a few times the keys (:func:`count_keys`' rule), and one sort
+otherwise: the records are counted as a (lane, dest) x host bitmap.
+Every nonzero scan of the block reads its bool mask of enabled cells,
+never the integer widths.
 
 A single run is the batch of one lane, so nothing here may cost more
 at B = 1 than the runner it replaced: with one lane the lane arrays are
-never built — a hop's key is its destination, a frog record's key is
-``host * n + dest`` and the per-lane totals are the column counts.
+never built — a hop's key is its destination, a frog record's bitmap
+row is its destination and the per-lane totals are the column counts.
 
 The superstep in ``core/batched.py`` draws every random number itself
 and calls :class:`FusedPasses` for everything deterministic.
@@ -46,20 +49,24 @@ def count_keys(keys: np.ndarray, num_keys: int):
     sort).  The rule reads the two sizes only."""
     if num_keys <= _RANGE_PER_KEY_COUNT * keys.size:
         counts = np.bincount(keys, minlength=num_keys)
-        distinct = np.flatnonzero(counts)
+        distinct = np.flatnonzero(counts != 0)
         return distinct, counts[distinct]
     return np.unique(keys, return_counts=True)
 
 
 def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(s, s + l)`` for every (s, l) pair, vectorized."""
-    total = int(lengths.sum())
-    if total == 0:
+    """Concatenate ``arange(s, s + l)`` for every (s, l) pair, each
+    ``l`` positive, as int64: one running sum of steps that are 1 inside
+    a range and jump from one range's last id to the next one's start."""
+    if starts.size == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    return (
-        np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
-    )
+    ends = np.cumsum(lengths)
+    # Position p of range i holds p + (s_i - offset_i); int64 throughout.
+    base = starts - ends + lengths
+    steps = np.ones(int(ends[-1]), dtype=np.int64)
+    steps[0] = starts[0]
+    steps[ends[:-1]] = np.diff(base) + 1
+    return np.cumsum(steps, out=steps)
 
 
 # Enabled out-edges per hopping frog above which the multinomial pick
@@ -104,7 +111,7 @@ def _pick_enabled_edges(
         draw * enabled_counts[row_of_frog]
     ).astype(np.int64)
     if row_end[-1] <= _EDGES_PER_FROG_SEARCH * draw.size:
-        cells = np.flatnonzero(width)
+        cells = np.flatnonzero(width > 0)
         return _ranges_to_indices(group_start[cells], width[cells])[pick]
     cum = np.cumsum(width)
     g = np.searchsorted(cum, pick, side="right")
@@ -149,25 +156,30 @@ class FusedPasses:
         # Kept in the dense tables' int32: the running sums below
         # accumulate in int64 (numpy widens cumsum; the row sums ask).
         self.sizes = self.dense.size_vm.take(vert_sv, axis=0)
-        # Out-edges behind each (row, machine) cell that may scatter.
+        # Out-edges behind each (row, machine) cell that may scatter,
+        # and the mask of the cells that do: every later scan of the
+        # block reads the mask (numpy scans bool several times faster
+        # than int32).
         self.width = self.sizes * fresh
+        self.on = self.width > 0
         groups_per_row = np.einsum(
-            "ij->i", (self.width > 0).view(np.int8), dtype=np.int64
+            "ij->i", self.on.view(np.int8), dtype=np.int64
         )
         return groups_per_row, ptr[vert_sv + 1] - ptr[vert_sv]
 
     def force_groups(self, rows, groups) -> None:
         machines = self.tables.group_machine[groups]
         self.width[rows, machines] = self.sizes[rows, machines]
+        self.on[rows, machines] = True
 
     def enabled_totals(self):
         edges = np.einsum("ij->i", self.width, dtype=np.int64)
         if self.num_lanes == 1:
-            by_machine = np.count_nonzero(self.width, axis=0)
+            by_machine = np.einsum(
+                "ij->j", self.on.view(np.int8), dtype=np.int64
+            )
             return edges, by_machine, by_machine.sum(keepdims=True)
-        by_lane = count_marks_by_key(
-            self.lane_sv, self.width > 0, self.num_lanes
-        )
+        by_lane = count_marks_by_key(self.lane_sv, self.on, self.num_lanes)
         return edges, by_lane.sum(axis=0), by_lane.sum(axis=1)
 
     # -- scatter --------------------------------------------------------
@@ -197,9 +209,8 @@ class FusedPasses:
 
     def expand_binomial(self, k_sv, edge_counts, lane_ps):
         """Paper pseudocode: Bin(K, 1/(d_out ps)) per enabled edge."""
-        width = self.width.reshape(-1)
-        on = np.flatnonzero(width)
-        sizes_on = width[on]
+        on = np.flatnonzero(self.on)
+        sizes_on = self.width.reshape(-1)[on]
         chosen = _ranges_to_indices(self._group_starts()[on], sizes_on)
         row_pos = np.repeat(on // self.num_machines, sizes_on)
         edge_lane = self.lane_sv[row_pos]
@@ -242,9 +253,30 @@ class FusedPasses:
     def frog_records(self, frog_lane, host, dest):
         """Combined (lane, host, dest) records as the per-lane (B x M x
         M) matrix of (host, dest master) counts; ``frog_lane`` is None
-        with one lane."""
+        with one lane.
+
+        A record is a distinct (lane, host, dest) triple whose host is
+        not dest's master.  When the (lane, dest) x host bitmap is within
+        a few cells per hop (:func:`count_keys`' rule and constant) the
+        triples are marked in it and counted by
+        :func:`~repro.engine.count_marks_by_key` under the row key
+        ``lane * M + master(dest)``; a served batch's sparse triples
+        still sort.  Both branches return the same matrix.
+        """
         masters = self.tables.masters
         B, M, n = self.num_lanes, self.num_machines, self.num_vertices
+        if B * n * M <= _RANGE_PER_KEY_COUNT * host.size:
+            rows = dest if frog_lane is None else frog_lane * n + dest
+            marked = np.zeros((B * n, M), dtype=bool)
+            marked.reshape(-1)[rows * M + host] = True
+            row_key = (np.arange(0, B * M, M)[:, None] + masters).reshape(-1)
+            # [lane, master, host] -> [lane, host, master]; a frog
+            # delivered on its destination's master is no record.
+            by_host = count_marks_by_key(row_key, marked, B * M).reshape(
+                B, M, M
+            ).transpose(0, 2, 1)
+            by_host[:, np.arange(M), np.arange(M)] = 0
+            return by_host
         if frog_lane is None:
             pair_u = sorted_unique(host * n + dest)
             lane_u = 0

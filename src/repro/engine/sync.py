@@ -40,16 +40,19 @@ def count_marks_by_key(
     (num_keys x columns) result is the number of rows with key k whose
     column c is marked.  One product of the rows' one-hot key matrix
     with the mask — the mask is streamed once, in place, and never
-    listed as (row, column) pairs.
+    listed as (row, column) pairs.  The product accumulates in int32
+    (an int64 one-hot makes scipy widen the whole mask) and only the
+    small result is widened, which is exact while there are fewer than
+    2**31 rows: no count can exceed the rows.
     """
     rows = keys.size
     if rows and not 0 <= keys.min() <= keys.max() < num_keys:
         raise EngineError(f"keys must lie in [0, {num_keys})")
     onehot = sparse.csc_matrix(
-        (np.ones(rows, dtype=np.int64), keys, np.arange(rows + 1)),
+        (np.ones(rows, dtype=np.int32), keys, np.arange(rows + 1)),
         shape=(num_keys, rows),
     )
-    return onehot @ marks.view(np.int8)
+    return (onehot @ marks.view(np.int8)).astype(np.int64)
 
 
 def mirror_matrix(replication) -> np.ndarray:

@@ -54,7 +54,7 @@ def _dense(frontier, n: int) -> np.ndarray:
 
 def _frontier(frogs: np.ndarray):
     """The one-lane ``(lane, vertex, count)`` frontier of ``frogs``."""
-    verts = np.flatnonzero(frogs)
+    verts = np.flatnonzero(frogs != 0)
     return np.zeros_like(verts), verts, frogs[verts]
 
 

@@ -217,7 +217,7 @@ def _worker_main(
                 lanes = []
                 for lane in result.results:
                     counts = lane.estimate.counts
-                    stops = np.flatnonzero(counts)
+                    stops = np.flatnonzero(counts != 0)
                     channel.send_records(
                         "result", stops, counts[stops], tag=task
                     )

@@ -61,9 +61,11 @@ class TestBadInput:
               "--n", "300"],
              "frogwild run: error: iterations=201 exceeds "
              "max_supersteps=200"),
+            (["run", "--seed", "-1", "--n", "300"],
+             "frogwild run: error: seed must be non-negative, got -1"),
         ],
         ids=["crash-machine", "ppr-seed", "run-ps", "faults-top-k",
-             "graphlab-iterations"],
+             "graphlab-iterations", "run-negative-seed"],
     )
     def test_config_error_is_one_line(self, argv, message, capsys):
         assert main(argv) == 2

@@ -10,6 +10,12 @@ grouped-count primitive instead of a 2-D ``np.nonzero``.  Pinned here:
   empty frontiers, all-false masks, unused keys, one machine, one and
   sixteen lanes (property-based), and a batch bills its repair
   records as sync records;
+* the int32 accumulation of ``count_marks_by_key`` equals the int64
+  one-hot product past int16's range;
+* ``FusedPasses.frog_records`` equals a set of (lane, host, dest)
+  triples on both sides of its size rule (bitmap count or sort), for
+  one and three lanes, 1-16 machines, a single hop and all-local hops;
+  ``_ranges_to_indices`` equals concatenated ``arange``s;
 * the dense tables are the ragged tables: ``size_vm[v, machine of g]``
   is the width of group g and 0 elsewhere, rows sum to the out-degree,
   ``start_vm`` holds the group starts;
@@ -24,11 +30,14 @@ No test reads a clock.
 """
 
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from batch_reference import assert_lanes_match_standalone
 from repro.cluster import ReplicationTable, StableHashVertexCut
@@ -40,7 +49,8 @@ from repro.core import (
     seed_distribution,
 )
 from repro.core.frogwild import _kernel_tables, prime_ingress_caches
-from repro.core.kernels import DenseGroupTables
+from repro.core.kernels import DenseGroupTables, FusedPasses
+from repro.core.kernels import fused as fk
 from repro.engine import build_cluster, count_marks_by_key
 from repro.errors import EngineError
 from repro.graph import erdos_renyi, twitter_like
@@ -100,6 +110,24 @@ class TestCountMarksByKey:
             _reference_counts(masters, synced, 8),
         )
 
+    def test_int32_accumulation_equals_the_int64_product(self):
+        """The product accumulates in int32 and widens its result: on
+        counts far past the int8 mask's and int16's range it equals the
+        int64 one-hot product it replaced, as int64."""
+        rng = np.random.default_rng(6)
+        rows, machines = 70_000, 4
+        keys = np.where(rng.random(rows) < 0.9, 0, rng.integers(0, 3, rows))
+        marks = rng.random((rows, machines)) < 0.95
+        onehot64 = sparse.csc_matrix(
+            (np.ones(rows, dtype=np.int64), keys, np.arange(rows + 1)),
+            shape=(3, rows),
+        )
+        expected = onehot64 @ marks.view(np.int8)
+        counts = count_marks_by_key(keys.astype(np.int32), marks, 3)
+        assert counts.dtype == expected.dtype == np.int64
+        assert counts.max() > 2**15
+        assert np.array_equal(counts, expected)
+
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_a_key_outside_the_range_is_refused(self, bad):
         with pytest.raises(EngineError):
@@ -128,6 +156,108 @@ class TestCountMarksByKey:
             + extra["repair_records"] * size.record_bytes()
         )
         assert state.ops_by_phase["sync"] == extra["repair_records"]
+
+
+# ----------------------------------------------------------------------
+# Frog records: bitmap count or sort, against a set of triples
+# ----------------------------------------------------------------------
+def _reference_records(lanes, hosts, dests, masters, num_lanes, machines):
+    """One record per distinct remote (lane, host, dest) triple, counted
+    per (lane, host, master of dest)."""
+    records = np.zeros((num_lanes, machines, machines), dtype=np.int64)
+    for lane, host, dest in set(zip(lanes, hosts, dests)):
+        if host != masters[dest]:
+            records[lane, host, masters[dest]] += 1
+    return records
+
+
+@st.composite
+def _hops(draw):
+    lanes = draw(st.sampled_from([1, 3]))
+    machines = draw(st.sampled_from([1, 4, 16]))
+    side = draw(st.sampled_from(["bitmap", "sort"]))
+    cells_per_vertex = lanes * machines
+    limit = fk._RANGE_PER_KEY_COUNT
+    if side == "bitmap":
+        # At least one vertex fits: hops >= lanes * machines / 4.
+        hops = draw(st.integers(-(-cells_per_vertex // limit), 60))
+        n = draw(st.integers(1, limit * hops // cells_per_vertex))
+    else:
+        hops = draw(st.integers(1, 60))
+        n = draw(st.integers(limit * hops // cells_per_vertex + 1, 300))
+    seed = draw(st.integers(0, 2**16))
+    all_local = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    masters = rng.integers(0, machines, n).astype(np.int32)
+    # A few hot destinations, so triples repeat.
+    dests = rng.integers(0, min(n, draw(st.sampled_from([2, n]))), hops)
+    hosts = masters[dests].astype(np.int64) if all_local else (
+        rng.integers(0, machines, hops)
+    )
+    lanes_of = np.sort(rng.integers(0, lanes, hops))
+    return side, lanes, machines, n, masters, lanes_of, hosts, dests
+
+
+class TestFrogRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(_hops())
+    def test_equals_the_set_of_triples(self, case):
+        side, lanes, machines, n, masters, lane_of, hosts, dests = case
+        passes = FusedPasses(
+            SimpleNamespace(masters=masters), None,
+            num_lanes=lanes, num_machines=machines, num_vertices=n,
+        )
+        with mock.patch.object(
+            fk, "sorted_unique", wraps=fk.sorted_unique
+        ) as sort:
+            records = passes.frog_records(
+                None if lanes == 1 else lane_of, hosts, dests
+            )
+        assert records.dtype == np.int64
+        assert np.array_equal(
+            records,
+            _reference_records(
+                lane_of if lanes > 1 else np.zeros_like(lane_of),
+                hosts, dests, masters, lanes, machines,
+            ),
+        )
+        assert sort.call_count == (side == "sort")
+
+    def test_a_single_hop_and_all_local_hops(self):
+        masters = np.array([2, 0, 1], dtype=np.int32)
+        passes = FusedPasses(
+            SimpleNamespace(masters=masters), None,
+            num_lanes=1, num_machines=4, num_vertices=3,
+        )
+        one = passes.frog_records(None, np.array([3]), np.array([1]))
+        assert one.shape == (1, 4, 4)
+        assert one.sum() == one[0, 3, 0] == 1
+        local = passes.frog_records(
+            None, np.array([2, 0, 1, 1]), np.array([0, 1, 2, 2])
+        )
+        assert not local.any()
+
+
+class TestRangesToIndices:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**12), st.integers(1, 20)),
+            max_size=30,
+        ),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    def test_equals_concatenated_aranges(self, ranges, dtype):
+        if dtype == np.int32:
+            ranges = [(s % 2**30, length) for s, length in ranges]
+        starts = np.array([s for s, _ in ranges], dtype=dtype)
+        lengths = np.array([length for _, length in ranges], dtype=dtype)
+        expected = np.concatenate(
+            [np.arange(s, s + length) for s, length in ranges] + [[]]
+        ).astype(np.int64)
+        indices = fk._ranges_to_indices(starts, lengths)
+        assert indices.dtype == np.int64
+        assert np.array_equal(indices, expected)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Unit tests for FrogWildConfig validation."""
 
+import numpy as np
 import pytest
 
-from repro.core import FrogWildConfig
+from repro.core import BatchQuery, FrogWildConfig, run_frogwild_batch
 from repro.errors import ConfigError
+from repro.graph import twitter_like
 
 
 class TestValidation:
@@ -45,6 +47,64 @@ class TestValidation:
     def test_boundary_ps_values_allowed(self):
         assert FrogWildConfig(ps=0.0).ps == 0.0
         assert FrogWildConfig(ps=1.0).ps == 1.0
+
+    @pytest.mark.parametrize("field", ["num_frogs", "iterations"])
+    @pytest.mark.parametrize("value", [100.5, 2.0, True, "8", None])
+    def test_counts_must_be_integers(self, field, value):
+        """A float, a bool or a string used to pass and then fail inside
+        ``rng.integers`` or ``range``."""
+        with pytest.raises(ConfigError, match=field):
+            FrogWildConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seed_must_be_none_or_a_non_negative_integer(self, seed):
+        """``seed=-1`` used to reach ``default_rng([104, -1])`` and fail
+        there with a ValueError."""
+        with pytest.raises(ConfigError, match="seed"):
+            FrogWildConfig(seed=seed)
+
+    def test_numpy_integers_and_a_missing_seed_are_accepted(self):
+        config = FrogWildConfig(
+            num_frogs=np.int64(10), iterations=np.int32(2), seed=np.int64(3)
+        )
+        assert (config.num_frogs, config.iterations, config.seed) == (10, 2, 3)
+        assert FrogWildConfig(seed=None).seed is None
+        assert FrogWildConfig(seed=0).seed == 0
+
+
+class TestBatchQueryFields:
+    """A query's own frog budget and seed are checked like the config's,
+    when the runner reads them."""
+
+    GRAPH = twitter_like(n=200, seed=1)
+    CONFIG = FrogWildConfig(num_frogs=100, iterations=2)
+
+    @pytest.mark.parametrize(
+        "query, field",
+        [
+            (BatchQuery(num_frogs=0), "num_frogs"),
+            (BatchQuery(num_frogs=10.5), "num_frogs"),
+            (BatchQuery(num_frogs=True), "num_frogs"),
+            (BatchQuery(seed=-1), "seed"),
+            (BatchQuery(seed=2.5), "seed"),
+        ],
+        ids=["zero-frogs", "float-frogs", "bool-frogs", "negative-seed",
+             "float-seed"],
+    )
+    def test_a_bad_query_field_is_a_config_error(self, query, field):
+        with pytest.raises(ConfigError, match=field):
+            run_frogwild_batch(
+                self.GRAPH, [BatchQuery(), query], self.CONFIG, num_machines=2
+            )
+
+    def test_good_query_fields_run(self):
+        result = run_frogwild_batch(
+            self.GRAPH,
+            [BatchQuery(num_frogs=np.int64(50), seed=np.int64(7))],
+            self.CONFIG,
+            num_machines=2,
+        )
+        assert result.results[0].estimate.num_frogs == 50
 
 
 class TestWithUpdates:
