@@ -31,7 +31,7 @@ from .experiments import (
     livejournal_workload,
     twitter_workload,
 )
-from .errors import ConfigError, GraphError
+from .errors import ConfigError, GraphError, PartitionError
 from .graph import read_edge_list, summarize
 from .metrics import exact_identification, normalized_mass_captured
 from .pagerank import exact_pagerank
@@ -375,8 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; bad input is one error line and exit code 2.
 
     A :class:`~repro.errors.ConfigError` (a value the library rejects),
-    a :class:`~repro.errors.GraphError` (a malformed edge list) or a
-    missing input file is the user's mistake, not a crash, so it is
+    a :class:`~repro.errors.GraphError` (a malformed edge list), a
+    :class:`~repro.errors.PartitionError` (a fleet the vertex-cut
+    refuses, e.g. ``--machines 0``) or a missing input file is the
+    user's mistake, not a crash, so it is
     reported the way argparse reports a bad flag.  Anything else
     propagates with its traceback.
     """
@@ -385,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as error:
         message = f"{error.strerror}: {error.filename}"
-    except (ConfigError, GraphError) as error:
+    except (ConfigError, GraphError, PartitionError) as error:
         message = str(error)
     print(f"frogwild {args.command}: error: {message}", file=sys.stderr)
     return 2

@@ -18,6 +18,22 @@ edges machine-major, then anchor-major — that leave the edges in
 by-product and no permutation to gather through.  Everything is flat
 numpy arrays; the hot loops touch no Python object per edge.
 
+Dtypes.  Every index array a table stores — ``sorted_other``,
+``group_start``, ``group_stop``, ``group_anchor``, ``vertex_ptr``,
+``anchor_edge_ptr`` and the per-machine master index — passes through
+:func:`_narrow`, the one narrowing rule: int32 when every value lies
+below ``_INT32_SPAN`` (2**31), int64 otherwise.  Machine ids
+(``masters``, ``group_machine``, ``edge_machine_sorted``) are int32.
+A table attached from older int64 arrays (a spill, an arena) is
+adopted as it is.  Any key built by *scaling* a table array is
+computed in int64 — the replica scatter below, and the frog-record
+keys of :mod:`repro.core.kernels.fused` — because ``vertex * machines``
+wraps in int32 once n·M reaches 2**31; the fused passes also widen the
+per-frog ``dest`` / ``host`` arrays right after gathering them, since
+numpy converts an int32 index array on every use.  The kernel tables
+alias these arrays rather than copy them
+(:class:`repro.core.frogwild._KernelTables`).
+
 A live refresh (:class:`~repro.live.IncrementalReplication`) builds a
 fresh table per snapshot through this one constructor; tests compare
 tables with :meth:`ReplicationTable.structurally_equal`.
@@ -35,6 +51,17 @@ from ..graph import DiGraph
 from .partition import EdgePartition
 
 __all__ = ["ReplicationTable"]
+
+_INT32_SPAN = 2**31
+
+
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """``array`` (non-negative integers) as int32 when every value is
+    below ``_INT32_SPAN``, else as int64; no copy when it already has
+    that dtype.  The one dtype rule of every table index array, the
+    dense group tables and the ranked estimates."""
+    fits = array.size == 0 or int(array.max()) < _INT32_SPAN
+    return array.astype(np.int32 if fits else np.int64, copy=False)
 
 
 def _by_column(
@@ -64,7 +91,7 @@ def _index_masters(
     """
     rows = np.arange(masters.size + 1)  # one entry per row: its master
     ptr, vertices, _ = _by_column(rows, masters, masters, (masters.size, num_machines))
-    return ptr.astype(np.int64), vertices.astype(np.int64)
+    return _narrow(ptr), _narrow(vertices)
 
 
 class _GroupedEdges:
@@ -97,22 +124,22 @@ class _GroupedEdges:
         edge_ptr, machine_sorted, other = _by_column(
             machine_ptr, col, other, (num_machines, n)
         )
-        self.anchor_edge_ptr = edge_ptr.astype(np.int64)
+        self.anchor_edge_ptr = _narrow(edge_ptr)
         self.edge_machine_sorted = machine_sorted.astype(np.int32, copy=False)
-        self.sorted_other = other.astype(np.int64, copy=False)
+        self.sorted_other = _narrow(other)
 
         # A group starts where the machine changes or a vertex's edges do.
         boundary = np.empty(m, dtype=bool)
         boundary[:1] = True
         np.not_equal(machine_sorted[1:], machine_sorted[:-1], out=boundary[1:])
         boundary[edge_ptr[edge_ptr < m]] = True
-        starts = np.flatnonzero(boundary)
+        starts = _narrow(np.flatnonzero(boundary))
         self.group_start = starts
-        self.group_stop = np.concatenate([starts[1:], [m]]).astype(np.int64)
+        self.group_stop = _narrow(np.append(starts[1:], m))
         self.group_machine = self.edge_machine_sorted[starts]
-        self.vertex_ptr = np.searchsorted(starts, self.anchor_edge_ptr)
-        self.group_anchor = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.vertex_ptr)
+        self.vertex_ptr = _narrow(np.searchsorted(starts, self.anchor_edge_ptr))
+        self.group_anchor = _narrow(
+            np.repeat(np.arange(n), np.diff(self.vertex_ptr))
         )
 
     @property
@@ -200,8 +227,10 @@ class ReplicationTable:
         replicas = np.zeros((n, self.num_machines), dtype=bool)
         out = self.out_groups
         replicas[out.group_anchor, out.group_machine] = True
+        # int64 key: vertex * machines wraps in int32 past 2**31 cells.
         replicas.reshape(-1)[
-            out.sorted_other * self.num_machines + out.edge_machine_sorted
+            np.multiply(out.sorted_other, self.num_machines, dtype=np.int64)
+            + out.edge_machine_sorted
         ] = True
         lonely = ~replicas.any(axis=1)
         replicas[lonely, 0] = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..cluster.replication import _narrow
 from ..errors import ConfigError
 
 __all__ = ["PageRankEstimate", "RankedEstimate", "top_k_indices"]
@@ -239,9 +240,6 @@ class RankedEstimate(PageRankEstimate):
         num_frogs: int,
         num_vertices: int,
     ) -> None:
-        # Imported here: kernels -> frogwild -> this module is a cycle.
-        from .kernels.layout import _narrow
-
         ids = np.asarray(ranked_ids, dtype=np.int64)
         counts = np.asarray(ranked_counts, dtype=np.int64)
         if ids.ndim != 1 or ids.shape != counts.shape:

@@ -105,7 +105,13 @@ class _KernelTables:
     Built once per *ingress* (see :func:`_kernel_tables`) and shared by
     every run on it; every array indexes the
     (vertex, machine)-sorted out-edge grouping of
-    :class:`~repro.cluster.ReplicationTable`.
+    :class:`~repro.cluster.ReplicationTable`.  The table arrays are
+    aliased, not copied, so they keep the table's dtypes: the one rule
+    of :func:`repro.cluster.replication._narrow` (int32 whenever the
+    values fit; int64 in a table attached from older arrays) and int32
+    machine ids.  Only ``group_sizes`` is computed here.  The fused
+    passes widen what they scale or index per frog
+    (:mod:`repro.core.kernels.fused`).
     """
 
     __slots__ = (
@@ -123,11 +129,11 @@ class _KernelTables:
         og = replication.out_groups
         self.masters = replication.masters
         self.vertex_ptr = og.vertex_ptr
-        self.group_machine = og.group_machine.astype(np.int64)
+        self.group_machine = og.group_machine
         self.group_start = og.group_start
         self.group_sizes = og.group_sizes()
         self.edge_target = og.sorted_other
-        self.edge_host = og.edge_machine_sorted.astype(np.int64)
+        self.edge_host = og.edge_machine_sorted
         self.out_degree = np.asarray(out_degree, dtype=np.int64)
 
 

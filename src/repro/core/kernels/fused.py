@@ -193,8 +193,10 @@ class FusedPasses:
             self.width.reshape(-1), self._group_starts(), edge_counts,
             frog_row, draw,
         )
-        dest = self.tables.edge_target[chosen]
-        host = self.tables.edge_host[chosen]
+        # Widened once: the tables are int32 where they fit, and numpy
+        # converts an int32 index array on every later use.
+        dest = self.tables.edge_target[chosen].astype(np.int64, copy=False)
+        host = self.tables.edge_host[chosen].astype(np.int64, copy=False)
         scatter_ops = np.bincount(host, minlength=self.num_machines)
         if self.num_lanes == 1:
             return dest, host, None, dest, scatter_ops
@@ -225,8 +227,8 @@ class FusedPasses:
         tables = self.tables
         nonzero = sent > 0
         edges = chosen[nonzero]
-        dest = tables.edge_target[edges]
-        host = tables.edge_host[edges]
+        dest = tables.edge_target[edges].astype(np.int64, copy=False)
+        host = tables.edge_host[edges].astype(np.int64, copy=False)
         hop_lane = edge_lane[nonzero]
         hop_weights = sent[nonzero]
         # One op per frog on the hosting machine; float64 weights are
@@ -265,6 +267,10 @@ class FusedPasses:
         """
         masters = self.tables.masters
         B, M, n = self.num_lanes, self.num_machines, self.num_vertices
+        # The keys scale dest and host: int64, or an int32 table wraps
+        # them once n * M reaches 2**31.
+        host = host.astype(np.int64, copy=False)
+        dest = dest.astype(np.int64, copy=False)
         if B * n * M <= _RANGE_PER_KEY_COUNT * host.size:
             rows = dest if frog_lane is None else frog_lane * n + dest
             marked = np.zeros((B * n, M), dtype=bool)

@@ -4,27 +4,19 @@
 out as two (vertex x machine) matrices, so the fused passes gather one
 contiguous (rows x machines) block per superstep — the shape of the
 coin matrix they are combined with — instead of a ragged index list
-per frontier row.  :func:`_narrow` keeps them (and the ranked
-estimates of :mod:`repro.core.estimator`) int32 whenever the values
-fit.  Neither changes a computed value.
+per frontier row.  Their dtype is the table's one rule,
+:func:`repro.cluster.replication._narrow` (int32 whenever the values
+fit), which also sizes the ranked estimates of
+:mod:`repro.core.estimator`.  Neither changes a computed value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...cluster.replication import _narrow
+
 __all__ = ["DenseGroupTables"]
-
-_INT32_SPAN = 2**31
-
-
-def _narrow(array: np.ndarray) -> np.ndarray:
-    """An int32 copy when every value fits, else the original array."""
-    if array.dtype == np.int32:
-        return array
-    if array.size == 0 or int(array.max(initial=0)) < _INT32_SPAN:
-        return array.astype(np.int32)
-    return array
 
 
 class DenseGroupTables:

@@ -11,9 +11,11 @@ one into a Local, Sharded or ProcessPool backend.  Derive variants with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable
 
 from ..core import FrogWildConfig, resolve_kernel
+from ..core.config import check_positive_int, check_seed
 from ..errors import ConfigError
 from .backend import choose_num_shards
 
@@ -148,17 +150,20 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         resolve_kernel(self.kernel)
-        if self.num_machines < 1:
-            raise ConfigError("num_machines must be positive")
-        if self.num_shards is not None and self.num_shards < 1:
+        check_positive_int("num_machines", self.num_machines)
+        if self.num_shards is not None:
+            check_positive_int("num_shards", self.num_shards)
+        check_positive_int("max_batch_size", self.max_batch_size)
+        check_seed(self.seed)
+        capacity = self.cache_capacity
+        if (
+            not isinstance(capacity, Integral)
+            or isinstance(capacity, bool)
+            or capacity < 0
+        ):
             raise ConfigError(
-                f"num_shards must be positive (got {self.num_shards}); "
-                "None autotunes it"
-            )
-        if self.cache_capacity < 0:
-            raise ConfigError(
-                f"cache_capacity must be non-negative (got "
-                f"{self.cache_capacity}); 0 disables the cache"
+                f"cache_capacity must be a non-negative integer (got "
+                f"{capacity!r}); 0 disables the cache"
             )
         if self.on_shard_failure not in SHARD_FAILURE_POLICIES:
             raise ConfigError(

@@ -63,9 +63,14 @@ class TestBadInput:
              "max_supersteps=200"),
             (["run", "--seed", "-1", "--n", "300"],
              "frogwild run: error: seed must be non-negative, got -1"),
+            (["run", "--n", "500", "--machines", "0"],
+             "frogwild run: error: num_machines must be positive"),
+            (["ppr", "1", "2", "--n", "500", "--machines", "0"],
+             "frogwild ppr: error: num_machines must be positive"),
         ],
         ids=["crash-machine", "ppr-seed", "run-ps", "faults-top-k",
-             "graphlab-iterations", "run-negative-seed"],
+             "graphlab-iterations", "run-negative-seed", "run-no-machines",
+             "ppr-no-machines"],
     )
     def test_config_error_is_one_line(self, argv, message, capsys):
         assert main(argv) == 2

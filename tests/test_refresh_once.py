@@ -150,19 +150,23 @@ class TestPartitionFor:
 # ----------------------------------------------------------------------
 def _reference_groups(anchor, machine, other, n):
     """``_GroupedEdges`` as built before the counting sorts: one
-    lexsort per grouping, every array derived from the sorted edges."""
+    lexsort per grouping, every array derived from the sorted edges.
+    Every array is int32: machine ids always, and the index arrays
+    because every test graph's values fit (the table's narrowing rule)."""
     order = np.lexsort((machine, anchor))
     anchor, machine = anchor[order], machine[order]
     pairs = anchor * (int(machine.max()) + 1 if machine.size else 1) + machine
     starts = np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]][: pairs.size])
+    vertex_ptr = np.r_[0, np.cumsum(np.bincount(anchor[starts], minlength=n))]
+    edge_ptr = np.r_[0, np.cumsum(np.bincount(anchor, minlength=n))]
     return {
         "group_machine": machine[starts].astype(np.int32),
-        "group_anchor": anchor[starts].astype(np.int64),
-        "group_start": starts.astype(np.int64),
-        "group_stop": np.r_[starts[1:], anchor.size].astype(np.int64),
-        "vertex_ptr": np.r_[0, np.cumsum(np.bincount(anchor[starts], minlength=n))],
-        "anchor_edge_ptr": np.r_[0, np.cumsum(np.bincount(anchor, minlength=n))],
-        "sorted_other": other[order],
+        "group_anchor": anchor[starts].astype(np.int32),
+        "group_start": starts.astype(np.int32),
+        "group_stop": np.r_[starts[1:], anchor.size].astype(np.int32),
+        "vertex_ptr": vertex_ptr.astype(np.int32),
+        "anchor_edge_ptr": edge_ptr.astype(np.int32),
+        "sorted_other": other[order].astype(np.int32),
         "edge_machine_sorted": machine.astype(np.int32),
     }
 

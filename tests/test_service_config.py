@@ -11,6 +11,7 @@ answers bitwise like the static service with the same layout.
 import dataclasses
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from repro.core import FrogWildConfig
@@ -150,6 +151,66 @@ class TestOutOfRangeSettings:
                 DynamicDiGraph.from_digraph(GRAPH), CONFIG,
                 num_machines=4, **{field: "sharded"},
             )
+
+
+#: Settings the parent accepted, failing only later inside numpy (or,
+#: for ``cache_capacity``, never); each is a ConfigError now.
+MISTYPED = [
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"num_machines": 2.5}, "num_machines"),
+    ({"num_machines": True}, "num_machines"),
+    ({"num_shards": 1.5}, "num_shards"),
+    ({"num_shards": True}, "num_shards"),
+    ({"max_batch_size": 2.5}, "max_batch_size"),
+    ({"max_batch_size": 0}, "max_batch_size"),
+    ({"max_batch_size": True}, "max_batch_size"),
+    ({"cache_capacity": 2.5}, "cache_capacity"),
+    ({"cache_capacity": False}, "cache_capacity"),
+]
+
+
+class TestSettingTypes:
+    @pytest.mark.parametrize("bad, name", MISTYPED, ids=str)
+    def test_service_config_rejects(self, bad, name):
+        with pytest.raises(ConfigError, match=name):
+            ServiceConfig(**{"config": CONFIG, "num_machines": 4, **bad})
+
+    def test_negative_seed_builds_no_service(self):
+        """Was numpy's ``ValueError: expected non-negative integer`` when
+        the query config carries its own seed."""
+        with pytest.raises(ConfigError, match="seed"):
+            RankingService(GRAPH, ServiceConfig(config=CONFIG, seed=-1))
+
+    def test_fractional_batch_size_is_refused_before_a_batch(self):
+        """Was built, then its first batch raised numpy's TypeError."""
+        with pytest.raises(ConfigError, match="max_batch_size"):
+            RankingService(
+                GRAPH,
+                ServiceConfig(config=CONFIG, num_machines=4, max_batch_size=2.5),
+            )
+
+    def test_integers_of_any_width_and_the_defaults_are_accepted(self):
+        config = ServiceConfig(
+            config=CONFIG, num_machines=np.int64(4), num_shards=np.int32(2),
+            max_batch_size=np.int64(8), cache_capacity=np.int64(0),
+            seed=np.int64(3),
+        )
+        assert config.shard_count == 2
+        ServiceConfig(seed=None, num_shards=None, cache_capacity=0)
+
+    def test_zero_capacity_still_disables_the_cache(self):
+        service = RankingService(
+            GRAPH, ServiceConfig(config=CONFIG, num_machines=4, cache_capacity=0)
+        )
+        try:
+            query = RankingQuery(seeds=(3, 40), k=5)
+            first, again = service.query_batch([query]), service.query_batch([query])
+            assert not first[0].cached and not again[0].cached
+            assert list(first[0].vertices) == list(again[0].vertices)
+        finally:
+            service.close()
 
 
 class TestLiveMatchesStatic:

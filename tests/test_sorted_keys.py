@@ -386,7 +386,7 @@ class TestGroupingOrder:
         assert np.array_equal(groups.sorted_other, other[expected])
         assert np.array_equal(groups.edge_anchor(), key[expected])
         assert groups.edge_machine_sorted.dtype == np.int32
-        assert groups.sorted_other.dtype == np.int64
+        assert groups.sorted_other.dtype == np.int32  # narrowed: n < 2**31
 
     def test_ties_keep_input_order(self):
         # 0 -> 1, then 1 -> 0 four times around 1 -> 2, on machines 0/3.
@@ -406,7 +406,7 @@ class TestGroupingOrder:
         graph = DiGraph(np.zeros(5, dtype=np.int64), np.empty(0, dtype=np.int64))
         for anchor in ("src", "dst"):
             groups = _GroupedEdges(graph, np.empty(0, dtype=np.int32), 16, anchor)
-            assert groups.num_groups == 0 and groups.group_start.dtype == np.int64
+            assert groups.num_groups == 0 and groups.group_start.dtype == np.int32
             assert groups.vertex_ptr.tolist() == [0] * 5
             assert groups.anchor_edge_ptr.tolist() == [0] * 5
 

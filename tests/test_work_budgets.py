@@ -11,7 +11,12 @@ host's clock reads:
 * every nonzero scan the superstep and the serving path make reads a
   bool mask: each array ``np.flatnonzero`` receives from a
   ``repro.core`` or ``repro.serving`` frame has dtype bool (numpy scans
-  int32/int64/float64 several times slower than bool).
+  int32/int64/float64 several times slower than bool);
+* a shard's serving tables — the replication table plus the kernel
+  tables, dense group tables and mirror bitmap primed beside it — hold
+  at most 38 bytes per edge, each buffer counted once: index arrays are
+  int32 where their values fit, and the kernel tables alias the table's
+  arrays instead of copying them.
 """
 
 import sys
@@ -19,9 +24,11 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cluster import RandomVertexCut, ReplicationTable
 from repro.core import FrogWildConfig, run_frogwild
+from repro.core.frogwild import prime_ingress_caches
 from repro.core.kernels import fused as fk
-from repro.graph import rmat, twitter_like
+from repro.graph import DiGraph, rmat, twitter_like
 from repro.serving import RankingQuery, RankingService, ServiceConfig
 
 GATED = ("repro.core", "repro.serving")
@@ -104,3 +111,64 @@ class TestPassBudgets:
         assert passes["records"] == config.iterations
         assert passes["sorts"] == passes["records"]
         _assert_bool_scans(passes["scans"])
+
+
+def _held_arrays(obj):
+    """Every array reachable from ``obj``'s attributes, slots, dict
+    values and ingress cache, the graph it indexes excluded."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _held_arrays(value)
+    elif isinstance(obj, DiGraph):
+        return
+    elif hasattr(obj, "__slots__"):
+        for slot in obj.__slots__:
+            yield from _held_arrays(getattr(obj, slot, None))
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from _held_arrays(value)
+
+
+def _bytes_held(table):
+    """Bytes of every buffer ``table`` holds, each counted once."""
+    counted = []
+    for array in _held_arrays(table):
+        if not any(np.shares_memory(array, seen) for seen in counted):
+            counted.append(array)
+    return sum(array.nbytes for array in counted)
+
+
+class TestTableBudget:
+    """Table-build allocation per edge: what one shard holds to serve."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        graph = rmat(scale=12, edge_factor=16, seed=0)
+        partition = RandomVertexCut(seed=0).partition(graph, 16)
+        table = ReplicationTable(graph, partition, seed=0)
+        prime_ingress_caches(table, graph)
+        return table
+
+    def test_a_shard_holds_at_most_38_bytes_per_edge(self, table):
+        """54.9 B/edge with int64 index arrays and copied kernel tables;
+        33.4 with int32 ones aliased."""
+        assert {"kernel_tables", "dense_groups", "mirror_matrix"} <= set(
+            table._ingress_cache
+        )
+        per_edge = _bytes_held(table) / table.graph.num_edges
+        assert per_edge <= 38.0, f"{per_edge:.1f} B/edge"
+
+    def test_the_kernel_tables_alias_the_table(self, table):
+        kernel = table._ingress_cache["kernel_tables"]
+        groups = table.out_groups
+        for mine, theirs in (
+            (kernel.edge_host, groups.edge_machine_sorted),
+            (kernel.group_machine, groups.group_machine),
+            (kernel.edge_target, groups.sorted_other),
+            (kernel.group_start, groups.group_start),
+            (kernel.vertex_ptr, groups.vertex_ptr),
+            (kernel.masters, table.masters),
+        ):
+            assert np.shares_memory(mine, theirs)
