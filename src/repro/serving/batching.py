@@ -28,6 +28,7 @@ from typing import Hashable
 import numpy as np
 
 from ..core import FrogWildConfig
+from ..core.config import check_positive_int
 from ..errors import ConfigError
 
 __all__ = ["RankingQuery", "PendingQuery", "QueryCoalescer"]
@@ -50,9 +51,19 @@ class RankingQuery:
     config: FrogWildConfig | None = None
 
     def __post_init__(self) -> None:
-        seeds = tuple(int(s) for s in np.atleast_1d(np.asarray(self.seeds)))
-        if not seeds:
+        check_positive_int("k", self.k)
+        raw = self.seeds
+        array = np.atleast_1d(np.asarray(raw))
+        if not array.size:
             raise ConfigError("a ranking query needs at least one seed")
+        # int() would truncate 1.9 to vertex 1 and read True as vertex
+        # 1; a bool inside a list of ints hides in an int64 array.
+        if array.dtype.kind not in "iu" or (
+            isinstance(raw, (tuple, list))
+            and any(isinstance(s, (bool, np.bool_)) for s in raw)
+        ):
+            raise ConfigError(f"seed ids must be integers, got {raw!r}")
+        seeds = tuple(int(s) for s in array)
         if len(set(seeds)) != len(seeds):
             raise ConfigError("seed ids must be distinct")
         if min(seeds) < 0:
@@ -75,8 +86,6 @@ class RankingQuery:
                     "weights must be non-negative with positive mass"
                 )
             object.__setattr__(self, "weights", weights)
-        if self.k < 1:
-            raise ConfigError("k must be positive")
 
     def effective_config(self, default: FrogWildConfig) -> FrogWildConfig:
         """The config this query actually runs under."""

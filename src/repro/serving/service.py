@@ -113,23 +113,41 @@ class RankingAnswer:
 
 
 class RankingFuture:
-    """Handle to an asynchronously scheduled query's eventual answer."""
+    """Handle to a scheduled query's eventual answer.
 
-    def __init__(self, query: RankingQuery) -> None:
+    A future resolves exactly once.  A cache hit's future is born
+    resolved: it holds its answer and no wait primitive, so ``done()``
+    is True and ``result()`` returns at once (a shed query's is born
+    failed the same way).  Only a future that must wait — a miss, or a
+    join onto an in-flight duplicate — allocates a ``threading.Event``,
+    at construction and never later, so ``done()`` and ``result()``
+    stay thread-safe against the scheduler thread that resolves it.
+    """
+
+    def __init__(
+        self,
+        query: RankingQuery,
+        *,
+        answer: RankingAnswer | None = None,
+        error: BaseException | None = None,
+        trace: "QueryTrace | None" = None,
+    ) -> None:
         self.query = query
-        self._event = threading.Event()
-        self._answer: RankingAnswer | None = None
-        self._error: BaseException | None = None
+        self._answer = answer
+        self._error = error
+        self._event = (
+            threading.Event() if answer is None and error is None else None
+        )
         #: The per-query trace following this future through the
         #: service (set when the owning service has a tracer attached).
-        self.trace: "QueryTrace | None" = None
+        self.trace = trace
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._event is None or self._event.is_set()
 
     def result(self, timeout: float | None = None) -> RankingAnswer:
         """Block until the answer is ready (or ``timeout`` elapses)."""
-        if not self._event.wait(timeout):
+        if self._event is not None and not self._event.wait(timeout):
             raise TimeoutError("ranking answer not ready yet")
         if self._error is not None:
             raise self._error
@@ -228,6 +246,10 @@ class _CacheEntry:
 
     ``estimate`` is the lane's ranked support — O(num_frogs) bytes,
     never an n-vector — so a hit of any ``k`` is a prefix copy of it.
+    ``top_vertices``/``top_scores`` are that prefix for the ``k`` the
+    lane was executed for, ranked once when its batch resolves: a hit
+    asking the same ``k`` copies these two k-length arrays and ranks
+    nothing; any other ``k`` ranks ``estimate`` again.
     ``degrade_level``/``error_bound`` record whether the estimate was
     computed under an admission-degraded config, so cache re-serves of
     a degraded answer keep reporting the accuracy they actually
@@ -240,6 +262,9 @@ class _CacheEntry:
     estimate: RankedEstimate
     report: RunReport
     batch_size: int
+    k: int
+    top_vertices: np.ndarray
+    top_scores: np.ndarray
     degrade_level: int = 0
     error_bound: float | None = None
     degraded_shards: tuple[int, ...] = ()
@@ -589,19 +614,19 @@ class RankingService:
             return base
         return (int(self.generation()), base)
 
-    def _try_attach(
+    def _attach(
         self,
         key: Hashable,
         query: RankingQuery,
-        future: RankingFuture,
+        trace: "QueryTrace | None",
         now: float,
-    ) -> bool:
-        """Serve ``future`` from cache or join an in-flight lane.
+    ) -> RankingFuture | None:
+        """Serve ``query`` from cache or join ``key``'s in-flight lane.
 
-        Returns False when a new execution lane is needed.  Caller
-        holds the service lock.
+        One cache lookup.  A hit returns a future born resolved; a join
+        returns a waiting future riding the lane.  Returns None when a
+        new execution lane is needed.  Caller holds the service lock.
         """
-        trace = future.trace
         entry = None if self.cache is None else self.cache.get(key)
         if entry is not None:
             # queries_served counts *answered* queries (a failed
@@ -620,30 +645,37 @@ class RankingService:
                     trace.degrade_level = entry.degrade_level
                     trace.error_bound = entry.error_bound
                 self.tracer.complete(trace)
-            future._resolve(self._answer(query, entry, cached=True))
-            return True
+            return RankingFuture(
+                query,
+                answer=self._answer(query, entry, cached=True),
+                trace=trace,
+            )
         waiters = self._inflight.get(key)
-        if waiters is not None:
-            # A duplicate of an already queued query: ride its lane.
-            self.stats.queries_coalesced += 1
-            if trace is not None:
-                trace.coalesced = True
-            waiters.append((query, future))
-            return True
-        return False
+        if waiters is None:
+            return None
+        # A duplicate of an already queued query: ride its lane.
+        self.stats.queries_coalesced += 1
+        if trace is not None:
+            trace.coalesced = True
+        future = RankingFuture(query, trace=trace)
+        waiters.append((query, future))
+        return future
 
     def _submit_validated(
         self, query: RankingQuery
     ) -> tuple[RankingFuture, Hashable]:
         """Submit one validated query; returns (future, cache key)."""
-        future = RankingFuture(query)
         with self._lock:
             now = self._clock()
             self.stats.queries_submitted += 1
-            if self.tracer is not None:
-                future.trace = self.tracer.begin(query.seeds, query.k, now)
+            trace = (
+                None
+                if self.tracer is None
+                else self.tracer.begin(query.seeds, query.k, now)
+            )
             key = self._cache_key(query)
-            if self._try_attach(key, query, future, now):
+            future = self._attach(key, query, trace, now)
+            if future is not None:
                 return future, key
             # A new execution lane is needed — the only point admission
             # control rules on: cache hits and coalesced duplicates add
@@ -653,20 +685,18 @@ class RankingService:
                     self.scheduler.pending_count()
                 )
                 if decision.action == "shed":
-                    if future.trace is not None:
-                        future.trace.status = "shed"
-                        future.trace.shed_depth = decision.depth
-                        future.trace.resolve_s = now
-                        self.tracer.complete(future.trace)
-                    future._fail(
-                        OverloadError(
-                            f"query shed: {decision.depth} pending >= "
-                            f"bound {decision.limit}",
-                            depth=decision.depth,
-                            limit=decision.limit,
-                        )
+                    if trace is not None:
+                        trace.status = "shed"
+                        trace.shed_depth = decision.depth
+                        trace.resolve_s = now
+                        self.tracer.complete(trace)
+                    error = OverloadError(
+                        f"query shed: {decision.depth} pending >= "
+                        f"bound {decision.limit}",
+                        depth=decision.depth,
+                        limit=decision.limit,
                     )
-                    return future, key
+                    return RankingFuture(query, error=error, trace=trace), key
                 if decision.action == "degrade":
                     base = query.effective_config(self.default_config)
                     degraded = self.admission.degraded_config(
@@ -677,17 +707,18 @@ class RankingService:
                             degraded, query.k, self.graph.num_vertices
                         )
                         query = replace(query, config=degraded)
-                        future.query = query
                         key = self._cache_key(query)
                         self.stats.queries_degraded += 1
-                        if future.trace is not None:
-                            future.trace.degrade_level = decision.level
-                            future.trace.error_bound = bound
+                        if trace is not None:
+                            trace.degrade_level = decision.level
+                            trace.error_bound = bound
                         # The degraded variant may itself be cached or
                         # already in flight under its own key.
-                        if self._try_attach(key, query, future, now):
+                        future = self._attach(key, query, trace, now)
+                        if future is not None:
                             return future, key
                         self._degrade_info[key] = (decision.level, bound)
+            future = RankingFuture(query, trace=trace)
             self._inflight[key] = [(query, future)]
             # Enqueue under the same lock that registered the in-flight
             # entry: a concurrent duplicate's flush must find either
@@ -726,14 +757,27 @@ class RankingService:
             degraded_shards = tuple(
                 getattr(outcome, "degraded_shards", ()) or ()
             )
+            # Each lane is ranked once, for the k it was executed for,
+            # outside the lock: its cache entry keeps that answer.
+            tops = [
+                lane.estimate.top_k_with_scores(query.k)
+                for query, lane in zip(queries, outcome.lanes)
+            ]
             with self._lock:
                 self._record_outcome(outcome, len(entries))
-                for entry, lane in zip(entries, outcome.lanes):
+                for entry, lane, (top_vertices, top_scores) in zip(
+                    entries, outcome.lanes, tops
+                ):
                     info = self._degrade_info.pop(entry.payload, None)
+                    top_vertices.flags.writeable = False
+                    top_scores.flags.writeable = False
                     cached = _CacheEntry(
                         estimate=lane.estimate,
                         report=lane.report,
                         batch_size=len(entries),
+                        k=entry.query.k,
+                        top_vertices=top_vertices,
+                        top_scores=top_scores,
                         degrade_level=0 if info is None else info[0],
                         error_bound=None if info is None else info[1],
                         degraded_shards=degraded_shards,
@@ -834,7 +878,11 @@ class RankingService:
     def _answer(
         self, query: RankingQuery, entry: _CacheEntry, cached: bool
     ) -> RankingAnswer:
-        vertices, scores = entry.estimate.top_k_with_scores(query.k)
+        if query.k == entry.k:
+            vertices = entry.top_vertices.copy()
+            scores = entry.top_scores.copy()
+        else:
+            vertices, scores = entry.estimate.top_k_with_scores(query.k)
         error_bound = entry.error_bound
         if entry.degrade_level and self.admission is not None:
             # Recompute for *this* query's k: the cached bound was

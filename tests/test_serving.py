@@ -193,6 +193,26 @@ class TestCoalescer:
             RankingQuery(seeds=(3, 3))
         with pytest.raises(ConfigError):
             RankingQuery(seeds=(-1,))
+        # A float k used to pass construction and then raise inside the
+        # batch, stranding its batchmates; True was served as k = 1.
+        for k in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ConfigError, match="k must be an integer"):
+                RankingQuery(seeds=(1, 2), k=k)
+        # int() used to truncate 1.9 to vertex 1 and read True as 1.
+        for seeds in (
+            (1.9,), (1, 2.5), (True,), (2, True),
+            np.array([1.0, 2.0]), np.array([True, False]),
+        ):
+            with pytest.raises(ConfigError, match="seed ids must be integers"):
+                RankingQuery(seeds=seeds)
+
+    def test_numpy_integers_still_accepted(self):
+        query = RankingQuery(
+            seeds=np.array([5, 2], dtype=np.int32), k=np.int64(4)
+        )
+        assert query.seeds == (5, 2) and query.k == 4
+        assert RankingQuery(seeds=(np.int64(7), 3)).seeds == (7, 3)
+        assert RankingQuery(seeds=np.uint16(9)).seeds == (9,)
 
     def test_degenerate_weights_fail_at_construction(self):
         """A bad restart law must never reach dispatch: zero-mass or
@@ -231,6 +251,37 @@ class TestRankingService:
         np.testing.assert_array_equal(first.scores, second.scores)
         row = service.snapshot()
         assert row["cache_hits"] == 1.0 and row["cache_misses"] == 1.0
+
+    def test_malformed_queries_are_refused_before_submission(self, graph):
+        """Fractional seeds are not truncated, a bool is not a vertex,
+        and a non-integer k never reaches a batch."""
+        service = make_service(graph)
+        for seeds, k in (([1.9], 5), ([True], 5), ([1, 2], 2.5), ([1, 2], True)):
+            with pytest.raises(ConfigError):
+                service.query(seeds, k=k)
+            with pytest.raises(ConfigError):
+                service.submit(seeds, k=k)
+        assert service.stats.queries_submitted == 0
+        assert service.stats.queries_served == 0
+
+    def test_hit_answers_are_caller_owned_copies(self, graph):
+        """A hit copies the entry's top-k: writing one answer changes
+        neither the cache nor any other answer."""
+        service = make_service(graph)
+        first = service.query([4, 8], k=6)
+        second = service.query([4, 8], k=6)
+        assert second.cached
+        for answer in (first, second):
+            assert answer.vertices.flags.writeable
+            assert answer.scores.flags.writeable
+        assert not np.shares_memory(first.vertices, second.vertices)
+        assert not np.shares_memory(first.scores, second.scores)
+        expected = first.vertices.copy(), first.scores.copy()
+        first.vertices[:] = -1
+        second.scores[:] = 0.0
+        third = service.query([4, 8], k=6)
+        np.testing.assert_array_equal(third.vertices, expected[0])
+        np.testing.assert_array_equal(third.scores, expected[1])
 
     def test_k_is_a_prefix_of_the_cached_estimate(self, graph):
         service = make_service(graph)

@@ -16,16 +16,20 @@ host's clock reads:
   tables, dense group tables and mirror bitmap primed beside it — hold
   at most 38 bytes per edge, each buffer counted once: index arrays are
   int32 where their values fit, and the kernel tables alias the table's
-  arrays instead of copying them.
+  arrays instead of copying them;
+* a cache hit for the k its entry was executed for constructs no
+  ``threading.Event`` and ranks nothing: it is born resolved and copies
+  the entry's top-k, while a hit for another k ranks once.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.cluster import RandomVertexCut, ReplicationTable
-from repro.core import FrogWildConfig, run_frogwild
+from repro.core import FrogWildConfig, PageRankEstimate, run_frogwild
 from repro.core.frogwild import prime_ingress_caches
 from repro.core.kernels import fused as fk
 from repro.graph import DiGraph, rmat, twitter_like
@@ -172,3 +176,68 @@ class TestTableBudget:
             (kernel.masters, table.masters),
         ):
             assert np.shares_memory(mine, theirs)
+
+
+class TestHitBudget:
+    """What a cache hit does, counted: no wait primitive, no re-rank."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        seen = {"events": 0, "ranks": 0}
+        real_rank = PageRankEstimate.top_k_with_scores
+
+        class CountedEvent(threading.Event):
+            def __init__(self):
+                seen["events"] += 1
+                super().__init__()
+
+        def rank(self, k):
+            seen["ranks"] += 1
+            return real_rank(self, k)
+
+        monkeypatch.setattr(threading, "Event", CountedEvent)
+        monkeypatch.setattr(PageRankEstimate, "top_k_with_scores", rank)
+        return seen
+
+    @pytest.fixture
+    def service(self):
+        graph = rmat(scale=10, edge_factor=8, seed=0)
+        return RankingService(
+            graph,
+            ServiceConfig(
+                FrogWildConfig(num_frogs=2_000, iterations=4, ps=0.8),
+                num_machines=4,
+                cache_capacity=16,
+                max_delay_s=0.005,
+            ),
+        )
+
+    def test_same_k_hits_wait_on_nothing_and_rank_nothing(
+        self, counted, service
+    ):
+        query = RankingQuery(seeds=(1, 2, 3), k=10)
+        executed = service.query_batch([query])[0]
+        assert counted["ranks"] == 1
+        counted.update(events=0, ranks=0)
+        hits = [service.submit_query(query) for _ in range(50)]
+        assert counted == {"events": 0, "ranks": 0}
+        assert all(future.done() for future in hits)
+        for future in hits:
+            answer = future.result(timeout=0)
+            assert answer.cached
+            np.testing.assert_array_equal(answer.vertices, executed.vertices)
+            np.testing.assert_array_equal(answer.scores, executed.scores)
+        cache = service.cache.stats
+        assert (cache.hits, cache.misses) == (50, 1)
+        assert service.stats.queries_submitted == 51
+        assert service.stats.queries_served == 51
+
+    def test_another_k_ranks_once(self, counted, service):
+        executed = service.query([1, 2, 3], k=10)
+        counted.update(events=0, ranks=0)
+        other = service.submit([1, 2, 3], k=4)
+        assert counted == {"events": 0, "ranks": 1}
+        answer = other.result(timeout=0)
+        assert answer.cached
+        np.testing.assert_array_equal(answer.vertices, executed.vertices[:4])
+        np.testing.assert_array_equal(answer.scores, executed.scores[:4])
