@@ -781,11 +781,14 @@ class BatchedFrogWildRunner:
 def merge_shard_results(lanes: Sequence[FrogWildResult]) -> FrogWildResult:
     """Merge per-shard results of *one* query into a single result.
 
-    The sharded serving backend splits a query's frog budget across
+    The sharded serving backends split a query's frog budget across
     shard sub-clusters; because frogs are independent, the merged
-    counter vector is exactly the counters a single run of the full
-    budget would have produced in distribution.  Attribution merges the
-    same way the hardware would bill it:
+    counters (:meth:`~repro.core.PageRankEstimate.merge`, a merge of
+    the shards' ``(id, count)`` records into one ranked estimate) are
+    exactly the counters a single run of the full budget would have
+    produced in distribution.  Every lane must be a batch lane: its
+    ledger carries the attribution, which merges the same way the
+    hardware would bill it:
 
     * ``network_bytes`` and ``cpu_seconds`` **add** — every shard's
       traffic and work is real and owed to this query;
@@ -796,23 +799,16 @@ def merge_shard_results(lanes: Sequence[FrogWildResult]) -> FrogWildResult:
         raise ConfigError("need at least one shard result to merge")
     if len(lanes) == 1:
         return lanes[0]
+    if any(lane.ledger is None for lane in lanes):
+        raise ConfigError("only batch lanes, which carry a ledger, merge")
     estimate = PageRankEstimate.merge([lane.estimate for lane in lanes])
     reports = [lane.report for lane in lanes]
-    # Merge attribution at the ledger level when the lanes carry their
-    # ledgers (batched-runner lanes always do): records, messages and
-    # CPU ops add, supersteps take the max.  The fallback sums the
-    # already-priced reports, which is byte-identical because
-    # standalone pricing is linear in records and messages.
-    ledger: CostLedger | None = None
-    if all(lane.ledger is not None for lane in lanes):
-        ledger = replace(lanes[0].ledger)
-        for lane in lanes[1:]:
-            ledger.merge(lane.ledger)
-        supersteps = ledger.supersteps
-        network_bytes = ledger.standalone_network_bytes()
-    else:
-        supersteps = max(report.supersteps for report in reports)
-        network_bytes = sum(report.network_bytes for report in reports)
+    # Attribution merges at the ledger level: records, messages and
+    # CPU ops add, supersteps take the max.
+    ledger = replace(lanes[0].ledger)
+    for lane in lanes[1:]:
+        ledger.merge(lane.ledger)
+    supersteps = ledger.supersteps
     total_time = max(report.total_time_s for report in reports)
     # Only config-level entries survive the merge; per-layout ones
     # (replication_factor, batch_index) describe a single shard's
@@ -832,7 +828,7 @@ def merge_shard_results(lanes: Sequence[FrogWildResult]) -> FrogWildResult:
         supersteps=supersteps,
         total_time_s=total_time,
         time_per_iteration_s=total_time / supersteps if supersteps else 0.0,
-        network_bytes=network_bytes,
+        network_bytes=ledger.standalone_network_bytes(),
         cpu_seconds=sum(report.cpu_seconds for report in reports),
         extra=extra,
     )

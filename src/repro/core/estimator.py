@@ -7,6 +7,8 @@ Each vertex accumulates a counter ``c(i)`` of frogs that stopped on it
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..cluster.replication import _narrow
@@ -26,13 +28,17 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     k = min(k, values.size)
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    if values.dtype.kind == "u":
-        # Negation wraps on unsigned input (a zero would sort first):
-        # rank a signed copy instead.
-        if values.dtype.itemsize == 8 and values.max() > np.iinfo(np.int64).max:
+    if values.dtype.kind in "iu":
+        # Rank a signed copy: negation wraps on unsigned input (a zero
+        # would sort first).  Counters below 2**15 — every lane's, at
+        # the served frog budgets — rank as int16, where numpy's stable
+        # sort is a radix sort (~5x its int64 timsort); same order.
+        low, high = values.min(), values.max()
+        if high > np.iinfo(np.int64).max:
             raise ConfigError("unsigned values beyond int64 cannot be ranked")
-        values = values.astype(np.int64)
-    # argsort on (-value, index): stable mergesort on negated values.
+        narrow = -(2**15) < low and high < 2**15
+        values = values.astype(np.int16 if narrow else np.int64)
+    # argsort on (-value, index): a stable sort of the negated values.
     order = np.argsort(-values, kind="stable")
     return order[:k].astype(np.int64)
 
@@ -47,9 +53,10 @@ class PageRankEstimate:
     num_frogs:
         The number N of walkers launched; the estimator denominator.
 
-    Only :attr:`counts`, :attr:`num_vertices` and :meth:`ranked` read
-    the stored vector; every other method goes through those three, so
-    :class:`RankedEstimate` changes the storage by overriding them.
+    Only :attr:`counts`, :attr:`num_vertices`, :meth:`ranked` and
+    ``_support`` read the stored vector; every other method goes through
+    those four, so :class:`RankedEstimate` changes the storage by
+    overriding them.
     """
 
     def __init__(self, counts: np.ndarray, num_frogs: int) -> None:
@@ -63,25 +70,49 @@ class PageRankEstimate:
         self._counts = counts
         self._num_frogs = int(num_frogs)
 
-    @classmethod
-    def merge(cls, estimates: "list[PageRankEstimate]") -> "PageRankEstimate":
-        """Sum independent estimates of the same chain into one.
+    @staticmethod
+    def merge(estimates: "Sequence[PageRankEstimate]") -> "RankedEstimate":
+        """Sum independent estimates of the same chain into one, ranked.
 
         Frogs are independent walkers, so an N-frog estimate split into
-        disjoint sub-populations (the sharded serving backend runs each
-        on its own sub-cluster) recombines exactly: counters add and the
+        disjoint sub-populations (each shard of a sharded serving
+        backend runs one) recombines exactly: counters add and the
         denominator is the total frog count.  All inputs must cover the
         same vertex universe.
+
+        The merge reads each part as its id-ordered ``(id, count)``
+        records and builds no n-vector: it concatenates them, sorts the
+        ids stably (timsort merges the S sorted runs), sums each id's
+        group with ``np.add.reduceat`` and ranks the sums once.  A
+        one-part merge is that part's ranking.
         """
         if not estimates:
             raise ConfigError("need at least one estimate to merge")
         n = estimates[0].num_vertices
         if any(e.num_vertices != n for e in estimates):
             raise ConfigError("cannot merge estimates of different graphs")
-        counts = np.zeros(n, dtype=np.int64)
-        for estimate in estimates:
-            counts += estimate.counts
-        return PageRankEstimate(counts, sum(e.num_frogs for e in estimates))
+        supports = [estimate._support() for estimate in estimates]
+        ids, counts = supports[0]
+        if len(supports) > 1:
+            ids = np.concatenate([part[0] for part in supports])
+            # Widen first: two int32 parts may sum past 2**31.
+            counts = np.concatenate(
+                [part[1] for part in supports], dtype=np.int64
+            )
+            order = np.argsort(ids, kind="stable")
+            ids, counts = ids[order], counts[order]
+            first = np.ones(ids.size, dtype=bool)
+            first[1:] = ids[1:] != ids[:-1]
+            starts = np.flatnonzero(first)
+            ids, counts = ids[starts], np.add.reduceat(counts, starts)
+        # Ascending ids keep the lower-id tie-break of the stable sort.
+        order = top_k_indices(counts, counts.size)
+        return RankedEstimate(
+            ids[order],
+            counts[order],
+            sum(estimate.num_frogs for estimate in estimates),
+            n,
+        )
 
     @property
     def counts(self) -> np.ndarray:
@@ -114,17 +145,17 @@ class PageRankEstimate:
             return np.full(counts.size, 1.0 / counts.size)
         return counts / total
 
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero counters as ``(ids, counts)`` in id order: what
+        :meth:`merge` reads of an estimate."""
+        ids = np.flatnonzero(self._counts != 0)
+        return ids, self._counts[ids]
+
     def ranked(self) -> "RankedEstimate":
         """The same estimate as its ranked support (see
         :class:`RankedEstimate`): one ``flatnonzero`` of the nonzero
         mask plus one stable ``argsort`` of the nonzero counters."""
-        support = np.flatnonzero(self._counts != 0)
-        counts = self._counts[support]
-        # Ascending ids keep the lower-id tie-break of the stable sort.
-        order = top_k_indices(counts, counts.size)
-        return RankedEstimate(
-            support[order], counts[order], self._num_frogs, self._counts.size
-        )
+        return PageRankEstimate.merge([self])
 
     def top_k(self, k: int) -> np.ndarray:
         """Vertex ids of the estimated top-k, by decreasing count, as a
@@ -214,11 +245,12 @@ class RankedEstimate(PageRankEstimate):
     stores of an estimate.  Build it with
     :meth:`PageRankEstimate.ranked`.
 
-    It overrides exactly the three accessors the base class derives
+    It overrides exactly the four accessors the base class derives
     everything else from: :attr:`counts` (here an O(n) materialisation,
     like every dense view built on it — ``vector()``, ``distribution()``,
     ... — for tests and diagnostics; nothing on the serving path calls
-    them), :attr:`num_vertices` and :meth:`ranked` (itself).
+    them), :attr:`num_vertices`, :meth:`ranked` (itself) and
+    ``_support`` (its records re-sorted by id, for :meth:`merge`).
 
     Parameters
     ----------
@@ -285,6 +317,10 @@ class RankedEstimate(PageRankEstimate):
         counts[self._ranked_ids] = self._ranked_counts
         return counts
 
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self._ranked_ids)
+        return self._ranked_ids[order], self._ranked_counts[order]
+
     def ranked(self) -> "RankedEstimate":
         """Itself: ``top_k`` of this form never ranks again."""
         return self
@@ -294,3 +330,52 @@ class RankedEstimate(PageRankEstimate):
             f"RankedEstimate(n={self._num_vertices}, "
             f"N={self._num_frogs}, support={self._ranked_ids.size})"
         )
+
+
+class _IdOrderedEstimate(PageRankEstimate):
+    """The same estimator, stored as its support in id order: one lane
+    of a process-pool worker's result frame, as it arrived.
+
+    :meth:`PageRankEstimate.merge` reads these records as they are, so
+    the frame is checked here, once: ids strictly increasing within
+    ``[0, num_vertices)`` and every count positive.  A refused frame is
+    a :class:`~repro.errors.ConfigError`.
+    """
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        counts: np.ndarray,
+        num_frogs: int,
+        num_vertices: int,
+    ) -> None:
+        ids = np.asarray(ids, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if ids.ndim != 1 or ids.shape != counts.shape:
+            raise ConfigError("frame ids/counts must be equal-length 1-d")
+        if num_frogs < 1:
+            raise ConfigError("num_frogs must be positive")
+        if (ids[1:] <= ids[:-1]).any():
+            raise ConfigError("frame ids must be strictly increasing")
+        if ids.size and not (0 <= ids[0] and ids[-1] < num_vertices):
+            raise ConfigError(f"frame ids must lie in [0, {num_vertices})")
+        if counts.min(initial=1) < 1:
+            raise ConfigError("frame counts must be positive")
+        self._ids = ids
+        self._stop_counts = counts
+        self._num_frogs = int(num_frogs)
+        self._num_vertices = int(num_vertices)
+
+    @property
+    def num_vertices(self) -> int:
+        return self._num_vertices
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense counter vector ``c``, materialised (O(n))."""
+        counts = np.zeros(self._num_vertices, dtype=np.int64)
+        counts[self._ids] = self._stop_counts
+        return counts
+
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._ids, self._stop_counts

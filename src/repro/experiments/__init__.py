@@ -23,7 +23,7 @@ from .persistence import (
     save_rows_json,
 )
 from .reporting import format_rows, format_table, format_value
-from .sweep import pareto_front, sweep_frogwild
+from .sweep import pareto_front
 from .workloads import (
     PAPER_FROGS,
     PAPER_LIVEJOURNAL_VERTICES,
@@ -44,7 +44,6 @@ __all__ = [
     "PAPER_LIVEJOURNAL_VERTICES",
     "ExperimentHarness",
     "ExperimentRow",
-    "sweep_frogwild",
     "pareto_front",
     "FigureResult",
     "figure1",

@@ -1,50 +1,18 @@
-"""Generic parameter sweeps over the FrogWild configuration space.
+"""The cost/accuracy front of a set of experiment rows.
 
-The figure functions cover the paper's exact grids; these helpers
-support ad-hoc exploration (ablations, sensitivity analyses) with the
-same harness and row format.
+The figure functions cover the paper's exact grids; this summarizes
+any set of their rows (the Figure 3/7 trade-off clouds) by the rows no
+other row beats on both cost and accuracy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from itertools import product
+from collections.abc import Sequence
 
 from ..errors import ExperimentError
-from .harness import ExperimentHarness, ExperimentRow
+from .harness import ExperimentRow
 
-__all__ = ["sweep_frogwild", "pareto_front"]
-
-_SWEEPABLE = {
-    "ps",
-    "num_frogs",
-    "iterations",
-    "p_teleport",
-    "scatter_mode",
-    "erasure_model",
-    "seed",
-}
-
-
-def sweep_frogwild(
-    harness: ExperimentHarness,
-    ks: tuple[int, ...] = (100,),
-    **grids: Iterable,
-) -> list[ExperimentRow]:
-    """Run FrogWild for the cartesian product of the given parameter
-    grids, e.g. ``sweep_frogwild(h, ps=[1, 0.5], iterations=[3, 4])``."""
-    unknown = set(grids) - _SWEEPABLE
-    if unknown:
-        raise ExperimentError(
-            f"cannot sweep over {sorted(unknown)}; "
-            f"sweepable: {sorted(_SWEEPABLE)}"
-        )
-    names = list(grids)
-    rows = []
-    for values in product(*(list(grids[name]) for name in names)):
-        overrides = dict(zip(names, values))
-        rows.append(harness.run_frogwild(ks=ks, **overrides))
-    return rows
+__all__ = ["pareto_front"]
 
 
 def pareto_front(

@@ -22,7 +22,6 @@ from .generators import (
 )
 from .io import load_npz, read_edge_list, save_npz, write_edge_list
 from .keys import sorted_unique
-from .transform import largest_scc, strongly_connected_components, subgraph_vertices
 
 __all__ = [
     "DiGraph",
@@ -48,7 +47,4 @@ __all__ = [
     "reciprocity",
     "power_law_exponent",
     "is_strongly_connected",
-    "strongly_connected_components",
-    "subgraph_vertices",
-    "largest_scc",
 ]

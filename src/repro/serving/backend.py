@@ -359,8 +359,9 @@ class ShardedBackend:
     batch out — runs each shard's slice under its :func:`_shard_seed`
     (:func:`_run_slice`), and merges:
 
-    * per-query counters by summation (exact — frogs are independent,
-      see :meth:`~repro.core.PageRankEstimate.merge`);
+    * per-query counters by summation (exact — frogs are independent):
+      :meth:`~repro.core.PageRankEstimate.merge` sums the shards'
+      ``(id, count)`` records and ranks the sums once;
     * per-query cost attribution by summation of shard ledgers, wall
       time by max (shards run concurrently), via
       :func:`~repro.core.batched.merge_shard_results`.

@@ -86,8 +86,9 @@ population.  When a worker dies (or times out) mid-batch,
   runs healthy;
 * ``"partial"`` — the surviving shards' lanes merge through the
   normal exact path; the estimator automatically rescales to the
-  surviving frog count (:meth:`~repro.core.PageRankEstimate.merge`
-  sums ``num_frogs``), and the outcome carries ``degraded_shards`` /
+  surviving frog count (the record merge,
+  :meth:`~repro.core.PageRankEstimate.merge`, sums ``num_frogs`` with
+  the counts), and the outcome carries ``degraded_shards`` /
   ``lost_frogs`` so the service can attach the widened Theorem-1
   bound;
 * ``"retry"`` — the respawned worker re-runs the lost slice (same
@@ -122,7 +123,8 @@ from ..cluster import (
     SharedArena,
     TransportTally,
 )
-from ..core import FrogWildConfig, PageRankEstimate
+from ..core import FrogWildConfig
+from ..core.estimator import _IdOrderedEstimate
 
 # The merge runs in .backend (``_merged_outcome``); bench/ still wraps
 # this module's name for its trace, so it stays bound here.
@@ -216,10 +218,8 @@ def _worker_main(
                     reply_delay_s = 0.0
                 lanes = []
                 for lane in result.results:
-                    counts = lane.estimate.counts
-                    stops = np.flatnonzero(counts != 0)
                     channel.send_records(
-                        "result", stops, counts[stops], tag=task
+                        "result", *lane.estimate._support(), tag=task
                     )
                     lanes.append(
                         (lane.estimate.num_frogs, lane.report, lane.ledger)
@@ -306,7 +306,8 @@ class _Wait:
         self.kind = _REPLY_KINDS[message[0]]
         self.token = message[1]
         self.lanes = lanes
-        self.frames: list[np.ndarray] = []
+        # One ``(stops, stop_counts)`` record pair per lane, id-ordered.
+        self.frames: list[tuple[np.ndarray, np.ndarray]] = []
         self.reply: tuple | None = None
         self.deadline = 0.0
         # A dead worker's pipes read ready at EOF; each is retired on
@@ -568,9 +569,7 @@ class ProcessPoolBackend(ShardedBackend):
             return False
         if kind != "result" or tag != wait.token:
             return False  # an older (failed) task's frame
-        counts = np.zeros(self.graph.num_vertices, dtype=np.int64)
-        counts[stops] = stop_counts
-        wait.frames.append(counts)
+        wait.frames.append((stops, stop_counts))
         return True
 
     def _gather(
@@ -870,16 +869,24 @@ class ProcessPoolBackend(ShardedBackend):
             for shard in sorted(results):
                 wait = results[shard]
                 worker, payload = wait.worker, wait.reply[2]
-                for lanes, counts, (num_frogs, report, ledger) in zip(
-                    per_query_lanes, wait.frames, payload["lanes"]
-                ):
-                    lanes.append(
-                        FrogWildResult(
-                            estimate=PageRankEstimate(counts, num_frogs),
-                            report=report,
-                            state=None,
-                            ledger=ledger,
+                for lanes, (stops, stop_counts), (
+                    num_frogs, report, ledger
+                ) in zip(per_query_lanes, wait.frames, payload["lanes"]):
+                    try:
+                        # Merged as they arrived: no n-vector per frame.
+                        estimate = _IdOrderedEstimate(
+                            stops,
+                            stop_counts,
+                            num_frogs,
+                            self.graph.num_vertices,
                         )
+                    except ConfigError as error:
+                        raise EngineError(
+                            f"shard {shard} sent a malformed result "
+                            f"frame: {error}"
+                        ) from error
+                    lanes.append(
+                        FrogWildResult(estimate, report, None, ledger)
                     )
                 self.transport_sent.merge(payload["sent"])
                 self.transport_received.merge(worker.channel.received)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PageRankEstimate, RankedEstimate, top_k_indices
+from repro.core.estimator import _IdOrderedEstimate
 from repro.errors import ConfigError
 
 
@@ -49,6 +50,23 @@ class TestTopK:
         ]
         with pytest.raises(ConfigError):
             top_k_indices(np.array([0, 2**63], dtype=np.uint64), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0, 1, 2**15 - 1, 2**15, -(2**15) + 1, -(2**15)])
+        | st.integers(-3, 3),
+        min_size=1,
+        max_size=30,
+    ))
+    def test_int16_and_int64_ranks_agree(self, values):
+        # Values inside (-2**15, 2**15) rank as int16 (a radix sort),
+        # any other set as int64: the order is the same either way.
+        expected = sorted(range(len(values)), key=lambda i: (-values[i], i))
+        for dtype in (np.int16, np.int32, np.int64):
+            if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in values):
+                ranked = top_k_indices(np.array(values, dtype=dtype), len(values))
+                assert ranked.dtype == np.int64
+                assert list(ranked) == expected
 
 
 class TestPageRankEstimate:
@@ -131,6 +149,36 @@ def boundary_ks(counts):
     return sorted(k for k in ks if k >= 0)
 
 
+def dense_merge(parts):
+    """The oracle: sum the dense counters, then rank the nonzero ones
+    (stable on decreasing count, so the lower id wins a tie)."""
+    counts = np.sum([np.asarray(c, dtype=np.int64) for c, _ in parts], axis=0)
+    support = np.flatnonzero(counts)
+    order = np.argsort(-counts[support], kind="stable")
+    return RankedEstimate(
+        support[order],
+        counts[support][order],
+        sum(frogs for _, frogs in parts),
+        counts.size,
+    )
+
+
+def _id_ordered(estimate):
+    ids = np.flatnonzero(estimate.counts)
+    return _IdOrderedEstimate(
+        ids, estimate.counts[ids], estimate.num_frogs, estimate.num_vertices
+    )
+
+
+#: The three storage forms a merge reads: dense counters, the ranked
+#: support, and a pool frame's id-ordered records.
+FORMS = {
+    "dense": lambda estimate: estimate,
+    "ranked": lambda estimate: estimate.ranked(),
+    "id-ordered": _id_ordered,
+}
+
+
 def assert_same_form(left, right):
     for name in ("ranked_ids", "ranked_counts"):
         a, b = getattr(left, name), getattr(right, name)
@@ -168,21 +216,76 @@ class TestRankedEstimate:
                     min_size=n, max_size=n,
                 ),
                 st.integers(1, 9),
+                st.sampled_from(sorted(FORMS)),
             ),
             min_size=1, max_size=4,
         )
     ))
-    def test_merge_of_ranked_parts_is_the_dense_merge(self, parts):
-        dense = [PageRankEstimate(np.array(c), frogs) for c, frogs in parts]
-        expected = PageRankEstimate.merge(dense)
-        # Ranked parts sum through their materialised counts, to the
-        # dense form: the same class whichever name merge is called by.
+    def test_record_merge_is_the_dense_sum_then_rank(self, parts):
+        expected = dense_merge([(c, frogs) for c, frogs, _ in parts])
+        estimates = [
+            FORMS[form](PageRankEstimate(np.array(c), frogs))
+            for c, frogs, form in parts
+        ]
+        # The merge takes any mix of storage forms and returns the
+        # ranked form, whichever class name it is called by.
         for merge in (PageRankEstimate.merge, RankedEstimate.merge):
-            merged = merge([estimate.ranked() for estimate in dense])
-            assert type(merged) is PageRankEstimate
-            assert merged.num_frogs == expected.num_frogs
-            np.testing.assert_array_equal(merged.counts, expected.counts)
-            assert_same_form(merged.ranked(), expected.ranked())
+            merged = merge(estimates)
+            assert type(merged) is RankedEstimate
+            assert_same_form(merged, expected)
+
+    def test_merge_of_empty_parts_is_an_empty_support(self):
+        parts = [(np.zeros(5, dtype=np.int64), 3), ([0] * 5, 4)]
+        merged = PageRankEstimate.merge(
+            [PageRankEstimate(np.array(c), frogs) for c, frogs in parts]
+        )
+        assert_same_form(merged, dense_merge(parts))
+        assert merged.ranked_ids.size == 0 and merged.num_frogs == 7
+        assert list(merged.top_k(3)) == [0, 1, 2]
+
+    def test_merge_of_disjoint_parts_is_their_union(self):
+        parts = [([0, 4, 0, 0, 1, 0], 5), ([3, 0, 0, 4, 0, 0], 7)]
+        merged = PageRankEstimate.merge(
+            [PageRankEstimate(np.array(c), frogs).ranked() for c, frogs in parts]
+        )
+        assert_same_form(merged, dense_merge(parts))
+        # Equal counts rank the lower id first.
+        assert list(merged.ranked_ids) == [1, 3, 0, 4]
+        assert list(merged.ranked_counts) == [4, 4, 3, 1]
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_merge_of_one_part_is_its_ranking(self, form):
+        dense = PageRankEstimate(np.array([0, 2, 9, 0, 2]), num_frogs=13)
+        merged = PageRankEstimate.merge([FORMS[form](dense)])
+        assert_same_form(merged, dense.ranked())
+        assert_same_form(merged, dense_merge([(dense.counts, 13)]))
+
+    def test_merge_refuses_parts_of_different_graphs(self):
+        with pytest.raises(ConfigError, match="different graphs"):
+            PageRankEstimate.merge([
+                PageRankEstimate(np.array([1, 2]), 3),
+                PageRankEstimate(np.array([1, 2, 0]), 3).ranked(),
+            ])
+        with pytest.raises(ConfigError):
+            PageRankEstimate.merge([])
+
+    def test_an_id_ordered_frame_refuses_bad_records(self):
+        for ids, counts in (
+            ([-1, 2], [2, 1]),  # would wrap onto vertex n - 1
+            ([1, 1], [3, 3]),  # a repeated id
+            ([2, 1], [3, 3]),  # not increasing
+            ([0, 4], [2, 1]),  # beyond the universe
+            ([0, 1], [1, 0]),  # a zero is not support
+            ([0, 1], [1, -2]),
+            ([0, 1], [1]),
+        ):
+            with pytest.raises(ConfigError):
+                _IdOrderedEstimate(ids, counts, num_frogs=5, num_vertices=4)
+        with pytest.raises(ConfigError):
+            _IdOrderedEstimate([0], [1], num_frogs=0, num_vertices=4)
+        frame = _IdOrderedEstimate([1, 3], [2, 5], num_frogs=9, num_vertices=4)
+        assert list(frame.counts) == [0, 2, 0, 5]
+        assert list(frame.top_k(3)) == [3, 1, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(COUNTS)

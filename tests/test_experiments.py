@@ -1,4 +1,4 @@
-"""Unit tests for workloads, harness, sweeps and reporting."""
+"""Unit tests for workloads, harness, the Pareto front and reporting."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.experiments import (
     format_value,
     livejournal_workload,
     pareto_front,
-    sweep_frogwild,
     twitter_workload,
 )
 
@@ -103,21 +102,9 @@ class TestHarness:
         assert row_a.network_bytes == row_b.network_bytes
 
 
-class TestSweep:
-    def test_grid_cartesian(self, harness):
-        rows = sweep_frogwild(
-            harness, ps=[1.0, 0.5], iterations=[2, 3], ks=(10,)
-        )
-        assert len(rows) == 4
-        combos = {(r.params["ps"], r.params["iterations"]) for r in rows}
-        assert combos == {(1.0, 2), (1.0, 3), (0.5, 2), (0.5, 3)}
-
-    def test_rejects_unknown_parameter(self, harness):
-        with pytest.raises(ExperimentError, match="sweep"):
-            sweep_frogwild(harness, bogus=[1, 2])
-
+class TestParetoFront:
     def test_pareto_front(self, harness):
-        rows = sweep_frogwild(harness, ps=[1.0, 0.1], ks=(100,))
+        rows = [harness.run_frogwild(ks=(100,), ps=ps) for ps in (1.0, 0.1)]
         front = pareto_front(rows, k=100)
         assert 1 <= len(front) <= len(rows)
         # Front is sorted by cost and strictly improving in accuracy.
@@ -125,7 +112,7 @@ class TestSweep:
         assert costs == sorted(costs)
 
     def test_pareto_requires_metric(self, harness):
-        rows = sweep_frogwild(harness, ps=[1.0], ks=(10,))
+        rows = [harness.run_frogwild(ks=(10,), ps=1.0)]
         with pytest.raises(ExperimentError, match="mass@100"):
             pareto_front(rows, k=100)
 

@@ -484,11 +484,10 @@ class TestGather:
         )
         elapsed = time.monotonic() - started
         assert wait.reply == ("result", 41, {"ok": True})
-        for lane, counts in enumerate(wait.frames):
-            np.testing.assert_array_equal(
-                counts[self.STOPS], self.STOPS + lane
-            )
-            assert counts.sum() == (self.STOPS + lane).sum()
+        # Frames are kept as the records they arrived as.
+        for lane, (stops, stop_counts) in enumerate(wait.frames):
+            np.testing.assert_array_equal(stops, self.STOPS)
+            np.testing.assert_array_equal(stop_counts, self.STOPS + lane)
         assert elapsed < 0.25, elapsed
 
     def test_stale_task_flood_is_not_progress(self, gather_backend, peer):
@@ -568,6 +567,52 @@ class TestGather:
             doomed.close()
         assert causes == ["died"]
         assert done.worker is peer.worker and done.reply == ("pong", 9)
+
+
+class TestFrameChecks:
+    """A worker's result frame goes into the record merge as it
+    arrived, so the parent refuses a malformed one with a typed error
+    that names the shard — no id wrapping onto vertex n - 1, no repeated
+    id keeping only its last count, no bare ``IndexError``."""
+
+    BAD_FRAMES = {
+        "negative id": ([-1, 5], [2, 1]),
+        "repeated id": ([3, 3], [2, 1]),
+        "decreasing ids": ([5, 3], [2, 1]),
+        "id beyond n": ([3, 8192], [2, 1]),
+        "zero count": ([3, 5], [2, 0]),
+        "negative count": ([3, 5], [-2, 1]),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_FRAMES))
+    def test_a_malformed_frame_is_refused(self, gather_backend, peer, bad):
+        stops, stop_counts = self.BAD_FRAMES[bad]
+
+        def script(peer):
+            message = peer.control.recv()
+            task, share = message[1], message[4]
+            peer.channel.send_records(
+                "result", np.array(stops), np.array(stop_counts), tag=task
+            )
+            peer.control.send(
+                ("result", task, {"lanes": [(share, None, None)]})
+            )
+
+        peer.play(script)
+        real, gather_backend._workers[0] = gather_backend._workers[0], peer.worker
+        try:
+            with pytest.raises(EngineError, match="shard 0 sent a malformed"):
+                gather_backend.run_batch(
+                    FAST, [RankingQuery(seeds=(1,), k=5)]
+                )
+        finally:
+            gather_backend._workers[0] = real
+
+    def test_the_pool_answers_after_a_refused_frame(self, gather_backend):
+        outcome = gather_backend.run_batch(
+            FAST, [RankingQuery(seeds=(1,), k=5)]
+        )
+        assert outcome.lanes[0].estimate.num_frogs == FAST.num_frogs
 
 
 class TestServiceWiring:

@@ -283,3 +283,6 @@ class TestMergePrimitives:
         assert merge_shard_results([result]) is result
         with pytest.raises(ConfigError):
             merge_shard_results([])
+        # Only batch lanes merge: their ledgers carry the attribution.
+        with pytest.raises(ConfigError, match="ledger"):
+            merge_shard_results([result, result])

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import SharedArena
-from repro.core import FrogWildConfig
+from repro.core import FrogWildConfig, merge_shard_results
 from repro.errors import ConfigError, ShardFailure, WorkerCrashError
 from repro.faults import (
     FAULT_KINDS,
@@ -52,6 +52,7 @@ from repro.serving import (
     RankingService,
     ServiceConfig,
 )
+from repro.serving.backend import _batch_queries, _run_slice, _shard_seed
 from repro.theory.bounds import config_error_bound
 from repro.traffic import ChaosEvent, ChaosInjector, ChaosSchedule
 
@@ -87,6 +88,24 @@ def _kill_mid_batch(backend, shard, after_s=0.3, park_s=30.0):
     return timer
 
 
+def _survivor_lanes(backend, shards):
+    """Query 0's lanes of ``shards``, run in process on the pool's own
+    layout, shares and per-shard seeds."""
+    laws = _batch_queries(GRAPH, QUERIES)
+    shares = backend._shares(CONFIG.num_frogs)
+    return [
+        _run_slice(
+            GRAPH,
+            backend.fresh_state(shard),
+            CONFIG,
+            laws,
+            shares[shard],
+            _shard_seed(CONFIG.seed, shard, backend.num_shards),
+        ).results[0]
+        for shard in shards
+    ]
+
+
 # ----------------------------------------------------------------------
 # Policy: partial
 # ----------------------------------------------------------------------
@@ -102,8 +121,18 @@ class TestPartialPolicy:
                 partial.lanes[0].estimate.num_frogs
                 == healthy.lanes[0].estimate.num_frogs - partial.lost_frogs
             )
-            # The merge is exact over survivors: no shard-1 cost row.
+            # The merge is exact over survivors: no shard-1 cost row,
+            # and the answer is the record merge of shards 0 and 2 as
+            # the in-process fan-out runs them.
             assert [c.shard for c in partial.shards] == [0, 2]
+            survivors = _survivor_lanes(backend, shards=(0, 2))
+            expected = merge_shard_results(survivors).estimate
+            got = partial.lanes[0].estimate
+            assert got.num_frogs == expected.num_frogs
+            for name in ("ranked_ids", "ranked_counts"):
+                assert np.array_equal(
+                    getattr(got, name), getattr(expected, name)
+                )
             # Respawned pool: the next batch is bitwise healthy.
             again = backend.run_batch(CONFIG, QUERIES)
             assert again.degraded_shards == ()

@@ -19,11 +19,15 @@ host's clock reads:
   arrays instead of copying them;
 * a cache hit for the k its entry was executed for constructs no
   ``threading.Event`` and ranks nothing: it is born resolved and copies
-  the entry's top-k, while a hit for another k ranks once.
+  the entry's top-k, while a hit for another k ranks once;
+* the process pool's parent merges its workers' frames as the
+  ``(id, count)`` records they arrive as: its allocation peak over a
+  warm batch follows the frogs, not the n vertices.
 """
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +37,12 @@ from repro.core import FrogWildConfig, PageRankEstimate, run_frogwild
 from repro.core.frogwild import prime_ingress_caches
 from repro.core.kernels import fused as fk
 from repro.graph import DiGraph, rmat, twitter_like
-from repro.serving import RankingQuery, RankingService, ServiceConfig
+from repro.serving import (
+    ProcessPoolBackend,
+    RankingQuery,
+    RankingService,
+    ServiceConfig,
+)
 
 GATED = ("repro.core", "repro.serving")
 
@@ -241,3 +250,32 @@ class TestHitBudget:
         assert answer.cached
         np.testing.assert_array_equal(answer.vertices, executed.vertices[:4])
         np.testing.assert_array_equal(answer.scores, executed.scores[:4])
+
+
+class TestPoolMergeBudget:
+    """The pool parent's allocation peak over one warm batch, measured
+    with ``tracemalloc`` at two graph sizes with the batch fixed."""
+
+    CONFIG = FrogWildConfig(num_frogs=2_000, iterations=5, seed=0, ps=0.8)
+    QUERIES = [RankingQuery(seeds=(seed,), k=10) for seed in (1, 2, 3, 5)]
+
+    def _peak_bytes(self, scale):
+        graph = rmat(scale=scale, edge_factor=16, seed=7)
+        with ProcessPoolBackend(
+            graph, num_shards=2, num_machines=4, seed=0
+        ) as pool:
+            pool.run_batch(self.CONFIG, self.QUERIES)
+            tracemalloc.start()
+            try:
+                pool.run_batch(self.CONFIG, self.QUERIES)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_the_parent_peak_follows_the_frogs_not_n(self):
+        """4x the vertices at N = 2 000, B = 4, 2 shards: densifying each
+        frame into an n-vector peaked at 0.88 -> 3.26 MB (x3.7); merging
+        the records peaks at 0.18 -> 0.21 MB (the supports are larger on
+        the larger graph)."""
+        small, large = self._peak_bytes(13), self._peak_bytes(15)
+        assert large <= 1.5 * small, (small, large)
