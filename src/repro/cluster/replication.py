@@ -59,7 +59,7 @@ def _narrow(array: np.ndarray) -> np.ndarray:
     """``array`` (non-negative integers) as int32 when every value is
     below ``_INT32_SPAN``, else as int64; no copy when it already has
     that dtype.  The one dtype rule of every table index array, the
-    dense group tables and the ranked estimates."""
+    dense group tables and the estimates' records."""
     fits = array.size == 0 or int(array.max()) < _INT32_SPAN
     return array.astype(np.int32 if fits else np.int64, copy=False)
 

@@ -16,7 +16,7 @@ from .erasures import (
     erased_walk_step,
     make_erasure_model,
 )
-from .estimator import PageRankEstimate, RankedEstimate, top_k_indices
+from .estimator import PageRankEstimate, top_k_indices
 from .frogwild import FrogWildResult
 from .kernels import resolve_kernel
 from .personalized import (
@@ -39,7 +39,6 @@ __all__ = [
     "run_personalized_frogwild",
     "seed_distribution",
     "PageRankEstimate",
-    "RankedEstimate",
     "top_k_indices",
     "ErasureModel",
     "IndependentErasures",

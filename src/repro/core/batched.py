@@ -36,6 +36,14 @@ Per superstep the batch pays once for
   frog records ride the same wire flush, so per-message headers are
   amortized across the batch.
 
+No lane keeps an n-length counter.  The apply pass hands each
+superstep's deaths back as a sorted run of ``(lane * n + vertex,
+count)`` stop records and the cut-off adds the survivors' run; the runs
+are summed once and split by lane, so every lane's
+:class:`~repro.core.PageRankEstimate` is born as its id-ordered
+records — at most one per frog — and a batch's memory follows its
+frogs, not B x n.
+
 Cost attribution stays per-population: every lane carries a
 :class:`~repro.engine.CostLedger` tallying the CPU ops, records and
 messages it alone caused, and its :class:`~repro.engine.RunReport`
@@ -295,8 +303,6 @@ class BatchedFrogWildRunner:
                 message_header_bytes=size_model.message_header_bytes,
             )
             self.lanes.append(lane)
-        # Row b tallies where population b's frogs stopped.
-        self.counts = np.zeros((len(self.lanes), n), dtype=np.int64)
         self._lane_ps = np.array([lane.ps for lane in self.lanes])
         # Physical records actually flushed, by kind.
         self.record_totals = {"sync": 0, "repair": 0, "frog": 0}
@@ -317,17 +323,12 @@ class BatchedFrogWildRunner:
     # ------------------------------------------------------------------
     def run(self) -> BatchedFrogWildResult:
         """Run the shared superstep loop and return per-query results."""
-        self._walk()
-        results = []
-        for lane in self.lanes:
-            estimate = PageRankEstimate(
-                self.counts[lane.index], lane.num_frogs
+        results = [
+            FrogWildResult(
+                estimate, self._lane_report(lane), self.state, lane.ledger
             )
-            results.append(
-                FrogWildResult(
-                    estimate, self._lane_report(lane), self.state, lane.ledger
-                )
-            )
+            for lane, estimate in zip(self.lanes, self._walk())
+        ]
         return BatchedFrogWildResult(
             tuple(results), self._batch_report(), self.state
         )
@@ -342,7 +343,7 @@ class BatchedFrogWildRunner:
         """
         if len(self.lanes) != 1:
             raise ConfigError("a single run has exactly one population")
-        self._walk()
+        (estimate,) = self._walk()
         lane = self.lanes[0]
         report = self.state.report(
             f"frogwild(ps={lane.ps:g})",
@@ -355,18 +356,23 @@ class BatchedFrogWildRunner:
                 ),
             },
         )
-        return FrogWildResult(
-            PageRankEstimate(self.counts[0], lane.num_frogs),
-            report,
-            self.state,
-        )
+        return FrogWildResult(estimate, report, self.state)
 
-    def _walk(self) -> None:
-        """Births, ``iterations`` supersteps and the cut-off, into
-        ``self.counts``."""
+    def _walk(self) -> list[PageRankEstimate]:
+        """Births, ``iterations`` supersteps and the cut-off; returns
+        every lane's estimate.
+
+        Each superstep appends its deaths to ``self._stops`` as one run
+        of ``(lane * n + vertex, count)`` records and the cut-off
+        appends the survivors; the runs are summed once
+        (:func:`~repro.core.kernels.fused.count_keys`) and split by lane
+        with one ``searchsorted``, so no (lanes x n) counter exists.
+        """
         n = self.state.num_vertices
         if n == 0:
             raise EngineError("cannot run FrogWild on an empty graph")
+        empty = np.empty(0, dtype=np.int64)
+        self._stops = [(empty, empty)]
 
         # init(): every population born from its own start law.
         births = [
@@ -390,9 +396,24 @@ class BatchedFrogWildRunner:
                 break
         if frontier is not None:
             # Cut-off: survivors are counted where they stand (Process
-            # 15); (lane, vertex) keys are unique, so the add is exact.
+            # 15).
             lane_ids, verts, k = frontier
-            self.counts.reshape(-1)[lane_ids * n + verts] += k
+            self._stops.append((lane_ids * n + verts, k))
+        keys, counts = count_keys(
+            np.concatenate([run[0] for run in self._stops]),
+            len(self.lanes) * n,
+            weights=np.concatenate([run[1] for run in self._stops]),
+        )
+        bounds = keys.searchsorted(np.arange(len(self.lanes) + 1) * n)
+        return [
+            PageRankEstimate.from_records(
+                keys[lo:hi] - lane.index * n,
+                counts[lo:hi],
+                lane.num_frogs,
+                n,
+            )
+            for lane, lo, hi in zip(self.lanes, bounds[:-1], bounds[1:])
+        ]
 
     # ------------------------------------------------------------------
     # Hooks: fault injection (repro.faults) runs one lane through them.
@@ -573,9 +594,11 @@ class BatchedFrogWildRunner:
             sl = slice(bounds[lane.index], bounds[lane.index + 1])
             dead[sl] = lane.rng.binomial(k[sl], self.config.p_teleport)
             lane.ledger.charge_ops(int(k[sl].sum()))
-        state.charge_many(
-            passes.apply(self.counts, lane_ids, verts, dead, k), phase="apply"
+        apply_ops, stop_keys, stop_counts = passes.apply(
+            lane_ids, verts, dead, k
         )
+        state.charge_many(apply_ops, phase="apply")
+        self._stops.append((stop_keys, stop_counts))
 
         survivors = k - dead
         moving = survivors > 0
@@ -784,7 +807,7 @@ def merge_shard_results(lanes: Sequence[FrogWildResult]) -> FrogWildResult:
     The sharded serving backends split a query's frog budget across
     shard sub-clusters; because frogs are independent, the merged
     counters (:meth:`~repro.core.PageRankEstimate.merge`, a merge of
-    the shards' ``(id, count)`` records into one ranked estimate) are
+    the shards' ``(id, count)`` records into one estimate) are
     exactly the counters a single run of the full budget would have
     produced in distribution.  Every lane must be a batch lane: its
     ledger carries the attribution, which merges the same way the

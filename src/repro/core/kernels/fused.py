@@ -12,12 +12,14 @@ benchmark's R-MAT scale-15 graph at 16 machines, 0.35-0.43 on
 ``twitter_like(50k)``; at 64 machines (fill 0.12) the ragged lists it
 replaced were cheaper (README, "Cost model").  The multinomial edge
 pick (:func:`_pick_enabled_edges`) searches the running sum of that
-block's widths.  Combining frog records, the births and the
-next-frontier reduction are each one count when the key range is
-within a few times the keys (:func:`count_keys`' rule), and one sort
-otherwise: the records are counted as a (lane, dest) x host bitmap.
-Every nonzero scan of the block reads its bool mask of enabled cells,
-never the integer widths.
+block's widths.  The apply pass keeps no counter: it hands back the
+superstep's deaths as one run of ``(lane * n + vertex, count)`` stop
+records, which the runner sums once after the cut-off.  Combining frog
+records, the births, the next-frontier reduction and that stop sum are
+each one count when the key range is within a few times the keys
+(:func:`count_keys`' rule), and one sort otherwise: the records are
+counted as a (lane, dest) x host bitmap.  Every nonzero scan of the
+block reads its bool mask of enabled cells, never the integer widths.
 
 A single run is the batch of one lane, so nothing here may cost more
 at B = 1 than the runner it replaced: with one lane the lane arrays are
@@ -42,16 +44,30 @@ __all__ = ["FusedPasses", "count_keys"]
 _RANGE_PER_KEY_COUNT = 4
 
 
-def count_keys(keys: np.ndarray, num_keys: int):
-    """Sorted distinct ``keys`` (in ``[0, num_keys)``) and their counts:
-    ``np.unique(keys, return_counts=True)``, by a bincount over the range
-    when it is at most 4x the keys (a served batch's sparse keys still
-    sort).  The rule reads the two sizes only."""
+def count_keys(keys: np.ndarray, num_keys: int, weights=None):
+    """Sorted distinct ``keys`` (in ``[0, num_keys)``) and how often each
+    occurs, ``np.unique(keys, return_counts=True)`` — or, given positive
+    integer ``weights`` aligned with the keys, each key's weight sum as
+    int64 (exact below 2**53).  A bincount over the range when it is at
+    most 4x the keys, else a sort (a served batch's sparse keys); the
+    weighted sort sums each run of equal keys with ``np.add.reduceat``.
+    The rule reads the two sizes only.  The one keyed sum of the
+    package: births, the next frontier, the stop records and the shard
+    merge all go through it."""
     if num_keys <= _RANGE_PER_KEY_COUNT * keys.size:
-        counts = np.bincount(keys, minlength=num_keys)
-        distinct = np.flatnonzero(counts != 0)
-        return distinct, counts[distinct]
-    return np.unique(keys, return_counts=True)
+        sums = np.bincount(keys, weights=weights, minlength=num_keys)
+        distinct = np.flatnonzero(sums != 0)
+        return distinct, sums[distinct].astype(np.int64, copy=False)
+    if weights is None:
+        return np.unique(keys, return_counts=True)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(
+        weights[order], starts, dtype=np.int64
+    )
 
 
 def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -142,12 +158,15 @@ class FusedPasses:
         self.num_vertices = int(num_vertices)
 
     # -- apply ----------------------------------------------------------
-    def apply(self, counts, lane_ids, verts, dead, k):
-        # (lane, vertex) keys are unique, so the fancy add is exact.
-        counts.reshape(-1)[lane_ids * self.num_vertices + verts] += dead
-        return np.bincount(
+    def apply(self, lane_ids, verts, dead, k):
+        """Per-machine apply ops, and the superstep's deaths as one run
+        of ``(lane * n + vertex, count)`` stop records, in the
+        frontier's order (rows where no frog died dropped)."""
+        died = dead > 0
+        ops = np.bincount(
             self.tables.masters[verts], weights=k, minlength=self.num_machines
         ).astype(np.int64)
+        return ops, lane_ids[died] * self.num_vertices + verts[died], dead[died]
 
     # -- enabled groups -------------------------------------------------
     def enabled_groups(self, lane_sv, vert_sv, fresh):
@@ -313,8 +332,7 @@ class FusedPasses:
         else:
             keys = np.concatenate([idle_keys, hop_keys])
             weights = np.concatenate([idle_weights, hop_weights])
-        unique_next, inverse = np.unique(keys, return_inverse=True)
-        counts = np.bincount(
-            inverse, weights=weights, minlength=unique_next.size
-        ).astype(np.int64)
+        unique_next, counts = count_keys(
+            keys, self.num_lanes * n, weights=weights
+        )
         return unique_next // n, unique_next % n, counts

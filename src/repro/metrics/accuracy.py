@@ -8,6 +8,9 @@ Two headline metrics:
   quantity plotted in Figures 2a, 3, 5, 6 and 7.
 * **Exact identification**: fraction of the estimated top-k that belong
   to the true top-k (Figure 2b).
+
+:func:`top_k_jaccard` compares two reported top-k sets with each other
+(the tracker's snapshot-to-snapshot stability).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "exact_identification",
     "l1_error",
     "linf_error",
+    "top_k_jaccard",
 ]
 
 
@@ -93,3 +97,11 @@ def linf_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     if estimate.shape != truth.shape:
         raise ConfigError("estimate and truth must align")
     return float(np.abs(estimate - truth).max())
+
+
+def top_k_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """Jaccard overlap of two vertex-id sets (order ignored)."""
+    set_a, set_b = set(map(int, a)), set(map(int, b))
+    if not set_a and not set_b:
+        return 1.0
+    return len(set_a & set_b) / len(set_a | set_b)

@@ -17,12 +17,12 @@ rests on two facts from the paper:
   merge back by exact summation.
 * **Definition 5 / Theorem 1** (the counter estimate): a completed
   estimate is immutable and has at most N nonzero counters, so its
-  ranked support (:class:`~repro.core.RankedEstimate`) answers any k
-  by prefix copy — ideal cache material.  The service keys its TTL/LRU
-  cache on ``(generation, seeds, weights, config)`` so repeated
-  queries cost zero cluster work, with an injectable generation
-  counter invalidating exactly on graph churn and TTL bounding
-  staleness as a fallback.
+  ``(id, count)`` records (:class:`~repro.core.PageRankEstimate`),
+  ranked once, answer any k by prefix gather — ideal cache material.
+  The service keys its TTL/LRU cache on ``(generation, seeds, weights,
+  config)`` so repeated queries cost zero cluster work, with an
+  injectable generation counter invalidating exactly on graph churn and
+  TTL bounding staleness as a fallback.
 
 Module map: :mod:`~repro.serving.cache` (TTL/LRU store),
 :mod:`~repro.serving.batching` (query normalization and the

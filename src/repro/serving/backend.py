@@ -44,7 +44,7 @@ from ..cluster import (
 from ..core import (
     BatchQuery,
     FrogWildConfig,
-    RankedEstimate,
+    PageRankEstimate,
     merge_shard_results,
     resolve_kernel,
     run_frogwild_batch,
@@ -130,13 +130,13 @@ def _split_fleet(fleet: int, num_shards: int) -> int:
 class QueryOutcome:
     """One query's executed estimate plus its attributed report.
 
-    The estimate is the lane's ranked support
-    (:class:`~repro.core.RankedEstimate`), ranked once inside
-    ``run_batch``: the service caches it as is and answers any ``k``
-    from it by prefix copy.
+    The estimate is the lane's id-ordered ``(id, count)`` records
+    (:class:`~repro.core.PageRankEstimate`, at most one per frog): the
+    service ranks it once when the batch resolves, caches it as is and
+    answers any ``k`` from it by prefix gather.
     """
 
-    estimate: RankedEstimate
+    estimate: PageRankEstimate
     report: RunReport
 
 
@@ -330,7 +330,7 @@ def _merged_outcome(
     merged = [merge_shard_results(lanes) for lanes in per_query_lanes]
     return BatchOutcome(
         lanes=tuple(
-            QueryOutcome(lane.estimate.ranked(), lane.report)
+            QueryOutcome(lane.estimate, lane.report)
             for lane in merged
         ),
         shared_network_bytes=sum(
@@ -361,7 +361,7 @@ class ShardedBackend:
 
     * per-query counters by summation (exact — frogs are independent):
       :meth:`~repro.core.PageRankEstimate.merge` sums the shards'
-      ``(id, count)`` records and ranks the sums once;
+      ``(id, count)`` records;
     * per-query cost attribution by summation of shard ledgers, wall
       time by max (shards run concurrently), via
       :func:`~repro.core.batched.merge_shard_results`.

@@ -93,7 +93,7 @@ class RankingQuery:
 
     def cache_key(self, default: FrogWildConfig) -> Hashable:
         """Identity of this query's *estimate* (k excluded: any k is a
-        prefix of the same cached ranked support)."""
+        prefix of the same cached, ranked estimate)."""
         return (self.seeds, self.weights, self.effective_config(default))
 
 

@@ -1,9 +1,9 @@
 """TTL + LRU result cache for the ranking service.
 
-Completed PageRank estimates are immutable and cheap to keep (one int64
-counter vector per query), so the service caches them keyed by
-``(teleport seeds, weights, config)``.  Two independent staleness
-controls compose:
+Completed PageRank estimates are immutable and cheap to keep (their
+``(id, count)`` records: at most one per frog, never an n-vector), so
+the service caches them keyed by ``(teleport seeds, weights, config)``.
+Two independent staleness controls compose:
 
 * **LRU capacity** bounds memory: inserting into a full cache evicts
   the least-recently-used entry;

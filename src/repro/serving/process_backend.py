@@ -123,8 +123,7 @@ from ..cluster import (
     SharedArena,
     TransportTally,
 )
-from ..core import FrogWildConfig
-from ..core.estimator import _IdOrderedEstimate
+from ..core import FrogWildConfig, PageRankEstimate
 
 # The merge runs in .backend (``_merged_outcome``); bench/ still wraps
 # this module's name for its trace, so it stays bound here.
@@ -219,7 +218,7 @@ def _worker_main(
                 lanes = []
                 for lane in result.results:
                     channel.send_records(
-                        "result", *lane.estimate._support(), tag=task
+                        "result", *lane.estimate.records, tag=task
                     )
                     lanes.append(
                         (lane.estimate.num_frogs, lane.report, lane.ledger)
@@ -874,7 +873,7 @@ class ProcessPoolBackend(ShardedBackend):
                 ) in zip(per_query_lanes, wait.frames, payload["lanes"]):
                     try:
                         # Merged as they arrived: no n-vector per frame.
-                        estimate = _IdOrderedEstimate(
+                        estimate = PageRankEstimate.from_records(
                             stops,
                             stop_counts,
                             num_frogs,

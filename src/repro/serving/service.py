@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..core import FrogWildConfig, RankedEstimate
+from ..core import FrogWildConfig, PageRankEstimate
 from ..engine import RunReport
 from ..errors import ConfigError, EngineError, OverloadError
 from ..graph import DiGraph
@@ -244,12 +244,13 @@ class ServiceStats:
 class _CacheEntry:
     """Cached outcome of one executed query (estimate + its report).
 
-    ``estimate`` is the lane's ranked support — O(num_frogs) bytes,
-    never an n-vector — so a hit of any ``k`` is a prefix copy of it.
-    ``top_vertices``/``top_scores`` are that prefix for the ``k`` the
-    lane was executed for, ranked once when its batch resolves: a hit
-    asking the same ``k`` copies these two k-length arrays and ranks
-    nothing; any other ``k`` ranks ``estimate`` again.
+    ``estimate`` is the lane's ``(id, count)`` records — O(num_frogs)
+    bytes, never an n-vector — ranked when its batch resolves, before
+    the entry is shared, and keeping that rank order, so a hit of any
+    ``k`` is a prefix gather of it.  ``top_vertices``/``top_scores`` are
+    that prefix for the ``k`` the lane was executed for: a hit asking
+    the same ``k`` copies these two k-length arrays and ranks nothing;
+    any other ``k`` gathers a prefix of the kept order.
     ``degrade_level``/``error_bound`` record whether the estimate was
     computed under an admission-degraded config, so cache re-serves of
     a degraded answer keep reporting the accuracy they actually
@@ -259,7 +260,7 @@ class _CacheEntry:
     healed pool instead of re-serving the crash.
     """
 
-    estimate: RankedEstimate
+    estimate: PageRankEstimate
     report: RunReport
     batch_size: int
     k: int
@@ -758,7 +759,8 @@ class RankingService:
                 getattr(outcome, "degraded_shards", ()) or ()
             )
             # Each lane is ranked once, for the k it was executed for,
-            # outside the lock: its cache entry keeps that answer.
+            # outside the lock and before its cache entry is shared: the
+            # estimate keeps the rank order, the entry that answer.
             tops = [
                 lane.estimate.top_k_with_scores(query.k)
                 for query, lane in zip(queries, outcome.lanes)

@@ -176,6 +176,34 @@ STANDALONE = {
 }
 
 
+class TestLaneRecords:
+    """Each lane leaves the runner as its own id-ordered stop records,
+    split from the batch's one keyed sum: a lane of 7 frogs next to a
+    lane of thousands holds at most 7 records, and no record of one
+    lane lands in another."""
+
+    @pytest.mark.parametrize("config_kwargs", _CONFIGS)
+    def test_lanes_hold_their_own_id_ordered_records(self, config_kwargs):
+        config = FrogWildConfig(**config_kwargs)
+        budgets = [config.num_frogs, 40, 7]
+        result = run_frogwild_batch(
+            GRAPH,
+            [BatchQuery(num_frogs=frogs) for frogs in budgets],
+            config,
+            state=build_cluster(GRAPH, 4, seed=config.seed),
+        )
+        multinomial = config.scatter_mode == "multinomial"
+        for frogs, lane in zip(budgets, result.results):
+            ids, counts = lane.estimate.records
+            assert lane.estimate.num_frogs == frogs
+            assert (np.diff(ids) > 0).all()
+            assert ids.size == 0 or 0 <= ids[0] <= ids[-1] < GRAPH.num_vertices
+            assert (counts > 0).all()
+            if multinomial:
+                assert ids.size <= frogs
+                assert int(counts.sum()) == frogs
+
+
 class TestSingleQueryEquivalence:
     """A run alone and the B=1 batch replay the pinned standalone run
     bit for bit (see ``batch_reference.py``)."""

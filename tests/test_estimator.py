@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PageRankEstimate, RankedEstimate, top_k_indices
-from repro.core.estimator import _IdOrderedEstimate
+from repro.core import PageRankEstimate, top_k_indices
 from repro.errors import ConfigError
 
 
@@ -112,6 +111,8 @@ class TestPageRankEstimate:
         est = PageRankEstimate(np.array([0, 7, 3, 9]), num_frogs=19)
         with pytest.raises(ConfigError):
             est.top_k(-1)
+        with pytest.raises(ConfigError):
+            est.top_k_with_scores(-1)
 
     def test_counters_exposed(self):
         counts = np.array([1, 2, 3])
@@ -133,6 +134,43 @@ class TestPageRankEstimate:
         with pytest.raises(ConfigError):
             PageRankEstimate(np.zeros((2, 2)), num_frogs=1)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [[0.6, 0.4, 2.9], [1.0, 0.5], [np.nan, 1.0], [np.inf, 0.0]],
+    )
+    def test_both_constructors_refuse_fractional_counts(self, counts):
+        # Truncating used to turn [0.6, 0.4, 2.9] into [0, 0, 2].
+        with pytest.raises(ConfigError, match="whole"):
+            PageRankEstimate(np.array(counts), num_frogs=3)
+        with pytest.raises(ConfigError, match="whole"):
+            PageRankEstimate.from_records(
+                np.arange(len(counts)), np.array(counts), 3, len(counts)
+            )
+        with pytest.raises(ConfigError, match="whole"):
+            PageRankEstimate.from_records([0.5], [1], 3, 4)
+
+    def test_whole_valued_floats_stay_accepted(self):
+        est = PageRankEstimate(np.array([2.0, 0.0, 5.0]), num_frogs=7)
+        assert est.counts.dtype == np.int64
+        assert list(est.counts) == [2, 0, 5]
+        assert PageRankEstimate(np.zeros(4), num_frogs=2).total_stopped == 0
+        records = PageRankEstimate.from_records([1.0], [3.0], 3, 4)
+        assert list(records.counts) == [0, 3, 0, 0]
+
+    @pytest.mark.parametrize("num_frogs", [2.7, 3.0, True, "3", None])
+    def test_both_constructors_refuse_a_non_integer_frog_count(
+        self, num_frogs
+    ):
+        # 2.7 used to be stored as 2 and True as 1.
+        with pytest.raises(ConfigError, match="num_frogs"):
+            PageRankEstimate(np.array([1, 2]), num_frogs)
+        with pytest.raises(ConfigError, match="num_frogs"):
+            PageRankEstimate.from_records([1], [2], num_frogs, 4)
+
+    def test_numpy_integer_frog_counts_are_integers(self):
+        est = PageRankEstimate(np.array([1, 2]), np.int64(3))
+        assert est.num_frogs == 3 and type(est.num_frogs) is int
+
 
 # Mostly-zero counters with heavy ties, down to all-zero and up to
 # counts that do not fit int32.
@@ -149,63 +187,59 @@ def boundary_ks(counts):
     return sorted(k for k in ks if k >= 0)
 
 
-def dense_merge(parts):
-    """The oracle: sum the dense counters, then rank the nonzero ones
-    (stable on decreasing count, so the lower id wins a tie)."""
-    counts = np.sum([np.asarray(c, dtype=np.int64) for c, _ in parts], axis=0)
-    support = np.flatnonzero(counts)
-    order = np.argsort(-counts[support], kind="stable")
-    return RankedEstimate(
-        support[order],
-        counts[support][order],
-        sum(frogs for _, frogs in parts),
-        counts.size,
+def _from_records(counts, num_frogs):
+    counts = np.asarray(counts, dtype=np.int64)
+    ids = np.flatnonzero(counts != 0)
+    return PageRankEstimate.from_records(
+        ids, counts[ids], num_frogs, counts.size
     )
 
 
-def _id_ordered(estimate):
-    ids = np.flatnonzero(estimate.counts)
-    return _IdOrderedEstimate(
-        ids, estimate.counts[ids], estimate.num_frogs, estimate.num_vertices
-    )
-
-
-#: The three storage forms a merge reads: dense counters, the ranked
-#: support, and a pool frame's id-ordered records.
-FORMS = {
-    "dense": lambda estimate: estimate,
-    "ranked": lambda estimate: estimate.ranked(),
-    "id-ordered": _id_ordered,
+#: The two ways to build the one estimate form: from the dense counters
+#: and from the id-ordered records (a runner lane, a pool frame).
+CONSTRUCTORS = {
+    "dense": lambda counts, frogs: PageRankEstimate(np.array(counts), frogs),
+    "records": _from_records,
 }
 
 
-def assert_same_form(left, right):
-    for name in ("ranked_ids", "ranked_counts"):
-        a, b = getattr(left, name), getattr(right, name)
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
-    assert left.num_frogs == right.num_frogs
-    assert left.num_vertices == right.num_vertices
+def dense_merge(parts):
+    """The oracle: sum the dense counters and the frogs."""
+    counts = np.sum([np.asarray(c, dtype=np.int64) for c, _ in parts], axis=0)
+    return counts, sum(frogs for _, frogs in parts)
 
 
-class TestRankedEstimate:
+def assert_is_dense(estimate, counts, num_frogs):
+    """``estimate`` holds exactly the nonzero counters of ``counts`` and
+    answers every boundary k like a stable sort of the dense vector (on
+    decreasing count, so the lower id wins a tie), bitwise."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ids, held = estimate.records
+    support = np.flatnonzero(counts != 0)
+    np.testing.assert_array_equal(ids, support)
+    np.testing.assert_array_equal(held, counts[support])
+    assert estimate.num_frogs == num_frogs
+    assert estimate.num_vertices == counts.size
+    for k in boundary_ks(counts):
+        expected = top_k_indices(counts, k)
+        expected_scores = counts[expected] / num_frogs
+        top = estimate.top_k(k)
+        assert top.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(top, expected)
+        top, scores = estimate.top_k_with_scores(k)
+        np.testing.assert_array_equal(top, expected)
+        assert scores.dtype == expected_scores.dtype == np.float64
+        assert scores.tobytes() == expected_scores.tobytes()
+
+
+class TestRecords:
     @settings(max_examples=300, deadline=None)
-    @given(COUNTS, st.integers(1, 50))
-    def test_every_k_is_the_dense_reference_bitwise(self, counts, num_frogs):
-        counts = np.array(counts, dtype=np.int64)
-        dense = PageRankEstimate(counts, num_frogs)
-        ranked = dense.ranked()
-        for k in boundary_ks(counts):
-            expected = top_k_indices(counts, k)
-            expected_scores = counts[expected] / num_frogs
-            for form in (ranked, dense):
-                top = form.top_k(k)
-                assert top.dtype == expected.dtype == np.int64
-                np.testing.assert_array_equal(top, expected)
-                top, scores = form.top_k_with_scores(k)
-                np.testing.assert_array_equal(top, expected)
-                assert scores.dtype == expected_scores.dtype == np.float64
-                assert scores.tobytes() == expected_scores.tobytes()
+    @given(COUNTS, st.integers(1, 50), st.sampled_from(sorted(CONSTRUCTORS)))
+    def test_every_k_is_the_dense_reference_bitwise(
+        self, counts, num_frogs, constructor
+    ):
+        estimate = CONSTRUCTORS[constructor](counts, num_frogs)
+        assert_is_dense(estimate, counts, num_frogs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 25).flatmap(
@@ -216,60 +250,58 @@ class TestRankedEstimate:
                     min_size=n, max_size=n,
                 ),
                 st.integers(1, 9),
-                st.sampled_from(sorted(FORMS)),
+                st.sampled_from(sorted(CONSTRUCTORS)),
             ),
             min_size=1, max_size=4,
         )
     ))
     def test_record_merge_is_the_dense_sum_then_rank(self, parts):
-        expected = dense_merge([(c, frogs) for c, frogs, _ in parts])
-        estimates = [
-            FORMS[form](PageRankEstimate(np.array(c), frogs))
-            for c, frogs, form in parts
-        ]
-        # The merge takes any mix of storage forms and returns the
-        # ranked form, whichever class name it is called by.
-        for merge in (PageRankEstimate.merge, RankedEstimate.merge):
-            merged = merge(estimates)
-            assert type(merged) is RankedEstimate
-            assert_same_form(merged, expected)
+        counts, frogs = dense_merge([(c, frogs) for c, frogs, _ in parts])
+        merged = PageRankEstimate.merge([
+            CONSTRUCTORS[constructor](c, frogs)
+            for c, frogs, constructor in parts
+        ])
+        assert type(merged) is PageRankEstimate
+        assert_is_dense(merged, counts, frogs)
 
     def test_merge_of_empty_parts_is_an_empty_support(self):
         parts = [(np.zeros(5, dtype=np.int64), 3), ([0] * 5, 4)]
         merged = PageRankEstimate.merge(
             [PageRankEstimate(np.array(c), frogs) for c, frogs in parts]
         )
-        assert_same_form(merged, dense_merge(parts))
-        assert merged.ranked_ids.size == 0 and merged.num_frogs == 7
+        assert_is_dense(merged, *dense_merge(parts))
+        assert merged.records[0].size == 0 and merged.num_frogs == 7
         assert list(merged.top_k(3)) == [0, 1, 2]
 
     def test_merge_of_disjoint_parts_is_their_union(self):
         parts = [([0, 4, 0, 0, 1, 0], 5), ([3, 0, 0, 4, 0, 0], 7)]
         merged = PageRankEstimate.merge(
-            [PageRankEstimate(np.array(c), frogs).ranked() for c, frogs in parts]
+            [_from_records(c, frogs) for c, frogs in parts]
         )
-        assert_same_form(merged, dense_merge(parts))
+        assert_is_dense(merged, *dense_merge(parts))
+        assert list(merged.records[0]) == [0, 1, 3, 4]
         # Equal counts rank the lower id first.
-        assert list(merged.ranked_ids) == [1, 3, 0, 4]
-        assert list(merged.ranked_counts) == [4, 4, 3, 1]
+        assert list(merged.top_k(4)) == [1, 3, 0, 4]
 
-    @pytest.mark.parametrize("form", sorted(FORMS))
-    def test_merge_of_one_part_is_its_ranking(self, form):
-        dense = PageRankEstimate(np.array([0, 2, 9, 0, 2]), num_frogs=13)
-        merged = PageRankEstimate.merge([FORMS[form](dense)])
-        assert_same_form(merged, dense.ranked())
-        assert_same_form(merged, dense_merge([(dense.counts, 13)]))
+    @pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+    def test_merge_of_one_part_is_that_part(self, constructor):
+        part = CONSTRUCTORS[constructor]([0, 2, 9, 0, 2], 13)
+        merged = PageRankEstimate.merge([part])
+        assert_is_dense(merged, [0, 2, 9, 0, 2], 13)
+        for mine, theirs in zip(merged.records, part.records):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
 
     def test_merge_refuses_parts_of_different_graphs(self):
         with pytest.raises(ConfigError, match="different graphs"):
             PageRankEstimate.merge([
                 PageRankEstimate(np.array([1, 2]), 3),
-                PageRankEstimate(np.array([1, 2, 0]), 3).ranked(),
+                _from_records([1, 2, 0], 3),
             ])
         with pytest.raises(ConfigError):
             PageRankEstimate.merge([])
 
-    def test_an_id_ordered_frame_refuses_bad_records(self):
+    def test_from_records_refuses_bad_records(self):
         for ids, counts in (
             ([-1, 2], [2, 1]),  # would wrap onto vertex n - 1
             ([1, 1], [3, 3]),  # a repeated id
@@ -278,89 +310,178 @@ class TestRankedEstimate:
             ([0, 1], [1, 0]),  # a zero is not support
             ([0, 1], [1, -2]),
             ([0, 1], [1]),
+            ([[0, 1]], [[1, 2]]),
         ):
             with pytest.raises(ConfigError):
-                _IdOrderedEstimate(ids, counts, num_frogs=5, num_vertices=4)
+                PageRankEstimate.from_records(
+                    ids, counts, num_frogs=5, num_vertices=4
+                )
         with pytest.raises(ConfigError):
-            _IdOrderedEstimate([0], [1], num_frogs=0, num_vertices=4)
-        frame = _IdOrderedEstimate([1, 3], [2, 5], num_frogs=9, num_vertices=4)
-        assert list(frame.counts) == [0, 2, 0, 5]
-        assert list(frame.top_k(3)) == [3, 1, 0]
+            PageRankEstimate.from_records(
+                [0], [1], num_frogs=0, num_vertices=4
+            )
+        records = PageRankEstimate.from_records(
+            [1, 3], [2, 5], num_frogs=9, num_vertices=4
+        )
+        assert list(records.counts) == [0, 2, 0, 5]
+        assert list(records.top_k(3)) == [3, 1, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(COUNTS)
     def test_round_trip_through_dense_counts_is_the_identity(self, counts):
         counts = np.array(counts, dtype=np.int64)
-        ranked = PageRankEstimate(counts, 3).ranked()
-        assert ranked.counts.dtype == np.int64
-        assert ranked.ranked() is ranked
-        assert isinstance(ranked, PageRankEstimate)
-        np.testing.assert_array_equal(ranked.counts, counts)
-        assert_same_form(PageRankEstimate(ranked.counts, 3).ranked(), ranked)
+        estimate = PageRankEstimate(counts, 3)
+        assert estimate.counts.dtype == np.int64
+        np.testing.assert_array_equal(estimate.counts, counts)
+        again = PageRankEstimate.from_records(
+            *estimate.records, 3, estimate.num_vertices
+        )
+        np.testing.assert_array_equal(again.counts, counts)
+        assert_is_dense(PageRankEstimate(again.counts, 3), counts, 3)
 
     @settings(max_examples=100, deadline=None)
     @given(COUNTS)
-    def test_every_inherited_view_reads_the_overridden_storage(self, counts):
-        counts = np.array(counts, dtype=np.int64)
-        dense = PageRankEstimate(counts, 3)
-        ranked = dense.ranked()
-        assert not hasattr(ranked, "_counts")
-        assert ranked.num_vertices == dense.num_vertices
-        assert ranked.total_stopped == dense.total_stopped
+    def test_dense_views_do_not_depend_on_the_constructor(self, counts):
+        dense = PageRankEstimate(np.array(counts), 3)
+        records = _from_records(counts, 3)
+        assert not hasattr(dense, "_counts")
+        assert records.total_stopped == dense.total_stopped == sum(counts)
         for k in boundary_ks(counts):
             if k >= 1:
-                assert ranked.separation_z(k) == dense.separation_z(k)
+                assert records.separation_z(k) == dense.separation_z(k)
         for view in ("vector", "distribution", "standard_errors"):
             np.testing.assert_array_equal(
-                getattr(ranked, view)(), getattr(dense, view)()
+                getattr(records, view)(), getattr(dense, view)()
             )
 
     def test_narrows_to_int32_only_when_everything_fits(self):
-        small = RankedEstimate([4, 1], [9, 3], num_frogs=12, num_vertices=6)
-        assert small.ranked_ids.dtype == small.ranked_counts.dtype == np.int32
-        big = RankedEstimate([4, 1], [2**31, 3], num_frogs=12, num_vertices=6)
-        assert big.ranked_ids.dtype == np.int32
-        assert big.ranked_counts.dtype == np.int64
+        small = PageRankEstimate.from_records(
+            [1, 4], [3, 9], num_frogs=12, num_vertices=6
+        )
+        assert [a.dtype for a in small.records] == [np.int32, np.int32]
+        big = PageRankEstimate.from_records(
+            [1, 4], [3, 2**31], num_frogs=12, num_vertices=6
+        )
+        assert [a.dtype for a in big.records] == [np.int32, np.int64]
         assert list(big.top_k(3)) == [4, 1, 0]
 
-    def test_answers_are_copies_of_a_read_only_support(self):
-        ranked = PageRankEstimate(
-            np.array([4, 0, 9, 0, 0, 4, 0, 0]), num_frogs=17
-        ).ranked()
-        assert list(ranked.ranked_ids) == [2, 0, 5]
-        top, scores = ranked.top_k_with_scores(2)
+    def test_answers_are_copies_of_read_only_records(self):
+        source = np.array([4, 0, 9, 0, 0, 4, 0, 0])
+        estimate = PageRankEstimate(source, num_frogs=17)
+        assert list(estimate.records[0]) == [0, 2, 5]
+        top, scores = estimate.top_k_with_scores(2)
+        assert list(top) == [2, 0]
         top[:] = -1
         scores[:] = -1.0
-        again, again_scores = ranked.top_k_with_scores(2)
+        again, again_scores = estimate.top_k_with_scores(2)
         assert list(again) == [2, 0]
         np.testing.assert_array_equal(again_scores, np.array([9, 4]) / 17)
-        with pytest.raises(ValueError):
-            ranked.ranked_ids[0] = 1
-        with pytest.raises(ValueError):
-            ranked.ranked_counts[0] = 1
+        for array in estimate.records:
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # The caller's arrays keep their own flags.
+        ids = np.array([1, 3], dtype=np.int32)
+        PageRankEstimate.from_records(ids, [1, 1], 2, 4)
+        ids[0] = 0
 
-    def test_rejects_records_out_of_rank_order(self):
-        for ids, counts in (
-            ([1, 2], [1, 5]),  # count increases
-            ([2, 1], [3, 3]),  # tie with the higher id first
-            ([1, 1], [3, 3]),  # not distinct
-            ([0, 9], [2, 1]),  # beyond the universe
-            ([-1, 2], [2, 1]),
-            ([0, 1], [1, 0]),  # a zero is not support
-            ([0, 1], [1]),
-        ):
-            with pytest.raises(ConfigError):
-                RankedEstimate(ids, counts, num_frogs=5, num_vertices=4)
-        with pytest.raises(ConfigError):
-            RankedEstimate([0], [1], num_frogs=0, num_vertices=4)
-        with pytest.raises(ConfigError):
-            RankedEstimate([0], [1], num_frogs=1, num_vertices=4).top_k(-1)
+    def test_the_rank_order_is_computed_once_and_kept(self, monkeypatch):
+        from repro.core import estimator
+
+        calls = []
+        real = estimator.top_k_indices
+
+        def counted(values, k):
+            calls.append(k)
+            return real(values, k)
+
+        monkeypatch.setattr(estimator, "top_k_indices", counted)
+        estimate = _from_records([0, 4, 0, 9, 4, 1], 18)
+        assert calls == []
+        assert list(estimate.top_k(2)) == [3, 1]
+        assert list(estimate.top_k_with_scores(5)[0]) == [3, 1, 4, 5, 0]
+        assert list(estimate.top_k(1)) == [3]
+        assert calls == [4]
 
     def test_empty_support_answers_in_id_order(self):
-        empty = PageRankEstimate(np.zeros(4), num_frogs=2).ranked()
-        assert empty.ranked_ids.size == 0 and empty.num_frogs == 2
+        empty = PageRankEstimate(np.zeros(4), num_frogs=2)
+        assert empty.records[0].size == 0 and empty.num_frogs == 2
         assert list(empty.top_k(2)) == [0, 1]
         assert list(empty.top_k_with_scores(9)[1]) == [0.0] * 4
+
+    def test_no_records_is_the_all_zero_estimate_of_its_universe(self):
+        empty = PageRankEstimate.from_records(
+            [], [], num_frogs=4, num_vertices=5
+        )
+        assert empty.num_vertices == 5 and empty.total_stopped == 0
+        assert [a.size for a in empty.records] == [0, 0]
+        assert list(empty.counts) == [0] * 5
+        np.testing.assert_array_equal(empty.distribution(), np.full(5, 0.2))
+        assert list(empty.top_k(3)) == [0, 1, 2]
+
+    def test_past_the_support_the_lowest_free_ids_follow(self):
+        estimate = _from_records([3, 0, 0, 1, 0, 0, 0, 2], 6)
+        # Ranked records first, then the zero-count ids in id order,
+        # skipping the ones the records already answered.
+        assert list(estimate.top_k(6)) == [0, 7, 3, 1, 2, 4]
+        top, scores = estimate.top_k_with_scores(6)
+        assert list(top) == [0, 7, 3, 1, 2, 4]
+        np.testing.assert_array_equal(
+            scores, np.array([3, 2, 1, 0, 0, 0]) / 6
+        )
+
+    def test_a_huge_universe_is_answered_from_the_records(self):
+        # No n-vector of 2**40 entries could be built: every answer
+        # must come from the three records.
+        n = 2**40
+        estimate = PageRankEstimate.from_records(
+            [5, 2**33, n - 1], [4, 9, 4], num_frogs=17, num_vertices=n
+        )
+        assert [a.dtype for a in estimate.records] == [np.int64, np.int32]
+        assert estimate.total_stopped == 17
+        assert list(estimate.top_k(2)) == [2**33, 5]
+        top, scores = estimate.top_k_with_scores(5)
+        assert list(top) == [2**33, 5, n - 1, 0, 1]
+        np.testing.assert_array_equal(
+            scores, np.array([9, 4, 4, 0, 0]) / 17
+        )
+
+    def test_dense_counts_are_a_fresh_copy(self):
+        estimate = _from_records([0, 3, 0, 5], 8)
+        counts = estimate.counts
+        counts[:] = 7
+        assert list(estimate.counts) == [0, 3, 0, 5]
+        assert list(estimate.top_k(2)) == [3, 1]
+
+    def test_merge_ranks_nothing_until_asked(self, monkeypatch):
+        from repro.core import estimator
+
+        calls = []
+        real = estimator.top_k_indices
+
+        def counted(values, k):
+            calls.append(k)
+            return real(values, k)
+
+        monkeypatch.setattr(estimator, "top_k_indices", counted)
+        parts = [
+            _from_records([0, 1, 0, 4], 5),
+            PageRankEstimate(np.array([2, 0, 0, 1]), 3),
+            _from_records([0, 0, 6, 0], 6),
+        ]
+        merged = PageRankEstimate.merge(parts)
+        assert calls == []
+        assert list(merged.top_k(4)) == [2, 3, 0, 1]
+        assert calls == [4]
+
+    def test_merge_widens_counts_that_sum_past_int32(self):
+        top = 2**31 - 1
+        parts = [_from_records([0, top, 1], 3), _from_records([5, top, 0], 3)]
+        assert all(part.records[1].dtype == np.int32 for part in parts)
+        merged = PageRankEstimate.merge(parts)
+        ids, counts = merged.records
+        assert list(ids) == [0, 1, 2] and counts.dtype == np.int64
+        assert list(counts) == [5, 2 * top, 1]
+        assert list(merged.top_k(3)) == [1, 0, 2]
 
 
 class TestSeparationZ:

@@ -21,7 +21,9 @@ guarantees:
   state afterwards — at O(support) (property-based);
 * the size rules of a one-lane run: ``count_keys`` is
   ``np.unique(..., return_counts=True)`` on both sides of its range
-  rule, for birth and hop keys, and the one-lane shortcuts of the fused
+  rule, for birth and hop keys, and its weighted form is the
+  ``np.unique(..., return_inverse=True)`` + weighted bincount sum
+  (property-based), and the one-lane shortcuts of the fused
   passes equal their general formulation (property-based);
 * a gate that can fail: a served batch calls ``_ranges_to_indices`` in
   no superstep whose enabled edges outnumber its frogs 8 to 1, and no
@@ -35,7 +37,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batch_reference import (
@@ -361,6 +363,32 @@ def _keyed_frogs(draw):
     return lanes, n, lane * n + frogs
 
 
+@st.composite
+def _weighted_runs(draw):
+    """Sorted runs of distinct keys in ``[0, num_keys)`` with positive
+    weights — the runner's stop records, a merge's parts — whose
+    concatenation has a range on either side of 4x the keys; runs may
+    overlap, be disjoint, hold one key or none."""
+    num_keys = draw(st.integers(1, 200))
+    runs = draw(
+        st.lists(
+            st.lists(
+                st.integers(0, num_keys - 1), unique=True, max_size=60
+            ).map(sorted),
+            max_size=5,
+        )
+    )
+    keys = [key for run in runs for key in run]
+    weights = draw(
+        st.lists(
+            st.integers(1, 7) | st.just(2**40),
+            min_size=len(keys),
+            max_size=len(keys),
+        )
+    )
+    return num_keys, keys, weights
+
+
 class TestCountKeys:
     @settings(max_examples=300, deadline=None)
     @given(_keyed_frogs())
@@ -373,6 +401,62 @@ class TestCountKeys:
             assert np.array_equal(a, b)
         # As (lane, vertex, count): what births and hops hand on.
         assert np.array_equal(np.divmod(ours[0], n), np.divmod(theirs[0], n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_weighted_runs())
+    @example((5, [], []))  # no keys: the sort branch
+    @example((1, [0], [3]))  # one key filling its range: the count
+    @example((9, [7], [2**40]))  # one key: the sort
+    @example((8, [0, 2, 5, 1, 3, 7], [1, 2, 3, 4, 5, 6]))  # disjoint runs
+    @example((40, [0, 2, 5, 1, 3, 7], [1, 2, 3, 4, 5, 6]))
+    def test_weighted_equals_the_unique_inverse_oracle(self, case):
+        """The keyed sum the stop records, the next frontier and the
+        shard merge share: ``np.unique(return_inverse)`` + a weighted
+        bincount, on both sides of the range rule."""
+        num_keys, keys, weights = case
+        keys = np.array(keys, dtype=np.int64)
+        weights = np.array(weights, dtype=np.int64)
+        ours = fk.count_keys(keys, num_keys, weights=weights)
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inverse, weights=weights, minlength=distinct.size)
+        for a, b in zip(ours, (distinct, sums.astype(np.int64))):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("counted", [True, False])
+    def test_the_weighted_sum_takes_its_branch_and_no_unique(
+        self, monkeypatch, counted
+    ):
+        """Six keys over a range of 8 count; over a range of 800 they
+        sort — neither branch goes back to ``np.unique``."""
+        keys = np.array([7, 2, 7, 0, 2, 7], dtype=np.int64)
+        weights = np.array([1, 2, 3, 4, 5, 6], dtype=np.int64)
+        num_keys = 8 if counted else 800
+        bincounts = []
+        real_bincount = np.bincount
+
+        def bincount(*args, **kwargs):
+            bincounts.append(len(args[0]))
+            return real_bincount(*args, **kwargs)
+
+        def unique(*args, **kwargs):
+            raise AssertionError("the weighted keyed sum called np.unique")
+
+        monkeypatch.setattr(np, "bincount", bincount)
+        monkeypatch.setattr(np, "unique", unique)
+        distinct, sums = fk.count_keys(keys, num_keys, weights=weights)
+        assert list(distinct) == [0, 2, 7] and list(sums) == [4, 7, 10]
+        assert sums.dtype == np.int64
+        assert bincounts == ([6] if counted else [])
+
+    @pytest.mark.parametrize("num_keys", [4, 400])
+    def test_weighted_sums_stay_exact_past_int32(self, num_keys):
+        keys = np.array([3, 1, 3, 3], dtype=np.int64)
+        weights = np.array([2**40, 1, 2**40 + 1, 2**40], dtype=np.int64)
+        distinct, sums = fk.count_keys(keys, num_keys, weights=weights)
+        assert list(distinct) == [1, 3]
+        assert sums.dtype == np.int64
+        assert list(sums) == [1, 3 * 2**40 + 1]
 
     @pytest.mark.parametrize("counted", [True, False])
     def test_births_and_hops_take_the_branch_their_sizes_pick(

@@ -33,7 +33,7 @@ from repro.faults import (
     run_frogwild_with_faults,
 )
 from repro.graph import twitter_like
-from repro.metrics import ndcg_at_k, normalized_mass_captured
+from repro.metrics import normalized_mass_captured
 from repro.pagerank import exact_pagerank, forward_push_pagerank
 
 
@@ -130,8 +130,6 @@ class TestBaselineAgreement:
         )
         for estimate in (push.estimate, frog.estimate.vector()):
             assert normalized_mass_captured(estimate, truth, 10) > 0.9
-        # NDCG agreement on the head for the deterministic solver.
-        assert ndcg_at_k(push.estimate, truth, 10) > 0.99
 
 
 class TestWindowToTrackerPipeline:

@@ -9,12 +9,9 @@ from repro.metrics import (
     l1_error,
     linf_error,
     mass_captured,
-    mean_true_rank,
     normalized_mass_captured,
     optimal_mass,
     top_k_jaccard,
-    topk_jaccard,
-    topk_kendall_tau,
 )
 
 
@@ -108,42 +105,3 @@ class TestTopKJaccard:
 
     def test_empty_sets(self):
         assert top_k_jaccard(np.array([]), np.array([])) == 1.0
-
-
-class TestComparison:
-    def test_jaccard_perfect(self, truth):
-        assert topk_jaccard(truth, truth, 3) == pytest.approx(1.0)
-
-    def test_jaccard_disjoint(self):
-        a = np.array([1.0, 0.9, 0.0, 0.0])
-        b = np.array([0.0, 0.0, 1.0, 0.9])
-        assert topk_jaccard(a, b, 2) == pytest.approx(0.0)
-
-    def test_kendall_perfect(self, truth):
-        assert topk_kendall_tau(truth, truth, 4) == pytest.approx(1.0)
-
-    def test_kendall_reversed(self, truth):
-        estimate = truth[::-1].copy()
-        estimate = np.array([0.05, 0.1, 0.15, 0.3, 0.4])
-        # Same top-4 set in reversed order: tau = -1.
-        assert topk_kendall_tau(estimate, truth, 4) == pytest.approx(-1.0)
-
-    def test_kendall_single_common(self):
-        a = np.array([1.0, 0.0, 0.0, 0.9])
-        b = np.array([1.0, 0.9, 0.0, 0.0])
-        assert topk_kendall_tau(a, b, 2) == pytest.approx(1.0)
-
-    def test_mean_true_rank_perfect(self, truth):
-        assert mean_true_rank(truth, truth, 3) == pytest.approx(2.0)
-
-    def test_mean_true_rank_worst(self, truth):
-        estimate = np.array([0.0, 0.0, 0.0, 0.5, 0.6])
-        assert mean_true_rank(estimate, truth, 2) == pytest.approx(4.5)
-
-    def test_bad_k(self, truth):
-        with pytest.raises(ConfigError):
-            topk_jaccard(truth, truth, 0)
-        with pytest.raises(ConfigError):
-            topk_kendall_tau(truth, truth, 0)
-        with pytest.raises(ConfigError):
-            mean_true_rank(truth, truth, 0)

@@ -235,14 +235,18 @@ ONE_SHARD_QUERIES = [
 
 
 def _assert_bitwise_alike(outcome, expected):
-    """Ranked ids and counts, lane reports, bytes, time, no shard rows."""
+    """Records, rank order, lane reports, bytes, time, no shard rows."""
     assert len(outcome.lanes) == len(expected.lanes)
     for lane, reference in zip(outcome.lanes, expected.lanes):
+        for mine, theirs in zip(
+            lane.estimate.records, reference.estimate.records
+        ):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
+        everything = lane.estimate.num_vertices
         np.testing.assert_array_equal(
-            lane.estimate.ranked_ids, reference.estimate.ranked_ids
-        )
-        np.testing.assert_array_equal(
-            lane.estimate.ranked_counts, reference.estimate.ranked_counts
+            lane.estimate.top_k(everything),
+            reference.estimate.top_k(everything),
         )
         assert lane.estimate.num_frogs == reference.estimate.num_frogs
         assert lane.report == reference.report

@@ -792,13 +792,13 @@ class TestRankedCache:
     def test_the_serving_path_never_materialises_the_dense_vector(
         self, wide_graph, backend, monkeypatch
     ):
-        from repro.core import RankedEstimate
+        from repro.core import PageRankEstimate
 
         def refuse(self):
             raise AssertionError("O(n) materialisation on the serving path")
 
         # vector(), distribution(), ... all read through .counts.
-        monkeypatch.setattr(RankedEstimate, "counts", property(refuse))
+        monkeypatch.setattr(PageRankEstimate, "counts", property(refuse))
         service = make_service(
             wide_graph,
             config=self.CONFIG,
@@ -811,5 +811,41 @@ class TestRankedCache:
         finally:
             service.close()
         assert not miss.cached and hit.cached
-        assert type(service.cache._entries.popitem()[1][1].estimate) is RankedEstimate
+        entry = service.cache._entries.popitem()[1][1]
+        assert type(entry.estimate) is PageRankEstimate
         np.testing.assert_array_equal(hit.vertices, miss.vertices)
+
+    @pytest.mark.parametrize("backend", ["local", "sharded", "process"])
+    def test_a_lane_is_ranked_once_before_its_entry_is_shared(
+        self, wide_graph, backend, monkeypatch
+    ):
+        """The backend hands back unranked records; the service ranks
+        each executed lane once, at resolve, and every later hit of any
+        k is a prefix of that kept order."""
+        from repro.core import estimator
+
+        ranks = []
+        real = estimator.top_k_indices
+
+        def counted(values, k):
+            ranks.append(k)
+            return real(values, k)
+
+        monkeypatch.setattr(estimator, "top_k_indices", counted)
+        service = make_service(
+            wide_graph,
+            config=self.CONFIG,
+            backend=backend,
+            num_shards=1 if backend == "local" else 2,
+        )
+        try:
+            miss = service.query([5, 50], k=6)
+            assert len(ranks) == 1
+            hits = [service.query([5, 50], k=k) for k in (6, 2, 40)]
+        finally:
+            service.close()
+        assert not miss.cached and all(hit.cached for hit in hits)
+        assert len(ranks) == 1
+        np.testing.assert_array_equal(hits[0].vertices, miss.vertices)
+        np.testing.assert_array_equal(hits[1].vertices, miss.vertices[:2])
+        np.testing.assert_array_equal(hits[2].vertices[:6], miss.vertices)
