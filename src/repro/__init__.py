@@ -37,7 +37,6 @@ from .core import (
     run_frogwild,
     run_frogwild_batch,
     run_personalized_frogwild,
-    run_personalized_frogwild_batch,
     seed_distribution,
     top_k_indices,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "run_frogwild",
     "run_frogwild_batch",
     "run_personalized_frogwild",
-    "run_personalized_frogwild_batch",
     "seed_distribution",
     "PageRankEstimate",
     "top_k_indices",

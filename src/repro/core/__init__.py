@@ -21,7 +21,6 @@ from .frogwild import FrogWildResult
 from .kernels import resolve_kernel
 from .personalized import (
     run_personalized_frogwild,
-    run_personalized_frogwild_batch,
     seed_distribution,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "BatchedFrogWildRunner",
     "merge_shard_results",
     "run_frogwild_batch",
-    "run_personalized_frogwild_batch",
     "FrogWildConfig",
     "RefreshPolicy",
     "FrogWildResult",

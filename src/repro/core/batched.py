@@ -1,11 +1,14 @@
 """Batched multi-query FrogWild: B frog populations, one fused traversal.
 
 Lemma 16 makes any birth law a teleport vector, so a personalized
-top-k query is *just* a frog population with a different start
-distribution — the partitioned-graph traversal it rides is identical
+top-k query is *just* a frog population born on its seed set instead
+of uniformly — the partitioned-graph traversal it rides is identical
 for every query.  This module exploits that: a batch of B independent
-populations (each with its own teleport vector, frog budget, seed and
-``ps``) advances through a **single shared superstep loop**.
+populations (each with its own seed set and weights, frog budget, seed
+and ``ps``) advances through a **single shared superstep loop**.  A
+query stays its seeds and weights down to the births: they are drawn
+from the sorted positive-weight seeds, and no lane builds an n-length
+law.
 
 There is **one superstep**, lane-major and fused: frog state is the
 sorted ``(lane, vertex, count)`` frontier of all populations, and each
@@ -71,7 +74,12 @@ from ..engine import (
 )
 from ..errors import ConfigError, EngineError
 from ..graph import DiGraph
-from .config import FrogWildConfig, check_positive_int, check_seed
+from .config import (
+    FrogWildConfig,
+    check_positive_int,
+    check_seed,
+    check_seed_set,
+)
 from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
 from .frogwild import (
@@ -119,45 +127,36 @@ def _charge_stack(
                 lane.ledger.charge_ops(count)
 
 
-def _check_start_distribution(
-    law: np.ndarray | None, n: int
-) -> np.ndarray | None:
-    """``law`` as a float64 birth law over ``n`` vertices (None: uniform)."""
-    if law is None:
-        return None
-    law = np.asarray(law, np.float64)
-    if law.shape != (n,):
-        raise EngineError("start_distribution must have one entry per vertex")
-    if law.min() < 0 or not np.isclose(law.sum(), 1.0):
-        raise EngineError(
-            "start_distribution must be a probability distribution"
-        )
-    return law
-
-
 def _births(
     rng: np.random.Generator,
     n: int,
     num_frogs: int,
-    law: np.ndarray | None,
+    seeds: np.ndarray | None,
+    weights: np.ndarray | None,
 ) -> np.ndarray:
-    """Birth vertices of ``num_frogs`` frogs under ``law`` (None: uniform).
+    """Birth vertices of ``num_frogs`` frogs born on the seed set
+    ``seeds`` under ``weights`` (None: uniform over the seeds; no seeds:
+    uniform over all ``n`` vertices).
 
-    Inverse-cdf sampling over the law's support only: the running sum
-    of the nonzero entries holds the same floats as the dense running
-    sum ``rng.choice(n, size, p=law)`` builds (adding 0.0 is exact), and
-    the uniforms are the same ``rng.random`` call, so births and rng
-    state equal ``rng.choice``'s.  The only O(n) work left is the
-    ``law > 0`` mask and its ``flatnonzero``, a bool scan that numpy
-    runs about 10x faster than the same scan of the float law;
-    ``rng.choice`` re-validates, sums and divides the dense vector on
-    every call (0.5 ms at n = 32768 for 3 seeds).
+    Inverse-cdf sampling over the positive-weight seeds in id order:
+    the weights are normalised by their sum in the caller's seed order
+    and the running sum of the id-ordered positive ones holds the same
+    floats as the dense running sum ``rng.choice(n, size, p=law)``
+    builds over the seed law's n-vector (adding 0.0 is exact); the
+    uniforms are the same ``rng.random`` call, so births and rng state
+    equal ``rng.choice``'s.  Nothing here is n-sized.
     """
-    if law is None:
+    if seeds is None:
         return rng.integers(0, n, size=num_frogs)
-    support = np.flatnonzero(law > 0)
-    cdf = np.cumsum(law[support])
+    order = seeds.argsort(kind="stable")
+    if weights is None:
+        law = np.full(seeds.size, 1.0 / seeds.size)
+    else:
+        law = (weights / weights.sum())[order]
+    positive = law > 0
+    cdf = np.cumsum(law[positive])
     cdf /= cdf[-1]
+    support = seeds[order][positive]
     return support[cdf.searchsorted(rng.random(num_frogs), side="right")]
 
 
@@ -166,13 +165,16 @@ class BatchQuery:
     """One frog population riding a batched execution.
 
     Every field defaults to the batch-wide :class:`FrogWildConfig`;
-    ``start_distribution`` is the per-query teleport/birth law (None
-    means uniform, i.e. global PageRank) and ``ps`` may thin this
+    ``seeds`` is the seed set the population is born on (Lemma 16: its
+    teleport law), with optional restart ``weights`` aligned to it
+    (None: uniform over the seeds); no seeds means births uniform over
+    every vertex, i.e. global PageRank.  ``ps`` may thin this
     population's mirror synchronization independently of its batchmates.
     """
 
     num_frogs: int | None = None
-    start_distribution: np.ndarray | None = None
+    seeds: Sequence[int] | np.ndarray | None = None
+    weights: Sequence[float] | np.ndarray | None = None
     seed: int | None = None
     ps: float | None = None
     label: str = ""
@@ -225,7 +227,8 @@ class _Lane:
         "num_frogs",
         "ps",
         "seed",
-        "start_distribution",
+        "seeds",
+        "weights",
         "rng",
         "ledger",
         "finished_at",
@@ -245,7 +248,7 @@ class BatchedFrogWildRunner:
     partitioned graph per superstep.  All populations share
     ``iterations``, ``p_teleport``, ``scatter_mode`` and
     ``erasure_model`` from the batch config (the serving layer's
-    coalescer never mixes configs in one batch); frog budget, birth law,
+    coalescer never mixes configs in one batch); frog budget, seed set,
     seed and ``ps`` are per-query.
 
     There is one superstep: it makes every random draw from the
@@ -290,9 +293,14 @@ class BatchedFrogWildRunner:
                 raise ConfigError(f"ps must lie in [0, 1], got {lane.ps}")
             lane.seed = config.seed if query.seed is None else query.seed
             check_seed(lane.seed)
-            lane.start_distribution = _check_start_distribution(
-                query.start_distribution, n
-            )
+            if query.seeds is not None:
+                lane.seeds, lane.weights = check_seed_set(
+                    query.seeds, query.weights, n
+                )
+            elif query.weights is not None:
+                raise ConfigError("weights need a seed set")
+            else:
+                lane.seeds = lane.weights = None
             # The walk stream of a query: its B = 1 run and its lane in
             # any batch consume the same coin sequence.
             lane.rng = np.random.default_rng(
@@ -374,9 +382,9 @@ class BatchedFrogWildRunner:
         empty = np.empty(0, dtype=np.int64)
         self._stops = [(empty, empty)]
 
-        # init(): every population born from its own start law.
+        # init(): every population born on its own seed set.
         births = [
-            _births(lane.rng, n, lane.num_frogs, lane.start_distribution)
+            _births(lane.rng, n, lane.num_frogs, lane.seeds, lane.weights)
             for lane in self.lanes
         ]
 
@@ -910,6 +918,10 @@ def run_frogwild_batch(
     """
     config = config or FrogWildConfig()
     if state is None:
+        # Refuse a bad seed set before paying for the ingress.
+        for query in queries:
+            if query.seeds is not None:
+                check_seed_set(query.seeds, query.weights, graph.num_vertices)
         state = build_cluster(
             graph,
             num_machines,

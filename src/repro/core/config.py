@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from numbers import Integral
 
+import numpy as np
+
 from ..errors import ConfigError
 
 __all__ = ["FrogWildConfig", "RefreshPolicy"]
@@ -36,6 +38,53 @@ def check_seed(seed) -> None:
         raise ConfigError(f"seed must be an integer or None, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
+def check_seed_set(
+    seeds, weights=None, num_vertices: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``seeds`` and ``weights`` as int64 ids and float64 weights (None:
+    uniform over the seeds), or a :class:`ConfigError`.
+
+    The one check of a birth law on a seed set (Lemma 16): integer ids
+    (a float or bool id is refused, never truncated), distinct, at
+    least 0 and below ``num_vertices`` when it is given; weights aligned
+    with the seeds, finite, non-negative and of positive mass.
+    """
+    array = np.atleast_1d(np.asarray(seeds))
+    if not array.size:
+        raise ConfigError("seed set must be non-empty")
+    # A bool inside a list of ints hides in an int64 array.
+    if (
+        array.ndim != 1
+        or array.dtype.kind not in "iu"
+        or (
+            isinstance(seeds, (tuple, list))
+            and any(isinstance(s, (bool, np.bool_)) for s in seeds)
+        )
+    ):
+        raise ConfigError(f"seed ids must be integers, got {seeds!r}")
+    array = array.astype(np.int64)
+    ordered = np.sort(array)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ConfigError("seed ids must be distinct")
+    if ordered[0] < 0 or (
+        num_vertices is not None and ordered[-1] >= num_vertices
+    ):
+        raise ConfigError("seed ids out of range")
+    if weights is None:
+        return array, None
+    weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
+    if weights.shape != array.shape:
+        raise ConfigError("weights must align with seeds")
+    if not np.isfinite(weights).all():
+        raise ConfigError("weights must be finite")
+    # Finite weights can still sum past the float range.
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if weights.min() < 0 or not 0 < total < np.inf:
+        raise ConfigError("weights must be non-negative with positive mass")
+    return array, weights
 
 
 @dataclass(frozen=True)

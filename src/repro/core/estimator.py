@@ -47,6 +47,14 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return order[:k].astype(np.int64)
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only view of ``values``; the caller's array keeps its own
+    flags."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
 def _whole(values, name: str) -> np.ndarray:
     """``values`` as int64; a fractional or non-finite entry is refused,
     not truncated."""
@@ -62,11 +70,12 @@ class PageRankEstimate:
     """Normalized frog-stop counts, i.e. the estimator pi_hat_N.
 
     The estimate holds its nonzero counters as ``(id, count)`` records
-    in id order (:attr:`records`, int32 whenever they fit), the frog
-    count N and the vertex count n: at most 8 bytes per frog, never an
-    n-vector.  The rank order of the records is computed by the first
-    :meth:`top_k` / :meth:`top_k_with_scores` call and kept (4 more
-    bytes per record), so every later answer is a prefix gather.
+    (int32 whenever they fit), the frog count N and the vertex count n:
+    at most 8 bytes per frog, never an n-vector.  The records are born
+    in id order; the first :meth:`top_k` / :meth:`top_k_with_scores`
+    call re-holds them in rank order, so every later answer is a prefix
+    slice and a ranked estimate still holds 8 bytes per record.
+    :attr:`records` hands them out in id order either way.
     :attr:`counts` and the views built on it (``vector()``,
     ``distribution()``, ``standard_errors()``, ``separation_z()``)
     materialise the dense vector when called, for figures, tests and
@@ -121,14 +130,13 @@ class PageRankEstimate:
 
     def _hold(self, ids, counts, num_frogs, num_vertices) -> None:
         check_positive_int("num_frogs", num_frogs)
-        # Read-only views: the caller's arrays keep their own flags.
-        self._ids = _narrow(ids).view()
-        self._stop_counts = _narrow(counts).view()
-        self._ids.flags.writeable = False
-        self._stop_counts.flags.writeable = False
+        # One attribute, swapped whole by the ranking: (ids, counts,
+        # ranked), in rank order once ranked, else in id order.
+        self._held = (
+            _read_only(_narrow(ids)), _read_only(_narrow(counts)), False
+        )
         self._num_frogs = int(num_frogs)
         self._num_vertices = int(num_vertices)
-        self._order: np.ndarray | None = None
 
     @staticmethod
     def merge(estimates: "Sequence[PageRankEstimate]") -> "PageRankEstimate":
@@ -166,14 +174,19 @@ class PageRankEstimate:
     @property
     def records(self) -> tuple[np.ndarray, np.ndarray]:
         """The nonzero counters as read-only ``(ids, counts)`` in id
-        order."""
-        return self._ids, self._stop_counts
+        order (re-sorted on each call once the estimate is ranked)."""
+        ids, counts, ranked = self._held
+        if not ranked:
+            return ids, counts
+        order = ids.argsort(kind="stable")
+        return _read_only(ids[order]), _read_only(counts[order])
 
     @property
     def counts(self) -> np.ndarray:
         """The dense counter vector ``c``, materialised (O(n))."""
+        ids, stop_counts, _ = self._held
         counts = np.zeros(self._num_vertices, dtype=np.int64)
-        counts[self._ids] = self._stop_counts
+        counts[ids] = stop_counts
         return counts
 
     @property
@@ -187,7 +200,7 @@ class PageRankEstimate:
     @property
     def total_stopped(self) -> int:
         """Total counted frogs (== N in multinomial scatter mode)."""
-        return int(self._stop_counts.sum())
+        return int(self._held[1].sum())
 
     def vector(self) -> np.ndarray:
         """The estimate pi_hat as a float vector summing to
@@ -202,16 +215,18 @@ class PageRankEstimate:
             return np.full(counts.size, 1.0 / counts.size)
         return counts / total
 
-    def _rank_order(self) -> np.ndarray:
-        """Positions of the records by decreasing count, the lower id
-        first among equals (the records are id-ordered, and the sort is
-        stable); ranked on the first call and kept.  Two threads racing
-        here rank the same records twice and store equal arrays, so the
-        check needs no lock."""
-        if self._order is None:
-            counts = self._stop_counts
-            self._order = _narrow(top_k_indices(counts, counts.size))
-        return self._order
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The records by decreasing count, the lower id first among
+        equals (the id-ordered records go through a stable sort); the
+        first call re-holds them in this order and drops the id order.
+        Two threads racing here rank the same records twice and store
+        equal arrays, so the check needs no lock."""
+        ids, counts, ranked = self._held
+        if not ranked:
+            order = top_k_indices(counts, counts.size)
+            ids, counts = _read_only(ids[order]), _read_only(counts[order])
+            self._held = (ids, counts, True)
+        return ids, counts
 
     def top_k(self, k: int) -> np.ndarray:
         """Vertex ids of the estimated top-k, by decreasing count, as a
@@ -224,7 +239,7 @@ class PageRankEstimate:
         if k < 0:
             raise ConfigError("k must be non-negative")
         k = min(k, self._num_vertices)
-        top = self._ids[self._rank_order()[:k]].astype(np.int64)
+        top = self._ranked()[0][:k].astype(np.int64)
         missing = k - top.size
         if missing == 0:
             return top
@@ -238,7 +253,7 @@ class PageRankEstimate:
         """``(vertex ids, pi_hat scores)`` of the top-k, by decreasing
         count — the serving layer's answer payload, two fresh arrays."""
         top = self.top_k(k)
-        scores = self._stop_counts[self._rank_order()[:k]] / self._num_frogs
+        scores = self._ranked()[1][:k] / self._num_frogs
         if scores.size < top.size:
             scores = np.concatenate((scores, np.zeros(top.size - scores.size)))
         return top, scores
@@ -280,5 +295,5 @@ class PageRankEstimate:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PageRankEstimate(n={self._num_vertices}, "
-            f"N={self._num_frogs}, support={self._ids.size})"
+            f"N={self._num_frogs}, support={self._held[0].size})"
         )

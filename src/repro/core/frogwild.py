@@ -12,7 +12,7 @@ vector normalized by N is the PageRank estimate (Definition 5).
 
 There is one superstep, :class:`~repro.core.batched.BatchedFrogWildRunner`'s,
 and a single run is its B = 1 lane: :func:`~repro.core.run_frogwild`
-lives beside it in :mod:`repro.core.batched` with the birth law
+lives beside it in :mod:`repro.core.batched` with the births
 (``_births``), and the multinomial edge pick (``_pick_enabled_edges``)
 is a pass of :mod:`repro.core.kernels.fused`.  This module holds the
 per-ingress flat tables that superstep reads (:class:`_KernelTables`,

@@ -71,9 +71,8 @@ class CheckpointedFrogWildRunner(FaultyFrogWildRunner):
         config: FrogWildConfig,
         schedule: FaultSchedule,
         checkpoint: CheckpointConfig | None = None,
-        start_distribution: np.ndarray | None = None,
     ) -> None:
-        super().__init__(state, config, schedule, start_distribution)
+        super().__init__(state, config, schedule)
         self.checkpoint = checkpoint or CheckpointConfig()
         self._snapshot: np.ndarray | None = None
         #: Frogs recovered from snapshots across all crashes.

@@ -85,11 +85,8 @@ class FaultyFrogWildRunner(BatchedFrogWildRunner):
         state: ClusterState,
         config: FrogWildConfig,
         schedule: FaultSchedule,
-        start_distribution: np.ndarray | None = None,
     ) -> None:
-        super().__init__(
-            state, config, [BatchQuery(start_distribution=start_distribution)]
-        )
+        super().__init__(state, config, [BatchQuery()])
         for crash in schedule.crashes:
             if crash.machine >= state.num_machines:
                 raise ConfigError(

@@ -7,7 +7,7 @@ rests on two facts from the paper:
 * **Lemma 16** (restart at the birth law): *any* birth distribution
   turns the frog process into Personalized PageRank with that teleport
   vector.  A user's top-k query is therefore nothing but a frog
-  population with a personalized start law — and B concurrent queries
+  population born on the user's seed set — and B concurrent queries
   are B populations that can ride **one** traversal of the partitioned
   graph (:class:`~repro.core.batched.BatchedFrogWildRunner`), paying
   the topology gather, the BSP barriers and the per-message wire

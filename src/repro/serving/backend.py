@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from ..cluster import (
     CostModel,
     MessageSizeModel,
@@ -48,7 +46,6 @@ from ..core import (
     merge_shard_results,
     resolve_kernel,
     run_frogwild_batch,
-    seed_distribution,
 )
 from ..engine import RunReport, build_cluster
 from ..errors import ConfigError
@@ -241,22 +238,6 @@ def _out_of_core_tables(store, tag: str, build, fresh: bool = False):
     return load_serving_tables(directory)
 
 
-def _batch_queries(
-    graph: DiGraph, queries: Sequence[RankingQuery]
-) -> list[np.ndarray]:
-    """Per-query personalized birth laws (Lemma 16 teleport vectors)."""
-    return [
-        seed_distribution(
-            graph.num_vertices,
-            np.asarray(query.seeds, dtype=np.int64),
-            None
-            if query.weights is None
-            else np.asarray(query.weights, dtype=np.float64),
-        )
-        for query in queries
-    ]
-
-
 def _checked_tables(
     replications: Sequence[ReplicationTable],
     num_shards: int,
@@ -285,16 +266,26 @@ def _checked_tables(
 
 
 def _run_slice(
-    graph: DiGraph, state, config: FrogWildConfig, laws, share: int, seed
+    graph: DiGraph,
+    state,
+    config: FrogWildConfig,
+    queries: Sequence[RankingQuery],
+    share: int,
+    seed,
 ):
     """One shard's slice of a batch, for the in-process fan-out and the
-    pool worker alike: ``share`` frogs per query, born from its law
+    pool worker alike: ``share`` frogs per query, born on its seed set
     under the shard's seed, in one batched traversal over ``state``."""
     return run_frogwild_batch(
         graph,
         [
-            BatchQuery(num_frogs=share, start_distribution=law, seed=seed)
-            for law in laws
+            BatchQuery(
+                num_frogs=share,
+                seeds=query.seeds,
+                weights=query.weights,
+                seed=seed,
+            )
+            for query in queries
         ],
         config,
         state=state,
@@ -478,7 +469,6 @@ class ShardedBackend:
     def run_batch(
         self, config: FrogWildConfig, queries: Sequence[RankingQuery]
     ) -> BatchOutcome:
-        laws = _batch_queries(self.graph, queries)
         per_query_lanes: list[list] = [[] for _ in queries]
         shard_costs: list[ShardCost] = []
         for shard, share in enumerate(self._shares(config.num_frogs)):
@@ -488,7 +478,7 @@ class ShardedBackend:
                 self.graph,
                 self.fresh_state(shard),
                 config,
-                laws,
+                queries,
                 share,
                 _shard_seed(config.seed, shard, self.num_shards),
             )

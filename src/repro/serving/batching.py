@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
-import numpy as np
-
 from ..core import FrogWildConfig
-from ..core.config import check_positive_int
+from ..core.config import check_positive_int, check_seed_set
 from ..errors import ConfigError
 
 __all__ = ["RankingQuery", "PendingQuery", "QueryCoalescer"]
@@ -52,40 +50,13 @@ class RankingQuery:
 
     def __post_init__(self) -> None:
         check_positive_int("k", self.k)
-        raw = self.seeds
-        array = np.atleast_1d(np.asarray(raw))
-        if not array.size:
-            raise ConfigError("a ranking query needs at least one seed")
-        # int() would truncate 1.9 to vertex 1 and read True as vertex
-        # 1; a bool inside a list of ints hides in an int64 array.
-        if array.dtype.kind not in "iu" or (
-            isinstance(raw, (tuple, list))
-            and any(isinstance(s, (bool, np.bool_)) for s in raw)
-        ):
-            raise ConfigError(f"seed ids must be integers, got {raw!r}")
-        seeds = tuple(int(s) for s in array)
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("seed ids must be distinct")
-        if min(seeds) < 0:
-            raise ConfigError("seed ids must be non-negative")
-        object.__setattr__(self, "seeds", seeds)
-        if self.weights is not None:
-            weights = tuple(
-                float(w) for w in np.atleast_1d(np.asarray(self.weights))
-            )
-            if len(weights) != len(seeds):
-                raise ConfigError("weights must align with seeds")
-            # Mirror seed_distribution's checks here so a bad restart
-            # law fails at construction, not mid-dispatch inside a
-            # batch that its batchmates are riding.  Written so NaN
-            # fails every comparison into the error branch.
-            if not all(np.isfinite(weights)):
-                raise ConfigError("weights must be finite")
-            if min(weights) < 0 or not sum(weights) > 0:
-                raise ConfigError(
-                    "weights must be non-negative with positive mass"
-                )
-            object.__setattr__(self, "weights", weights)
+        # Refused at construction, not mid-dispatch inside a batch that
+        # its batchmates are riding; n is unknown here, so the service
+        # checks the ids against it at submit.
+        seeds, weights = check_seed_set(self.seeds, self.weights)
+        object.__setattr__(self, "seeds", tuple(seeds.tolist()))
+        if weights is not None:
+            object.__setattr__(self, "weights", tuple(weights.tolist()))
 
     def effective_config(self, default: FrogWildConfig) -> FrogWildConfig:
         """The config this query actually runs under."""

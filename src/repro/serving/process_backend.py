@@ -137,7 +137,6 @@ from .backend import (
     BatchOutcome,
     ShardCost,
     ShardedBackend,
-    _batch_queries,
     _checked_tables,
     _merged_outcome,
     _run_slice,
@@ -204,9 +203,8 @@ def _worker_main(
                     seed=seed,
                     replication=table,
                 )
-                laws = _batch_queries(graph, queries)
                 result = _run_slice(
-                    graph, state, config, laws, share, shard_seed
+                    graph, state, config, queries, share, shard_seed
                 )
                 if reply_delay_s > 0.0:
                     # Injected chaos: the slice is computed but nothing

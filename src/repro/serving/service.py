@@ -480,7 +480,7 @@ class RankingService:
         config: FrogWildConfig | None = None,
     ) -> RankingAnswer:
         """Synchronous single-query API (a batch of one)."""
-        return self.query_batch([self._make_query(seeds, k, weights, config)])[0]
+        return self.query_batch([RankingQuery(seeds, k, weights, config)])[0]
 
     def query_batch(
         self, queries: Sequence[RankingQuery]
@@ -532,7 +532,7 @@ class RankingService:
         config: FrogWildConfig | None = None,
     ) -> RankingFuture:
         """Schedule one query; returns a future resolved on dispatch."""
-        return self.submit_query(self._make_query(seeds, k, weights, config))
+        return self.submit_query(RankingQuery(seeds, k, weights, config))
 
     def submit_query(self, query: RankingQuery) -> RankingFuture:
         """Schedule one normalized query through the batch scheduler.
@@ -584,16 +584,6 @@ class RankingService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _make_query(self, seeds, k, weights, config) -> RankingQuery:
-        return RankingQuery(
-            seeds=tuple(np.atleast_1d(np.asarray(seeds)).tolist()),
-            k=k,
-            weights=None if weights is None else tuple(
-                np.atleast_1d(np.asarray(weights)).tolist()
-            ),
-            config=config,
-        )
-
     def _validate(self, queries: Sequence[RankingQuery]) -> None:
         num_vertices = self.graph.num_vertices
         for query in queries:

@@ -43,11 +43,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core import (
-    run_frogwild,
-    run_personalized_frogwild,
-    seed_distribution,
-)
+from repro.core import run_frogwild, run_personalized_frogwild
 from repro.engine import build_cluster
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -71,8 +67,8 @@ def outcome(result):
 
 def run_alone(graph, machines, config, query):
     """``query`` of a ``config`` batch run alone on a fresh state of the
-    batch's ingress, through the public entry points (a birth law goes
-    in as the seeds and weights it was made of)."""
+    batch's ingress, through the public entry points (a seeded query
+    goes in as its seeds and weights)."""
     state = build_cluster(graph, machines, seed=config.seed)
     overrides = {
         field: getattr(query, field)
@@ -80,14 +76,10 @@ def run_alone(graph, machines, config, query):
         if getattr(query, field) is not None
     }
     config = replace(config, **overrides)
-    law = query.start_distribution
-    if law is None:
+    if query.seeds is None:
         return run_frogwild(graph, config, state=state)
-    seeds = np.flatnonzero(law)
-    weights = law[seeds]
-    assert np.array_equal(seed_distribution(law.size, seeds, weights), law)
     return run_personalized_frogwild(
-        graph, seeds, config, weights=weights, state=state
+        graph, query.seeds, config, weights=query.weights, state=state
     )
 
 

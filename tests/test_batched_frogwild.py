@@ -26,11 +26,9 @@ from repro.core import (
     run_frogwild,
     run_frogwild_batch,
     run_personalized_frogwild,
-    run_personalized_frogwild_batch,
-    seed_distribution,
 )
 from repro.engine import build_cluster
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError
 from repro.graph import twitter_like
 
 GRAPH = twitter_like(n=600, seed=13)
@@ -156,9 +154,7 @@ STANDALONE = {
     },
     "personalized-single": (
         GRAPH, 4, _PERSONAL_CONFIG,
-        [BatchQuery(start_distribution=seed_distribution(
-            GRAPH.num_vertices, _PERSONAL_SEEDS
-        ))],
+        [BatchQuery(seeds=_PERSONAL_SEEDS)],
     ),
     "sequential-lanes": (
         GRAPH, 4, _SEQUENTIAL_CONFIG,
@@ -166,12 +162,7 @@ STANDALONE = {
     ),
     "personalized-shared-table": (
         GRAPH, 8, _SHARED_TABLE_CONFIG,
-        [
-            BatchQuery(start_distribution=seed_distribution(
-                GRAPH.num_vertices, seeds
-            ))
-            for seeds in _SHARED_TABLE_SEED_SETS
-        ],
+        [BatchQuery(seeds=seeds) for seeds in _SHARED_TABLE_SEED_SETS],
     ),
 }
 
@@ -242,8 +233,8 @@ class TestSingleQueryEquivalence:
         single = run_personalized_frogwild(
             GRAPH, _PERSONAL_SEEDS, config, num_machines=4
         )
-        batched = run_personalized_frogwild_batch(
-            GRAPH, [_PERSONAL_SEEDS], config, num_machines=4
+        batched = run_frogwild_batch(
+            GRAPH, [BatchQuery(seeds=_PERSONAL_SEEDS)], config, num_machines=4
         )
         assert_run_pinned("personalized-single", single)
         assert_lanes_match_standalone("personalized-single", batched)
@@ -267,9 +258,9 @@ class TestSingleQueryEquivalence:
         never approximation."""
         config = _SHARED_TABLE_CONFIG
         partition = make_partitioner("random", 0).partition(GRAPH, 8)
-        batched = run_personalized_frogwild_batch(
+        batched = run_frogwild_batch(
             GRAPH,
-            _SHARED_TABLE_SEED_SETS,
+            [BatchQuery(seeds=seeds) for seeds in _SHARED_TABLE_SEED_SETS],
             config,
             state=build_cluster(
                 GRAPH, 8, seed=0,
@@ -294,13 +285,13 @@ class TestBehaviour:
         with pytest.raises(ConfigError):
             _batch([])
 
-    def test_bad_distribution_rejected(self):
-        with pytest.raises(EngineError):
-            _batch([BatchQuery(start_distribution=np.ones(3))])
-        bad = np.zeros(GRAPH.num_vertices)
-        bad[0] = 2.0
-        with pytest.raises(EngineError):
-            _batch([BatchQuery(start_distribution=bad)])
+    def test_bad_seed_set_rejected(self):
+        with pytest.raises(ConfigError, match="out of range"):
+            _batch([BatchQuery(seeds=[GRAPH.num_vertices])])
+        with pytest.raises(ConfigError, match="positive mass"):
+            _batch([BatchQuery(seeds=[0, 1], weights=[0.0, 0.0])])
+        with pytest.raises(ConfigError, match="need a seed set"):
+            _batch([BatchQuery(weights=[1.0])])
 
     def test_bad_ps_rejected(self):
         with pytest.raises(ConfigError):
@@ -351,9 +342,9 @@ class TestBehaviour:
 
     def test_personalized_batch_results_in_query_order(self):
         seed_sets = [np.array([1]), np.array([2, 3]), np.array([4, 5, 6])]
-        result = run_personalized_frogwild_batch(
+        result = run_frogwild_batch(
             GRAPH,
-            seed_sets,
+            [BatchQuery(seeds=seeds) for seeds in seed_sets],
             FrogWildConfig(num_frogs=1500, iterations=6, seed=1),
             num_machines=4,
         )
@@ -364,9 +355,10 @@ class TestBehaviour:
         assert len(set(map(int, tops))) >= 2
 
     def test_personalized_batch_validates_weights(self):
-        with pytest.raises(ConfigError):
-            run_personalized_frogwild_batch(
-                GRAPH,
-                [np.array([1]), np.array([2])],
-                weights=[np.array([1.0])],
+        with pytest.raises(ConfigError, match="align"):
+            _batch(
+                [
+                    BatchQuery(seeds=np.array([1])),
+                    BatchQuery(seeds=np.array([2]), weights=[1.0, 2.0]),
+                ]
             )

@@ -46,7 +46,6 @@ from repro.core import (
     FrogWildConfig,
     run_frogwild,
     run_frogwild_batch,
-    seed_distribution,
 )
 from repro.core.frogwild import _kernel_tables, prime_ingress_caches
 from repro.core.kernels import DenseGroupTables, FusedPasses
@@ -416,18 +415,11 @@ SPARSE = erdos_renyi(n=400, avg_out_degree=10, seed=21)
 WIDE = 64
 _LOW_FILL_QUERIES = [
     BatchQuery(seed=1),
-    BatchQuery(
-        seed=2, num_frogs=500,
-        start_distribution=seed_distribution(
-            SPARSE.num_vertices, np.array([3, 77])
-        ),
-    ),
+    BatchQuery(seed=2, num_frogs=500, seeds=np.array([3, 77])),
     BatchQuery(
         seed=3, ps=0.9,
-        start_distribution=seed_distribution(
-            SPARSE.num_vertices, np.array([5, 120, 301]),
-            np.array([3.0, 1.0, 1.0]),
-        ),
+        seeds=np.array([5, 120, 301]),
+        weights=np.array([3.0, 1.0, 1.0]),
     ),
     BatchQuery(seed=4, ps=0.1),
 ]

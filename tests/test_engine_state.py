@@ -10,7 +10,6 @@ from repro.core import (
     run_frogwild,
     run_frogwild_batch,
     run_personalized_frogwild,
-    run_personalized_frogwild_batch,
 )
 from repro.engine import build_cluster, traffic_breakdown
 from repro.errors import ConfigError, EngineError, PartitionError
@@ -31,8 +30,8 @@ ENTRY_POINTS = {
     "run_personalized_frogwild": lambda graph, state: (
         run_personalized_frogwild(graph, [0, 1], _FEW_FROGS, state=state)
     ),
-    "run_personalized_frogwild_batch": lambda graph, state: (
-        run_personalized_frogwild_batch(graph, [[0, 1]], _FEW_FROGS, state=state)
+    "run_frogwild_batch_seeded": lambda graph, state: run_frogwild_batch(
+        graph, [BatchQuery(seeds=[0, 1])], _FEW_FROGS, state=state
     ),
     "run_frogwild_with_faults": lambda graph, state: run_frogwild_with_faults(
         graph, FaultSchedule(), _FEW_FROGS, state=state

@@ -402,6 +402,33 @@ class TestRecords:
         assert list(estimate.top_k(1)) == [3]
         assert calls == [4]
 
+    def test_a_ranked_estimate_holds_eight_bytes_per_record(self):
+        """Ranking re-holds the records in rank order instead of keeping
+        a permutation beside them (a cached estimate is ranked), while
+        ``records`` still hands them out in id order."""
+
+        def held_bytes(estimate):
+            owners = {}
+            for value in vars(estimate).values():
+                for array in value if isinstance(value, tuple) else (value,):
+                    if isinstance(array, np.ndarray):
+                        while isinstance(array.base, np.ndarray):
+                            array = array.base
+                        owners[id(array)] = array.nbytes
+            return sum(owners.values())
+
+        counts = np.random.default_rng(3).integers(0, 50, size=5_000)
+        estimate = _from_records(counts, int(counts.sum()))
+        ids, stop_counts = (a.copy() for a in estimate.records)
+        assert held_bytes(estimate) <= 8 * ids.size
+        np.testing.assert_array_equal(
+            estimate.top_k(20), top_k_indices(counts, 20)
+        )
+        assert held_bytes(estimate) <= 8 * ids.size
+        for got, want in zip(estimate.records, (ids, stop_counts)):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+
     def test_empty_support_answers_in_id_order(self):
         empty = PageRankEstimate(np.zeros(4), num_frogs=2)
         assert empty.records[0].size == 0 and empty.num_frogs == 2

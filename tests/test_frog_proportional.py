@@ -17,8 +17,9 @@ guarantees:
 * batch parity where the search branch runs every superstep (a
   hub-heavy graph walked by a few frogs): every lane = the pinned run
   alone of its query (B=3 and B=1, see ``batch_reference.py``);
-* ``_births`` is ``rng.choice(n, size, p=law)`` — same births, same rng
-  state afterwards — at O(support) (property-based);
+* ``_births`` from a seed set is ``rng.choice(n, size, p=law)`` over
+  its n-length law — same births, same rng state afterwards — at
+  O(seeds) (property-based);
 * the size rules of a one-lane run: ``count_keys`` is
   ``np.unique(..., return_counts=True)`` on both sides of its range
   rule, for birth and hop keys, and its weighted form is the
@@ -50,8 +51,10 @@ from repro.core import (
     FrogWildConfig,
     run_frogwild,
     run_frogwild_batch,
+    seed_distribution,
 )
 from repro.core import batched as bt
+from repro.core.config import check_seed_set
 from repro.core import frogwild as fw
 from repro.core.kernels import DenseGroupTables
 from repro.core.kernels import fused as fk
@@ -309,31 +312,43 @@ class TestSearchBranchParity:
 # _births vs rng.choice
 # ----------------------------------------------------------------------
 @st.composite
-def _laws(draw):
+def _seed_sets(draw):
+    """A seed set in caller order (not id order), with no weights or
+    weights that may hold zeros, at scales from 1e-9 to 1e9."""
     n = draw(st.integers(1, 40))
     dense = draw(st.booleans())
     size = n if dense else draw(st.integers(1, min(n, 4)))
-    support = sorted(
-        draw(
-            st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
-            | st.just({0, n - 1})
-            | st.just({0})
-            | st.just({n - 1})
-        )
+    support = draw(
+        st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+        | st.just({0, n - 1})
+        | st.just({0})
+        | st.just({n - 1})
     )
-    weights = [draw(st.floats(1e-6, 1.0)) for _ in support]
-    law = np.zeros(n)
-    law[support] = weights
-    return law / law.sum()
+    seeds = draw(st.permutations(sorted(support)))
+    if draw(st.booleans()):
+        return n, np.array(seeds), None
+    weights = [
+        draw(st.just(0.0) | st.floats(1e-6, 1.0)) for _ in seeds
+    ]
+    if not any(weights):
+        weights[draw(st.integers(0, len(weights) - 1))] = 1.0
+    scale = draw(st.sampled_from([1e-9, 1.0, 1e9]))
+    return n, np.array(seeds), np.array(weights) * scale
 
 
 class TestBirths:
     @settings(max_examples=300, deadline=None)
-    @given(_laws(), st.sampled_from([1, 2, 17, 400]), st.integers(0, 2**32))
-    def test_equals_rng_choice(self, law, num_frogs, seed):
+    @given(_seed_sets(), st.sampled_from([1, 2, 17, 400]), st.integers(0, 2**32))
+    def test_equals_rng_choice(self, seed_set, num_frogs, seed):
+        """Births from the seed set are ``rng.choice`` over its n-length
+        law: same births, same rng state afterwards."""
+        n, seeds, weights = seed_set
+        law = seed_distribution(n, seeds, weights)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        births = bt._births(ours, law.size, num_frogs, law)
-        expected = theirs.choice(law.size, size=num_frogs, p=law)
+        births = bt._births(
+            ours, n, num_frogs, *check_seed_set(seeds, weights, n)
+        )
+        expected = theirs.choice(n, size=num_frogs, p=law)
         assert births.dtype == expected.dtype
         assert np.array_equal(births, expected)
         assert ours.bit_generator.state == theirs.bit_generator.state
@@ -341,7 +356,8 @@ class TestBirths:
     def test_uniform_births_are_rng_integers(self):
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         assert np.array_equal(
-            bt._births(ours, 50, 200, None), theirs.integers(0, 50, size=200)
+            bt._births(ours, 50, 200, None, None),
+            theirs.integers(0, 50, size=200),
         )
         assert ours.bit_generator.state == theirs.bit_generator.state
 

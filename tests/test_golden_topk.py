@@ -16,7 +16,6 @@ from repro.core import (
     FrogWildConfig,
     run_frogwild,
     run_frogwild_batch,
-    run_personalized_frogwild_batch,
     seed_distribution,
 )
 from repro.graph import star_graph, twitter_like
@@ -88,9 +87,9 @@ class TestBatchedGolden:
     def test_batched_personalized_matches_exact_ppr(self):
         """Each lane's top-k overlaps the exact PPR of its seed set."""
         seed_sets = [np.array([7]), np.array([11, 42]), np.array([100, 3])]
-        result = run_personalized_frogwild_batch(
+        result = run_frogwild_batch(
             GRAPH,
-            seed_sets,
+            [BatchQuery(seeds=seeds) for seeds in seed_sets],
             FrogWildConfig(num_frogs=30_000, iterations=8, seed=1, ps=0.8),
             num_machines=4,
         )

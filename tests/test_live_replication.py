@@ -33,6 +33,7 @@ from repro.live import (
     IncrementalReplication,
     LiveRankingService,
 )
+from repro.serving import RankingQuery
 
 FAST = FrogWildConfig(num_frogs=500, iterations=3, seed=0)
 
@@ -275,7 +276,7 @@ class TestBackgroundRefresh:
 
         def dispatch_mid_build(svc):
             answers = svc.query_batch(
-                [svc._make_query([v], 5, None, None) for v in (1, 2, 3)]
+                [RankingQuery((v,), 5) for v in (1, 2, 3)]
             )
             observed["stamps"] = {
                 a.report.extra["epoch"] for a in answers
@@ -307,7 +308,7 @@ class TestBackgroundRefresh:
             try:
                 while not stop.is_set():
                     answers = service.query_batch(
-                        [service._make_query([v], 5, None, None)
+                        [RankingQuery((v,), 5)
                          for v in (0, 1, 2)]
                     )
                     # Cache hits legitimately carry the stamp of the

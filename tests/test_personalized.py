@@ -8,7 +8,7 @@ from repro.core import (
     run_personalized_frogwild,
     seed_distribution,
 )
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError
 from repro.graph import cycle_graph, twitter_like
 from repro.metrics import normalized_mass_captured
 from repro.pagerank import exact_pagerank
@@ -50,6 +50,40 @@ class TestSeedDistribution:
                 np.array([0, 1]),
                 FrogWildConfig(num_frogs=50, iterations=2),
                 weights=np.array([bad, 1.0]),
+                num_machines=2,
+            )
+
+
+class TestSeedIdsAreIntegers:
+    """A float or bool seed id is refused with a ConfigError wherever a
+    seed set enters, never truncated to a vertex (1.9 -> 1, True -> 1)."""
+
+    BAD = ([1.9, 3.2], [0.5, 3.9], [True, 3], np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("seeds", BAD)
+    def test_seed_distribution(self, seeds):
+        with pytest.raises(ConfigError, match="integers"):
+            seed_distribution(10, seeds)
+
+    @pytest.mark.parametrize("seeds", BAD)
+    def test_run_personalized_frogwild(self, seeds):
+        with pytest.raises(ConfigError, match="integers"):
+            run_personalized_frogwild(
+                cycle_graph(10),
+                seeds,
+                FrogWildConfig(num_frogs=50, iterations=2),
+                num_machines=2,
+            )
+
+    @pytest.mark.parametrize("seeds", BAD)
+    def test_batch_query(self, seeds):
+        from repro.core import BatchQuery, run_frogwild_batch
+
+        with pytest.raises(ConfigError, match="integers"):
+            run_frogwild_batch(
+                cycle_graph(10),
+                [BatchQuery(), BatchQuery(seeds=seeds)],
+                FrogWildConfig(num_frogs=50, iterations=2),
                 num_machines=2,
             )
 
@@ -126,34 +160,52 @@ class TestFrogWildPersonalized:
         )
         assert result.estimate.total_stopped == 2_000
 
-    def test_bad_start_distribution_rejected(self, graph):
-        """One law check serves every run: a batch, its single run and
-        the faulty single run built on it."""
-        from repro.core import BatchedFrogWildRunner, BatchQuery
+    def test_bad_seed_set_rejected(self, graph, monkeypatch):
+        """One seed-set check serves every run: a batch and its single
+        run, and without a prebuilt state both refuse before building
+        the cluster."""
+        from repro.core import (
+            BatchedFrogWildRunner,
+            BatchQuery,
+            batched,
+            personalized,
+        )
         from repro.engine import build_cluster
-        from repro.faults import FaultSchedule, FaultyFrogWildRunner
 
         n = graph.num_vertices
         state = build_cluster(graph, 2, seed=0)
-        negative = np.zeros(n)
-        negative[:3] = -0.5, 0.75, 0.75  # sums to 1
-        not_a_number = np.full(n, 1.0 / n)
-        not_a_number[3] = np.nan
-        for law, message in [
-            (np.ones(3), "one entry per vertex"),
-            (negative, "probability distribution"),
-            (not_a_number, "probability distribution"),
-            (np.full(n, 0.5), "probability distribution"),
+
+        def no_ingress(*args, **kwargs):
+            raise AssertionError("built the cluster for a bad seed set")
+
+        monkeypatch.setattr(batched, "build_cluster", no_ingress)
+        monkeypatch.setattr(personalized, "build_cluster", no_ingress)
+        for seeds, weights, message in [
+            ([], None, "non-empty"),
+            ([0, n], None, "out of range"),
+            ([-1, 2], None, "out of range"),
+            ([4, 4], None, "distinct"),
+            ([0.5, 3.9], None, "integers"),
+            ([True, 3], None, "integers"),
+            ([0, 1], [1.0], "align"),
+            ([0, 1], [-0.5, 1.5], "positive mass"),
+            ([0, 1], [0.0, 0.0], "positive mass"),
+            ([0, 1], [1e308, 1e308], "positive mass"),
+            ([0, 1], [np.nan, 1.0], "finite"),
         ]:
-            with pytest.raises(EngineError, match=message):
-                FaultyFrogWildRunner(
-                    state, FrogWildConfig(), FaultSchedule(),
-                    start_distribution=law,
-                )
-            for queries in ([law], [None, law]):
-                with pytest.raises(EngineError, match=message):
-                    BatchedFrogWildRunner(
-                        state,
-                        FrogWildConfig(),
-                        [BatchQuery(start_distribution=q) for q in queries],
+            for prebuilt in (state, None):
+                with pytest.raises(ConfigError, match=message):
+                    run_personalized_frogwild(
+                        graph, seeds, FrogWildConfig(), weights,
+                        state=prebuilt,
                     )
+            with pytest.raises(ConfigError, match=message):
+                batched.run_frogwild_batch(
+                    graph, [BatchQuery(seeds=seeds, weights=weights)]
+                )
+            for queries in (
+                [BatchQuery(seeds=seeds, weights=weights)],
+                [BatchQuery(), BatchQuery(seeds=seeds, weights=weights)],
+            ):
+                with pytest.raises(ConfigError, match=message):
+                    BatchedFrogWildRunner(state, FrogWildConfig(), queries)

@@ -216,9 +216,9 @@ class TestCoalescer:
 
     def test_degenerate_weights_fail_at_construction(self):
         """A bad restart law must never reach dispatch: zero-mass or
-        negative weights fail when the query is built (mirroring
-        seed_distribution), so a batch cannot blow up mid-traversal on
-        behalf of one malformed batchmate."""
+        negative weights fail when the query is built (the one seed-set
+        check every runner shares), so a batch cannot blow up
+        mid-traversal on behalf of one malformed batchmate."""
         with pytest.raises(ConfigError):
             RankingQuery(seeds=(3,), weights=(0.0,))
         with pytest.raises(ConfigError):
@@ -227,6 +227,8 @@ class TestCoalescer:
             RankingQuery(seeds=(3,), weights=(float("nan"),))
         with pytest.raises(ConfigError):
             RankingQuery(seeds=(3, 4), weights=(float("inf"), 1.0))
+        with pytest.raises(ConfigError, match="positive mass"):
+            RankingQuery(seeds=(3, 4), weights=(1e308, 1e308))
         # A valid skewed law still constructs.
         assert RankingQuery(seeds=(3, 4), weights=(0.0, 2.0)).weights == (
             0.0, 2.0,
@@ -691,18 +693,12 @@ class TestRankedCache:
 
     def _dense_lane(self, service, seeds):
         """The lane's dense estimate, run the way LocalBackend runs it."""
-        from repro.core import BatchQuery, run_frogwild_batch, seed_distribution
+        from repro.core import BatchQuery, run_frogwild_batch
 
         backend = service.backend
         result = run_frogwild_batch(
             backend.graph,
-            [
-                BatchQuery(
-                    start_distribution=seed_distribution(
-                        backend.graph.num_vertices, np.asarray(seeds), None
-                    )
-                )
-            ],
+            [BatchQuery(seeds=seeds)],
             self.CONFIG,
             state=backend.fresh_state(),
         )

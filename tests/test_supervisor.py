@@ -52,7 +52,7 @@ from repro.serving import (
     RankingService,
     ServiceConfig,
 )
-from repro.serving.backend import _batch_queries, _run_slice, _shard_seed
+from repro.serving.backend import _run_slice, _shard_seed
 from repro.theory.bounds import config_error_bound
 from repro.traffic import ChaosEvent, ChaosInjector, ChaosSchedule
 
@@ -91,14 +91,13 @@ def _kill_mid_batch(backend, shard, after_s=0.3, park_s=30.0):
 def _survivor_lanes(backend, shards):
     """Query 0's lanes of ``shards``, run in process on the pool's own
     layout, shares and per-shard seeds."""
-    laws = _batch_queries(GRAPH, QUERIES)
     shares = backend._shares(CONFIG.num_frogs)
     return [
         _run_slice(
             GRAPH,
             backend.fresh_state(shard),
             CONFIG,
-            laws,
+            QUERIES,
             shares[shard],
             _shard_seed(CONFIG.seed, shard, backend.num_shards),
         ).results[0]

@@ -25,7 +25,10 @@ host's clock reads:
   warm batch follows the frogs, not the n vertices;
 * the runner keeps no (B x n) counter: a warm batch's allocation peak
   follows its frogs, not B x n, and no lane's estimate holds more
-  records than it launched frogs.
+  records than it launched frogs;
+* a served query reaches the runner as its seed set: a warm
+  ``ShardedBackend`` batch builds no n-length birth law, so its
+  allocation peak follows the frogs, not n.
 """
 
 import sys
@@ -42,17 +45,16 @@ from repro.core import (
     PageRankEstimate,
     run_frogwild,
     run_frogwild_batch,
-    seed_distribution,
 )
 from repro.core.frogwild import prime_ingress_caches
 from repro.core.kernels import fused as fk
-from repro.engine import build_cluster
 from repro.graph import DiGraph, rmat, twitter_like
 from repro.serving import (
     ProcessPoolBackend,
     RankingQuery,
     RankingService,
     ServiceConfig,
+    ShardedBackend,
 )
 
 GATED = ("repro.core", "repro.serving")
@@ -293,44 +295,74 @@ class TestPoolMergeBudget:
 
 
 class TestBatchPeakBudget:
-    """The runner's allocation peak over one warm served-size batch,
-    measured with ``tracemalloc`` at two graph sizes with (N, B) fixed;
-    the birth laws are built outside the traced call."""
+    """A warm batch's allocation peak, measured with ``tracemalloc`` at
+    two graph sizes with (N, B) fixed, through the runner and through
+    the one-shard in-process fan-out; each entry point's queries are
+    built inside the traced call."""
 
     CONFIG = FrogWildConfig(num_frogs=3_000, iterations=5, seed=0, ps=0.8)
     LANES = 16
 
-    def _peak_bytes(self, scale):
-        graph = rmat(scale=scale, edge_factor=8, seed=7)
-        n = graph.num_vertices
-        state = build_cluster(graph, 16, seed=0)
-        rng = np.random.default_rng(scale)
-        queries = [
-            BatchQuery(
-                start_distribution=seed_distribution(
-                    n, rng.integers(0, n, size=3), None
-                ),
-                seed=lane,
+    @pytest.fixture(scope="class")
+    def backends(self):
+        """One graph and one-shard backend per scale, shared by both
+        entry points."""
+        return {
+            scale: ShardedBackend(
+                rmat(scale=scale, edge_factor=8, seed=7),
+                num_shards=1,
+                num_machines=16,
+                seed=0,
             )
-            for lane in range(self.LANES)
+            for scale in (15, 17)
+        }
+
+    def _peak_bytes(self, backend, scale, entry):
+        rng = np.random.default_rng(scale)
+        n = backend.graph.num_vertices
+        seed_sets = [
+            rng.choice(n, size=3, replace=False) for _ in range(self.LANES)
         ]
-        run_frogwild_batch(graph, queries, self.CONFIG, state=state)
+        if entry == "runner":
+            state = backend.fresh_state()
+
+            def run():
+                queries = [
+                    BatchQuery(seeds=seeds, seed=lane)
+                    for lane, seeds in enumerate(seed_sets)
+                ]
+                return run_frogwild_batch(
+                    backend.graph, queries, self.CONFIG, state=state
+                ).estimates
+        else:
+
+            def run():
+                queries = [RankingQuery(seeds=seeds) for seeds in seed_sets]
+                outcome = backend.run_batch(self.CONFIG, queries)
+                return [lane.estimate for lane in outcome.lanes]
+
+        run()
         tracemalloc.start()
         try:
-            result = run_frogwild_batch(
-                graph, queries, self.CONFIG, state=state
-            )
+            estimates = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for estimate in result.estimates:
+        for estimate in estimates:
             assert estimate.records[0].size <= self.CONFIG.num_frogs
             assert estimate.total_stopped == self.CONFIG.num_frogs
         return peak
 
-    def test_the_batch_peak_follows_the_frogs_not_b_times_n(self):
-        """4x the vertices at N = 3 000, B = 16: with a (B x n) int64
-        counter the peak was 11.0 -> 23.8 MB (x2.17); summing the stop
-        records, 6.8 -> 7.1 MB (x1.03)."""
-        small, large = self._peak_bytes(15), self._peak_bytes(17)
-        assert large <= 1.3 * small, (small, large)
+    @pytest.mark.parametrize("entry", ["runner", "served"])
+    def test_the_batch_peak_follows_the_frogs_not_n(self, backends, entry):
+        """4x the vertices at N = 3 000, B = 16.  Runner: with a (B x n)
+        int64 counter and n-length birth laws the peak was 14.4 -> 40.4
+        MB (x2.81); summing the stop records and drawing births from the
+        seed sets, 6.1 -> 6.9 MB (x1.14).  Served: widening every query
+        into an n-length float law peaked at 10.3 -> 23.6 MB (x2.28);
+        births from the seed sets, 6.1 -> 6.8 MB (x1.11)."""
+        small, large = (
+            self._peak_bytes(backends[scale], scale, entry)
+            for scale in (15, 17)
+        )
+        assert large <= 1.3 * small, (entry, small, large)
