@@ -9,6 +9,8 @@ import pytest
 import repro.cli
 from repro.cli import build_parser, main
 
+DATA = Path(__file__).parent / "data"
+
 
 class TestParser:
     def test_figure_args(self):
@@ -224,6 +226,27 @@ class TestTrackCommand:
         out = capsys.readouterr().out
         assert "tracking under churn" in out
         assert "list stability" in out
+
+    def test_churn_columns_match_the_pin(self, capsys):
+        """``track`` keeps its columns, and the churn stream they show
+        (``edges``, ``+edges``, ``-edges``) depends only on the churn
+        seed.  ``tests/data/track_1d70273.txt`` is this command's output
+        at commit 1d70273; the other columns (list overlap, ingress,
+        bytes, simulated time) belong to the ranker and may move."""
+        argv = ["track", "--n", "600", "--k", "5", "--ticks", "3",
+                "--machines", "4", "--frogs", "2000", "--seed", "0"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        pin = (DATA / "track_1d70273.txt").read_text().splitlines()
+        # Title, header, rule, then one row per tick (the initial build
+        # is tick 0).
+        assert out[:3] == pin[:3]
+        rows, pinned = out[3:7], pin[3:7]
+        assert [r.split()[:4] for r in rows] == [
+            p.split()[:4] for p in pinned
+        ]
+        assert [len(r.split()) for r in rows] == [8] * 4
+        assert out[7].startswith("list stability")
 
 
 class TestFaultsCommand:
