@@ -191,7 +191,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_run(args) -> int:
     graph = _load_graph(args)
-    frogs = args.frogs or max(2_000, graph.num_vertices // 2)
+    frogs = max(2_000, graph.num_vertices // 2) if args.frogs is None else args.frogs
     if args.algorithm == "frogwild":
         config = FrogWildConfig(
             num_frogs=frogs,
@@ -255,7 +255,7 @@ def _cmd_ppr(args) -> int:
 
     graph = _load_graph(args)
     seeds = np.asarray(args.seeds, dtype=np.int64)
-    frogs = args.frogs or max(4_000, graph.num_vertices)
+    frogs = max(4_000, graph.num_vertices) if args.frogs is None else args.frogs
     config = FrogWildConfig(
         num_frogs=frogs,
         iterations=args.iterations,
@@ -277,15 +277,19 @@ def _cmd_ppr(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    from .dynamic import ChurnGenerator, DynamicDiGraph, PageRankTracker
-    from .experiments import format_table
+    import numpy as np
 
+    from .dynamic import ChurnGenerator
+    from .experiments import format_table
+    from .live import LiveRankingService
+    from .metrics import top_k_jaccard
+
+    if args.ticks < 0:
+        raise ConfigError(f"ticks must be non-negative, got {args.ticks}")
     base = _load_graph(args)
-    dynamic = DynamicDiGraph.from_digraph(base)
-    frogs = args.frogs or max(2_000, base.num_vertices)
-    tracker = PageRankTracker(
-        dynamic,
-        k=args.k,
+    frogs = max(2_000, base.num_vertices) if args.frogs is None else args.frogs
+    service = LiveRankingService(
+        base,
         config=FrogWildConfig(
             num_frogs=frogs, iterations=args.iterations, seed=args.seed
         ),
@@ -295,25 +299,35 @@ def _cmd_track(args) -> int:
     churn = ChurnGenerator(
         add_rate=args.add_rate, remove_rate=args.remove_rate, seed=args.seed
     )
-    for _ in range(args.ticks):
-        tracker.update(churn.step(dynamic))
-    rows = [
-        {
-            "tick": u.step,
-            "edges": u.num_edges,
-            "+edges": u.edges_added,
-            "-edges": u.edges_removed,
-            "jaccard": u.jaccard_vs_previous,
-            "ingress": u.new_edge_placements,
-            "net bytes": u.network_bytes,
-            "time (s)": u.total_time_s,
-        }
-        for u in tracker.history
-    ]
+    source = service.source
+    # Frogs born on every vertex: global PageRank's birth law.
+    everyone = np.arange(source.num_vertices)
+    # Tick 0 is the initial build: every edge is new and placed.
+    added, removed = source.num_edges, 0
+    placed = sum(ingress.num_edges for ingress in service.ingresses)
+    rows, top = [], None
+    for tick in range(args.ticks + 1):
+        if tick:
+            update = service.refresh(churn.step(source))
+            added, removed = update.edges_added, update.edges_removed
+            placed = update.new_placements
+        answer = service.query(everyone, k=args.k)
+        rows.append({
+            "tick": tick,
+            "edges": source.num_edges,
+            "+edges": added,
+            "-edges": removed,
+            "jaccard": 1.0 if top is None else top_k_jaccard(top, answer.vertices),
+            "ingress": placed,
+            "net bytes": answer.network_bytes,
+            "time (s)": answer.simulated_time_s,
+        })
+        top = answer.vertices
+    stability = np.mean([row["jaccard"] for row in rows[1:]] or [1.0])
     print(format_table(rows, title=f"top-{args.k} tracking under churn"))
-    print(f"list stability     : {tracker.churn_stability():.3f}")
-    print(f"total network      : {tracker.total_network_bytes():,} bytes")
-    print(f"current top-{args.k}: {tracker.current_top_k.tolist()}")
+    print(f"list stability     : {stability:.3f}")
+    print(f"total network      : {sum(r['net bytes'] for r in rows):,} bytes")
+    print(f"current top-{args.k}: {top.tolist()}")
     return 0
 
 
@@ -326,7 +340,7 @@ def _cmd_faults(args) -> int:
     )
 
     graph = _load_graph(args)
-    frogs = args.frogs or max(2_000, graph.num_vertices // 2)
+    frogs = max(2_000, graph.num_vertices // 2) if args.frogs is None else args.frogs
     schedule = FaultSchedule(
         crashes=tuple(
             MachineCrash(

@@ -5,7 +5,7 @@ machine that hosts at least one of its incident edges.  One replica is
 the *master*, the rest are read-only *mirrors* kept consistent by the
 synchronization barrier — the traffic FrogWild's ``ps`` patch attacks.
 
-Four ingress strategies are implemented:
+Five ingress strategies are implemented:
 
 * :class:`RandomVertexCut` — each edge is hashed to a uniformly random
   machine.  Simple, perfectly balanced, highest replication factor.
@@ -30,8 +30,7 @@ Four ingress strategies are implemented:
   to :class:`RandomVertexCut` but *stable across snapshots*: the same
   edge lands on the same machine no matter which other edges exist, so
   a churning graph only pays ingress for edges that actually changed.
-  This is the placement primitive behind
-  :class:`~repro.dynamic.PageRankTracker` and the incremental refresh
+  This is the placement primitive behind the incremental refresh
   subsystem in :mod:`repro.live`.
 """
 
@@ -389,7 +388,8 @@ _PARTITIONERS: dict[str, type[Partitioner]] = {
 def make_partitioner(name: str, seed: int | None = 0) -> Partitioner:
     """Factory over the registered ingress strategies.
 
-    Accepts ``"random"``, ``"oblivious"``, ``"grid"`` or ``"hdrf"``.
+    Accepts ``"random"``, ``"oblivious"``, ``"grid"``, ``"hdrf"`` or
+    ``"stable-hash"``.
     """
     try:
         cls = _PARTITIONERS[name]

@@ -10,13 +10,14 @@ interaction between its endpoints is younger than the horizon.
 The window emits :class:`~repro.dynamic.GraphDelta` batches describing
 presence *transitions* (edge appeared / last interaction expired); the
 consumer owns the graph and applies them, so a
-:class:`~repro.dynamic.PageRankTracker` consumes the stream directly::
+:class:`~repro.live.LiveRankingService` consumes the stream directly::
 
     window = ActivityWindow(num_vertices=n, horizon=3600.0)
     live = DynamicDiGraph(n)
-    tracker = PageRankTracker(live, ...)
+    service = LiveRankingService(live, ...)
     for timestamp, batch in feed:
-        tracker.update(window.observe(batch, timestamp))
+        service.refresh(window.observe(batch, timestamp))
+        top = service.query(np.arange(n), k=10).vertices
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class ActivityWindow:
     def __init__(self, num_vertices: int, horizon: float) -> None:
         if num_vertices < 1:
             raise GraphError("num_vertices must be positive")
-        if horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not np.isfinite(horizon) or horizon <= 0:
+            raise ConfigError(f"horizon must be positive and finite, got {horizon}")
         self._n = int(num_vertices)
         self.horizon = float(horizon)
         # Interaction multiset: edge key -> live interaction count.
@@ -81,9 +82,13 @@ class ActivityWindow:
 
         Evicts every interaction older than ``timestamp - horizon``,
         then records the batch.  Returns the presence-transition delta
-        for the caller to apply (e.g. via ``PageRankTracker.update``);
-        the window itself only tracks interaction counts.
+        for the caller to apply (e.g. via ``LiveRankingService.refresh``);
+        the window itself only tracks interaction counts.  A NaN stamp
+        would pass the ordering check and never expire, so non-finite
+        stamps are refused.
         """
+        if not np.isfinite(timestamp):
+            raise ConfigError(f"timestamp must be finite, got {timestamp}")
         if timestamp < self._clock:
             raise ConfigError(
                 f"timestamps must be non-decreasing "
@@ -111,7 +116,7 @@ class ActivityWindow:
 
     def to_dynamic_graph(self) -> DynamicDiGraph:
         """Materialize the window's present edge set (e.g. to seed a
-        tracker that joins an already-running stream)."""
+        live service that joins an already-running stream)."""
         return DynamicDiGraph(self._n, self.current_edges())
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ asserts on).
 
 Because the hash is stateless, the placement is a *function of the
 snapshot*: after any sequence of deltas it is, by construction, a
-from-scratch :func:`~repro.dynamic.stable_hash_partition` of the
+from-scratch ``make_partitioner("stable-hash", salt)`` placement of the
 current edge set under the ingress's current salt.  Nothing is carried
 from one refresh to the next except the previous key set, which the
 survivor count reads — hashing every key again is cheaper than looking

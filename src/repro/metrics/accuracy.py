@@ -10,7 +10,7 @@ Two headline metrics:
   to the true top-k (Figure 2b).
 
 :func:`top_k_jaccard` compares two reported top-k sets with each other
-(the tracker's snapshot-to-snapshot stability).
+(a churning graph's list stability from one refresh to the next).
 """
 
 from __future__ import annotations

@@ -4,19 +4,32 @@ import numpy as np
 import pytest
 
 from repro.core import FrogWildConfig
-from repro.dynamic import ActivityWindow, DynamicDiGraph, PageRankTracker
+from repro.dynamic import ActivityWindow, DynamicDiGraph
 from repro.errors import ConfigError, GraphError
+from repro.live import LiveRankingService
 from repro.store import keys_to_edges
 
 
 class TestValidation:
-    def test_rejects_bad_horizon(self):
+    @pytest.mark.parametrize("horizon", [0.0, np.nan, np.inf])
+    def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(ConfigError):
-            ActivityWindow(10, horizon=0.0)
+            ActivityWindow(10, horizon=horizon)
 
     def test_rejects_zero_vertices(self):
         with pytest.raises(GraphError):
             ActivityWindow(0, horizon=1.0)
+
+    @pytest.mark.parametrize("timestamp", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_timestamp(self, timestamp):
+        window = ActivityWindow(10, horizon=1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            window.observe([(1, 2)], timestamp=timestamp)
+        # Refused before it touched the window: later batches still
+        # expire on time.
+        window.observe([(3, 4)], timestamp=100.0)
+        window.observe([(5, 6)], timestamp=200.0)
+        assert window.current_edges().tolist() == [[5, 6]]
 
     def test_rejects_time_travel(self):
         window = ActivityWindow(10, horizon=5.0)
@@ -122,8 +135,8 @@ class TestDeltaStreamConsistency:
             }
             assert window_edges == live_edges
 
-    def test_feeds_a_tracker(self):
-        """End-to-end: interaction stream -> window -> tracker."""
+    def test_feeds_a_live_service(self):
+        """End-to-end: interaction stream -> window -> live service."""
         rng = np.random.default_rng(1)
         n = 300
         window = ActivityWindow(n, horizon=4.0)
@@ -132,15 +145,15 @@ class TestDeltaStreamConsistency:
         warmup = rng.integers(0, n, size=(3_000, 2))
         warmup = warmup[warmup[:, 0] != warmup[:, 1]]
         live.apply(window.observe(warmup, timestamp=0.0))
-        tracker = PageRankTracker(
+        service = LiveRankingService(
             live,
-            k=10,
             config=FrogWildConfig(num_frogs=3_000, iterations=4, seed=0),
             num_machines=4,
         )
         for t in range(1, 4):
             batch = rng.integers(0, n, size=(500, 2))
             batch = batch[batch[:, 0] != batch[:, 1]]
-            update = tracker.update(window.observe(batch, float(t)))
-            assert update.top_k.size == 10
-        assert len(tracker.history) == 4
+            update = service.refresh(window.observe(batch, float(t)))
+            assert update.num_edges == live.num_edges
+            assert service.query(np.arange(n), k=10).vertices.size == 10
+        assert service.current_epoch.sequence == 3

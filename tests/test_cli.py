@@ -69,10 +69,21 @@ class TestBadInput:
              "frogwild run: error: num_machines must be positive"),
             (["ppr", "1", "2", "--n", "500", "--machines", "0"],
              "frogwild ppr: error: num_machines must be positive"),
+            (["run", "--n", "300", "--frogs", "0"],
+             "frogwild run: error: num_frogs must be positive"),
+            (["ppr", "1", "--n", "300", "--frogs", "0"],
+             "frogwild ppr: error: num_frogs must be positive"),
+            (["track", "--n", "300", "--frogs", "0"],
+             "frogwild track: error: num_frogs must be positive"),
+            (["faults", "--n", "300", "--frogs", "0"],
+             "frogwild faults: error: num_frogs must be positive"),
+            (["track", "--n", "300", "--ticks", "-1"],
+             "frogwild track: error: ticks must be non-negative, got -1"),
         ],
         ids=["crash-machine", "ppr-seed", "run-ps", "faults-top-k",
              "graphlab-iterations", "run-negative-seed", "run-no-machines",
-             "ppr-no-machines"],
+             "ppr-no-machines", "run-no-frogs", "ppr-no-frogs",
+             "track-no-frogs", "faults-no-frogs", "track-negative-ticks"],
     )
     def test_config_error_is_one_line(self, argv, message, capsys):
         assert main(argv) == 2

@@ -1,7 +1,7 @@
 """Integration tests across the extension subsystems.
 
 Each test wires several of the newer packages together the way a
-downstream user would: fault injection inside a dynamic tracker's
+downstream user would: fault injection inside a churning graph's
 refresh loop, persistence round trips of harness rows, independent
 solvers cross-validating each other, and the full interaction-stream
 pipeline.
@@ -10,13 +10,7 @@ pipeline.
 import numpy as np
 
 from repro.core import FrogWildConfig, run_frogwild
-from repro.dynamic import (
-    ActivityWindow,
-    ChurnGenerator,
-    DynamicDiGraph,
-    PageRankTracker,
-    stable_hash_partition,
-)
+from repro.dynamic import ActivityWindow, ChurnGenerator, DynamicDiGraph
 from repro.engine import build_cluster, traffic_breakdown
 from repro.experiments import (
     FigureResult,
@@ -33,14 +27,16 @@ from repro.faults import (
     run_frogwild_with_faults,
 )
 from repro.graph import twitter_like
+from repro.live import LiveRankingService
 from repro.metrics import normalized_mass_captured
 from repro.pagerank import exact_pagerank, forward_push_pagerank
 
 
 class TestFaultsInsideTracking:
     def test_crashy_refreshes_keep_tracking(self):
-        """A tracker whose every refresh suffers a crash still follows
-        the graph (the faults module composing with dynamic state)."""
+        """A churning graph whose every refresh suffers a crash is still
+        ranked well on its stable-hash cluster (the faults module
+        composing with dynamic state)."""
         base = twitter_like(n=800, seed=11)
         dynamic = DynamicDiGraph.from_digraph(base)
         churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=0)
@@ -54,8 +50,7 @@ class TestFaultsInsideTracking:
             dynamic.apply(churn.step(dynamic))
             snapshot = dynamic.snapshot()
             state = build_cluster(
-                snapshot, 4, seed=0,
-                partition=stable_hash_partition(snapshot, 4),
+                snapshot, 4, partitioner="stable-hash", seed=0
             )
             result, log = run_frogwild_with_faults(
                 snapshot, schedule, config, state=state
@@ -69,18 +64,27 @@ class TestFaultsInsideTracking:
 
 
 class TestStragglerWithPartialSyncTracking:
-    def test_tracker_under_straggler_cost_model(self):
+    def test_live_service_under_straggler_cost_model(self):
+        """A straggler's cost model rides every epoch of a live
+        service: it slows the answer before and after a refresh."""
         base = twitter_like(n=600, seed=4)
-        tracker = PageRankTracker(
-            DynamicDiGraph.from_digraph(base),
-            k=10,
-            config=FrogWildConfig(
-                num_frogs=5_000, iterations=4, ps=0.4, seed=0
-            ),
-            num_machines=4,
-            cost_model=StragglerCostModel(slowdowns=(4.0, 1.0, 1.0, 1.0)),
-        )
-        assert tracker.history[0].total_time_s > 0
+        churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=0)
+        config = FrogWildConfig(num_frogs=5_000, iterations=4, ps=0.4, seed=0)
+        everyone = np.arange(base.num_vertices)
+        times = {}
+        for name, cost_model in (
+            ("even", None),
+            ("straggler", StragglerCostModel(slowdowns=(4.0, 1.0, 1.0, 1.0))),
+        ):
+            service = LiveRankingService(
+                base, config=config, num_machines=4, cost_model=cost_model
+            )
+            first = service.query(everyone, k=10).simulated_time_s
+            service.refresh(churn.step(service.source))
+            second = service.query(everyone, k=10).simulated_time_s
+            times[name] = (first, second)
+        assert all(t > 0 for t in times["even"])
+        assert all(s > e for s, e in zip(times["straggler"], times["even"]))
 
 
 class TestHarnessPersistence:
@@ -132,7 +136,7 @@ class TestBaselineAgreement:
             assert normalized_mass_captured(estimate, truth, 10) > 0.9
 
 
-class TestWindowToTrackerPipeline:
+class TestWindowToServicePipeline:
     def test_expired_hub_leaves_the_ranking(self):
         """An interaction burst makes a hub; after the window slides
         past it, the hub leaves the top-k."""
@@ -151,15 +155,15 @@ class TestWindowToTrackerPipeline:
         )
         first = np.concatenate([background(0), burst])
         live.apply(window.observe(first, timestamp=0.0))
-        tracker = PageRankTracker(
+        service = LiveRankingService(
             live,
-            k=5,
             config=FrogWildConfig(num_frogs=6_000, iterations=4, seed=0),
             num_machines=4,
         )
-        assert hub in set(tracker.current_top_k.tolist())
+        everyone = np.arange(n)
+        assert hub in set(service.query(everyone, k=5).vertices.tolist())
 
         # Slide the window past the burst with fresh background noise.
         for t in (1.0, 2.5, 4.0):
-            update = tracker.update(window.observe(background(t), t))
-        assert hub not in set(update.top_k.tolist())
+            service.refresh(window.observe(background(t), t))
+        assert hub not in set(service.query(everyone, k=5).vertices.tolist())

@@ -2,20 +2,20 @@
 
 The load-bearing invariant: after *any* sequence of deltas, the
 maintained placement is byte-identical to a from-scratch
-``stable_hash_partition`` of the current snapshot's edge set under the
-ingress's current salt — incremental maintenance never drifts.
+``make_partitioner("stable-hash", salt)`` placement of the current
+snapshot's edge set under the ingress's current salt — incremental
+maintenance never drifts.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import make_partitioner, stable_hash_machines
-from repro.dynamic import (
-    ChurnGenerator,
-    DynamicDiGraph,
-    GraphDelta,
-    stable_hash_partition,
+from repro.cluster import (
+    StableHashVertexCut,
+    make_partitioner,
+    stable_hash_machines,
 )
+from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from repro.errors import ConfigError
 from repro.graph import twitter_like
 from repro.live import IncrementalIngress
@@ -29,8 +29,8 @@ def make_dynamic(n=400, seed=3):
 def assert_matches_from_scratch(ingress, graph):
     """Maintained placement == from-scratch stable hash of the snapshot."""
     snapshot = graph.snapshot()
-    expected = stable_hash_partition(
-        snapshot, ingress.num_machines, seed=ingress.salt
+    expected = make_partitioner("stable-hash", ingress.salt).partition(
+        snapshot, ingress.num_machines
     )
     actual = ingress.partition_for(snapshot)
     np.testing.assert_array_equal(
@@ -181,12 +181,9 @@ class TestStableHashPartitioner:
     """The promoted cluster-layer primitive the ingress is built on."""
 
     def test_registered_with_the_factory(self):
-        graph = twitter_like(n=300, seed=5)
-        part = make_partitioner("stable-hash", 7).partition(graph, 6)
-        expected = stable_hash_partition(graph, 6, seed=7)
-        np.testing.assert_array_equal(
-            part.edge_machine, expected.edge_machine
-        )
+        partitioner = make_partitioner("stable-hash", 7)
+        assert isinstance(partitioner, StableHashVertexCut)
+        assert partitioner.name == "stable-hash"
 
     def test_key_level_helper_matches_graph_level(self):
         graph = twitter_like(n=300, seed=5)
@@ -194,8 +191,37 @@ class TestStableHashPartitioner:
         keys = graph.edge_sources().astype(np.int64) * n + graph.indices
         np.testing.assert_array_equal(
             stable_hash_machines(keys, 6, seed=7),
-            stable_hash_partition(graph, 6, seed=7).edge_machine,
+            make_partitioner("stable-hash", 7).partition(graph, 6).edge_machine,
         )
+
+    def test_seed_changes_placement(self):
+        graph = twitter_like(n=300, seed=5)
+        a, b = (
+            make_partitioner("stable-hash", seed).partition(graph, 8)
+            for seed in (1, 2)
+        )
+        assert not np.array_equal(a.edge_machine, b.edge_machine)
+
+    def test_surviving_edges_keep_machines(self):
+        """The stability property: placement is a pure edge function,
+        so an edge that survives churn keeps its machine."""
+        graph = make_dynamic(n=400, seed=5)
+        partitioner = make_partitioner("stable-hash", 0)
+
+        def placement():
+            snapshot = graph.snapshot()
+            machines = partitioner.partition(snapshot, 6).edge_machine
+            edges = keys_to_edges(snapshot.edge_keys(), snapshot.num_vertices)
+            return {(int(u), int(v)): int(m) for (u, v), m in zip(edges, machines)}
+
+        before = placement()
+        graph.apply(
+            ChurnGenerator(add_rate=0.05, remove_rate=0.05, seed=0).step(graph)
+        )
+        after = placement()
+        survivors = before.keys() & after.keys()
+        assert 0 < len(survivors) < len(before)
+        assert all(before[edge] == after[edge] for edge in survivors)
 
     def test_none_seed_degrades_to_zero(self):
         keys = np.arange(100, dtype=np.int64)

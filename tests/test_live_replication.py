@@ -18,14 +18,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import ReplicationTable
+from repro.cluster import ReplicationTable, make_partitioner
 from repro.core import FrogWildConfig, RefreshPolicy
-from repro.dynamic import (
-    ChurnGenerator,
-    DynamicDiGraph,
-    GraphDelta,
-    stable_hash_partition,
-)
+from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from repro.errors import ConfigError
 from repro.graph import twitter_like
 from repro.live import (
@@ -53,7 +48,9 @@ def assert_equivalent_to_rebuild(replicator, snapshot):
     ingress = replicator.ingress
     scratch = ReplicationTable(
         snapshot,
-        stable_hash_partition(snapshot, ingress.num_machines, ingress.salt),
+        make_partitioner("stable-hash", ingress.salt).partition(
+            snapshot, ingress.num_machines
+        ),
         seed=replicator.seed,
     )
     assert replicator.table.structurally_equal(scratch)

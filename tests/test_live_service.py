@@ -19,7 +19,7 @@ from repro.engine import RunReport
 from repro.errors import ConfigError
 from repro.graph import twitter_like
 from repro.live import Epoch, EpochManager, LiveRankingService
-from repro.metrics import normalized_mass_captured
+from repro.metrics import normalized_mass_captured, optimal_mass, top_k_jaccard
 from repro.pagerank import exact_pagerank
 from repro.serving import (
     BatchOutcome,
@@ -123,6 +123,59 @@ class TestGoldenUnderChurn:
                 assert normalized_mass_captured(
                     lane.estimate.vector(), truth, 20
                 ) > 0.8
+
+
+class TestTrackingUnderChurn:
+    """The paper's OSN use case: refresh on every churn tick, then one
+    uniform query (frogs born on every vertex: global PageRank's birth
+    law) reports the fresh top-k."""
+
+    CONFIG = FrogWildConfig(num_frogs=10_000, iterations=4, seed=0)
+
+    @staticmethod
+    def _top(service, k):
+        everyone = np.arange(service.source.num_vertices)
+        return service.query(everyone, k=k).vertices
+
+    def test_hub_takeover_shows_after_one_refresh(self):
+        _, service = make_live(n=500, graph_seed=4, config=self.CONFIG)
+        newcomer = 499  # a tail vertex: give it massive in-links
+        before = self._top(service, 5)
+        assert newcomer not in before
+        service.refresh(GraphDelta(added=[(s, newcomer) for s in range(200)]))
+        after = self._top(service, 5)
+        assert newcomer in after
+        assert top_k_jaccard(before, after) < 1.0
+
+    def test_list_is_stable_under_light_churn(self):
+        dynamic, service = make_live(
+            n=600, graph_seed=9, config=self.CONFIG.with_updates(num_frogs=8_000)
+        )
+        churn = ChurnGenerator(add_rate=0.005, remove_rate=0.005, seed=2)
+        tops = [self._top(service, 15)]
+        for _ in range(3):
+            service.refresh(churn.step(dynamic))
+            tops.append(self._top(service, 15))
+        overlaps = [top_k_jaccard(a, b) for a, b in zip(tops, tops[1:])]
+        assert np.mean(overlaps) > 0.6
+
+    def test_mass_against_exact_pagerank(self):
+        dynamic, service = make_live(n=400, graph_seed=2, config=self.CONFIG)
+        churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=3)
+        for tick in range(3):
+            if tick:
+                service.refresh(churn.step(dynamic))
+            truth = exact_pagerank(service.current_epoch.graph)
+            top = self._top(service, 10)
+            assert truth[top].sum() / optimal_mass(truth, 10) > 0.8
+
+    def test_placements_per_tick_stay_within_the_churn_batch(self):
+        dynamic, service = make_live(n=600, graph_seed=9, config=self.CONFIG)
+        churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=1)
+        for _ in range(3):
+            delta = churn.step(dynamic)
+            update = service.refresh(delta)
+            assert 0 < update.new_placements <= delta.num_added + delta.num_removed
 
 
 class TestEpochSwapIntegrity:
@@ -304,15 +357,15 @@ class TestLiveServiceShapes:
         assert update.reuse_ratio >= 0.8
         # Per-shard placements each match a from-scratch stable hash
         # of the published snapshot under their own salt.
-        from repro.dynamic import stable_hash_partition
+        from repro.cluster import make_partitioner
 
         snapshot = service.current_epoch.graph
         for ingress in service.ingresses:
             np.testing.assert_array_equal(
                 ingress.partition_for(snapshot).edge_machine,
-                stable_hash_partition(
-                    snapshot, ingress.num_machines, seed=ingress.salt
-                ).edge_machine,
+                make_partitioner("stable-hash", ingress.salt)
+                .partition(snapshot, ingress.num_machines)
+                .edge_machine,
             )
         assert not service.query_batch(
             [RankingQuery(seeds=(0,))]

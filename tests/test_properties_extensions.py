@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamic import DynamicDiGraph, GraphDelta, stable_hash_partition
+from repro.cluster import make_partitioner
+from repro.dynamic import DynamicDiGraph, GraphDelta
 from repro.graph import from_edges
 from repro.metrics import top_k_jaccard
 from repro.pagerank import forward_push_pagerank
@@ -116,8 +117,10 @@ def test_stable_hash_placement_in_range_and_deterministic(
     edges, machines, seed
 ):
     graph = from_edges(edges)
-    a = stable_hash_partition(graph, machines, seed=seed)
-    b = stable_hash_partition(graph, machines, seed=seed)
+    a, b = (
+        make_partitioner("stable-hash", seed).partition(graph, machines)
+        for _ in range(2)
+    )
     assert np.array_equal(a.edge_machine, b.edge_machine)
     assert a.edge_machine.min(initial=0) >= 0
     assert a.edge_machine.max(initial=0) < machines

@@ -2,8 +2,9 @@
 
 * ``IncrementalIngress.partition_for(snapshot)`` takes the placement
   ``sync()`` already hashed and hashes only the snapshot's repair
-  self-loops; it must stay a from-scratch ``stable_hash_partition`` of
-  the snapshot under the current salt, whatever the snapshot.
+  self-loops; it must stay a from-scratch stable hash
+  (``stable_hash_machines``) of the snapshot's edge keys under the
+  current salt, whatever the snapshot.
 * ``ReplicationTable`` groups the out-edges with two counting-sort
   passes, fills the replica bitmap from those groups plus one scatter
   of the targets, and builds the gather grouping only when asked; the
@@ -17,9 +18,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ReplicationTable
+from repro.cluster import ReplicationTable, make_partitioner, stable_hash_machines
 from repro.cluster.replication import _GroupedEdges
-from repro.dynamic import DynamicDiGraph, GraphDelta, stable_hash_partition
+from repro.dynamic import DynamicDiGraph, GraphDelta
 from repro.errors import ConfigError
 from repro.graph import DiGraph, from_edges, rmat, twitter_like
 from repro.live import IncrementalIngress
@@ -30,11 +31,14 @@ from repro.store import SegmentStore
 # partition_for
 # ----------------------------------------------------------------------
 def _assert_from_scratch(ingress, snapshot):
-    expected = stable_hash_partition(snapshot, ingress.num_machines, ingress.salt)
+    # Keyed in CSR order, edgeless snapshots included.
+    n = snapshot.num_vertices
+    keys = snapshot.edge_sources().astype(np.int64) * n + snapshot.indices
+    expected = stable_hash_machines(keys, ingress.num_machines, ingress.salt)
     actual = ingress.partition_for(snapshot)
-    assert actual.num_machines == expected.num_machines
-    assert actual.edge_machine.dtype == expected.edge_machine.dtype
-    assert np.array_equal(actual.edge_machine, expected.edge_machine)
+    assert actual.num_machines == ingress.num_machines
+    assert actual.edge_machine.dtype == expected.dtype
+    assert np.array_equal(actual.edge_machine, expected)
 
 
 def _chain(n, loops=()):
@@ -221,7 +225,7 @@ class TestSharedMachinePass:
     @pytest.mark.parametrize("name", GRAPHS)
     def test_structurally_equal_to_the_per_grouping_build(self, name, machines):
         graph = GRAPHS[name]()
-        partition = stable_hash_partition(graph, machines, seed=11)
+        partition = make_partitioner("stable-hash", 11).partition(graph, machines)
         table = ReplicationTable(graph, partition, seed=7)
         assert "in_groups" not in vars(table)  # built on first access
         reference = _reference_table(graph, partition, 7)
@@ -237,7 +241,7 @@ class TestSharedMachinePass:
     def test_isolated_vertices_are_pinned_to_machine_zero(self):
         graph = _with_isolated_vertices()
         table = ReplicationTable(
-            graph, stable_hash_partition(graph, 4, seed=0), seed=1
+            graph, make_partitioner("stable-hash", 0).partition(graph, 4), seed=1
         )
         for lonely in (3, 8, 9):
             assert table.replicas_of(lonely).tolist() == [0]
@@ -266,7 +270,7 @@ class TestSharedMachinePass:
         """Call counts, not a clock: building a table — and then its
         gather grouping — calls neither ``np.argsort`` nor ``np.lexsort``."""
         graph = twitter_like(n=300, seed=2)
-        partition = stable_hash_partition(graph, 8, seed=3)
+        partition = make_partitioner("stable-hash", 3).partition(graph, 8)
         reference = _reference_table(graph, partition, 5)
         calls = []
 
