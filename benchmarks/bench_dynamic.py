@@ -52,8 +52,9 @@ def _fresh_service(base_graph):
 
 
 def _rank(service):
-    """One uniform query: frogs born on every vertex, global PageRank."""
-    return service.query(np.arange(service.source.num_vertices), k=_K)
+    """One uniform query (no seeds): frogs born on every vertex, global
+    PageRank."""
+    return service.query(None, k=_K)
 
 
 def _track(service, churn, ticks):

@@ -50,9 +50,9 @@ def main() -> None:
         num_machines=8,
         seed=0,
     )
-    # Frogs born on every user: the uniform query is global PageRank.
-    everyone = np.arange(NUM_USERS)
-    answer = service.query(everyone, k=10)
+    # No seeds: frogs born on every user, the uniform query that is
+    # global PageRank.
+    answer = service.query(None, k=10)
 
     print(f"{NUM_USERS:,} users, {HORIZON_HOURS:.0f}h window, "
           f"{MESSAGES_PER_HOUR:,} messages/hour\n")
@@ -63,7 +63,7 @@ def main() -> None:
         previous = answer.vertices
         delta = window.observe(message_batch(rng, hour), timestamp=float(hour))
         update = service.refresh(delta)
-        answer = service.query(everyone, k=10)
+        answer = service.query(None, k=10)
         jaccards.append(top_k_jaccard(previous, answer.vertices))
         total_bytes += answer.network_bytes
         entered = sorted(set(answer.vertices.tolist()) - set(previous.tolist()))

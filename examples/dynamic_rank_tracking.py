@@ -36,9 +36,9 @@ def main() -> None:
     )
     source = service.source
     print(f"  {source.num_vertices:,} users, {source.num_edges:,} edges")
-    # Frogs born on every vertex: the uniform query is global PageRank.
-    everyone = np.arange(source.num_vertices)
-    top = service.query(everyone, k=K).vertices
+    # No seeds: frogs born on every vertex, the uniform query that is
+    # global PageRank.
+    top = service.query(None, k=K).vertices
     churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=0)
 
     print(f"\nTracking the top-{K} over 10 churn ticks (1% churn each)...")
@@ -47,7 +47,7 @@ def main() -> None:
     jaccards, tick_bytes = [], []
     for tick in range(1, 11):
         update = service.refresh(churn.step(source))
-        answer = service.query(everyone, k=K)
+        answer = service.query(None, k=K)
         jaccards.append(top_k_jaccard(top, answer.vertices))
         tick_bytes.append(answer.network_bytes)
         top = answer.vertices
@@ -78,7 +78,7 @@ def main() -> None:
             added=np.column_stack([followers, np.full(2_000, viral)])
         )
     )
-    top = service.query(everyone, k=K).vertices.tolist()
+    top = service.query(None, k=K).vertices.tolist()
     if viral in top:
         print(f"  detected in ONE refresh: now rank #{top.index(viral) + 1}")
     else:

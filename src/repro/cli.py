@@ -26,6 +26,7 @@ import time
 
 from . import __version__
 from .core import FrogWildConfig, run_frogwild
+from .core.config import check_positive_int
 from .experiments import (
     ALL_FIGURES,
     livejournal_workload,
@@ -189,8 +190,18 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+def _check_k(k: int, graph) -> None:
+    """Refuse a list length the graph cannot fill, before running."""
+    check_positive_int("k", k)
+    if k > graph.num_vertices:
+        raise ConfigError(
+            f"k={k} exceeds the graph's {graph.num_vertices} vertices"
+        )
+
+
 def _cmd_run(args) -> int:
     graph = _load_graph(args)
+    _check_k(args.top_k, graph)
     frogs = max(2_000, graph.num_vertices // 2) if args.frogs is None else args.frogs
     if args.algorithm == "frogwild":
         config = FrogWildConfig(
@@ -254,6 +265,7 @@ def _cmd_ppr(args) -> int:
     from .core import run_personalized_frogwild
 
     graph = _load_graph(args)
+    _check_k(args.top_k, graph)
     seeds = np.asarray(args.seeds, dtype=np.int64)
     frogs = max(4_000, graph.num_vertices) if args.frogs is None else args.frogs
     config = FrogWildConfig(
@@ -287,6 +299,7 @@ def _cmd_track(args) -> int:
     if args.ticks < 0:
         raise ConfigError(f"ticks must be non-negative, got {args.ticks}")
     base = _load_graph(args)
+    _check_k(args.k, base)
     frogs = max(2_000, base.num_vertices) if args.frogs is None else args.frogs
     service = LiveRankingService(
         base,
@@ -300,8 +313,6 @@ def _cmd_track(args) -> int:
         add_rate=args.add_rate, remove_rate=args.remove_rate, seed=args.seed
     )
     source = service.source
-    # Frogs born on every vertex: global PageRank's birth law.
-    everyone = np.arange(source.num_vertices)
     # Tick 0 is the initial build: every edge is new and placed.
     added, removed = source.num_edges, 0
     placed = sum(ingress.num_edges for ingress in service.ingresses)
@@ -311,7 +322,8 @@ def _cmd_track(args) -> int:
             update = service.refresh(churn.step(source))
             added, removed = update.edges_added, update.edges_removed
             placed = update.new_placements
-        answer = service.query(everyone, k=args.k)
+        # No seeds: frogs born uniformly on every vertex, global PageRank.
+        answer = service.query(None, k=args.k)
         rows.append({
             "tick": tick,
             "edges": source.num_edges,
@@ -340,6 +352,7 @@ def _cmd_faults(args) -> int:
     )
 
     graph = _load_graph(args)
+    _check_k(args.top_k, graph)
     frogs = max(2_000, graph.num_vertices // 2) if args.frogs is None else args.frogs
     schedule = FaultSchedule(
         crashes=tuple(

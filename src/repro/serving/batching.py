@@ -37,19 +37,25 @@ class RankingQuery:
     """One personalized top-k request.
 
     ``seeds`` are the teleport vertices (the walk restarts there, per
-    Lemma 16); ``weights`` optionally skews the restart law; ``k`` is
-    the answer length; ``config`` overrides the service default — a
-    query carrying its own config is never batched with queries of a
+    Lemma 16); ``None`` means births uniform over all n vertices, i.e.
+    global PageRank, held without an n-sized seed tuple.  ``weights``
+    optionally skews the restart law over the seeds; ``k`` is the
+    answer length; ``config`` overrides the service default — a query
+    carrying its own config is never batched with queries of a
     different one.
     """
 
-    seeds: tuple[int, ...]
+    seeds: tuple[int, ...] | None
     k: int = 10
     weights: tuple[float, ...] | None = None
     config: FrogWildConfig | None = None
 
     def __post_init__(self) -> None:
         check_positive_int("k", self.k)
+        if self.seeds is None:
+            if self.weights is not None:
+                raise ConfigError("weights need a seed set")
+            return
         # Refused at construction, not mid-dispatch inside a batch that
         # its batchmates are riding; n is unknown here, so the service
         # checks the ids against it at submit.

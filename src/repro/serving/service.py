@@ -474,7 +474,7 @@ class RankingService:
     # ------------------------------------------------------------------
     def query(
         self,
-        seeds: Sequence[int] | np.ndarray,
+        seeds: Sequence[int] | np.ndarray | None,
         k: int = 10,
         weights: Sequence[float] | np.ndarray | None = None,
         config: FrogWildConfig | None = None,
@@ -526,7 +526,7 @@ class RankingService:
 
     def submit(
         self,
-        seeds: Sequence[int] | np.ndarray,
+        seeds: Sequence[int] | np.ndarray | None,
         k: int = 10,
         weights: Sequence[float] | np.ndarray | None = None,
         config: FrogWildConfig | None = None,
@@ -587,7 +587,7 @@ class RankingService:
     def _validate(self, queries: Sequence[RankingQuery]) -> None:
         num_vertices = self.graph.num_vertices
         for query in queries:
-            if max(query.seeds) >= num_vertices:
+            if query.seeds is not None and max(query.seeds) >= num_vertices:
                 raise ConfigError(
                     f"seed ids out of range for a {num_vertices}-vertex "
                     f"graph: {query.seeds}"

@@ -37,7 +37,7 @@ class QueryTrace:
     """
 
     query_id: int
-    seeds: tuple[int, ...]
+    seeds: tuple[int, ...] | None
     k: int
     enqueue_s: float
     status: str = "pending"  # -> "served" | "shed" | "failed"
@@ -71,7 +71,7 @@ class QueryTrace:
     def as_dict(self) -> dict[str, object]:
         return {
             "query_id": self.query_id,
-            "seeds": list(self.seeds),
+            "seeds": None if self.seeds is None else list(self.seeds),
             "k": self.k,
             "status": self.status,
             "enqueue_s": self.enqueue_s,
@@ -109,13 +109,14 @@ class QueryTracer:
         self.queue_delay = Histogram()
 
     def begin(
-        self, seeds: tuple[int, ...], k: int, now: float
+        self, seeds: tuple[int, ...] | None, k: int, now: float
     ) -> QueryTrace:
-        """Open a trace for one arriving query."""
+        """Open a trace for one arriving query (``seeds`` None: a
+        uniform one)."""
         with self._lock:
             trace = QueryTrace(
                 query_id=self._next_id,
-                seeds=tuple(seeds),
+                seeds=None if seeds is None else tuple(seeds),
                 k=k,
                 enqueue_s=now,
             )

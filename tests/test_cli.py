@@ -79,11 +79,21 @@ class TestBadInput:
              "frogwild faults: error: num_frogs must be positive"),
             (["track", "--n", "300", "--ticks", "-1"],
              "frogwild track: error: ticks must be non-negative, got -1"),
+            (["run", "--n", "300", "--top-k", "1000", "--frogs", "500"],
+             "frogwild run: error: k=1000 exceeds the graph's 300 vertices"),
+            (["ppr", "1", "--n", "300", "--top-k", "301"],
+             "frogwild ppr: error: k=301 exceeds the graph's 300 vertices"),
+            (["track", "--n", "300", "--k", "301"],
+             "frogwild track: error: k=301 exceeds the graph's 300 vertices"),
+            (["run", "--n", "300", "--top-k", "0"],
+             "frogwild run: error: k must be positive"),
         ],
         ids=["crash-machine", "ppr-seed", "run-ps", "faults-top-k",
              "graphlab-iterations", "run-negative-seed", "run-no-machines",
              "ppr-no-machines", "run-no-frogs", "ppr-no-frogs",
-             "track-no-frogs", "faults-no-frogs", "track-negative-ticks"],
+             "track-no-frogs", "faults-no-frogs", "track-negative-ticks",
+             "run-top-k-past-n", "ppr-top-k-past-n", "track-k-past-n",
+             "run-no-top-k"],
     )
     def test_config_error_is_one_line(self, argv, message, capsys):
         assert main(argv) == 2

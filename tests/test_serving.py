@@ -1,5 +1,7 @@
 """Tests for the ranking service: cache, coalescing, cost accounting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.serving import (
     ServiceConfig,
     TTLCache,
 )
+from repro.traffic import QueryTracer
 
 
 class FakeClock:
@@ -241,6 +244,55 @@ class TestCoalescer:
         q50 = RankingQuery(seeds=(1, 2), k=50)
         assert q10.cache_key(default) == q50.cache_key(default)
         assert q10.cache_key(default) != q10.cache_key(other)
+
+
+class TestUniformQuery:
+    """``RankingQuery(seeds=None)``: frogs born uniformly on all n
+    vertices, global PageRank's birth law, held as no seeds at all."""
+
+    def test_weights_need_a_seed_set(self):
+        with pytest.raises(ConfigError, match="weights need a seed set"):
+            RankingQuery(seeds=None, weights=(1.0,))
+        query = RankingQuery(seeds=None, k=3)
+        assert query.seeds is None and query.weights is None
+
+    @staticmethod
+    def _cache_key_bytes(n):
+        from repro.graph import twitter_like
+
+        service = make_service(twitter_like(n=n, seed=9))
+        try:
+            first = service.query(None, k=5)
+            assert not first.cached and service.query(None, k=5).cached
+            return len(pickle.dumps(list(service.cache._entries)))
+        finally:
+            service.close()
+
+    def test_holds_nothing_n_sized(self):
+        """``np.arange(n)`` seeds became an n-tuple of Python ints held
+        by the query and its cache key (8.0 MB at n = 200 000); a query
+        without seeds keys the cache in the same bytes at any n."""
+        assert self._cache_key_bytes(500) == self._cache_key_bytes(4_000)
+
+    @pytest.mark.parametrize("backend", ["local", "sharded", "process"])
+    def test_answers_global_pagerank(self, graph, backend):
+        from repro.metrics import normalized_mass_captured
+        from repro.pagerank import exact_pagerank
+
+        service = make_service(
+            graph, backend=backend, num_shards=1 if backend == "local" else 2,
+            tracer=QueryTracer(),
+        )
+        try:
+            answer = service.query(None, k=10)
+            trace = service.tracer.recent(1)[0]
+        finally:
+            service.close()
+        assert trace.seeds is None and trace.as_dict()["seeds"] is None
+        scores = np.zeros(graph.num_vertices)
+        scores[answer.vertices] = answer.scores
+        mass = normalized_mass_captured(scores, exact_pagerank(graph), 10)
+        assert mass >= 0.9, mass
 
 
 class TestRankingService:
