@@ -66,7 +66,6 @@ from .metrics import (
 )
 from .pagerank import (
     exact_pagerank,
-    forward_push_pagerank,
     graphlab_pagerank,
     monte_carlo_pagerank,
     sparsified_pagerank,
@@ -100,7 +99,6 @@ __all__ = [
     "graphlab_pagerank",
     "sparsified_pagerank",
     "monte_carlo_pagerank",
-    "forward_push_pagerank",
     "mass_captured",
     "optimal_mass",
     "normalized_mass_captured",

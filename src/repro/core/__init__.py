@@ -13,7 +13,6 @@ from .erasures import (
     AtLeastOneOutEdge,
     ErasureModel,
     IndependentErasures,
-    erased_walk_step,
     make_erasure_model,
 )
 from .estimator import PageRankEstimate, top_k_indices
@@ -42,6 +41,5 @@ __all__ = [
     "IndependentErasures",
     "AtLeastOneOutEdge",
     "make_erasure_model",
-    "erased_walk_step",
     "resolve_kernel",
 ]

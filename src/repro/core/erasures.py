@@ -20,25 +20,19 @@ Two concrete models are analyzed:
   random.  This is the model used in the paper's implementation and our
   default.
 
-Besides the engine coupling (handled in the FrogWild runner), the module
-provides a *reference serial walk* under erasures, used by tests to
-verify Definition 3's claim: erasures do not change the marginal law of
-a single random walk.
+The runner (:mod:`repro.core.batched`) applies the model's repair rule
+to the erasure pattern it draws each superstep.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigError
-from ..graph import DiGraph
 
 __all__ = [
     "ErasureModel",
     "IndependentErasures",
     "AtLeastOneOutEdge",
     "make_erasure_model",
-    "erased_walk_step",
 ]
 
 
@@ -72,34 +66,3 @@ def make_erasure_model(name: str) -> ErasureModel:
     if name == "at-least-one":
         return AtLeastOneOutEdge()
     raise ConfigError(f"unknown erasure model {name!r}")
-
-
-def erased_walk_step(
-    graph: DiGraph,
-    vertex: int,
-    ps: float,
-    rng: np.random.Generator,
-    model: ErasureModel | None = None,
-) -> int:
-    """One reference step of a single walker under edge erasures.
-
-    Draws the erasure pattern for ``vertex``'s out-edges, applies the
-    model's repair rule, and moves the walker uniformly over the enabled
-    edges.  Returns the next vertex (== ``vertex`` when stranded under
-    :class:`IndependentErasures`).
-
-    By symmetry (Definition 8, property 4) the marginal next-state law
-    equals the un-erased walk's ``1/d_out`` law — the property tests
-    assert exactly this.
-    """
-    model = model or AtLeastOneOutEdge()
-    successors = graph.successors(vertex)
-    if successors.size == 0:
-        return vertex
-    enabled = rng.random(successors.size) < ps
-    if not enabled.any():
-        if not model.repairs_empty:
-            return vertex
-        enabled[rng.integers(0, successors.size)] = True
-    choices = successors[enabled]
-    return int(choices[rng.integers(0, choices.size)])

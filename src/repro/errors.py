@@ -44,7 +44,7 @@ class WorkerCrashError(EngineError):
     per-operation deadline, or its pipes broke.  Carries the ``shard``
     id, the ``epoch`` the worker was serving and a short machine-
     readable ``cause`` (``"died"``, ``"timeout"``, ``"pipe"``,
-    ``"respawn"``) so supervisors and retry layers can branch without
+    ``"respawn"``) so the pool's failure policies can branch without
     parsing the message.
     """
 
@@ -91,8 +91,8 @@ class OverloadError(ReproError):
     """Raised when admission control sheds a query instead of queueing it.
 
     Carries the queue ``depth`` observed at the admission decision and
-    the ``limit`` it exceeded, so callers (and retry layers) can reason
-    about how overloaded the service was instead of parsing a message.
+    the ``limit`` it exceeded, so callers can reason about how
+    overloaded the service was instead of parsing a message.
     """
 
     def __init__(self, message: str, depth: int = 0, limit: int = 0) -> None:

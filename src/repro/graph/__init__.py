@@ -2,7 +2,6 @@
 
 from .analysis import (
     GraphSummary,
-    is_strongly_connected,
     power_law_exponent,
     reciprocity,
     summarize,
@@ -20,7 +19,7 @@ from .generators import (
     star_graph,
     twitter_like,
 )
-from .io import load_npz, read_edge_list, save_npz, write_edge_list
+from .io import read_edge_list
 from .keys import sorted_unique
 
 __all__ = [
@@ -39,12 +38,8 @@ __all__ = [
     "star_graph",
     "complete_graph",
     "read_edge_list",
-    "write_edge_list",
-    "save_npz",
-    "load_npz",
     "GraphSummary",
     "summarize",
     "reciprocity",
     "power_law_exponent",
-    "is_strongly_connected",
 ]

@@ -2,9 +2,8 @@
 
 These helpers characterize workloads the way the paper does: degree
 distributions and their power-law tail exponent (Section 2.3 relies on a
-tail exponent θ ≈ 2.2 for PageRank values), reciprocity (distinguishes
-the Twitter-like from the LiveJournal-like regime), and reachability
-(used to sanity-check generated graphs).
+tail exponent θ ≈ 2.2 for PageRank values) and reciprocity
+(distinguishes the Twitter-like from the LiveJournal-like regime).
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import DiGraph
-from .keys import sorted_unique
 
-__all__ = ["GraphSummary", "summarize", "reciprocity", "power_law_exponent",
-           "is_strongly_connected"]
+__all__ = ["GraphSummary", "summarize", "reciprocity", "power_law_exponent"]
 
 
 @dataclass(frozen=True)
@@ -90,38 +87,3 @@ def power_law_exponent(degrees: np.ndarray, d_min: int = 4) -> float:
     if tail.size < 10:
         return float("nan")
     return float(1.0 + tail.size / np.log(tail / (d_min - 0.5)).sum())
-
-
-def is_strongly_connected(graph: DiGraph) -> bool:
-    """Whether every vertex can reach every other vertex.
-
-    Two BFS passes (forward and on the reverse graph) from vertex 0 —
-    the standard linear-time check.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return True
-    return _bfs_reaches_all(graph, 0) and _bfs_reaches_all(graph.reverse(), 0)
-
-
-def _bfs_reaches_all(graph: DiGraph, root: int) -> bool:
-    n = graph.num_vertices
-    seen = np.zeros(n, dtype=bool)
-    seen[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    reached = 1
-    indptr, indices = graph.indptr, graph.indices
-    while frontier.size:
-        starts = indptr[frontier]
-        stops = indptr[frontier + 1]
-        if not (stops > starts).any():
-            break
-        chunks = [indices[a:b] for a, b in zip(starts, stops) if b > a]
-        neighbours = (
-            sorted_unique(np.concatenate(chunks)) if chunks else np.empty(0, int)
-        )
-        fresh = neighbours[~seen[neighbours]]
-        seen[fresh] = True
-        reached += fresh.size
-        frontier = fresh
-    return reached == n

@@ -1,13 +1,9 @@
-"""Graph serialization.
+"""Graph input: SNAP edge lists.
 
-Two formats are supported:
-
-* **SNAP edge lists** (the format LiveJournal and Twitter are distributed
-  in): plain text, one ``source<whitespace>target`` pair per line, ``#``
-  comments.  Vertex ids need not be contiguous; they are compacted and the
-  mapping is returned.
-* **NPZ snapshots**: the CSR arrays in a single compressed numpy file —
-  loads orders of magnitude faster for repeated experiments.
+SNAP edge lists are the format LiveJournal and Twitter are distributed
+in: plain text, one ``source<whitespace>target`` pair per line, ``#``
+comments.  Vertex ids need not be contiguous; they are compacted and the
+mapping is returned.
 """
 
 from __future__ import annotations
@@ -21,12 +17,7 @@ from ..errors import GraphFormatError
 from .builder import from_edges
 from .digraph import DiGraph
 
-__all__ = [
-    "read_edge_list",
-    "write_edge_list",
-    "save_npz",
-    "load_npz",
-]
+__all__ = ["read_edge_list"]
 
 
 def read_edge_list(
@@ -77,35 +68,3 @@ def read_edge_list(
     if return_mapping:
         return graph, original_ids
     return graph
-
-
-def write_edge_list(
-    graph: DiGraph, path: str | os.PathLike[str], header: str | None = None
-) -> None:
-    """Write a graph as a SNAP-style edge list."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        if header:
-            for line in header.splitlines():
-                handle.write(f"# {line}\n")
-        handle.write(f"# Nodes: {graph.num_vertices} Edges: {graph.num_edges}\n")
-        edge_arr = graph._edge_array()
-        np.savetxt(handle, edge_arr, fmt="%d\t%d")
-
-
-def save_npz(graph: DiGraph, path: str | os.PathLike[str]) -> None:
-    """Save the CSR arrays into a compressed ``.npz`` snapshot."""
-    np.savez_compressed(
-        Path(path), indptr=graph.indptr, indices=graph.indices
-    )
-
-
-def load_npz(path: str | os.PathLike[str]) -> DiGraph:
-    """Load a graph previously stored with :func:`save_npz`."""
-    try:
-        with np.load(Path(path)) as data:
-            return DiGraph(data["indptr"], data["indices"])
-    except KeyError as exc:
-        raise GraphFormatError(
-            f"{path}: missing CSR arrays; not a repro graph snapshot"
-        ) from exc

@@ -2,8 +2,6 @@
 
 from .accuracy import (
     exact_identification,
-    l1_error,
-    linf_error,
     mass_captured,
     normalized_mass_captured,
     optimal_mass,
@@ -15,7 +13,5 @@ __all__ = [
     "optimal_mass",
     "normalized_mass_captured",
     "exact_identification",
-    "l1_error",
-    "linf_error",
     "top_k_jaccard",
 ]

@@ -25,8 +25,6 @@ __all__ = [
     "optimal_mass",
     "normalized_mass_captured",
     "exact_identification",
-    "l1_error",
-    "linf_error",
     "top_k_jaccard",
 ]
 
@@ -79,24 +77,6 @@ def exact_identification(
         top_k_indices(estimate, k), top_k_indices(truth, k)
     )
     return found.size / float(min(k, truth.size))
-
-
-def l1_error(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Total-variation-style l1 distance between the distributions."""
-    estimate = np.asarray(estimate, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if estimate.shape != truth.shape:
-        raise ConfigError("estimate and truth must align")
-    return float(np.abs(estimate - truth).sum())
-
-
-def linf_error(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Largest per-vertex deviation."""
-    estimate = np.asarray(estimate, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if estimate.shape != truth.shape:
-        raise ConfigError("estimate and truth must align")
-    return float(np.abs(estimate - truth).max())
 
 
 def top_k_jaccard(a: np.ndarray, b: np.ndarray) -> float:

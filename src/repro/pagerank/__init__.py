@@ -3,7 +3,6 @@
 from .exact import PowerIterationResult, exact_pagerank, pagerank_operator
 from .graphlab_pr import GraphLabPageRankResult, graphlab_pagerank
 from .montecarlo import monte_carlo_pagerank, simulate_walkers
-from .push import PushResult, forward_push_pagerank
 from .sparsified import sparsified_pagerank, sparsify_uniform
 
 __all__ = [
@@ -16,6 +15,4 @@ __all__ = [
     "sparsified_pagerank",
     "monte_carlo_pagerank",
     "simulate_walkers",
-    "PushResult",
-    "forward_push_pagerank",
 ]

@@ -33,9 +33,9 @@ single-cluster :class:`LocalBackend`), :mod:`~repro.serving.process_backend`
 (:class:`ProcessPoolBackend`: the same shard fan-out on one OS process
 per shard over shared-memory graph state, for real multi-core
 scale-out), :mod:`~repro.serving.supervisor`
-(:class:`WorkerSupervisor`: liveness heartbeats, crash respawn and
-shared-memory hygiene behind the pool's fail-soft
-``on_shard_failure`` policies), :mod:`~repro.serving.scheduler`
+(:class:`WorkerSupervisor`: the crash respawn and shared-memory
+hygiene every batch runs before the pool's fail-soft
+``on_shard_failure`` policy decides it), :mod:`~repro.serving.scheduler`
 (fill-or-deadline
 :class:`BatchScheduler`, virtual-clock or background-thread driven),
 :mod:`~repro.serving.service` (the :class:`RankingService` façade

@@ -30,7 +30,7 @@ __all__ = ["SHARD_FAILURE_POLICIES", "ServiceConfig"]
 
 #: What a process pool does with a shard lost mid-batch (see
 #: :class:`~repro.serving.ProcessPoolBackend`).
-SHARD_FAILURE_POLICIES = ("fail", "partial", "retry")
+SHARD_FAILURE_POLICIES = ("fail", "partial")
 
 #: The backend layouts ``ServiceConfig.backend`` may name.
 BACKEND_LAYOUTS = ("local", "sharded", "process")
@@ -66,13 +66,16 @@ class ServiceConfig:
         and any other name is a ``ConfigError`` before a backend is
         built.
     on_shard_failure:
-        Fail-soft policy of a ``backend="process"`` pool (one of
-        :data:`SHARD_FAILURE_POLICIES`; see
+        What a ``backend="process"`` pool does with a batch that loses
+        a worker mid-flight (one of :data:`SHARD_FAILURE_POLICIES`; see
         :class:`~repro.serving.ProcessPoolBackend`).  Validated for
-        every layout, used only by the pool.  Under ``"partial"`` a
-        crash-degraded batch resolves its waiters with
+        every layout, used only by the pool, which respawns the lost
+        worker within the batch under both policies.  ``"fail"`` then
+        fails the batch's waiters with
+        :class:`~repro.errors.ShardFailure`; ``"partial"`` resolves
+        them from the surviving shards, with
         ``RankingAnswer.degraded_shards`` set and a recomputed (wider)
-        Theorem-1 ``error_bound``, and is excluded from the answer
+        Theorem-1 ``error_bound``, and keeps them out of the answer
         cache.
     store:
         Optional :class:`~repro.store.GraphStore` the service reads its

@@ -39,12 +39,11 @@ Worker protocol (control pipe, pickled tuples):
 ==============  =====================================================
 parent sends    ``("attach", epoch, graph_spec, table_spec)``,
                 ``("detach", epoch)``, ``("run", task, epoch, config,
-                share, shard_seed, queries)``, ``("ping", nonce)``,
-                ``("chaos", kind, seconds)``, ``("stop",)``
+                share, shard_seed, queries)``, ``("chaos", kind,
+                seconds)``, ``("stop",)``
 worker replies  ``("attached", epoch)``, ``("detached", epoch)``,
                 ``("result", task, payload)``, ``("error", task,
-                repr, traceback)``, ``("pong", nonce)``,
-                ``("stopped",)``
+                repr, traceback)``, ``("stopped",)``
 ==============  =====================================================
 
 Every parent-side wait is one event-driven gather
@@ -59,14 +58,13 @@ pipe unblocks immediately), no shard queues behind another, and a
 death is an event, not something noticed on a polling tick.  Each
 wait has an *inactivity* deadline of ``timeout_s`` that only its own
 progress resets — a ``result`` frame tagged with its task, or the
-reply of its kind echoing its token (epoch, task id, ping nonce).
+reply of its kind echoing its token (epoch or task id).
 Anything stale is discarded without counting, so a stale-task flood
 stalls the parent for at most ``timeout_s``.  A fired sentinel is
 ruled a death only once the worker's pipes have drained to EOF: a
 worker that died *after* flushing its reply still answers.
 
-``ping``/``pong`` is the :class:`~repro.serving.WorkerSupervisor`
-heartbeat; ``chaos`` is the fault-injection hook
+``chaos`` is the fault-injection hook
 (:mod:`repro.traffic.chaos`): ``("chaos", "hang", s)`` parks the
 worker's control loop for ``s`` seconds and
 ``("chaos", "delay", s)`` stalls its *next* batch reply — both
@@ -90,18 +88,17 @@ population.  When a worker dies (or times out) mid-batch,
   :meth:`~repro.core.PageRankEstimate.merge`, sums ``num_frogs`` with
   the counts), and the outcome carries ``degraded_shards`` /
   ``lost_frogs`` so the service can attach the widened Theorem-1
-  bound;
-* ``"retry"`` — the respawned worker re-runs the lost slice (same
-  share, same per-shard seed, so a successful retry is bitwise
-  identical to a never-crashed batch), with exponential backoff and a
-  per-batch ``retry_budget``; exhausted budgets fall back to partial
-  merging when survivors exist.
+  bound.
 
-A worker found dead at *dispatch* (before its slice started) is
-respawned and re-sent once for free under every policy — no frogs
-were lost yet.  Liveness between batches is the
-:class:`~repro.serving.WorkerSupervisor`'s job (``ping`` heartbeats,
-respawn with backoff, orphaned-segment sweeps).
+The batch path is the pool's only healing path.  A worker found dead
+at *dispatch* (before its slice started) is respawned and re-sent once
+for free under both policies — no frogs were lost yet; a worker lost
+mid-flight is respawned the moment the gather sees it, while the other
+shards still compute.  Both go through the
+:class:`~repro.serving.WorkerSupervisor` (respawn with backoff,
+re-attach to the live epochs, orphaned-segment sweep).  Nothing
+watches the workers between batches: a death there is found by the
+next batch's dispatch.
 """
 
 from __future__ import annotations
@@ -238,10 +235,6 @@ def _worker_main(
                 # send time); start the next batch's delta fresh so the
                 # parent's merge never double-counts.
                 channel.sent = TransportTally()
-            elif op == "ping":
-                # Supervisor heartbeat: echo the nonce so the parent
-                # can tell a live loop from a buffered stale reply.
-                control.send(("pong",) + tuple(message[1:]))
             elif op == "chaos":
                 # Fault injection (fire-and-forget, test/bench only).
                 _, kind, seconds = message
@@ -286,7 +279,6 @@ _REPLY_KINDS = {
     "attach": "attached",
     "detach": "detached",
     "run": "result",
-    "ping": "pong",
 }
 
 
@@ -294,8 +286,8 @@ class _Wait:
     """One request in flight on one worker: what the gather awaits.
 
     Complete once the control ``reply`` of ``kind`` echoing ``token``
-    (epoch, task id or ping nonce) has landed together with ``lanes``
-    data frames tagged with the same token.
+    (epoch or task id) has landed together with ``lanes`` data frames
+    tagged with the same token.
     """
 
     def __init__(self, worker: _Worker, message: tuple, lanes: int) -> None:
@@ -360,27 +352,15 @@ class ProcessPoolBackend(ShardedBackend):
         :class:`~repro.errors.ShardFailure` *after* restoring the
         pool; ``"partial"`` merges the surviving shards and annotates
         the outcome (``degraded_shards``/``lost_frogs``) so answers
-        carry a widened Theorem-1 bound; ``"retry"`` re-runs the lost
-        slice on the respawned worker (bitwise identical on success —
-        same share, same per-shard seed).
-    ``retry_budget`` / ``retry_backoff_s``
-        Retry policy: at most ``retry_budget`` re-runs per shard per
-        batch, sleeping ``retry_backoff_s * 2**attempt`` between
-        them; an exhausted budget falls back to partial merging when
-        survivors exist.
-    ``heartbeat_s``
-        When set, the attached :class:`~repro.serving.WorkerSupervisor`
-        runs background liveness checks every ``heartbeat_s`` seconds
-        (ping/pong on the control pipes), respawning dead workers
-        *between* batches instead of on the next batch's critical
-        path.  ``None`` (default) leaves the supervisor passive — it
-        still handles in-batch revivals and explicit
-        ``supervisor.check()`` calls.
+        carry a widened Theorem-1 bound.  Either way the lost worker
+        is respawned within the batch (the
+        :class:`~repro.serving.WorkerSupervisor` on ``supervisor``
+        does it and counts it); nothing respawns between batches.
 
     Use :meth:`close` (or a ``with`` block) to tear down workers and
     unlink the shared segments.  All of this pool's segments live
     under a random per-instance name prefix (``arena_prefix``), so
-    ``close`` — and every supervisor respawn — can sweep segments
+    ``close`` — and every respawn — can sweep segments
     orphaned by crashed workers without touching other pools
     (:meth:`~repro.cluster.SharedArena.sweep_orphans`).
     """
@@ -391,17 +371,10 @@ class ProcessPoolBackend(ShardedBackend):
         start_method: str | None = None,
         timeout_s: float = 120.0,
         on_shard_failure: str = "fail",
-        retry_budget: int = 2,
-        retry_backoff_s: float = 0.05,
-        heartbeat_s: float | None = None,
         **layout,
     ) -> None:
-        # ``store=`` rides the ShardedBackend seam: results stay
-        # bitwise identical, but publishing an epoch *copies* the
-        # (possibly mapped) tables into shared memory, so the RSS-bound
-        # guarantee of the out-of-core tier is the in-process backends'
-        # — this backend trades residency back for process parallelism.
-        super().__init__(graph, **layout)
+        # The pool's own options are checked before the layout is
+        # partitioned and every shard's table is built.
         if on_shard_failure not in SHARD_FAILURE_POLICIES:
             raise ConfigError(
                 f"unknown on_shard_failure {on_shard_failure!r}: "
@@ -409,14 +382,14 @@ class ProcessPoolBackend(ShardedBackend):
             )
         if timeout_s <= 0:
             raise ConfigError("timeout_s must be positive")
-        if retry_budget < 0:
-            raise ConfigError("retry_budget must be non-negative")
-        if retry_backoff_s < 0:
-            raise ConfigError("retry_backoff_s must be non-negative")
+        # ``store=`` rides the ShardedBackend seam: results stay
+        # bitwise identical, but publishing an epoch *copies* the
+        # (possibly mapped) tables into shared memory, so the RSS-bound
+        # guarantee of the out-of-core tier is the in-process backends'
+        # — this backend trades residency back for process parallelism.
+        super().__init__(graph, **layout)
         self.timeout_s = timeout_s
         self.on_shard_failure = on_shard_failure
-        self.retry_budget = retry_budget
-        self.retry_backoff_s = retry_backoff_s
         if start_method is None:
             start_method = (
                 "fork"
@@ -432,7 +405,7 @@ class ProcessPoolBackend(ShardedBackend):
         self._task_counter = 0
         #: Per-instance segment namespace: every arena this pool ever
         #: creates is named under it, which is what makes the orphan
-        #: sweep (close / supervisor respawn) safe to scope.
+        #: sweep (close / respawn) safe to scope.
         self.arena_prefix = f"repro-arena-{secrets.token_hex(4)}"
         self._arenas: dict[int, list[SharedArena]] = {}
         self._workers: list[_Worker] = []
@@ -441,16 +414,12 @@ class ProcessPoolBackend(ShardedBackend):
         self.transport_received = TransportTally()
         self.transport_sent = TransportTally()
         self._closed = False
-        #: Worker lifecycle guardian: in-batch revivals always go
-        #: through it; ``heartbeat_s`` additionally runs its periodic
-        #: between-batch liveness checks on a daemon thread.
-        self.supervisor = WorkerSupervisor(self, heartbeat_s=heartbeat_s)
+        #: Respawns the workers a batch loses, and counts them.
+        self.supervisor = WorkerSupervisor()
         try:
             self._publish_epoch(self._epoch, self.graph, self.replications)
             self._spawn_workers()
             self._attach(self._epoch, self._workers)
-            if heartbeat_s is not None:
-                self.supervisor.start()
         except BaseException:
             self.close()
             raise
@@ -553,7 +522,7 @@ class ProcessPoolBackend(ShardedBackend):
                 f"shard {wait.worker.shard} worker failed: {error}\n{trace}"
             )
         if message[:2] != (wait.kind, wait.token):
-            return False  # stale pong, older task's result, junk
+            return False  # older task's result, junk
         wait.reply = message
         return True
 
@@ -572,9 +541,7 @@ class ProcessPoolBackend(ShardedBackend):
     def _gather(
         self,
         waits: Sequence[_Wait],
-        timeout_s: float | None = None,
-        recover: Callable[[_Wait, WorkerCrashError], _Wait | None]
-        | None = None,
+        recover: Callable[[_Wait, WorkerCrashError], None] | None = None,
     ) -> list[_Wait]:
         """Run every wait to completion in one event loop.
 
@@ -583,16 +550,14 @@ class ProcessPoolBackend(ShardedBackend):
         is ready (deadline and death rules: module docstring).  A wait
         that fails — ``died`` or ``timeout`` — raises its
         :class:`~repro.errors.WorkerCrashError` unless ``recover`` is
-        given: that is called at once with the wait and the error and
-        may return a replacement (a re-sent request) that joins the
-        loop.  Returns the completed waits, replacements included.
+        given: that is called at once with the wait and the error, and
+        the other waits go on.  Returns the completed waits.
         """
-        budget = self.timeout_s if timeout_s is None else timeout_s
         live = list(waits)
         done: list[_Wait] = []
         started = time.monotonic()
         for wait in live:
-            wait.deadline = started + budget
+            wait.deadline = started + self.timeout_s
         while live:
             horizon = min(wait.deadline for wait in live) - time.monotonic()
             ready = set(
@@ -617,7 +582,7 @@ class ProcessPoolBackend(ShardedBackend):
                     continue
                 now = time.monotonic()
                 if progressed:
-                    wait.deadline = now + budget
+                    wait.deadline = now + self.timeout_s
                     continue
                 if worker.process.sentinel in ready and not readable:
                     # Dead, and nothing it flushed is left to drain.
@@ -636,10 +601,7 @@ class ProcessPoolBackend(ShardedBackend):
                 )
                 if recover is None:
                     raise error
-                replacement = recover(wait, error)
-                if replacement is not None:
-                    replacement.deadline = time.monotonic() + budget
-                    live.append(replacement)
+                recover(wait, error)
         return done
 
     def _attach(self, epoch: int, workers: Sequence[_Worker]) -> None:
@@ -711,7 +673,6 @@ class ProcessPoolBackend(ShardedBackend):
         if self._closed:
             return
         self._closed = True
-        self.supervisor.stop()
         for worker in self._workers:
             try:
                 worker.control.send(("stop",))
@@ -760,7 +721,7 @@ class ProcessPoolBackend(ShardedBackend):
         a failed respawn — the shard is then lost for this batch and
         the slot keeps its dead handle for the next attempt."""
         try:
-            self.supervisor.revive_locked(shard, cause=cause)
+            self.supervisor.revive_locked(self, shard, cause=cause)
         except EngineError:
             return False
         return True
@@ -779,7 +740,6 @@ class ProcessPoolBackend(ShardedBackend):
             task = self._task_counter
             shares = self._shares(config.num_frogs)
             failures: dict[int, WorkerCrashError] = {}
-            retries: dict[int, int] = {}
 
             def send(shard: int) -> _Wait:
                 return self._request(
@@ -796,32 +756,17 @@ class ProcessPoolBackend(ShardedBackend):
                     lanes=len(queries),
                 )
 
-            def recover(
-                wait: _Wait, error: WorkerCrashError
-            ) -> _Wait | None:
+            def recover(wait: _Wait, error: WorkerCrashError) -> None:
                 # A shard lost mid-flight is revived the moment the
                 # gather sees it (the pool never stays wedged); its
-                # slice is the failure policy's call, and a retry
-                # re-runs while the other shards still compute.
+                # slice is lost, and the failure policy decides what
+                # the batch does without it.
                 shard = wait.worker.shard
-                revived = self._recover_shard(shard, error.cause)
-                attempt = retries.get(shard, 0)
-                if (
-                    revived
-                    and self.on_shard_failure == "retry"
-                    and attempt < self.retry_budget
-                ):
-                    retries[shard] = attempt + 1
-                    time.sleep(self.retry_backoff_s * (2.0**attempt))
-                    try:
-                        return send(shard)
-                    except WorkerCrashError as again:
-                        error = again
+                self._recover_shard(shard, error.cause)
                 failures[shard] = error
-                return None
 
             # Dispatch.  A worker found dead *here* lost no work:
-            # respawn and re-send once for free under every policy.
+            # respawn and re-send once for free under both policies.
             waits: list[_Wait] = []
             for shard, share in enumerate(shares):
                 if share == 0:
@@ -906,15 +851,24 @@ class ProcessPoolBackend(ShardedBackend):
     # Fault injection (repro.traffic.chaos)
     # ------------------------------------------------------------------
     def _chaos_worker(self, shard: int) -> _Worker:
-        """One shard's worker; a shard the pool lacks is a ConfigError."""
+        """One shard's worker; a shard the pool lacks is a ConfigError,
+        a closed pool an EngineError."""
         if not 0 <= shard < self.num_shards:
             raise ConfigError(
                 f"no shard {shard} in a {self.num_shards}-shard pool"
             )
-        return self._workers[shard]
+        # ``close`` sets ``_closed`` before it empties the worker list,
+        # so a list read before an open pool's check is the full one.
+        workers = self._workers
+        if self._closed:
+            raise EngineError("backend is closed")
+        return workers[shard]
 
     def worker_pid(self, shard: int) -> int:
-        """OS pid of one shard's *current* worker (for chaos kills)."""
+        """OS pid of one shard's *current* worker (for chaos kills).
+
+        Takes no lock: a chaos kill must land while a batch holds it.
+        """
         return self._chaos_worker(shard).process.pid
 
     def inject_chaos(
@@ -939,8 +893,6 @@ class ProcessPoolBackend(ShardedBackend):
             )
         if duration_s < 0:
             raise ConfigError("duration_s must be non-negative")
-        if self._closed:
-            raise EngineError("backend is closed")
         with self._lock:
             self._chaos_worker(shard).control.send(
                 ("chaos", kind, float(duration_s))

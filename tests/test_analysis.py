@@ -1,4 +1,4 @@
-"""Unit tests for graph statistics and reachability."""
+"""Unit tests for graph statistics."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.graph import (
     cycle_graph,
     from_edges,
-    is_strongly_connected,
     power_law_exponent,
     reciprocity,
     star_graph,
@@ -40,18 +39,6 @@ class TestPowerLawExponent:
 
     def test_nan_for_tiny_samples(self):
         assert np.isnan(power_law_exponent(np.array([1, 2, 3])))
-
-
-class TestStrongConnectivity:
-    def test_cycle_strongly_connected(self):
-        assert is_strongly_connected(cycle_graph(7))
-
-    def test_path_not_strongly_connected(self):
-        g = from_edges([(0, 1), (1, 2)], repair_dangling="self-loop")
-        assert not is_strongly_connected(g)
-
-    def test_star_strongly_connected(self):
-        assert is_strongly_connected(star_graph(5))
 
 
 class TestSummary:

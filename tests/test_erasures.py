@@ -1,16 +1,13 @@
 """Unit tests for edge-erasure models (Appendix A)."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
     AtLeastOneOutEdge,
     IndependentErasures,
-    erased_walk_step,
     make_erasure_model,
 )
 from repro.errors import ConfigError
-from repro.graph import from_edges
 
 
 class TestFactory:
@@ -25,51 +22,3 @@ class TestFactory:
     def test_repair_flags(self):
         assert AtLeastOneOutEdge().repairs_empty
         assert not IndependentErasures().repairs_empty
-
-
-class TestErasedWalkStep:
-    def test_marginal_law_unchanged_with_repair(self, rng):
-        """Definition 3 / symmetry: erasures preserve the 1/d_out law."""
-        graph = from_edges([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
-        counts = np.zeros(4)
-        trials = 30_000
-        for _ in range(trials):
-            counts[erased_walk_step(graph, 0, ps=0.4, rng=rng)] += 1
-        freq = counts / trials
-        np.testing.assert_allclose(freq[1:], 1 / 3, atol=0.015)
-        assert freq[0] == 0.0
-
-    def test_independent_model_can_strand(self, rng):
-        graph = from_edges([(0, 1), (1, 0)])
-        model = IndependentErasures()
-        outcomes = {
-            erased_walk_step(graph, 0, ps=0.05, rng=rng, model=model)
-            for _ in range(500)
-        }
-        # With ps=0.05, nearly all steps are stranded at vertex 0.
-        assert 0 in outcomes
-
-    def test_repair_model_never_strands(self, rng):
-        graph = from_edges([(0, 1), (1, 0)])
-        for _ in range(200):
-            nxt = erased_walk_step(
-                graph, 0, ps=0.01, rng=rng, model=AtLeastOneOutEdge()
-            )
-            assert nxt == 1
-
-    def test_stranded_marginal_conditioned_on_moving(self, rng):
-        """Independent erasures: conditioned on moving, choice is uniform."""
-        graph = from_edges([(0, 1), (0, 2), (1, 0), (2, 0)])
-        moved = []
-        for _ in range(20_000):
-            nxt = erased_walk_step(
-                graph, 0, ps=0.3, rng=rng, model=IndependentErasures()
-            )
-            if nxt != 0:
-                moved.append(nxt)
-        freq1 = moved.count(1) / len(moved)
-        assert freq1 == pytest.approx(0.5, abs=0.02)
-
-    def test_sink_vertex_stays(self, rng):
-        graph = from_edges([(0, 1)], repair_dangling="none")
-        assert erased_walk_step(graph, 1, ps=0.5, rng=rng) == 1

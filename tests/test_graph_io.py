@@ -1,16 +1,9 @@
-"""Unit tests for edge-list and NPZ graph I/O."""
+"""Unit tests for reading SNAP edge lists."""
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import (
-    from_edges,
-    load_npz,
-    read_edge_list,
-    save_npz,
-    write_edge_list,
-)
+from repro.graph import from_edges, read_edge_list
 
 
 @pytest.fixture
@@ -19,11 +12,10 @@ def ring(tmp_path):
 
 
 class TestEdgeList:
-    def test_round_trip(self, ring, tmp_path):
+    def test_snap_file_reads_back_the_graph(self, ring, tmp_path):
         path = tmp_path / "ring.txt"
-        write_edge_list(ring, path)
-        loaded = read_edge_list(path)
-        assert loaded == ring
+        path.write_text("# ring\n# Nodes: 3 Edges: 3\n0\t1\n1\t2\n2\t0\n")
+        assert read_edge_list(path) == ring
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -55,12 +47,34 @@ class TestEdgeList:
         g = read_edge_list(path, repair_dangling="none")
         assert g.dangling_vertices().size == 1
 
-    def test_header_written(self, ring, tmp_path):
-        path = tmp_path / "ring.txt"
-        write_edge_list(ring, path, header="test graph")
-        text = path.read_text()
-        assert text.startswith("# test graph")
-        assert "# Nodes: 3 Edges: 3" in text
+    def test_extra_columns_ignored(self, tmp_path):
+        """Weighted or timestamped SNAP files carry more columns."""
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 0.5\n1 0 0.25\n")
+        g = read_edge_list(path)
+        assert g.num_edges == 2 and g.has_edge(0, 1) and g.has_edge(1, 0)
+
+    def test_repeated_edge_counted_once(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n0 1\n1 0\n")
+        assert read_edge_list(path).num_edges == 2
+
+    def test_dangling_vertex_gets_a_self_loop_by_default(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n")
+        g = read_edge_list(path)
+        assert g.has_edge(1, 1) and g.dangling_vertices().size == 0
+
+    def test_custom_comment_prefix(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("% KONECT header\n0 1\n1 0\n")
+        assert read_edge_list(path, comments="%").num_edges == 2
+
+    def test_error_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n2\n")
+        with pytest.raises(GraphFormatError, match=r"bad\.txt:2:"):
+            read_edge_list(path)
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -79,21 +93,3 @@ class TestEdgeList:
         path.write_text("# nothing\n")
         with pytest.raises(GraphFormatError, match="no edges"):
             read_edge_list(path)
-
-
-class TestNpz:
-    def test_round_trip(self, ring, tmp_path):
-        path = tmp_path / "ring.npz"
-        save_npz(ring, path)
-        assert load_npz(path) == ring
-
-    def test_round_trip_larger(self, small_twitter, tmp_path):
-        path = tmp_path / "tw.npz"
-        save_npz(small_twitter, path)
-        assert load_npz(path) == small_twitter
-
-    def test_bad_snapshot_raises(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, wrong=np.arange(3))
-        with pytest.raises(GraphFormatError, match="snapshot"):
-            load_npz(path)

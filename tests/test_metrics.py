@@ -6,8 +6,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.metrics import (
     exact_identification,
-    l1_error,
-    linf_error,
     mass_captured,
     normalized_mass_captured,
     optimal_mass,
@@ -68,28 +66,6 @@ class TestExactIdentification:
 
     def test_k_above_n(self, truth):
         assert exact_identification(truth, truth, 10) == pytest.approx(1.0)
-
-
-class TestDistances:
-    def test_l1(self):
-        a = np.array([0.5, 0.5])
-        b = np.array([1.0, 0.0])
-        assert l1_error(a, b) == pytest.approx(1.0)
-
-    def test_linf(self):
-        a = np.array([0.5, 0.5, 0.0])
-        b = np.array([0.2, 0.5, 0.3])
-        assert linf_error(a, b) == pytest.approx(0.3)
-
-    def test_zero_distance(self, truth):
-        assert l1_error(truth, truth) == 0.0
-        assert linf_error(truth, truth) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            l1_error(np.ones(2), np.ones(3))
-        with pytest.raises(ConfigError):
-            linf_error(np.ones(2), np.ones(3))
 
 
 class TestTopKJaccard:

@@ -51,7 +51,7 @@ from repro.serving import (
     ServiceConfig,
     ShardedBackend,
 )
-from repro.serving.process_backend import _Worker
+from repro.serving.process_backend import _Worker, _worker_main
 
 GRAPH = twitter_like(n=1000, seed=21)  # the golden regression graph
 CONFIG = FrogWildConfig(num_frogs=12_000, iterations=6, seed=1, ps=0.8)
@@ -536,41 +536,77 @@ class TestGather:
         assert gather_backend._gather([wait]) == [wait]
         assert len(wait.frames) == 1 and wait.reply[:2] == ("result", 3)
 
-    def test_death_is_an_event_and_recover_can_resend(
+    def test_death_is_an_event_and_the_others_go_on(
         self, gather_backend, peer
     ):
         """A peer that dies with its reply unsent fails at once (no
-        waiting out ``timeout_s``, no polling tick), and the
-        ``recover`` hook's replacement request joins the same loop."""
+        waiting out ``timeout_s``, no polling tick, no waiting for the
+        other peer): ``recover`` hears of it while the other peer still
+        withholds its reply, and that wait then completes in the same
+        loop."""
+        seen = threading.Event()
 
         def dies(peer):
             peer.control.recv()
             peer.die()
 
-        def answers(peer):
-            _, nonce = peer.control.recv()
-            peer.control.send(("pong", nonce))
+        def answers_once_seen(peer):
+            _, task = peer.control.recv()
+            seen.wait(timeout=5.0)
+            peer.control.send(("result", task, {}))
 
-        causes = []
+        lost = []
 
         def recover(wait, error):
-            causes.append(error.cause)
-            return gather_backend._request(peer.worker, ("ping", 9))
+            lost.append((wait.worker, error.cause, time.monotonic() - started))
+            seen.set()
 
         doomed = _ScriptedPeer()
         try:
             doomed.play(dies)
-            peer.play(answers)
+            peer.play(answers_once_seen)
             started = time.monotonic()
-            (done,) = gather_backend._gather(
-                [gather_backend._request(doomed.worker, ("ping", 8))],
+            done = gather_backend._gather(
+                [
+                    gather_backend._request(doomed.worker, ("run", 8)),
+                    gather_backend._request(peer.worker, ("run", 9)),
+                ],
                 recover=recover,
             )
-            assert time.monotonic() - started < 0.25
         finally:
             doomed.close()
-        assert causes == ["died"]
-        assert done.worker is peer.worker and done.reply == ("pong", 9)
+        ((worker, cause, after),) = lost
+        assert worker is doomed.worker and cause == "died"
+        assert after < 0.25
+        assert [wait.worker for wait in done] == [peer.worker]
+        assert done[0].reply[:2] == ("result", 9)
+
+
+class TestWorkerProtocol:
+    def test_unknown_op_is_an_error_reply_and_the_worker_serves_on(self):
+        """The worker answers an op it does not know (the supervisor's
+        old ``ping`` probe among them) with an ``error`` reply that
+        names it, and keeps serving its control loop."""
+        control, control_child = mp.Pipe(duplex=True)
+        data, data_child = mp.Pipe(duplex=False)
+        worker = threading.Thread(
+            target=_worker_main,
+            args=(control_child, data_child, 0, 2, None, None, 0),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            control.send(("ping", 1))
+            assert control.poll(5.0)
+            assert control.recv() == ("error", None, "unknown op 'ping'", "")
+            control.send(("stop",))
+            assert control.poll(5.0)
+            assert control.recv() == ("stopped",)
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+        finally:
+            for end in (control, control_child, data, data_child):
+                end.close()
 
 
 class TestFrameChecks:

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for the extension subsystems:
-dynamic graphs, forward push, top-k set overlap and the stable hash
-ingress."""
+dynamic graphs, top-k set overlap and the stable hash ingress."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from repro.cluster import make_partitioner
 from repro.dynamic import DynamicDiGraph, GraphDelta
 from repro.graph import from_edges
 from repro.metrics import top_k_jaccard
-from repro.pagerank import forward_push_pagerank
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -62,31 +60,6 @@ def test_dynamic_apply_counts_are_consistent(initial, batch):
     added, removed = graph.apply(delta)
     assert removed == 0
     assert graph.num_edges == m0 + added
-
-
-# ---------------------------------------------------------------------------
-# Forward push invariants
-# ---------------------------------------------------------------------------
-
-
-@given(edge_lists, st.floats(1e-4, 1e-2))
-@settings(max_examples=40, deadline=None)
-def test_push_mass_conservation(edges, eps):
-    graph = from_edges(edges)
-    result = forward_push_pagerank(graph, eps=eps)
-    total = result.estimate.sum() + result.residual.sum()
-    assert abs(total - 1.0) < 1e-9
-    assert result.estimate.min() >= 0
-    assert result.residual.min() >= -1e-15
-
-
-@given(edge_lists, st.integers(0, 14))
-@settings(max_examples=40, deadline=None)
-def test_push_personalized_seed_validity(edges, seed_vertex):
-    graph = from_edges(edges, num_vertices=15)
-    result = forward_push_pagerank(graph, eps=1e-3, source=seed_vertex)
-    total = result.estimate.sum() + result.residual.sum()
-    assert abs(total - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -555,20 +555,19 @@ class TestServiceLifetime:
     def test_dropped_process_pool_is_freed_without_the_collector(
         self, graph, no_collector
     ):
+        from repro.cluster import SharedArena
         from repro.serving import ProcessPoolBackend
 
-        pool = ProcessPoolBackend(
-            graph, num_shards=2, num_machines=4, heartbeat_s=30.0
-        )
+        pool = ProcessPoolBackend(graph, num_shards=2, num_machines=4)
+        prefix = pool.arena_prefix
         table = weakref.ref(pool.replications[0])
         alive = weakref.ref(pool)
-        supervisor = pool.supervisor
+        supervisor = weakref.ref(pool.supervisor)
         del pool
-        # The heartbeat thread pins the pool until close() stops it.
-        assert alive() is not None
-        alive().close()
-        assert alive() is None and table() is None
-        assert supervisor.backend is None
+        # No thread pins the pool and its supervisor holds no edge back,
+        # so reference counting alone frees it, and __del__ closes it.
+        assert alive() is None and table() is None and supervisor() is None
+        assert SharedArena.list_segments(prefix) == []
 
     def test_running_loop_pins_the_service_until_stop(
         self, graph, no_collector

@@ -144,6 +144,16 @@ class TestOutOfRangeSettings:
                 ),
             )
 
+    @pytest.mark.parametrize("backend", ["local", "sharded", "process"])
+    def test_retry_is_not_a_failure_policy(self, backend):
+        """A lost shard is respawned within its batch; what the batch
+        does then is "fail" or "partial", and nothing re-runs it."""
+        with pytest.raises(ConfigError, match="on_shard_failure"):
+            ServiceConfig(
+                config=CONFIG, num_machines=4, num_shards=2,
+                backend=backend, on_shard_failure="retry",
+            )
+
     @pytest.mark.parametrize("field", ["backend", "partitioner", "tracer"])
     def test_live_service_sets_its_layout_itself(self, field):
         with pytest.raises(ConfigError, match=field):

@@ -3,7 +3,7 @@
 The paper's graceful-degradation claim (losing a machine costs ~1/M of
 the frogs, nothing else) is only real if the *implementation* survives
 losing a machine.  These tests SIGKILL actual worker processes and pin
-down the three ``on_shard_failure`` policies:
+down the two ``on_shard_failure`` policies:
 
 * ``"partial"`` — a mid-batch kill still answers, from an exact merge
   of the surviving shards, with the estimator's population rescaled
@@ -11,13 +11,11 @@ down the three ``on_shard_failure`` policies:
   identical to a never-crashed pool;
 * ``"fail"`` — the same kill raises a typed
   :class:`~repro.errors.ShardFailure` *after* the pool is restored —
-  no wedged backend, no leaked ``/dev/shm`` segments;
-* ``"retry"`` — the lost slice re-runs on the respawned worker and
-  the batch comes back bitwise identical (same share, same per-shard
-  seed), with nothing marked degraded.
+  no wedged backend, no leaked ``/dev/shm`` segments.
 
-Plus the supervisor lifecycle (heartbeat revival, respawn re-attach to
-the live epoch, orphan sweeps) and the simulated-vs-real bridge: a
+Plus respawn on the batch path (a kill between batches is a free
+resend on a new worker, which serves the live epoch; orphan sweeps)
+and the simulated-vs-real bridge: a
 :class:`~repro.traffic.ChaosSchedule` round-trips through
 :class:`~repro.faults.FaultSchedule`, and the accuracy dent a real
 partial merge suffers matches what the simulated fault layer predicts
@@ -29,13 +27,15 @@ import os
 import signal
 import threading
 import time
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.cluster import SharedArena
 from repro.core import FrogWildConfig, merge_shard_results
-from repro.errors import ConfigError, ShardFailure, WorkerCrashError
+from repro.errors import ConfigError, EngineError, ShardFailure, WorkerCrashError
 from repro.faults import (
     FAULT_KINDS,
     FaultSchedule,
@@ -53,6 +53,12 @@ from repro.serving import (
     ServiceConfig,
 )
 from repro.serving.backend import _run_slice, _shard_seed
+from repro.serving.config import SHARD_FAILURE_POLICIES
+from repro.serving.supervisor import (
+    MAX_BACKOFF_S,
+    RESPAWN_BACKOFF_S,
+    WorkerSupervisor,
+)
 from repro.theory.bounds import config_error_bound
 from repro.traffic import ChaosEvent, ChaosInjector, ChaosSchedule
 
@@ -109,22 +115,24 @@ def _survivor_lanes(backend, shards):
 # Policy: partial
 # ----------------------------------------------------------------------
 class TestPartialPolicy:
-    def test_mid_batch_kill_answers_with_rescaled_population(self):
+    @pytest.mark.parametrize("shard", [0, 1, 2])
+    def test_mid_batch_kill_answers_with_rescaled_population(self, shard):
         with _pool() as backend:
             healthy = backend.run_batch(CONFIG, QUERIES)
-            _kill_mid_batch(backend, shard=1)
+            _kill_mid_batch(backend, shard=shard)
             partial = backend.run_batch(CONFIG, QUERIES)
-            assert partial.degraded_shards == (1,)
+            assert partial.degraded_shards == (shard,)
             assert partial.lost_frogs > 0
             assert (
                 partial.lanes[0].estimate.num_frogs
                 == healthy.lanes[0].estimate.num_frogs - partial.lost_frogs
             )
-            # The merge is exact over survivors: no shard-1 cost row,
-            # and the answer is the record merge of shards 0 and 2 as
-            # the in-process fan-out runs them.
-            assert [c.shard for c in partial.shards] == [0, 2]
-            survivors = _survivor_lanes(backend, shards=(0, 2))
+            # The merge is exact over survivors: no cost row of the
+            # lost shard, and the answer is the record merge of the
+            # other two as the in-process fan-out runs them.
+            others = [s for s in range(backend.num_shards) if s != shard]
+            assert [c.shard for c in partial.shards] == others
+            survivors = _survivor_lanes(backend, shards=others)
             expected = merge_shard_results(survivors).estimate
             got = partial.lanes[0].estimate
             assert got.num_frogs == expected.num_frogs
@@ -138,6 +146,24 @@ class TestPartialPolicy:
                 healthy.lanes[0].estimate.counts,
             )
             assert backend.supervisor.stats.respawns >= 1
+
+    def test_hung_worker_is_replaced_and_its_slice_dropped(self):
+        with _pool(timeout_s=1.0) as backend:
+            healthy = backend.run_batch(CONFIG, QUERIES)
+            old_pid = backend.worker_pid(1)
+            backend.inject_chaos(1, "hang", 6.0)
+            partial = backend.run_batch(CONFIG, QUERIES)
+            assert partial.degraded_shards == (1,)
+            assert [(s, c) for _, s, c in backend.supervisor.crash_log] == [
+                (1, "timeout")
+            ]
+            assert backend.worker_pid(1) != old_pid
+            again = backend.run_batch(CONFIG, QUERIES)
+            assert again.degraded_shards == ()
+            assert np.array_equal(
+                again.lanes[0].estimate.counts,
+                healthy.lanes[0].estimate.counts,
+            )
 
     def test_partial_answer_carries_widened_bound_and_skips_cache(self):
         pool = _pool()
@@ -214,87 +240,90 @@ class TestFailPolicy:
         assert SharedArena.list_segments(prefix) == []
 
     def test_kill_between_batches_is_a_free_resend(self):
-        # A worker dead at dispatch lost no work: every policy respawns
-        # and resends without marking anything degraded.
-        for policy in ("fail", "partial", "retry"):
+        # A worker dead at dispatch lost no work: both policies respawn
+        # it and resend without marking anything degraded, whichever
+        # shard it served.
+        for policy in SHARD_FAILURE_POLICIES:
             with _pool(on_shard_failure=policy) as backend:
                 healthy = backend.run_batch(CONFIG, QUERIES)
-                os.kill(backend.worker_pid(1), signal.SIGKILL)
-                time.sleep(0.2)
-                outcome = backend.run_batch(CONFIG, QUERIES)
-                assert outcome.degraded_shards == ()
-                assert np.array_equal(
-                    outcome.lanes[0].estimate.counts,
-                    healthy.lanes[0].estimate.counts,
-                ), policy
+                for shard in range(backend.num_shards):
+                    old_pid = backend.worker_pid(shard)
+                    os.kill(old_pid, signal.SIGKILL)
+                    time.sleep(0.2)
+                    outcome = backend.run_batch(CONFIG, QUERIES)
+                    assert outcome.degraded_shards == (), policy
+                    assert np.array_equal(
+                        outcome.lanes[0].estimate.counts,
+                        healthy.lanes[0].estimate.counts,
+                    ), policy
+                    assert backend.worker_pid(shard) != old_pid
+                assert backend.supervisor.stats.respawns == 3
 
 
 # ----------------------------------------------------------------------
-# Policy: retry
+# Options
 # ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_mid_batch_kill_rerun_is_bitwise_healthy(self):
-        with _pool(on_shard_failure="retry") as backend:
-            healthy = backend.run_batch(CONFIG, QUERIES)
-            _kill_mid_batch(backend, shard=0)
-            outcome = backend.run_batch(CONFIG, QUERIES)
-            assert outcome.degraded_shards == ()
-            assert outcome.lost_frogs == 0
-            assert np.array_equal(
-                outcome.lanes[0].estimate.counts,
-                healthy.lanes[0].estimate.counts,
-            )
-
-    def test_exhausted_budget_falls_back_to_partial(self):
-        with _pool(
-            on_shard_failure="retry", retry_budget=0, retry_backoff_s=0.0
-        ) as backend:
-            backend.run_batch(CONFIG, QUERIES)
-            _kill_mid_batch(backend, shard=1)
-            outcome = backend.run_batch(CONFIG, QUERIES)
-            assert outcome.degraded_shards == (1,)
-
-    def test_retry_overlaps_the_other_shards(self):
-        """Shard 0 withholds its reply for 1 s while shard 1 is killed
-        0.1 s in.  The gather notices the death at once, so the retry
-        (respawn + 0.6 s backoff + re-run) runs *inside* shard 0's
-        delay: the batch takes about max(delay, retry), where draining
-        shard 0 first took their sum (~1.7 s)."""
-        with _pool(
-            num_shards=2, on_shard_failure="retry", retry_backoff_s=0.6
-        ) as backend:
-            healthy = backend.run_batch(CONFIG, QUERIES)
-            backend.inject_chaos(0, "delay", 1.0)
-            _kill_mid_batch(backend, shard=1, after_s=0.1)
-            started = time.monotonic()
-            outcome = backend.run_batch(CONFIG, QUERIES)
-            elapsed = time.monotonic() - started
-            assert outcome.degraded_shards == ()
-            assert np.array_equal(
-                outcome.lanes[0].estimate.counts,
-                healthy.lanes[0].estimate.counts,
-            )
-            assert backend.supervisor.stats.respawns == 1
-            assert 1.0 <= elapsed < 1.4, elapsed
-
+class TestPoolOptions:
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            _pool(on_shard_failure="panic")
+        for policy in ("panic", "retry"):
+            with pytest.raises(ConfigError, match="on_shard_failure"):
+                _pool(on_shard_failure=policy)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"on_shard_failure": "panic"}, {"timeout_s": 0}, {"timeout_s": -1.0}],
+        ids=str,
+    )
+    def test_options_are_checked_before_any_table_is_built(self, bad):
+        """A bad pool option is refused before the layout partitions
+        the graph and builds a replication table per shard."""
+        (name,) = bad
+        boom = mock.Mock(side_effect=AssertionError("table built"))
+        with mock.patch("repro.serving.backend.ReplicationTable", boom):
+            with pytest.raises(ConfigError, match=name):
+                _pool(num_shards=2, **bad)
+        assert boom.call_count == 0
+
+    def test_closed_pool_refuses_batches(self):
+        backend = _pool(num_shards=2, num_machines=4)
+        backend.close()
+        backend.close()  # idempotent
+        with pytest.raises(EngineError, match="closed"):
+            backend.run_batch(CONFIG, QUERIES)
+
+    def test_closed_pool_refuses_chaos(self):
+        backend = _pool(num_shards=2, num_machines=4)
+        backend.close()
+        with pytest.raises(EngineError, match="closed"):
+            backend.worker_pid(0)
+        with pytest.raises(EngineError, match="closed"):
+            backend.inject_chaos(0, "hang", 0.0)
 
 
 # ----------------------------------------------------------------------
 # Supervisor lifecycle
 # ----------------------------------------------------------------------
+def _assert_revived_by_next_batch(backend, shard, old_pid, healthy):
+    """The batch after a between-batches kill respawns ``shard`` on a
+    new pid and answers bitwise as the never-crashed pool did."""
+    outcome = backend.run_batch(CONFIG, QUERIES)
+    assert outcome.degraded_shards == ()
+    assert np.array_equal(
+        outcome.lanes[0].estimate.counts, healthy.lanes[0].estimate.counts
+    )
+    assert backend.worker_pid(shard) != old_pid
+    assert backend.supervisor.stats.respawns == 1
+    assert [entry[1] for entry in backend.supervisor.crash_log] == [shard]
+
+
 class TestSupervisor:
-    def test_check_revives_dead_worker_with_new_pid(self):
+    def test_batch_revives_dead_worker_with_new_pid(self):
         with _pool() as backend:
+            healthy = backend.run_batch(CONFIG, QUERIES)
             old_pid = backend.worker_pid(1)
             os.kill(old_pid, signal.SIGKILL)
             time.sleep(0.2)
-            assert backend.supervisor.check() == 1
-            assert backend.worker_pid(1) != old_pid
-            assert backend.supervisor.stats.respawns == 1
-            assert backend.supervisor.crash_log[0][1] == 1
+            _assert_revived_by_next_batch(backend, 1, old_pid, healthy)
 
     def test_crash_is_logged_when_it_happens(self):
         """A death is an event of the gather loop, not something found
@@ -312,30 +341,6 @@ class TestSupervisor:
             assert (shard, cause) == (1, "died")
             assert stamp - dispatched < 0.5
 
-    def test_check_on_healthy_pool_is_a_no_op(self):
-        with _pool() as backend:
-            assert backend.supervisor.check() == 0
-            assert backend.supervisor.stats.heartbeats == backend.num_shards
-            assert backend.supervisor.stats.respawns == 0
-
-    def test_heartbeat_thread_heals_between_batches(self):
-        with _pool(heartbeat_s=0.1) as backend:
-            healthy = backend.run_batch(CONFIG, QUERIES)
-            os.kill(backend.worker_pid(2), signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while (
-                backend.supervisor.stats.respawns == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-            assert backend.supervisor.stats.respawns >= 1
-            outcome = backend.run_batch(CONFIG, QUERIES)
-            assert outcome.degraded_shards == ()
-            assert np.array_equal(
-                outcome.lanes[0].estimate.counts,
-                healthy.lanes[0].estimate.counts,
-            )
-
     def test_respawn_reattaches_to_current_epoch(self):
         with _pool() as backend:
             backend.run_batch(CONFIG, QUERIES)
@@ -343,14 +348,10 @@ class TestSupervisor:
             # serve the *new* epoch's arenas.
             backend.refresh(GRAPH, backend.replications)
             refreshed = backend.run_batch(CONFIG, QUERIES)
-            os.kill(backend.worker_pid(0), signal.SIGKILL)
+            old_pid = backend.worker_pid(0)
+            os.kill(old_pid, signal.SIGKILL)
             time.sleep(0.2)
-            assert backend.supervisor.check() == 1
-            again = backend.run_batch(CONFIG, QUERIES)
-            assert np.array_equal(
-                again.lanes[0].estimate.counts,
-                refreshed.lanes[0].estimate.counts,
-            )
+            _assert_revived_by_next_batch(backend, 0, old_pid, refreshed)
 
     def test_timeout_cause_for_hung_worker(self):
         with _pool(timeout_s=1.0, on_shard_failure="fail") as backend:
@@ -401,6 +402,189 @@ class TestSupervisor:
     def test_sweep_needs_a_prefix(self):
         with pytest.raises(ConfigError):
             SharedArena.list_segments("")
+
+
+# ----------------------------------------------------------------------
+# Respawn rules, on a pool stand-in with no processes
+# ----------------------------------------------------------------------
+class _FakeProcess:
+    def __init__(self) -> None:
+        self.alive = True
+        self.killed = self.joined = False
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def kill(self) -> None:
+        self.killed, self.alive = True, False
+
+    def join(self, timeout=None) -> None:
+        self.joined = True
+
+
+class _FakeEndpoint:
+    closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _fake_worker():
+    return SimpleNamespace(
+        process=_FakeProcess(), control=_FakeEndpoint(), channel=_FakeEndpoint()
+    )
+
+
+class _FakePool:
+    """What ``revive_locked`` reads and calls of a pool, without workers
+    behind it: spawns and attaches are recorded, not performed."""
+
+    def __init__(self, shards=1, epochs=(0,), prefix="repro-arena-fakepool"):
+        self._workers = [_fake_worker() for _ in range(shards)]
+        self._arenas = {epoch: [] for epoch in epochs}
+        self._epoch = max(epochs)
+        self.arena_prefix = prefix
+        self.live: set[str] = set()
+        self.spawn_error: Exception | None = None
+        self.attached: list[tuple[int, object]] = []
+
+    def _spawn_worker(self, shard):
+        if self.spawn_error is not None:
+            raise self.spawn_error
+        return _fake_worker()
+
+    def _attach(self, epoch, workers):
+        self.attached.extend((epoch, worker) for worker in workers)
+
+    def _live_segment_names(self):
+        return frozenset(self.live)
+
+
+@pytest.fixture
+def sleeps():
+    """Every backoff sleep the supervisor asks for, none of them slept."""
+    asked: list[float] = []
+    clock = SimpleNamespace(monotonic=time.monotonic, sleep=asked.append)
+    with mock.patch("repro.serving.supervisor.time", clock):
+        yield asked
+
+
+class TestRespawn:
+    def test_revive_replaces_the_worker_and_attaches_every_epoch(self):
+        pool = _FakePool(epochs=(3, 1, 2))
+        old = pool._workers[0]
+        supervisor = WorkerSupervisor()
+        supervisor.revive_locked(pool, 0, cause="timeout")
+        new = pool._workers[0]
+        assert new is not old
+        assert old.process.killed and old.process.joined
+        assert old.control.closed and old.channel.closed
+        assert pool.attached == [(1, new), (2, new), (3, new)]
+        assert supervisor.stats.crashes_detected == 1
+        assert supervisor.stats.respawns == 1
+        assert [entry[1:] for entry in supervisor.crash_log] == [
+            (0, "timeout")
+        ]
+
+    def test_a_dead_process_is_reaped_not_killed(self):
+        pool = _FakePool()
+        old = pool._workers[0]
+        old.process.alive = False
+        WorkerSupervisor().revive_locked(pool, 0)
+        assert old.process.joined and not old.process.killed
+
+    def test_backoff_doubles_per_consecutive_crash_up_to_the_cap(
+        self, sleeps
+    ):
+        pool = _FakePool()
+        supervisor = WorkerSupervisor()
+        for _ in range(8):
+            supervisor.revive_locked(pool, 0)
+        # The first respawn of a streak is immediate.
+        assert sleeps == [
+            min(RESPAWN_BACKOFF_S * 2.0**attempt, MAX_BACKOFF_S)
+            for attempt in range(7)
+        ]
+        assert sleeps[-1] == MAX_BACKOFF_S
+
+    def test_a_healthy_result_ends_the_streak(self, sleeps):
+        pool = _FakePool()
+        supervisor = WorkerSupervisor()
+        supervisor.revive_locked(pool, 0)
+        supervisor.revive_locked(pool, 0)
+        supervisor.note_healthy_locked(0)
+        supervisor.revive_locked(pool, 0)
+        assert sleeps == [RESPAWN_BACKOFF_S]
+
+    def test_streaks_are_per_shard(self, sleeps):
+        pool = _FakePool(shards=2)
+        supervisor = WorkerSupervisor()
+        supervisor.revive_locked(pool, 0)
+        supervisor.revive_locked(pool, 1)
+        assert sleeps == []
+        assert supervisor.stats.respawns == 2
+
+    def test_failed_respawn_is_typed_and_keeps_the_dead_handle(self):
+        pool = _FakePool(epochs=(0, 4))
+        old = pool._workers[0]
+        pool.spawn_error = EngineError("no fork")
+        supervisor = WorkerSupervisor()
+        with pytest.raises(WorkerCrashError) as info:
+            supervisor.revive_locked(pool, 0)
+        assert (info.value.shard, info.value.epoch, info.value.cause) == (
+            0,
+            4,
+            "respawn",
+        )
+        assert pool._workers[0] is old
+        assert supervisor.stats.respawn_failures == 1
+        assert supervisor.stats.respawns == 0
+        assert len(supervisor.crash_log) == 1
+
+    def test_respawn_sweeps_orphans_and_spares_live_segments(self):
+        prefix = "repro-arena-testrespawn"
+        kept = SharedArena.create({"x": np.arange(4)}, epoch=0, prefix=prefix)
+        orphan = SharedArena.create(
+            {"y": np.arange(4)}, epoch=0, prefix=prefix
+        )
+        try:
+            pool = _FakePool(prefix=prefix)
+            pool.live = {kept.spec.name}
+            supervisor = WorkerSupervisor()
+            supervisor.revive_locked(pool, 0)
+            assert supervisor.stats.segments_swept == 1
+            assert SharedArena.list_segments(prefix) == [kept.spec.name]
+        finally:
+            kept.destroy()
+            orphan.close()
+        assert SharedArena.list_segments(prefix) == []
+
+    def test_a_shard_lost_on_consecutive_batches_backs_off(self, sleeps):
+        with _pool() as backend:
+            healthy = backend.run_batch(CONFIG, QUERIES)
+            for _ in range(2):
+                _kill_mid_batch(backend, shard=1)
+                assert backend.run_batch(CONFIG, QUERIES).degraded_shards == (
+                    1,
+                )
+            # The second respawn of shard 1's streak waited once.
+            assert sleeps == [RESPAWN_BACKOFF_S]
+            assert [entry[1] for entry in backend.supervisor.crash_log] == [
+                1,
+                1,
+            ]
+            again = backend.run_batch(CONFIG, QUERIES)
+            assert again.degraded_shards == ()
+            assert np.array_equal(
+                again.lanes[0].estimate.counts,
+                healthy.lanes[0].estimate.counts,
+            )
+            # That healthy answer ended the streak: the next loss of
+            # shard 1 is respawned at once.
+            _kill_mid_batch(backend, shard=1)
+            backend.run_batch(CONFIG, QUERIES)
+            assert sleeps == [RESPAWN_BACKOFF_S]
+            assert backend.supervisor.stats.respawns == 3
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +660,8 @@ class TestChaosSchedule:
 
     def test_injector_fires_against_real_pool(self):
         with _pool() as backend:
-            backend.run_batch(CONFIG, QUERIES)
+            healthy = backend.run_batch(CONFIG, QUERIES)
+            old_pid = backend.worker_pid(1)
             schedule = ChaosSchedule(
                 events=(ChaosEvent(0.05, "kill", 1),)
             )
@@ -486,7 +671,8 @@ class TestChaosSchedule:
                 time.sleep(0.02)
             injector.disarm()
             assert [e.kind for _, e in injector.fired] == ["kill"]
-            assert backend.supervisor.check() == 1
+            time.sleep(0.2)
+            _assert_revived_by_next_batch(backend, 1, old_pid, healthy)
 
 
 # ----------------------------------------------------------------------
