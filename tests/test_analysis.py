@@ -29,6 +29,10 @@ class TestReciprocity:
     def test_star_fully_reciprocal(self):
         assert reciprocity(star_graph(6)) == pytest.approx(1.0)
 
+    def test_edgeless_graph_is_zero(self):
+        g = from_edges([], num_vertices=3, repair_dangling="none")
+        assert reciprocity(g) == 0.0
+
 
 class TestPowerLawExponent:
     def test_recovers_planted_exponent(self, rng):
@@ -39,6 +43,12 @@ class TestPowerLawExponent:
 
     def test_nan_for_tiny_samples(self):
         assert np.isnan(power_law_exponent(np.array([1, 2, 3])))
+
+    def test_d_min_sets_the_tail(self):
+        """Only degrees >= d_min are tail samples."""
+        degrees = np.full(20, 3)
+        assert np.isnan(power_law_exponent(degrees, d_min=4))
+        assert np.isfinite(power_law_exponent(degrees, d_min=3))
 
 
 class TestSummary:
@@ -58,3 +68,9 @@ class TestSummary:
         assert d["num_vertices"] == 4
         assert d["max_out_degree"] == 1
         assert "in_degree_tail_exponent" in d
+
+    def test_dangling_count_counts_sinks(self):
+        g = from_edges([(0, 1), (0, 2), (1, 2)], repair_dangling="none")
+        s = summarize(g)
+        assert s.dangling_count == 1
+        assert (s.max_out_degree, s.max_in_degree) == (2, 2)

@@ -73,6 +73,75 @@ class TestOperator:
         x = np.random.default_rng(0).random(4)
         np.testing.assert_allclose(op @ x, dense @ x)
 
+    def test_dangling_columns_are_zero(self):
+        """The operator moves no mass out of a sink; the solver
+        reinjects it through the teleport vector."""
+        graph = from_edges([(0, 1), (0, 2), (1, 2)], repair_dangling="none")
+        op = pagerank_operator(graph).toarray()
+        np.testing.assert_array_equal(op[:, 2], 0.0)
+        np.testing.assert_allclose(op.sum(axis=0), [1.0, 1.0, 0.0])
+
+
+class TestPersonalizedClosedForms:
+    """Personalized PageRank against closed forms and the solver's own
+    linearity in the teleport vector."""
+
+    @staticmethod
+    def _one_hot(n, seed):
+        vector = np.zeros(n)
+        vector[seed] = 1.0
+        return vector
+
+    def test_one_hot_seed_on_a_cycle_is_geometric(self):
+        """On a directed n-cycle every walk from the seed is forced:
+        the vertex j steps ahead gets p (1-p)^j / (1 - (1-p)^n)."""
+        n, seed, p = 12, 3, 0.15
+        ppr = exact_pagerank(
+            cycle_graph(n), p_teleport=p,
+            personalization=self._one_hot(n, seed),
+        )
+        steps = np.arange(n)
+        expected = p * (1 - p) ** steps / (1 - (1 - p) ** n)
+        np.testing.assert_allclose(
+            ppr[(seed + steps) % n], expected, atol=1e-10
+        )
+
+    def test_seed_has_the_highest_score(self, small_twitter):
+        n = small_twitter.num_vertices
+        ppr = exact_pagerank(
+            small_twitter, personalization=self._one_hot(n, 7)
+        )
+        assert int(np.argmax(ppr)) == 7
+        assert ppr[7] >= 0.15
+
+    def test_linear_in_the_teleport_vector(self):
+        graph = cycle_graph(10)
+        source = np.zeros(10)
+        source[[2, 5]] = 0.5
+        mixed = exact_pagerank(graph, personalization=source)
+        halves = [
+            exact_pagerank(graph, personalization=self._one_hot(10, seed))
+            for seed in (2, 5)
+        ]
+        np.testing.assert_allclose(
+            mixed, 0.5 * (halves[0] + halves[1]), atol=1e-10
+        )
+
+    def test_dangling_mass_returns_to_the_seed(self):
+        """0 -> 1 -> 2 with 2 a sink: the sink's mass goes back to the
+        seed, so the chain is a 3-cycle with teleports to 0 and
+        pi_0 = p / (1 - (1-p)^3), pi_j = (1-p)^j pi_0."""
+        p = 0.15
+        graph = from_edges([(0, 1), (1, 2)], repair_dangling="none")
+        ppr = exact_pagerank(
+            graph, p_teleport=p, personalization=self._one_hot(3, 0)
+        )
+        head = p / (1 - (1 - p) ** 3)
+        np.testing.assert_allclose(
+            ppr, head * (1 - p) ** np.arange(3), atol=1e-10
+        )
+        assert ppr.sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestDiagnostics:
     def test_return_info(self, small_twitter):
@@ -102,3 +171,8 @@ class TestValidation:
     def test_bad_tolerance(self, diamond):
         with pytest.raises(ConfigError):
             exact_pagerank(diamond, tolerance=0.0)
+
+    def test_empty_graph(self):
+        graph = from_edges([], num_vertices=0)
+        with pytest.raises(ConfigError, match="empty graph"):
+            exact_pagerank(graph)

@@ -41,6 +41,18 @@ class TestEdgeList:
         assert list(mapping) == [100, 205]
         assert g.has_edge(0, 1)
 
+    def test_negative_ids_compacted_in_sorted_order(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("5 -3\n-3 0\n0 5\n")
+        g, mapping = read_edge_list(path, return_mapping=True)
+        assert list(mapping) == [-3, 0, 5]
+        assert g.has_edge(2, 0) and g.has_edge(0, 1) and g.has_edge(1, 2)
+
+    def test_indented_comment_skipped(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n   # trailing note\n1 0\n")
+        assert read_edge_list(path).num_edges == 2
+
     def test_repair_forwarded(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n")

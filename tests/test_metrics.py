@@ -51,6 +51,14 @@ class TestMassCaptured:
         with pytest.raises(ConfigError):
             mass_captured(truth, truth, 0)
 
+    def test_optimal_mass_bad_k(self, truth):
+        with pytest.raises(ConfigError):
+            optimal_mass(truth, 0)
+
+    def test_normalized_refuses_a_massless_truth(self):
+        with pytest.raises(ConfigError, match="no mass"):
+            normalized_mass_captured(np.ones(3), np.zeros(3), 2)
+
 
 class TestExactIdentification:
     def test_perfect(self, truth):
@@ -67,6 +75,14 @@ class TestExactIdentification:
     def test_k_above_n(self, truth):
         assert exact_identification(truth, truth, 10) == pytest.approx(1.0)
 
+    def test_shape_mismatch(self, truth):
+        with pytest.raises(ConfigError, match="align"):
+            exact_identification(np.ones(3), truth, 2)
+
+    def test_bad_k(self, truth):
+        with pytest.raises(ConfigError):
+            exact_identification(truth, truth, 0)
+
 
 class TestTopKJaccard:
     def test_identical_sets(self):
@@ -81,3 +97,7 @@ class TestTopKJaccard:
 
     def test_empty_sets(self):
         assert top_k_jaccard(np.array([]), np.array([])) == 1.0
+
+    def test_repeated_ids_count_once(self):
+        value = top_k_jaccard(np.array([1, 1, 2]), np.array([2, 1, 2]))
+        assert value == 1.0

@@ -325,6 +325,21 @@ class TestSupervisor:
             time.sleep(0.2)
             _assert_revived_by_next_batch(backend, 1, old_pid, healthy)
 
+    def test_healthy_batches_respawn_nothing(self):
+        with _pool() as backend:
+            pids = [backend.worker_pid(s) for s in range(backend.num_shards)]
+            first = backend.run_batch(CONFIG, QUERIES)
+            second = backend.run_batch(CONFIG, QUERIES)
+            assert np.array_equal(
+                first.lanes[0].estimate.counts,
+                second.lanes[0].estimate.counts,
+            )
+            assert pids == [
+                backend.worker_pid(s) for s in range(backend.num_shards)
+            ]
+            assert backend.supervisor.stats.respawns == 0
+            assert backend.supervisor.crash_log == []
+
     def test_crash_is_logged_when_it_happens(self):
         """A death is an event of the gather loop, not something found
         when the dead shard's turn comes: shard 1's crash is stamped
