@@ -1,4 +1,4 @@
-"""Sharded ranking with a deadline scheduler: the scale-out service.
+"""Sharded ranking with a batch scheduler: the scale-out service.
 
 A single :class:`~repro.serving.RankingService` can outgrow one
 simulated cluster in two directions at once:
@@ -9,10 +9,14 @@ simulated cluster in two directions at once:
   across the shards and the per-shard counters merge back by exact
   summation before top-k; per-query cost attribution sums exactly
   across shards, so metering stays honest.
-* **deadline scheduling** — production traffic trickles instead of
-  arriving in bursts.  With ``max_delay_s`` set, a partial batch
-  dispatches when its oldest query has waited that long (or instantly
-  when it fills), so trickling queries still amortize one traversal.
+* **batch scheduling** — production traffic trickles instead of
+  arriving in bursts.  With ``max_delay_s`` set, a started service
+  dispatches a partial batch as soon as no batch is running (*idle*),
+  instantly when it fills (*fill*), after its oldest query has waited
+  ``max_delay_s`` behind another dispatch (*deadline*), or on a
+  *flush*; queries that arrive while a batch runs still amortize one
+  traversal.  A virtual clock's ``pump()`` keeps the deadline rule
+  alone, which is what this example drives.
 
 This example serves a trickle of users — one query per simulated
 millisecond, driven by a virtual clock so the run is deterministic —
@@ -59,7 +63,8 @@ def main() -> None:
     for user in users:
         futures.append(service.submit([int(user)], k=5))
         clock.advance(0.001)   # 1 ms between arrivals
-        service.pump()         # deadline check (a thread does this live)
+        service.pump()         # deadline check (the started loop also
+                               # dispatches at once when idle)
     clock.advance(0.005)
     service.pump()             # the tail batch's deadline expires
     assert all(future.done() for future in futures)

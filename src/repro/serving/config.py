@@ -86,11 +86,14 @@ class ServiceConfig:
     cache_capacity, cache_ttl_s:
         TTL/LRU cache sizing; ``cache_capacity=0`` disables caching.
     max_delay_s:
-        Deadline for the scheduled path (``service.submit``): a partial
-        batch dispatches once its oldest query has waited this long.
-        ``None`` disables deadline dispatch (batches leave on fill or
-        flush only).  The synchronous ``query_batch`` is unaffected —
-        it always flushes immediately.
+        Deadline for the scheduled path (``service.submit``).  A started
+        service dispatches a partial batch as soon as no other batch is
+        running (*idle*), and at the latest once its oldest query has
+        waited this long behind one (*deadline*); a full batch leaves at
+        once (*fill*).  A virtual-clock ``pump()`` keeps the deadline
+        rule alone.  ``None`` disables idle and deadline dispatch
+        (batches leave on fill or flush only).  The synchronous
+        ``query_batch`` is unaffected — it always flushes immediately.
     clock:
         Injectable time source shared by the cache and the scheduler
         (tests and benchmarks use a

@@ -90,15 +90,17 @@ population.  When a worker dies (or times out) mid-batch,
   ``lost_frogs`` so the service can attach the widened Theorem-1
   bound.
 
-The batch path is the pool's only healing path.  A worker found dead
-at *dispatch* (before its slice started) is respawned and re-sent once
-for free under both policies — no frogs were lost yet; a worker lost
-mid-flight is respawned the moment the gather sees it, while the other
-shards still compute.  Both go through the
+The pool heals on the paths that talk to every worker: a batch and a
+refresh.  A worker found dead at *dispatch* (before its slice started)
+is respawned and re-sent once for free under both policies — no frogs
+were lost yet; a worker lost mid-flight is respawned the moment the
+gather sees it, while the other shards still compute.  A refresh
+respawns a worker it finds dead the same way, and gathers every attach
+it sent before it gives up on an epoch.  All of these go through the
 :class:`~repro.serving.WorkerSupervisor` (respawn with backoff,
 re-attach to the live epochs, orphaned-segment sweep).  Nothing
 watches the workers between batches: a death there is found by the
-next batch's dispatch.
+next batch's or refresh's dispatch.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ def _worker_main(
                 return
             else:
                 control.send(("error", None, f"unknown op {op!r}", ""))
-        except (EOFError, OSError, KeyboardInterrupt):
+        except (EOFError, ConnectionError, KeyboardInterrupt):
+            # The pipe to the parent is gone.
             return
         except BaseException as error:  # surfaced to the parent
             task = message[1] if len(message) > 1 else None
@@ -355,7 +358,8 @@ class ProcessPoolBackend(ShardedBackend):
         carry a widened Theorem-1 bound.  Either way the lost worker
         is respawned within the batch (the
         :class:`~repro.serving.WorkerSupervisor` on ``supervisor``
-        does it and counts it); nothing respawns between batches.
+        does it and counts it); a worker that died between batches is
+        respawned by the next batch or :meth:`refresh`.
 
     Use :meth:`close` (or a ``with`` block) to tear down workers and
     unlink the shared segments.  All of this pool's segments live
@@ -616,6 +620,41 @@ class ProcessPoolBackend(ShardedBackend):
             ]
         )
 
+    def _attach_all(self, epoch: int) -> None:
+        """Attach every worker to a freshly published ``epoch``.
+
+        The batch path's healing rule: a worker found dead at dispatch,
+        or lost while attaching, is respawned, and a respawn attaches
+        every published epoch, this one included.  Each attach sent is
+        gathered before anything raises, so no caller destroys the
+        epoch's arenas under a worker still mapping them.
+        """
+        graph, *tables = (arena.spec for arena in self._arenas[epoch])
+        errors: list[EngineError] = []
+
+        def revive(shard: int, error: WorkerCrashError) -> None:
+            if not self._recover_shard(shard, error.cause):
+                errors.append(error)
+
+        def recover(wait: _Wait, error: WorkerCrashError) -> None:
+            revive(wait.worker.shard, error)
+
+        waits: list[_Wait] = []
+        for shard, worker in enumerate(self._workers):
+            message = ("attach", epoch, graph, tables[shard])
+            try:
+                waits.append(self._request(worker, message))
+            except WorkerCrashError as error:
+                revive(shard, error)
+        for wait in waits:
+            # One at a time: an error reply ends its own gather only.
+            try:
+                self._gather([wait], recover=recover)
+            except EngineError as error:
+                errors.append(error)
+        if errors:
+            raise errors[0]
+
     def refresh(
         self,
         graph: DiGraph,
@@ -628,7 +667,8 @@ class ProcessPoolBackend(ShardedBackend):
         created under the next epoch tag, all workers attach them, and
         only then is the previous epoch detached and unlinked.  Batches
         serialize with this on the backend lock, so every batch runs
-        against exactly one epoch's arrays.
+        against exactly one epoch's arrays.  A worker that died since
+        the last batch is respawned here, as a batch would.
         """
         replications = _checked_tables(
             replications, self.num_shards, self.machines_per_shard, graph
@@ -643,7 +683,7 @@ class ProcessPoolBackend(ShardedBackend):
                 )
             self._publish_epoch(new_epoch, graph, replications)
             try:
-                self._attach(new_epoch, self._workers)
+                self._attach_all(new_epoch)
             except BaseException:
                 for arena in self._arenas.pop(new_epoch, []):
                     arena.destroy()

@@ -1,26 +1,42 @@
-"""Deadline-based batch scheduling: fill-or-deadline dispatch.
+"""Batch scheduling: idle, fill, deadline and flush dispatch.
 
 Synchronously draining the coalescer only batches well when callers
 arrive in bursts.  Production traffic trickles — one query per tick —
 and a synchronous drain would execute every query alone, forfeiting all
 amortization.  :class:`BatchScheduler` implements the policy the
-:class:`~repro.serving.batching.QueryCoalescer` was designed for:
+:class:`~repro.serving.batching.QueryCoalescer` was designed for.  A
+batch leaves the queue for one of four reasons:
 
+* **idle** — the background loop finds queries pending and no batch in
+  the dispatch callback: the server is free, so every pending group
+  leaves at once (in ``max_batch_size`` slices) instead of waiting out
+  a deadline that would buy no amortization.  Batches still form under
+  load: whatever arrives while a batch runs leaves together the moment
+  that batch returns;
 * **fill** — the moment a config group reaches ``max_batch_size`` it
   dispatches (inline, in the submitting thread: no latency is saved by
   waiting once the batch cannot grow);
 * **deadline** — a partial group dispatches when its *oldest* entry has
-  waited ``max_delay_s``, bounding worst-case queueing latency while
-  letting trickle traffic accumulate into real batches;
+  waited ``max_delay_s``.  On the background loop this only happens
+  while another thread's dispatch keeps the server busy, so
+  ``max_delay_s`` is the longest a partial batch waits behind one;
 * **flush** — everything pending dispatches immediately (service
   shutdown, or the synchronous ``query_batch`` path, which is just a
   zero-delay schedule).
+
+``max_delay_s=None`` turns both idle and deadline dispatch off: partial
+batches leave only on a fill or a flush.
 
 The clock is injectable: tests and benchmarks drive a
 :class:`VirtualClock` and call :meth:`BatchScheduler.poll` explicitly
 (deterministic, no sleeps), while a live service calls
 :meth:`BatchScheduler.start` to run a background thread that sleeps
-until the next deadline and wakes early when submissions arrive.
+until the next deadline and wakes early when submissions arrive or a
+dispatch returns.  The explicit drivers (:meth:`~BatchScheduler.poll`,
+:meth:`~BatchScheduler.dispatch_next`, :meth:`~BatchScheduler.next_ready`
+and the service's ``pump()``) keep the deadline rule: only the loop
+sees the real server go idle, and a virtual-time caller models its
+single busy server itself.
 """
 
 from __future__ import annotations
@@ -59,12 +75,15 @@ class SchedulerStats:
 
     fill_dispatches: int = 0
     deadline_dispatches: int = 0
+    #: Batches the background loop sent to an idle server.
+    idle_dispatches: int = 0
     flush_dispatches: int = 0
     queries_dispatched: int = 0
 
 
 class BatchScheduler:
-    """Dispatches coalesced batches when they fill or their deadline hits.
+    """Dispatches coalesced batches when the server idles, they fill,
+    their deadline hits or a caller flushes.
 
     Parameters
     ----------
@@ -76,9 +95,10 @@ class BatchScheduler:
     coalescer:
         The config-pure queue; shared with the owning service.
     max_delay_s:
-        Deadline for the oldest entry of a partial batch.  ``None``
-        disables deadline dispatch: partial batches leave only via
-        :meth:`flush` (the synchronous path) or a fill.
+        Deadline for the oldest entry of a partial batch; the started
+        loop dispatches sooner, as soon as no dispatch is active.
+        ``None`` disables idle and deadline dispatch: partial batches
+        leave only via :meth:`flush` (the synchronous path) or a fill.
     clock:
         Injectable time source; defaults to :func:`time.monotonic`.
     hold_filled:
@@ -211,7 +231,8 @@ class BatchScheduler:
 
         Returns the number of batches dispatched.  Virtual-clock users
         call this after advancing time; the background thread calls it
-        on every wake-up.
+        on every wake-up that finds another dispatch active (an idle
+        server gets everything pending at once instead).
         """
         if self.max_delay_s is None:
             return 0
@@ -270,6 +291,9 @@ class BatchScheduler:
             finally:
                 with self._cond:
                     self._active_dispatches -= 1
+                    # Wakes the loop the moment the server frees, not at
+                    # the next deadline.
+                    self._cond.notify_all()
             with self._cond:
                 setattr(
                     self.stats,
@@ -285,7 +309,7 @@ class BatchScheduler:
     # Background-thread lifecycle
     # ------------------------------------------------------------------
     def start(self, pin: object = None) -> "BatchScheduler":
-        """Run the deadline loop in a daemon thread (idempotent).
+        """Run the dispatch loop in a daemon thread (idempotent).
 
         ``pin`` is referenced by the thread for as long as it runs: an
         owner whose ``dispatch`` reaches it only weakly passes itself.
@@ -296,7 +320,7 @@ class BatchScheduler:
         """
         if isinstance(self._clock, VirtualClock):
             raise ConfigError(
-                "the background deadline loop needs a real-time clock; "
+                "the background dispatch loop needs a real-time clock; "
                 "with a VirtualClock, drive dispatch explicitly via "
                 "poll()/pump() after advancing time"
             )
@@ -344,6 +368,14 @@ class BatchScheduler:
     def running(self) -> bool:
         return self._thread is not None
 
+    def _idle_locked(self) -> bool:
+        """Queries wait and no batch is in the dispatch callback."""
+        return (
+            self.max_delay_s is not None
+            and self._active_dispatches == 0
+            and self.coalescer.pending_count() > 0
+        )
+
     def _loop(self, stop_event: threading.Event, pin: object) -> None:
         while True:
             with self._cond:
@@ -359,15 +391,23 @@ class BatchScheduler:
                     if deadline is None
                     else max(0.0, deadline - self._clock())
                 )
-                if timeout is None or timeout > 0:
+                if not self._idle_locked() and (timeout is None or timeout > 0):
                     self._cond.wait(timeout)
                 if stop_event.is_set():
                     return
+                idle = (
+                    self.coalescer.drain_entries()
+                    if self._idle_locked()
+                    else None
+                )
             # One failing batch must not kill the loop: its futures
             # already carry the error, and every other submitter still
-            # needs deadline dispatches to keep happening.
+            # needs its dispatch to happen.
             try:
-                self.poll()
+                if idle is None:
+                    self.poll()
+                else:
+                    self._run_batches(idle, "idle")
             except BaseException as error:
                 with self._cond:
                     self.last_error = error

@@ -13,8 +13,11 @@ stages:
    of at most ``max_batch_size`` queries, duplicates collapsing onto
    one in-flight lane;
 3. **scheduling** — :class:`~repro.serving.scheduler.BatchScheduler`
-   dispatches a batch the moment it fills *or* when its oldest query
-   has waited ``max_delay_s`` (the synchronous
+   dispatches a batch when the started loop finds no batch running
+   (*idle*: everything pending leaves at once), the moment it fills
+   (*fill*), when its oldest query has waited ``max_delay_s`` behind
+   another dispatch (*deadline*; a virtual-clock :meth:`pump` keeps
+   this rule alone), or on a *flush* (the synchronous
    :meth:`RankingService.query_batch` is just a zero-delay schedule:
    submit, then flush);
 4. **backend execution** — the batch runs as a shard fan-out with
@@ -411,7 +414,7 @@ class RankingService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "RankingService":
-        """Run the deadline scheduler in a background thread.
+        """Run the scheduler's dispatch loop in a background thread.
 
         The thread keeps the service alive until :meth:`stop`: futures
         already handed out resolve even if the caller drops the service.
@@ -538,8 +541,9 @@ class RankingService:
         """Schedule one normalized query through the batch scheduler.
 
         Cache hits resolve immediately; misses wait until their batch
-        fills, their deadline expires (requires a started scheduler or
-        explicit :meth:`pump` calls), or the service is flushed.
+        fills, a started scheduler finds no batch running, their
+        deadline expires (a started scheduler or explicit :meth:`pump`
+        calls), or the service is flushed.
         """
         self._validate([query])
         future, _ = self._submit_validated(query)

@@ -2,8 +2,8 @@
 
 The :class:`~repro.serving.ProcessPoolBackend` owns shard *processes*;
 this module replaces the ones it loses.  Every pool holds one
-:class:`WorkerSupervisor`, and the pool's batch path is its only
-caller: a worker found dead at dispatch, or lost while the batch's
+:class:`WorkerSupervisor`, and the pool's batch and refresh paths are
+its only callers: a worker found dead at dispatch, or lost while their
 gather waits on it, is handed to :meth:`WorkerSupervisor.revive_locked`,
 which
 

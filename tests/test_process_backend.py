@@ -33,6 +33,7 @@ import pytest
 
 from repro.core import FrogWildConfig, seed_distribution
 from repro.cluster import (
+    ArenaSpec,
     MessageSizeModel,
     RecordChannel,
     ReplicationTable,
@@ -599,6 +600,34 @@ class TestWorkerProtocol:
             control.send(("ping", 1))
             assert control.poll(5.0)
             assert control.recv() == ("error", None, "unknown op 'ping'", "")
+            control.send(("stop",))
+            assert control.poll(5.0)
+            assert control.recv() == ("stopped",)
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+        finally:
+            for end in (control, control_child, data, data_child):
+                end.close()
+
+    def test_a_missing_segment_is_an_error_reply_not_an_exit(self):
+        """An op's own ``OSError`` (here ``FileNotFoundError``: the
+        arena was unlinked before the worker mapped it) is answered
+        with an ``error`` reply; only a broken pipe ends the worker."""
+        control, control_child = mp.Pipe(duplex=True)
+        data, data_child = mp.Pipe(duplex=False)
+        worker = threading.Thread(
+            target=_worker_main,
+            args=(control_child, data_child, 0, 2, None, None, 0),
+            daemon=True,
+        )
+        worker.start()
+        gone = ArenaSpec(name="repro-arena-gone-0", epoch=3, size=8, entries=())
+        try:
+            control.send(("attach", 3, gone, gone))
+            assert control.poll(5.0)
+            kind, token, error, _ = control.recv()
+            assert (kind, token) == ("error", 3)
+            assert "FileNotFoundError" in error
             control.send(("stop",))
             assert control.poll(5.0)
             assert control.recv() == ("stopped",)

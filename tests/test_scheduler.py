@@ -1,11 +1,14 @@
-"""Tests for deadline-based batch scheduling and coalescer ordering.
+"""Tests for batch scheduling and coalescer ordering.
 
-Everything runs under a virtual clock — no sleeps, no background
-threads — so deadline semantics are pinned down deterministically.
+Deadline semantics run under a virtual clock — no sleeps, no
+background threads — so they are pinned down deterministically; the
+background loop's lifecycle and its idle rule run on real threads.
 """
 
 import gc
+import threading
 import weakref
+from time import monotonic
 from time import sleep as time_sleep
 
 import numpy as np
@@ -343,6 +346,116 @@ class TestBatchScheduler:
         clock = VirtualClock()
         with pytest.raises(ConfigError):
             clock.advance(-1.0)
+
+
+class TestIdleDispatch:
+    """The started loop is work-conserving: with no batch in the
+    dispatch callback, whatever is pending leaves at once; a deadline
+    only bounds the wait behind another thread's dispatch."""
+
+    def make(self, dispatch, max_delay_s=30.0, max_batch_size=8):
+        return BatchScheduler(
+            dispatch, QueryCoalescer(max_batch_size), max_delay_s=max_delay_s
+        )
+
+    def test_lone_submit_to_an_idle_loop_leaves_at_once(self):
+        dispatched = threading.Event()
+        scheduler = self.make(lambda config, entries: dispatched.set())
+        scheduler.start()
+        try:
+            began = monotonic()
+            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            assert dispatched.wait(timeout=30.0)
+            assert monotonic() - began < 1.0
+        finally:
+            scheduler.stop(flush=False)
+        assert scheduler.stats.idle_dispatches == 1
+        assert scheduler.stats.deadline_dispatches == 0
+
+    def test_arrivals_during_a_dispatch_leave_as_one_batch(self):
+        sizes = []
+        running = threading.Event()
+        release = threading.Event()
+        second = threading.Event()
+
+        def dispatch(config, entries):
+            sizes.append(len(entries))
+            if len(sizes) == 1:
+                running.set()
+                release.wait(timeout=30.0)
+            else:
+                second.set()
+
+        scheduler = self.make(dispatch)
+        scheduler.start()
+        try:
+            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            assert running.wait(timeout=30.0)
+            for vertex in (2, 3, 4):
+                scheduler.submit(RankingQuery(seeds=(vertex,)), DEFAULT)
+            assert not second.is_set()
+            release.set()
+            assert second.wait(timeout=30.0)
+        finally:
+            scheduler.stop(flush=False)
+        assert sizes == [1, 3]
+        assert scheduler.stats.idle_dispatches == 2
+        assert scheduler.stats.deadline_dispatches == 0
+
+    def test_loop_dispatches_when_another_flush_returns(self):
+        """A flush running on another thread keeps the server busy; the
+        loop's entry leaves the moment it returns, not 30 s later."""
+        flushing = threading.Event()
+        release = threading.Event()
+        dispatched = threading.Event()
+
+        def dispatch(config, entries):
+            if entries[0].query.seeds == (1,):
+                flushing.set()
+                release.wait(timeout=30.0)
+            else:
+                dispatched.set()
+
+        scheduler = self.make(dispatch)
+        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+        flusher = threading.Thread(target=scheduler.flush)
+        flusher.start()
+        assert flushing.wait(timeout=30.0)
+        scheduler.start()
+        try:
+            scheduler.submit(RankingQuery(seeds=(2,)), DEFAULT)
+            time_sleep(0.05)
+            # Busy server: the entry waits behind the flush.
+            assert not dispatched.is_set()
+            assert scheduler.pending_count() == 1
+            released = monotonic()
+            release.set()
+            assert dispatched.wait(timeout=30.0)
+            assert monotonic() - released < 5.0
+        finally:
+            flusher.join(timeout=30.0)
+            scheduler.stop(flush=False)
+        stats = scheduler.stats
+        assert (stats.flush_dispatches, stats.idle_dispatches) == (1, 1)
+        assert stats.deadline_dispatches == 0
+
+    def test_no_delay_leaves_a_partial_batch_queued_on_a_started_loop(self):
+        dispatched = []
+        scheduler = self.make(
+            lambda config, entries: dispatched.append(entries),
+            max_delay_s=None,
+        )
+        scheduler.start()
+        try:
+            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            time_sleep(0.05)
+            assert dispatched == []
+            assert scheduler.pending_count() == 1
+        finally:
+            scheduler.stop(flush=True)
+        assert len(dispatched) == 1
+        assert scheduler.stats.idle_dispatches == 0
+        assert scheduler.stats.flush_dispatches == 1
 
 
 @pytest.fixture(scope="module")

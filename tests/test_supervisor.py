@@ -368,6 +368,27 @@ class TestSupervisor:
             time.sleep(0.2)
             _assert_revived_by_next_batch(backend, 0, old_pid, refreshed)
 
+    def test_refresh_revives_a_worker_dead_since_the_last_batch(self):
+        """A worker killed between batches is respawned by the refresh
+        that finds it, as a batch would; its healthy sibling keeps
+        serving, so the next batch still runs every frog."""
+        with _pool(num_shards=2, on_shard_failure="fail") as backend:
+            backend.run_batch(CONFIG, QUERIES)
+            survivor = backend.worker_pid(0)
+            old_pid = backend.worker_pid(1)
+            os.kill(old_pid, signal.SIGKILL)
+            time.sleep(0.2)
+            backend.refresh(GRAPH, backend.replications)
+            assert backend._workers[0].process.is_alive()
+            assert backend.worker_pid(0) == survivor
+            assert backend.worker_pid(1) != old_pid
+            outcome = backend.run_batch(CONFIG, QUERIES)
+            assert outcome.degraded_shards == ()
+            assert outcome.lanes[0].estimate.num_frogs == CONFIG.num_frogs
+            assert backend.supervisor.stats.respawns == 1
+            # Only the refreshed epoch's arenas are left.
+            assert list(backend._arenas) == [1]
+
     def test_timeout_cause_for_hung_worker(self):
         with _pool(timeout_s=1.0, on_shard_failure="fail") as backend:
             backend.run_batch(CONFIG, QUERIES)

@@ -31,7 +31,11 @@ host's clock reads:
   allocation peak follows the frogs, not n;
 * a store compaction commits by renaming its manifest to a name that
   has never existed, never over an existing file, and unlinks exactly
-  the segments it superseded plus the one manifest it replaced.
+  the segments it superseded plus the one manifest it replaced;
+* a started service sends a trickled query to an idle server at once:
+  every dispatch is counted as idle, none waits out ``max_delay_s``
+  (the one bound here read off a clock, at a quarter of the deadline
+  it replaces).
 """
 
 import os
@@ -438,3 +442,32 @@ class TestCompactionBudget:
             assert len(manifests) == 1, (compactions, unlinks)
             assert sorted(set(unlinks) - set(manifests)) == sorted(superseded)
             assert len(unlinks) == len(superseded) + 1, (compactions, unlinks)
+
+
+class TestIdleDispatchBudget:
+    """Trickled queries on a started service never wait out the
+    deadline: with nothing else running, each leaves at once."""
+
+    QUERIES = 20
+    MAX_DELAY_S = 1.0
+    RESOLVE_S = 0.25
+
+    def test_a_trickle_leaves_on_idle_not_on_deadline(self):
+        service = RankingService(
+            twitter_like(n=600, seed=9),
+            ServiceConfig(
+                FrogWildConfig(num_frogs=400, iterations=2, seed=0),
+                num_machines=4,
+                max_delay_s=self.MAX_DELAY_S,
+            ),
+        )
+        with service:
+            for vertex in range(self.QUERIES):
+                # One at a time: each submit finds the loop idle.
+                future = service.submit([vertex])
+                answer = future.result(timeout=self.RESOLVE_S)
+                assert not answer.cached
+        stats = service.scheduler.stats
+        assert stats.idle_dispatches == self.QUERIES
+        assert stats.deadline_dispatches == 0
+        assert service.snapshot()["scheduler_idle_dispatches"] == self.QUERIES
