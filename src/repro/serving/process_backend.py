@@ -301,7 +301,10 @@ class _Wait:
         # One ``(stops, stop_counts)`` record pair per lane, id-ordered.
         self.frames: list[tuple[np.ndarray, np.ndarray]] = []
         self.reply: tuple | None = None
-        self.deadline = 0.0
+        #: The worker's error reply, once one has been raised.
+        self.error: EngineError | None = None
+        #: Inactivity deadline; set by the first gather that awaits it.
+        self.deadline: float | None = None
         # A dead worker's pipes read ready at EOF; each is retired on
         # its own, so replies buffered on the *other* still drain.
         self.control_open = True
@@ -522,9 +525,10 @@ class ProcessPoolBackend(ShardedBackend):
             return False
         if message[0] == "error":
             _, _, error, trace = message
-            raise EngineError(
+            wait.error = EngineError(
                 f"shard {wait.worker.shard} worker failed: {error}\n{trace}"
             )
+            raise wait.error
         if message[:2] != (wait.kind, wait.token):
             return False  # older task's result, junk
         wait.reply = message
@@ -561,7 +565,8 @@ class ProcessPoolBackend(ShardedBackend):
         done: list[_Wait] = []
         started = time.monotonic()
         for wait in live:
-            wait.deadline = started + self.timeout_s
+            if wait.deadline is None:
+                wait.deadline = started + self.timeout_s
         while live:
             horizon = min(wait.deadline for wait in live) - time.monotonic()
             ready = set(
@@ -608,50 +613,53 @@ class ProcessPoolBackend(ShardedBackend):
                 recover(wait, error)
         return done
 
-    def _attach(self, epoch: int, workers: Sequence[_Worker]) -> None:
-        """The attach handshake of ``workers`` for ``epoch``."""
-        graph, *tables = (arena.spec for arena in self._arenas[epoch])
-        self._gather(
-            [
-                self._request(
-                    worker, ("attach", epoch, graph, tables[worker.shard])
-                )
-                for worker in workers
-            ]
-        )
+    def _attach(
+        self,
+        epoch: int,
+        workers: Sequence[_Worker],
+        revive: Callable[[int, str], bool] | None = None,
+    ) -> None:
+        """The attach handshake of ``workers`` for ``epoch``.
 
-    def _attach_all(self, epoch: int) -> None:
-        """Attach every worker to a freshly published ``epoch``.
-
-        The batch path's healing rule: a worker found dead at dispatch,
-        or lost while attaching, is respawned, and a respawn attaches
-        every published epoch, this one included.  Each attach sent is
-        gathered before anything raises, so no caller destroys the
-        epoch's arenas under a worker still mapping them.
+        Every attach sent is gathered before anything raises, so no
+        caller destroys the epoch's arenas under a worker still mapping
+        them; the first failure is raised after that.  A worker found
+        dead at the send or lost while attaching is handed to
+        ``revive(shard, cause)`` (:meth:`_recover_shard` on a refresh,
+        whose respawn attaches every published epoch, this one
+        included); a ``False`` from it, or no ``revive``, is a failure.
         """
         graph, *tables = (arena.spec for arena in self._arenas[epoch])
         errors: list[EngineError] = []
+        lost: list[_Wait] = []
 
-        def revive(shard: int, error: WorkerCrashError) -> None:
-            if not self._recover_shard(shard, error.cause):
+        def fail(shard: int, error: WorkerCrashError) -> None:
+            if revive is None or not revive(shard, error.cause):
                 errors.append(error)
 
         def recover(wait: _Wait, error: WorkerCrashError) -> None:
-            revive(wait.worker.shard, error)
+            lost.append(wait)
+            fail(wait.worker.shard, error)
 
         waits: list[_Wait] = []
-        for shard, worker in enumerate(self._workers):
-            message = ("attach", epoch, graph, tables[shard])
+        for worker in workers:
+            message = ("attach", epoch, graph, tables[worker.shard])
             try:
                 waits.append(self._request(worker, message))
             except WorkerCrashError as error:
-                revive(shard, error)
-        for wait in waits:
-            # One at a time: an error reply ends its own gather only.
+                fail(worker.shard, error)
+        while waits:
             try:
-                self._gather([wait], recover=recover)
+                self._gather(waits, recover=recover)
             except EngineError as error:
+                # One worker's error reply ends the gather; the others
+                # are gathered on, against their own deadlines.
                 errors.append(error)
+            waits = [
+                wait
+                for wait in waits
+                if not (wait.complete or wait.error is not None or wait in lost)
+            ]
         if errors:
             raise errors[0]
 
@@ -683,7 +691,7 @@ class ProcessPoolBackend(ShardedBackend):
                 )
             self._publish_epoch(new_epoch, graph, replications)
             try:
-                self._attach_all(new_epoch)
+                self._attach(new_epoch, self._workers, self._recover_shard)
             except BaseException:
                 for arena in self._arenas.pop(new_epoch, []):
                     arena.destroy()

@@ -1,16 +1,23 @@
 """Batch scheduling: idle, fill, deadline and flush dispatch.
 
-Synchronously draining the coalescer only batches well when callers
-arrive in bursts.  Production traffic trickles — one query per tick —
-and a synchronous drain would execute every query alone, forfeiting all
-amortization.  :class:`BatchScheduler` implements the policy the
-:class:`~repro.serving.batching.QueryCoalescer` was designed for.  A
-batch leaves the queue for one of four reasons:
+Synchronously draining the coalescer only batches what arrives
+together.  :class:`BatchScheduler` implements the policy the
+:class:`~repro.serving.batching.QueryCoalescer` was designed for: it
+holds queries that arrive while the server is busy and sends them as
+one batch.  It does not hold a query back from an idle server, so at
+trickle rates (misses further apart than one batch's run time) each
+miss leaves alone.  That trades a little amortization for latency: on
+the ``serve-zipf-open`` service with all-miss traffic at 100-400
+queries/s, shared network bytes per executed query rose 1.5-3.5% while
+the miss latency median fell by about half, against a deadline-only
+loop that held every partial batch ``max_delay_s``
+(``benchmarks/records/pr49-compare.txt``).  A batch leaves the queue
+for one of four reasons:
 
 * **idle** — the background loop finds queries pending and no batch in
   the dispatch callback: the server is free, so every pending group
   leaves at once (in ``max_batch_size`` slices) instead of waiting out
-  a deadline that would buy no amortization.  Batches still form under
+  the deadline for company that may not come.  Batches still form under
   load: whatever arrives while a batch runs leaves together the moment
   that batch returns;
 * **fill** — the moment a config group reaches ``max_batch_size`` it
@@ -32,11 +39,14 @@ The clock is injectable: tests and benchmarks drive a
 (deterministic, no sleeps), while a live service calls
 :meth:`BatchScheduler.start` to run a background thread that sleeps
 until the next deadline and wakes early when submissions arrive or a
-dispatch returns.  The explicit drivers (:meth:`~BatchScheduler.poll`,
-:meth:`~BatchScheduler.dispatch_next`, :meth:`~BatchScheduler.next_ready`
-and the service's ``pump()``) keep the deadline rule: only the loop
-sees the real server go idle, and a virtual-time caller models its
-single busy server itself.
+dispatch returns.  Only that loop does idle dispatch.  The explicit
+drivers (:meth:`~BatchScheduler.poll`,
+:meth:`~BatchScheduler.dispatch_next`, :meth:`~BatchScheduler.next_ready`,
+the service's ``pump()`` and
+:meth:`~repro.traffic.TrafficHarness.run_virtual`) model deadline-only
+dispatch: a partial batch waits out ``max_delay_s`` even when their
+modelled server is free, so their queue waits and latencies overstate
+a started service's by up to ``max_delay_s``.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ time order on the service's :class:`~repro.serving.VirtualClock` — no
 threads, no sleeps, bit-identical on every run.  This is what makes
 overload *observable* under a virtual clock at all: without the busy
 gate, dispatch would be instantaneous and no queue could ever form.
+The queue follows the deadline rule alone: a partial batch waits out
+``max_delay_s`` even when the modelled server is free, where a started
+service's loop would send it at once (idle dispatch), so the queue
+waits and latencies it reports are those of a deadline-only scheduler
+and overstate a started service's by up to ``max_delay_s``.
 
 It returns a :class:`TrafficRunResult` carrying every future, the
 queue-depth time series and one flat report row: the run's own
@@ -113,7 +118,9 @@ class TrafficHarness:
         deadline policy (``max_delay_s``), so every enqueued query is
         guaranteed to become dispatchable; fill dispatch is held back
         for the run (``hold_filled``) because a full batch must still
-        wait for the single server to free up.
+        wait for the single server to free up.  A partial batch leaves
+        at its deadline or when the server frees, whichever is later
+        (no idle dispatch: see the module docstring).
         """
         service = self.service
         clock = service.clock

@@ -389,6 +389,31 @@ class TestSupervisor:
             # Only the refreshed epoch's arenas are left.
             assert list(backend._arenas) == [1]
 
+    def test_a_failed_refresh_gathers_every_attach_it_sent(self):
+        """Shard 0's table segment is gone before it attaches: its
+        error reply fails the refresh, but only after shard 1's (held
+        back) attach reply was gathered, so the epoch is not unlinked
+        under it."""
+        with _pool(num_shards=2, on_shard_failure="fail") as backend:
+            publish = backend._publish_epoch
+            backend.inject_chaos(1, "hang", 0.3)
+
+            def publish_without_shard_0(epoch, graph, replications):
+                publish(epoch, graph, replications)
+                backend._arenas[epoch][1].destroy()
+
+            with mock.patch.object(
+                backend, "_publish_epoch", publish_without_shard_0
+            ):
+                with pytest.raises(EngineError, match="shard 0 worker failed"):
+                    backend.refresh(GRAPH, backend.replications)
+            assert not backend._workers[1].control.poll(1.0)
+            assert list(backend._arenas) == [0]
+            assert all(w.process.is_alive() for w in backend._workers)
+            outcome = backend.run_batch(CONFIG, QUERIES)
+            assert outcome.lanes[0].estimate.num_frogs == CONFIG.num_frogs
+            assert backend.supervisor.stats.respawns == 0
+
     def test_timeout_cause_for_hung_worker(self):
         with _pool(timeout_s=1.0, on_shard_failure="fail") as backend:
             backend.run_batch(CONFIG, QUERIES)
