@@ -23,10 +23,11 @@ new epoch tag rather than mutating a mapped one), and a stray write
 from a worker would silently corrupt every other process.
 
 Epoch tagging is what makes live refresh safe: each
-:class:`~repro.live.BackgroundRefresher` publish materializes fresh
-arenas tagged with the new epoch id, workers attach them *before* the
-parent retires the old epoch's segments, and a batch only ever runs
-against the single epoch it was dispatched under.
+:meth:`~repro.live.LiveRankingService.refresh` materializes fresh
+arenas tagged with the new epoch id and workers attach them; the parent
+retires the old epoch's segments only once no batch is pinned to it,
+so a batch only ever runs against the single epoch it was dispatched
+under.
 """
 
 from __future__ import annotations

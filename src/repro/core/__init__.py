@@ -8,7 +8,7 @@ from .batched import (
     run_frogwild,
     run_frogwild_batch,
 )
-from .config import FrogWildConfig, RefreshPolicy
+from .config import FrogWildConfig
 from .erasures import (
     AtLeastOneOutEdge,
     ErasureModel,
@@ -30,7 +30,6 @@ __all__ = [
     "merge_shard_results",
     "run_frogwild_batch",
     "FrogWildConfig",
-    "RefreshPolicy",
     "FrogWildResult",
     "run_frogwild",
     "run_personalized_frogwild",

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["FrogWildConfig", "RefreshPolicy"]
+__all__ = ["FrogWildConfig"]
 
 _SCATTER_MODES = ("multinomial", "binomial")
 _ERASURE_MODELS = ("at-least-one", "independent")
@@ -160,30 +160,3 @@ class FrogWildConfig:
         """Return a copy with the given fields replaced (validated)."""
         return replace(self, **changes)
 
-
-@dataclass(frozen=True)
-class RefreshPolicy:
-    """How a live service queues graph churn for background epoch builds.
-
-    Consumed by :class:`~repro.live.BackgroundRefresher` (the
-    off-query-path pipeline).
-
-    Attributes
-    ----------
-    coalesce:
-        Whether the background refresher may cover several queued deltas
-        with one epoch build when deltas arrive faster than builds
-        complete.  With ``False`` every delta gets its own epoch, at the
-        price of an ever-growing build queue under sustained churn.
-    max_pending:
-        Bound on queued-but-unbuilt background deltas; a submit beyond
-        it blocks until the worker drains (*backpressure*, not data
-        loss).  ``None`` leaves the queue unbounded.
-    """
-
-    coalesce: bool = True
-    max_pending: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_pending is not None and self.max_pending < 1:
-            raise ConfigError("max_pending must be positive (or None)")

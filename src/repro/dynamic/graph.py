@@ -122,7 +122,7 @@ class DynamicDiGraph:
         key = source * self._n + target
         # Single read of the key array: mutators replace it wholesale
         # (never in place), so one load is a consistent snapshot even
-        # when a background refresh applies deltas concurrently.
+        # when a refresh on another thread applies deltas concurrently.
         keys = self._keys
         pos = np.searchsorted(keys, key)
         return bool(pos < keys.size and keys[pos] == key)

@@ -44,7 +44,6 @@ class DiGraph:
         "_indices",
         "_in_indptr",
         "_in_indices",
-        "_edge_perm",
         "_n",
         "_m",
     )
@@ -79,7 +78,6 @@ class DiGraph:
         self._m = int(m)
         self._in_indptr: np.ndarray | None = None
         self._in_indices: np.ndarray | None = None
-        self._edge_perm: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -267,14 +265,6 @@ class DiGraph:
         p[self._indices, sources] = 1.0 / out_deg[sources]
         return p
 
-    def reverse(self) -> "DiGraph":
-        """Graph with every edge direction flipped."""
-        self._ensure_in_adjacency()
-        assert self._in_indptr is not None and self._in_indices is not None
-        return DiGraph(
-            self._in_indptr.copy(), self._in_indices.copy(), validate=False
-        )
-
     def subgraph_edges(self, keep: np.ndarray) -> "DiGraph":
         """Graph on the same vertex set keeping only edges where ``keep``.
 
@@ -315,4 +305,3 @@ class DiGraph:
         in_indices = self.edge_sources()[perm]
         self._in_indptr = in_indptr
         self._in_indices = in_indices
-        self._edge_perm = perm

@@ -4,7 +4,7 @@ The serving stack (:mod:`repro.serving`) ranks a frozen snapshot; the
 dynamic stack (:mod:`repro.dynamic`) churns a mutable edge set.  This
 package is the bridge — the paper's OSN pitch taken to its serving
 conclusion: the graph changes constantly, so the *served* graph must
-follow, incrementally, while user traffic keeps flowing.  Three pieces:
+follow, incrementally, while user traffic keeps flowing.  Four pieces:
 
 * :class:`IncrementalIngress` — places the edges of a
   :class:`~repro.dynamic.DynamicDiGraph` across machines with the
@@ -20,16 +20,13 @@ follow, incrementally, while user traffic keeps flowing.  Three pieces:
   pre-seeded so a fresh epoch serves its first batch warm.
 * :class:`EpochManager` — versioned, atomically swappable backend
   state behind the :class:`~repro.serving.ExecutionBackend` seam.
-* :class:`BackgroundRefresher` — runs the whole build pipeline on a
-  worker thread, double-buffering the next epoch and coalescing deltas
-  that arrive faster than builds complete; the query path pays only the
-  atomic swap.
 * :class:`LiveRankingService` — a :class:`~repro.serving.RankingService`
   wired to all of it: :meth:`~LiveRankingService.refresh` applies a
   delta, reconciles placements, snapshots, rebuilds tables, and
   publishes the next epoch, whose id doubles as the cache generation so
-  stale top-k entries invalidate exactly on refresh;
-  :meth:`~LiveRankingService.refresh_async` does the same off-thread.
+  stale top-k entries invalidate exactly on refresh.  It is the only
+  way an epoch is built; a caller that wants the build off its ingest
+  thread calls it from a thread of its own.
 
 **The epoch-swap invariant.**  Every batch pins its epoch exactly once,
 at dispatch (:meth:`EpochManager.run_batch` reads the current epoch a
@@ -43,7 +40,6 @@ ever dropped by a swap or answered by a mix of two graph versions.
 
 from .epoch import Epoch, EpochManager
 from .ingress import IncrementalIngress, IncrementalReplication, IngressUpdate
-from .refresh import BackgroundRefresher, RefresherStats, RefreshTicket
 from .service import LiveRankingService, RefreshUpdate
 
 __all__ = [
@@ -52,9 +48,6 @@ __all__ = [
     "IncrementalIngress",
     "IncrementalReplication",
     "IngressUpdate",
-    "BackgroundRefresher",
-    "RefresherStats",
-    "RefreshTicket",
     "LiveRankingService",
     "RefreshUpdate",
 ]

@@ -11,7 +11,13 @@ wholly on N+1.  :class:`EpochManager` realizes that invariant as an
   backend;
 * :meth:`EpochManager.publish` swaps the current-epoch reference under
   a lock and returns; it never blocks on, aborts, or mutates a pinned
-  in-flight batch.
+  in-flight batch;
+* a superseded epoch is **retired** once no batch is pinned to it any
+  more — at the publish if none is, else when the last pinned batch
+  finishes.  Retiring calls the backend's ``retire()``, if it has one:
+  a process pool's epoch then detaches and unlinks its shared arenas,
+  which until then stay attached so a pinned batch can still run on
+  them.
 
 Because a query occupies exactly one lane of exactly one batch (the
 service's coalescer guarantees it), per-batch epoch purity implies
@@ -32,7 +38,14 @@ from ..errors import ConfigError
 from ..graph import DiGraph
 from ..serving import BatchOutcome, ExecutionBackend, RankingQuery
 
-__all__ = ["Epoch", "EpochManager"]
+__all__ = ["Epoch", "EpochManager", "retire_backend"]
+
+
+def retire_backend(backend: ExecutionBackend) -> None:
+    """Release what a superseded epoch's backend holds, if anything."""
+    retire = getattr(backend, "retire", None)
+    if callable(retire):
+        retire()
 
 
 @dataclass(frozen=True)
@@ -76,18 +89,14 @@ class EpochManager:
         #: process pools under ``on_shard_failure="partial"``), per
         #: epoch sequence number.
         self.partial_batches_per_epoch: dict[int, int] = {}
-        self._inflight_batches = 0
+        #: Batches executing right now, per pinned epoch's sequence
+        #: number (no entry: none).
+        self._pins: dict[int, int] = {}
         #: Publishes that landed while at least one batch was pinned to
-        #: the previous epoch — the exact situation the swap-only
-        #: publish path exists for (a background build finishing while
-        #: queries execute).  Those batches finish on their pinned epoch.
+        #: an earlier epoch — the exact situation the swap-only publish
+        #: path exists for (a refresh finishing while queries execute).
+        #: Those batches finish on their pinned epoch.
         self.publishes_mid_flight = 0
-
-    @property
-    def inflight_batches(self) -> int:
-        """Batches currently executing on some pinned epoch."""
-        with self._lock:
-            return self._inflight_batches
 
     # ------------------------------------------------------------------
     @property
@@ -108,7 +117,8 @@ class EpochManager:
         """Swap in a new epoch atomically; returns the one it replaced.
 
         In-flight batches pinned to the previous epoch are unaffected —
-        they hold their own reference and finish on it.
+        they hold their own reference and finish on it.  The previous
+        epoch is retired here if no batch is pinned to it.
         """
         with self._lock:
             previous = self._current
@@ -130,8 +140,11 @@ class EpochManager:
                 )
             self._current = epoch
             self.epochs_published += 1
-            if self._inflight_batches > 0:
+            if self._pins:
                 self.publishes_mid_flight += 1
+            drained = previous.sequence not in self._pins
+        if drained:
+            retire_backend(previous.backend)
         return previous
 
     # ------------------------------------------------------------------
@@ -141,18 +154,24 @@ class EpochManager:
         """Execute one batch wholly on the epoch current at entry.
 
         The epoch is pinned exactly once; a concurrent publish only
-        affects batches dispatched after it.  Every answered lane is
+        affects batches dispatched after it.  The last batch to finish
+        on a superseded epoch retires it.  Every answered lane is
         stamped with the epoch it ran on (``report.extra["epoch"]``)
         so provenance survives into cached answers.
         """
         with self._lock:
             epoch = self._current
-            self._inflight_batches += 1
+            self._pins[epoch.sequence] = self._pins.get(epoch.sequence, 0) + 1
         try:
             outcome = epoch.backend.run_batch(config, queries)
         finally:
             with self._lock:
-                self._inflight_batches -= 1
+                left = self._pins.pop(epoch.sequence) - 1
+                if left:
+                    self._pins[epoch.sequence] = left
+                drained = not left and epoch is not self._current
+            if drained:
+                retire_backend(epoch.backend)
         degraded = tuple(getattr(outcome, "degraded_shards", ()) or ())
         for lane in outcome.lanes:
             lane.report.extra["epoch"] = float(epoch.epoch_id)

@@ -273,7 +273,7 @@ class IncrementalReplication:
 
     Tables are never mutated in place: a refresh produces a *new* table,
     so epochs still serving the previous one are unaffected — the
-    property the background refresh pipeline depends on.
+    property a refresh concurrent with queries depends on.
     """
 
     def __init__(

@@ -17,7 +17,11 @@ delta (if given), reconcile placements, snapshot, rebuild the
 replication tables, build the backend on them, publish the next
 epoch.  In-flight batches finish on the epoch they pinned; queries
 queued in the scheduler dispatch on whichever epoch is current when
-their batch leaves.
+their batch leaves.  It is the only way an epoch is built: several
+deltas share one build when they are applied to ``source`` before a
+bare ``refresh()``, and a caller that wants the build off its ingest
+thread calls ``refresh`` from a thread of its own (concurrent callers
+serialize on one lock).
 
 A refresh has two costs.  The *placement* — the machine assignment
 whose (re)shipment is the ingress wire cost a real deployment pays per
@@ -27,12 +31,6 @@ the grouped-adjacency :class:`~repro.cluster.ReplicationTable` — is
 rebuilt from the snapshot by :class:`~repro.live.IncrementalReplication`
 on every refresh: the table is a function of the snapshot, so there is
 no per-shard state for a failed or skipped refresh to leave behind.
-
-The pipeline itself can leave the caller's thread entirely:
-:meth:`LiveRankingService.refresh_async` hands the delta to a
-:class:`~repro.live.BackgroundRefresher`, which double-buffers the next
-epoch on a worker thread and coalesces deltas that arrive faster than
-builds complete; the query path pays only the atomic epoch swap.
 """
 
 from __future__ import annotations
@@ -40,18 +38,23 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
-from ..core import FrogWildConfig, RefreshPolicy
+from ..core import FrogWildConfig
 from ..dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
 from ..errors import ConfigError
 from ..graph import DiGraph
-from ..serving import ExecutionBackend, RankingService, ServiceConfig
+from ..obs import Histogram
+from ..serving import (
+    ExecutionBackend,
+    PoolEpoch,
+    RankingService,
+    ServiceConfig,
+)
 from ..serving.backend import build_backend, shard_layout
-from .epoch import Epoch, EpochManager
+from .epoch import Epoch, EpochManager, retire_backend
 from .ingress import IncrementalIngress, IncrementalReplication, IngressUpdate
-from .refresh import BackgroundRefresher, RefresherStats, RefreshTicket
 
 __all__ = ["RefreshUpdate", "RefreshTotals", "LiveRankingService"]
 
@@ -67,10 +70,9 @@ class RefreshUpdate:
     scratch — every refresh rebuilds every shard's scatter grouping
     (never the gather one), so they read ``n``, ``m`` and 1 per shard.
     ``build_time_s`` covers apply → reconcile → snapshot → table build →
-    backend build; ``publish_s`` is the atomic swap alone — the only
-    part the query path ever waits on.  ``coalesced_deltas`` counts the
-    submitted deltas this epoch covered (> 1 when a background build
-    absorbed a backlog); ``background`` says which pipeline ran it.
+    backend build; ``publish_s`` is the atomic swap — the only part
+    the query path ever waits on — plus, under process execution,
+    retiring the superseded epoch when no batch is pinned to it.
     """
 
     epoch: int
@@ -90,8 +92,6 @@ class RefreshUpdate:
     table_rebuilds: int = 0
     build_time_s: float = 0.0
     publish_s: float = 0.0
-    coalesced_deltas: int = 1
-    background: bool = False
 
 
 @dataclass
@@ -99,7 +99,7 @@ class RefreshTotals:
     """Running sums over every :class:`RefreshUpdate` a service made.
 
     Each refresh publishes one epoch, so ``epochs_published - 1`` in the
-    service's snapshot counts them.
+    service's snapshot counts them, as does ``build_s.count``.
     """
 
     edges_added: int = 0
@@ -107,6 +107,10 @@ class RefreshTotals:
     vertices_patched: int = 0
     edges_regrouped: int = 0
     table_rebuilds: int = 0
+    #: Seconds per build, and per publish: the swap, the only part the
+    #: query path is exposed to.
+    build_s: Histogram = field(default_factory=Histogram)
+    publish_s: Histogram = field(default_factory=Histogram)
 
     def add(self, update: RefreshUpdate) -> None:
         self.edges_added += update.edges_added
@@ -114,6 +118,8 @@ class RefreshTotals:
         self.vertices_patched += update.vertices_patched
         self.edges_regrouped += update.edges_regrouped
         self.table_rebuilds += update.table_rebuilds
+        self.build_s.add(update.build_time_s)
+        self.publish_s.add(update.publish_s)
 
 
 #: ServiceConfig fields the live service does not forward: it sets its
@@ -147,14 +153,12 @@ class LiveRankingService(RankingService):
         With a :class:`~repro.store.SegmentStore` the base edge set
         stays on disk, deltas land in its in-RAM delta layer, every
         ingress reconciles through the store's key reads, and the
-        refresh pipeline folds the delta layer back into segment files
-        whenever it reaches ``compact_threshold`` keys — periodic
-        compaction driven off the query path (the
-        :class:`~repro.live.BackgroundRefresher` runs it on its worker
-        thread under ``refresh_async``).  Scope note: the *served*
-        epoch structures (snapshot + replication tables) stay in RAM —
-        the live tier trades residency for refreshability; fully
-        out-of-core serving is the static
+        refresh folds the delta layer back into segment files whenever
+        it reaches ``compact_threshold`` keys — periodic compaction on
+        the refresh path, never on a query path.  Scope note: the
+        *served* epoch structures (snapshot + replication tables) stay
+        in RAM — the live tier trades residency for refreshability;
+        fully out-of-core serving is the static
         ``RankingService(None, ServiceConfig(store=...))`` path.
     compact_threshold:
         Delta-layer size (in keys) at which a refresh compacts the
@@ -162,21 +166,19 @@ class LiveRankingService(RankingService):
     rebalance_threshold:
         Per-ingress load-imbalance bound beyond which a refresh falls
         back to a full re-salted repartition (``None`` disables).
-    refresh_policy:
-        :class:`~repro.core.RefreshPolicy` governing background
-        coalescing and queue backpressure.
     execution:
         ``"simulated"`` (default) builds a fresh in-process
         Local/Sharded backend per epoch; ``"process"`` builds one
         :class:`~repro.serving.ProcessPoolBackend` at construction and
         *remaps* it on every refresh — each publish exports the rebuilt
-        tables into fresh epoch-tagged shared-memory arenas, every
-        worker process attaches them, and only then is the previous
-        epoch's memory retired.  Use :meth:`close` to tear the workers
-        down.  Under ``on_shard_failure="partial"`` a batch that loses
-        a worker mid-flight still answers from the surviving shards,
-        and the supervisor respawns the worker against the *current*
-        epoch's arenas.
+        tables into fresh epoch-tagged shared-memory arenas and every
+        worker process attaches them; the previous epoch's arenas are
+        retired once the last batch pinned to it has finished, so a
+        batch runs on the epoch it pinned.  Use :meth:`close` to tear
+        the workers down.  Under ``on_shard_failure="partial"`` a batch
+        that loses a worker mid-flight still answers from the surviving
+        shards, and the supervisor respawns the worker against every
+        attached epoch's arenas.
     """
 
     def __init__(
@@ -186,7 +188,6 @@ class LiveRankingService(RankingService):
         store=None,
         compact_threshold: int = 4096,
         rebalance_threshold: float | None = 2.0,
-        refresh_policy: RefreshPolicy | None = None,
         execution: str = "simulated",
         **settings,
     ) -> None:
@@ -230,17 +231,14 @@ class LiveRankingService(RankingService):
         self.execution = execution
         self._process_backend = None
         self.rebalance_threshold = rebalance_threshold
-        self.refresh_policy = refresh_policy or RefreshPolicy()
         #: Running totals over every refresh, and the latest record
         #: (each refresh returns its own; none is kept).
         self.refreshes = RefreshTotals()
         self.last_refresh: RefreshUpdate | None = None
-        # Serializes the whole build pipeline (graph mutation, ingress
-        # reconcile, snapshot, table build, publish) between synchronous
-        # refresh() callers and the background refresher's worker.  The
-        # query path never takes it.
+        # Serializes the whole refresh (graph mutation, ingress
+        # reconcile, snapshot, table build, publish) between concurrent
+        # refresh() callers.  The query path never takes it.
         self._refresh_lock = threading.Lock()
-        self.refresher: BackgroundRefresher | None = None
         self.replicators: list[IncrementalReplication] | None = None
         machines, ingress_seeds = shard_layout(self._epoch_config)
         self.ingresses = [
@@ -280,9 +278,12 @@ class LiveRankingService(RankingService):
         Every call builds the per-shard replication tables from
         ``snapshot`` (:class:`IncrementalReplication`).  Simulated
         execution builds a backend on them; process execution builds
-        its pool once and then remaps it: the pool exports the tables
-        to its workers under the next epoch tag (graph versions may
-        repeat on a no-op refresh, so the pool counts its own epochs).
+        its pool once and then attaches every later epoch to it: the
+        pool exports the tables to its workers under the next epoch tag
+        (graph versions may repeat on a no-op refresh, so the pool
+        counts its own epochs).  Each epoch's backend is then a
+        :class:`~repro.serving.PoolEpoch`, which runs batches on that
+        epoch's arenas until the epoch manager retires it.
         """
         if self.replicators is None:
             self.replicators = [
@@ -296,10 +297,11 @@ class LiveRankingService(RankingService):
                 replicator.refresh(snapshot)
         tables = [replicator.table for replicator in self.replicators]
         if self._process_backend is not None:
-            return self._process_backend.refresh(snapshot, tables)
+            return self._process_backend.attach_epoch(snapshot, tables)
         backend = build_backend(self._epoch_config, snapshot, tables)
         if self.execution == "process":
             self._process_backend = backend
+            return PoolEpoch(backend)
         return backend
 
     # ------------------------------------------------------------------
@@ -308,63 +310,50 @@ class LiveRankingService(RankingService):
 
         With ``delta=None`` the source graph is assumed to have been
         churned externally (e.g. by
-        :meth:`~repro.dynamic.ChurnGenerator.stream` with ``apply=True``)
-        and the refresh just reconciles and republishes.  Synchronous:
-        the epoch is published when this returns.  See
-        :meth:`refresh_async` for the off-thread variant.
-        """
-        return self._refresh_pipeline(
-            [] if delta is None else [delta], background=False, coalesced=1
-        )
-
-    def _refresh_pipeline(
-        self,
-        deltas: list[GraphDelta],
-        background: bool,
-        coalesced: int,
-        on_built: Callable[["LiveRankingService"], None] | None = None,
-    ) -> RefreshUpdate:
-        """The full refresh: apply → reconcile → rebuild → publish.
-
-        One build may cover several deltas (background coalescing); the
-        published epoch reflects all of them.  Everything up to and
-        including the backend build happens before the current epoch is
-        touched — the next epoch is double-buffered — and the publish at
-        the end is nothing but the atomic swap.
+        :meth:`~repro.dynamic.ChurnGenerator.stream` with ``apply=True``,
+        or several deltas applied to :attr:`source` so that one build
+        covers them all) and the refresh just reconciles and
+        republishes.  Everything up to and including the backend build
+        happens before the current epoch is touched — the next epoch is
+        double-buffered — and the publish at the end is the atomic swap
+        (plus the previous epoch's retirement when no batch is pinned to
+        it).  Synchronous: the epoch is published when this returns;
+        concurrent callers serialize.
         """
         with self._refresh_lock:
             start = time.perf_counter()
             edges_added = edges_removed = 0
-            for delta in deltas:
-                added, removed = self.source.apply(delta)
-                edges_added += added
-                edges_removed += removed
+            if delta is not None:
+                edges_added, edges_removed = self.source.apply(delta)
             updates = [ingress.sync() for ingress in self.ingresses]
             snapshot = self.source.snapshot()
             backend = self._build_backend(snapshot)
-            maybe_compact = getattr(self.source, "maybe_compact", None)
-            if maybe_compact is not None:
-                # Fold the store's delta layer back into segment files
-                # here, on the refresh path (the background worker's
-                # thread under refresh_async) — never on a query path.
-                # The snapshot above already froze the merged view, so
-                # compaction is invisible to the epoch being published.
-                if maybe_compact(self.compact_threshold) is not None:
-                    self.compactions += 1
-            build_time = time.perf_counter() - start
-            if on_built is not None:
-                on_built(self)
-            previous = self.epochs.current
-            in_flight = self.scheduler.active_dispatches
-            publish_start = time.perf_counter()
-            self.epochs.publish(
-                Epoch(
-                    epoch_id=self.source.version,
-                    sequence=previous.sequence + 1,
-                    graph=snapshot,
-                    backend=backend,
+            try:
+                maybe_compact = getattr(self.source, "maybe_compact", None)
+                if maybe_compact is not None:
+                    # Fold the store's delta layer back into segment
+                    # files here, on the refresh path — never on a query
+                    # path.  The snapshot above already froze the merged
+                    # view, so compaction is invisible to the epoch
+                    # being published.
+                    if maybe_compact(self.compact_threshold) is not None:
+                        self.compactions += 1
+                build_time = time.perf_counter() - start
+                previous = self.epochs.current
+                in_flight = self.scheduler.active_dispatches
+                publish_start = time.perf_counter()
+                self.epochs.publish(
+                    Epoch(
+                        epoch_id=self.source.version,
+                        sequence=previous.sequence + 1,
+                        graph=snapshot,
+                        backend=backend,
+                    )
                 )
-            )
+            except BaseException:
+                # Never published, so no batch pinned it.
+                retire_backend(backend)
+                raise
             publish_s = time.perf_counter() - publish_start
             self.graph = snapshot
             update = self._summarize(
@@ -375,8 +364,6 @@ class LiveRankingService(RankingService):
                 elapsed=time.perf_counter() - start,
                 build_time_s=build_time,
                 publish_s=publish_s,
-                coalesced=coalesced,
-                background=background,
             )
             self.refreshes.add(update)
             self.last_refresh = update
@@ -389,10 +376,8 @@ class LiveRankingService(RankingService):
         edges_removed: int,
         in_flight: int,
         elapsed: float,
-        build_time_s: float = 0.0,
-        publish_s: float = 0.0,
-        coalesced: int = 1,
-        background: bool = False,
+        build_time_s: float,
+        publish_s: float,
     ) -> RefreshUpdate:
         placed = sum(
             u.reused_placements + u.new_placements for u in updates
@@ -418,68 +403,18 @@ class LiveRankingService(RankingService):
             table_rebuilds=shards,
             build_time_s=build_time_s,
             publish_s=publish_s,
-            coalesced_deltas=coalesced,
-            background=background,
         )
-
-    # ------------------------------------------------------------------
-    # Background refresh
-    # ------------------------------------------------------------------
-    def start_refresher(
-        self,
-        on_built: Callable[["LiveRankingService"], None] | None = None,
-        thread: bool = True,
-    ) -> BackgroundRefresher:
-        """Create (and by default start) the background refresh worker.
-
-        ``thread=False`` creates the refresher without a worker — the
-        deterministic mode: submit via :meth:`refresh_async`, then drive
-        builds explicitly with
-        :meth:`~repro.live.BackgroundRefresher.run_pending`.
-        """
-        # Lazy init under the refresh lock: concurrent first callers
-        # (multi-producer ingest) must agree on one refresher, or an
-        # orphaned worker thread would escape stop()'s drain.
-        with self._refresh_lock:
-            if self.refresher is None:
-                self.refresher = BackgroundRefresher(self, on_built=on_built)
-            elif on_built is not None:
-                self.refresher.on_built = on_built
-            refresher = self.refresher
-        if thread:
-            refresher.start()
-        return refresher
-
-    def refresh_async(self, delta: GraphDelta | None = None) -> RefreshTicket:
-        """Queue a delta for an off-query-path epoch build.
-
-        Returns immediately with a :class:`~repro.live.RefreshTicket`
-        that resolves to the covering :class:`RefreshUpdate` once the
-        epoch is published.  Starts the worker thread on first use
-        unless a refresher was already created (e.g. the deterministic
-        ``start_refresher(thread=False)`` mode).  Deltas submitted
-        faster than builds complete are coalesced into one epoch
-        (``refresh_policy.coalesce``).
-        """
-        if self.refresher is None:
-            self.start_refresher()
-        return self.refresher.submit(delta)
 
     def attach(
         self,
         churn: ChurnGenerator | Iterable[GraphDelta],
         ticks: int | None = None,
-        background: bool = False,
-    ) -> list[RefreshUpdate] | list[RefreshTicket]:
+    ) -> list[RefreshUpdate]:
         """Drive churn through the service: one refresh per delta.
 
         ``churn`` is either a :class:`~repro.dynamic.ChurnGenerator`
         (requires ``ticks``) or any iterable of deltas (``ticks``
-        optionally truncates it).  With ``background=True`` every delta
-        is submitted through :meth:`refresh_async` instead of built
-        inline: the return value is one ticket per delta (tickets of
-        coalesced deltas resolve to the same update), and the caller
-        decides when to wait.
+        optionally truncates it).
         """
         if isinstance(churn, ChurnGenerator):
             if ticks is None:
@@ -496,24 +431,17 @@ class LiveRankingService(RankingService):
             # side effects must not produce a delta that is then
             # silently dropped unrefreshed.
             deltas = itertools.islice(deltas, ticks)
-        if background:
-            return [self.refresh_async(delta) for delta in deltas]
         return [self.refresh(delta) for delta in deltas]
-
-    def stop(self) -> None:
-        """Stop the refresher worker (draining it) and the scheduler."""
-        if self.refresher is not None:
-            self.refresher.stop(flush=True)
-        super().stop()
 
     # ------------------------------------------------------------------
     def stats_parts(self) -> dict[str, object]:
         """The static service's parts plus the live layer's.
 
         ``epochs`` (the current epoch and publish counts),
-        ``source_edges``, ``refresh`` (:class:`RefreshTotals`),
-        ``ingress`` (placement totals over every shard's ingress),
-        ``refresher``; with a ``store``, its scan counters (``store``),
+        ``source_edges``, ``refresh`` (:class:`RefreshTotals`, with
+        the build and publish histograms),
+        ``ingress`` (placement totals over every shard's ingress); with
+        a ``store``, its scan counters (``store``),
         ``store_compactions`` and ``store_pending_delta``; under
         ``execution="process"``, the pool's ``transport`` and
         ``supervisor``.
@@ -537,9 +465,6 @@ class LiveRankingService(RankingService):
                 i.full_repartitions for i in self.ingresses
             ),
         }
-        parts["refresher"] = (
-            RefresherStats() if self.refresher is None else self.refresher.stats
-        )
         if self.live_store is not None:
             scan_stats = getattr(self.source, "scan_stats", None)
             if scan_stats is not None:

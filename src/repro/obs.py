@@ -1,7 +1,7 @@
 """One way to read the system's counters: :class:`Histogram` and :func:`flatten`.
 
 Every stats object (``ServiceStats``, ``CacheStats``, ``SchedulerStats``,
-``AdmissionStats``, ``SupervisorStats``, ``RefresherStats``,
+``AdmissionStats``, ``SupervisorStats``, ``RefreshTotals``,
 ``ScanStats``, ``TransportTally``) is a dataclass of plain counters that
 its owner bumps on its own path; nothing here sits on the query path.
 Reading them is one rule, :func:`flatten`, so every layout answers

@@ -59,7 +59,7 @@ from .backend import (
 from .batching import PendingQuery, QueryCoalescer, RankingQuery
 from .cache import CacheStats, TTLCache
 from .config import ServiceConfig
-from .process_backend import ProcessPoolBackend
+from .process_backend import PoolEpoch, ProcessPoolBackend
 from .scheduler import BatchScheduler, SchedulerStats, VirtualClock
 from .supervisor import SupervisorStats, WorkerSupervisor
 from .service import (
@@ -82,6 +82,7 @@ __all__ = [
     "LocalBackend",
     "ShardedBackend",
     "ProcessPoolBackend",
+    "PoolEpoch",
     "WorkerSupervisor",
     "SupervisorStats",
     "choose_num_shards",

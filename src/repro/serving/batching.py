@@ -91,13 +91,14 @@ class PendingQuery:
 class QueryCoalescer:
     """Groups pending queries into config-pure, size-bounded batches.
 
-    Queries accumulate via :meth:`add` and leave via :meth:`drain`,
-    which yields ``(config, queries)`` batches: FIFO within a config,
-    never mixing configs, never exceeding ``max_batch_size`` (the
-    batched runner's sweet spot — beyond it per-population work
-    dominates and latency grows without amortization gains).
+    Queries accumulate via :meth:`add` and leave via
+    :meth:`drain_entries` as ``(config, entries)`` batches of
+    :class:`PendingQuery`: FIFO within a config, never mixing configs,
+    never exceeding ``max_batch_size`` (the batched runner's sweet spot
+    — beyond it per-population work dominates and latency grows
+    without amortization gains).
 
-    A scheduler drains selectively instead: :meth:`pop_full_entries`
+    A scheduler also drains selectively: :meth:`pop_full_entries`
     removes only batches that reached ``max_batch_size`` and
     :meth:`pop_due_entries` removes groups whose oldest entry has waited
     past its deadline, both returning the full :class:`PendingQuery`
@@ -125,13 +126,6 @@ class QueryCoalescer:
 
     def pending_count(self) -> int:
         return sum(len(entries) for entries in self._pending.values())
-
-    def drain(self) -> list[tuple[FrogWildConfig, list[RankingQuery]]]:
-        """Empty the queue as a list of ready-to-run batches."""
-        return [
-            (config, [entry.query for entry in entries])
-            for config, entries in self.drain_entries()
-        ]
 
     def drain_entries(
         self,

@@ -27,12 +27,16 @@ Three mechanisms make that cheap and honest:
   queries, reports, ledgers, shard costs) travels on a separate
   pickled control pipe.
 * **Epoch-tagged remapping** — a live refresh
-  (:class:`~repro.live.BackgroundRefresher` publishes) calls
-  :meth:`refresh` with the new snapshot's tables: fresh arenas are
-  created under the next epoch tag, every worker attaches them *before*
-  the old epoch is retired, and batches — serialized with refreshes on
-  one lock — run wholly against a single epoch's arrays (no mid-batch
-  tearing).
+  (:meth:`~repro.live.LiveRankingService.refresh`) calls
+  :meth:`attach_epoch` with the new snapshot's tables: fresh arenas are
+  created under the next epoch tag and every worker attaches them.  The
+  returned :class:`PoolEpoch` runs batches on that tag's arenas, and an
+  older epoch stays attached until it is retired, so a batch runs on
+  the epoch its caller pinned even when a newer one was attached in
+  between; batches are serialized with attaches and retirements on one
+  lock and run wholly against a single epoch's arrays (no mid-batch
+  tearing).  :meth:`refresh` is an attach plus the retirement of the
+  epoch it replaced, for a pool nobody pins epochs of.
 
 Worker protocol (control pipe, pickled tuples):
 
@@ -146,7 +150,7 @@ from .batching import RankingQuery
 from .config import SHARD_FAILURE_POLICIES
 from .supervisor import WorkerSupervisor
 
-__all__ = ["ProcessPoolBackend"]
+__all__ = ["PoolEpoch", "ProcessPoolBackend"]
 
 
 def _worker_main(
@@ -179,7 +183,7 @@ def _worker_main(
                     graph, table_arena.arrays
                 )
                 # Warm the kernel tables once per epoch, off the batch
-                # path — exactly what the live refresher does for the
+                # path — exactly what a live refresh does for the
                 # in-process backends.
                 prime_ingress_caches(table, graph)
                 epochs[epoch] = (graph, table, (graph_arena, table_arena))
@@ -362,7 +366,7 @@ class ProcessPoolBackend(ShardedBackend):
         is respawned within the batch (the
         :class:`~repro.serving.WorkerSupervisor` on ``supervisor``
         does it and counts it); a worker that died between batches is
-        respawned by the next batch or :meth:`refresh`.
+        respawned by the next batch or attach.
 
     Use :meth:`close` (or a ``with`` block) to tear down workers and
     unlink the shared segments.  All of this pool's segments live
@@ -404,9 +408,9 @@ class ProcessPoolBackend(ShardedBackend):
                 else mp.get_start_method()
             )
         self._context = mp.get_context(start_method)
-        # One lock serializes batches and refreshes: a batch runs
-        # wholly against one epoch's arenas, and a refresh never remaps
-        # under a batch in flight.
+        # One lock serializes batches, attaches and retirements: a batch
+        # runs wholly against one epoch's arenas, and no epoch is
+        # attached or detached under a batch in flight.
         self._lock = threading.Lock()
         self._epoch = 0
         self._task_counter = 0
@@ -663,6 +667,28 @@ class ProcessPoolBackend(ShardedBackend):
         if errors:
             raise errors[0]
 
+    def attach_epoch(
+        self,
+        graph: DiGraph,
+        replications: Sequence[ReplicationTable],
+        epoch: int | None = None,
+    ) -> "PoolEpoch":
+        """Attach every worker to a refreshed snapshot's tables.
+
+        New arenas are created under the next epoch tag (or ``epoch``,
+        which must advance) and all workers attach them; it becomes the
+        epoch :meth:`run_batch` runs on, and the returned
+        :class:`PoolEpoch` keeps running on it.  Earlier epochs stay
+        attached until :meth:`retire`.  A worker that died since the
+        last batch is respawned here, as a batch would.
+        """
+        replications = _checked_tables(
+            replications, self.num_shards, self.machines_per_shard, graph
+        )
+        with self._lock:
+            self._attach_epoch_locked(graph, replications, epoch)
+            return PoolEpoch(self)
+
     def refresh(
         self,
         graph: DiGraph,
@@ -671,43 +697,63 @@ class ProcessPoolBackend(ShardedBackend):
     ) -> "ProcessPoolBackend":
         """Remap every worker onto a refreshed snapshot's tables.
 
-        The epoch-tagged handshake of a live publish: new arenas are
-        created under the next epoch tag, all workers attach them, and
-        only then is the previous epoch detached and unlinked.  Batches
-        serialize with this on the backend lock, so every batch runs
-        against exactly one epoch's arrays.  A worker that died since
-        the last batch is respawned here, as a batch would.
+        :meth:`attach_epoch`, then the retirement of the epoch it
+        replaced, under one hold of the backend lock.
         """
         replications = _checked_tables(
             replications, self.num_shards, self.machines_per_shard, graph
         )
         with self._lock:
             old_epoch = self._epoch
-            new_epoch = epoch if epoch is not None else old_epoch + 1
-            if new_epoch <= old_epoch:
-                raise ConfigError(
-                    f"refresh epoch must advance: {new_epoch} <= "
-                    f"{old_epoch}"
-                )
-            self._publish_epoch(new_epoch, graph, replications)
-            try:
-                self._attach(new_epoch, self._workers, self._recover_shard)
-            except BaseException:
-                for arena in self._arenas.pop(new_epoch, []):
-                    arena.destroy()
-                raise
-            self._epoch = new_epoch
-            self.graph = graph
-            self.replications = replications
-            self._gather(
-                [
-                    self._request(worker, ("detach", old_epoch))
-                    for worker in self._workers
-                ]
-            )
-            for arena in self._arenas.pop(old_epoch, []):
-                arena.destroy()
+            self._attach_epoch_locked(graph, replications, epoch)
+            self._retire_locked(old_epoch)
         return self
+
+    def retire(self, epoch: int) -> None:
+        """Detach and unlink one epoch's arenas (no-op once gone).
+
+        Every worker detaches it before its segments are unlinked; a
+        worker lost meanwhile is left for the next batch to respawn (its
+        mappings died with it).  Retire no epoch a batch may still run
+        on: that batch fails with an :class:`~repro.errors.EngineError`.
+        """
+        with self._lock:
+            self._retire_locked(epoch)
+
+    def _attach_epoch_locked(
+        self,
+        graph: DiGraph,
+        replications: Sequence[ReplicationTable],
+        epoch: int | None,
+    ) -> None:
+        new_epoch = epoch if epoch is not None else self._epoch + 1
+        if new_epoch <= self._epoch:
+            raise ConfigError(
+                f"refresh epoch must advance: {new_epoch} <= {self._epoch}"
+            )
+        self._publish_epoch(new_epoch, graph, replications)
+        try:
+            self._attach(new_epoch, self._workers, self._recover_shard)
+        except BaseException:
+            for arena in self._arenas.pop(new_epoch, []):
+                arena.destroy()
+            raise
+        self._epoch = new_epoch
+        self.graph = graph
+        self.replications = replications
+
+    def _retire_locked(self, epoch: int) -> None:
+        if self._closed or epoch not in self._arenas:
+            return
+        waits: list[_Wait] = []
+        for worker in self._workers:
+            try:
+                waits.append(self._request(worker, ("detach", epoch)))
+            except WorkerCrashError:
+                pass
+        self._gather(waits, recover=lambda wait, error: None)
+        for arena in self._arenas.pop(epoch):
+            arena.destroy()
 
     def close(self) -> None:
         """Stop workers, close pipes and unlink every shared segment.
@@ -777,6 +823,15 @@ class ProcessPoolBackend(ShardedBackend):
     def run_batch(
         self, config: FrogWildConfig, queries: Sequence[RankingQuery]
     ) -> BatchOutcome:
+        """Run one batch on the most recently attached epoch."""
+        return self._run_batch(config, queries, None)
+
+    def _run_batch(
+        self,
+        config: FrogWildConfig,
+        queries: Sequence[RankingQuery],
+        epoch: int | None,
+    ) -> BatchOutcome:
         if self._closed:
             raise EngineError("backend is closed")
         if not queries:
@@ -784,6 +839,10 @@ class ProcessPoolBackend(ShardedBackend):
                 lanes=(), shared_network_bytes=0, simulated_time_s=0.0
             )
         with self._lock:
+            if epoch is None:
+                epoch = self._epoch
+            elif epoch not in self._arenas:
+                raise EngineError(f"epoch {epoch} is retired")
             self._task_counter += 1
             task = self._task_counter
             shares = self._shares(config.num_frogs)
@@ -795,7 +854,7 @@ class ProcessPoolBackend(ShardedBackend):
                     (
                         "run",
                         task,
-                        self._epoch,
+                        epoch,
                         config,
                         shares[shard],
                         _shard_seed(config.seed, shard, self.num_shards),
@@ -848,7 +907,7 @@ class ProcessPoolBackend(ShardedBackend):
                         f"batch lost {lost_frogs} of {config.num_frogs} "
                         f"frogs ({detail}); pool restored",
                         shard=first_shard,
-                        epoch=self._epoch,
+                        epoch=epoch,
                         cause=first.cause,
                         lost_frogs=lost_frogs,
                     ) from first
@@ -976,3 +1035,35 @@ class ProcessPoolBackend(ShardedBackend):
             "transport": self.transport_summary(),
             "supervisor": self.supervisor.stats,
         }
+
+
+class PoolEpoch:
+    """One attached epoch of a :class:`ProcessPoolBackend`, as a backend.
+
+    Runs every batch on the arenas of the epoch that was the pool's
+    current one when it was made, whatever the pool attached since,
+    until :meth:`retire` detaches and unlinks them.  A live service's
+    epoch manager holds one per published epoch and retires it once no
+    batch is pinned to it.  ``backend`` is the shared pool (closing one
+    epoch closes it); ``replications`` are the epoch's tables.
+    """
+
+    def __init__(self, backend: ProcessPoolBackend) -> None:
+        self.backend = backend
+        self.epoch = backend._epoch
+        self.replications = backend.replications
+
+    @property
+    def num_shards(self) -> int:
+        return self.backend.num_shards
+
+    def run_batch(
+        self, config: FrogWildConfig, queries: Sequence[RankingQuery]
+    ) -> BatchOutcome:
+        return self.backend._run_batch(config, queries, self.epoch)
+
+    def retire(self) -> None:
+        self.backend.retire(self.epoch)
+
+    def close(self) -> None:
+        self.backend.close()

@@ -197,13 +197,6 @@ class BatchScheduler:
         with self._cond:
             return self.coalescer.pending_count()
 
-    def next_deadline(self) -> float | None:
-        """When the oldest pending group becomes due (None: never)."""
-        if self.max_delay_s is None:
-            return None
-        with self._cond:
-            return self.coalescer.next_deadline(self.max_delay_s)
-
     def next_ready(self, now: float | None = None) -> float | None:
         """Earliest instant *any* batch is dispatchable, or ``None``.
 

@@ -21,8 +21,8 @@ files keyed by ``(machine, key-interval)``:
   :class:`~repro.dynamic.DynamicDiGraph.apply`), and reads overlay it;
 * :meth:`compact` folds the delta layer back into segment files —
   rewriting only the machines whose key set changed — and is driven
-  periodically by the live refresh pipeline
-  (:class:`~repro.live.BackgroundRefresher` →
+  periodically by the live refresh
+  (:meth:`~repro.live.LiveRankingService.refresh` with
   ``LiveRankingService(store=...)``), off the query path.
 
 Segment files are read with ``np.load(mmap_mode="r")``: a scan pages in

@@ -136,15 +136,6 @@ class TestDerived:
         with pytest.raises(GraphError, match="dangling"):
             g.transition_matrix()
 
-    def test_reverse_flips_edges(self, diamond):
-        rev = diamond.reverse()
-        assert rev.has_edge(1, 0)
-        assert not rev.has_edge(0, 1)
-        assert rev.num_edges == diamond.num_edges
-
-    def test_double_reverse_identity(self, small_twitter):
-        assert small_twitter.reverse().reverse() == small_twitter
-
     def test_subgraph_edges_keep_all(self, diamond):
         kept = diamond.subgraph_edges(np.ones(5, dtype=bool))
         assert kept == diamond

@@ -1,4 +1,4 @@
-"""Live replication tables + background refresh.
+"""Live replication tables + refresh.
 
 Two pinned invariants:
 
@@ -7,28 +7,28 @@ Two pinned invariants:
   (masters, replica bitmap, both machine-grouped adjacencies, partition)
   to a from-scratch build of the current snapshot under a from-scratch
   stable-hash partition;
-* **epoch purity under background refresh** — queries dispatched while
-  the next epoch is being built run, and are stamped, wholly on the
-  epoch current at their dispatch; the publish at the end of a build is
-  only the atomic swap.
+* **epoch purity under refresh** — queries dispatched while the next
+  epoch is being built run, and are stamped, wholly on the epoch
+  current at their dispatch; the publish at the end of a build is only
+  the atomic swap.
 """
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.cluster import ReplicationTable, make_partitioner
-from repro.core import FrogWildConfig, RefreshPolicy
+from repro.core import FrogWildConfig
 from repro.dynamic import ChurnGenerator, DynamicDiGraph, GraphDelta
-from repro.errors import ConfigError
 from repro.graph import twitter_like
 from repro.live import (
     IncrementalIngress,
     IncrementalReplication,
     LiveRankingService,
 )
-from repro.serving import RankingQuery
+from repro.serving import RankingQuery, RankingService, ServiceConfig
 
 FAST = FrogWildConfig(num_frogs=500, iterations=3, seed=0)
 
@@ -188,7 +188,7 @@ class TestPatchCost:
         )
 
 
-class TestBackgroundRefresh:
+class TestLiveRefresh:
     def make_service(self, **kwargs):
         dynamic = DynamicDiGraph.from_digraph(
             twitter_like(n=300, seed=5)
@@ -197,109 +197,77 @@ class TestBackgroundRefresh:
         defaults.update(kwargs)
         return dynamic, LiveRankingService(dynamic, **defaults)
 
-    def test_coalescing_covers_a_backlog_with_one_build(self):
-        dynamic, service = self.make_service()
-        refresher = service.start_refresher(thread=False)
-        churn = ChurnGenerator(seed=2)
-        tickets = [
-            service.refresh_async(churn.step(dynamic)) for _ in range(3)
-        ]
-        assert refresher.pending_count() == 3
-        update = refresher.run_pending()
-        assert update.coalesced_deltas == 3
-        assert update.background
-        assert {t.result() for t in tickets} == {update}
-        assert refresher.run_pending() is None
-        assert refresher.stats.deltas_coalesced == 2
-        # One epoch for three deltas; source and served agree.
-        assert service.current_epoch.epoch_id == service.source.version
-
-    def test_coalescing_can_be_disabled(self):
-        dynamic, service = self.make_service(
-            refresh_policy=RefreshPolicy(coalesce=False)
-        )
-        refresher = service.start_refresher(thread=False)
-        churn = ChurnGenerator(seed=3)
-        tickets = [
-            service.refresh_async(churn.step(dynamic)) for _ in range(2)
-        ]
-        first = refresher.run_pending()
-        assert first.coalesced_deltas == 1
-        assert tickets[0].done() and not tickets[1].done()
-        second = refresher.run_pending()
-        assert tickets[1].result() is second
-
-    def test_backpressure_without_a_worker_raises(self):
-        dynamic, service = self.make_service(
-            refresh_policy=RefreshPolicy(max_pending=1)
-        )
-        service.start_refresher(thread=False)
-        service.refresh_async(GraphDelta(added=[(0, 299)]))
-        with pytest.raises(ConfigError):
-            service.refresh_async(GraphDelta(added=[(1, 299)]))
-
-    def test_submit_after_stop_fails_fast(self):
-        """A stopped refresher must reject submissions loudly — an
-        enqueued ticket no worker will ever build would hang forever."""
-        dynamic, service = self.make_service()
-        refresher = service.start_refresher(thread=False)
-        refresher.stop()
-        with pytest.raises(ConfigError):
-            service.refresh_async(GraphDelta(added=[(0, 299)]))
-        refresher.start()  # restart clears the stopped state
-        try:
-            ticket = service.refresh_async(GraphDelta(added=[(1, 299)]))
-            assert ticket.result(timeout=30).edges_added == 1
-        finally:
-            refresher.stop()
-
-    def test_stop_without_flush_fails_pending_tickets(self):
-        dynamic, service = self.make_service()
-        refresher = service.start_refresher(thread=False)
-        ticket = service.refresh_async(GraphDelta(added=[(0, 299)]))
-        edges_before = service.source.num_edges
-        refresher.stop(flush=False)
-        with pytest.raises(ConfigError):
-            ticket.result(timeout=1)
-        # The abandoned delta was never applied anywhere.
-        assert service.source.num_edges == edges_before
-
-    def test_queries_mid_build_run_on_the_old_epoch(self):
+    @pytest.mark.parametrize("execution", ["simulated", "process"])
+    def test_queries_mid_build_run_on_the_old_epoch(self, execution):
         """The epoch-tear regression: a batch dispatched after the next
-        epoch is fully built but before it is published must run, and be
-        stamped, wholly on the old epoch."""
-        dynamic, service = self.make_service()
-        observed = {}
-
-        def dispatch_mid_build(svc):
-            answers = svc.query_batch(
-                [RankingQuery((v,), 5) for v in (1, 2, 3)]
-            )
-            observed["stamps"] = {
-                a.report.extra["epoch"] for a in answers
-            }
-            observed["epoch_at_dispatch"] = svc.current_epoch.epoch_id
-
-        refresher = service.start_refresher(
-            on_built=dispatch_mid_build, thread=False
+        epoch is fully built — under process execution, attached by
+        every worker — but before it is published must run, and be
+        stamped, wholly on the old epoch: its answer is the old
+        snapshot's, bitwise, and not the new one's."""
+        config = FrogWildConfig(num_frogs=2000, iterations=4, seed=0)
+        layout = dict(num_machines=8, num_shards=2, seed=0, cache_capacity=0)
+        dynamic = DynamicDiGraph.from_digraph(twitter_like(n=400, seed=5))
+        service = LiveRankingService(
+            dynamic, config=config, execution=execution, **layout
         )
-        old_epoch = service.current_epoch.epoch_id
-        churn = ChurnGenerator(seed=4)
-        service.refresh_async(churn.step(dynamic))
-        update = refresher.run_pending()
-        assert observed["epoch_at_dispatch"] == old_epoch
-        assert observed["stamps"] == {float(old_epoch)}  # never torn
-        assert update.epoch > old_epoch
-        after = service.query([1])
-        assert after.report.extra["epoch"] == float(update.epoch)
+        observed = {}
+        publish = service.epochs.publish
+
+        def query_then_publish(epoch):
+            observed["answer"] = service.query([2, 7], k=20)
+            observed["epoch_at_dispatch"] = service.current_epoch.epoch_id
+            return publish(epoch)
+
+        def static_answer(snapshot):
+            static = RankingService(
+                snapshot,
+                ServiceConfig(
+                    config=config, partitioner="stable-hash", **layout
+                ),
+            )
+            try:
+                return static.query([2, 7], k=20)
+            finally:
+                static.close()
+
+        try:
+            old_epoch = service.current_epoch
+            churn = ChurnGenerator(add_rate=0.05, remove_rate=0.05, seed=6)
+            with mock.patch.object(
+                service.epochs, "publish", query_then_publish
+            ):
+                update = service.refresh(churn.step(dynamic))
+            answer = observed["answer"]
+            assert observed["epoch_at_dispatch"] == old_epoch.epoch_id
+            assert answer.report.extra["epoch"] == float(old_epoch.epoch_id)
+            assert update.epoch > old_epoch.epoch_id
+            for snapshot, same in (
+                (old_epoch.graph, True),
+                (service.current_epoch.graph, False),
+            ):
+                expected = static_answer(snapshot)
+                assert (
+                    list(answer.vertices) == list(expected.vertices)
+                    and list(answer.scores) == list(expected.scores)
+                    and answer.network_bytes == expected.network_bytes
+                ) == same
+            after = service.query([2, 7], k=20)
+            assert after.report.extra["epoch"] == float(update.epoch)
+            if execution == "process":
+                # The superseded epoch was retired at the publish.
+                pool = service.current_epoch.backend.backend
+                assert list(pool._arenas) == [update.sequence]
+        finally:
+            service.close()
 
     def test_threaded_refreshes_interleaved_with_queries(self):
-        """Queries racing real background builds: every batch carries
-        exactly one epoch stamp and every ticket resolves."""
+        """Queries racing refreshes on another thread: every batch
+        carries exactly one epoch stamp and every refresh publishes."""
         dynamic, service = self.make_service()
         churn = ChurnGenerator(add_rate=0.02, remove_rate=0.02, seed=6)
         stop = threading.Event()
         errors = []
+        updates = []
 
         def hammer():
             try:
@@ -320,60 +288,65 @@ class TestBackgroundRefresh:
             except BaseException as error:  # pragma: no cover - fails test
                 errors.append(error)
 
+        def refresher():
+            try:
+                for _ in range(5):
+                    updates.append(service.refresh(churn.step(dynamic)))
+            except BaseException as error:  # pragma: no cover - fails test
+                errors.append(error)
+
         thread = threading.Thread(target=hammer)
+        ingest = threading.Thread(target=refresher)
         thread.start()
+        ingest.start()
         try:
-            tickets = service.attach(churn, ticks=5, background=True)
-            updates = [ticket.result(timeout=60) for ticket in tickets]
+            ingest.join(timeout=60)
+            assert not ingest.is_alive()
         finally:
             stop.set()
             thread.join()
             service.stop()
         assert not errors
-        assert all(u.background for u in updates)
-        # Builds may coalesce, but every delta is covered and the
-        # sequence of published epochs is strictly increasing.
-        sequences = sorted({u.sequence for u in updates})
+        assert len(updates) == 5
+        # The sequence of published epochs is strictly increasing.
+        sequences = [u.sequence for u in updates]
         assert sequences == list(
             range(sequences[0], sequences[0] + len(sequences))
         )
-        assert sum(
-            u.coalesced_deltas for u in {id(u): u for u in updates}.values()
-        ) == len(tickets)
         # Served epoch caught up with the source graph.
         assert service.current_epoch.epoch_id == service.source.version
 
-    def test_refresher_stats_account_for_every_delta(self):
-        """Each submitted delta is either built or folded into another
-        delta's build, and the distinct published updates cover every
-        submission exactly once."""
+    def test_concurrent_refreshes_serialize_and_every_one_is_timed(self):
+        """Refreshes from several threads serialize on the refresh lock
+        (sequences never skip or collide), one build may cover deltas
+        applied to the source beforehand, and the snapshot times every
+        refresh."""
         dynamic, service = self.make_service()
-        service.start_refresher()
-        churn = ChurnGenerator(add_rate=0.01, remove_rate=0.01, seed=5)
-        try:
-            tickets = service.attach(churn, ticks=4, background=True)
-            updates = [ticket.result(timeout=60) for ticket in tickets]
-        finally:
-            service.stop()
-        stats = service.refresher.stats
-        assert stats.deltas_submitted == 4
-        assert stats.builds >= 1
-        assert stats.builds + stats.deltas_coalesced == stats.deltas_submitted
-        distinct = {id(u): u for u in updates}.values()
-        assert sum(u.coalesced_deltas for u in distinct) == 4
-
-    def test_sync_and_async_refresh_share_one_pipeline(self):
-        """A synchronous refresh between background builds serializes on
-        the refresh lock; sequences never skip or collide."""
-        dynamic, service = self.make_service()
-        refresher = service.start_refresher(thread=False)
         churn = ChurnGenerator(seed=7)
-        service.refresh_async(churn.step(dynamic))
-        sync_update = service.refresh(churn.step(dynamic))
-        background_update = refresher.run_pending()
-        assert background_update.sequence == sync_update.sequence + 1
-        assert not sync_update.background
-        assert service.snapshot()["refresher_build_s_count"] == 1.0
+        for _ in range(2):
+            dynamic.apply(churn.step(dynamic))
+        covering = service.refresh()
+        assert service.current_epoch.epoch_id == dynamic.version
+        updates = [covering]
+        # Drawn up front: a delta is drawn from the graph it churns.
+        deltas = [churn.step(dynamic) for _ in range(3)]
+
+        def refresh_once(delta):
+            updates.append(service.refresh(delta))
+
+        threads = [
+            threading.Thread(target=refresh_once, args=(delta,))
+            for delta in deltas
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(u.sequence for u in updates) == [1, 2, 3, 4]
+        row = service.snapshot()
+        assert row["refresh_build_s_count"] == len(updates)
+        assert row["refresh_publish_s_count"] == len(updates)
+        assert row["epochs_published"] == len(updates) + 1
 
     def test_sharded_service_patches_every_shard(self):
         dynamic, service = self.make_service(
@@ -449,5 +422,39 @@ class TestFailedRefresh:
                 assert_equivalent_to_rebuild(replicator, epoch.graph)
             answer = service.query([2])
             assert answer.report.extra["epoch"] == float(epoch.epoch_id)
+        finally:
+            service.close()
+
+    def test_an_epoch_attached_but_never_published_is_retired(self):
+        """Under process execution the pool attaches the next epoch
+        before the publish; a refresh failing in between retires that
+        epoch again instead of leaving its arenas mapped until close."""
+        dynamic = DynamicDiGraph.from_digraph(twitter_like(n=300, seed=5))
+        service = LiveRankingService(
+            dynamic,
+            config=FAST,
+            num_machines=4,
+            num_shards=2,
+            seed=0,
+            execution="process",
+        )
+        churn = ChurnGenerator(add_rate=0.02, remove_rate=0.02, seed=6)
+        try:
+            old_epoch = service.current_epoch
+            pool = old_epoch.backend.backend
+            with mock.patch.object(
+                service.epochs, "publish", side_effect=RuntimeError("boom")
+            ):
+                with pytest.raises(RuntimeError, match="boom"):
+                    service.refresh(churn.step(dynamic))
+            assert list(pool._arenas) == [old_epoch.backend.epoch]
+            answer = service.query([2])
+            assert answer.report.extra["epoch"] == float(old_epoch.epoch_id)
+            service.refresh()
+            assert list(pool._arenas) == [service.current_epoch.backend.epoch]
+            answer = service.query([2])
+            assert answer.report.extra["epoch"] == float(
+                service.current_epoch.epoch_id
+            )
         finally:
             service.close()

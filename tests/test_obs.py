@@ -215,7 +215,7 @@ def test_snapshot_parts_follow_the_layout(layout, graph):
     live = layout.startswith("live")
     for prefix in ("transport_", "supervisor_"):
         assert any(key.startswith(prefix) for key in row) == pool, prefix
-    for prefix in ("epochs_", "refresher_"):
+    for prefix in ("epochs_", "refresh_build_s_", "refresh_publish_s_"):
         assert any(key.startswith(prefix) for key in row) == live, prefix
     if pool:
         assert {f"transport_{key}" for key in TRANSPORT_KEYS} <= set(row)

@@ -41,12 +41,12 @@ class TestCoalescerOrdering:
         ]
         for vertex, config in plan:
             coalescer.add(RankingQuery(seeds=(vertex,), config=config), DEFAULT)
-        batches = coalescer.drain()
+        batches = coalescer.drain_entries()
         assert len(batches) == 3
         by_config = {config: queries for config, queries in batches}
-        assert [q.seeds[0] for q in by_config[DEFAULT]] == [0, 2, 5]
-        assert [q.seeds[0] for q in by_config[FAST]] == [1, 4, 7]
-        assert [q.seeds[0] for q in by_config[SLOW]] == [3, 6]
+        assert [q.query.seeds[0] for q in by_config[DEFAULT]] == [0, 2, 5]
+        assert [q.query.seeds[0] for q in by_config[FAST]] == [1, 4, 7]
+        assert [q.query.seeds[0] for q in by_config[SLOW]] == [3, 6]
         assert coalescer.pending_count() == 0
 
     def test_equal_valued_config_objects_share_a_batch(self):
@@ -59,17 +59,17 @@ class TestCoalescerOrdering:
         assert first is not second
         coalescer.add(RankingQuery(seeds=(1,), config=first), DEFAULT)
         coalescer.add(RankingQuery(seeds=(2,), config=second), DEFAULT)
-        batches = coalescer.drain()
+        batches = coalescer.drain_entries()
         assert len(batches) == 1
-        assert [q.seeds[0] for q in batches[0][1]] == [1, 2]
+        assert [q.query.seeds[0] for q in batches[0][1]] == [1, 2]
 
     def test_oversize_group_slices_preserve_order(self):
         coalescer = QueryCoalescer(max_batch_size=3)
         for vertex in range(8):
             coalescer.add(RankingQuery(seeds=(vertex,)), DEFAULT)
-        batches = coalescer.drain()
+        batches = coalescer.drain_entries()
         assert [len(queries) for _, queries in batches] == [3, 3, 2]
-        order = [q.seeds[0] for _, queries in batches for q in queries]
+        order = [q.query.seeds[0] for _, queries in batches for q in queries]
         assert order == list(range(8))
 
     def test_pop_full_leaves_partial_remainder_queued(self):
@@ -79,8 +79,8 @@ class TestCoalescerOrdering:
         full = coalescer.pop_full_entries()
         assert [len(entries) for _, entries in full] == [3, 3]
         assert coalescer.pending_count() == 1
-        leftover = coalescer.drain()
-        assert [q.seeds[0] for _, queries in leftover for q in queries] == [6]
+        leftover = coalescer.drain_entries()
+        assert [q.query.seeds[0] for _, queries in leftover for q in queries] == [6]
 
     def test_due_entries_and_next_deadline(self):
         coalescer = QueryCoalescer(max_batch_size=8)
@@ -163,13 +163,17 @@ class TestBatchScheduler:
 
     def test_next_deadline_tracks_oldest_pending_group(self):
         scheduler, clock, _ = self.make()
-        assert scheduler.next_deadline() is None
+
+        def next_deadline():
+            return scheduler.coalescer.next_deadline(scheduler.max_delay_s)
+
+        assert next_deadline() is None
         scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
-        assert scheduler.next_deadline() == pytest.approx(5.0)
+        assert next_deadline() == pytest.approx(5.0)
         clock.advance(1.0)
         scheduler.submit(RankingQuery(seeds=(2,), config=FAST), DEFAULT)
         # The default-config group is still the oldest.
-        assert scheduler.next_deadline() == pytest.approx(5.0)
+        assert next_deadline() == pytest.approx(5.0)
 
     def test_flush_ignores_deadlines(self):
         scheduler, _, dispatched = self.make()
@@ -641,29 +645,6 @@ class TestServiceLifetime:
         alive = weakref.ref(service)
         del service
         assert alive() is None and epoch() is None
-
-    def test_dropped_live_service_with_a_stopped_refresher_is_freed(
-        self, graph, no_collector
-    ):
-        from repro.dynamic import DynamicDiGraph, GraphDelta
-        from repro.live import LiveRankingService
-
-        service = LiveRankingService(
-            DynamicDiGraph.from_digraph(graph),
-            config=self.CONFIG,
-            num_machines=4,
-            seed=0,
-        )
-        ticket = service.refresh_async(GraphDelta(added=[(0, 599)]))
-        assert ticket.result(timeout=30.0).background
-        refresher = service.refresher
-        alive = weakref.ref(service)
-        del service, ticket
-        # The started worker thread pins the service until stop().
-        assert alive() is not None
-        alive().close()
-        assert alive() is None
-        assert refresher.service is None
 
     def test_dropped_process_pool_is_freed_without_the_collector(
         self, graph, no_collector

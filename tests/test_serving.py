@@ -168,7 +168,7 @@ class TestCoalescer:
             coalescer.add(RankingQuery(seeds=(vertex,)), default)
         coalescer.add(RankingQuery(seeds=(9,), config=fast), default)
         coalescer.add(RankingQuery(seeds=(10,), config=fast), default)
-        batches = coalescer.drain()
+        batches = coalescer.drain_entries()
         assert len(batches) == 2
         by_config = {config: queries for config, queries in batches}
         assert len(by_config[default]) == 3
@@ -180,9 +180,9 @@ class TestCoalescer:
         coalescer = QueryCoalescer(max_batch_size=4)
         for vertex in range(10):
             coalescer.add(RankingQuery(seeds=(vertex,)), default)
-        batches = coalescer.drain()
+        batches = coalescer.drain_entries()
         assert [len(queries) for _, queries in batches] == [4, 4, 2]
-        order = [q.seeds[0] for _, queries in batches for q in queries]
+        order = [q.query.seeds[0] for _, queries in batches for q in queries]
         assert order == list(range(10))
 
     def test_query_validation(self):
