@@ -348,6 +348,106 @@ class TestLiveRefresh:
         assert row["refresh_publish_s_count"] == len(updates)
         assert row["epochs_published"] == len(updates) + 1
 
+    def test_one_refresh_covers_deltas_applied_to_the_source(self):
+        """Deltas applied to ``service.source`` and then one bare
+        ``refresh()`` serve what a refresh per delta serves: the same
+        graph, tables equal to a rebuild and the same answer, for one
+        build and one publish instead of three."""
+        deltas = []
+        stepper = DynamicDiGraph.from_digraph(twitter_like(n=300, seed=5))
+        churn = ChurnGenerator(seed=2)
+        for _ in range(3):
+            deltas.append(churn.step(stepper))
+            stepper.apply(deltas[-1])
+        per_delta_source, per_delta = self.make_service()
+        covering_source, covering = self.make_service()
+        for delta in deltas:
+            per_delta.refresh(delta)
+            covering_source.apply(delta)
+        update = covering.refresh()
+        assert (update.edges_added, update.edges_removed) == (0, 0)
+        assert update.sequence == 1
+        assert covering.current_epoch.epoch_id == covering_source.version
+        assert covering.current_epoch.graph == per_delta.current_epoch.graph
+        for replicator in covering.replicators:
+            assert_equivalent_to_rebuild(
+                replicator, covering.current_epoch.graph
+            )
+        mine = covering.query([2, 7], k=10)
+        theirs = per_delta.query([2, 7], k=10)
+        assert list(mine.vertices) == list(theirs.vertices)
+        assert list(mine.scores) == list(theirs.scores)
+        assert covering.snapshot()["refresh_build_s_count"] == 1
+        assert per_delta.snapshot()["refresh_build_s_count"] == 3
+
+    def test_refresh_histograms_hold_every_update_s_times(self):
+        """The snapshot's build and publish histograms are fed each
+        refresh's own ``build_time_s`` and ``publish_s``, which are
+        parts of its ``refresh_time_s``."""
+        dynamic, service = self.make_service()
+        updates = service.attach(ChurnGenerator(seed=9), ticks=4)
+        row = service.snapshot()
+        for name, times in (
+            ("build", [u.build_time_s for u in updates]),
+            ("publish", [u.publish_s for u in updates]),
+        ):
+            assert row[f"refresh_{name}_s_count"] == len(updates)
+            assert row[f"refresh_{name}_s_max"] == max(times)
+            assert row[f"refresh_{name}_s_mean"] == pytest.approx(
+                sum(times) / len(times)
+            )
+        for update in updates:
+            assert 0.0 < update.build_time_s <= update.refresh_time_s
+            assert 0.0 <= update.publish_s <= update.refresh_time_s
+
+    def test_a_superseded_pool_epoch_lives_until_its_batch_drains(self):
+        """Under process execution, a refresh published while a batch is
+        pinned to the old epoch leaves that epoch's arenas attached: the
+        batch runs on them, stamped with the old epoch, and the epoch is
+        retired when it finishes."""
+        dynamic = DynamicDiGraph.from_digraph(twitter_like(n=300, seed=5))
+        service = LiveRankingService(
+            dynamic,
+            config=FAST,
+            num_machines=4,
+            num_shards=2,
+            seed=0,
+            execution="process",
+            cache_capacity=0,
+        )
+        churn = ChurnGenerator(add_rate=0.02, remove_rate=0.02, seed=6)
+        observed = {}
+        try:
+            old_epoch = service.current_epoch
+            pool = old_epoch.backend.backend
+            run_old = old_epoch.backend.run_batch
+
+            def refresh_then_run(config, queries):
+                # Pinned by the epoch manager before this call, so the
+                # publish below lands mid-flight.
+                observed["update"] = service.refresh(churn.step(dynamic))
+                observed["arenas_mid_flight"] = sorted(pool._arenas)
+                return run_old(config, queries)
+
+            with mock.patch.object(
+                old_epoch.backend, "run_batch", refresh_then_run
+            ):
+                answer = service.query([2])
+            update = observed["update"]
+            new_tag = service.current_epoch.backend.epoch
+            assert observed["arenas_mid_flight"] == [
+                old_epoch.backend.epoch,
+                new_tag,
+            ]
+            assert answer.report.extra["epoch"] == float(old_epoch.epoch_id)
+            assert update.epoch > old_epoch.epoch_id
+            assert service.epochs.publishes_mid_flight == 1
+            assert list(pool._arenas) == [new_tag]
+            after = service.query([2])
+            assert after.report.extra["epoch"] == float(update.epoch)
+        finally:
+            service.close()
+
     def test_sharded_service_patches_every_shard(self):
         dynamic, service = self.make_service(
             num_shards=2, num_machines=8

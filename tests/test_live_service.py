@@ -297,6 +297,115 @@ class TestEpochSwapIntegrity:
             )
 
 
+class _RetiringBackend:
+    """A stub epoch backend that records when it is retired.
+
+    ``during`` runs inside :meth:`run_batch`, while the epoch manager
+    holds the batch's pin.
+    """
+
+    num_shards = 1
+
+    def __init__(self, label, retired, during=None):
+        self.label = label
+        self.retired = retired
+        self.during = during
+
+    def run_batch(self, config, queries):
+        if self.during is not None:
+            self.during()
+        report = RunReport(
+            algorithm="stub", num_machines=1, supersteps=0,
+            total_time_s=0.0, time_per_iteration_s=0.0,
+            network_bytes=0, cpu_seconds=0.0,
+        )
+        return BatchOutcome(
+            lanes=tuple(
+                QueryOutcome(estimate=None, report=report) for _ in queries
+            ),
+            shared_network_bytes=0,
+            simulated_time_s=0.0,
+        )
+
+    def retire(self):
+        self.retired.append(self.label)
+
+
+class TestEpochRetirement:
+    """A superseded epoch's backend is retired exactly once, as soon as
+    no batch is pinned to it; the current epoch never is."""
+
+    GRAPH = twitter_like(n=60, seed=1)
+    QUERY = [RankingQuery(seeds=(1,))]
+
+    def epoch(self, sequence, backend):
+        return Epoch(
+            epoch_id=sequence, sequence=sequence, graph=self.GRAPH,
+            backend=backend,
+        )
+
+    def test_an_unpinned_epoch_is_retired_at_the_publish(self):
+        retired = []
+        manager = EpochManager(
+            self.epoch(0, _RetiringBackend("a", retired))
+        )
+        manager.run_batch(FAST, self.QUERY)
+        assert retired == []  # still current
+        manager.publish(self.epoch(1, _RetiringBackend("b", retired)))
+        assert retired == ["a"]
+        manager.publish(self.epoch(2, _RetiringBackend("c", retired)))
+        manager.run_batch(FAST, self.QUERY)
+        assert retired == ["a", "b"]
+        assert manager.publishes_mid_flight == 0
+
+    def test_a_pinned_epoch_is_retired_by_its_last_batch(self):
+        """Two batches pinned to epoch 0 (one nested in the other); a
+        publish lands inside the inner one.  Neither the publish nor the
+        inner batch's end retires epoch 0; the outer batch's end does."""
+        retired = []
+        seen = {}
+        new = _RetiringBackend("new", retired)
+
+        def outer():
+            if not seen:
+                seen["outer"] = True
+                inner = manager.run_batch(FAST, self.QUERY)
+                seen["inner_epoch"] = inner.lanes[0].report.extra["epoch"]
+                seen["retired_after_inner"] = list(retired)
+            else:
+                manager.publish(self.epoch(1, new))
+                seen["retired_at_publish"] = list(retired)
+
+        old = _RetiringBackend("old", retired, during=outer)
+        manager = EpochManager(self.epoch(0, old))
+        outcome = manager.run_batch(FAST, self.QUERY)
+        assert seen["retired_at_publish"] == []
+        assert seen["retired_after_inner"] == []
+        assert seen["inner_epoch"] == 0.0
+        assert outcome.lanes[0].report.extra["epoch"] == 0.0
+        assert retired == ["old"]
+        assert manager.publishes_mid_flight == 1
+        assert manager.batches_per_epoch == {0: 2}
+
+    def test_a_failing_batch_still_releases_its_pin(self):
+        retired = []
+        new = _RetiringBackend("new", retired)
+
+        def publish_then_fail():
+            manager.publish(self.epoch(1, new))
+            raise RuntimeError("batch failed")
+
+        old = _RetiringBackend("old", retired, during=publish_then_fail)
+        manager = EpochManager(self.epoch(0, old))
+        with pytest.raises(RuntimeError, match="batch failed"):
+            manager.run_batch(FAST, self.QUERY)
+        assert retired == ["old"]
+        assert manager.batches_per_epoch == {}
+        outcome = manager.run_batch(FAST, self.QUERY)
+        assert outcome.lanes[0].report.extra["epoch"] == 1.0
+        assert retired == ["old"]
+
+
 class TestCacheGenerationInterplay:
     def test_cache_hits_within_an_epoch_invalidate_on_refresh(self):
         dynamic, service = make_live()

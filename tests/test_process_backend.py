@@ -46,6 +46,7 @@ from repro.graph import rmat, twitter_like
 from repro.pagerank import exact_pagerank
 from repro.serving import (
     LocalBackend,
+    PoolEpoch,
     ProcessPoolBackend,
     RankingQuery,
     RankingService,
@@ -356,6 +357,48 @@ class TestRefreshLifecycle:
                 expected.lanes[0].estimate.counts,
             )
             assert backend.transport_summary()["reconciles"] == 1.0
+
+    def test_a_pool_epoch_keeps_its_arenas_after_a_newer_attach(self):
+        """Attaching an epoch replaces nothing: batches on the older
+        :class:`PoolEpoch` still run on the older graph's tables, and
+        the newer one on its own, each bitwise like a sharded backend
+        built on that graph."""
+        new_graph = twitter_like(n=400, seed=8)
+        query = [RankingQuery(seeds=(9,), k=10)]
+        with ProcessPoolBackend(
+            SMALL, num_shards=2, num_machines=4, seed=0
+        ) as backend:
+            old = PoolEpoch(backend)
+            new_reference = ShardedBackend(
+                new_graph, num_shards=2, num_machines=4, seed=0
+            )
+            new = backend.attach_epoch(
+                new_graph, new_reference.replications
+            )
+            assert new.epoch > old.epoch
+            assert sorted(backend._arenas) == [old.epoch, new.epoch]
+            for epoch, graph in ((new, new_graph), (old, SMALL)):
+                reference = ShardedBackend(
+                    graph, num_shards=2, num_machines=4, seed=0
+                )
+                np.testing.assert_array_equal(
+                    epoch.run_batch(FAST, query).lanes[0].estimate.counts,
+                    reference.run_batch(FAST, query).lanes[0].estimate.counts,
+                )
+
+    def test_a_retired_pool_epoch_refuses_batches(self):
+        query = [RankingQuery(seeds=(9,), k=10)]
+        with ProcessPoolBackend(
+            SMALL, num_shards=1, num_machines=2, seed=0
+        ) as backend:
+            old = PoolEpoch(backend)
+            new = backend.attach_epoch(SMALL, backend.replications)
+            old.retire()
+            assert list(backend._arenas) == [new.epoch]
+            with pytest.raises(EngineError, match="retired"):
+                old.run_batch(FAST, query)
+            old.retire()  # a no-op once gone
+            assert new.run_batch(FAST, query).lanes[0].estimate is not None
 
     def test_refresh_epoch_must_advance(self):
         with ProcessPoolBackend(

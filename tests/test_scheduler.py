@@ -646,6 +646,37 @@ class TestServiceLifetime:
         del service
         assert alive() is None and epoch() is None
 
+    def test_a_live_service_refreshed_from_a_thread_is_freed(
+        self, graph, no_collector
+    ):
+        """A refresh run from a caller's own thread leaves nothing that
+        pins the service or the epoch it superseded once the thread is
+        done."""
+        from repro.dynamic import DynamicDiGraph, GraphDelta
+        from repro.live import LiveRankingService
+
+        service = LiveRankingService(
+            DynamicDiGraph.from_digraph(graph),
+            config=self.CONFIG,
+            num_machines=4,
+            seed=0,
+        )
+        superseded = weakref.ref(service.current_epoch.backend)
+        updates = []
+        ingest = threading.Thread(
+            target=lambda: updates.append(
+                service.refresh(GraphDelta(added=[(0, 599)]))
+            )
+        )
+        ingest.start()
+        ingest.join(timeout=30.0)
+        assert not ingest.is_alive() and updates[0].sequence == 1
+        service.query([3])
+        service.close()
+        alive = weakref.ref(service)
+        del service, ingest, updates
+        assert alive() is None and superseded() is None
+
     def test_dropped_process_pool_is_freed_without_the_collector(
         self, graph, no_collector
     ):
