@@ -12,12 +12,12 @@ anyway would silently change the semantics of its batchmates' answers.
 
 The coalescer was always meant to be drained by a scheduler rather
 than synchronously: every entry may carry an *arrival* timestamp and an
-opaque *payload* (the service attaches the caller's future), and the
-deadline-aware pop methods — :meth:`QueryCoalescer.pop_full_entries`,
-:meth:`QueryCoalescer.pop_due_entries`, :meth:`QueryCoalescer.next_deadline`
-— implement the two dispatch triggers of
-:class:`~repro.serving.scheduler.BatchScheduler`: a batch fills, or the
-oldest pending query's max-delay deadline expires.
+opaque *payload* (the service attaches the caller's future), and
+:meth:`QueryCoalescer.pop_batch` is the dispatch rule of
+:class:`~repro.serving.scheduler.BatchScheduler` on every clock: a free
+server takes a full batch first, else the oldest group's slice; a busy
+server takes a group only once its oldest query has waited out the
+max-delay deadline.
 """
 
 from __future__ import annotations
@@ -98,10 +98,9 @@ class QueryCoalescer:
     — beyond it per-population work dominates and latency grows
     without amortization gains).
 
-    A scheduler also drains selectively: :meth:`pop_full_entries`
-    removes only batches that reached ``max_batch_size`` and
-    :meth:`pop_due_entries` removes groups whose oldest entry has waited
-    past its deadline, both returning the full :class:`PendingQuery`
+    A scheduler also drains selectively: :meth:`pop_batch` removes the
+    one batch its dispatch rule sends and :meth:`pop_payload_entries`
+    one caller's entries, both returning the full :class:`PendingQuery`
     entries so payloads survive the trip.
     """
 
@@ -138,92 +137,44 @@ class QueryCoalescer:
         self._pending.clear()
         return batches
 
-    def pop_full_entries(
-        self,
-    ) -> list[tuple[FrogWildConfig, list[PendingQuery]]]:
-        """Remove and return only the batches that reached full size.
-
-        Partial remainders stay queued (their deadline keeps running).
-        """
-        batches: list[tuple[FrogWildConfig, list[PendingQuery]]] = []
-        for config in list(self._pending):
-            entries = self._pending[config]
-            while len(entries) >= self.max_batch_size:
-                batches.append((config, entries[: self.max_batch_size]))
-                entries = entries[self.max_batch_size:]
-            if entries:
-                self._pending[config] = entries
-            else:
-                del self._pending[config]
-        return batches
-
-    def has_full(self) -> bool:
-        """Whether any config group has a full batch ready."""
-        return any(
-            len(entries) >= self.max_batch_size
-            for entries in self._pending.values()
-        )
-
-    def pop_next_entries(
-        self, now: float, max_delay_s: float | None
+    def pop_batch(
+        self, now: float, max_delay_s: float | None, busy: bool
     ) -> tuple[FrogWildConfig, list[PendingQuery], str] | None:
-        """Remove and return at most **one** dispatchable batch.
+        """Remove and return the one batch the dispatch rule sends now.
 
-        Serialized dispatch for the single-server traffic harness: a
-        full slice of any group goes first (kind ``"fill"``); otherwise
-        the earliest-due group contributes its oldest
-        ``max_batch_size`` entries (kind ``"deadline"``), the
-        remainder staying queued with arrivals intact.  ``None`` when
-        nothing is dispatchable at ``now`` (with ``max_delay_s=None``
-        only full batches ever qualify).
+        A free server takes a full slice of any group first (kind
+        ``"fill"``), else the oldest group's first ``max_batch_size``
+        entries (``"idle"``).  A busy server takes the oldest group's
+        slice only once its oldest entry has waited ``max_delay_s``
+        (``"deadline"``).  With ``max_delay_s=None`` only full slices
+        leave, and only to a free server.  A group's remainder stays
+        queued with its arrivals intact; ``None`` when nothing leaves.
         """
-        for config in list(self._pending):
-            entries = self._pending[config]
-            if len(entries) < self.max_batch_size:
-                continue
-            batch = entries[: self.max_batch_size]
-            rest = entries[self.max_batch_size:]
-            if rest:
-                self._pending[config] = rest
-            else:
-                del self._pending[config]
-            return config, batch, "fill"
-        if max_delay_s is None:
+        if not busy:
+            for config, entries in self._pending.items():
+                if len(entries) >= self.max_batch_size:
+                    return config, self._take(config), "fill"
+        if max_delay_s is None or not self._pending:
             return None
-        best: tuple[float, FrogWildConfig] | None = None
-        for config, entries in self._pending.items():
-            deadline = self._group_deadline(entries, max_delay_s)
-            if deadline <= now and (best is None or deadline < best[0]):
-                best = (deadline, config)
-        if best is None:
+        deadlines = {
+            config: self._group_deadline(entries, max_delay_s)
+            for config, entries in self._pending.items()
+        }
+        config = min(deadlines, key=deadlines.__getitem__)
+        if busy and deadlines[config] > now:
             return None
-        config = best[1]
-        entries = self._pending.pop(config)
+        return config, self._take(config), "deadline" if busy else "idle"
+
+    def _take(self, config: FrogWildConfig) -> list[PendingQuery]:
+        """Pop one group's first ``max_batch_size`` entries."""
+        entries = self._pending[config]
         batch = entries[: self.max_batch_size]
         rest = entries[self.max_batch_size:]
         if rest:
             self._pending[config] = rest
-        return config, batch, "deadline"
-
-    def pop_due_entries(
-        self, now: float, max_delay_s: float
-    ) -> list[tuple[FrogWildConfig, list[PendingQuery]]]:
-        """Remove and return the groups whose deadline has expired.
-
-        A config group is due when its *oldest* entry has waited at
-        least ``max_delay_s`` (entries with no arrival are due at once);
-        the whole group dispatches — queries that arrived later simply
-        get lucky and ride the same traversal.
-        """
-        batches: list[tuple[FrogWildConfig, list[PendingQuery]]] = []
-        for config in list(self._pending):
-            entries = self._pending[config]
-            if self._group_deadline(entries, max_delay_s) > now:
-                continue
-            for lo in range(0, len(entries), self.max_batch_size):
-                batches.append((config, entries[lo:lo + self.max_batch_size]))
+        else:
             del self._pending[config]
-        return batches
+        return batch
 
     @staticmethod
     def _group_deadline(
@@ -242,8 +193,8 @@ class QueryCoalescer:
         """Remove and return only the entries carrying these payloads.
 
         The synchronous service path flushes exactly the entries its
-        own call depends on; other callers' deadline-scheduled entries
-        stay queued with their deadlines intact.
+        own call depends on; other callers' entries stay queued with
+        their arrivals intact.
         """
         batches: list[tuple[FrogWildConfig, list[PendingQuery]]] = []
         for config in list(self._pending):

@@ -1,56 +1,52 @@
-"""Batch scheduling: idle, fill, deadline and flush dispatch.
+"""Batch scheduling: one dispatch rule on every clock.
 
 Synchronously draining the coalescer only batches what arrives
 together.  :class:`BatchScheduler` implements the policy the
 :class:`~repro.serving.batching.QueryCoalescer` was designed for: it
 holds queries that arrive while the server is busy and sends them as
-one batch.  It does not hold a query back from an idle server, so at
-trickle rates (misses further apart than one batch's run time) each
-miss leaves alone.  That trades a little amortization for latency: on
-the ``serve-zipf-open`` service with all-miss traffic at 100-400
-queries/s, shared network bytes per executed query rose 1.5-3.5% while
-the miss latency median fell by about half, against a deadline-only
-loop that held every partial batch ``max_delay_s``
-(``benchmarks/records/pr49-compare.txt``).  A batch leaves the queue
-for one of four reasons:
+one batch, and it never holds a query back from a free server.  Every
+decision is one function of the queue, the clock reading and whether
+the server is busy (:meth:`QueryCoalescer.pop_batch
+<repro.serving.batching.QueryCoalescer.pop_batch>`), so a started
+service and a virtual-clock test form the same batches:
 
-* **idle** — the background loop finds queries pending and no batch in
-  the dispatch callback: the server is free, so every pending group
-  leaves at once (in ``max_batch_size`` slices) instead of waiting out
-  the deadline for company that may not come.  Batches still form under
-  load: whatever arrives while a batch runs leaves together the moment
-  that batch returns;
-* **fill** — the moment a config group reaches ``max_batch_size`` it
-  dispatches (inline, in the submitting thread: no latency is saved by
-  waiting once the batch cannot grow);
-* **deadline** — a partial group dispatches when its *oldest* entry has
-  waited ``max_delay_s``.  On the background loop this only happens
-  while another thread's dispatch keeps the server busy, so
-  ``max_delay_s`` is the longest a partial batch waits behind one;
-* **flush** — everything pending dispatches immediately (service
-  shutdown, or the synchronous ``query_batch`` path, which is just a
-  zero-delay schedule).
+* **free server** — it takes one batch per decision: a full
+  ``max_batch_size`` slice of any config group first (*fill*), else the
+  oldest group's first ``max_batch_size`` entries (*idle*).  The next
+  decision comes when that batch returns, so whatever arrived while it
+  ran leaves together then.  At trickle rates (misses further apart
+  than one batch's run time) each miss leaves alone, trading a little
+  amortization for latency: on the ``serve-zipf-open`` service with
+  all-miss traffic at 100-400 queries/s, shared network bytes per
+  executed query rose 1.5-3.5% while the miss latency median fell by
+  about half, against a loop that held every partial batch
+  ``max_delay_s`` (``benchmarks/records/pr49-compare.txt``);
+* **busy server** — a group leaves only once its *oldest* entry has
+  waited ``max_delay_s`` (*deadline*).  The started loop sees a busy
+  server only behind another thread's dispatch, such as a synchronous
+  ``query_batch`` flush, so ``max_delay_s`` is the longest a partial
+  batch waits behind one;
+* **flush** — everything pending, or one caller's entries, leaves at
+  once (service shutdown, or the synchronous ``query_batch`` path,
+  which is submit-then-flush).
 
-``max_delay_s=None`` turns both idle and deadline dispatch off: partial
-batches leave only on a fill or a flush.
+``max_delay_s=None`` sends a free server full slices only: partial
+batches leave on a flush.
 
-The clock is injectable: tests and benchmarks drive a
-:class:`VirtualClock` and call :meth:`BatchScheduler.poll` explicitly
-(deterministic, no sleeps), while a live service calls
-:meth:`BatchScheduler.start` to run a background thread that sleeps
-until the next deadline and wakes early when submissions arrive or a
-dispatch returns.  Only that loop does idle dispatch.  The explicit
-drivers (:meth:`~BatchScheduler.poll`,
-:meth:`~BatchScheduler.dispatch_next`, :meth:`~BatchScheduler.next_ready`,
-the service's ``pump()`` and
-:meth:`~repro.traffic.TrafficHarness.run_virtual`) model deadline-only
-dispatch: a partial batch waits out ``max_delay_s`` even when their
-modelled server is free, so their queue waits and latencies overstate
-a started service's by up to ``max_delay_s``.
+:meth:`~BatchScheduler.enqueue` only enqueues; no batch runs in a
+submitter's thread.  A live service calls :meth:`BatchScheduler.start`
+for a background loop that decides whenever a submission arrives or a
+dispatch returns and sleeps until the next deadline in between; its
+server is busy while a dispatch is in the callback.  Tests, the traffic
+harness and benchmarks drive a :class:`VirtualClock` and call
+:meth:`BatchScheduler.pump` after advancing it; there the callback
+returns its batch's service time and the server is busy until that has
+elapsed on the clock.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -85,54 +81,52 @@ class SchedulerStats:
 
     fill_dispatches: int = 0
     deadline_dispatches: int = 0
-    #: Batches the background loop sent to an idle server.
+    #: Partial batches a free server took.
     idle_dispatches: int = 0
     flush_dispatches: int = 0
     queries_dispatched: int = 0
 
 
+
+
 class BatchScheduler:
-    """Dispatches coalesced batches when the server idles, they fill,
-    their deadline hits or a caller flushes.
+    """Sends coalesced batches by the one dispatch rule, on a started
+    loop or on :meth:`pump`, and on a caller's flush.
 
     Parameters
     ----------
     dispatch:
         Callback ``(config, entries)`` executing one config-pure batch;
         entries are :class:`PendingQuery` rows carrying the submitter's
-        payload.  Called without internal locks held, so it may submit
-        further queries or take its own locks freely.
+        payload.  It returns the batch's service time in clock seconds
+        (the server stays busy that long on the clock) or ``None`` when
+        the call itself took that time, as on a real clock.  Called
+        without internal locks held, so it may submit further queries
+        or take its own locks freely.
     coalescer:
         The config-pure queue; shared with the owning service.
     max_delay_s:
-        Deadline for the oldest entry of a partial batch; the started
-        loop dispatches sooner, as soon as no dispatch is active.
-        ``None`` disables idle and deadline dispatch: partial batches
-        leave only via :meth:`flush` (the synchronous path) or a fill.
+        The longest the oldest entry of a partial batch waits behind a
+        busy server.  ``None`` sends a free server full batches only:
+        partial batches leave via :meth:`flush` (the synchronous path).
     clock:
         Injectable time source; defaults to :func:`time.monotonic`.
-    hold_filled:
-        When True, :meth:`enqueue` keeps full batches queued instead
-        of returning them for inline dispatch.  The traffic harness
-        sets this: under its single-server queue model a full batch
-        must still wait for the server to free up, and dispatches one
-        at a time via :meth:`dispatch_next`.
     """
 
     def __init__(
         self,
-        dispatch: Callable[[FrogWildConfig, list[PendingQuery]], None],
+        dispatch: Callable[
+            [FrogWildConfig, list[PendingQuery]], float | None
+        ],
         coalescer: QueryCoalescer,
         max_delay_s: float | None = None,
         clock: Callable[[], float] | None = None,
-        hold_filled: bool = False,
     ) -> None:
         if max_delay_s is not None and max_delay_s < 0:
             raise ConfigError("max_delay_s must be non-negative (or None)")
         self._dispatch = dispatch
         self.coalescer = coalescer
         self.max_delay_s = max_delay_s
-        self.hold_filled = hold_filled
         self._clock = clock or time.monotonic
         self._cond = threading.Condition()
         self._thread: threading.Thread | None = None
@@ -142,6 +136,9 @@ class BatchScheduler:
         self._stop_event: threading.Event | None = None
         self.stats = SchedulerStats()
         self._active_dispatches = 0
+        # When the server frees on the clock: the end of the last batch
+        # whose dispatch returned a service time.
+        self._busy_until = -math.inf
         #: Last exception a background-thread dispatch raised.  The
         #: failing batch's futures already carry it; this surfaces it
         #: to operators polling the scheduler.
@@ -162,88 +159,54 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     # Submission and dispatch
     # ------------------------------------------------------------------
-    def submit(
+    def enqueue(
         self,
         query: RankingQuery,
         default: FrogWildConfig,
         payload: object = None,
     ) -> None:
-        """Enqueue one query; dispatches inline if its batch fills."""
-        self.dispatch_filled(self.enqueue(query, default, payload))
+        """Add one query to the queue; nothing is dispatched here.
 
-    def enqueue(self, query, default, payload: object = None):
-        """Add one query *without* dispatching; returns filled batches.
-
-        Split from :meth:`submit` so the service can enqueue under its
-        own lock (making "registered in-flight" and "visible to a
-        flush" one atomic step) and run the returned filled batches
-        after releasing it via :meth:`dispatch_filled`.
+        The started loop, :meth:`pump` or a flush sends it.  The service
+        enqueues under its own lock, making "registered in-flight" and
+        "visible to a flush" one atomic step.
         """
         with self._cond:
             self.coalescer.add(
                 query, default, arrival=self._clock(), payload=payload
             )
-            full = (
-                [] if self.hold_filled else self.coalescer.pop_full_entries()
-            )
             self._cond.notify_all()
-        return full
-
-    def dispatch_filled(self, batches) -> int:
-        """Dispatch batches returned by :meth:`enqueue`."""
-        return self._run_batches(batches, "fill")
 
     def pending_count(self) -> int:
         with self._cond:
             return self.coalescer.pending_count()
 
-    def next_ready(self, now: float | None = None) -> float | None:
-        """Earliest instant *any* batch is dispatchable, or ``None``.
+    def _decide_locked(self, now: float):
+        """The dispatch decision: pop the batch the rule sends at
+        ``now``, or ``None``.  The server is busy while a dispatch is in
+        the callback or a returned service time has not elapsed."""
+        busy = self._active_dispatches > 0 or now < self._busy_until
+        return self.coalescer.pop_batch(now, self.max_delay_s, busy)
 
-        A full batch is dispatchable immediately (returns ``now``);
-        otherwise the oldest pending group's deadline, if a deadline
-        policy exists.  The traffic harness uses this to interleave
-        dispatch events with arrivals in strict virtual-time order.
+    def pump(self) -> float | None:
+        """Run the dispatch rule now, one batch per decision.
+
+        The virtual-clock driver: call it after advancing the clock.  It
+        dispatches nothing while the server is busy, and returns when to
+        call it again: the instant the server frees while a batch runs,
+        else ``None`` (nothing queued, or with ``max_delay_s=None`` only
+        partial batches, which wait for a flush).
         """
-        with self._cond:
-            if self.coalescer.has_full():
-                return self._clock() if now is None else now
-            if self.max_delay_s is None:
-                return None
-            return self.coalescer.next_deadline(self.max_delay_s)
-
-    def dispatch_next(self, now: float | None = None) -> int:
-        """Dispatch at most **one** ready batch; returns its size.
-
-        Full batches first, then the earliest-due partial group's
-        oldest slice; 0 when nothing is dispatchable at ``now``.  This
-        is the serialized companion of :meth:`poll` for callers
-        modelling a single busy server (the traffic harness).
-        """
-        now = self._clock() if now is None else now
-        with self._cond:
-            popped = self.coalescer.pop_next_entries(now, self.max_delay_s)
-        if popped is None:
-            return 0
-        config, entries, kind = popped
-        self._run_batches([(config, entries)], kind)
-        return len(entries)
-
-    def poll(self, now: float | None = None) -> int:
-        """Dispatch every group whose deadline has expired.
-
-        Returns the number of batches dispatched.  Virtual-clock users
-        call this after advancing time; the background thread calls it
-        on every wake-up that finds another dispatch active (an idle
-        server gets everything pending at once instead).
-        """
-        if self.max_delay_s is None:
-            return 0
-        with self._cond:
-            due = self.coalescer.pop_due_entries(
-                self._clock() if now is None else now, self.max_delay_s
-            )
-        return self._run_batches(due, "deadline")
+        while True:
+            with self._cond:
+                now = self._clock()
+                if now < self._busy_until:
+                    return self._busy_until
+                popped = self._decide_locked(now)
+                if popped is None:
+                    return None
+            config, entries, kind = popped
+            self._run_batches([(config, entries)], kind)
 
     def flush(self) -> int:
         """Dispatch everything pending, deadlines notwithstanding."""
@@ -267,8 +230,7 @@ class BatchScheduler:
 
         The synchronous service path uses this so a ``query_batch``
         call dispatches exactly what it is waiting on, without
-        force-dispatching other callers' deadline-scheduled partial
-        batches.
+        force-dispatching other callers' queued partial batches.
         """
         with self._cond:
             batches = self.coalescer.pop_payload_entries(set(payloads))
@@ -286,24 +248,29 @@ class BatchScheduler:
         for config, entries in batches:
             with self._cond:
                 self._active_dispatches += 1
+                began = self._clock()
+            service_time = None
             try:
-                self._dispatch(config, entries)
+                service_time = self._dispatch(config, entries)
             except BaseException as error:
                 if first_error is None:
                     first_error = error
             finally:
                 with self._cond:
                     self._active_dispatches -= 1
+                    if service_time:
+                        self._busy_until = (
+                            max(self._busy_until, began) + service_time
+                        )
+                    setattr(
+                        self.stats,
+                        f"{kind}_dispatches",
+                        getattr(self.stats, f"{kind}_dispatches") + 1,
+                    )
+                    self.stats.queries_dispatched += len(entries)
                     # Wakes the loop the moment the server frees, not at
                     # the next deadline.
                     self._cond.notify_all()
-            with self._cond:
-                setattr(
-                    self.stats,
-                    f"{kind}_dispatches",
-                    getattr(self.stats, f"{kind}_dispatches") + 1,
-                )
-                self.stats.queries_dispatched += len(entries)
         if first_error is not None:
             raise first_error
         return len(batches)
@@ -325,7 +292,7 @@ class BatchScheduler:
             raise ConfigError(
                 "the background dispatch loop needs a real-time clock; "
                 "with a VirtualClock, drive dispatch explicitly via "
-                "poll()/pump() after advancing time"
+                "pump() after advancing time"
             )
         with self._cond:
             if self._thread is not None:
@@ -347,8 +314,8 @@ class BatchScheduler:
         Shutdown is serialized: the loop thread is signalled, *joined*,
         and only then unregistered — so :attr:`running` never reports
         ``False`` while the loop may still be dispatching, and the
-        final flush cannot interleave with an in-flight ``poll()``
-        dispatch (the loop has provably exited before it runs).
+        final flush cannot interleave with a loop dispatch (the loop
+        has provably exited before it runs).
         """
         with self._cond:
             thread = self._thread
@@ -371,46 +338,34 @@ class BatchScheduler:
     def running(self) -> bool:
         return self._thread is not None
 
-    def _idle_locked(self) -> bool:
-        """Queries wait and no batch is in the dispatch callback."""
-        return (
-            self.max_delay_s is not None
-            and self._active_dispatches == 0
-            and self.coalescer.pending_count() > 0
-        )
-
     def _loop(self, stop_event: threading.Event, pin: object) -> None:
         while True:
             with self._cond:
-                if stop_event.is_set():
-                    return
-                deadline = (
-                    None
-                    if self.max_delay_s is None
-                    else self.coalescer.next_deadline(self.max_delay_s)
-                )
-                timeout = (
-                    None
-                    if deadline is None
-                    else max(0.0, deadline - self._clock())
-                )
-                if not self._idle_locked() and (timeout is None or timeout > 0):
-                    self._cond.wait(timeout)
-                if stop_event.is_set():
-                    return
-                idle = (
-                    self.coalescer.drain_entries()
-                    if self._idle_locked()
-                    else None
-                )
+                popped = None
+                while popped is None:
+                    if stop_event.is_set():
+                        return
+                    now = self._clock()
+                    popped = self._decide_locked(now)
+                    if popped is None:
+                        # Nothing to send yet: wake on a submission, a
+                        # returning dispatch or the next deadline.
+                        deadline = (
+                            None
+                            if self.max_delay_s is None
+                            else self.coalescer.next_deadline(
+                                self.max_delay_s
+                            )
+                        )
+                        self._cond.wait(
+                            None if deadline is None else deadline - now
+                        )
+            config, entries, kind = popped
             # One failing batch must not kill the loop: its futures
             # already carry the error, and every other submitter still
             # needs its dispatch to happen.
             try:
-                if idle is None:
-                    self.poll()
-                else:
-                    self._run_batches(idle, "idle")
+                self._run_batches([(config, entries)], kind)
             except BaseException as error:
                 with self._cond:
                     self.last_error = error

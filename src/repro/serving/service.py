@@ -13,13 +13,14 @@ stages:
    of at most ``max_batch_size`` queries, duplicates collapsing onto
    one in-flight lane;
 3. **scheduling** — :class:`~repro.serving.scheduler.BatchScheduler`
-   dispatches a batch when the started loop finds no batch running
-   (*idle*: everything pending leaves at once), the moment it fills
-   (*fill*), when its oldest query has waited ``max_delay_s`` behind
-   another dispatch (*deadline*; a virtual-clock :meth:`pump` keeps
-   this rule alone), or on a *flush* (the synchronous
-   :meth:`RankingService.query_batch` is just a zero-delay schedule:
-   submit, then flush);
+   applies one dispatch rule, on the started loop and on a
+   virtual-clock :meth:`pump` alike: a free server takes one batch per
+   decision, a full one first (*fill*), else the oldest group's
+   (*idle*); behind a busy server a batch leaves once its oldest query
+   has waited ``max_delay_s`` (*deadline*); a *flush* sends everything
+   (the synchronous :meth:`RankingService.query_batch` is just a
+   zero-delay schedule: submit, then flush).  Submitting only
+   enqueues;
 4. **backend execution** — the batch runs as a shard fan-out with
    exact counter/ledger merging (:class:`~repro.serving.ShardedBackend`;
    a single cluster, :class:`~repro.serving.LocalBackend`, is one shard).
@@ -383,17 +384,16 @@ class RankingService:
         self.stats = ServiceStats()
         self.admission = config.admission
         self.tracer = config.tracer
-        #: Calibration factor applied to a batch's simulated makespan
-        #: when stamping virtual-clock resolve times.  The cost model's
-        #: absolute seconds are arbitrary units; the traffic harness
-        #: sets this to place offered load relative to modeled capacity
-        #: (it uses the same factor for its busy-server gate, keeping
-        #: queueing delays and service times on one time base).  Leave
-        #: at 1.0 outside harness runs.
+        #: Calibration factor from a batch's simulated makespan to its
+        #: virtual-clock service time: answers resolve that much later
+        #: and the scheduler's server stays busy that long.  The cost
+        #: model's absolute seconds are arbitrary units; the traffic
+        #: harness sets this to place offered load relative to modeled
+        #: capacity.  Leave at 1.0 outside harness runs.
         self.service_time_scale = 1.0
         # Guards the cache, the stats and the in-flight dedup table
-        # against the scheduler thread; reentrant because a fill
-        # dispatch executes inline under the submitting call.
+        # against the scheduler thread; reentrant because snapshot()
+        # reads stats_parts() under it.
         self._lock = threading.RLock()
         self._inflight: dict[
             Hashable, list[tuple[RankingQuery, RankingFuture]]
@@ -450,9 +450,10 @@ class RankingService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    def pump(self) -> int:
-        """Dispatch deadline-expired batches now (virtual-clock mode)."""
-        return self.scheduler.poll()
+    def pump(self) -> float | None:
+        """Run the dispatch rule now (virtual-clock mode); returns when
+        to pump again (:meth:`BatchScheduler.pump`)."""
+        return self.scheduler.pump()
 
     def flush(self) -> int:
         """Dispatch everything pending, deadlines notwithstanding."""
@@ -506,14 +507,14 @@ class RankingService:
         try:
             for query in queries:
                 submitted.append(self._submit_validated(query))
-            # Flush only this call's own lanes: other callers'
-            # deadline-scheduled partial batches keep accumulating.
+            # Flush only this call's own lanes: other callers' queued
+            # partial batches keep accumulating.
             self.scheduler.flush_payloads(key for _, key in submitted)
         except BaseException as error:
             # Restore the old drain's atomic failure semantics: lanes
-            # of this call still queued (e.g. after a fill dispatch
-            # raised mid-submission) are abandoned, never left behind
-            # to execute as ghost work on someone else's flush.
+            # of this call still queued (e.g. after one of its batches
+            # raised mid-flush) are abandoned, never left behind to
+            # execute as ghost work on someone else's flush.
             abandoned = self.scheduler.discard_payloads(
                 [key for _, key in submitted]
             )
@@ -540,10 +541,9 @@ class RankingService:
     def submit_query(self, query: RankingQuery) -> RankingFuture:
         """Schedule one normalized query through the batch scheduler.
 
-        Cache hits resolve immediately; misses wait until their batch
-        fills, a started scheduler finds no batch running, their
-        deadline expires (a started scheduler or explicit :meth:`pump`
-        calls), or the service is flushed.
+        Cache hits resolve immediately; a miss is only enqueued, and
+        leaves by the dispatch rule (a started scheduler or an explicit
+        :meth:`pump` applies it) or when the service is flushed.
         """
         self._validate([query])
         future, _ = self._submit_validated(query)
@@ -719,16 +719,16 @@ class RankingService:
             # entry: a concurrent duplicate's flush must find either
             # the queued entry or a dispatch already in progress, never
             # a gap it would block on forever.
-            full = self.scheduler.enqueue(
-                query, self.default_config, payload=key
-            )
-        self.scheduler.dispatch_filled(full)
+            self.scheduler.enqueue(query, self.default_config, payload=key)
         return future, key
 
     def _execute_batch(
         self, config: FrogWildConfig, entries: list[PendingQuery]
-    ) -> None:
-        """Scheduler dispatch target: run one config-pure batch."""
+    ) -> float | None:
+        """Scheduler dispatch target: run one config-pure batch.
+
+        Returns the batch's virtual service time under a
+        :class:`VirtualClock`, else ``None`` (the call took it)."""
         queries = [entry.query for entry in entries]
         resolved: list[tuple[RankingQuery, RankingFuture, _CacheEntry]] = []
         dispatch_now = self._clock()
@@ -743,9 +743,8 @@ class RankingService:
             # Under a virtual clock the batch's simulated makespan IS
             # its service time: answers resolve that much later, so
             # traced latencies are simulated-cluster latencies.
-            resolve_now = (
-                dispatch_now
-                + outcome.simulated_time_s * self.service_time_scale
+            service_time = (
+                outcome.simulated_time_s * self.service_time_scale
                 if isinstance(self._clock, VirtualClock)
                 else None
             )
@@ -823,7 +822,9 @@ class RankingService:
                 trace.status = "served"
                 trace.dispatch_s = dispatch_now
                 trace.resolve_s = (
-                    self._clock() if resolve_now is None else resolve_now
+                    self._clock()
+                    if service_time is None
+                    else dispatch_now + service_time
                 )
                 trace.batch_size = cached.batch_size
                 trace.supersteps = cached.report.supersteps
@@ -833,6 +834,7 @@ class RankingService:
                     trace.error_bound = cached.error_bound
                 self.tracer.complete(trace)
             future._resolve(self._answer(query, cached, cached=False))
+        return service_time
 
     def _fail_futures(
         self, futures: list[RankingFuture], error: BaseException

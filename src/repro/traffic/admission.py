@@ -129,9 +129,6 @@ class AdmissionStats:
     # Decisions per ladder rung, keyed by level (>= 1).
     degraded_by_level: dict[int, int] = field(default_factory=dict)
 
-    def shed_rate(self) -> float:
-        return self.shed / self.offered if self.offered else 0.0
-
 
 class AdmissionController:
     """Queue-bound admission with an SLO ladder of degraded modes.

@@ -1,20 +1,18 @@
 """Driving a :class:`~repro.serving.RankingService` with real traffic.
 
-:meth:`TrafficHarness.run_virtual` models the service as a
-**single-server queue over virtual time**: the simulated cluster's own
-batch makespan (the ``simulated_time_s`` every backend already
-reports) is the service time, so while a batch "runs" the server is
-busy and arrivals pile up in the scheduler queue.  The harness
-interleaves arrival events and server-free dispatch events in strict
-time order on the service's :class:`~repro.serving.VirtualClock` — no
-threads, no sleeps, bit-identical on every run.  This is what makes
-overload *observable* under a virtual clock at all: without the busy
-gate, dispatch would be instantaneous and no queue could ever form.
-The queue follows the deadline rule alone: a partial batch waits out
-``max_delay_s`` even when the modelled server is free, where a started
-service's loop would send it at once (idle dispatch), so the queue
-waits and latencies it reports are those of a deadline-only scheduler
-and overstate a started service's by up to ``max_delay_s``.
+:meth:`TrafficHarness.run_virtual` replays a workload as a
+**single-server queue over virtual time**: a batch's simulated cluster
+makespan (the ``simulated_time_s`` every backend already reports,
+scaled by ``service_time_scale``) is its service time, the service's
+scheduler keeps the server busy that long, and arrivals pile up in its
+queue meanwhile.  The replay advances the service's
+:class:`~repro.serving.VirtualClock` to the next arrival or to the
+instant :meth:`~repro.serving.RankingService.pump` asked to be woken,
+then submits or pumps — no threads, no sleeps, bit-identical on every
+run.  Batches form by the dispatch rule a started service follows
+(:mod:`repro.serving.scheduler`), which is what makes overload
+*observable* under a virtual clock: while a batch runs, the queue
+grows.
 
 It returns a :class:`TrafficRunResult` carrying every future, the
 queue-depth time series and one flat report row: the run's own
@@ -62,17 +60,6 @@ class TrafficRunResult:
                 continue
         return out
 
-    def shed_count(self) -> int:
-        count = 0
-        for future in self.futures:
-            try:
-                future.result(timeout=0)
-            except OverloadError:
-                count += 1
-            except TimeoutError:
-                continue
-        return count
-
 
 class TrafficHarness:
     """Replays a :class:`TrafficWorkload` against a ranking service.
@@ -99,9 +86,9 @@ class TrafficHarness:
         #: arbitrary units; this factor places offered load relative
         #: to modeled capacity (rho = arrival rate x scaled service
         #: time / batch size), which is how the overload tests pin
-        #: rho > 1 deterministically.  Propagated onto the service so
-        #: trace resolve stamps use the same time base as the busy
-        #: gate.
+        #: rho > 1 deterministically.  Set on the service, whose batches
+        #: report their scaled makespan to the scheduler as service
+        #: time and stamp their answers' resolve times with it.
         self.service_time_scale = float(service_time_scale)
         service.service_time_scale = self.service_time_scale
         if service.tracer is None:
@@ -114,13 +101,12 @@ class TrafficHarness:
     def run_virtual(self, duration_s: float) -> TrafficRunResult:
         """Replay the workload on the service's virtual clock.
 
-        Requires a :class:`~repro.serving.VirtualClock` service and a
-        deadline policy (``max_delay_s``), so every enqueued query is
-        guaranteed to become dispatchable; fill dispatch is held back
-        for the run (``hold_filled``) because a full batch must still
-        wait for the single server to free up.  A partial batch leaves
-        at its deadline or when the server frees, whichever is later
-        (no idle dispatch: see the module docstring).
+        Advances the clock to the next arrival or to the instant the
+        last ``pump()`` asked to be woken, whichever comes first (the
+        arrival on a tie), then submits it or pumps.  Requires a
+        :class:`~repro.serving.VirtualClock` service and a deadline
+        policy (``max_delay_s``), so a free server takes every partial
+        batch and every enqueued query eventually dispatches.
         """
         service = self.service
         clock = service.clock
@@ -133,53 +119,28 @@ class TrafficHarness:
                 "run_virtual needs a deadline policy (max_delay_s) so "
                 "partial batches eventually dispatch"
             )
-        scheduler = service.scheduler
         events = self.workload.events(duration_s)
         futures: list[RankingFuture] = []
         depth_samples: list[tuple[float, int]] = []
         start = clock.now
-        busy_until = start
-        busy_s = 0.0
-        held = scheduler.hold_filled
-        scheduler.hold_filled = True
-        try:
-            i = 0
-            while True:
-                ready = scheduler.next_ready()
-                next_dispatch = (
-                    math.inf if ready is None else max(ready, busy_until)
-                )
-                next_arrival = (
-                    events[i].time_s + start if i < len(events) else math.inf
-                )
-                if next_arrival is math.inf and next_dispatch is math.inf:
-                    break
-                if next_arrival <= next_dispatch:
-                    clock.advance(next_arrival - clock.now)
-                    futures.append(service.submit_query(events[i].query))
-                    i += 1
-                    depth_samples.append(
-                        (clock.now, scheduler.pending_count())
-                    )
-                else:
-                    clock.advance(next_dispatch - clock.now)
-                    before = service.stats.simulated_time_s
-                    if scheduler.dispatch_next() == 0:
-                        continue
-                    service_time = (
-                        service.stats.simulated_time_s - before
-                    ) * self.service_time_scale
-                    busy_until = clock.now + service_time
-                    busy_s += service_time
-                    depth_samples.append(
-                        (clock.now, scheduler.pending_count())
-                    )
-            # Let the last batch's virtual service time elapse so end
-            # timestamps (and utilization) cover it.
-            if busy_until > clock.now:
-                clock.advance(busy_until - clock.now)
-        finally:
-            scheduler.hold_filled = held
+        simulated_before = service.stats.simulated_time_s
+        i = 0
+        wake: float | None = None
+        # The last pump's wake is the end of the last batch, so the run
+        # covers its service time.
+        while i < len(events) or wake is not None:
+            arrival = events[i].time_s + start if i < len(events) else math.inf
+            if wake is not None and wake < arrival:
+                clock.advance(wake - clock.now)
+            else:
+                clock.advance(arrival - clock.now)
+                futures.append(service.submit_query(events[i].query))
+                i += 1
+            wake = service.pump()
+            depth_samples.append((clock.now, service.scheduler.pending_count()))
+        busy_s = (
+            service.stats.simulated_time_s - simulated_before
+        ) * self.service_time_scale
         elapsed = max(clock.now - start, duration_s)
         report = self._collect(
             duration_s=duration_s,

@@ -1,20 +1,25 @@
 """Every future a service hands out resolves exactly once, correctly.
 
 A deterministic schedule on a :class:`~repro.serving.VirtualClock`
-service with a batching deadline: hypothesis draws sequences of repeats
-of an answered query (cache hits), duplicates of a query still in
-flight (joins onto its lane), new queries (misses) and clock advances
-followed by ``pump()``, with and without a :class:`QueryTracer`.  After
-a final ``flush()``:
+service with a batching deadline, whose batches keep the server busy
+for a few steps: hypothesis draws sequences of repeats of an answered
+query (cache hits), duplicates of a query still in flight (joins onto
+its lane), new queries (misses) and clock advances followed by
+``pump()``, with and without a :class:`QueryTracer`.  After a final
+``flush()``:
 
 * every future is done, and none was resolved twice: one that was
   still waiting when ``submit`` returned took exactly one ``_resolve``
-  or ``_fail``, and one done at once (a hit, born resolved, or a miss
-  whose batch filled) at most one;
+  or ``_fail``, and one done at once (a hit, born resolved) at most
+  one;
 * its answer is bitwise a fresh service's answer to the same query;
 * ``queries_submitted == queries_served``, and the cache counted one
   lookup per submit;
 * each query completed exactly one trace.
+
+A pump on a free server dispatches at once, so a query waits only
+while a batch runs; ``SERVICE_TIME_SCALE`` stretches each batch over a
+few steps, and one fixed schedule checks that the join path is reached.
 """
 
 from collections import Counter
@@ -34,6 +39,9 @@ from repro.traffic import QueryTracer
 CONFIG = FrogWildConfig(num_frogs=600, iterations=3, ps=0.8, seed=5)
 GRAPH = twitter_like(n=400, seed=11)
 DELAY_S = 0.01
+#: A batch's simulated makespan (about 2.5 ms here) times this is its
+#: virtual service time: several DELAY_S / 4 steps.
+SERVICE_TIME_SCALE = 4.0
 
 
 def _service(**settings) -> RankingService:
@@ -74,11 +82,25 @@ STEP = st.tuples(
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(STEP, min_size=1, max_size=30), traced=st.booleans())
 def test_every_future_resolves_exactly_once(steps, traced):
+    replay(steps, traced)
+
+
+def test_a_duplicate_of_a_queued_miss_joins_its_lane():
+    """The first miss runs; the second waits behind it, and its
+    duplicate rides its lane instead of executing again."""
+    service = replay([("miss", 0, 3), ("miss", 0, 3), ("join", 0, 7)], False)
+    assert service.stats.queries_coalesced == 1
+    assert service.stats.queries_executed == 2
+
+
+def replay(steps, traced) -> RankingService:
+    """Run one schedule and check every future it handed out."""
     clock = VirtualClock()
     tracer = CountingTracer() if traced else None
     service = _service(
         cache_capacity=64, max_delay_s=DELAY_S, clock=clock, tracer=tracer
     )
+    service.service_time_scale = SERVICE_TIME_SCALE
     resolutions = Counter()
     real_resolve, real_fail = RankingFuture._resolve, RankingFuture._fail
 
@@ -142,6 +164,7 @@ def test_every_future_resolves_exactly_once(steps, traced):
             trace.query_id for trace in traces
         )
         assert all(count == 1 for count in tracer.completions.values())
+    return service
 
 
 def test_a_waiting_future_is_not_done_until_resolved():

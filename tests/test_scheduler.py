@@ -1,11 +1,14 @@
 """Tests for batch scheduling and coalescer ordering.
 
-Deadline semantics run under a virtual clock — no sleeps, no
-background threads — so they are pinned down deterministically; the
-background loop's lifecycle and its idle rule run on real threads.
+The dispatch rule is pinned on the coalescer's decision itself and
+under a virtual clock — no sleeps, no background threads; the
+background loop's lifecycle, and the same rule on a real clock, run on
+real threads gated by events.  One arrival trace fed to both clocks
+must send the same batches.
 """
 
 import gc
+import math
 import threading
 import weakref
 from time import monotonic
@@ -72,17 +75,36 @@ class TestCoalescerOrdering:
         order = [q.query.seeds[0] for _, queries in batches for q in queries]
         assert order == list(range(8))
 
-    def test_pop_full_leaves_partial_remainder_queued(self):
+    def test_a_free_server_takes_full_slices_first(self):
+        """A full slice of any group leaves before an older partial
+        group; the remainder stays queued and leaves next, as idle."""
         coalescer = QueryCoalescer(max_batch_size=3)
+        coalescer.add(RankingQuery(seeds=(9,), config=FAST), DEFAULT,
+                      arrival=0.0)
         for vertex in range(7):
-            coalescer.add(RankingQuery(seeds=(vertex,)), DEFAULT)
-        full = coalescer.pop_full_entries()
-        assert [len(entries) for _, entries in full] == [3, 3]
-        assert coalescer.pending_count() == 1
-        leftover = coalescer.drain_entries()
-        assert [q.query.seeds[0] for _, queries in leftover for q in queries] == [6]
+            coalescer.add(RankingQuery(seeds=(vertex,)), DEFAULT,
+                          arrival=1.0)
+        sent = []
+        while (popped := coalescer.pop_batch(1.0, 5.0, busy=False)):
+            config, entries, kind = popped
+            sent.append((kind, [e.query.seeds[0] for e in entries]))
+        assert sent == [
+            ("fill", [0, 1, 2]),
+            ("fill", [3, 4, 5]),
+            ("idle", [9]),
+            ("idle", [6]),
+        ]
+        assert coalescer.pending_count() == 0
 
-    def test_due_entries_and_next_deadline(self):
+    def test_a_busy_server_sends_nothing_before_the_deadline(self):
+        coalescer = QueryCoalescer(max_batch_size=2)
+        coalescer.add(RankingQuery(seeds=(1,)), DEFAULT, arrival=10.0)
+        coalescer.add(RankingQuery(seeds=(2,)), DEFAULT, arrival=11.0)
+        # Not even a full slice leaves to a busy server early.
+        assert coalescer.pop_batch(14.9, 5.0, busy=True) is None
+        assert coalescer.pending_count() == 2
+
+    def test_a_busy_server_sends_the_oldest_group_at_its_deadline(self):
         coalescer = QueryCoalescer(max_batch_size=8)
         coalescer.add(RankingQuery(seeds=(1,)), DEFAULT, arrival=10.0)
         coalescer.add(RankingQuery(seeds=(2,)), DEFAULT, arrival=11.0)
@@ -90,14 +112,23 @@ class TestCoalescerOrdering:
                       arrival=12.0)
         # Deadlines anchor on each group's oldest entry.
         assert coalescer.next_deadline(5.0) == 15.0
-        assert coalescer.pop_due_entries(14.9, 5.0) == []
-        due = coalescer.pop_due_entries(15.0, 5.0)
-        assert len(due) == 1
-        config, entries = due[0]
-        assert config == DEFAULT
+        config, entries, kind = coalescer.pop_batch(15.0, 5.0, busy=True)
+        assert (config, kind) == (DEFAULT, "deadline")
         # The whole group rides, including the query that arrived later.
         assert [entry.query.seeds[0] for entry in entries] == [1, 2]
         assert coalescer.next_deadline(5.0) == 17.0
+        assert coalescer.pop_batch(16.9, 5.0, busy=True) is None
+        assert coalescer.pending_count() == 1
+
+    def test_no_delay_sends_full_slices_only_to_a_free_server(self):
+        coalescer = QueryCoalescer(max_batch_size=2)
+        for vertex in range(3):
+            coalescer.add(RankingQuery(seeds=(vertex,)), DEFAULT,
+                          arrival=0.0)
+        assert coalescer.pop_batch(1e9, None, busy=True) is None
+        _, entries, kind = coalescer.pop_batch(1e9, None, busy=False)
+        assert kind == "fill" and len(entries) == 2
+        assert coalescer.pop_batch(1e9, None, busy=False) is None
         assert coalescer.pending_count() == 1
 
     def test_unstamped_entry_makes_its_group_due_immediately(self):
@@ -107,59 +138,86 @@ class TestCoalescerOrdering:
         coalescer.add(RankingQuery(seeds=(1,)), DEFAULT, arrival=10.0)
         coalescer.add(RankingQuery(seeds=(2,)), DEFAULT)  # no arrival
         assert coalescer.next_deadline(5.0) == float("-inf")
-        due = coalescer.pop_due_entries(10.1, 5.0)
-        assert len(due) == 1
-        assert [e.query.seeds[0] for e in due[0][1]] == [1, 2]
+        _, entries, kind = coalescer.pop_batch(10.1, 5.0, busy=True)
+        assert kind == "deadline"
+        assert [e.query.seeds[0] for e in entries] == [1, 2]
 
     def test_payloads_survive_the_queue(self):
         coalescer = QueryCoalescer(max_batch_size=2)
         coalescer.add(RankingQuery(seeds=(1,)), DEFAULT, payload="a")
         coalescer.add(RankingQuery(seeds=(2,)), DEFAULT, payload="b")
-        [(_, entries)] = coalescer.pop_full_entries()
+        _, entries, _ = coalescer.pop_batch(0.0, None, busy=False)
         assert [entry.payload for entry in entries] == ["a", "b"]
 
 
 class TestBatchScheduler:
-    def make(self, max_batch_size=4, max_delay_s=5.0):
+    def make(self, max_batch_size=4, max_delay_s=5.0, service_time=None):
+        """A virtual-clock scheduler whose batches each take
+        ``service_time`` seconds of the clock (``None``: no time)."""
         dispatched = []
+
+        def dispatch(config, entries):
+            dispatched.append((config, entries))
+            return service_time
+
         clock = VirtualClock()
         scheduler = BatchScheduler(
-            lambda config, entries: dispatched.append((config, entries)),
+            dispatch,
             QueryCoalescer(max_batch_size),
             max_delay_s=max_delay_s,
             clock=clock,
         )
         return scheduler, clock, dispatched
 
-    def test_nothing_dispatches_before_the_deadline(self):
-        scheduler, clock, dispatched = self.make()
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
-        clock.advance(4.9)
-        assert scheduler.poll() == 0
-        assert dispatched == []
-        assert scheduler.pending_count() == 1
-
-    def test_deadline_expiry_dispatches_the_partial_batch(self):
-        scheduler, clock, dispatched = self.make()
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
-        clock.advance(2.0)
-        scheduler.submit(RankingQuery(seeds=(2,)), DEFAULT)
-        clock.advance(3.0)  # oldest has now waited exactly 5.0
-        assert scheduler.poll() == 1
-        [(config, entries)] = dispatched
-        assert config == DEFAULT
-        assert [entry.query.seeds[0] for entry in entries] == [1, 2]
-        assert scheduler.stats.deadline_dispatches == 1
-        assert scheduler.pending_count() == 0
-
-    def test_full_batch_dispatches_inline_at_submit(self):
+    def test_enqueue_only_enqueues(self):
         scheduler, _, dispatched = self.make(max_batch_size=3)
         for vertex in range(3):
-            scheduler.submit(RankingQuery(seeds=(vertex,)), DEFAULT)
-        # No poll needed: the fill trigger fired inside the last submit.
-        assert len(dispatched) == 1
+            scheduler.enqueue(RankingQuery(seeds=(vertex,)), DEFAULT)
+        # A full batch waits for the next decision, not inline.
+        assert dispatched == []
+        assert scheduler.pending_count() == 3
+        assert scheduler.pump() is None
         assert scheduler.stats.fill_dispatches == 1
-        assert scheduler.pending_count() == 0
+
+    def test_a_full_slice_leaves_first_when_the_server_frees(self):
+        scheduler, clock, dispatched = self.make(
+            max_batch_size=3, service_time=1.0
+        )
+        scheduler.enqueue(RankingQuery(seeds=(0,)), DEFAULT)
+        assert scheduler.pump() == 1.0  # idle [0] runs until t = 1
+        clock.advance(0.2)
+        scheduler.enqueue(RankingQuery(seeds=(9,), config=FAST), DEFAULT)
+        clock.advance(0.3)
+        for vertex in (1, 2, 3):
+            scheduler.enqueue(RankingQuery(seeds=(vertex,)), DEFAULT)
+        # Busy: nothing leaves, and pump says when to come back.
+        assert scheduler.pump() == 1.0
+        assert len(dispatched) == 1
+        clock.advance(0.5)
+        # The full slice goes before the older FAST query.
+        assert scheduler.pump() == 2.0
+        clock.advance(1.0)
+        assert scheduler.pump() == 3.0
+        clock.advance(1.0)
+        assert scheduler.pump() is None
+        assert [
+            [entry.query.seeds[0] for entry in entries]
+            for _, entries in dispatched
+        ] == [[0], [1, 2, 3], [9]]
+        stats = scheduler.stats
+        assert (stats.idle_dispatches, stats.fill_dispatches) == (2, 1)
+        assert stats.deadline_dispatches == 0
+
+    def test_a_pump_on_a_free_server_sends_one_batch_per_decision(self):
+        """With no service time the server is free after each batch, so
+        one pump sends every group, oldest first."""
+        scheduler, clock, dispatched = self.make()
+        scheduler.enqueue(RankingQuery(seeds=(1,), config=FAST), DEFAULT)
+        clock.advance(1.0)
+        scheduler.enqueue(RankingQuery(seeds=(2,)), DEFAULT)
+        assert scheduler.pump() is None
+        assert [config for config, _ in dispatched] == [FAST, DEFAULT]
+        assert scheduler.stats.idle_dispatches == 2
 
     def test_next_deadline_tracks_oldest_pending_group(self):
         scheduler, clock, _ = self.make()
@@ -168,17 +226,17 @@ class TestBatchScheduler:
             return scheduler.coalescer.next_deadline(scheduler.max_delay_s)
 
         assert next_deadline() is None
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
         assert next_deadline() == pytest.approx(5.0)
         clock.advance(1.0)
-        scheduler.submit(RankingQuery(seeds=(2,), config=FAST), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(2,), config=FAST), DEFAULT)
         # The default-config group is still the oldest.
         assert next_deadline() == pytest.approx(5.0)
 
     def test_flush_ignores_deadlines(self):
         scheduler, _, dispatched = self.make()
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
-        scheduler.submit(RankingQuery(seeds=(2,), config=FAST), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(2,), config=FAST), DEFAULT)
         assert scheduler.flush() == 2
         assert len(dispatched) == 2
         assert scheduler.stats.flush_dispatches == 2
@@ -186,9 +244,9 @@ class TestBatchScheduler:
 
     def test_no_deadline_means_fill_or_flush_only(self):
         scheduler, clock, dispatched = self.make(max_delay_s=None)
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
         clock.advance(1e9)
-        assert scheduler.poll() == 0
+        assert scheduler.pump() is None
         assert dispatched == []
         assert scheduler.flush() == 1
 
@@ -204,9 +262,9 @@ class TestBatchScheduler:
             dispatched.append(config)
 
         scheduler = BatchScheduler(dispatch, QueryCoalescer(4))
-        scheduler.submit(RankingQuery(seeds=(1,), config=FAST), DEFAULT)
-        scheduler.submit(RankingQuery(seeds=(2,)), DEFAULT)
-        scheduler.submit(RankingQuery(seeds=(3,), config=SLOW), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(1,), config=FAST), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(2,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(3,), config=SLOW), DEFAULT)
         with pytest.raises(RuntimeError, match="shard meltdown"):
             scheduler.flush()
         # The two healthy batches still ran, and stats counted all 3.
@@ -232,14 +290,14 @@ class TestBatchScheduler:
         )
         scheduler.start()
         try:
-            scheduler.submit(RankingQuery(seeds=(666,)), DEFAULT)
+            scheduler.enqueue(RankingQuery(seeds=(666,)), DEFAULT)
             for _ in range(1000):
                 if scheduler.last_error is not None:
                     break
                 time_sleep(0.005)
             assert isinstance(scheduler.last_error, RuntimeError)
             assert scheduler.running
-            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
             assert dispatched.wait(timeout=30.0)
         finally:
             scheduler.stop(flush=False)
@@ -270,7 +328,7 @@ class TestBatchScheduler:
             assert not scheduler.running
         scheduler.start()
         try:
-            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
             assert dispatched.wait(timeout=30.0)
         finally:
             scheduler.stop(flush=False)
@@ -279,7 +337,7 @@ class TestBatchScheduler:
         """Regression: stop() used to clear the thread handle *before*
         joining, so ``running`` flipped False while the loop could still
         be dispatching, and the final flush could interleave with an
-        in-flight poll dispatch.  Now the join strictly precedes both."""
+        in-flight loop dispatch.  Now the join strictly precedes both."""
         import threading
 
         in_dispatch = threading.Event()
@@ -296,11 +354,11 @@ class TestBatchScheduler:
             dispatch, QueryCoalescer(4), max_delay_s=0.001
         )
         scheduler.start()
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
         assert in_dispatch.wait(timeout=30.0)
         # The loop thread is parked inside dispatch; this entry can only
         # leave via stop()'s final flush.
-        scheduler.submit(RankingQuery(seeds=(2,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(2,)), DEFAULT)
         stopper = threading.Thread(target=scheduler.stop)
         stopper.start()
         time_sleep(0.05)
@@ -314,12 +372,12 @@ class TestBatchScheduler:
         assert not stopper.is_alive()
         assert not scheduler.running
         assert scheduler.active_dispatches == 0
-        # The flush ran strictly after the poll dispatch completed.
+        # The flush ran strictly after the loop dispatch completed.
         assert order == [1, 2]
 
     def test_stop_without_start_still_flushes(self):
         scheduler, _, dispatched = self.make()
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
         scheduler.stop()
         assert len(dispatched) == 1
         assert not scheduler.running
@@ -368,7 +426,7 @@ class TestIdleDispatch:
         scheduler.start()
         try:
             began = monotonic()
-            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
             assert dispatched.wait(timeout=30.0)
             assert monotonic() - began < 1.0
         finally:
@@ -393,10 +451,10 @@ class TestIdleDispatch:
         scheduler = self.make(dispatch)
         scheduler.start()
         try:
-            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
             assert running.wait(timeout=30.0)
             for vertex in (2, 3, 4):
-                scheduler.submit(RankingQuery(seeds=(vertex,)), DEFAULT)
+                scheduler.enqueue(RankingQuery(seeds=(vertex,)), DEFAULT)
             assert not second.is_set()
             release.set()
             assert second.wait(timeout=30.0)
@@ -421,13 +479,13 @@ class TestIdleDispatch:
                 dispatched.set()
 
         scheduler = self.make(dispatch)
-        scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
         flusher = threading.Thread(target=scheduler.flush)
         flusher.start()
         assert flushing.wait(timeout=30.0)
         scheduler.start()
         try:
-            scheduler.submit(RankingQuery(seeds=(2,)), DEFAULT)
+            scheduler.enqueue(RankingQuery(seeds=(2,)), DEFAULT)
             time_sleep(0.05)
             # Busy server: the entry waits behind the flush.
             assert not dispatched.is_set()
@@ -443,6 +501,38 @@ class TestIdleDispatch:
         assert (stats.flush_dispatches, stats.idle_dispatches) == (1, 1)
         assert stats.deadline_dispatches == 0
 
+    def test_a_deadline_fires_behind_a_held_flush(self):
+        """Behind a busy server a partial batch leaves once its oldest
+        entry has waited ``max_delay_s``, while the flush still runs."""
+        flushing = threading.Event()
+        release = threading.Event()
+        dispatched = threading.Event()
+
+        def dispatch(config, entries):
+            if entries[0].query.seeds == (1,):
+                flushing.set()
+                release.wait(timeout=30.0)
+            else:
+                dispatched.set()
+
+        scheduler = self.make(dispatch, max_delay_s=0.01)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
+        flusher = threading.Thread(target=scheduler.flush)
+        flusher.start()
+        assert flushing.wait(timeout=30.0)
+        scheduler.start()
+        try:
+            scheduler.enqueue(RankingQuery(seeds=(2,)), DEFAULT)
+            assert dispatched.wait(timeout=30.0)
+            assert scheduler.active_dispatches == 1  # the flush, still held
+        finally:
+            release.set()
+            flusher.join(timeout=30.0)
+            scheduler.stop(flush=False)
+        stats = scheduler.stats
+        assert (stats.flush_dispatches, stats.deadline_dispatches) == (1, 1)
+        assert stats.idle_dispatches == 0
+
     def test_no_delay_leaves_a_partial_batch_queued_on_a_started_loop(self):
         dispatched = []
         scheduler = self.make(
@@ -451,7 +541,7 @@ class TestIdleDispatch:
         )
         scheduler.start()
         try:
-            scheduler.submit(RankingQuery(seeds=(1,)), DEFAULT)
+            scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
             time_sleep(0.05)
             assert dispatched == []
             assert scheduler.pending_count() == 1
@@ -462,6 +552,117 @@ class TestIdleDispatch:
         assert scheduler.stats.flush_dispatches == 1
 
 
+class TestOneRuleOnBothClocks:
+    """One arrival trace, fed to a started loop on a real clock and to
+    ``pump()`` on a virtual one, sends the same batches.  Each batch
+    takes ``SERVICE_S``: the virtual stub returns it, and the real-clock
+    driver holds each batch on an event until the trace reaches its end,
+    so no run depends on how fast the host is."""
+
+    SERVICE_S = 10.0
+    #: (arrival, seed): a lone query to an idle server, two arrivals
+    #: during its batch, then five during the next one (a full slice of
+    #: three and a remainder).
+    TRACE = [(0.0, 1), (1.0, 2), (2.0, 3), (11.0, 4), (12.0, 5),
+             (13.0, 6), (14.0, 7)]
+    EXPECTED = [("idle", [1]), ("idle", [2, 3]), ("fill", [4, 5, 6]),
+                ("idle", [7])]
+
+    @staticmethod
+    def counts(scheduler):
+        stats = scheduler.stats
+        return {
+            kind: getattr(stats, f"{kind}_dispatches")
+            for kind in ("fill", "idle", "deadline", "flush")
+        }
+
+    def sent(self, scheduler, log):
+        """(kind, seeds) per batch: each batch's kind is the counter
+        that moved between its start and the next batch's."""
+        marks = [counts for counts, _ in log] + [self.counts(scheduler)]
+        return [
+            (
+                next(k for k in marks[i] if marks[i + 1][k] > marks[i][k]),
+                seeds,
+            )
+            for i, (_, seeds) in enumerate(log)
+        ]
+
+    def make(self, dispatch, clock=None):
+        return BatchScheduler(
+            dispatch, QueryCoalescer(3), max_delay_s=30.0, clock=clock
+        )
+
+    def on_a_virtual_clock(self):
+        log = []
+        clock = VirtualClock()
+
+        def dispatch(config, entries):
+            log.append((self.counts(scheduler),
+                        [e.query.seeds[0] for e in entries]))
+            return self.SERVICE_S
+
+        scheduler = self.make(dispatch, clock)
+        i, wake = 0, None
+        while i < len(self.TRACE) or wake is not None:
+            arrival = self.TRACE[i][0] if i < len(self.TRACE) else math.inf
+            if wake is not None and wake < arrival:
+                clock.advance(wake - clock.now)
+            else:
+                clock.advance(arrival - clock.now)
+                scheduler.enqueue(RankingQuery(seeds=(self.TRACE[i][1],)),
+                                  DEFAULT)
+                i += 1
+            wake = scheduler.pump()
+        return self.sent(scheduler, log)
+
+    def on_a_real_clock(self):
+        log, gates = [], []
+        began = threading.Semaphore(0)
+
+        def dispatch(config, entries):
+            gate = threading.Event()
+            log.append((self.counts(scheduler),
+                        [e.query.seeds[0] for e in entries]))
+            gates.append(gate)
+            began.release()
+            assert gate.wait(timeout=30.0)
+
+        def started(now):
+            assert began.acquire(timeout=30.0)
+            return now + self.SERVICE_S
+
+        def finish(end):
+            # The loop is inside the held batch, so the queue is still:
+            # if anything waits, the freed loop takes a batch at once.
+            waiting = scheduler.pending_count()
+            gates[-1].set()
+            return started(end) if waiting else None
+
+        scheduler = self.make(dispatch)
+        scheduler.start()
+        end = None  # trace time the running batch ends
+        try:
+            for arrival, seed in self.TRACE:
+                while end is not None and end < arrival:
+                    end = finish(end)
+                scheduler.enqueue(RankingQuery(seeds=(seed,)), DEFAULT)
+                if end is None:
+                    end = started(arrival)
+            while end is not None:
+                end = finish(end)
+        finally:
+            for gate in gates:
+                gate.set()
+            scheduler.stop(flush=False)
+        return self.sent(scheduler, log)
+
+    def test_one_trace_sends_the_same_batches_on_both_clocks(self):
+        virtual = self.on_a_virtual_clock()
+        assert virtual == self.EXPECTED
+        assert self.on_a_real_clock() == virtual
+
+
 @pytest.fixture(scope="module")
 def graph():
     from repro.graph import twitter_like
@@ -470,7 +671,7 @@ def graph():
 
 
 class TestScheduledService:
-    """End-to-end deadline scheduling through RankingService.submit."""
+    """End-to-end scheduling through RankingService.submit."""
 
     def make_service(self, graph, **kwargs):
         clock = VirtualClock()
@@ -484,42 +685,58 @@ class TestScheduledService:
         defaults.update(kwargs)
         return RankingService(graph, ServiceConfig(**defaults)), clock
 
-    def test_trickle_batches_on_deadline(self, graph):
+    def test_a_pump_sends_the_queued_trickle_as_one_batch(self, graph):
         service, clock = self.make_service(graph)
         futures = [service.submit([vertex]) for vertex in range(3)]
         assert not any(future.done() for future in futures)
         clock.advance(5.0)
-        assert service.pump() == 1
+        # The batch's service time runs on the clock: pump says when the
+        # server frees, and the queue is empty by then.
+        assert service.pump() > clock.now
         assert all(future.done() for future in futures)
         assert list(service.stats.batch_size.recent) == [3]
+        assert service.scheduler.stats.idle_dispatches == 1
         answers = [future.result() for future in futures]
         assert [answer.query.seeds[0] for answer in answers] == [0, 1, 2]
         assert all(answer.batch_size == 3 for answer in answers)
 
-    def test_one_query_per_tick_still_forms_batches(self, graph):
-        """Queries trickling in one per millisecond under a 5 ms
-        deadline ride shared traversals, not one batch per arrival."""
+    def test_batches_form_under_load(self, graph):
+        """Queries arriving one per millisecond, while each batch takes
+        longer than that to run, ride shared traversals: the first
+        leaves alone, the rest leave together as the server frees."""
         service, clock = self.make_service(
             graph, max_batch_size=16, max_delay_s=0.005
         )
         futures = []
         for vertex in range(12):
             futures.append(service.submit([vertex, vertex + 100]))
-            clock.advance(0.001)
             service.pump()
-        clock.advance(0.005)
-        service.pump()
+            clock.advance(0.001)
+        while (wake := service.pump()) is not None:
+            clock.advance(wake - clock.now)
         assert all(future.done() for future in futures)
-        assert service.scheduler.stats.deadline_dispatches >= 1
-        assert service.stats.batch_size.max >= 4
+        sizes = list(service.stats.batch_size.recent)
+        assert sizes[0] == 1 and sum(sizes) == 12
+        assert max(sizes) >= 3
+        assert service.scheduler.stats.deadline_dispatches == 0
         assert service.stats.amortization_ratio() < 1.0
 
-    def test_fill_dispatches_without_waiting(self, graph):
-        service, _ = self.make_service(graph)
-        futures = [service.submit([vertex]) for vertex in range(4)]
-        # Batch filled at the 4th submit: answered with no clock motion.
-        assert all(future.done() for future in futures)
+    def test_a_full_batch_leaves_first_when_the_server_frees(self, graph):
+        service, clock = self.make_service(graph)
+        lone = service.submit([9])
+        wake = service.pump()  # [9] leaves alone; the server is busy
+        futures = [service.submit([vertex]) for vertex in range(5)]
+        assert lone.done() and not any(f.done() for f in futures)
+        assert service.pump() == wake
+        clock.advance(wake - clock.now)
+        wake = service.pump()
+        # The full slice took the freed server; the fifth query waits.
+        assert [f.done() for f in futures] == [True] * 4 + [False]
         assert service.scheduler.stats.fill_dispatches == 1
+        clock.advance(wake - clock.now)
+        service.pump()
+        assert futures[4].done()
+        assert list(service.stats.batch_size.recent) == [1, 4, 1]
 
     def test_submit_hits_cache_immediately(self, graph):
         service, clock = self.make_service(graph)
@@ -549,8 +766,8 @@ class TestScheduledService:
 
     def test_sync_query_batch_leaves_scheduled_entries_queued(self, graph):
         """A synchronous ``query_batch`` call flushes only its own
-        lanes: another caller's deadline-scheduled partial batch keeps
-        accumulating toward its fill or deadline."""
+        lanes: another caller's queued partial batch waits for the next
+        dispatch decision."""
         service, clock = self.make_service(graph)
         trickling = service.submit([11])
         answer = service.query([22])
@@ -569,7 +786,7 @@ class TestScheduledService:
     ):
         """If a sync call duplicates a query another caller already
         scheduled, it must dispatch that lane rather than block on a
-        deadline that may never be pumped."""
+        pump that may never come."""
         service, _ = self.make_service(graph)
         scheduled = service.submit([7])
         answer = service.query([7])

@@ -183,7 +183,7 @@ class TestAdmissionController:
         shed = ctl.decide(16)
         assert shed.action == "shed"
         assert shed.depth == 16 and shed.limit == 16
-        assert ctl.stats.shed_rate() == pytest.approx(0.25)
+        assert ctl.stats.shed / ctl.stats.offered == pytest.approx(0.25)
         assert flatten({"admission": ctl.stats}) == {
             "admission_offered": 4.0,
             "admission_admitted": 1.0,
