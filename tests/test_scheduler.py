@@ -9,6 +9,7 @@ must send the same batches.
 
 import gc
 import math
+import sys
 import threading
 import weakref
 from time import monotonic
@@ -532,6 +533,44 @@ class TestIdleDispatch:
         stats = scheduler.stats
         assert (stats.flush_dispatches, stats.deadline_dispatches) == (1, 1)
         assert stats.idle_dispatches == 0
+
+    def test_concurrent_submitters_each_dispatch_exactly_once(self):
+        """More submitting threads than cores, switching often: every
+        entry leaves exactly once, in a batch no larger than allowed."""
+        sent = []
+        lock = threading.Lock()
+
+        def dispatch(config, entries):
+            with lock:
+                sent.append([entry.payload for entry in entries])
+
+        scheduler = self.make(dispatch, max_batch_size=4)
+
+        def submitter(t):
+            for i in range(50):
+                scheduler.enqueue(RankingQuery(seeds=(i,)), DEFAULT,
+                                  payload=(t, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            scheduler.start()
+            threads = [threading.Thread(target=submitter, args=(t,))
+                       for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            scheduler.stop(flush=True)
+            sys.setswitchinterval(interval)
+        payloads = [payload for batch in sent for payload in batch]
+        assert sorted(payloads) == sorted(
+            (t, i) for t in range(4) for i in range(50)
+        )
+        assert max(len(batch) for batch in sent) <= 4
+        assert scheduler.stats.queries_dispatched == 200
 
     def test_no_delay_leaves_a_partial_batch_queued_on_a_started_loop(self):
         dispatched = []
