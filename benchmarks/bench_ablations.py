@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the FrogWild stack's implementation choices.
 
 Three implementation decisions in the FrogWild stack have paper-mandated
 alternatives; each ablation runs both sides on the calibrated Twitter

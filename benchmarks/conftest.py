@@ -2,7 +2,7 @@
 
 Every ``bench_figure*.py`` module reproduces one figure of the paper at
 the calibrated workload scale, asserts the figure's *shape criteria*
-(documented in DESIGN.md), and writes the numeric series to
+(written in that module's docstring), and writes the numeric series to
 ``benchmarks/results/figure<N>.txt`` for inspection.
 """
 

@@ -10,18 +10,19 @@ simulated cluster in two directions at once:
   summation before top-k; per-query cost attribution sums exactly
   across shards, so metering stays honest.
 * **batch scheduling** — production traffic trickles instead of
-  arriving in bursts.  With ``max_delay_s`` set, a started service
-  dispatches a partial batch as soon as no batch is running (*idle*),
-  instantly when it fills (*fill*), after its oldest query has waited
-  ``max_delay_s`` behind another dispatch (*deadline*), or on a
-  *flush*; queries that arrive while a batch runs still amortize one
-  traversal.  A virtual clock's ``pump()`` keeps the deadline rule
-  alone, which is what this example drives.
+  arriving in bursts.  A free server takes what is queued at once, a
+  full batch first (*fill*) else the oldest partial one (*idle*); behind
+  a busy server a partial batch leaves once its oldest query has waited
+  ``max_delay_s`` (*deadline*); a *flush* sends everything.  Queries
+  that arrive while a batch runs leave together when it returns, so
+  they amortize one traversal.  A started service and a virtual clock's
+  ``pump()`` apply this one rule.
 
 This example serves a trickle of users — one query per simulated
 millisecond, driven by a virtual clock so the run is deterministic —
-through a 4-shard service under a 5 ms batching deadline, then shows
-the per-shard cost partition and replays a query from cache.
+through a 4-shard service whose batches each take about 10 ms of
+simulated cluster time, so batches form under load; then it shows the
+per-shard cost partition and replays a query from cache.
 
 Usage::
 
@@ -47,13 +48,13 @@ def main() -> None:
             num_machines=16,     # fleet of 16 machines...
             num_shards=4,        # ...split into 4 sub-clusters of 4
             max_batch_size=16,
-            max_delay_s=0.005,   # dispatch partial batches after 5 ms
+            max_delay_s=0.005,   # longest wait behind a busy server
             clock=clock,
         ),
     )
     print("Service started: 4 shards x "
           f"{service.backend.machines_per_shard} machines, "
-          "5 ms batching deadline.\n")
+          "5 ms deadline behind a busy server.\n")
 
     rng = np.random.default_rng(5)
     users = rng.choice(graph.num_vertices, size=12, replace=False)
@@ -62,17 +63,17 @@ def main() -> None:
     futures = []
     for user in users:
         futures.append(service.submit([int(user)], k=5))
+        service.pump()         # a free server takes what is queued
         clock.advance(0.001)   # 1 ms between arrivals
-        service.pump()         # deadline check (the started loop also
-                               # dispatches at once when idle)
-    clock.advance(0.005)
-    service.pump()             # the tail batch's deadline expires
+    # pump() says when the running batch ends; run out the queue.
+    while (wake := service.pump()) is not None:
+        clock.advance(wake - clock.now)
     assert all(future.done() for future in futures)
 
     stats = service.stats
     sched = service.scheduler.stats
     print(f"batches formed             : {list(stats.batch_size.recent)} "
-          f"({sched.deadline_dispatches} by deadline, "
+          f"({sched.idle_dispatches} idle, "
           f"{sched.fill_dispatches} by fill)")
     print(f"network amortization       : {stats.amortization_ratio():.3f} "
           "(shared wire bytes / standalone-priced bytes)")

@@ -7,8 +7,9 @@ workloads of :mod:`repro.experiments.workloads`; passing smaller graphs
 or fewer sweep points gives quick versions for tests.
 
 The paper has no numbered tables — Figures 1–8 are the whole
-evaluation.  See DESIGN.md for the per-figure shape criteria and
-EXPERIMENTS.md for measured outcomes.
+evaluation.  Each figure's shape criteria are written in the module
+docstring of its ``benchmarks/bench_figure<N>.py``, which asserts them
+and writes the measured series to ``benchmarks/results/``.
 """
 
 from __future__ import annotations

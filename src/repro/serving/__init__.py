@@ -36,8 +36,8 @@ scale-out), :mod:`~repro.serving.supervisor`
 (:class:`WorkerSupervisor`: the crash respawn and shared-memory
 hygiene every batch runs before the pool's fail-soft
 ``on_shard_failure`` policy decides it), :mod:`~repro.serving.scheduler`
-(fill-or-deadline
-:class:`BatchScheduler`, virtual-clock or background-thread driven),
+(:class:`BatchScheduler`: one dispatch rule, driven by a background
+thread or by ``pump()`` on a virtual clock),
 :mod:`~repro.serving.service` (the :class:`RankingService` façade
 tying cache → coalescer → scheduler → backend together, with per-query
 cost attribution for honest metering).
