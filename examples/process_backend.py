@@ -16,7 +16,7 @@ wall-clock parallelism, never a different ranking.
 
 This example builds a ranking service on each backend, answers the
 same queries, verifies the scores agree, and prints the transport
-reconciliation — then refreshes the pool onto a second graph snapshot
+reconciliation — then remaps the pool onto a second graph snapshot
 to show the epoch-remap handshake.
 
 Usage::
@@ -29,6 +29,7 @@ import numpy as np
 from repro import FrogWildConfig
 from repro.graph import twitter_like
 from repro.serving import (
+    PoolEpoch,
     ProcessPoolBackend,
     RankingQuery,
     RankingService,
@@ -83,8 +84,9 @@ def main() -> None:
         top3 = [int(v) for v in process.vertices[:3]]
         print(f"seeds {seeds}: top-3 {top3} (bitwise equal across backends)")
 
-    # Epoch remap: refresh the pool onto a new snapshot in place —
-    # workers re-attach new shared segments, old ones are unlinked.
+    # Epoch remap: attach the new snapshot's tables as the next epoch
+    # (workers map fresh shared segments), then retire the old epoch
+    # (workers detach it and its segments are unlinked).
     snapshot = twitter_like(n=NUM_VERTICES, seed=12)
     tables = ShardedBackend(
         snapshot, num_shards=WORKERS, num_machines=MACHINES, seed=0
@@ -92,12 +94,14 @@ def main() -> None:
     with ProcessPoolBackend(
         graph, num_shards=WORKERS, num_machines=MACHINES, seed=0
     ) as pool:
-        pool.refresh(snapshot, tables)
+        old = PoolEpoch(pool)
+        pool.attach_epoch(snapshot, tables)
+        old.retire()
         outcome = pool.run_batch(
             CONFIG, [RankingQuery(seeds=tuple(seed_sets[0]), k=5)]
         )
         top = outcome.lanes[0].estimate.top_k(5)
-        print(f"after refresh onto new snapshot: top-5 {top.tolist()}")
+        print(f"after remap onto new snapshot: top-5 {top.tolist()}")
 
 
 if __name__ == "__main__":

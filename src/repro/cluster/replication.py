@@ -337,23 +337,6 @@ class ReplicationTable:
     # ------------------------------------------------------------------
     # Placement queries
     # ------------------------------------------------------------------
-    def master_of(self, v: int) -> int:
-        """Machine holding the master replica of ``v``."""
-        return int(self.masters[v])
-
-    def replicas_of(self, v: int) -> np.ndarray:
-        """All machines holding a replica of ``v`` (master included)."""
-        return np.flatnonzero(self._replicas[v])
-
-    def mirrors_of(self, v: int) -> np.ndarray:
-        """Machines holding mirror (non-master) replicas of ``v``."""
-        reps = self.replicas_of(v)
-        return reps[reps != self.masters[v]]
-
-    def mirror_counts(self) -> np.ndarray:
-        """Number of mirrors per vertex, shape ``(n,)``."""
-        return (self.replica_counts - 1).astype(np.int64)
-
     def masters_on(self, machine: int) -> np.ndarray:
         """Vertices whose master replica lives on ``machine``."""
         lo, hi = self._master_ptr[machine], self._master_ptr[machine + 1]

@@ -27,7 +27,7 @@ from collections import deque
 import numpy as np
 
 from ..errors import ConfigError, GraphError
-from .graph import DynamicDiGraph, GraphDelta, _as_edge_array
+from .graph import GraphDelta, _as_edge_array
 
 __all__ = ["ActivityWindow"]
 
@@ -61,11 +61,6 @@ class ActivityWindow:
     @property
     def num_vertices(self) -> int:
         return self._n
-
-    @property
-    def num_live_interactions(self) -> int:
-        """Interactions currently inside the horizon (with multiplicity)."""
-        return sum(self._counts.values())
 
     @property
     def clock(self) -> float:
@@ -113,11 +108,6 @@ class ActivityWindow:
     def current_edges(self) -> np.ndarray:
         """Edges currently alive in the window, as ``(m, 2)`` rows."""
         return self._keys_to_edges(set(self._counts))
-
-    def to_dynamic_graph(self) -> DynamicDiGraph:
-        """Materialize the window's present edge set (e.g. to seed a
-        live service that joins an already-running stream)."""
-        return DynamicDiGraph(self._n, self.current_edges())
 
     # ------------------------------------------------------------------
     def _ingest(self, edges, timestamp: float) -> set[int]:

@@ -57,16 +57,6 @@ class GraphBuilder:
         self._repair = repair_dangling
         self._sources: list[np.ndarray] = []
         self._targets: list[np.ndarray] = []
-        self._count = 0
-
-    @property
-    def num_pending_edges(self) -> int:
-        """Edges added so far (before dedup)."""
-        return self._count
-
-    def add_edge(self, source: int, target: int) -> "GraphBuilder":
-        """Add a single directed edge ``source -> target``."""
-        return self.add_edges([(source, target)])
 
     def add_edges(
         self, edges: Iterable[tuple[int, int]] | np.ndarray
@@ -88,7 +78,6 @@ class GraphBuilder:
             raise GraphError("vertex ids must be non-negative")
         self._sources.append(arr[:, 0].copy())
         self._targets.append(arr[:, 1].copy())
-        self._count += arr.shape[0]
         return self
 
     def build(self) -> DiGraph:

@@ -130,27 +130,6 @@ class IncrementalIngress:
     def num_edges(self) -> int:
         return int(self._keys.size)
 
-    def machine_keys(self, machine: int) -> np.ndarray:
-        """One machine's placed edge keys via a window-pruned scan.
-
-        The window carries this ingress's exact ``(num_machines,
-        salt)`` placement, so a :class:`~repro.store.SegmentStore`
-        whose layout matches answers from that machine's segments alone
-        — the shard-local read path that never streams another shard's
-        edges.
-        """
-        from ..store import Window
-
-        return self.graph.scan(
-            Window(
-                0,
-                self.graph.num_vertices,
-                machine=int(machine),
-                num_machines=self.num_machines,
-                salt=self.salt,
-            )
-        )
-
     # ------------------------------------------------------------------
     def apply(self, delta: GraphDelta) -> IngressUpdate:
         """Apply one delta to the graph, then reconcile the placement."""
@@ -244,11 +223,6 @@ class IncrementalIngress:
     def load_imbalance(self) -> float:
         """Max / mean per-machine edge load of the current placement."""
         return self.partition().load_imbalance()
-
-    def lifetime_reuse_ratio(self) -> float:
-        """Reused placements over total placements across all syncs."""
-        placed = self.reused_placements + self.new_placements
-        return self.reused_placements / placed if placed else 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

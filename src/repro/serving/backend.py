@@ -68,37 +68,39 @@ __all__ = [
 ]
 
 
-def choose_num_shards(
-    num_machines: int,
-    replication: int = 4,
-    num_frogs: int | None = None,
-    min_frogs_per_shard: int = 2_000,
-    min_machines_per_shard: int = 2,
-) -> int:
+#: Full ingress replicas a deployment holds at most (one per shard).
+MAX_REPLICAS = 4
+#: Frogs a shard's share of one query needs to be worth a fan-out.
+MIN_FROGS_PER_SHARD = 2_000
+#: Machines a shard needs to be a sub-cluster with a network.
+MIN_MACHINES_PER_SHARD = 2
+
+
+def choose_num_shards(num_machines: int, num_frogs: int | None = None) -> int:
     """Pick a shard count from fleet size, ingress budget and frog budget.
 
     Three ceilings, the smallest wins (floored at one shard):
 
-    * **fleet** — each shard needs at least ``min_machines_per_shard``
-      machines to be a meaningful sub-cluster (a one-machine shard has
-      no network to amortize);
+    * **fleet** — each shard needs at least ``MIN_MACHINES_PER_SHARD``
+      (2) machines to be a meaningful sub-cluster (a one-machine shard
+      has no network to amortize);
     * **replication** — every shard holds a *complete* partitioned
       replica of the graph (the shardable unit is the frog population,
       not the edge set), so ingress memory grows linearly in the shard
-      count; ``replication`` caps how many full copies the deployment
-      tolerates;
+      count; ``MAX_REPLICAS`` (4) caps how many full copies the
+      deployment holds;
     * **frogs** — each query's budget splits across shards
-      (cf. :meth:`ShardedBackend._shares`); shards whose share rounds
-      to a trivial population sit batches out while still paying their
-      ingress, so tiny budgets should not fan out at all.
+      (cf. :meth:`ShardedBackend._shares`); a shard's share should be
+      at least ``MIN_FROGS_PER_SHARD`` (2 000) frogs, since shards
+      whose share rounds to a trivial population sit batches out while
+      still paying their ingress.  Without ``num_frogs`` this ceiling
+      does not apply.
     """
     if num_machines < 1:
         raise ConfigError("num_machines must be positive")
-    if replication < 1:
-        raise ConfigError("replication must be positive")
-    bound = min(num_machines // max(min_machines_per_shard, 1), replication)
+    bound = min(num_machines // MIN_MACHINES_PER_SHARD, MAX_REPLICAS)
     if num_frogs is not None:
-        bound = min(bound, num_frogs // max(min_frogs_per_shard, 1))
+        bound = min(bound, num_frogs // MIN_FROGS_PER_SHARD)
     return max(1, bound)
 
 

@@ -35,8 +35,7 @@ Three mechanisms make that cheap and honest:
   the epoch its caller pinned even when a newer one was attached in
   between; batches are serialized with attaches and retirements on one
   lock and run wholly against a single epoch's arrays (no mid-batch
-  tearing).  :meth:`refresh` is an attach plus the retirement of the
-  epoch it replaced, for a pool nobody pins epochs of.
+  tearing).
 
 Worker protocol (control pipe, pickled tuples):
 
@@ -94,17 +93,17 @@ population.  When a worker dies (or times out) mid-batch,
   ``lost_frogs`` so the service can attach the widened Theorem-1
   bound.
 
-The pool heals on the paths that talk to every worker: a batch and a
-refresh.  A worker found dead at *dispatch* (before its slice started)
+The pool heals on the paths that talk to every worker: a batch and an
+epoch attach.  A worker found dead at *dispatch* (before its slice started)
 is respawned and re-sent once for free under both policies — no frogs
 were lost yet; a worker lost mid-flight is respawned the moment the
-gather sees it, while the other shards still compute.  A refresh
+gather sees it, while the other shards still compute.  An attach
 respawns a worker it finds dead the same way, and gathers every attach
 it sent before it gives up on an epoch.  All of these go through the
 :class:`~repro.serving.WorkerSupervisor` (respawn with backoff,
 re-attach to the live epochs, orphaned-segment sweep).  Nothing
 watches the workers between batches: a death there is found by the
-next batch's or refresh's dispatch.
+next batch's or attach's dispatch.
 """
 
 from __future__ import annotations
@@ -344,13 +343,13 @@ class ProcessPoolBackend(ShardedBackend):
     value, ``"fused"``; any other name is a
     :class:`~repro.errors.ConfigError` before a worker starts.
 
+    Workers start with ``fork`` where the platform has it (instant
+    start, Linux) and with the platform's default start method
+    elsewhere; the worker entry point is spawn-safe either way.
+
     Every :class:`ShardedBackend` keyword is accepted and means the
     same.  Extra parameters:
 
-    ``start_method``
-        ``multiprocessing`` start method; default prefers ``fork``
-        (instant start, Linux) and falls back to the platform default.
-        The worker entry point is spawn-safe either way.
     ``timeout_s``
         How long a worker may stay silent on a request (each frame or
         reply of that request restarts it); a silent worker is treated
@@ -379,7 +378,6 @@ class ProcessPoolBackend(ShardedBackend):
     def __init__(
         self,
         graph: DiGraph | None = None,
-        start_method: str | None = None,
         timeout_s: float = 120.0,
         on_shard_failure: str = "fail",
         **layout,
@@ -401,12 +399,11 @@ class ProcessPoolBackend(ShardedBackend):
         super().__init__(graph, **layout)
         self.timeout_s = timeout_s
         self.on_shard_failure = on_shard_failure
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in mp.get_all_start_methods()
-                else mp.get_start_method()
-            )
+        start_method = (
+            "fork"
+            if "fork" in mp.get_all_start_methods()
+            else mp.get_start_method()
+        )
         self._context = mp.get_context(start_method)
         # One lock serializes batches, attaches and retirements: a batch
         # runs wholly against one epoch's arenas, and no epoch is
@@ -629,7 +626,7 @@ class ProcessPoolBackend(ShardedBackend):
         caller destroys the epoch's arenas under a worker still mapping
         them; the first failure is raised after that.  A worker found
         dead at the send or lost while attaching is handed to
-        ``revive(shard, cause)`` (:meth:`_recover_shard` on a refresh,
+        ``revive(shard, cause)`` (:meth:`_recover_shard` on an attach,
         whose respawn attaches every published epoch, this one
         included); a ``False`` from it, or no ``revive``, is a failure.
         """
@@ -671,43 +668,23 @@ class ProcessPoolBackend(ShardedBackend):
         self,
         graph: DiGraph,
         replications: Sequence[ReplicationTable],
-        epoch: int | None = None,
     ) -> "PoolEpoch":
         """Attach every worker to a refreshed snapshot's tables.
 
-        New arenas are created under the next epoch tag (or ``epoch``,
-        which must advance) and all workers attach them; it becomes the
-        epoch :meth:`run_batch` runs on, and the returned
-        :class:`PoolEpoch` keeps running on it.  Earlier epochs stay
-        attached until :meth:`retire`.  A worker that died since the
-        last batch is respawned here, as a batch would.
+        New arenas are created under the next epoch tag and all workers
+        attach them; it becomes the epoch :meth:`run_batch` runs on, and
+        the returned :class:`PoolEpoch` keeps running on it.  Earlier
+        epochs stay attached until :meth:`retire`, so a remap is an
+        attach followed by retiring the epoch it replaced.  A worker
+        that died since the last batch is respawned here, as a batch
+        would.
         """
         replications = _checked_tables(
             replications, self.num_shards, self.machines_per_shard, graph
         )
         with self._lock:
-            self._attach_epoch_locked(graph, replications, epoch)
+            self._attach_epoch_locked(graph, replications)
             return PoolEpoch(self)
-
-    def refresh(
-        self,
-        graph: DiGraph,
-        replications: Sequence[ReplicationTable],
-        epoch: int | None = None,
-    ) -> "ProcessPoolBackend":
-        """Remap every worker onto a refreshed snapshot's tables.
-
-        :meth:`attach_epoch`, then the retirement of the epoch it
-        replaced, under one hold of the backend lock.
-        """
-        replications = _checked_tables(
-            replications, self.num_shards, self.machines_per_shard, graph
-        )
-        with self._lock:
-            old_epoch = self._epoch
-            self._attach_epoch_locked(graph, replications, epoch)
-            self._retire_locked(old_epoch)
-        return self
 
     def retire(self, epoch: int) -> None:
         """Detach and unlink one epoch's arenas (no-op once gone).
@@ -724,13 +701,8 @@ class ProcessPoolBackend(ShardedBackend):
         self,
         graph: DiGraph,
         replications: Sequence[ReplicationTable],
-        epoch: int | None,
     ) -> None:
-        new_epoch = epoch if epoch is not None else self._epoch + 1
-        if new_epoch <= self._epoch:
-            raise ConfigError(
-                f"refresh epoch must advance: {new_epoch} <= {self._epoch}"
-            )
+        new_epoch = self._epoch + 1
         self._publish_epoch(new_epoch, graph, replications)
         try:
             self._attach(new_epoch, self._workers, self._recover_shard)

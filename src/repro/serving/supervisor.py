@@ -2,7 +2,7 @@
 
 The :class:`~repro.serving.ProcessPoolBackend` owns shard *processes*;
 this module replaces the ones it loses.  Every pool holds one
-:class:`WorkerSupervisor`, and the pool's batch and refresh paths are
+:class:`WorkerSupervisor`, and the pool's batch and attach paths are
 its only callers: a worker found dead at dispatch, or lost while their
 gather waits on it, is handed to :meth:`WorkerSupervisor.revive_locked`,
 which
@@ -20,7 +20,7 @@ The supervisor holds no reference to the pool: the pool passes itself
 to every call, so the pool's edge to its supervisor is the only one and
 a dropped pool is freed at once, without the cyclic collector.
 Methods suffixed ``_locked`` assume the caller holds the pool's
-``_lock``, which serializes batches, refreshes and respawns.
+``_lock``, which serializes batches, attaches, retirements and respawns.
 
 Respawn uses exponential backoff per shard
 (``RESPAWN_BACKOFF_S * 2**(consecutive_crashes - 1)``, capped at

@@ -140,10 +140,10 @@ class SegmentStore:
     """Disk-backed :class:`~repro.store.GraphStore` over segment files.
 
     Build one with :meth:`create` (bulk load from any graph store or
-    edge array) and reopen it later with :meth:`open`.  The store
-    implements the full protocol — ``edge_keys``/``scan``/``apply``/
-    ``snapshot``/``version`` — so ingress and serving code cannot tell
-    it from a RAM graph except through :attr:`scan_stats`.
+    edge array) and reopen it later with ``SegmentStore(directory)``.
+    The store implements the full protocol — ``edge_keys``/``scan``/
+    ``apply``/``snapshot``/``version`` — so ingress and serving code
+    cannot tell it from a RAM graph except through :attr:`scan_stats`.
     """
 
     #: Marks this tier for the serving seam: backends given an
@@ -261,11 +261,6 @@ class SegmentStore:
         store._segments = segments
         store.check_intervals()
         return store
-
-    @classmethod
-    def open(cls, directory: str | os.PathLike[str]) -> "SegmentStore":
-        """Alias of the constructor, for symmetry with :meth:`create`."""
-        return cls(directory)
 
     # ------------------------------------------------------------------
     # GraphStore protocol

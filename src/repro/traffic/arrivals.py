@@ -78,11 +78,6 @@ class ArrivalProcess:
                 out.append(t)
         return np.asarray(out, dtype=np.float64)
 
-    def expected_count(self, duration_s: float, steps: int = 1024) -> float:
-        """Trapezoidal integral of the rate (capacity-planning aid)."""
-        grid = np.linspace(0.0, duration_s, steps)
-        return float(np.trapezoid([self.rate(t) for t in grid], grid))
-
 
 class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate_qps`` queries/second."""
@@ -180,7 +175,3 @@ class BurstArrivals(ArrivalProcess):
         if lo <= t < lo + self.burst_duration_s:
             return self.burst_qps
         return self.base_qps
-
-    def in_burst(self, t: float) -> bool:
-        lo = self.burst_start_s
-        return lo <= t < lo + self.burst_duration_s

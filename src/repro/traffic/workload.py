@@ -122,12 +122,6 @@ class UserPopulation:
         seeds = tuple(int(v) for v in sorted(self._user_seeds[user_id]))
         return RankingQuery(seeds=seeds, k=self.k)
 
-    def distinct_queries(self) -> int:
-        """Number of distinct cache keys the population can generate."""
-        return len(
-            {tuple(sorted(row.tolist())) for row in self._user_seeds}
-        )
-
 
 class TrafficWorkload:
     """An arrival process crossed with a user population.

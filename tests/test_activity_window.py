@@ -56,7 +56,9 @@ class TestTransitions:
         delta = window.observe([(0, 1)], timestamp=1.0)
         assert delta.num_added == 0
         assert delta.num_removed == 0
-        assert window.num_live_interactions == 2
+        # Both interactions count: the edge outlives the first one.
+        assert window.observe([], timestamp=5.5).num_removed == 0
+        assert window.observe([], timestamp=6.0).num_removed == 1
 
     def test_expiry_removes_edge(self):
         window = ActivityWindow(10, horizon=5.0)
@@ -86,7 +88,8 @@ class TestTransitions:
         delta = window.observe([(0, 1)], timestamp=6.0)
         assert delta.num_added == 0
         assert delta.num_removed == 0
-        assert window.num_live_interactions == 1
+        # One interaction is left: the edge dies with it.
+        assert window.observe([], timestamp=11.0).num_removed == 1
 
     def test_exact_cutoff_expires(self):
         """Interactions aged exactly `horizon` are evicted."""
@@ -109,10 +112,10 @@ class TestStateQueries:
         window.observe([(0, 1)], timestamp=3.5)
         assert window.clock == 3.5
 
-    def test_to_dynamic_graph(self):
+    def test_current_edges_seed_a_dynamic_graph(self):
         window = ActivityWindow(10, horizon=5.0)
         window.observe([(0, 1), (4, 5)], timestamp=0.0)
-        graph = window.to_dynamic_graph()
+        graph = DynamicDiGraph(10, window.current_edges())
         assert graph.num_edges == 2
         assert graph.has_edge(4, 5)
 

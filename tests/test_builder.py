@@ -9,7 +9,7 @@ from repro.graph import GraphBuilder, from_edges
 
 class TestAddEdges:
     def test_single_edge(self):
-        g = GraphBuilder().add_edge(0, 1).build()
+        g = GraphBuilder().add_edges([(0, 1)]).build()
         assert g.has_edge(0, 1)
 
     def test_batch_array(self):
@@ -22,18 +22,19 @@ class TestAddEdges:
         assert g.num_vertices == 6
 
     def test_chaining(self):
-        g = GraphBuilder().add_edge(0, 1).add_edge(1, 0).build()
+        g = GraphBuilder().add_edges([(0, 1)]).add_edges([(1, 0)]).build()
         assert g.num_edges == 2
 
     def test_empty_batch_is_noop(self):
         builder = GraphBuilder()
         builder.add_edges([])
-        assert builder.num_pending_edges == 0
+        assert builder.build().num_vertices == 0
 
-    def test_pending_count(self):
-        builder = GraphBuilder()
+    def test_batches_accumulate_until_build(self):
+        builder = GraphBuilder(repair_dangling="none")
         builder.add_edges([(0, 1), (0, 1)])
-        assert builder.num_pending_edges == 2
+        builder.add_edges(np.array([[2, 0]]))
+        assert sorted(builder.build().edges()) == [(0, 1), (2, 0)]
 
     def test_rejects_negative_ids(self):
         with pytest.raises(GraphError, match="non-negative"):
@@ -45,7 +46,7 @@ class TestAddEdges:
 
     def test_rejects_vertex_above_fixed_n(self):
         builder = GraphBuilder(num_vertices=2)
-        builder.add_edge(0, 5)
+        builder.add_edges([(0, 5)])
         with pytest.raises(GraphError, match="num_vertices"):
             builder.build()
 

@@ -94,7 +94,8 @@ class TestReuse:
         for _ in range(5):
             update = ingress.apply(churn.step(graph))
             assert update.reuse_ratio >= 0.8
-        assert ingress.lifetime_reuse_ratio() >= 0.8
+        placed = ingress.reused_placements + ingress.new_placements
+        assert ingress.reused_placements / placed >= 0.8
 
     def test_surviving_edges_keep_their_machine(self):
         graph = make_dynamic(n=200, seed=2)

@@ -60,9 +60,9 @@ def assert_equivalent_to_rebuild(replicator, snapshot):
     table = replicator.table
     assert table.replication_factor() == scratch.replication_factor()
     for v in range(0, snapshot.num_vertices, 37):
-        assert table.master_of(v) == scratch.master_of(v)
+        assert table.masters[v] == scratch.masters[v]
         np.testing.assert_array_equal(
-            table.mirrors_of(v), scratch.mirrors_of(v)
+            table.replica_matrix[v], scratch.replica_matrix[v]
         )
         mine = table.out_groups.split(v)
         theirs = scratch.out_groups.split(v)

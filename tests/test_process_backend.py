@@ -13,7 +13,7 @@ not merely statistically close.  These tests pin down:
   :class:`ShardedBackend` and a one-shard pool answer bit for bit alike;
 * byte-exact reconciliation of the *measured* record transport against
   the simulated :class:`MessageSizeModel` pricing, across batches and
-  epoch refreshes;
+  epoch remaps;
 * the shared-memory plumbing in isolation (arena roundtrip, wire codec,
   CSR / replication-table component serialization);
 * the epoch-remap handshake and the close lifecycle;
@@ -336,10 +336,11 @@ class TestTransportReconciliation:
                 assert backend.transport_summary()["reconciles"] == 1.0
 
 
-class TestRefreshLifecycle:
-    def test_refresh_remaps_onto_new_snapshot(self):
-        """After an epoch refresh the workers serve the *new* graph's
-        tables, bitwise-matching a sharded backend built fresh on it."""
+class TestRemapLifecycle:
+    def test_a_remap_serves_the_new_snapshot(self):
+        """After attaching a new epoch and retiring the old one, the
+        workers serve the *new* graph's tables, bitwise-matching a
+        sharded backend built fresh on it."""
         new_graph = twitter_like(n=400, seed=8)
         reference = ShardedBackend(
             new_graph, num_shards=2, num_machines=4, seed=0
@@ -349,7 +350,10 @@ class TestRefreshLifecycle:
             SMALL, num_shards=2, num_machines=4, seed=0
         ) as backend:
             backend.run_batch(FAST, query)
-            backend.refresh(new_graph, reference.replications)
+            old = PoolEpoch(backend)
+            backend.attach_epoch(new_graph, reference.replications)
+            old.retire()
+            assert list(backend._arenas) == [backend._epoch]
             outcome = backend.run_batch(FAST, query)
             expected = reference.run_batch(FAST, query)
             np.testing.assert_array_equal(
@@ -400,19 +404,13 @@ class TestRefreshLifecycle:
             old.retire()  # a no-op once gone
             assert new.run_batch(FAST, query).lanes[0].estimate is not None
 
-    def test_refresh_epoch_must_advance(self):
-        with ProcessPoolBackend(
-            SMALL, num_shards=1, num_machines=2, seed=0
-        ) as backend:
-            with pytest.raises(ConfigError, match="epoch must advance"):
-                backend.refresh(SMALL, backend.replications, epoch=0)
-
-    def test_refresh_validates_table_count(self):
+    def test_attach_validates_table_count(self):
         with ProcessPoolBackend(
             SMALL, num_shards=2, num_machines=4, seed=0
         ) as backend:
             with pytest.raises(ConfigError, match="replication tables"):
-                backend.refresh(SMALL, backend.replications[:1])
+                backend.attach_epoch(SMALL, backend.replications[:1])
+            assert list(backend._arenas) == [0]
 
     def test_time_parameters_are_validated(self):
         """A non-positive timeout used to be accepted and made every

@@ -157,11 +157,11 @@ def test_replication_covers_every_edge(edges, machines, seed):
     src = g.edge_sources()
     for e in range(g.num_edges):
         p = placement[e]
-        assert p in table.replicas_of(int(src[e]))
-        assert p in table.replicas_of(int(g.indices[e]))
+        assert table.replica_matrix[src[e], p]
+        assert table.replica_matrix[g.indices[e], p]
     # Masters are valid replicas and replication factor >= 1.
     for v in range(g.num_vertices):
-        assert table.master_of(v) in table.replicas_of(v)
+        assert table.replica_matrix[v, table.masters[v]]
     assert table.replication_factor() >= 1.0
 
 

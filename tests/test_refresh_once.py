@@ -244,8 +244,8 @@ class TestSharedMachinePass:
             graph, make_partitioner("stable-hash", 0).partition(graph, 4), seed=1
         )
         for lonely in (3, 8, 9):
-            assert table.replicas_of(lonely).tolist() == [0]
-            assert table.master_of(lonely) == 0
+            assert np.flatnonzero(table.replica_matrix[lonely]).tolist() == [0]
+            assert table.masters[lonely] == 0
             assert table.out_groups.split(lonely)[0].size == 0
         assert table.replica_counts.min() == 1
 

@@ -23,21 +23,21 @@ class TestPlacement:
     def test_replicas_from_incident_edges(self, tiny_table):
         graph, table = tiny_table
         # Vertex 0: edges (0,1)@m0, (0,2)@m1, (3,0)@m0 -> both machines.
-        assert list(table.replicas_of(0)) == [0, 1]
+        assert list(np.flatnonzero(table.replica_matrix[0])) == [0, 1]
         # Vertex 1: edges (0,1)@m0, (1,2)@m0 -> machine 0 only.
-        assert list(table.replicas_of(1)) == [0]
+        assert list(np.flatnonzero(table.replica_matrix[1])) == [0]
 
     def test_master_is_a_replica(self, tiny_table):
         _, table = tiny_table
         for v in range(4):
-            assert table.master_of(v) in table.replicas_of(v)
+            assert table.replica_matrix[v, table.masters[v]]
 
     def test_mirrors_exclude_master(self, tiny_table):
         _, table = tiny_table
         for v in range(4):
-            mirrors = table.mirrors_of(v)
-            assert table.master_of(v) not in mirrors
-            assert len(mirrors) == len(table.replicas_of(v)) - 1
+            replicas = np.flatnonzero(table.replica_matrix[v])
+            mirrors = replicas[replicas != table.masters[v]]
+            assert len(mirrors) == table.replica_counts[v] - 1
 
     def test_replica_counts(self, tiny_table):
         _, table = tiny_table
@@ -111,9 +111,10 @@ class TestSyncRecordMatrix:
         records = table.sync_record_matrix(changed)
         expected = np.zeros((4, 4), dtype=np.int64)
         for v in np.flatnonzero(changed):
-            master = table.master_of(v)
-            for mirror in table.mirrors_of(v):
-                expected[master, mirror] += 1
+            master = table.masters[v]
+            for mirror in np.flatnonzero(table.replica_matrix[v]):
+                if mirror != master:
+                    expected[master, mirror] += 1
         np.testing.assert_array_equal(records, expected)
 
     def test_no_changes_no_records(self, small_twitter):

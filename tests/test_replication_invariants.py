@@ -87,13 +87,10 @@ def test_replicas_are_the_incident_edge_machines(table):
     np.testing.assert_array_equal(table.replica_counts, expected.sum(axis=1))
 
 
-def test_mirror_counts_match_mirrors_of(table):
-    counts = table.mirror_counts()
-    assert counts.dtype == np.int64
-    assert counts.min() >= 0
-    for v in range(GRAPH.num_vertices):
-        assert counts[v] == len(table.mirrors_of(v))
-    assert counts.sum() == table.replica_counts.sum() - GRAPH.num_vertices
+def test_every_vertex_has_its_master_among_its_replicas(table):
+    vertices = np.arange(GRAPH.num_vertices)
+    assert table.replica_matrix[vertices, table.masters].all()
+    assert (table.replica_counts - 1).min() >= 0
 
 
 def test_masters_on_partitions_the_vertices(table):

@@ -582,20 +582,20 @@ class TestShardAutotuning:
     def test_bounds(self):
         from repro.serving import choose_num_shards
 
-        # Fleet bound: shards need >= 2 machines each by default.
-        assert choose_num_shards(16, replication=16, num_frogs=10**6) == 8
-        assert choose_num_shards(3, replication=16, num_frogs=10**6) == 1
-        # Replication bound caps full ingress copies.
-        assert choose_num_shards(32, replication=4, num_frogs=10**6) == 4
-        # Frog bound: tiny budgets do not fan out at all.
-        assert choose_num_shards(16, replication=8, num_frogs=1_000) == 1
-        assert choose_num_shards(16, replication=8, num_frogs=4_000) == 2
+        # Fleet bound: shards need >= 2 machines each.
+        assert choose_num_shards(6, num_frogs=10**6) == 3
+        assert choose_num_shards(3, num_frogs=10**6) == 1
+        # Replication bound caps full ingress copies at 4.
+        assert choose_num_shards(32, num_frogs=10**6) == 4
+        # Frog bound: a shard's share needs >= 2 000 frogs, so tiny
+        # budgets do not fan out at all.
+        assert choose_num_shards(16, num_frogs=1_000) == 1
+        assert choose_num_shards(16, num_frogs=4_000) == 2
+        assert choose_num_shards(16, num_frogs=5_999) == 2
         # No hint: frogs do not constrain.
-        assert choose_num_shards(16, replication=2) == 2
+        assert choose_num_shards(16) == 4
         with pytest.raises(ConfigError):
             choose_num_shards(0)
-        with pytest.raises(ConfigError):
-            choose_num_shards(8, replication=0)
 
     def test_sharded_backend_autotunes_when_unset(self, graph):
         from repro.serving import ShardedBackend, choose_num_shards

@@ -53,6 +53,7 @@ from repro.serving import (
     ServiceConfig,
 )
 from repro.serving.backend import _run_slice, _shard_seed
+from repro.serving.process_backend import PoolEpoch
 from repro.serving.config import SHARD_FAILURE_POLICIES
 from repro.serving.supervisor import (
     MAX_BACKOFF_S,
@@ -77,6 +78,13 @@ def _pool(**overrides):
     )
     kwargs.update(overrides)
     return ProcessPoolBackend(GRAPH, **kwargs)
+
+
+def _remap(backend):
+    """Attach a new epoch of the same tables and retire the old one."""
+    old = PoolEpoch(backend)
+    backend.attach_epoch(GRAPH, backend.replications)
+    old.retire()
 
 
 def _kill_mid_batch(backend, shard, after_s=0.3, park_s=30.0):
@@ -361,15 +369,15 @@ class TestSupervisor:
             backend.run_batch(CONFIG, QUERIES)
             # Advance the epoch, then crash: the revived worker must
             # serve the *new* epoch's arenas.
-            backend.refresh(GRAPH, backend.replications)
+            _remap(backend)
             refreshed = backend.run_batch(CONFIG, QUERIES)
             old_pid = backend.worker_pid(0)
             os.kill(old_pid, signal.SIGKILL)
             time.sleep(0.2)
             _assert_revived_by_next_batch(backend, 0, old_pid, refreshed)
 
-    def test_refresh_revives_a_worker_dead_since_the_last_batch(self):
-        """A worker killed between batches is respawned by the refresh
+    def test_an_attach_revives_a_worker_dead_since_the_last_batch(self):
+        """A worker killed between batches is respawned by the attach
         that finds it, as a batch would; its healthy sibling keeps
         serving, so the next batch still runs every frog."""
         with _pool(num_shards=2, on_shard_failure="fail") as backend:
@@ -378,7 +386,7 @@ class TestSupervisor:
             old_pid = backend.worker_pid(1)
             os.kill(old_pid, signal.SIGKILL)
             time.sleep(0.2)
-            backend.refresh(GRAPH, backend.replications)
+            _remap(backend)
             assert backend._workers[0].process.is_alive()
             assert backend.worker_pid(0) == survivor
             assert backend.worker_pid(1) != old_pid
@@ -386,12 +394,12 @@ class TestSupervisor:
             assert outcome.degraded_shards == ()
             assert outcome.lanes[0].estimate.num_frogs == CONFIG.num_frogs
             assert backend.supervisor.stats.respawns == 1
-            # Only the refreshed epoch's arenas are left.
+            # Only the new epoch's arenas are left.
             assert list(backend._arenas) == [1]
 
-    def test_a_failed_refresh_gathers_every_attach_it_sent(self):
+    def test_a_failed_attach_gathers_every_attach_it_sent(self):
         """Shard 0's table segment is gone before it attaches: its
-        error reply fails the refresh, but only after shard 1's (held
+        error reply fails the attach, but only after shard 1's (held
         back) attach reply was gathered, so the epoch is not unlinked
         under it."""
         with _pool(num_shards=2, on_shard_failure="fail") as backend:
@@ -406,7 +414,7 @@ class TestSupervisor:
                 backend, "_publish_epoch", publish_without_shard_0
             ):
                 with pytest.raises(EngineError, match="shard 0 worker failed"):
-                    backend.refresh(GRAPH, backend.replications)
+                    backend.attach_epoch(GRAPH, backend.replications)
             assert not backend._workers[1].control.poll(1.0)
             assert list(backend._arenas) == [0]
             assert all(w.process.is_alive() for w in backend._workers)

@@ -56,14 +56,14 @@ class TestCoins:
         fresh, _ = _draw(state, vertices, 1.0, np.random.default_rng(0))
         repl = state.replication
         for row, v in enumerate(vertices):
-            assert set(np.flatnonzero(fresh[row])) == set(repl.replicas_of(v))
+            assert np.array_equal(fresh[row], repl.replica_matrix[v])
 
     def test_ps0_syncs_only_master(self, state):
         vertices = _vertices_with_mirrors(state)
         fresh, _ = _draw(state, vertices, 0.0, np.random.default_rng(0))
         repl = state.replication
         for row, v in enumerate(vertices):
-            assert list(np.flatnonzero(fresh[row])) == [repl.master_of(v)]
+            assert list(np.flatnonzero(fresh[row])) == [repl.masters[v]]
 
     def test_fraction_close_to_ps(self, state):
         ps = 0.4
