@@ -96,9 +96,12 @@ class BatchScheduler:
     Parameters
     ----------
     dispatch:
-        Callback ``(config, entries)`` executing one config-pure batch;
-        entries are :class:`PendingQuery` rows carrying the submitter's
-        payload.  It returns the batch's service time in clock seconds
+        Callback ``(config, entries, start)`` executing one config-pure
+        batch; entries are :class:`PendingQuery` rows carrying the
+        submitter's payload, and ``start`` is the clock instant the
+        batch starts on the server: the dispatch instant, or the end of
+        the service time still running (a flush's later batches queue
+        behind its earlier ones).  It returns the batch's service time in clock seconds
         (the server stays busy that long on the clock) or ``None`` when
         the call itself took that time, as on a real clock.  Called
         without internal locks held, so it may submit further queries
@@ -116,7 +119,7 @@ class BatchScheduler:
     def __init__(
         self,
         dispatch: Callable[
-            [FrogWildConfig, list[PendingQuery]], float | None
+            [FrogWildConfig, list[PendingQuery], float], float | None
         ],
         coalescer: QueryCoalescer,
         max_delay_s: float | None = None,
@@ -248,10 +251,10 @@ class BatchScheduler:
         for config, entries in batches:
             with self._cond:
                 self._active_dispatches += 1
-                began = self._clock()
+                start = max(self._busy_until, self._clock())
             service_time = None
             try:
-                service_time = self._dispatch(config, entries)
+                service_time = self._dispatch(config, entries, start)
             except BaseException as error:
                 if first_error is None:
                     first_error = error
@@ -260,7 +263,7 @@ class BatchScheduler:
                     self._active_dispatches -= 1
                     if service_time:
                         self._busy_until = (
-                            max(self._busy_until, began) + service_time
+                            max(self._busy_until, start) + service_time
                         )
                     setattr(
                         self.stats,

@@ -376,7 +376,7 @@ class RankingService:
         # service itself: see start().
         execute = weakref.WeakMethod(self._execute_batch)
         self.scheduler = BatchScheduler(
-            lambda config, entries: execute()(config, entries),
+            lambda config, entries, start: execute()(config, entries, start),
             self.coalescer,
             max_delay_s=config.max_delay_s,
             clock=self._clock,
@@ -723,15 +723,20 @@ class RankingService:
         return future, key
 
     def _execute_batch(
-        self, config: FrogWildConfig, entries: list[PendingQuery]
+        self,
+        config: FrogWildConfig,
+        entries: list[PendingQuery],
+        start: float,
     ) -> float | None:
         """Scheduler dispatch target: run one config-pure batch.
 
-        Returns the batch's virtual service time under a
-        :class:`VirtualClock`, else ``None`` (the call took it)."""
+        ``start`` is the instant the batch starts on the scheduler's
+        server; its traces are dispatched then.  Returns the batch's
+        virtual service time under a :class:`VirtualClock` (its traces
+        resolve at ``start`` plus that), else ``None`` (the call took
+        it)."""
         queries = [entry.query for entry in entries]
         resolved: list[tuple[RankingQuery, RankingFuture, _CacheEntry]] = []
-        dispatch_now = self._clock()
         try:
             outcome = self.backend.run_batch(config, queries)
             if len(outcome.lanes) != len(queries):
@@ -820,11 +825,11 @@ class RankingService:
             trace = future.trace
             if self.tracer is not None and trace is not None:
                 trace.status = "served"
-                trace.dispatch_s = dispatch_now
+                trace.dispatch_s = start
                 trace.resolve_s = (
                     self._clock()
                     if service_time is None
-                    else dispatch_now + service_time
+                    else start + service_time
                 )
                 trace.batch_size = cached.batch_size
                 trace.supersteps = cached.report.supersteps

@@ -157,7 +157,7 @@ class TestBatchScheduler:
         ``service_time`` seconds of the clock (``None``: no time)."""
         dispatched = []
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             dispatched.append((config, entries))
             return service_time
 
@@ -243,6 +243,21 @@ class TestBatchScheduler:
         assert scheduler.stats.flush_dispatches == 2
         assert scheduler.pending_count() == 0
 
+    def test_a_flush_starts_each_batch_when_the_last_one_ends(self):
+        starts = []
+
+        def dispatch(config, entries, start):
+            starts.append(start)
+            return 1.0
+
+        clock = VirtualClock(0.5)
+        scheduler = BatchScheduler(dispatch, QueryCoalescer(4), clock=clock)
+        scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
+        scheduler.enqueue(RankingQuery(seeds=(2,), config=FAST), DEFAULT)
+        assert scheduler.flush() == 2
+        assert starts == [0.5, 1.5]
+        assert scheduler.pump() == 2.5
+
     def test_no_deadline_means_fill_or_flush_only(self):
         scheduler, clock, dispatched = self.make(max_delay_s=None)
         scheduler.enqueue(RankingQuery(seeds=(1,)), DEFAULT)
@@ -257,7 +272,7 @@ class TestBatchScheduler:
         would hang forever.  The first error resurfaces afterwards."""
         dispatched = []
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             if config == FAST:
                 raise RuntimeError("shard meltdown")
             dispatched.append(config)
@@ -281,7 +296,7 @@ class TestBatchScheduler:
 
         dispatched = threading.Event()
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             if entries[0].query.seeds == (666,):
                 raise RuntimeError("poison query")
             dispatched.set()
@@ -306,7 +321,7 @@ class TestBatchScheduler:
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigError):
             BatchScheduler(
-                lambda config, entries: None,
+                lambda config, entries, start: None,
                 QueryCoalescer(4),
                 max_delay_s=-1.0,
             )
@@ -318,7 +333,7 @@ class TestBatchScheduler:
 
         dispatched = threading.Event()
         scheduler = BatchScheduler(
-            lambda config, entries: dispatched.set(),
+            lambda config, entries, start: dispatched.set(),
             QueryCoalescer(4),
             max_delay_s=0.001,
         )
@@ -345,7 +360,7 @@ class TestBatchScheduler:
         release = threading.Event()
         order = []
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             order.append(entries[0].query.seeds[0])
             if entries[0].query.seeds == (1,):
                 in_dispatch.set()
@@ -423,7 +438,7 @@ class TestIdleDispatch:
 
     def test_lone_submit_to_an_idle_loop_leaves_at_once(self):
         dispatched = threading.Event()
-        scheduler = self.make(lambda config, entries: dispatched.set())
+        scheduler = self.make(lambda config, entries, start: dispatched.set())
         scheduler.start()
         try:
             began = monotonic()
@@ -441,7 +456,7 @@ class TestIdleDispatch:
         release = threading.Event()
         second = threading.Event()
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             sizes.append(len(entries))
             if len(sizes) == 1:
                 running.set()
@@ -472,7 +487,7 @@ class TestIdleDispatch:
         release = threading.Event()
         dispatched = threading.Event()
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             if entries[0].query.seeds == (1,):
                 flushing.set()
                 release.wait(timeout=30.0)
@@ -509,7 +524,7 @@ class TestIdleDispatch:
         release = threading.Event()
         dispatched = threading.Event()
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             if entries[0].query.seeds == (1,):
                 flushing.set()
                 release.wait(timeout=30.0)
@@ -540,7 +555,7 @@ class TestIdleDispatch:
         sent = []
         lock = threading.Lock()
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             with lock:
                 sent.append([entry.payload for entry in entries])
 
@@ -575,7 +590,7 @@ class TestIdleDispatch:
     def test_no_delay_leaves_a_partial_batch_queued_on_a_started_loop(self):
         dispatched = []
         scheduler = self.make(
-            lambda config, entries: dispatched.append(entries),
+            lambda config, entries, start: dispatched.append(entries),
             max_delay_s=None,
         )
         scheduler.start()
@@ -636,7 +651,7 @@ class TestOneRuleOnBothClocks:
         log = []
         clock = VirtualClock()
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             log.append((self.counts(scheduler),
                         [e.query.seeds[0] for e in entries]))
             return self.SERVICE_S
@@ -659,7 +674,7 @@ class TestOneRuleOnBothClocks:
         log, gates = [], []
         began = threading.Semaphore(0)
 
-        def dispatch(config, entries):
+        def dispatch(config, entries, start):
             gate = threading.Event()
             log.append((self.counts(scheduler),
                         [e.query.seeds[0] for e in entries]))
@@ -776,6 +791,26 @@ class TestScheduledService:
         service.pump()
         assert futures[4].done()
         assert list(service.stats.batch_size.recent) == [1, 4, 1]
+
+    def test_a_multi_batch_flush_traces_its_batches_back_to_back(
+        self, graph
+    ):
+        """A flush runs its batches one after another on the clock's
+        server: the second batch starts when the first resolves, and
+        resolves when the server frees."""
+        from repro.traffic import QueryTracer
+
+        service, clock = self.make_service(graph, tracer=QueryTracer())
+        futures = [service.submit([vertex]) for vertex in range(8)]
+        assert service.flush() == 2
+        first = {f.trace.dispatch_s for f in futures[:4]}
+        second = {f.trace.dispatch_s for f in futures[4:]}
+        first_resolve = {f.trace.resolve_s for f in futures[:4]}
+        second_resolve = {f.trace.resolve_s for f in futures[4:]}
+        assert first == {clock.now}
+        assert second == first_resolve
+        assert first_resolve.pop() > clock.now
+        assert second_resolve == {service.scheduler._busy_until}
 
     def test_submit_hits_cache_immediately(self, graph):
         service, clock = self.make_service(graph)
