@@ -94,13 +94,13 @@ population.  When a worker dies (or times out) mid-batch,
   bound.
 
 The pool heals on the paths that talk to every worker: a batch and an
-epoch attach.  A worker found dead at *dispatch* (before its slice started)
-is respawned and re-sent once for free under both policies — no frogs
-were lost yet; a worker lost mid-flight is respawned the moment the
-gather sees it, while the other shards still compute.  An attach
-respawns a worker it finds dead the same way, and gathers every attach
-it sent before it gives up on an epoch.  All of these go through the
-:class:`~repro.serving.WorkerSupervisor` (respawn with backoff,
+epoch attach.  A worker found dead at *dispatch* (before its slice
+started) is respawned and re-sent once for free under both policies —
+no frogs were lost yet; a worker lost mid-flight is respawned the
+moment the gather sees it, while the other shards still compute.  An
+attach respawns a worker it finds dead the same way, and gathers every
+attach it sent before it gives up on an epoch.  All of these go through
+the :class:`~repro.serving.WorkerSupervisor` (respawn with backoff,
 re-attach to the live epochs, orphaned-segment sweep).  Nothing
 watches the workers between batches: a death there is found by the
 next batch's or attach's dispatch.

@@ -101,11 +101,11 @@ class BatchScheduler:
         submitter's payload, and ``start`` is the clock instant the
         batch starts on the server: the dispatch instant, or the end of
         the service time still running (a flush's later batches queue
-        behind its earlier ones).  It returns the batch's service time in clock seconds
-        (the server stays busy that long on the clock) or ``None`` when
-        the call itself took that time, as on a real clock.  Called
-        without internal locks held, so it may submit further queries
-        or take its own locks freely.
+        behind its earlier ones).  It returns the batch's service time
+        in clock seconds (the server stays busy that long on the clock)
+        or ``None`` when the call itself took that time, as on a real
+        clock.  Called without internal locks held, so it may submit
+        further queries or take its own locks freely.
     coalescer:
         The config-pure queue; shared with the owning service.
     max_delay_s:

@@ -336,7 +336,7 @@ class TestTransportReconciliation:
                 assert backend.transport_summary()["reconciles"] == 1.0
 
 
-class TestRemapLifecycle:
+class TestRefreshLifecycle:
     def test_a_remap_serves_the_new_snapshot(self):
         """After attaching a new epoch and retiring the old one, the
         workers serve the *new* graph's tables, bitwise-matching a
